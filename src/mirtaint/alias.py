@@ -131,7 +131,7 @@ def op_sse(o: ir.Operand) -> S.Sse:
     return S.Reg(o) if isinstance(o, str) else S.Val(o)
 
 
-def addr_sse(reg: str, disp: int, birth: int = S.BIRTH_BEFORE_BLOCK) -> S.Sse:
+def addr_sse(reg: str, disp: int) -> S.Sse:
     a = S.Reg(reg)
     return S.canonicalize(S.Bin("+", a, S.Val(disp))) if disp else a
 
@@ -546,7 +546,6 @@ class FunctionSummary:
     mod: tuple[ModEntry, ...] = ()
     ref: tuple[S.Sse, ...] = ()                # Load(addr) cells read
     ret_exprs: tuple[S.Sse, ...] = ()          # aliases of the returned value
-    taint_io: dict = field(default_factory=dict)  # param reg -> set[Sse] outputs
     recursive: bool = False
 
 
@@ -647,20 +646,107 @@ class _BlockSt:
     seen_b: dict = field(default_factory=dict)   # key -> max idx walked
 
 
-@dataclass
-class FunctionResult:
-    func: str
-    states: dict[str, _BlockSt]
-    registry: dict
+class Session:
+    """What every analysis of one program under one resolution map shares.
+
+    Per-program facts are built lazily and once: each function's CFG and
+    the point index, live-in registers, postorder, dominators and loop
+    blocks, and the direct call graph.  Sessions derived through
+    `with_resolutions` share them.  The summary cache, its notes and the
+    icall-caller map depend on the resolution map, so each session has
+    its own.
+    """
+
+    def __init__(self, program: ir.Program, config: EngineConfig | None = None,
+                 resolutions: dict | None = None):
+        self.program = program
+        self.config = config or EngineConfig()
+        self.resolutions = resolutions or {}
+        self.summaries: dict = {}    # fname -> FunctionSummary | "computing"
+        # fname -> (warnings, cap hits, callee summaries used) of the
+        # sub-analyses that computed its summary
+        self.notes: dict[str, tuple[list, list, dict]] = {}
+        self.icall_callers: dict[str, list[tuple[str, ir.Point]]] = {}
+        for point, targets in self.resolutions.items():
+            for tgt in targets:
+                self.icall_callers.setdefault(tgt, []).append((point.func, point))
+        self._facts: dict = {}       # (kind, fname) -> per-program fact
+        self._points: dict[ir.Point, tuple[str, str, int]] = {}
+
+    def with_resolutions(self, resolutions: dict) -> "Session":
+        """The session over this program and config under `resolutions`:
+        this one when the map is the same, otherwise a new session that
+        shares the per-program facts and starts with no summaries."""
+        if (resolutions or {}) == self.resolutions:
+            return self
+        other = Session(self.program, self.config, resolutions)
+        other._facts, other._points = self._facts, self._points
+        return other
+
+    def _fact(self, kind: str, fname: str | None, build):
+        key = (kind, fname)
+        if key not in self._facts:
+            self._facts[key] = build()
+        return self._facts[key]
+
+    def cfg(self, fname: str) -> cfglib.Cfg:
+        return self._fact("cfg", fname, lambda: self._build_cfg(fname))
+
+    def _build_cfg(self, fname: str) -> cfglib.Cfg:
+        g = cfglib.build_cfg(self.program.functions[fname])
+        for label in g.order:
+            for i, stmt in enumerate(g.blocks[label].stmts):
+                self._points[stmt.point] = (fname, label, i)
+        return g
+
+    def locate(self, point: ir.Point) -> tuple[str, str, int]:
+        """(function, CFG block, index in that block) of a program point."""
+        self.cfg(point.func)
+        return self._points[point]
+
+    def statement(self, point: ir.Point) -> ir.Statement:
+        fname, label, idx = self.locate(point)
+        return self.cfg(fname).blocks[label].stmts[idx]
+
+    def params(self, fname: str) -> tuple[str, ...]:
+        return self._fact("params", fname, lambda: live_in_registers(
+            self.program.functions[fname], self.cfg(fname)))
+
+    def postorder(self, fname: str) -> tuple[str, ...]:
+        return self._fact("postorder", fname,
+                          lambda: tuple(cfglib.postorder(self.cfg(fname))))
+
+    def dominators(self, fname: str) -> dict[str, frozenset[str]]:
+        return self._fact("dominators", fname,
+                          lambda: cfglib.dominators(self.cfg(fname)))
+
+    def loop_blocks(self, fname: str) -> frozenset[str]:
+        return self._fact("loops", fname, lambda: cfglib.loop_blocks(
+            self.cfg(fname), self.dominators(fname)))
+
+    @property
+    def call_graph(self) -> cfglib.CallGraph:
+        return self._fact("call_graph", None,
+                          lambda: cfglib.build_call_graph(self.program))
 
 
 class Analysis:
-    """Demand-driven analysis over a whole program.
+    """One demand-driven run over a program.
 
     Seeds are injected at program points; `run()` drives per-function
     fixpoints and lets results cross callsites in both directions.  The
-    summary cache may be shared between instances (compute-once map;
-    duplicate computation is harmless).
+    analysis holds only per-run state: block states, registry, queue,
+    seeds, warnings and cap hits.  CFGs, program indices and the summary
+    cache belong to its `Session` (`summaries` is the session's dict);
+    without a `session` argument it builds a fresh one.
+
+    There is one summary cache per resolution map.  A summary depends
+    only on its function and its callees' summaries: the sub-analysis
+    that computes it walks that function alone, exporting only to the
+    function's own recursive callsites.  So each summary is computed once and every analysis of the
+    session reuses it, whatever order they ask in.  The one exception is
+    a recursion cycle: the member asked first is computed against the
+    bottom summary of the others, which are still in progress.
 
     `registry[fname]` holds one `Tracked` per `Tracked.key()` that the
     walk established in `fname`, anchored at the point and phase where
@@ -673,14 +759,23 @@ class Analysis:
 
     def __init__(self, program: ir.Program, config: EngineConfig | None = None,
                  resolutions: dict | None = None, policy=None,
-                 summaries: dict | None = None, call_graph=None):
+                 session: Session | None = None, *,
+                 summary_of: str | None = None):
+        if session is None:
+            session = Session(program, config, resolutions)
+        elif (session.program is not program
+              or config not in (None, session.config)
+              or resolutions not in (None, session.resolutions)):
+            raise ValueError("the session is for another program, engine "
+                             "config or resolution map")
+        self.session = session
         self.program = program
-        self.config = config or EngineConfig()
+        self.config = session.config
         self.policy = policy
-        self.resolutions = resolutions or {}
-        self.summaries = summaries if summaries is not None else {}
-        self.call_graph = call_graph or cfglib.build_call_graph(program)
-        self.cfgs: dict[str, cfglib.Cfg] = {}
+        self.resolutions = session.resolutions
+        self.summaries = session.summaries
+        # the function whose summary this analysis computes, if any
+        self.summary_of = summary_of
         self.states: dict[str, dict[str, _BlockSt]] = {}
         self.registry: dict[str, dict] = {}
         self.visited_functions: set[str] = set()
@@ -692,32 +787,24 @@ class Analysis:
         self._queued: set[str] = set()
         self._seed_ids: dict = {}
         self._seed_meta: dict[int, Seed] = {}
-        self._point_index: dict[ir.Point, tuple[str, str, int]] = {}
         self._jobs = 0
-        self._icall_callers: dict[str, list[tuple[str, ir.Point]]] = {}
-        for point, targets in self.resolutions.items():
-            for tgt in targets:
-                self._icall_callers.setdefault(tgt, []).append((point.func, point))
+        self._noted: dict[str, None] = {}   # summaries whose notes are taken
         if policy is not None:
             policy.bind(self)
 
     # -- plumbing -----------------------------------------------------------
 
     def cfg(self, fname: str) -> cfglib.Cfg:
-        if fname not in self.cfgs:
-            g = cfglib.build_cfg(self.program.functions[fname])
-            self.cfgs[fname] = g
+        g = self.session.cfg(fname)
+        if fname not in self.states:
             self.states[fname] = {label: _BlockSt() for label in g.order}
             self.registry.setdefault(fname, {})
-            for label in g.order:
-                for i, stmt in enumerate(g.blocks[label].stmts):
-                    self._point_index[stmt.point] = (fname, label, i)
             self.warnings.extend(g.warnings)
-        return self.cfgs[fname]
+        return g
 
     def locate(self, point: ir.Point) -> tuple[str, str, int]:
         self.cfg(point.func)
-        return self._point_index[point]
+        return self.session.locate(point)
 
     def _schedule(self, fname: str):
         if fname in self._queued:
@@ -1054,29 +1141,43 @@ class Analysis:
     # -- summaries -----------------------------------------------------------
 
     def summary(self, fname: str) -> FunctionSummary:
-        cached = self.summaries.get(fname)
-        if isinstance(cached, FunctionSummary):
-            return cached
-        if cached == "computing":
+        summ = self.summaries.get(fname)
+        if summ == "computing":
             # recursion: bottom summary now, one re-analysis afterwards
             return FunctionSummary(func=fname, params=(), recursive=True)
-        self.summaries[fname] = "computing"
-        summ = self._compute_summary(fname)
-        if any(isinstance(self.summaries.get(c), FunctionSummary)
-               and self.summaries[c].recursive
-               for c, _ in self.call_graph.callees(fname)) or summ.recursive:
-            # one widening round: recompute against the first approximation
-            self.summaries[fname] = summ
+        if summ is None:
+            self.summaries[fname] = "computing"
             summ = self._compute_summary(fname)
-        self.summaries[fname] = summ
+            if summ.recursive or any(
+                    isinstance(self.summaries.get(c), FunctionSummary)
+                    and self.summaries[c].recursive
+                    for c, _ in self.session.call_graph.callees(fname)):
+                # one widening round: recompute against the first approximation
+                self.summaries[fname] = summ
+                summ = self._compute_summary(fname)
+            self.summaries[fname] = summ
+        self._take_notes(fname)
         return summ
 
+    def _take_notes(self, fname: str):
+        """Take over the warnings and cap hits of computing `fname`'s
+        summary and of the callee summaries it used, once per analysis.
+        A summary's own sub-analysis only records which it used."""
+        if fname in self._noted:
+            return
+        self._noted[fname] = None
+        if self.summary_of is not None:
+            return
+        warnings, cap_hits, callees = self.session.notes[fname]
+        self.warnings.extend(warnings)
+        self.cap_hits.extend(cap_hits)
+        for callee in callees:
+            self._take_notes(callee)
+
     def _compute_summary(self, fname: str) -> FunctionSummary:
-        fn = self.program.functions[fname]
-        sub = Analysis(self.program, self.config, resolutions=self.resolutions,
-                       summaries=self.summaries, call_graph=self.call_graph)
+        sub = Analysis(self.program, session=self.session, summary_of=fname)
         g = sub.cfg(fname)
-        params = live_in_registers(fn, g)
+        params = self.session.params(fname)
         seeds: list[tuple[str, ir.Statement, Seed]] = []
         for label in g.order:
             for stmt in g.blocks[label].stmts:
@@ -1101,8 +1202,11 @@ class Analysis:
         for kind, stmt, seed in seeds:
             sid_of[(kind, stmt.point)] = sub.add_seed(seed)
         sub.run()
-        self.warnings.extend(sub.warnings)
-        self.cap_hits.extend(sub.cap_hits)
+        warnings, cap_hits, callees = self.session.notes.setdefault(
+            fname, ([], [], {}))
+        warnings.extend(sub.warnings)
+        cap_hits.extend(sub.cap_hits)
+        callees.update(sub._noted)
 
         allowed = set(params) | {GP}
 
@@ -1132,7 +1236,7 @@ class Analysis:
                 ref.extend(S.Load(m) for m in members)
             elif kind == "ret":
                 rets.extend(members)
-        recursive = any(c == fname for c, _ in self.call_graph.callees(fname))
+        recursive = any(c == fname for c, _ in self.session.call_graph.callees(fname))
         return FunctionSummary(func=fname, params=params,
                                mod=tuple(dict.fromkeys(mod)),
                                ref=tuple(dict.fromkeys(ref)),
@@ -1142,10 +1246,10 @@ class Analysis:
     # -- the Alg.-3 driver ----------------------------------------------------
 
     def analyze_function(self, fname: str):
-        g = self.cfg(fname)
+        self.cfg(fname)
         self.visited_functions.add(fname)
-        order = cfglib.postorder(g)
-        loops = cfglib.loop_blocks(g)
+        order = self.session.postorder(fname)
+        loops = self.session.loop_blocks(fname)
         rounds = 0
         while True:
             changed = False
@@ -1249,9 +1353,8 @@ class Analysis:
     # -- cross-function exports ------------------------------------------------
 
     def _export(self, fname: str):
-        fn = self.program.functions[fname]
         g = self.cfg(fname)
-        params = live_in_registers(fn, g)
+        params = self.session.params(fname)
         allowed = set(params) | {GP}
         entry_st = self.states[fname][g.entry]
         exports_up = [t for t in entry_st.out_b.values()
@@ -1266,8 +1369,11 @@ class Analysis:
             if isinstance(last, ir.Ret) and isinstance(last.value, str):
                 ret_ops[ex] = S.Reg(last.value)
 
-        callers = list(self.call_graph.callers(fname)) + \
-            self._icall_callers.get(fname, [])
+        callers = (self.session.call_graph.callers(fname)
+                   + self.session.icall_callers.get(fname, []))
+        if self.summary_of is not None:
+            # a summary's walk stays inside its own function
+            callers = [c for c in callers if c[0] == self.summary_of]
         if not callers or (not exports_up and not ret_ops):
             return
         for caller, cpoint in callers:

@@ -10,7 +10,8 @@ and index).  Pure functions over an immutable Program.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from . import ir
 
@@ -40,9 +41,6 @@ class Cfg:
     preds: dict[str, tuple[str, ...]]
     unreachable: frozenset[str] = frozenset()
     warnings: tuple[str, ...] = ()
-
-    def block(self, label: str) -> CfgBlock:
-        return self.blocks[label]
 
 
 def build_cfg(function: ir.Function) -> Cfg:
@@ -151,18 +149,21 @@ def build_cfg(function: ir.Function) -> Cfg:
 def postorder(cfg: Cfg) -> list[str]:
     """Blocks in DFS postorder from the entry; back edges are ignored, so
     a block appears after all its non-loop successors.  Unreachable
-    blocks are excluded."""
+    blocks are excluded.  The DFS keeps an explicit stack, so a long
+    chain of blocks cannot exhaust the interpreter's recursion limit."""
     out: list[str] = []
-    visited: set[str] = set()
-
-    def dfs(label: str):
-        visited.add(label)
-        for s in cfg.succs.get(label, ()):
+    visited = {cfg.entry}
+    stack = [(cfg.entry, iter(cfg.succs.get(cfg.entry, ())))]
+    while stack:
+        label, succs = stack[-1]
+        for s in succs:
             if s not in visited:
-                dfs(s)
-        out.append(label)
-
-    dfs(cfg.entry)
+                visited.add(s)
+                stack.append((s, iter(cfg.succs.get(s, ()))))
+                break
+        else:
+            stack.pop()
+            out.append(label)
     return out
 
 
@@ -194,16 +195,19 @@ def dominators(cfg: Cfg) -> dict[str, frozenset[str]]:
     return dom
 
 
-def back_edges(cfg: Cfg) -> set[tuple[str, str]]:
-    dom = dominators(cfg)
+def back_edges(cfg: Cfg, dom: dict[str, frozenset[str]] | None = None
+               ) -> set[tuple[str, str]]:
+    dom = dominators(cfg) if dom is None else dom
     return {(u, v) for u in cfg.order for v in cfg.succs.get(u, ())
             if v in dom.get(u, frozenset())}
 
 
-def loop_blocks(cfg: Cfg) -> frozenset[str]:
-    """Blocks inside some natural loop (body of any back edge)."""
+def loop_blocks(cfg: Cfg, dom: dict[str, frozenset[str]] | None = None
+                ) -> frozenset[str]:
+    """Blocks inside some natural loop (body of any back edge); ``dom``
+    is the graph's dominator map, computed here when not given."""
     out: set[str] = set()
-    for u, v in back_edges(cfg):
+    for u, v in back_edges(cfg, dom):
         body = {v, u}
         stack = [u]
         while stack:
@@ -243,11 +247,22 @@ class CallGraph:
     edges: tuple[tuple[str, str, ir.Point], ...]   # caller, callee, callsite
     unresolved_icalls: tuple[ir.Point, ...]
 
+    @cached_property
+    def _adjacency(self):
+        """(callees, callers): per function, its outgoing and incoming
+        edges in edge order, as (other function, callsite) pairs."""
+        out: dict[str, list] = {}
+        into: dict[str, list] = {}
+        for caller, callee, p in self.edges:
+            out.setdefault(caller, []).append((callee, p))
+            into.setdefault(callee, []).append((caller, p))
+        return out, into
+
     def callees(self, func: str) -> list[tuple[str, ir.Point]]:
-        return [(callee, p) for caller, callee, p in self.edges if caller == func]
+        return list(self._adjacency[0].get(func, ()))
 
     def callers(self, func: str) -> list[tuple[str, ir.Point]]:
-        return [(caller, p) for caller, callee, p in self.edges if callee == func]
+        return list(self._adjacency[1].get(func, ()))
 
 
 def build_call_graph(program: ir.Program) -> CallGraph:

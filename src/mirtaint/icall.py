@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from . import cfg as cfglib
 from . import ir
 from . import sse as S
-from .alias import Analysis, EngineConfig, Seed
+from .alias import Analysis, EngineConfig, Seed, Session
 
 log = logging.getLogger(__name__)
 
@@ -233,23 +233,27 @@ def resolve(callsite: ir.Point, ct_exprs: list[S.Sse], refs: list[PointerRef],
 
 
 def resolve_all(program: ir.Program, address_taken: frozenset[int] | None = None,
-                config: EngineConfig | None = None):
+                config: EngineConfig | None = None,
+                session: Session | None = None):
     """Run the alias engine for every icall target and pointer reference,
-    then match.  Returns (resolutions list, {callsite: targets} map)."""
-    config = config or EngineConfig()
+    then match.  Returns (resolutions list, {callsite: targets} map).
+    `session` (built from `config` when not given) must have no
+    resolutions: this is the run that finds them."""
+    if session is None:
+        session = Session(program, config)
+    elif session.resolutions:
+        raise ValueError("icall resolution runs on a session without resolutions")
     if address_taken is None:
         address_taken = cfglib.find_address_taken(program)
     sites = find_icall_sites(program)
     refs = collect_pointer_refs(program, address_taken)
 
-    analysis = Analysis(program, config)
+    analysis = Analysis(program, config, session=session)
     ct_sids: dict[ir.Point, int] = {}
     for point in sites:
-        fname, label, idx = analysis.locate(point)
-        stmt = analysis.cfg(fname).blocks[label].stmts[idx]
         ct_sids[point] = analysis.add_seed(Seed(
-            point=point, expr=S.Reg(stmt.form.target), direction="backward",
-            label=f"ct:{point}"))
+            point=point, expr=S.Reg(session.statement(point).form.target),
+            direction="backward", label=f"ct:{point}"))
     ref_sids: list[tuple[PointerRef, int]] = []
     for ref in refs:
         if ref.site is not None:

@@ -12,7 +12,7 @@ from . import cfg as cfglib
 from . import icall as icalllib
 from . import ir
 from . import taint as taintlib
-from .alias import Analysis, EngineConfig, Seed
+from .alias import Analysis, EngineConfig, Seed, Session
 from . import sse as S
 
 SCHEMA_VERSION = 1
@@ -134,9 +134,10 @@ def load_program(path: str) -> ir.Program:
     return program
 
 
-def _seed_queries(program: ir.Program, config: RunConfig, resolutions):
+def _seed_queries(session: Session, seeds: tuple[str, ...]):
+    program = session.program
     out = []
-    for query in config.seeds:
+    for query in seeds:
         try:
             fname, block, expr_text = query.split(":", 2)
             expr = S.parse_sse(expr_text)
@@ -145,7 +146,7 @@ def _seed_queries(program: ir.Program, config: RunConfig, resolutions):
             point = ir.Point(fname, block, 0)
         except ValueError as exc:
             raise InputError(f"bad seed {query!r}: {exc}") from None
-        analysis = Analysis(program, config.engine, resolutions=resolutions)
+        analysis = Analysis(program, session=session)
         sid = analysis.add_seed(Seed(point=point, expr=expr, direction="both",
                                      label=f"query:{query}"))
         analysis.run()
@@ -171,20 +172,22 @@ def analyze(config: RunConfig) -> Report:
 
     t1 = time.perf_counter()
     address_taken = cfglib.find_address_taken(program)
-    graph = cfglib.build_call_graph(program)
     timings["preprocess_s"] = round(time.perf_counter() - t1, 6)
 
+    # one session per resolution map: icall resolution runs without
+    # resolutions, everything after it under the final map
+    session = Session(program, config.engine)
     t2 = time.perf_counter()
     if config.enable_icall:
         resolutions, mapping = icalllib.resolve_all(program, address_taken,
-                                                    config.engine)
-        graph = icalllib.augment_call_graph(graph, resolutions)
+                                                    session=session)
     else:
         resolutions, mapping = [], {}
+    session = session.with_resolutions(mapping)
     timings["icall_s"] = round(time.perf_counter() - t2, 6)
 
     t3 = time.perf_counter()
-    taint_result = taintlib.run_taint(program, models, mapping, config.engine)
+    taint_result = taintlib.run_taint(program, models, session=session)
     timings["taint_s"] = round(time.perf_counter() - t3, 6)
     warnings.extend(taint_result.warnings)
 
@@ -192,12 +195,11 @@ def analyze(config: RunConfig) -> Report:
     if config.dump_cfg:
         if config.dump_cfg not in program.functions:
             raise InputError(f"no function {config.dump_cfg} to dump")
-        dumps["cfg"] = cfglib.to_dot(
-            cfglib.build_cfg(program.functions[config.dump_cfg]))
+        dumps["cfg"] = cfglib.to_dot(session.cfg(config.dump_cfg))
     if config.dump_icalls:
         dumps["icalls"] = [r.as_json() for r in resolutions]
 
-    seed_results = _seed_queries(program, config, mapping)
+    seed_results = _seed_queries(session, config.seeds)
     if config.dump_aliases:
         dumps["aliases"] = seed_results
 

@@ -25,10 +25,9 @@ import logging
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from . import cfg as cfglib
 from . import ir
 from . import sse as S
-from .alias import Analysis, EngineConfig, Seed, Tracked, op_sse
+from .alias import Analysis, EngineConfig, Seed, Session, Tracked, op_sse
 
 log = logging.getLogger(__name__)
 
@@ -404,9 +403,8 @@ class TaintPolicy:
 # Sink checking
 # ---------------------------------------------------------------------------
 
-def _backward_family(program: ir.Program, point: ir.Point, reg: str,
-                     engine_config: EngineConfig, resolutions):
-    sub = Analysis(program, engine_config, resolutions=resolutions)
+def _backward_family(session: Session, point: ir.Point, reg: str):
+    sub = Analysis(session.program, session=session)
     sid = sub.add_seed(Seed(point=point, expr=S.Reg(reg),
                             direction="backward", label="query"))
     sub.run()
@@ -430,28 +428,18 @@ def _constant_of(exprs) -> Optional[int]:
     return None
 
 
-def _call_form(program: ir.Program, point: ir.Point):
-    for stmt in program.functions[point.func].statements():
-        if stmt.point == point:
-            return stmt.form
-    return None
-
-
-def _resolve_stack_dst(program: ir.Program, hit: SinkHit,
-                       engine_config: EngineConfig,
-                       resolutions) -> Optional[int]:
+def _resolve_stack_dst(session: Session, hit: SinkHit) -> Optional[int]:
     """Backward-trace the destination argument to an sp+k form."""
     model = hit.sink
     if model.dst_arg is None:
         return None
-    form = _call_form(program, hit.point)
-    if form is None or model.dst_arg >= len(form.args):
+    form = session.statement(hit.point).form
+    if model.dst_arg >= len(form.args):
         return None
     dst = form.args[model.dst_arg]
     if isinstance(dst, int):
         return None
-    return _stack_offset_of(
-        _backward_family(program, hit.point, dst, engine_config, resolutions))
+    return _stack_offset_of(_backward_family(session, hit.point, dst))
 
 
 def _taint_chain(item: Tracked) -> tuple[str, ...]:
@@ -464,20 +452,15 @@ def _taint_chain(item: Tracked) -> tuple[str, ...]:
     return tuple(reversed(chain))
 
 
-def check_sink(program: ir.Program, hit: SinkHit,
+def check_sink(session: Session, hit: SinkHit,
                constraints_by_edge: dict[tuple[str, str], list[Constraint]],
-               graph: cfglib.Cfg, doms: dict[str, frozenset[str]],
-               engine_config: EngineConfig, resolutions,
                tainted_args: frozenset = frozenset()) -> Optional[Alert]:
     """Decide whether one tainted sink argument becomes an alert."""
-    sink_block = None
-    for label in graph.order:
-        for stmt in graph.blocks[label].stmts:
-            if stmt.point == hit.point:
-                sink_block = label
+    _, sink_block, _ = session.locate(hit.point)
+    doms = session.dominators(hit.func)
     applicable: list[Constraint] = []
     for (fname, edge_target), cs in constraints_by_edge.items():
-        if fname != hit.func or sink_block is None:
+        if fname != hit.func:
             continue
         if edge_target in doms.get(sink_block, frozenset()):
             applicable.extend(c for c in cs if c.seed_id == hit.item.seed_id)
@@ -486,15 +469,14 @@ def check_sink(program: ir.Program, hit: SinkHit,
     # to one untainted constant) acts like an equality constraint
     model = hit.sink
     if model.len_arg is not None:
-        form = _call_form(program, hit.point)
-        if form is not None and model.len_arg < len(form.args):
+        form = session.statement(hit.point).form
+        if model.len_arg < len(form.args):
             ln = form.args[model.len_arg]
             bound = None
             if isinstance(ln, int):
                 bound = ln
             elif (hit.point, model.len_arg) not in tainted_args:
-                bound = _constant_of(_backward_family(
-                    program, hit.point, ln, engine_config, resolutions))
+                bound = _constant_of(_backward_family(session, hit.point, ln))
             if bound is not None:
                 applicable.append(Constraint(
                     S.Val(bound), "==", S.Val(bound), hit.point,
@@ -512,10 +494,10 @@ def check_sink(program: ir.Program, hit: SinkHit,
         return None
     uppers = [c.upper_bound() for c in applicable if c.upper_bound() is not None]
     bound = min(uppers) if uppers else None
-    offset = _resolve_stack_dst(program, hit, engine_config, resolutions)
+    offset = _resolve_stack_dst(session, hit)
     capacity = None
     if offset is not None:
-        capacity = program.functions[hit.func].frame_size - offset
+        capacity = session.program.functions[hit.func].frame_size - offset
     if bound is None:
         verdict = ("unbounded copy, destination unknown" if capacity is None
                    else "unbounded tainted copy into stack buffer")
@@ -535,13 +517,12 @@ def check_sink(program: ir.Program, hit: SinkHit,
     return None
 
 
-def detect_loop_copies(program: ir.Program, analysis: Analysis,
-                       constraints_by_edge, engine_config,
-                       resolutions) -> list[Alert]:
+def detect_loop_copies(analysis: Analysis, constraints_by_edge) -> list[Alert]:
     """The minimal unsafe-loop-copy idiom: inside a natural loop, a store
     through a pointer that the loop itself advances, storing a value fed
     by a tainted load.  Flagged as a copy-like sink with no length bound
     (so any dominating constraint still suppresses it)."""
+    session = analysis.session
     alerts: list[Alert] = []
     for fname in sorted(analysis.visited_functions):
         reg = analysis.registry.get(fname, {})
@@ -552,10 +533,10 @@ def detect_loop_copies(program: ir.Program, analysis: Analysis,
         if not tainted:
             continue
         graph = analysis.cfg(fname)
-        loops = cfglib.loop_blocks(graph)
+        loops = session.loop_blocks(fname)
         if not loops:
             continue
-        doms = cfglib.dominators(graph)
+        doms = session.dominators(fname)
         source_labels = {lbl.split("@")[0] for lbl in loops}
         advanced = set()
         loaded = set()
@@ -588,8 +569,8 @@ def detect_loop_copies(program: ir.Program, analysis: Analysis,
                 uppers = [c.upper_bound() for c in applicable
                           if c.upper_bound() is not None]
                 offset = _stack_offset_of(_backward_family(
-                    program, stmt.point, form.addr, engine_config, resolutions))
-                capacity = (program.functions[fname].frame_size - offset
+                    session, stmt.point, form.addr))
+                capacity = (session.program.functions[fname].frame_size - offset
                             if offset is not None else None)
                 bound = min(uppers) if uppers else None
                 if bound is not None and capacity is not None and bound <= capacity:
@@ -620,13 +601,16 @@ class TaintResult:
 
 def run_taint(program: ir.Program, models: Models | None = None,
               resolutions: dict | None = None,
-              engine_config: EngineConfig | None = None) -> TaintResult:
+              engine_config: EngineConfig | None = None,
+              session: Session | None = None) -> TaintResult:
+    """Seed the sources, run the taint fixpoint and check every sink.
+    Every analysis of the run shares `session` (built from `resolutions`
+    and `engine_config` when not given)."""
     models = models or default_models()
-    engine_config = engine_config or EngineConfig()
-    resolutions = resolutions or {}
+    if session is None:
+        session = Session(program, engine_config, resolutions)
     policy = TaintPolicy(models)
-    analysis = Analysis(program, engine_config, resolutions=resolutions,
-                        policy=policy)
+    analysis = Analysis(program, policy=policy, session=session)
     seeds = seed_sources(program, models)
     for seed in seeds:
         analysis.add_seed(seed)
@@ -636,14 +620,10 @@ def run_taint(program: ir.Program, models: Models | None = None,
     tainted_args = frozenset((h.point, h.arg_index) for h in policy.sink_hits)
     alerts: dict[ir.Point, Alert] = {}
     for hit in policy.sink_hits:
-        graph = analysis.cfg(hit.func)
-        doms = cfglib.dominators(graph)
-        alert = check_sink(program, hit, constraints, graph, doms,
-                           engine_config, resolutions, tainted_args)
+        alert = check_sink(session, hit, constraints, tainted_args)
         if alert is not None and hit.point not in alerts:
             alerts[hit.point] = alert
-    for alert in detect_loop_copies(program, analysis, constraints,
-                                    engine_config, resolutions):
+    for alert in detect_loop_copies(analysis, constraints):
         if alert.sink_site not in alerts:
             alerts[alert.sink_site] = alert
 

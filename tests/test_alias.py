@@ -1,8 +1,10 @@
+import pytest
+
 from mirtaint import cfg as C
 from mirtaint import ir
 from mirtaint import sse as S
 from mirtaint.alias import (Analysis, EngineConfig, FunctionSummary, ModEntry,
-                            Seed, live_in_registers, transfer_function)
+                            Seed, Session, live_in_registers, transfer_function)
 
 
 def analyze_seed(prog, point, expr_text, direction="both", config=None):
@@ -159,6 +161,68 @@ def test_summary_recursion_bounded(corpus):
     cells = {S.pretty(m.cell) for m in summ.mod}
     assert "store(gp+0x10)" in cells
 
+
+def test_summary_independent_of_request_order(corpus):
+    # summarizing norm2 first must not leave its transitive callers with
+    # summaries built against norm2's in-progress (bottom) placeholder
+    prog = corpus("summary_order.ir")
+    fresh = {f: Analysis(prog).summary(f) for f in prog.functions}
+    assert fresh["h0"].ret_exprs == (S.Reg("r0"),)
+    shared = Analysis(prog)
+    shared.summary("norm2")
+    for f in prog.functions:
+        assert shared.summary(f) == fresh[f], f
+
+
+def test_summary_walk_stays_in_its_function(corpus, monkeypatch):
+    walked = []
+    original = Analysis.analyze_function
+
+    def record(analysis, fname):
+        walked.append((analysis.summary_of, fname))
+        return original(analysis, fname)
+
+    monkeypatch.setattr(Analysis, "analyze_function", record)
+    prog = corpus("summary_order.ir")
+    Analysis(prog).summary("main")
+    assert {f for f, _ in walked} == set(prog.functions)
+    assert all(f == fname for f, fname in walked)
+
+
+def test_session_shares_program_facts_not_summaries(corpus):
+    prog = corpus("summary_order.ir")
+    session = Session(prog)
+    Analysis(prog, session=session).summary("h0")
+    assert set(session.summaries) == {"h0", "norm0", "norm1", "norm2"}
+    assert session.with_resolutions({}) is session
+    other = session.with_resolutions({ir.Point("main", "bb0", 1): ("h1",)})
+    assert other.cfg("h0") is session.cfg("h0")
+    assert other.summaries == {}
+    with pytest.raises(ValueError):
+        Analysis(prog, EngineConfig(loop_k=2), session=session)
+
+
+def test_summary_warnings_reach_every_analysis_using_it():
+    prog = ir.parse_program("""
+func g @0x2000 frame=0 {
+bb0:
+  ret r0
+bb1:
+  ret r0
+}
+
+func main @0x1000 frame=0 {
+bb0:
+  r1 = call g(r0)
+  ret r1
+}
+""")
+    session = Session(prog)
+    first = Analysis(prog, session=session)
+    first.summary("main")
+    second = Analysis(prog, session=session)
+    second.summary("main")
+    assert first.warnings == second.warnings == ["g:bb1: unreachable block"]
 
 def test_demand_visits_only_reachable_functions(corpus):
     prog = corpus("nested_calls.ir")

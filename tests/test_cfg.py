@@ -98,6 +98,13 @@ c:
     assert C.postorder(g) == ["c", "b", "a"]
 
 
+def test_postorder_of_a_long_linear_function():
+    # deeper than the interpreter's recursion limit
+    n = 3000
+    body = "".join(f"b{i}:\n  jump b{i + 1}\n" for i in range(n - 1))
+    g = C.build_cfg(fn_of(f"func f @0x1000 frame=0 {{\n{body}b{n - 1}:\n  ret\n}}\n"))
+    assert C.postorder(g) == [f"b{i}" for i in reversed(range(n))]
+
 def test_unreachable_kept_but_flagged():
     g = C.build_cfg(fn_of("""
 func f @0x1000 frame=0 {
