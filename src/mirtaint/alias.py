@@ -26,10 +26,15 @@ rules drive the derivation:
     15 store ri = ...     load/store(ri) in expr created before the store
                                             -> drop (forward only)
 
-A rule-6 result is additionally tracked backward to find the store
-address's definitions.  In backward mode, use matches (rules 1-6, never
-7) yield forward-only successors; definition matches (8-13) yield
-successors live in both directions.  Replacements are tried before
+One walker runs both directions over a rule table compiled once per
+statement.  Rule r+7 (8-11) is the backward form of rule r (1-4): it
+reads the same operand, as the right-hand side that replaces the defined
+register.  Walking upward, use matches (rules 1-6, never 7) yield
+forward-only successors and match only clean patterns, those that do not
+mention the defined register (the statement reads its operands before it
+writes that register); definition matches (8-13) yield successors live
+in both directions.  A rule-6 result is additionally tracked backward to
+find the store address's definitions.  Replacements are tried before
 kills; a replaced-and-killed expression survives only as its successor.
 
 Statement-level walking is bidirectional inside one block (TraceBlock),
@@ -102,6 +107,15 @@ class Tracked:
     def key(self):
         return (self.expr, self.seed_id, self.tainted, self.derived, self.conds)
 
+    def derive(self, expr: S.Sse, point: ir.Point, phase: str,
+               rule: Optional[int] = None, **changes) -> "Tracked":
+        """A successor of this alias: `expr` at `point` and `phase`, made
+        by `rule` (None for transfers, merges and taint steps), with this
+        alias as its parent.  It inherits the seed, taint, trigger,
+        conditions and hop count unless `changes` overrides them."""
+        return dc_replace(self, expr=expr, point=point, phase=phase, rule=rule,
+                          parent=self, **changes)
+
     def chain(self) -> list[int]:
         """Rules applied from the seed to this expression, in order."""
         rules = []
@@ -140,13 +154,77 @@ def addr_sse(reg: str, disp: int) -> S.Sse:
 # Statement-level stepping
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class _Compiled:
+    """One statement's row of the rule table, built once per block.
+
+    `uses` holds the patterns of rules 1-4 as (rule, pattern, cond,
+    clean), `clean` when the pattern does not mention the defined
+    register.  `defs` holds the right-hand sides of rules 8-11: the same
+    operands under rule r+7.  `carriers` are the registers whose taint
+    the defined register takes when no rule rewrites them.  `addr` is a
+    load's or store's address and `value` a store's stored value."""
+    stmt: ir.Statement
+    dst: Optional[S.Reg]
+    uses: tuple[tuple[int, S.Sse, Optional[Cond], bool], ...]
+    defs: tuple[tuple[int, S.Sse, Optional[Cond]], ...]
+    carriers: tuple[S.Reg, ...]
+    addr: Optional[S.Sse]
+    value: Optional[S.Sse]
+
+
+def _compile(stmt: ir.Statement) -> _Compiled:
+    form = stmt.form
+    name = ir.defined_register(form)
+    dst = S.Reg(name) if name is not None else None
+    ops: list[tuple[int, S.Sse, Optional[Cond]]] = []   # rules 1-4
+    carriers: tuple[S.Reg, ...] = ()
+    if isinstance(form, ir.Move):
+        ops = [(1, op_sse(form.src), None)]
+    elif isinstance(form, ir.BinOp):
+        ops = [(2, S.canonicalize(S.Bin(form.op, op_sse(form.lhs),
+                                        op_sse(form.rhs))), None)]
+        carriers = tuple(S.Reg(o) for o in (form.lhs, form.rhs)
+                         if isinstance(o, str))
+    elif isinstance(form, ir.UnOp):
+        ops = [(2, S.canonicalize(S.Un(form.op, op_sse(form.src))), None)]
+        if isinstance(form.src, str):
+            carriers = (S.Reg(form.src),)
+    elif isinstance(form, ir.Ite):
+        ops = [(3, op_sse(form.then_v), Cond(form.cond, True, stmt.point)),
+               (4, op_sse(form.else_v), Cond(form.cond, False, stmt.point))]
+    elif isinstance(form, ir.Load):
+        carriers = (S.Reg(form.addr),)
+    uses = tuple((rule, pat, cond, not S.contains_reg(pat, name))
+                 for rule, pat, cond in ops
+                 if not (rule == 1 and pat == dst))   # a self-move renames nothing
+    defs = tuple((rule + 7, pat, cond) for rule, pat, cond in ops)
+    addr = value = None
+    if isinstance(form, (ir.Load, ir.Store)):
+        addr = addr_sse(form.addr, form.disp)
+    if isinstance(form, ir.Store):
+        value = op_sse(form.src)
+    return _Compiled(stmt, dst, uses, defs, carriers, addr, value)
+
+
+def _bounded(config: EngineConfig, parent: Tracked, expr: S.Sse, point: ir.Point,
+             phase: str, rule: Optional[int] = None, **changes) -> Optional[Tracked]:
+    """`parent.derive` of the canonical `expr`, or None when `expr` is
+    past the SSE depth or size cap (the expression saturates)."""
+    expr = S.canonicalize(expr)
+    if S.mem_depth(expr) > config.sse_depth or S.size(expr) > config.sse_size:
+        log.debug("sse cap exceeded at %s; expression saturated", point)
+        return None
+    return parent.derive(expr, point, phase, rule, **changes)
+
+
 @dataclass
 class _Step:
     """Result of confronting one tracked expression with one statement."""
+    expr: S.Sse                   # original with updated staleness marks
     successors: list[tuple[Tracked, str]] = field(default_factory=list)
     # direction per successor: "f", "b", or "fb"
     killed: bool = False
-    expr: Optional[S.Sse] = None  # original with updated staleness marks
 
 
 def _subst_ok(expr: S.Sse, pattern: S.Sse, dst: str) -> bool:
@@ -158,161 +236,103 @@ def _subst_ok(expr: S.Sse, pattern: S.Sse, dst: str) -> bool:
 
 
 class _Walker:
-    def __init__(self, config: EngineConfig, policy=None, warn=None):
+    def __init__(self, config: EngineConfig, policy=None):
         self.config = config
         self.policy = policy
-        self.warn = warn or (lambda msg: log.debug("%s", msg))
 
-    def _mk(self, parent: Tracked, expr: S.Sse, point: ir.Point, phase: str,
-            rule: Optional[int], extra_cond: Optional[Cond] = None,
-            derived: bool = False) -> Optional[Tracked]:
-        expr = S.canonicalize(expr)
-        if (S.mem_depth(expr) > self.config.sse_depth
-                or S.size(expr) > self.config.sse_size):
-            self.warn(f"sse cap exceeded at {point}; expression saturated")
-            return None
-        conds = parent.conds if extra_cond is None else tuple(
-            sorted(set(parent.conds) | {extra_cond}, key=lambda c: (str(c.point), c.reg)))
-        return Tracked(
-            expr=expr, point=point, phase=phase, seed_id=parent.seed_id,
-            rule=rule, parent=parent, tainted=parent.tainted,
-            derived=derived or parent.derived,
-            is_length=parent.is_length and not derived,
-            trigger=parent.trigger, conds=conds, hops=parent.hops)
+    def _emit(self, out: _Step, c: _Compiled, t: Tracked, expr: S.Sse,
+              rule: Optional[int], direction: str = "f", phase: str = "post",
+              cond: Optional[Cond] = None, derived: bool = False):
+        changes = {}
+        if cond is not None:
+            changes["conds"] = tuple(sorted(set(t.conds) | {cond},
+                                            key=lambda k: (str(k.point), k.reg)))
+        if derived:
+            changes.update(derived=True, is_length=False)
+        n = _bounded(self.config, t, expr, c.stmt.point, phase, rule, **changes)
+        if n is not None:
+            out.successors.append((n, direction))
 
-    # -- forward ------------------------------------------------------------
+    def _use_rules(self, out: _Step, c: _Compiled, t: Tracked, e: S.Sse,
+                   upward: bool) -> bool:
+        """Rules 1-4; True when one matched.  Walking upward, the
+        statement evaluates its operands with pre-statement register
+        values while the expression below it speaks in post-statement
+        terms, so only clean patterns match there."""
+        matched = False
+        for rule, pat, cond, clean in c.uses:
+            if ((clean or not upward) and S.occurs(e, pat)
+                    and _subst_ok(e, pat, c.dst.name)):
+                matched = True
+                self._emit(out, c, t, S.replace(e, pat, c.dst), rule, cond=cond)
+        return matched
 
-    def forward_step(self, stmt: ir.Statement, idx: int, t: Tracked) -> _Step:
-        form = stmt.form
-        out = _Step(expr=t.expr)
+    def forward_step(self, c: _Compiled, idx: int, t: Tracked) -> _Step:
+        form = c.stmt.form
+        if isinstance(form, (ir.Call, ir.ICall)):
+            raise AssertionError("calls are isolated blocks; not walked")
+        out = _Step(t.expr)
         e = t.expr
-
-        def emit(new_expr, rule, direction="f", cond=None, derived=False):
-            n = self._mk(t, new_expr, stmt.point, "post", rule, cond, derived)
-            if n is not None:
-                out.successors.append((n, direction))
-
-        dst = ir.defined_register(form)
-
-        if isinstance(form, ir.Move):
-            pat = op_sse(form.src)
-            if S.occurs(e, pat) and pat != S.Reg(form.dst):
-                if _subst_ok(e, pat, form.dst):
-                    emit(S.replace(e, pat, S.Reg(form.dst)), 1)
-        elif isinstance(form, ir.BinOp):
-            pat = S.canonicalize(S.Bin(form.op, op_sse(form.lhs), op_sse(form.rhs)))
-            if S.occurs(e, pat) and _subst_ok(e, pat, form.dst):
-                emit(S.replace(e, pat, S.Reg(form.dst)), 2)
-            elif self.policy is not None and t.tainted:
-                for o in (form.lhs, form.rhs):
-                    if isinstance(o, str) and e == S.Reg(o):
-                        emit(S.Reg(form.dst), None, derived=True)
-                        break
-        elif isinstance(form, ir.UnOp):
-            pat = S.canonicalize(S.Un(form.op, op_sse(form.src)))
-            if S.occurs(e, pat) and _subst_ok(e, pat, form.dst):
-                emit(S.replace(e, pat, S.Reg(form.dst)), 2)
-            elif (self.policy is not None and t.tainted and isinstance(form.src, str)
-                  and e == S.Reg(form.src)):
-                emit(S.Reg(form.dst), None, derived=True)
-        elif isinstance(form, ir.Ite):
-            for rule, opnd, val in ((3, form.then_v, True), (4, form.else_v, False)):
-                pat = op_sse(opnd)
-                if S.occurs(e, pat) and _subst_ok(e, pat, form.dst):
-                    emit(S.replace(e, pat, S.Reg(form.dst)), rule,
-                         cond=Cond(form.cond, val, stmt.point))
-        elif isinstance(form, ir.Load):
-            a = addr_sse(form.addr, form.disp)
-
+        matched = self._use_rules(out, c, t, e, upward=False)
+        if isinstance(form, ir.Load):
             def fresh(n):
-                return n.addr == a and n.birth <= idx and not n.stale_fwd
+                return n.addr == c.addr and n.birth <= idx and not n.stale_fwd
 
-            new = _mem_subst(e, lambda n: isinstance(n, S.Load) and fresh(n),
-                             form.dst)
-            if new is not None:
-                emit(new, 5)
-            else:
-                new = _mem_subst(e, lambda n: isinstance(n, S.Store) and fresh(n),
-                                 form.dst)
+            for rule, kind in ((5, S.Load), (7, S.Store)):
+                new = _mem_subst(e, lambda n: isinstance(n, kind) and fresh(n),
+                                 c.dst.name)
                 if new is not None:
-                    emit(new, 7)
-                elif (self.policy is not None and t.tainted and e == S.Reg(form.addr)):
-                    emit(S.Reg(form.dst), None, derived=True)
+                    matched = True
+                    self._emit(out, c, t, new, rule)
+                    break
         elif isinstance(form, ir.Store):
-            a = addr_sse(form.addr, form.disp)
-            killed = S.kills_memory(e, a, idx)
-            marked = S.mark_stale(e, lambda n: n.birth < idx and n.addr != a,
-                                  "fwd")
-            pat = op_sse(form.src)
             # a killed expression leaves no successor either: the node the
             # store overwrote would survive the substitution (the pattern
             # is the stored value, never a memory node)
-            if not killed and S.occurs(marked, pat):
-                emit(S.replace(marked, pat, S.Store(a, birth=idx)), 6,
-                     direction="fb")
-            if killed:
+            if S.kills_memory(e, c.addr, idx):
                 out.killed = True
             else:
-                out.expr = marked
-        elif isinstance(form, (ir.Call, ir.ICall)):
-            raise AssertionError("calls are isolated blocks; not walked")
-
+                out.expr = S.mark_stale(
+                    e, lambda n: n.birth < idx and n.addr != c.addr, "fwd")
+                if S.occurs(out.expr, c.value):
+                    self._emit(out, c, t, S.replace(out.expr, c.value,
+                                                    S.Store(c.addr, birth=idx)),
+                               6, "fb")
+        if (not matched and self.policy is not None and t.tainted
+                and e in c.carriers):
+            self._emit(out, c, t, c.dst, None, derived=True)
         if self.policy is not None:
-            self.policy.observe_forward(stmt, idx, t)
-
-        if dst is not None and S.kills_register(t.expr, dst):
+            self.policy.observe_forward(c.stmt, idx, t)
+        if c.dst is not None and S.kills_register(e, c.dst.name):
             out.killed = True
         return out
 
-    # -- backward -----------------------------------------------------------
-
-    def backward_step(self, stmt: ir.Statement, idx: int, t: Tracked) -> _Step:
-        form = stmt.form
-        out = _Step(expr=t.expr)
+    def backward_step(self, c: _Compiled, idx: int, t: Tracked) -> _Step:
+        form = c.stmt.form
+        out = _Step(t.expr)
         e = t.expr
 
-        def emit(new_expr, rule, direction, cond=None):
-            n = self._mk(t, new_expr, stmt.point, "pre" if direction == "fb" else "post",
-                         rule, cond)
-            if n is not None:
-                out.successors.append((n, direction))
-
-        dst = ir.defined_register(form)
-        has_dst = dst is not None and S.contains_reg(e, dst)
-
         # definition matches (use-define): successor lives both ways
-        if has_dst:
-            if isinstance(form, ir.Move):
-                emit(S.replace(e, S.Reg(dst), op_sse(form.src)), 8, "fb")
-            elif isinstance(form, ir.BinOp):
-                rhs = S.canonicalize(S.Bin(form.op, op_sse(form.lhs), op_sse(form.rhs)))
-                emit(S.replace(e, S.Reg(dst), rhs), 9, "fb")
-            elif isinstance(form, ir.UnOp):
-                rhs = S.canonicalize(S.Un(form.op, op_sse(form.src)))
-                emit(S.replace(e, S.Reg(dst), rhs), 9, "fb")
-            elif isinstance(form, ir.Ite):
-                emit(S.replace(e, S.Reg(dst), op_sse(form.then_v)), 10, "fb",
-                     cond=Cond(form.cond, True, stmt.point))
-                emit(S.replace(e, S.Reg(dst), op_sse(form.else_v)), 11, "fb",
-                     cond=Cond(form.cond, False, stmt.point))
-            elif isinstance(form, ir.Load):
-                emit(S.replace(e, S.Reg(dst), S.Load(addr_sse(form.addr, form.disp),
-                                                     birth=idx)), 12, "fb")
+        if c.dst is not None and S.contains_reg(e, c.dst.name):
+            for rule, rhs, cond in c.defs:
+                self._emit(out, c, t, S.replace(e, c.dst, rhs), rule, "fb", "pre",
+                           cond)
+            if isinstance(form, ir.Load):
+                self._emit(out, c, t, S.replace(e, c.dst, S.Load(c.addr, birth=idx)),
+                           12, "fb", "pre")
             # rule 14 backward: the expression cannot be carried above the
             # definition of a register it mentions...
             out.killed = True
             # ...unless the rewrite absorbed into the same expression (a
             # loop-summarized form crossing its own shift statement): the
             # expression is unchanged above it and simply survives
-            same = [i for i, (n, _) in enumerate(out.successors)
-                    if n.key() == t.key()]
-            if same:
+            kept = [s for s in out.successors if s[0].key() != t.key()]
+            if len(kept) < len(out.successors):
                 out.killed = False
-                out.successors = [s for i, s in enumerate(out.successors)
-                                  if i not in same]
+                out.successors = kept
 
         if isinstance(form, ir.Store):
-            a = addr_sse(form.addr, form.disp)
+            a = c.addr
             # may-alias barrier for memory reads issued below this store
             marked = S.mark_stale(e, lambda n: n.birth > idx and n.addr != a,
                                   "bwd")
@@ -321,80 +341,32 @@ class _Walker:
                 return (isinstance(n, S.Load) and n.addr == a and n.birth > idx
                         and not n.stale_bwd)
 
-            new, hit = S.replace_mem(marked, after, op_sse(form.src))
+            new, hit = S.replace_mem(marked, after, c.value)
             if hit:
-                emit(new, 13, "fb")
+                self._emit(out, c, t, new, 13, "fb", "pre")
                 # the surviving original must not re-match an older store
                 marked = S.mark_stale(marked, lambda n: isinstance(n, S.Load)
                                       and n.addr == a and n.birth > idx, "bwd")
-            out.expr = marked
+            out.expr = e = marked
 
-        # use matches (define-use rules 1-6, never 7): forward-only successor
-        if not isinstance(form, (ir.Branch, ir.Jump, ir.Ret)):
-            use = self._backward_use_match(
-                stmt, idx, t, out.expr if out.expr is not None else e)
-            out.successors.extend(use)
-        return out
-
-    def _backward_use_match(self, stmt, idx, t, e):
-        """Use matches while walking upward (rules 1-6, never 7).
-
-        The statement evaluates its operands with pre-statement register
-        values, while the tracked expression below it speaks in
-        post-statement terms, so a match is only meaningful when the
-        defined register does not occur in the matched pattern."""
-        form = stmt.form
-        succ = []
-
-        def emit(new_expr, rule, direction="f", cond=None):
-            n = self._mk(t, new_expr, stmt.point, "post", rule, cond)
-            if n is not None:
-                succ.append((n, direction))
-
-        def clean(pat, dst):
-            return not S.contains_reg(pat, dst)
-
-        if isinstance(form, ir.Move):
-            pat = op_sse(form.src)
-            if (S.occurs(e, pat) and pat != S.Reg(form.dst)
-                    and clean(pat, form.dst) and _subst_ok(e, pat, form.dst)):
-                emit(S.replace(e, pat, S.Reg(form.dst)), 1)
-        elif isinstance(form, ir.BinOp):
-            pat = S.canonicalize(S.Bin(form.op, op_sse(form.lhs), op_sse(form.rhs)))
-            if (S.occurs(e, pat) and clean(pat, form.dst)
-                    and _subst_ok(e, pat, form.dst)):
-                emit(S.replace(e, pat, S.Reg(form.dst)), 2)
-        elif isinstance(form, ir.UnOp):
-            pat = S.canonicalize(S.Un(form.op, op_sse(form.src)))
-            if (S.occurs(e, pat) and clean(pat, form.dst)
-                    and _subst_ok(e, pat, form.dst)):
-                emit(S.replace(e, pat, S.Reg(form.dst)), 2)
-        elif isinstance(form, ir.Ite):
-            for rule, opnd, val in ((3, form.then_v, True), (4, form.else_v, False)):
-                pat = op_sse(opnd)
-                if (S.occurs(e, pat) and clean(pat, form.dst)
-                        and _subst_ok(e, pat, form.dst)):
-                    emit(S.replace(e, pat, S.Reg(form.dst)), rule,
-                         cond=Cond(form.cond, val, stmt.point))
-        elif isinstance(form, ir.Load):
-            a = addr_sse(form.addr, form.disp)
-
+        # use matches (rules 1-6, never 7): forward-only successors
+        self._use_rules(out, c, t, e, upward=True)
+        if isinstance(form, ir.Load):
             def readable(n):
-                return (isinstance(n, S.Load) and n.addr == a
+                return (isinstance(n, S.Load) and n.addr == c.addr
                         and not n.stale_bwd and n.birth > idx)
 
-            if clean(a, form.dst):
-                new = _mem_subst(e, readable, form.dst)
+            if not S.contains_reg(c.addr, c.dst.name):
+                new = _mem_subst(e, readable, c.dst.name)
                 if new is not None:
-                    emit(new, 5)
+                    self._emit(out, c, t, new, 5)
         elif isinstance(form, ir.Store):
-            a = addr_sse(form.addr, form.disp)
-            pat = op_sse(form.src)
             # the successor is tracked forward from below this store, where
             # any same-cell node from above the store is already dead
-            if S.occurs(e, pat) and not S.kills_memory(e, a, idx):
-                emit(S.replace(e, pat, S.Store(a, birth=idx)), 6, direction="fb")
-        return succ
+            if S.occurs(e, c.value) and not S.kills_memory(e, c.addr, idx):
+                self._emit(out, c, t, S.replace(e, c.value, S.Store(c.addr, birth=idx)),
+                           6, "fb")
+        return out
 
 
 def _mem_subst(expr: S.Sse, node_pred, dst: str) -> Optional[S.Sse]:
@@ -406,6 +378,55 @@ def _mem_subst(expr: S.Sse, node_pred, dst: str) -> Optional[S.Sse]:
         return None
     new, _ = S.replace_mem(expr, node_pred, S.Reg(dst))
     return new
+
+
+def _walk(block: tuple[_Compiled, ...], items, config: EngineConfig, policy,
+          forward: bool, seen: dict | None = None):
+    """Walk each queued (expression, start) through the block, forward to
+    its last statement or backward to its first.  Successors that live in
+    the walked direction are queued from the next statement.  ``seen``
+    maps expression keys to the start already walked, the lowest going
+    forward and the highest going backward, so re-derivations along
+    other orders are not walked twice.
+
+    Returns (survivors, created): the expressions alive at the block's
+    end and every (successor, direction, statement index)."""
+    w = _Walker(config, policy)
+    step, follow, delta = ((w.forward_step, "f", 1) if forward
+                           else (w.backward_step, "b", -1))
+    n = len(block)
+    queue = deque(items)
+    survivors: list[Tracked] = []
+    created: list[tuple[Tracked, str, int]] = []
+    seen = seen if seen is not None else {}
+    guard = 0
+    while queue:
+        guard += 1
+        if guard > 200000:
+            raise RuntimeError(f"{'forward' if forward else 'backward'} pass runaway")
+        t, start = queue.popleft()
+        start = max(start, 0) if forward else min(start, n - 1)
+        k = t.key()
+        prev = seen.get(k)
+        if prev is not None and (prev <= start if forward else prev >= start):
+            continue
+        seen[k] = start
+        i, alive = start, True
+        while 0 <= i < n:
+            result = step(block[i], i, t)
+            for succ, direction in result.successors:
+                created.append((succ, direction, i))
+                if follow in direction:
+                    queue.append((succ, i + delta))
+            if result.killed:
+                alive = False
+                break
+            if result.expr is not t.expr:
+                t = dc_replace(t, expr=result.expr)
+            i += delta
+        if alive:
+            survivors.append(t)
+    return survivors, created
 
 
 # ---------------------------------------------------------------------------
@@ -420,11 +441,26 @@ def forward_update(statements: Iterable[ir.Statement], in_f: list,
     expressions, and the rule-6 results that need backward tracking.
     Items may be Tracked or (Tracked, start_index).
     """
-    stmts = list(statements)
+    block = tuple(map(_compile, statements))
     items = [it if isinstance(it, tuple) else (it, 0) for it in in_f]
-    survivors, created = _forward_pass(stmts, items, config or EngineConfig(), policy)
+    survivors, created = _walk(block, items, config or EngineConfig(), policy, True)
     new_f = _dedup(survivors + [t for t, d, _ in created if d in ("f", "fb")])
     new_b = _dedup([t for t, d, _ in created if d in ("b", "fb")])
+    return new_f, new_b
+
+
+def backward_update(statements: Iterable[ir.Statement], in_b: list,
+                    config: EngineConfig | None = None, policy=None):
+    """Walk IN_b through the statements in reverse order.
+
+    Returns (NEW_f, NEW_b): forward-trackable successors (use matches,
+    plus both-way definition matches) and the backward results.
+    """
+    block = tuple(map(_compile, statements))
+    items = [(t, len(block) - 1) if not isinstance(t, tuple) else t for t in in_b]
+    survivors, created = _walk(block, items, config or EngineConfig(), policy, False)
+    new_f = _dedup([t for t, d, _ in created if d in ("f", "fb")])
+    new_b = _dedup(survivors + [t for t, d, _ in created if d in ("b", "fb")])
     return new_f, new_b
 
 
@@ -435,98 +471,6 @@ def _dedup(items: list[Tracked]) -> list[Tracked]:
             seen.add(t.key())
             out.append(t)
     return out
-
-
-# The tuple-passing variants used by the engine (positions preserved).
-
-def _forward_pass(stmts, items, config, policy, seen: dict | None = None):
-    """Walk each queued (expression, start) forward to the block end.
-    ``seen`` maps expression keys to the lowest start already walked, so
-    re-derivations along other orders are not walked twice."""
-    w = _Walker(config, policy)
-    queue = deque(items)
-    survivors: list[Tracked] = []
-    created: list[tuple[Tracked, str, int]] = []
-    seen = seen if seen is not None else {}
-    guard = 0
-    while queue:
-        guard += 1
-        if guard > 200000:
-            raise RuntimeError("forward pass runaway")
-        t, start = queue.popleft()
-        start = max(start, 0)
-        k = t.key()
-        prev = seen.get(k)
-        if prev is not None and prev <= start:
-            continue
-        seen[k] = start if prev is None else min(prev, start)
-        i, alive = start, True
-        while i < len(stmts):
-            step = w.forward_step(stmts[i], i, t)
-            for succ, direction in step.successors:
-                created.append((succ, direction, i))
-                if direction in ("f", "fb"):
-                    queue.append((succ, i + 1))
-            if step.killed:
-                alive = False
-                break
-            if step.expr is not None and step.expr is not t.expr:
-                t = dc_replace(t, expr=step.expr)
-            i += 1
-        if alive:
-            survivors.append(t)
-    return survivors, created
-
-
-def _backward_pass(stmts, items, config, policy, seen: dict | None = None):
-    w = _Walker(config, policy)
-    queue = deque(items)
-    survivors: list[Tracked] = []
-    created: list[tuple[Tracked, str, int]] = []
-    seen = seen if seen is not None else {}
-    guard = 0
-    while queue:
-        guard += 1
-        if guard > 200000:
-            raise RuntimeError("backward pass runaway")
-        t, start = queue.popleft()
-        start = min(start, len(stmts) - 1)
-        k = t.key()
-        prev = seen.get(k)
-        if prev is not None and prev >= start:
-            continue
-        seen[k] = start if prev is None else max(prev, start)
-        i, alive = start, True
-        while i >= 0:
-            step = w.backward_step(stmts[i], i, t)
-            for succ, direction in step.successors:
-                created.append((succ, direction, i))
-                if direction in ("b", "fb"):
-                    queue.append((succ, i - 1))
-            if step.killed:
-                alive = False
-                break
-            if step.expr is not None and step.expr is not t.expr:
-                t = dc_replace(t, expr=step.expr)
-            i -= 1
-        if alive:
-            survivors.append(t)
-    return survivors, created
-
-
-def backward_update(statements: Iterable[ir.Statement], in_b: list,
-                    config: EngineConfig | None = None, policy=None):
-    """Walk IN_b through the statements in reverse order.
-
-    Returns (NEW_f, NEW_b): forward-trackable successors (use matches,
-    plus both-way definition matches) and the backward results.
-    """
-    stmts = list(statements)
-    items = [(t, len(stmts) - 1) if not isinstance(t, tuple) else t for t in in_b]
-    survivors, created = _backward_pass(stmts, items, config or EngineConfig(), policy)
-    new_f = _dedup([t for t, d, _ in created if d in ("f", "fb")])
-    new_b = _dedup(survivors + [t for t, d, _ in created if d in ("b", "fb")])
-    return new_f, new_b
 
 
 # ---------------------------------------------------------------------------
@@ -581,6 +525,12 @@ def live_in_registers(function: ir.Function, graph: cfglib.Cfg) -> tuple[str, ..
                         key=lambda r: int(r[1:])))
 
 
+def arg_map(params: tuple[str, ...], args: tuple[ir.Operand, ...]) -> dict[str, S.Sse]:
+    """A callee's formals mapped to a callsite's actuals, pairwise; the
+    extra ones on either side map nowhere."""
+    return dict(zip(params, map(op_sse, args)))
+
+
 def reroot(expr: S.Sse, mapping: dict[str, S.Sse]) -> Optional[S.Sse]:
     """Substitute formals for actuals; None if some register has no image
     (sp never maps: frame-local cells are invisible to the caller)."""
@@ -605,8 +555,7 @@ def transfer_function(ptrs: set[str | None], summary: FunctionSummary,
     to them (or global-rooted) are kept.  Returns (MOD', REF') in caller
     terms.
     """
-    mapping = {summary.params[i]: op_sse(args[i])
-               for i in range(min(len(summary.params), len(args)))}
+    mapping = arg_map(summary.params, args)
     mod: list[ModEntry] = []
     ref: list[S.Sse] = []
     for entry in summary.mod:
@@ -650,11 +599,11 @@ class Session:
     """What every analysis of one program under one resolution map shares.
 
     Per-program facts are built lazily and once: each function's CFG and
-    the point index, live-in registers, postorder, dominators and loop
-    blocks, and the direct call graph.  Sessions derived through
-    `with_resolutions` share them.  The summary cache, its notes and the
-    icall-caller map depend on the resolution map, so each session has
-    its own.
+    the point index, each block's rule table, live-in registers,
+    postorder, dominators and loop blocks, and the direct call graph.
+    Sessions derived through `with_resolutions` share them.  The summary
+    cache, its notes and the icall-caller map depend on the resolution
+    map, so each session has its own.
     """
 
     def __init__(self, program: ir.Program, config: EngineConfig | None = None,
@@ -683,8 +632,8 @@ class Session:
         other._facts, other._points = self._facts, self._points
         return other
 
-    def _fact(self, kind: str, fname: str | None, build):
-        key = (kind, fname)
+    def _fact(self, kind: str, name, build):
+        key = (kind, name)
         if key not in self._facts:
             self._facts[key] = build()
         return self._facts[key]
@@ -707,6 +656,11 @@ class Session:
     def statement(self, point: ir.Point) -> ir.Statement:
         fname, label, idx = self.locate(point)
         return self.cfg(fname).blocks[label].stmts[idx]
+
+    def rules(self, fname: str, label: str) -> tuple[_Compiled, ...]:
+        """The rule table of a block's statements, one row each."""
+        return self._fact("rules", (fname, label), lambda: tuple(
+            map(_compile, self.cfg(fname).blocks[label].stmts)))
 
     def params(self, fname: str) -> tuple[str, ...]:
         return self._fact("params", fname, lambda: live_in_registers(
@@ -884,14 +838,14 @@ class Analysis:
         block = g.blocks[label]
         if block.is_call:
             return self._visit_callsite(fname, g, label, st, block)
-        return self._trace_block(fname, g, label, st, block)
+        return self._trace_block(fname, g, label, st)
 
-    def _trace_block(self, fname, g, label, st, block) -> bool:
+    def _trace_block(self, fname, g, label, st) -> bool:
         """Alg.-1 shape: alternate forward and backward walks, feeding the
         rule-6 results of the forward pass into the backward input and the
         backward pass's forward-trackable output into the next forward
         input, until no new alias appears."""
-        stmts = block.stmts
+        rules = self.session.rules(fname, label)
         changed = False
         fwd = list(st.pend_f)
         bwd = list(st.pend_b)
@@ -903,8 +857,8 @@ class Analysis:
             if iters > self.config.block_iter_cap:
                 self.cap_hits.append(f"block iteration cap hit at {fname}:{label}")
                 break
-            survivors, created = _forward_pass(stmts, fwd, self.config,
-                                               self.policy, st.seen_f)
+            survivors, created = _walk(rules, fwd, self.config, self.policy,
+                                       True, st.seen_f)
             fwd = []
             for t in survivors:
                 if t.key() not in st.out_f:
@@ -914,8 +868,8 @@ class Analysis:
                 changed |= self._record(fname, t)
                 if direction == "fb":
                     bwd.append((t, i - 1))
-            survivors_b, created_b = _backward_pass(stmts, bwd, self.config,
-                                                    self.policy, st.seen_b)
+            survivors_b, created_b = _walk(rules, bwd, self.config, self.policy,
+                                           False, st.seen_b)
             bwd = []
             for t in survivors_b:
                 if t.key() not in st.out_b:
@@ -962,44 +916,43 @@ class Analysis:
         for t in bwd_items:
             st.seen_b.setdefault(t.key(), -1)
 
-        callees = self._callees_of(point, form)
-        summaries = [(c, self.summary(c)) for c in callees
-                     if c in self.program.functions]
         ret_reg = form.ret
-
+        # each callee's MOD' and returned aliases in caller terms
         ptrs = {S.root_register(t.expr) for t in fwd_items + bwd_items}
+        crossings = []
+        for callee in self._callees_of(point, form):
+            if callee not in self.program.functions:
+                continue
+            summ = self.summary(callee)
+            mod, _ = transfer_function(ptrs, summ, form.args)
+            mapping = arg_map(summ.params, form.args)
+            rets = [rr for rr in (reroot(rv, mapping) for rv in summ.ret_exprs)
+                    if rr is not None]
+            crossings.append((callee, summ, mod, rets))
 
         # ---- forward crossings
         for t in fwd_items:
             if t.trigger == point and not t.tainted:
                 # taintedness holds from this crossing on, so the flipped
                 # instance is anchored here, not at its creation point
-                t = dc_replace(t, tainted=True, point=point, phase="post",
-                               parent=t, rule=None)
+                t = t.derive(t.expr, point, "post", tainted=True)
                 self._record(fname, t)
             killed = False
             if ret_reg is not None and S.kills_register(t.expr, ret_reg):
                 killed = True
             gens: list[Tracked] = []
-            for callee, summ in summaries:
-                mod, _ref = transfer_function(ptrs, summ, form.args)
+            for callee, summ, mod, rets in crossings:
                 for entry in mod:
                     addr = entry.cell.addr if isinstance(entry.cell, S.Store) else entry.cell
                     if S.kills_memory(t.expr, addr, 1 << 29):
                         killed = True
                     if entry.value is not None and t.expr == entry.value:
-                        n = self._mk_transfer(t, entry.cell, point)
-                        if n is not None:
-                            gens.append(n)
-                for rv in summ.ret_exprs:
-                    mapping = {summ.params[i]: op_sse(form.args[i])
-                               for i in range(min(len(summ.params), len(form.args)))}
-                    rr = reroot(rv, mapping)
-                    if rr is not None and rr == t.expr and ret_reg is not None:
-                        n = self._mk_transfer(t, S.Reg(ret_reg), point)
-                        if n is not None:
-                            gens.append(n)
+                        gens.append(_bounded(self.config, t, entry.cell, point, "post"))
+                if ret_reg is not None:
+                    gens.extend(_bounded(self.config, t, S.Reg(ret_reg), point, "post")
+                                for rr in rets if rr == t.expr)
                 self._descend(t, callee, summ, form, point)
+            gens = [n for n in gens if n is not None]
             if self.policy is not None:
                 gens.extend(self.policy.callsite_forward(self, fname, point, form, t))
             if not killed and t.key() not in st.out_f:
@@ -1016,30 +969,21 @@ class Analysis:
         # ---- backward crossings
         for t in bwd_items:
             if t.trigger == point and t.tainted:
-                t = dc_replace(t, tainted=False, point=point, phase="pre",
-                               parent=t, rule=None)
+                t = t.derive(t.expr, point, "pre", tainted=False)
                 self._record(fname, t)
             stopped = False
             gens = []
             if ret_reg is not None and S.contains_reg(t.expr, ret_reg):
                 stopped = True
-                for callee, summ in summaries:
-                    mapping = {summ.params[i]: op_sse(form.args[i])
-                               for i in range(min(len(summ.params), len(form.args)))}
-                    for rv in summ.ret_exprs:
-                        rr = reroot(rv, mapping)
-                        if rr is None:
-                            continue
-                        n = self._mk_transfer(t, S.replace(t.expr, S.Reg(ret_reg), rr),
-                                              point, phase="pre")
-                        if n is not None:
-                            gens.append(n)
-                if not summaries and not self._is_library_noop(form):
+                for _, _, _, rets in crossings:
+                    gens.extend(_bounded(self.config, t,
+                                         S.replace(t.expr, S.Reg(ret_reg), rr),
+                                         point, "pre") for rr in rets)
+                if not crossings and not self._is_library_noop(form):
                     self.warnings.append(
                         f"no summary for {getattr(form, 'target', '?')} at {point}; "
                         f"backward tracking stopped")
-            for callee, summ in summaries:
-                mod, _ = transfer_function(ptrs, summ, form.args)
+            for _, _, mod, _ in crossings:
                 for entry in mod:
                     if entry.value is None:
                         continue
@@ -1050,13 +994,13 @@ class Analysis:
 
                     new, hit = S.replace_mem(t.expr, created_after, entry.value)
                     if hit:
-                        n = self._mk_transfer(t, new, point, phase="pre")
-                        if n is not None:
-                            gens.append(n)
+                        gens.append(_bounded(self.config, t, new, point, "pre"))
             if not stopped and t.key() not in st.out_b:
                 st.out_b[t.key()] = t
                 changed = True
             for n in gens:
+                if n is None:
+                    continue
                 changed |= self._record(fname, n)
                 if n.key() not in st.out_b:
                     st.out_b[n.key()] = n
@@ -1065,19 +1009,6 @@ class Analysis:
         if changed:
             self._propagate(fname, g, label, st)
         return changed
-
-    def _mk_transfer(self, parent: Tracked, expr: S.Sse, point: ir.Point,
-                     phase: str = "post") -> Optional[Tracked]:
-        expr = S.canonicalize(expr)
-        if (S.mem_depth(expr) > self.config.sse_depth
-                or S.size(expr) > self.config.sse_size):
-            log.debug("sse cap exceeded at %s", point)
-            return None
-        return Tracked(expr=expr, point=point, phase=phase, seed_id=parent.seed_id,
-                       rule=None, parent=parent, tainted=parent.tainted,
-                       derived=parent.derived, is_length=parent.is_length,
-                       trigger=parent.trigger, conds=parent.conds,
-                       hops=parent.hops)
 
     def _inject_out_b_neighbors(self, fname, g, label, t):
         st = self.states[fname][label]
@@ -1112,8 +1043,7 @@ class Analysis:
         for i, arg in enumerate(form.args):
             if t.expr == op_sse(arg) and i < len(summ.params):
                 self._inject_nested_seed(t, callee, entry_point, S.Reg(summ.params[i]))
-        mapping = {summ.params[i]: op_sse(form.args[i])
-                   for i in range(min(len(summ.params), len(form.args)))}
+        mapping = arg_map(summ.params, form.args)
         for cell in summ.ref:
             rr = reroot(cell, mapping)
             if rr is not None and rr == t.expr:
@@ -1303,11 +1233,7 @@ class Analysis:
         self._retire(fname, retire_keys)
         changed = False
         for label, direction, base, merged in plans:
-            t = Tracked(expr=merged, point=base.point, phase=base.phase,
-                        seed_id=base.seed_id, rule=None, parent=base,
-                        tainted=base.tainted, derived=base.derived,
-                        is_length=base.is_length, trigger=base.trigger,
-                        conds=base.conds, hops=base.hops)
+            t = base.derive(merged, base.point, base.phase)
             if t.key() in self.retired.get(fname, ()):
                 continue
             idx = 0 if direction == "f" else \
@@ -1339,14 +1265,10 @@ class Analysis:
                 for sid, members in counts.items():
                     if len(members) <= self.config.alias_cap:
                         continue
-                    merged = S.recognize_induction(
-                        [m.expr for m in members], index_id=f"{fname}:{label}:{sid}")
-                    drop = members[self.config.alias_cap:]
-                    for m in drop:
+                    for m in members[self.config.alias_cap:]:
                         pool.pop(m.key(), None)
                     self.cap_hits.append(
-                        f"alias-set cap hit for seed {sid} at {fname}:{label}"
-                        + ("" if merged is None else " (family merged first)"))
+                        f"alias-set cap hit for seed {sid} at {fname}:{label}")
                     changed = True
         return changed
 
@@ -1381,8 +1303,7 @@ class Analysis:
                 return
             cf, clabel, _ = self.locate(cpoint)
             cform = self.cfg(cf).blocks[clabel].call.form
-            mapping = {params[i]: op_sse(cform.args[i])
-                       for i in range(min(len(params), len(cform.args)))}
+            mapping = arg_map(params, cform.args)
             grew = False
             for t in exports_up:
                 if t.hops >= self.config.recursion_depth:
@@ -1390,11 +1311,8 @@ class Analysis:
                 rr = reroot(t.expr, mapping)
                 if rr is None:
                     continue
-                moved = Tracked(expr=S.retag(rr, S.BIRTH_AFTER_BLOCK), point=cpoint,
-                                phase="pre", seed_id=t.seed_id, rule=None, parent=t,
-                                tainted=t.tainted, derived=t.derived,
-                                is_length=t.is_length, trigger=t.trigger,
-                                conds=t.conds, hops=t.hops + 1)
+                moved = t.derive(S.retag(rr, S.BIRTH_AFTER_BLOCK), cpoint, "pre",
+                                 hops=t.hops + 1)
                 if self._inject(cf, clabel, moved, -1, "b"):
                     self._record(cf, moved)
                     grew = True
@@ -1408,12 +1326,8 @@ class Analysis:
                         rr = reroot(t.expr, sub)
                         if rr is None:
                             continue
-                        moved = Tracked(expr=S.retag(rr, S.BIRTH_BEFORE_BLOCK),
-                                        point=cpoint, phase="post", seed_id=t.seed_id,
-                                        rule=None, parent=t, tainted=t.tainted,
-                                        derived=t.derived, is_length=t.is_length,
-                                        trigger=t.trigger, conds=t.conds,
-                                        hops=t.hops + 1)
+                        moved = t.derive(S.retag(rr, S.BIRTH_BEFORE_BLOCK), cpoint,
+                                         "post", hops=t.hops + 1)
                         st = self.states[cf][clabel]
                         if moved.key() not in st.out_f:
                             st.out_f[moved.key()] = moved

@@ -74,19 +74,19 @@ def _emit(text: str, out_path: str | None):
 
 
 def _cmd_analyze(args) -> int:
-    config = RunConfig(
-        ir_path=args.ir,
-        config_path=args.config,
-        enable_icall=not args.no_icall,
-        seeds=tuple(args.seed),
-        out_path=args.out,
-        fmt=args.format,
-        exit_zero_on_alerts=args.exit_zero,
-        dump_cfg=args.dump_cfg,
-        dump_aliases=args.dump_aliases,
-        dump_icalls=args.dump_icalls,
-    )
     try:
+        config = RunConfig(
+            ir_path=args.ir,
+            config_path=args.config,
+            enable_icall=not args.no_icall,
+            seeds=tuple(args.seed),
+            out_path=args.out,
+            fmt=args.format,
+            exit_zero_on_alerts=args.exit_zero,
+            dump_cfg=args.dump_cfg,
+            dump_aliases=args.dump_aliases,
+            dump_icalls=args.dump_icalls,
+        )
         report = analyze(config)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

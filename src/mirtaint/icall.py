@@ -276,25 +276,6 @@ def resolve_all(program: ir.Program, address_taken: frozenset[int] | None = None
     return resolutions, mapping
 
 
-def augment_call_graph(graph: cfglib.CallGraph,
-                       resolutions: list[IcallResolution]) -> cfglib.CallGraph:
-    """Add resolved icall edges; idempotent; unresolved sites stay listed."""
-    edges = list(graph.edges)
-    seen = set(edges)
-    resolved_sites = set()
-    for res in resolutions:
-        if res.targets:
-            resolved_sites.add(res.callsite)
-        for target in res.targets:
-            edge = (res.callsite.func, target, res.callsite)
-            if edge not in seen:
-                seen.add(edge)
-                edges.append(edge)
-    unresolved = tuple(p for p in graph.unresolved_icalls
-                       if p not in resolved_sites)
-    return cfglib.CallGraph(graph.nodes, tuple(edges), unresolved)
-
-
 def metrics(resolutions: list[IcallResolution]) -> dict:
     """The resolution-table counters: a site counts as resolved when at
     least one target was found."""

@@ -41,9 +41,7 @@ class OracleError(Exception):
 
 @dataclass
 class RunResult:
-    trace: list[tuple[ir.Point, dict]] = field(default_factory=list)
     snapshots: dict = field(default_factory=dict)    # (point, phase) -> (regs, mem, uid)
-    hits: dict = field(default_factory=dict)         # (point, phase) -> count
     steps: int = 0
     returned: Optional[int] = None
     step_limit_hit: bool = False
@@ -232,7 +230,6 @@ def run(program: ir.Program, entry: str = "main",
 
     def snap(point, phase):
         key = (point, phase)
-        res.hits[key] = res.hits.get(key, 0) + 1
         if key in watch and key not in res.snapshots:
             res.snapshots[key] = (dict(stack[-1].regs), dict(m.mem), stack[-1].uid)
 
@@ -249,7 +246,6 @@ def run(program: ir.Program, entry: str = "main",
         form = stmt.form
         res.steps += 1
         snap(stmt.point, "pre")
-        res.trace.append((stmt.point, dict(frame.regs)))
 
         advance = True
         if isinstance(form, ir.Move):

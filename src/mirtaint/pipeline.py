@@ -27,6 +27,10 @@ _ENV_CAPS = {
 }
 
 
+class InputError(Exception):
+    pass
+
+
 @dataclass
 class RunConfig:
     ir_path: str
@@ -45,18 +49,18 @@ class RunConfig:
         overrides = {}
         for env, attr in _ENV_CAPS.items():
             if env in os.environ:
-                overrides[attr] = int(os.environ[env], 0)
+                try:
+                    overrides[attr] = int(os.environ[env], 0)
+                except ValueError:
+                    raise InputError(f"{env}={os.environ[env]!r} is not an "
+                                     f"integer") from None
         if overrides:
             from dataclasses import replace
             self.engine = replace(self.engine, **overrides)
         for name in ("sse_depth", "alias_cap", "loop_k", "block_iter_cap",
                      "func_rounds_cap", "recursion_depth"):
             if getattr(self.engine, name) < 1:
-                raise ValueError(f"cap {name} must be >= 1")
-
-
-class InputError(Exception):
-    pass
+                raise InputError(f"cap {name} must be >= 1")
 
 
 @dataclass

@@ -628,26 +628,6 @@ def kills_memory(expr: Sse, addr: Sse, position: int) -> bool:
     return any(n.addr == addr and n.birth < position for n in mem_nodes(expr))
 
 
-def kill_matches(tracked, pattern: Sse, mode: str, position: int = 1 << 31):
-    """Prune a collection of expressions against a redefinition.
-
-    mode="register-redefine": ``pattern`` is Reg(r); drop every
-    expression containing r.  mode="memory-overwrite": ``pattern`` is the
-    store address; drop expressions whose matching memory node predates
-    ``position`` (forward direction only).
-    """
-    if mode == "register-redefine":
-        assert isinstance(pattern, Reg)
-        return [t for t in tracked if not kills_register(_expr_of(t), pattern.name)]
-    if mode == "memory-overwrite":
-        return [t for t in tracked if not kills_memory(_expr_of(t), pattern, position)]
-    raise ValueError(f"unknown kill mode {mode!r}")
-
-
-def _expr_of(t):
-    return t.expr if hasattr(t, "expr") else t
-
-
 # ---------------------------------------------------------------------------
 # Loop-induction summarization
 # ---------------------------------------------------------------------------

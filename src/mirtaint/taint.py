@@ -364,11 +364,8 @@ class TaintPolicy:
                         continue
                     expr = S.Reg(form.args[dst])
                     is_len = False
-                gens.append(Tracked(
-                    expr=expr, point=point, phase="post", seed_id=t.seed_id,
-                    rule=None, parent=t, tainted=True, derived=True,
-                    is_length=is_len, trigger=t.trigger, conds=t.conds,
-                    hops=t.hops))
+                gens.append(t.derive(expr, point, "post", derived=True,
+                                     is_length=is_len))
         elif (t.tainted and name not in self.models.summaries
               and name not in self.models.sources and name not in self.models.sinks
               and name not in self.analysis.program.functions):
@@ -428,18 +425,25 @@ def _constant_of(exprs) -> Optional[int]:
     return None
 
 
-def _resolve_stack_dst(session: Session, hit: SinkHit) -> Optional[int]:
-    """Backward-trace the destination argument to an sp+k form."""
-    model = hit.sink
-    if model.dst_arg is None:
-        return None
-    form = session.statement(hit.point).form
-    if model.dst_arg >= len(form.args):
-        return None
-    dst = form.args[model.dst_arg]
-    if isinstance(dst, int):
-        return None
-    return _stack_offset_of(_backward_family(session, hit.point, dst))
+def _stack_dst(session: Session, point: ir.Point, reg: ir.Operand):
+    """(sp offset, capacity up to the frame top) of the stack buffer that
+    `reg` points to at `point`, from its backward family; (None, None)
+    when it resolves to no sp+k form."""
+    offset = None
+    if isinstance(reg, str):
+        offset = _stack_offset_of(_backward_family(session, point, reg))
+    if offset is None:
+        return None, None
+    return offset, session.program.functions[point.func].frame_size - offset
+
+
+def _guards(session: Session, constraints_by_edge, fname: str, block: str,
+            seed_id: int) -> list[Constraint]:
+    """The seed's constraints on branch edges whose target dominates
+    `block`."""
+    doms = session.dominators(fname).get(block, frozenset())
+    return [c for (cf, target), cs in constraints_by_edge.items()
+            if cf == fname and target in doms for c in cs if c.seed_id == seed_id]
 
 
 def _taint_chain(item: Tracked) -> tuple[str, ...]:
@@ -457,30 +461,24 @@ def check_sink(session: Session, hit: SinkHit,
                tainted_args: frozenset = frozenset()) -> Optional[Alert]:
     """Decide whether one tainted sink argument becomes an alert."""
     _, sink_block, _ = session.locate(hit.point)
-    doms = session.dominators(hit.func)
-    applicable: list[Constraint] = []
-    for (fname, edge_target), cs in constraints_by_edge.items():
-        if fname != hit.func:
-            continue
-        if edge_target in doms.get(sink_block, frozenset()):
-            applicable.extend(c for c in cs if c.seed_id == hit.item.seed_id)
+    applicable = _guards(session, constraints_by_edge, hit.func, sink_block,
+                         hit.item.seed_id)
 
     # a constant length argument (immediate, or a register that resolves
     # to one untainted constant) acts like an equality constraint
     model = hit.sink
-    if model.len_arg is not None:
-        form = session.statement(hit.point).form
-        if model.len_arg < len(form.args):
-            ln = form.args[model.len_arg]
-            bound = None
-            if isinstance(ln, int):
-                bound = ln
-            elif (hit.point, model.len_arg) not in tainted_args:
-                bound = _constant_of(_backward_family(session, hit.point, ln))
-            if bound is not None:
-                applicable.append(Constraint(
-                    S.Val(bound), "==", S.Val(bound), hit.point,
-                    hit.item.seed_id, subject_is_length=True))
+    form = session.statement(hit.point).form
+    if model.len_arg is not None and model.len_arg < len(form.args):
+        ln = form.args[model.len_arg]
+        bound = None
+        if isinstance(ln, int):
+            bound = ln
+        elif (hit.point, model.len_arg) not in tainted_args:
+            bound = _constant_of(_backward_family(session, hit.point, ln))
+        if bound is not None:
+            applicable.append(Constraint(
+                S.Val(bound), "==", S.Val(bound), hit.point,
+                hit.item.seed_id, subject_is_length=True))
 
     if model.klass == "exec":
         if applicable:
@@ -494,10 +492,9 @@ def check_sink(session: Session, hit: SinkHit,
         return None
     uppers = [c.upper_bound() for c in applicable if c.upper_bound() is not None]
     bound = min(uppers) if uppers else None
-    offset = _resolve_stack_dst(session, hit)
-    capacity = None
-    if offset is not None:
-        capacity = session.program.functions[hit.func].frame_size - offset
+    offset = capacity = None
+    if model.dst_arg is not None and model.dst_arg < len(form.args):
+        offset, capacity = _stack_dst(session, hit.point, form.args[model.dst_arg])
     if bound is None:
         verdict = ("unbounded copy, destination unknown" if capacity is None
                    else "unbounded tainted copy into stack buffer")
@@ -536,7 +533,6 @@ def detect_loop_copies(analysis: Analysis, constraints_by_edge) -> list[Alert]:
         loops = session.loop_blocks(fname)
         if not loops:
             continue
-        doms = session.dominators(fname)
         source_labels = {lbl.split("@")[0] for lbl in loops}
         advanced = set()
         loaded = set()
@@ -559,19 +555,13 @@ def detect_loop_copies(analysis: Analysis, constraints_by_edge) -> list[Alert]:
                 if not items:
                     continue
                 item = items[0]
-                applicable = []
-                for (cf, edge_target), cs in constraints_by_edge.items():
-                    if cf == fname and edge_target in doms.get(lbl, frozenset()):
-                        applicable.extend(c for c in cs
-                                          if c.seed_id == item.seed_id)
+                applicable = _guards(session, constraints_by_edge, fname, lbl,
+                                     item.seed_id)
                 if any(c.symbolic() for c in applicable):
                     continue
                 uppers = [c.upper_bound() for c in applicable
                           if c.upper_bound() is not None]
-                offset = _stack_offset_of(_backward_family(
-                    session, stmt.point, form.addr))
-                capacity = (session.program.functions[fname].frame_size - offset
-                            if offset is not None else None)
+                offset, capacity = _stack_dst(session, stmt.point, form.addr)
                 bound = min(uppers) if uppers else None
                 if bound is not None and capacity is not None and bound <= capacity:
                     continue

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from mirtaint import cfg as C
@@ -270,3 +272,17 @@ bb0:
                                  expr=S.Reg("r1"), direction="backward"))
     analysis.run()
     assert all(S.mem_depth(t.expr) <= 3 for t in analysis.family(sid))
+
+
+def test_alias_cap_ends_in_reported_cap_hits(corpus):
+    """Families past `alias_cap` are cut back in every block and each cut
+    is reported; the run still completes with its alert."""
+    from mirtaint import taint
+
+    prog = corpus("loop_copy.ir")
+    result = taint.run_taint(prog, engine_config=EngineConfig(alias_cap=2))
+    hits = [h for h in result.cap_hits if h.startswith("alias-set cap hit")]
+    assert len(hits) == 30
+    assert all(re.fullmatch(r"alias-set cap hit for seed \d+ at main:\S+", h)
+               for h in hits)
+    assert len(result.alerts) == 1

@@ -1,0 +1,83 @@
+"""The `mirtaint` command line: exit codes, output options, and report
+determinism across hash seeds."""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+from mirtaint import cli, pipeline
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+ALERTING = str(ROOT / "corpus" / "memcpy_bound_bad.ir")
+CLEAN = str(ROOT / "corpus" / "memcpy_bound_ok.ir")
+
+
+@pytest.fixture(autouse=True)
+def _no_cap_overrides(monkeypatch):
+    for var in pipeline._ENV_CAPS:
+        monkeypatch.delenv(var, raising=False)
+
+
+def test_alerts_exit_1(capsys):
+    assert cli.main(["analyze", "--ir", ALERTING]) == 1
+    assert json.loads(capsys.readouterr().out)["taint_metrics"]["alerts"] == 1
+
+
+def test_exit_zero_with_alerts(capsys):
+    assert cli.main(["analyze", "--ir", ALERTING, "--exit-zero"]) == 0
+
+
+def test_clean_program_exits_0(capsys):
+    assert cli.main(["analyze", "--ir", CLEAN]) == 0
+    assert json.loads(capsys.readouterr().out)["alerts"] == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["--ir", str(ROOT / "corpus" / "no_such_file.ir")],
+    ["--ir", CLEAN, "--seed", "no_such_function:bb0:r1"],
+    ["--ir", CLEAN, "--seed", "main:bb0:+"],
+], ids=["missing-file", "unknown-function-seed", "malformed-seed"])
+def test_input_errors_exit_2(argv, capsys):
+    assert cli.main(["analyze", *argv]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_bad_cap_variable_exits_2(value, monkeypatch, capsys):
+    monkeypatch.setenv("MIRTAINT_ALIAS_CAP", value)
+    assert cli.main(["analyze", "--ir", CLEAN]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_text_format_to_out_file(tmp_path, capsys):
+    out = tmp_path / "report.txt"
+    assert cli.main(["analyze", "--ir", ALERTING, "--format", "text",
+                     "--out", str(out), "--exit-zero"]) == 0
+    assert capsys.readouterr().out == ""
+    text = out.read_text()
+    assert text.startswith(f"== analysis report for {ALERTING} ==")
+    assert "ALERT copy-like at " in text
+
+
+@pytest.mark.parametrize("name", ["listing1.ir", "gptr_table.ir"])
+def test_report_independent_of_hash_seed(name):
+    reports = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=str(ROOT / "src"))
+        for var in pipeline._ENV_CAPS:
+            env.pop(var, None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "mirtaint.cli", "analyze", "--ir",
+             str(ROOT / "corpus" / name), "--dump-icalls"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode in (0, 1), proc.stderr
+        report = json.loads(proc.stdout)
+        del report["timings"]
+        reports.append(report)
+    assert reports[0] == reports[1]

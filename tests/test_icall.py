@@ -164,18 +164,6 @@ bb0:
     assert res.pattern == "unresolved"
 
 
-def test_augment_call_graph_idempotent(corpus):
-    prog, resolutions, _ = resolve_corpus(corpus, "listing1.ir")
-    cg = C.build_call_graph(prog)
-    once = IC.augment_call_graph(cg, resolutions)
-    twice = IC.augment_call_graph(once, resolutions)
-    assert once.edges == twice.edges
-    added = set(once.edges) - set(cg.edges)
-    assert {(a, b) for a, b, _ in added} == {
-        ("main", "fun"), ("main", "fun2")}
-    assert once.unresolved_icalls == ()
-
-
 def test_metrics_semantics(corpus):
     _, resolutions, _ = resolve_corpus(corpus, "listing1.ir")
     m = IC.metrics(resolutions)

@@ -144,36 +144,33 @@ def test_replace_respects_depth_measure(e):
 # -- kills -------------------------------------------------------------------
 
 def test_kill_register_redefine():
-    kept = S.kill_matches([canon("load(r3+0x8)")], S.Reg("r3"),
-                          "register-redefine")
-    assert kept == []
+    assert S.kills_register(canon("load(r3+0x8)"), "r3")
 
 
 def test_kill_unrelated_register_survives():
-    kept = S.kill_matches([S.Reg("r5")], S.Reg("r3"), "register-redefine")
-    assert kept == [S.Reg("r5")]
+    assert not S.kills_register(S.Reg("r5"), "r3")
 
 
 def test_kill_memory_overwrite_orders_by_birth():
     old = S.canonicalize(S.Load(S.Store(S.Reg("r6"), birth=1), birth=1))
     # a later store to the same register kills the older cell reference
-    assert S.kill_matches([old], S.Reg("r6"), "memory-overwrite", position=5) == []
+    assert S.kills_memory(old, S.Reg("r6"), 5)
     # the store the node itself came from does not
-    assert S.kill_matches([old], S.Reg("r6"), "memory-overwrite", position=1) == [old]
+    assert not S.kills_memory(old, S.Reg("r6"), 1)
 
 
 def test_kill_memory_exempts_bitwise_addresses():
     e = S.canonicalize(S.Load(S.Bin("&", S.Reg("r6"), S.Val(0xF0)), birth=0))
-    assert S.kill_matches([e], canon("r6 & 0xf0"), "memory-overwrite",
-                          position=9) == [e]
+    assert not S.kills_memory(e, canon("r6 & 0xf0"), 9)
 
 
-@given(st.lists(exprs, max_size=6))
+@given(exprs)
 @settings(max_examples=100, deadline=None)
-def test_kill_is_pruning_only(es):
-    es = [S.canonicalize(e) for e in es]
-    kept = S.kill_matches(es, S.Reg("r0"), "register-redefine")
-    assert all(k in es for k in kept)
+def test_kill_is_pruning_only(e):
+    """A redefinition kills exactly the expressions that mention the
+    redefined register."""
+    e = S.canonicalize(e)
+    assert S.kills_register(e, "r0") == ("r0" in S.registers(e))
 
 
 # -- induction ---------------------------------------------------------------
