@@ -36,6 +36,10 @@ writes that register); definition matches (8-13) yield successors live
 in both directions.  A rule-6 result is additionally tracked backward to
 find the store address's definitions.  Replacements are tried before
 kills; a replaced-and-killed expression survives only as its successor.
+The walker steps over statements that are inert for the expression
+(`_Compiled.inert`): no register-free pattern, no register in common
+with it, and no load or store when it holds a memory node.  No rule,
+kill or taint hook can fire there, so skipping them changes nothing.
 
 Statement-level walking is bidirectional inside one block (TraceBlock),
 block results flow around the CFG over a postorder worklist run forward
@@ -76,7 +80,7 @@ class EngineConfig:
     job_cap: int = 2000           # scheduled (function) analysis jobs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cond:
     """An ITE arm annotation: the alias holds when `reg` (at `point`)
     is truthy (value=True) or falsy (value=False)."""
@@ -88,7 +92,7 @@ class Cond:
         return {"reg": self.reg, "value": self.value, "point": str(self.point)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tracked:
     """One alias expression with its provenance."""
     expr: S.Sse
@@ -163,7 +167,12 @@ class _Compiled:
     register.  `defs` holds the right-hand sides of rules 8-11: the same
     operands under rule r+7.  `carriers` are the registers whose taint
     the defined register takes when no rule rewrites them.  `addr` is a
-    load's or store's address and `value` a store's stored value."""
+    load's or store's address and `value` a store's stored value.
+    `touched` holds every register the statement defines or reads (so
+    also those of its patterns, carriers, address and stored value), or
+    is None when a register-free pattern (an immediate it moves, selects,
+    stores or folds) could match any expression; `mem` is set on loads
+    and stores."""
     stmt: ir.Statement
     dst: Optional[S.Reg]
     uses: tuple[tuple[int, S.Sse, Optional[Cond], bool], ...]
@@ -171,6 +180,16 @@ class _Compiled:
     carriers: tuple[S.Reg, ...]
     addr: Optional[S.Sse]
     value: Optional[S.Sse]
+    touched: Optional[frozenset[str]]
+    mem: bool
+
+    def inert(self, e: S.Sse) -> bool:
+        """True when stepping `e` across this statement, either way, can
+        yield, kill and change nothing: no pattern of the statement, no
+        register it defines and no carrier can meet `e`, and `e` holds no
+        memory node a load or store could read, kill or mark."""
+        return (self.touched is not None and self.touched.isdisjoint(e._regs)
+                and not (self.mem and e._mdepth))
 
 
 def _compile(stmt: ir.Statement) -> _Compiled:
@@ -204,7 +223,11 @@ def _compile(stmt: ir.Statement) -> _Compiled:
         addr = addr_sse(form.addr, form.disp)
     if isinstance(form, ir.Store):
         value = op_sse(form.src)
-    return _Compiled(stmt, dst, uses, defs, carriers, addr, value)
+    touched = None
+    if all(S.registers(pat) for _, pat, _ in ops) and not isinstance(value, S.Val):
+        touched = frozenset(ir.used_registers(form)) | ({name} - {None})
+    return _Compiled(stmt, dst, uses, defs, carriers, addr, value, touched,
+                     isinstance(form, (ir.Load, ir.Store)))
 
 
 def _bounded(config: EngineConfig, parent: Tracked, expr: S.Sse, point: ir.Point,
@@ -231,6 +254,8 @@ def _subst_ok(expr: S.Sse, pattern: S.Sse, dst: str) -> bool:
     """A forward replacement introducing Reg(dst) is sound only if the
     original had dst nowhere outside the matched pattern (otherwise the
     stale occurrences would mix old and new values)."""
+    if not S.contains_reg(expr, dst):
+        return True
     probe = S.replace(expr, pattern, S.Reg("r999999"))
     return not S.contains_reg(probe, dst)
 
@@ -245,8 +270,8 @@ class _Walker:
               cond: Optional[Cond] = None, derived: bool = False):
         changes = {}
         if cond is not None:
-            changes["conds"] = tuple(sorted(set(t.conds) | {cond},
-                                            key=lambda k: (str(k.point), k.reg)))
+            changes["conds"] = tuple(sorted(
+                set(t.conds) | {cond}, key=lambda k: (str(k.point), k.reg, k.value)))
         if derived:
             changes.update(derived=True, is_length=False)
         n = _bounded(self.config, t, expr, c.stmt.point, phase, rule, **changes)
@@ -373,11 +398,12 @@ def _mem_subst(expr: S.Sse, node_pred, dst: str) -> Optional[S.Sse]:
     """Replace the selected memory nodes with Reg(dst), refusing when the
     original mentions dst outside the consumed nodes (the leftover
     occurrences would denote the pre-statement value)."""
-    probe, hit = S.replace_mem(expr, node_pred, S.Reg("r999999"))
-    if not hit or S.contains_reg(probe, dst):
-        return None
-    new, _ = S.replace_mem(expr, node_pred, S.Reg(dst))
-    return new
+    if S.contains_reg(expr, dst):
+        probe, hit = S.replace_mem(expr, node_pred, S.Reg("r999999"))
+        if not hit or S.contains_reg(probe, dst):
+            return None
+    new, hit = S.replace_mem(expr, node_pred, S.Reg(dst))
+    return new if hit else None
 
 
 def _walk(block: tuple[_Compiled, ...], items, config: EngineConfig, policy,
@@ -413,6 +439,9 @@ def _walk(block: tuple[_Compiled, ...], items, config: EngineConfig, policy,
         seen[k] = start
         i, alive = start, True
         while 0 <= i < n:
+            if block[i].inert(t.expr):
+                i += delta
+                continue
             result = step(block[i], i, t)
             for succ, direction in result.successors:
                 created.append((succ, direction, i))

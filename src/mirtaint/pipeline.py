@@ -138,8 +138,9 @@ def load_program(path: str) -> ir.Program:
     return program
 
 
-def _seed_queries(session: Session, seeds: tuple[str, ...]):
-    program = session.program
+def _parse_queries(program: ir.Program, seeds: tuple[str, ...]):
+    """Each "function:block:expr" query as (query, point, expression),
+    seeded at the block's first statement; InputError if one is bad."""
     out = []
     for query in seeds:
         try:
@@ -148,8 +149,19 @@ def _seed_queries(session: Session, seeds: tuple[str, ...]):
             if fname not in program.functions:
                 raise ValueError(f"no function {fname}")
             point = ir.Point(fname, block, 0)
+            function = program.functions[fname]
+            if not any(s.point == point for s in function.statements()):
+                raise ValueError(f"no statement in block {block} of {fname}")
         except ValueError as exc:
             raise InputError(f"bad seed {query!r}: {exc}") from None
+        out.append((query, point, expr))
+    return out
+
+
+def _seed_queries(session: Session, queries):
+    program = session.program
+    out = []
+    for query, point, expr in queries:
         analysis = Analysis(program, session=session)
         sid = analysis.add_seed(Seed(point=point, expr=expr, direction="both",
                                      label=f"query:{query}"))
@@ -170,6 +182,9 @@ def analyze(config: RunConfig) -> Report:
     t0 = time.perf_counter()
     program = load_program(config.ir_path)
     timings["parse_s"] = round(time.perf_counter() - t0, 6)
+    queries = _parse_queries(program, config.seeds)
+    if config.dump_cfg and config.dump_cfg not in program.functions:
+        raise InputError(f"no function {config.dump_cfg} to dump")
 
     models, model_diags = taintlib.load_models(config.config_path)
     warnings = [str(d) for d in model_diags]
@@ -197,13 +212,11 @@ def analyze(config: RunConfig) -> Report:
 
     dumps = {}
     if config.dump_cfg:
-        if config.dump_cfg not in program.functions:
-            raise InputError(f"no function {config.dump_cfg} to dump")
         dumps["cfg"] = cfglib.to_dot(session.cfg(config.dump_cfg))
     if config.dump_icalls:
         dumps["icalls"] = [r.as_json() for r in resolutions]
 
-    seed_results = _seed_queries(session, config.seeds)
+    seed_results = _seed_queries(session, queries)
     if config.dump_aliases:
         dumps["aliases"] = seed_results
 

@@ -28,14 +28,19 @@ part in structural equality:
     certifier.  They are still reported: recall beats precision here,
     the certifier just does not vouch for them.
 
+Every node also caches structural facts computed at construction from
+its children's: hash, register set, size, memory depth and bitwise
+flags.  Like the tags above they take no part in equality.  The
+structure queries read them in O(1), and pattern searches and rewrites
+use them to skip subtrees a pattern cannot lie in.
+
 All values are immutable; every function in this module is pure.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
 U64 = (1 << 64) - 1
@@ -52,31 +57,64 @@ BITWISE = {"&", "|", "^", "<<", ">>"}
 
 
 # Node equality and hashing are structural and exclude the birth/stale
-# bookkeeping on memory nodes.  Hashes are precomputed at construction so
-# set/dict operations stay O(1) and equality can fail fast; `_canon`
-# marks trees the canonicalizer already produced so re-canonicalizing is
-# free.
+# bookkeeping on memory nodes.  Every node computes its facts once, at
+# construction, from its children's: the hash `_h` (so set/dict
+# operations stay O(1) and equality can fail fast), the register set
+# `_regs`, the node count `_size`, the memory nesting depth `_mdepth` and
+# the bitwise flags `_bits` (_BIT_OP: a bitwise op appears in the tree;
+# _BIT_ADDR: some memory node's address holds one).  `_canon` marks trees
+# the canonicalizer already produced so re-canonicalizing is free.
+
+_BIT_OP, _BIT_ADDR = 1, 2
+
+_NO_REGS: frozenset[str] = frozenset()
+_REG_SETS: dict = {}     # register name or register set -> the shared set
+
+
+def _reg_set(name: str) -> frozenset[str]:
+    s = _REG_SETS.get(name)
+    if s is None:
+        s = _REG_SETS[name] = frozenset((name,))
+    return s
+
+
+def _union(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
+    if b <= a:
+        return a
+    if a <= b:
+        return b
+    s = a | b
+    return _REG_SETS.setdefault(s, s)
+
+
+_set = object.__setattr__
+
 
 class _Node:
-    __slots__ = ()
+    __slots__ = ("_h", "_canon", "_regs", "_size", "_mdepth", "_bits")
 
     def __hash__(self):
         return self._h
 
     def _mark_canonical(self):
-        object.__setattr__(self, "_canon", True)
+        _set(self, "_canon", True)
         return self
 
+    def _facts(self, h, canon, regs, size, mdepth, bits):
+        _set(self, "_h", h)
+        _set(self, "_canon", canon)
+        _set(self, "_regs", regs)
+        _set(self, "_size", size)
+        _set(self, "_mdepth", mdepth)
+        _set(self, "_bits", bits)
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, slots=True)
 class Reg(_Node):
     name: str
-    _h: int = field(init=False, repr=False)
-    _canon: bool = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_h", hash(("R", self.name)))
-        object.__setattr__(self, "_canon", True)
+        self._facts(hash(("R", self.name)), True, _reg_set(self.name), 1, 0, 0)
 
     __hash__ = _Node.__hash__
 
@@ -87,15 +125,13 @@ class Reg(_Node):
         return f"Reg({self.name})"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Val(_Node):
     value: int
-    _h: int = field(init=False, repr=False)
-    _canon: bool = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_h", hash(("V", self.value)))
-        object.__setattr__(self, "_canon", 0 <= self.value <= U64)
+        self._facts(hash(("V", self.value)), 0 <= self.value <= U64, _NO_REGS,
+                    1, 0, 0)
 
     __hash__ = _Node.__hash__
 
@@ -106,18 +142,18 @@ class Val(_Node):
         return f"Val({self.value:#x})"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Bin(_Node):
     op: str
     left: "Sse"
     right: "Sse"
-    _h: int = field(init=False, repr=False)
-    _canon: bool = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_h",
-                           hash(("B", self.op, self.left._h, self.right._h)))
-        object.__setattr__(self, "_canon", False)
+        l, r = self.left, self.right
+        self._facts(hash(("B", self.op, l._h, r._h)), False,
+                    _union(l._regs, r._regs), 1 + l._size + r._size,
+                    max(l._mdepth, r._mdepth),
+                    l._bits | r._bits | (self.op in BITWISE))
 
     __hash__ = _Node.__hash__
 
@@ -128,16 +164,15 @@ class Bin(_Node):
                 and other.left == self.left and other.right == self.right)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Un(_Node):
     op: str
     child: "Sse"
-    _h: int = field(init=False, repr=False)
-    _canon: bool = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_h", hash(("U", self.op, self.child._h)))
-        object.__setattr__(self, "_canon", False)
+        c = self.child
+        self._facts(hash(("U", self.op, c._h)), False, c._regs, 1 + c._size,
+                    c._mdepth, c._bits | (self.op == "~"))
 
     __hash__ = _Node.__hash__
 
@@ -148,18 +183,22 @@ class Un(_Node):
                 and other.child == self.child)
 
 
-@dataclass(frozen=True, eq=False)
+def _mem_facts(node, tag: str):
+    a = node.addr
+    bits = a._bits | _BIT_ADDR if a._bits & _BIT_OP else a._bits
+    node._facts(hash((tag, a._h)), False, a._regs, 1 + a._size, 1 + a._mdepth,
+                bits)
+
+
+@dataclass(frozen=True, eq=False, slots=True)
 class Load(_Node):
     addr: "Sse"
     birth: int = BIRTH_BEFORE_BLOCK
     stale_fwd: bool = False
     stale_bwd: bool = False
-    _h: int = field(init=False, repr=False)
-    _canon: bool = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_h", hash(("L", self.addr._h)))
-        object.__setattr__(self, "_canon", False)
+        _mem_facts(self, "L")
 
     __hash__ = _Node.__hash__
 
@@ -174,18 +213,15 @@ class Load(_Node):
         return self.stale_fwd or self.stale_bwd
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Store(_Node):
     addr: "Sse"
     birth: int = BIRTH_BEFORE_BLOCK
     stale_fwd: bool = False
     stale_bwd: bool = False
-    _h: int = field(init=False, repr=False)
-    _canon: bool = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_h", hash(("S", self.addr._h)))
-        object.__setattr__(self, "_canon", False)
+        _mem_facts(self, "S")
 
     __hash__ = _Node.__hash__
 
@@ -200,7 +236,7 @@ class Store(_Node):
         return self.stale_fwd or self.stale_bwd
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class IndexTerm(_Node):
     """A loop-summarized term ``base + i * stride`` with a fresh index id.
 
@@ -213,13 +249,11 @@ class IndexTerm(_Node):
     base: "Sse"
     stride: int
     index: str
-    _h: int = field(init=False, repr=False)
-    _canon: bool = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_h",
-                           hash(("I", self.base._h, self.stride, self.index)))
-        object.__setattr__(self, "_canon", False)
+        b = self.base
+        self._facts(hash(("I", b._h, self.stride, self.index)), False, b._regs,
+                    1 + b._size, b._mdepth, b._bits)
 
     __hash__ = _Node.__hash__
 
@@ -232,12 +266,6 @@ class IndexTerm(_Node):
 
 
 Sse = Union[Reg, Val, Bin, Un, Load, Store, IndexTerm]
-
-_index_counter = itertools.count()
-
-
-def fresh_index() -> str:
-    return f"i{next(_index_counter)}"
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +440,7 @@ def _canonicalize(e: Sse) -> Sse:
 
 
 # ---------------------------------------------------------------------------
-# Structure queries
+# Structure queries (O(1) reads of the cached facts, or walks pruned by them)
 # ---------------------------------------------------------------------------
 
 def subtrees(e: Sse) -> Iterator[Sse]:
@@ -420,64 +448,72 @@ def subtrees(e: Sse) -> Iterator[Sse]:
     while stack:
         n = stack.pop()
         yield n
-        if isinstance(n, Bin):
-            stack.append(n.left)
-            stack.append(n.right)
-        elif isinstance(n, Un):
-            stack.append(n.child)
-        elif isinstance(n, (Load, Store)):
-            stack.append(n.addr)
-        elif isinstance(n, IndexTerm):
-            stack.append(n.base)
+        stack.extend(_children(n))
+
+
+def _children(n: Sse) -> tuple[Sse, ...]:
+    t = type(n)
+    if t is Bin:
+        return n.left, n.right
+    if t is Load or t is Store:
+        return n.addr,
+    if t is Un:
+        return n.child,
+    if t is IndexTerm:
+        return n.base,
+    return ()
+
+
+def _fits(e: Sse, pattern: Sse) -> bool:
+    """False when `pattern` cannot be a subtree of `e`: it is larger,
+    nests memory deeper or mentions a register `e` does not."""
+    return (e._size >= pattern._size and e._mdepth >= pattern._mdepth
+            and pattern._regs <= e._regs)
 
 
 def size(e: Sse) -> int:
-    return sum(1 for _ in subtrees(e))
+    return e._size
 
 
 def occurs(expr: Sse, pattern: Sse) -> bool:
     """True iff ``pattern`` appears as a subtree of ``expr`` (structural
     equality; both sides assumed canonical)."""
-    return any(n == pattern for n in subtrees(expr))
+    stack = [expr] if _fits(expr, pattern) else []
+    while stack:
+        n = stack.pop()
+        if n == pattern:
+            return True
+        stack.extend(c for c in _children(n) if _fits(c, pattern))
+    return False
 
 
 def registers(e: Sse) -> frozenset[str]:
-    return frozenset(n.name for n in subtrees(e) if isinstance(n, Reg))
+    return e._regs
 
 
 def contains_reg(e: Sse, name: str) -> bool:
-    return any(isinstance(n, Reg) and n.name == name for n in subtrees(e))
+    return name in e._regs
 
 
 def mem_nodes(e: Sse) -> Iterator[Union[Load, Store]]:
-    for n in subtrees(e):
-        if isinstance(n, (Load, Store)):
+    """Memory nodes in `subtrees` order, skipping memory-free subtrees."""
+    stack = [e] if e._mdepth else []
+    while stack:
+        n = stack.pop()
+        if type(n) is Load or type(n) is Store:
             yield n
+        stack.extend(c for c in _children(n) if c._mdepth)
 
 
 def mem_depth(e: Sse) -> int:
-    if isinstance(e, (Load, Store)):
-        return 1 + mem_depth(e.addr)
-    if isinstance(e, Bin):
-        return max(mem_depth(e.left), mem_depth(e.right))
-    if isinstance(e, Un):
-        return mem_depth(e.child)
-    if isinstance(e, IndexTerm):
-        return mem_depth(e.base)
-    return 0
+    return e._mdepth
 
 
 def has_bitwise_addr(e: Sse) -> bool:
     """True when some memory node's address subtree uses a bitwise op.
     Such expressions are tracked but never trusted for kills or call
     matching (pointer bit-twiddling is out of reach of this analysis)."""
-    for n in mem_nodes(e):
-        for s in subtrees(n.addr):
-            if isinstance(s, Bin) and s.op in BITWISE:
-                return True
-            if isinstance(s, Un) and s.op == "~":
-                return True
-    return False
+    return bool(e._bits & _BIT_ADDR)
 
 
 def root_register(e: Sse) -> Optional[str]:
@@ -500,46 +536,48 @@ def root_register(e: Sse) -> Optional[str]:
 # Rewriting
 # ---------------------------------------------------------------------------
 
-def _rebuild(e: Sse, f) -> Sse:
-    """Apply f to each node bottom-up (f sees rebuilt children)."""
-    if isinstance(e, Bin):
-        e = Bin(e.op, _rebuild(e.left, f), _rebuild(e.right, f))
-    elif isinstance(e, Un):
-        e = Un(e.op, _rebuild(e.child, f))
-    elif isinstance(e, Load):
-        e = Load(_rebuild(e.addr, f), e.birth, e.stale_fwd, e.stale_bwd)
-    elif isinstance(e, Store):
-        e = Store(_rebuild(e.addr, f), e.birth, e.stale_fwd, e.stale_bwd)
-    elif isinstance(e, IndexTerm):
-        e = IndexTerm(_rebuild(e.base, f), e.stride, e.index)
-    return f(e)
+def _remake(e: Sse, kids: list[Sse]) -> Sse:
+    """`e` over the children `kids`: `e` itself when none changed."""
+    if all(k is c for k, c in zip(kids, _children(e))):
+        return e
+    t = type(e)
+    if t is Bin:
+        return Bin(e.op, kids[0], kids[1])
+    if t is Un:
+        return Un(e.op, kids[0])
+    if t is IndexTerm:
+        return IndexTerm(kids[0], e.stride, e.index)
+    return t(kids[0], e.birth, e.stale_fwd, e.stale_bwd)
 
 
-def _substitute(e: Sse, match, replacement: Sse) -> Sse:
+def _rebuild_mem(e: Sse, f) -> Sse:
+    """Apply f to each memory node bottom-up (f sees rebuilt children).
+    Memory-free subtrees and nodes with unchanged children are kept."""
+    if not e._mdepth:
+        return e
+    e = _remake(e, [_rebuild_mem(c, f) for c in _children(e)])
+    return f(e) if type(e) is Load or type(e) is Store else e
+
+
+def _substitute(e: Sse, match, replacement: Sse, fits) -> Sse:
     """Pre-order substitution: only nodes of the original tree are
     matched, so a node formed by the rewrite itself never cascades into
-    another replacement."""
+    another replacement.  Subtrees that `fits` rules out, and those in
+    which nothing matched, are returned as they are."""
+    if not fits(e):
+        return e
     if match(e):
         return replacement
-    if isinstance(e, Bin):
-        return Bin(e.op, _substitute(e.left, match, replacement),
-                   _substitute(e.right, match, replacement))
-    if isinstance(e, Un):
-        return Un(e.op, _substitute(e.child, match, replacement))
-    if isinstance(e, (Load, Store)):
-        return type(e)(_substitute(e.addr, match, replacement),
-                       e.birth, e.stale_fwd, e.stale_bwd)
-    if isinstance(e, IndexTerm):
-        return IndexTerm(_substitute(e.base, match, replacement),
-                         e.stride, e.index)
-    return e
+    return _remake(e, [_substitute(c, match, replacement, fits)
+                       for c in _children(e)])
 
 
 def replace(expr: Sse, pattern: Sse, replacement: Sse) -> Sse:
     """Substitute every occurrence of ``pattern`` in ``expr`` and
     re-canonicalize.  Matching is structural, so memory-node tags on the
     pattern are ignored; tags of untouched nodes survive the rebuild."""
-    return canonicalize(_substitute(expr, lambda n: n == pattern, replacement))
+    return canonicalize(_substitute(expr, lambda n: n == pattern, replacement,
+                                    lambda n: _fits(n, pattern)))
 
 
 def replace_mem(expr: Sse, node_pred, replacement: Sse) -> tuple[Sse, bool]:
@@ -555,7 +593,7 @@ def replace_mem(expr: Sse, node_pred, replacement: Sse) -> tuple[Sse, bool]:
             return True
         return False
 
-    out = _substitute(expr, match, replacement)
+    out = _substitute(expr, match, replacement, lambda n: n._mdepth)
     return (canonicalize(out) if hit else expr), hit
 
 
@@ -575,11 +613,11 @@ def retag(expr: Sse, birth: int) -> Sse:
         return expr
 
     def f(n):
-        if isinstance(n, (Load, Store)) and n.birth != birth:
+        if n.birth != birth:
             return type(n)(n.addr, birth, n.stale_fwd, n.stale_bwd)
         return n
 
-    out = _rebuild(expr, f)
+    out = _rebuild_mem(expr, f)
     return _mark_tree(out) if expr._canon else out
 
 
@@ -595,12 +633,12 @@ def mark_stale(expr: Sse, node_pred, which: str = "fwd") -> Sse:
         return expr
 
     def f(n):
-        if isinstance(n, (Load, Store)) and hit(n):
+        if hit(n):
             return type(n)(n.addr, n.birth,
                            n.stale_fwd or fwd, n.stale_bwd or not fwd)
         return n
 
-    out = _rebuild(expr, f)
+    out = _rebuild_mem(expr, f)
     return _mark_tree(out) if expr._canon else out
 
 
@@ -692,31 +730,6 @@ def _merge_bucket(path, skel, consts: list[int], index_id: str) -> Optional[Sse]
     base = _rebuild_sum(list(base_terms), 0)
     term = IndexTerm(base, d, index_id)
     return canonicalize(_set_at(skel, path, Bin("+", term, Val(cs[0]))))
-
-
-def recognize_induction(family: list[Sse], index_id: str | None = None) -> Optional[Sse]:
-    """Collapse an offset family produced by a loop-carried pointer into
-    its ``base + i*stride`` form.
-
-    The members must be identical apart from one additive constant whose
-    values form an arithmetic progression c0, c0+d, c0+2d (d > 0) with at
-    least three members.  Returns the summarized expression or None.
-    """
-    if len(family) < 3:
-        return None
-    family = [canonicalize(e) for e in family]
-    buckets: dict[tuple, list[int]] = {}
-    for e in family:
-        for path, const in _const_positions(e, ()):
-            skel = _set_at(e, path + (1,), Val(0))
-            buckets.setdefault((path, skel), []).append(const)
-    for (path, skel), consts in buckets.items():
-        if len(consts) != len(family):
-            continue
-        merged = _merge_bucket(path, skel, consts, index_id or fresh_index())
-        if merged is not None:
-            return merged
-    return None
 
 
 def induction_families(exprs: list[Sse], index_id: str) -> list[tuple[Sse, list[Sse]]]:

@@ -1,12 +1,22 @@
+import json
+import os
+import pathlib
 import re
+import subprocess
+import sys
+from dataclasses import replace
 
 import pytest
 
 from mirtaint import cfg as C
 from mirtaint import ir
 from mirtaint import sse as S
-from mirtaint.alias import (Analysis, EngineConfig, FunctionSummary, ModEntry,
-                            Seed, Session, live_in_registers, transfer_function)
+from mirtaint import taint
+from mirtaint.alias import (Analysis, Cond, EngineConfig, FunctionSummary,
+                            ModEntry, Seed, Session, Tracked, _Walker,
+                            live_in_registers, transfer_function)
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def analyze_seed(prog, point, expr_text, direction="both", config=None):
@@ -286,3 +296,98 @@ def test_alias_cap_ends_in_reported_cap_hits(corpus):
     assert all(re.fullmatch(r"alias-set cap hit for seed \d+ at main:\S+", h)
                for h in hits)
     assert len(result.alerts) == 1
+
+
+def _register_seeds(prog, fname):
+    """A seed for every register each statement of `fname` reads or defines."""
+    for stmt in prog.functions[fname].statements():
+        regs = set(ir.used_registers(stmt.form))
+        regs |= {ir.defined_register(stmt.form)} - {None}
+        for r in sorted(regs):
+            yield Seed(point=stmt.point, expr=S.Reg(r))
+
+
+def test_inert_statements_step_to_nothing(corpus):
+    """Wherever the walker's skip rule calls a statement inert for an
+    expression, stepping it across that statement, either way, yields
+    nothing, kills nothing, keeps the very same expression and records
+    no comparison fact."""
+    models = taint.default_models()
+    inert = 0
+    for path in sorted((ROOT / "corpus").glob("*.ir")):
+        prog = corpus(path.name)
+        analysis = Analysis(prog, policy=taint.TaintPolicy(models))
+        for seed in taint.seed_sources(prog, models):
+            analysis.add_seed(seed)
+        for fname in prog.functions:
+            for seed in _register_seeds(prog, fname):
+                analysis.add_seed(seed)
+        analysis.run()
+        session = analysis.session
+        policy = taint.TaintPolicy(models)
+        walker = _Walker(analysis.config, policy)
+        for fname, registry in analysis.registry.items():
+            items = list(registry.values())
+            items += [replace(t, tainted=True) for t in items if not t.tainted]
+            g = session.cfg(fname)
+            for label in g.order:
+                if g.blocks[label].is_call:
+                    continue
+                for i, row in enumerate(session.rules(fname, label)):
+                    for t in items:
+                        if not row.inert(t.expr):
+                            continue
+                        inert += 1
+                        for step in (walker.forward_step, walker.backward_step):
+                            out = step(row, i, t)
+                            assert not out.successors and not out.killed, (
+                                path.name, row.stmt, S.pretty(t.expr))
+                            assert out.expr is t.expr
+        assert policy.cmp_facts == {}, path.name
+    assert inert > 1000
+
+
+def test_nodes_and_tracked_have_no_dict():
+    r = S.Reg("r1")
+    point = ir.Point("main", "bb0", 0)
+    cond = Cond("r4", True, point)
+    objects = [r, S.Val(1), S.Bin("+", r, S.Val(8)), S.Un("~", r), S.Load(r),
+               S.Store(r), S.IndexTerm(r, 8, "i"), cond,
+               Tracked(expr=r, point=point, phase="pre", seed_id=0, conds=(cond,))]
+    for obj in objects:
+        assert not hasattr(obj, "__dict__"), type(obj).__name__
+
+
+_ITE_PROBE = """
+import json, sys
+from mirtaint import alias, ir, pipeline, sse as S
+prog = pipeline.load_program(sys.argv[1])
+analysis = alias.Analysis(prog)
+for stmt in prog.functions["main"].statements():
+    regs = set(ir.used_registers(stmt.form))
+    regs |= {ir.defined_register(stmt.form)} - {None}
+    for r in sorted(regs):
+        analysis.add_seed(alias.Seed(point=stmt.point, expr=S.Reg(r)))
+analysis.run()
+print(json.dumps(sorted(
+    (S.pretty(t.expr), [[c.reg, c.value, str(c.point)] for c in t.conds])
+    for registry in analysis.registry.values() for t in registry.values()
+    if len(t.conds) > 1)))
+"""
+
+
+def test_ite_conditions_ordered_independent_of_hash_seed():
+    """Conditions of one ITE on both arms sort the same way whatever the
+    hash seed, so `Tracked.key()` does not depend on it."""
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", _ITE_PROBE,
+             str(ROOT / "corpus" / "ite_select.ir")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(json.loads(proc.stdout))
+    assert outputs[0], "ite_select.ir should give multi-condition aliases"
+    assert outputs[0] == outputs[1]

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from mirtaint import cli, pipeline
+from mirtaint import cli, pipeline, taint
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 ALERTING = str(ROOT / "corpus" / "memcpy_bound_bad.ir")
@@ -40,10 +40,19 @@ def test_clean_program_exits_0(capsys):
     ["--ir", str(ROOT / "corpus" / "no_such_file.ir")],
     ["--ir", CLEAN, "--seed", "no_such_function:bb0:r1"],
     ["--ir", CLEAN, "--seed", "main:bb0:+"],
-], ids=["missing-file", "unknown-function-seed", "malformed-seed"])
-def test_input_errors_exit_2(argv, capsys):
+    ["--ir", CLEAN, "--seed", "main:no_such_block:r1"],
+    ["--ir", CLEAN, "--dump-cfg", "no_such_function"],
+], ids=["missing-file", "unknown-function-seed", "malformed-seed",
+        "unknown-block-seed", "unknown-dump-cfg"])
+def test_input_errors_exit_2(argv, monkeypatch, capsys):
+    """Bad input is rejected before any analysis runs."""
+    def run_taint(*args, **kwargs):
+        raise AssertionError("the taint run started before the input was checked")
+
+    monkeypatch.setattr(taint, "run_taint", run_taint)
     assert cli.main(["analyze", *argv]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("value", ["abc", "0"])

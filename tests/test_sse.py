@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -185,34 +187,32 @@ def _is_progression(consts):
 
 def test_induction_paper_family():
     fam = [canon("load(r2+0x4)"), canon("load(r2+0xC)"), canon("load(r2+0x14)")]
-    got = S.recognize_induction(fam, index_id="i")
+    (got, _), = S.induction_families(fam, "i")
     assert got == S.canonicalize(
         S.Load(S.Bin("+", S.IndexTerm(S.Reg("r2"), 8, "i"), S.Val(4))))
     assert S.pretty(got) == "load((r2+i*0x8)+0x4)"
 
 
 def test_induction_single_member():
-    assert S.recognize_induction([canon("load(r2)")]) is None
+    assert S.induction_families([canon("load(r2)")], "i") == []
 
 
 def test_induction_rejects_non_arithmetic():
     fam = [canon("load(r2+0x4)"), canon("load(r2+0x6)"), canon("load(r2+0xC)")]
     assert not _is_progression([0x4, 0x6, 0xC])  # brute-force oracle agrees
-    assert S.recognize_induction(fam) is None
+    assert S.induction_families(fam, "i") == []
 
 
 def test_induction_loop_shift_converges():
-    merged = S.recognize_induction(
-        [canon("load(r4+0x4)"), canon("load(r4+0xC)"), canon("load(r4+0x14)")],
-        index_id="i")
+    (merged, _), = S.induction_families(
+        [canon("load(r4+0x4)"), canon("load(r4+0xC)"), canon("load(r4+0x14)")], "i")
     shifted = S.replace(merged, S.Reg("r4"), canon("r4 + 0x8"))
     assert shifted == merged
 
 
 def test_induction_constant_base_is_anchored():
-    merged = S.recognize_induction(
-        [canon("load(r4+0x4)"), canon("load(r4+0xC)"), canon("load(r4+0x14)")],
-        index_id="i")
+    (merged, _), = S.induction_families(
+        [canon("load(r4+0x4)"), canon("load(r4+0xC)"), canon("load(r4+0x14)")], "i")
     table = S.replace(merged, S.Reg("r4"), S.Val(0x92C44))
     terms, const = S._sum_terms(table.addr)
     (it,) = [t for t in terms if isinstance(t, S.IndexTerm)]
@@ -265,3 +265,124 @@ def test_is_trusted_rejects_stale():
     dirty = S.mark_stale(clean, lambda n: True, "fwd")
     assert not S.is_trusted(dirty)
     assert dirty == clean  # staleness is invisible to structural equality
+
+
+# -- cached facts against reference tree walks ----------------------------------
+
+def _nodes(e):
+    """Every node, in `subtrees` order, by an explicit walk."""
+    out, stack = [], [e]
+    while stack:
+        n = stack.pop()
+        out.append(n)
+        if isinstance(n, S.Bin):
+            stack += [n.left, n.right]
+        elif isinstance(n, S.Un):
+            stack.append(n.child)
+        elif isinstance(n, (S.Load, S.Store)):
+            stack.append(n.addr)
+        elif isinstance(n, S.IndexTerm):
+            stack.append(n.base)
+    return out
+
+
+def _depth(e):
+    if isinstance(e, (S.Load, S.Store)):
+        return 1 + _depth(e.addr)
+    if isinstance(e, S.Bin):
+        return max(_depth(e.left), _depth(e.right))
+    if isinstance(e, S.Un):
+        return _depth(e.child)
+    if isinstance(e, S.IndexTerm):
+        return _depth(e.base)
+    return 0
+
+
+def _bitwise(n):
+    return ((isinstance(n, S.Bin) and n.op in S.BITWISE)
+            or (isinstance(n, S.Un) and n.op == "~"))
+
+
+def _exact(e):
+    """Structure plus every memory node's tags, for tag-exact comparison."""
+    if isinstance(e, S.Reg):
+        return ("R", e.name)
+    if isinstance(e, S.Val):
+        return ("V", e.value)
+    if isinstance(e, S.Bin):
+        return ("B", e.op, _exact(e.left), _exact(e.right))
+    if isinstance(e, S.Un):
+        return ("U", e.op, _exact(e.child))
+    if isinstance(e, S.IndexTerm):
+        return ("I", _exact(e.base), e.stride, e.index)
+    return (type(e).__name__, _exact(e.addr), e.birth, e.stale_fwd, e.stale_bwd)
+
+
+def _tagged(e, counter):
+    """`e` with distinct births and some stale flags on its memory nodes."""
+    if isinstance(e, S.Bin):
+        return S.Bin(e.op, _tagged(e.left, counter), _tagged(e.right, counter))
+    if isinstance(e, S.Un):
+        return S.Un(e.op, _tagged(e.child, counter))
+    if isinstance(e, (S.Load, S.Store)):
+        k = next(counter)
+        return type(e)(_tagged(e.addr, counter), k, k % 3 == 0, k % 4 == 1)
+    return e
+
+
+def _rebuild_all(e, match, replacement):
+    """Substitution that rebuilds every node, as the rewrite is specified."""
+    if match(e):
+        return replacement
+    if isinstance(e, S.Bin):
+        return S.Bin(e.op, _rebuild_all(e.left, match, replacement),
+                     _rebuild_all(e.right, match, replacement))
+    if isinstance(e, S.Un):
+        return S.Un(e.op, _rebuild_all(e.child, match, replacement))
+    if isinstance(e, (S.Load, S.Store)):
+        return type(e)(_rebuild_all(e.addr, match, replacement),
+                       e.birth, e.stale_fwd, e.stale_bwd)
+    if isinstance(e, S.IndexTerm):
+        return S.IndexTerm(_rebuild_all(e.base, match, replacement),
+                           e.stride, e.index)
+    return e
+
+
+@given(exprs)
+@settings(max_examples=300, deadline=None)
+def test_cached_facts_equal_tree_walks(e):
+    for x in (e, S.canonicalize(e), S.IndexTerm(e, 8, "i")):
+        nodes = _nodes(x)
+        mems = [n for n in nodes if isinstance(n, (S.Load, S.Store))]
+        assert S.size(x) == len(nodes)
+        assert S.registers(x) == {n.name for n in nodes if isinstance(n, S.Reg)}
+        assert S.mem_depth(x) == _depth(x)
+        assert S.has_bitwise_addr(x) == any(
+            _bitwise(s) for n in mems for s in _nodes(n.addr))
+        assert [id(n) for n in S.mem_nodes(x)] == [id(n) for n in mems]
+        assert S.contains_reg(x, "r1") == (S.Reg("r1") in nodes)
+        assert all(S.occurs(x, n) for n in nodes)
+
+
+@given(exprs, st.integers(0, 63))
+@settings(max_examples=300, deadline=None)
+def test_rewrites_equal_rebuild_everything(e, pick):
+    for x in (_tagged(e, itertools.count()),
+              S.canonicalize(_tagged(e, itertools.count()))):
+        nodes = _nodes(x)
+        for pattern in (nodes[pick % len(nodes)], S.Reg("r1"), canon("r0+0x8")):
+            want = S.canonicalize(_rebuild_all(x, lambda n: n == pattern,
+                                               S.Reg("r9")))
+            assert _exact(S.replace(x, pattern, S.Reg("r9"))) == _exact(want)
+
+        def pred(n):
+            return n.birth % 2 == 0
+
+        def mem_match(n):
+            return isinstance(n, (S.Load, S.Store)) and pred(n)
+
+        got, hit = S.replace_mem(x, pred, S.Reg("r9"))
+        assert hit == any(mem_match(n) for n in nodes)
+        want = (S.canonicalize(_rebuild_all(x, mem_match, S.Reg("r9")))
+                if hit else x)
+        assert _exact(got) == _exact(want)
