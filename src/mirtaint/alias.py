@@ -43,9 +43,14 @@ kill or taint hook can fire there, so skipping them changes nothing.
 
 Statement-level walking is bidirectional inside one block (TraceBlock),
 block results flow around the CFG over a postorder worklist run forward
-then backward until stable (AnalyzeFunction), and callsite blocks apply
-callee MOD/REF summaries through a transfer function instead of being
-walked.  On completion a function exports its entry-block backward
+then backward until stable (AnalyzeFunction), and callsite blocks are
+not walked: a visit re-roots each callee's MOD/REF summary at the call
+once (`transfer_function`, which depends only on the callee and the
+argument binding), and every alias crossing the call in either direction
+reads that one `Transfer`.  MOD' cells kill and generate aliases, the
+return aliases rename the result register, and the argument map and
+REF' pairs tell a tainted alias which callee fact to seed when it
+descends.  On completion a function exports its entry-block backward
 results (rooted at parameters or the globals register) to its callers'
 callsites and its exit-block forward results (rooted at the returned
 register) to its callers' return sites, which is how demand spreads
@@ -76,7 +81,7 @@ class EngineConfig:
     loop_k: int = 3               # loop re-traversals before induction merge
     block_iter_cap: int = 64      # TraceBlock inner iterations
     func_rounds_cap: int = 32     # AnalyzeFunction worklist sweeps
-    recursion_depth: int = 4      # summary recursion re-analysis rounds
+    recursion_depth: int = 4      # cross-function hops of descents and exports
     job_cap: int = 2000           # scheduled (function) analysis jobs
 
 
@@ -103,7 +108,6 @@ class Tracked:
     parent: Optional["Tracked"] = None
     tainted: bool = False
     derived: bool = False         # taint-derived, not a value-exact alias
-    is_length: bool = False      # value is the length of tainted data
     trigger: Optional[ir.Point] = None
     conds: tuple[Cond, ...] = ()
     hops: int = 0          # cross-function transfers taken (bounded)
@@ -141,7 +145,6 @@ class Seed:
     direction: str = "both"       # forward | backward | both
     tainted: bool = False
     trigger: Optional[ir.Point] = None
-    is_length: bool = False
     label: str = ""
 
 
@@ -273,7 +276,7 @@ class _Walker:
             changes["conds"] = tuple(sorted(
                 set(t.conds) | {cond}, key=lambda k: (str(k.point), k.reg, k.value)))
         if derived:
-            changes.update(derived=True, is_length=False)
+            changes["derived"] = True
         n = _bounded(self.config, t, expr, c.stmt.point, phase, rule, **changes)
         if n is not None:
             out.successors.append((n, direction))
@@ -508,7 +511,7 @@ def _dedup(items: list[Tracked]) -> list[Tracked]:
 
 @dataclass(frozen=True)
 class ModEntry:
-    cell: S.Sse                   # Store(addr) in callee entry terms
+    cell: S.Store                 # the written cell in callee entry terms
     value: Optional[S.Sse] = None # stored value in callee entry terms
 
 
@@ -575,37 +578,36 @@ def reroot(expr: S.Sse, mapping: dict[str, S.Sse]) -> Optional[S.Sse]:
     return S.canonicalize(out)
 
 
-def transfer_function(ptrs: set[str | None], summary: FunctionSummary,
-                      args: tuple[ir.Operand, ...]):
-    """Re-root a callee summary at a callsite.
+@dataclass(frozen=True)
+class Transfer:
+    """A callee summary re-rooted at one callsite, in the caller's terms."""
+    args: dict[str, S.Sse]                   # formal -> actual
+    mod: tuple[ModEntry, ...]                # MOD'
+    ref: tuple[tuple[S.Sse, S.Sse], ...]     # REF' as (callee cell, caller cell)
+    rets: tuple[S.Sse, ...]                  # aliases of the returned value
 
-    ``ptrs`` are the root registers of the expressions live at the
-    callsite (plus None for constant-rooted ones); only entries relevant
-    to them (or global-rooted) are kept.  Returns (MOD', REF') in caller
-    terms.
-    """
+
+def transfer_function(summary: FunctionSummary,
+                      args: tuple[ir.Operand, ...]) -> Transfer:
+    """Re-root a callee summary at a callsite whose actuals are `args`.
+
+    The result depends on the callee and the argument binding only, so a
+    callsite builds it once per callee and every alias crossing the call,
+    in either direction, reads the same value.  Entries that mention a
+    formal with no actual (or a frame-local register) are dropped; a MOD
+    entry whose stored value cannot be re-rooted keeps its cell with no
+    value."""
     mapping = arg_map(summary.params, args)
     mod: list[ModEntry] = []
-    ref: list[S.Sse] = []
     for entry in summary.mod:
         cell = reroot(entry.cell, mapping)
-        if cell is None:
-            continue
-        value = reroot(entry.value, mapping) if entry.value is not None else None
-        root = S.root_register(cell)
-        vroot = S.root_register(value) if value is not None else None
-        if (root is not None and root != GP and root not in ptrs
-                and (vroot is None or vroot not in ptrs)):
-            continue
-        mod.append(ModEntry(cell, value))
-    for cell in summary.ref:
-        r = reroot(cell, mapping)
-        if r is None:
-            continue
-        root = S.root_register(r)
-        if root is None or root == GP or root in ptrs:
-            ref.append(r)
-    return tuple(mod), tuple(ref)
+        if cell is not None:
+            value = reroot(entry.value, mapping) if entry.value is not None else None
+            mod.append(ModEntry(cell, value))
+    ref = [(cell, r) for cell in summary.ref
+           if (r := reroot(cell, mapping)) is not None]
+    rets = [r for e in summary.ret_exprs if (r := reroot(e, mapping)) is not None]
+    return Transfer(mapping, tuple(mod), tuple(ref), tuple(rets))
 
 
 # ---------------------------------------------------------------------------
@@ -769,11 +771,8 @@ class Analysis:
         self._queue: deque[str] = deque()
         self._queued: set[str] = set()
         self._seed_ids: dict = {}
-        self._seed_meta: dict[int, Seed] = {}
         self._jobs = 0
         self._noted: dict[str, None] = {}   # summaries whose notes are taken
-        if policy is not None:
-            policy.bind(self)
 
     # -- plumbing -----------------------------------------------------------
 
@@ -801,14 +800,7 @@ class Analysis:
 
     def seed_id_for(self, seed: Seed) -> int:
         k = (seed.point, S.canonicalize(seed.expr), seed.tainted, seed.trigger, seed.label)
-        if k not in self._seed_ids:
-            sid = len(self._seed_ids)
-            self._seed_ids[k] = sid
-            self._seed_meta[sid] = seed
-        return self._seed_ids[k]
-
-    def seed_info(self, sid: int) -> Seed:
-        return self._seed_meta[sid]
+        return self._seed_ids.setdefault(k, len(self._seed_ids))
 
     def add_seed(self, seed: Seed) -> int:
         fname, label, idx = self.locate(seed.point)
@@ -817,7 +809,7 @@ class Analysis:
         phase = "post" if seed.tainted and seed.trigger == seed.point else "pre"
         t = Tracked(expr=S.canonicalize(S.retag(seed.expr, idx)), point=seed.point,
                     phase=phase, seed_id=sid, tainted=seed.tainted,
-                    trigger=seed.trigger, is_length=seed.is_length)
+                    trigger=seed.trigger)
         if seed.direction in ("forward", "both"):
             self._inject(fname, label, t, idx, "f")
         if seed.direction in ("backward", "both"):
@@ -946,18 +938,10 @@ class Analysis:
             st.seen_b.setdefault(t.key(), -1)
 
         ret_reg = form.ret
-        # each callee's MOD' and returned aliases in caller terms
-        ptrs = {S.root_register(t.expr) for t in fwd_items + bwd_items}
-        crossings = []
-        for callee in self._callees_of(point, form):
-            if callee not in self.program.functions:
-                continue
-            summ = self.summary(callee)
-            mod, _ = transfer_function(ptrs, summ, form.args)
-            mapping = arg_map(summ.params, form.args)
-            rets = [rr for rr in (reroot(rv, mapping) for rv in summ.ret_exprs)
-                    if rr is not None]
-            crossings.append((callee, summ, mod, rets))
+        # each callee's summary in caller terms, read by both directions
+        crossings = [(callee, transfer_function(self.summary(callee), form.args))
+                     for callee in self._callees_of(point, form)
+                     if callee in self.program.functions]
 
         # ---- forward crossings
         for t in fwd_items:
@@ -966,21 +950,18 @@ class Analysis:
                 # instance is anchored here, not at its creation point
                 t = t.derive(t.expr, point, "post", tainted=True)
                 self._record(fname, t)
-            killed = False
-            if ret_reg is not None and S.kills_register(t.expr, ret_reg):
-                killed = True
+            killed = ret_reg is not None and S.kills_register(t.expr, ret_reg)
             gens: list[Tracked] = []
-            for callee, summ, mod, rets in crossings:
-                for entry in mod:
-                    addr = entry.cell.addr if isinstance(entry.cell, S.Store) else entry.cell
-                    if S.kills_memory(t.expr, addr, 1 << 29):
+            for callee, tr in crossings:
+                for entry in tr.mod:
+                    if S.kills_memory(t.expr, entry.cell.addr, 1 << 29):
                         killed = True
                     if entry.value is not None and t.expr == entry.value:
                         gens.append(_bounded(self.config, t, entry.cell, point, "post"))
                 if ret_reg is not None:
                     gens.extend(_bounded(self.config, t, S.Reg(ret_reg), point, "post")
-                                for rr in rets if rr == t.expr)
-                self._descend(t, callee, summ, form, point)
+                                for rr in tr.rets if rr == t.expr)
+                self._descend(t, callee, tr)
             gens = [n for n in gens if n is not None]
             if self.policy is not None:
                 gens.extend(self.policy.callsite_forward(self, fname, point, form, t))
@@ -989,11 +970,11 @@ class Analysis:
                 changed = True
             for n in gens:
                 changed |= self._record(fname, n)
-                if n.key() not in st.out_f:
-                    st.out_f[n.key()] = n
-                    changed = True
                 # rule-6-like products also look backward for the address defs
-                self._inject_out_b_neighbors(fname, g, label, n)
+                for out in (st.out_f, st.out_b):
+                    if n.key() not in out:
+                        out[n.key()] = n
+                        changed = True
 
         # ---- backward crossings
         for t in bwd_items:
@@ -1004,19 +985,19 @@ class Analysis:
             gens = []
             if ret_reg is not None and S.contains_reg(t.expr, ret_reg):
                 stopped = True
-                for _, _, _, rets in crossings:
+                for _, tr in crossings:
                     gens.extend(_bounded(self.config, t,
                                          S.replace(t.expr, S.Reg(ret_reg), rr),
-                                         point, "pre") for rr in rets)
+                                         point, "pre") for rr in tr.rets)
                 if not crossings and not self._is_library_noop(form):
                     self.warnings.append(
                         f"no summary for {getattr(form, 'target', '?')} at {point}; "
                         f"backward tracking stopped")
-            for _, _, mod, _ in crossings:
-                for entry in mod:
+            for _, tr in crossings:
+                for entry in tr.mod:
                     if entry.value is None:
                         continue
-                    addr = entry.cell.addr if isinstance(entry.cell, S.Store) else entry.cell
+                    addr = entry.cell.addr
 
                     def created_after(n):
                         return isinstance(n, S.Load) and n.addr == addr and not n.stale
@@ -1039,15 +1020,6 @@ class Analysis:
             self._propagate(fname, g, label, st)
         return changed
 
-    def _inject_out_b_neighbors(self, fname, g, label, t):
-        st = self.states[fname][label]
-        if t.key() not in st.out_b:
-            st.out_b[t.key()] = t
-            for p in g.preds.get(label, ()):
-                plen = len(g.blocks[p].stmts)
-                moved = dc_replace(t, expr=S.retag(t.expr, S.BIRTH_AFTER_BLOCK))
-                self._inject(fname, p, moved, plen - 1, "b")
-
     def _callees_of(self, point: ir.Point, form) -> list[str]:
         if isinstance(form, ir.Call):
             return [form.target]
@@ -1061,21 +1033,18 @@ class Analysis:
         return (self.policy is not None and isinstance(form, ir.Call)
                 and self.policy.knows_library(form.target))
 
-    def _descend(self, t: Tracked, callee: str, summ: FunctionSummary,
-                 form, point: ir.Point):
+    def _descend(self, t: Tracked, callee: str, tr: Transfer):
         """Forward taint descent: a tainted value passed as an argument (or
         living in a cell the callee reads) seeds the callee's analysis."""
         if not t.tainted or self.policy is None:
             return
         entry_fn = self.program.functions[callee]
         entry_point = ir.Point(callee, entry_fn.entry_block, 0)
-        for i, arg in enumerate(form.args):
-            if t.expr == op_sse(arg) and i < len(summ.params):
-                self._inject_nested_seed(t, callee, entry_point, S.Reg(summ.params[i]))
-        mapping = arg_map(summ.params, form.args)
-        for cell in summ.ref:
-            rr = reroot(cell, mapping)
-            if rr is not None and rr == t.expr:
+        for param, actual in tr.args.items():
+            if t.expr == actual:
+                self._inject_nested_seed(t, callee, entry_point, S.Reg(param))
+        for cell, actual in tr.ref:
+            if t.expr == actual:
                 self._inject_nested_seed(t, callee, entry_point, cell)
 
     def _inject_nested_seed(self, parent: Tracked, callee: str,
@@ -1083,16 +1052,14 @@ class Analysis:
         # keep the trigger: the callee cannot contain it, but results
         # exported back to callers must still be gated by it
         seed = Seed(point=entry_point, expr=expr, direction="forward",
-                    tainted=True, trigger=parent.trigger,
-                    is_length=parent.is_length, label=f"io:{parent.seed_id}")
+                    tainted=True, trigger=parent.trigger, label=f"io:{parent.seed_id}")
         fname, label, idx = self.locate(entry_point)
         sid = self.seed_id_for(seed)
         if parent.hops >= self.config.recursion_depth:
             return
         t = Tracked(expr=S.canonicalize(S.retag(expr, S.BIRTH_BEFORE_BLOCK)),
                     point=entry_point, phase="pre", seed_id=sid, parent=parent,
-                    tainted=True, is_length=parent.is_length,
-                    trigger=parent.trigger, hops=parent.hops + 1)
+                    tainted=True, trigger=parent.trigger, hops=parent.hops + 1)
         if self._inject(fname, label, t, 0, "f"):
             self._record(fname, t)
             self._schedule(fname)

@@ -23,7 +23,6 @@ class CfgBlock:
     label: str
     stmts: tuple[ir.Statement, ...]
     is_call: bool = False
-    synthetic: bool = False
 
     @property
     def call(self) -> ir.Statement | None:
@@ -114,7 +113,7 @@ def build_cfg(function: ir.Function) -> Cfg:
 
     if preds[entry]:
         synth = "__entry"
-        blocks[synth] = CfgBlock(synth, (), synthetic=True)
+        blocks[synth] = CfgBlock(synth, ())
         order.insert(0, synth)
         succs[synth] = [entry]
         preds[synth] = []
@@ -243,7 +242,6 @@ def find_address_taken(program: ir.Program) -> frozenset[int]:
 
 @dataclass
 class CallGraph:
-    nodes: frozenset[str]
     edges: tuple[tuple[str, str, ir.Point], ...]   # caller, callee, callsite
     unresolved_icalls: tuple[ir.Point, ...]
 
@@ -274,7 +272,7 @@ def build_call_graph(program: ir.Program) -> CallGraph:
                 edges.append((fn.name, stmt.form.target, stmt.point))
             elif isinstance(stmt.form, ir.ICall):
                 unresolved.append(stmt.point)
-    return CallGraph(frozenset(program.functions), tuple(edges), tuple(unresolved))
+    return CallGraph(tuple(edges), tuple(unresolved))
 
 
 # ---------------------------------------------------------------------------

@@ -283,7 +283,6 @@ class Program:
 class Diagnostic:
     message: str
     line: Optional[int] = None
-    col: Optional[int] = None
     point: Optional[Point] = None
 
     def __str__(self):

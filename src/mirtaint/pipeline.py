@@ -57,8 +57,7 @@ class RunConfig:
         if overrides:
             from dataclasses import replace
             self.engine = replace(self.engine, **overrides)
-        for name in ("sse_depth", "alias_cap", "loop_k", "block_iter_cap",
-                     "func_rounds_cap", "recursion_depth"):
+        for name in _ENV_CAPS.values():
             if getattr(self.engine, name) < 1:
                 raise InputError(f"cap {name} must be >= 1")
 

@@ -55,7 +55,6 @@ class LibrarySummary:
     name: str
     group: str
     flows: tuple[tuple[int, Union[int, str]], ...]   # (from arg) -> (to arg | "ret")
-    ret_is_length: bool = False
 
 
 DEFAULT_SOURCES = (
@@ -93,14 +92,12 @@ _OTHER = "Other functions"
 DEFAULT_SUMMARIES = (
     LibrarySummary("strcpy", _COPY, ((1, 0), (1, RET))),
     LibrarySummary("strncpy", _COPY, ((1, 0), (1, RET))),
-    LibrarySummary("strlcpy", _COPY, ((1, 0), (1, RET)), ret_is_length=True),
+    LibrarySummary("strlcpy", _COPY, ((1, 0), (1, RET))),
     LibrarySummary("memcpy", _COPY, ((1, 0), (1, RET))),
     LibrarySummary("memmove", _COPY, ((1, 0), (1, RET))),
-    LibrarySummary("sprintf", _COPY, ((1, 0), (2, 0), (3, 0), (4, 0), (5, 0)),
-                   ret_is_length=True),
-    LibrarySummary("snprintf", _COPY, ((2, 0), (3, 0), (4, 0), (5, 0)),
-                   ret_is_length=True),
-    LibrarySummary("vsnprintf", _COPY, ((2, 0), (3, 0)), ret_is_length=True),
+    LibrarySummary("sprintf", _COPY, ((1, 0), (2, 0), (3, 0), (4, 0), (5, 0))),
+    LibrarySummary("snprintf", _COPY, ((2, 0), (3, 0), (4, 0), (5, 0))),
+    LibrarySummary("vsnprintf", _COPY, ((2, 0), (3, 0))),
     LibrarySummary("strcat", _COPY, ((1, 0), (1, RET), (0, RET))),
     LibrarySummary("strncat", _COPY, ((1, 0), (1, RET), (0, RET))),
     LibrarySummary("sscanf", _COPY, ((0, 2), (0, 3), (0, 4), (0, 5))),
@@ -121,7 +118,7 @@ DEFAULT_SUMMARIES = (
     LibrarySummary("strtoul", _TOINT, ((0, RET),)),
     LibrarySummary("hsearch_r", _OTHER, ((0, 2),)),
     LibrarySummary("index", _OTHER, ((0, RET),)),
-    LibrarySummary("strlen", _OTHER, ((0, RET),), ret_is_length=True),
+    LibrarySummary("strlen", _OTHER, ((0, RET),)),
 )
 
 
@@ -165,8 +162,7 @@ def load_models(path: Optional[str] = None) -> tuple[Models, list[ir.Diagnostic]
         for entry in raw.get("summaries", []):
             models.summaries[entry["name"]] = LibrarySummary(
                 entry["name"], entry.get("group", _OTHER),
-                tuple((f[0], f[1]) for f in entry.get("flows", [])),
-                entry.get("ret_is_length", False))
+                tuple((f[0], f[1]) for f in entry.get("flows", [])))
     except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         return default_models(), [ir.Diagnostic(f"bad taint config {path}: {exc}")]
     return models, []
@@ -237,7 +233,6 @@ class Constraint:
     bound: S.Sse                      # Val(...) for constant bounds
     site: ir.Point
     seed_id: int
-    subject_is_length: bool = False
 
     def upper_bound(self) -> Optional[int]:
         if not isinstance(self.bound, S.Val):
@@ -300,14 +295,10 @@ class TaintPolicy:
 
     def __init__(self, models: Models):
         self.models = models
-        self.analysis: Optional[Analysis] = None
         self.cmp_facts: dict[tuple[str, str], list] = {}
         self._fact_seen: set = set()
         self.sink_hits: list[SinkHit] = []
         self._hit_seen: set = set()
-
-    def bind(self, analysis: Analysis):
-        self.analysis = analysis
 
     def knows_library(self, name: str) -> bool:
         return (name in self.models.summaries or name in self.models.sources
@@ -358,29 +349,26 @@ class TaintPolicy:
                     if form.ret is None:
                         continue
                     expr = S.Reg(form.ret)
-                    is_len = summ.ret_is_length
                 else:
                     if dst >= len(form.args) or not isinstance(form.args[dst], str):
                         continue
                     expr = S.Reg(form.args[dst])
-                    is_len = False
-                gens.append(t.derive(expr, point, "post", derived=True,
-                                     is_length=is_len))
+                gens.append(t.derive(expr, point, "post", derived=True))
         elif (t.tainted and name not in self.models.summaries
               and name not in self.models.sources and name not in self.models.sinks
-              and name not in self.analysis.program.functions):
-            self.analysis.warnings.append(
+              and name not in analysis.program.functions):
+            analysis.warnings.append(
                 f"tainted argument to unmodeled {name} at {point}; taint kept")
         return gens
 
-    def edge_constraints(self) -> dict[tuple[str, str], list[Constraint]]:
-        """Attach collected comparison facts to branch edges: the true
-        successor gets the fact as-is, the false successor its negation."""
+    def edge_constraints(self, analysis: Analysis
+                         ) -> dict[tuple[str, str], list[Constraint]]:
+        """Attach the comparison facts collected during `analysis` to
+        branch edges: the true successor gets the fact as-is, the false
+        successor its negation."""
         out: dict[tuple[str, str], list[Constraint]] = {}
-        if self.analysis is None:
-            return out
-        for fname in list(self.analysis.visited_functions):
-            fn = self.analysis.program.functions[fname]
+        for fname in list(analysis.visited_functions):
+            fn = analysis.program.functions[fname]
             for stmt in fn.statements():
                 form = stmt.form
                 if not isinstance(form, ir.Branch):
@@ -388,9 +376,9 @@ class TaintPolicy:
                 for subject, rel, bound, site in self.cmp_facts.get(
                         (fname, form.cond), ()):
                     c_true = Constraint(subject.expr, rel, bound, site,
-                                        subject.seed_id, subject.is_length)
+                                        subject.seed_id)
                     c_false = Constraint(subject.expr, _NEGATE[rel], bound, site,
-                                         subject.seed_id, subject.is_length)
+                                         subject.seed_id)
                     out.setdefault((fname, form.then_block), []).append(c_true)
                     out.setdefault((fname, form.else_block), []).append(c_false)
         return out
@@ -476,9 +464,8 @@ def check_sink(session: Session, hit: SinkHit,
         elif (hit.point, model.len_arg) not in tainted_args:
             bound = _constant_of(_backward_family(session, hit.point, ln))
         if bound is not None:
-            applicable.append(Constraint(
-                S.Val(bound), "==", S.Val(bound), hit.point,
-                hit.item.seed_id, subject_is_length=True))
+            applicable.append(Constraint(S.Val(bound), "==", S.Val(bound),
+                                         hit.point, hit.item.seed_id))
 
     if model.klass == "exec":
         if applicable:
@@ -606,7 +593,7 @@ def run_taint(program: ir.Program, models: Models | None = None,
         analysis.add_seed(seed)
     analysis.run()
 
-    constraints = policy.edge_constraints()
+    constraints = policy.edge_constraints(analysis)
     tainted_args = frozenset((h.point, h.arg_index) for h in policy.sink_hits)
     alerts: dict[ir.Point, Alert] = {}
     for hit in policy.sink_hits:

@@ -10,6 +10,7 @@ import pytest
 
 from mirtaint import cfg as C
 from mirtaint import ir
+from mirtaint import oracle
 from mirtaint import sse as S
 from mirtaint import taint
 from mirtaint.alias import (Analysis, Cond, EngineConfig, FunctionSummary,
@@ -116,16 +117,15 @@ def test_transfer_function_reroots_mod():
         func="put", params=("r0", "r1"),
         mod=(ModEntry(S.canonicalize(S.Store(S.parse_sse("r0+0x8"))),
                       S.Reg("r1")),))
-    mod, ref = transfer_function({"r4"}, summ, ("r4", 0x2A))
-    (entry,) = mod
+    (entry,) = transfer_function(summ, ("r4", 0x2A)).mod
     assert S.pretty(entry.cell) == "store(r4+0x8)"
     assert entry.value == S.Val(0x2A)
 
 
 def test_transfer_function_pure_callee_passthrough():
     summ = FunctionSummary(func="pure", params=("r0",))
-    mod, ref = transfer_function({"r4"}, summ, ("r4",))
-    assert mod == () and ref == ()
+    tr = transfer_function(summ, ("r4",))
+    assert tr.mod == () and tr.ref == ()
 
 
 def test_transfer_function_global_rooted_mod_kept():
@@ -133,8 +133,7 @@ def test_transfer_function_global_rooted_mod_kept():
         func="g", params=("r0",),
         mod=(ModEntry(S.canonicalize(S.Store(S.parse_sse("gp+0x10"))),
                       S.Reg("r0")),))
-    mod, _ = transfer_function(set(), summ, ("r7",))
-    (entry,) = mod
+    (entry,) = transfer_function(summ, ("r7",)).mod
     assert S.pretty(entry.cell) == "store(gp+0x10)"
     assert entry.value == S.Reg("r7")
 
@@ -143,8 +142,7 @@ def test_transfer_function_drops_unmapped_params():
     summ = FunctionSummary(
         func="g", params=("r0", "r1"),
         mod=(ModEntry(S.canonicalize(S.Store(S.Reg("r1"))), None),))
-    mod, _ = transfer_function({"r9"}, summ, ("r9",))   # only one actual
-    assert mod == ()
+    assert transfer_function(summ, ("r9",)).mod == ()   # only one actual
 
 
 def test_callsite_mod_generates_cell_alias(corpus):
@@ -156,6 +154,28 @@ def test_callsite_mod_generates_cell_alias(corpus):
     assert "store(r4+0x8)" in names
     # ...and the later load of that cell joins the family (rule 7)
     assert "r6" in names
+
+
+def test_callsite_mod_kills_alias_whatever_else_is_pending(corpus):
+    # put(r2) overwrites *r2; no other pending alias is rooted at r2, and
+    # the seed's aliases must still die at the call
+    prog = corpus("callsite_mod_kill.ir")
+    analysis, sid = analyze_seed(prog, ir.Point("main", "bb0", 0), "r1+load(r2)")
+    fam = analysis.family(sid)
+
+    def reads_written_cell(e):
+        return (S.contains_reg(e, "r6") or S.contains_reg(e, "r7")
+                or any(isinstance(n, S.Load) and n.addr == S.Reg("r2")
+                       for n in S.mem_nodes(e)))
+
+    late = [S.pretty(t.expr) for t in fam
+            if t.point.index > 2 and reads_written_cell(t.expr)]
+    assert late == []
+    pairs = [oracle.pair_from_tracked(a, b) for a, b in analysis.alias_pairs(sid)
+             if oracle.evaluable(a) and oracle.evaluable(b)]
+    assert pairs
+    verdicts = oracle.certify_aliases(prog, pairs)
+    assert [v.as_json() for v in verdicts if v.status == "fail"] == []
 
 
 def test_callee_return_alias(corpus):

@@ -196,6 +196,18 @@ def test_replacement_supersedes_kill():
     assert [S.pretty(t.expr) for t in new_f] == ["r0"]
 
 
+def test_load_refuses_substitution_beside_old_destination_forward():
+    # r1 also occurs outside load(r2): replacing the load with r1 would mix
+    # the old r1 with the loaded value, so rule 5 refuses and rule 14 kills
+    new_f, new_b, created = fwd(stmt("r1 = load r2"), tracked("r1+load(r2)"))
+    assert (new_f, new_b, created) == ([], [], [])
+
+
+def test_load_refuses_substitution_beside_old_destination_backward():
+    new_f, new_b = bwd(stmt("r1 = load r2"), "r1+load(r2)")
+    assert "r1+r1" not in new_f + new_b
+
+
 def test_forward_rules_exclusive_per_statement():
     """At most one define-use rule fires per (statement, expression) in
     forward mode; the two ITE rows count per arm."""
