@@ -55,13 +55,27 @@ results (rooted at parameters or the globals register) to its callers'
 callsites and its exit-block forward results (rooted at the returned
 register) to its callers' return sites, which is how demand spreads
 across the call graph.
+
+The fixpoint inside a function is incremental, the semi-naive step of
+Datalog evaluation: work is redone only for facts that are new.  Each
+block logs what enters its out_f/out_b, and a push sends its neighbours
+only the entries logged since its last push; an entry pushed before is
+already in the neighbour's pool or refused there for good.  After
+`loop_k` sweeps the induction merge re-partitions a loop block's pool
+group (seed, taint, conditions) only when its members differ from the
+last time it found no family, and `sse.induction_families` reads each
+member's offset skeletons from a cache on the node.  One case falls back
+to the full scan: when the alias cap pops entries from a pool, every
+block of the function pushes all of out_f/out_b once more, so the popped
+entries are re-injected as they would be without the log.
 """
 
 from __future__ import annotations
 
 import logging
 from collections import deque
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Optional
 
 from . import cfg as cfglib
@@ -115,14 +129,29 @@ class Tracked:
     def key(self):
         return (self.expr, self.seed_id, self.tainted, self.derived, self.conds)
 
+    def moved(self, expr: S.Sse) -> "Tracked":
+        """This alias with `expr` in place of its expression (a re-tagged
+        or re-marked form of it): a copy of every other slot."""
+        new = _new_tracked(Tracked)
+        _set(new, "expr", expr)
+        for name, value in zip(_TRACKED_REST, _tracked_rest(self)):
+            _set(new, name, value)
+        return new
+
     def derive(self, expr: S.Sse, point: ir.Point, phase: str,
                rule: Optional[int] = None, **changes) -> "Tracked":
         """A successor of this alias: `expr` at `point` and `phase`, made
         by `rule` (None for transfers, merges and taint steps), with this
         alias as its parent.  It inherits the seed, taint, trigger,
         conditions and hop count unless `changes` overrides them."""
-        return dc_replace(self, expr=expr, point=point, phase=phase, rule=rule,
-                          parent=self, **changes)
+        new = self.moved(expr)
+        _set(new, "point", point)
+        _set(new, "phase", phase)
+        _set(new, "rule", rule)
+        _set(new, "parent", self)
+        for name, value in changes.items():
+            _set(new, name, value)
+        return new
 
     def chain(self) -> list[int]:
         """Rules applied from the seed to this expression, in order."""
@@ -136,6 +165,13 @@ class Tracked:
 
     def trusted(self) -> bool:
         return not self.derived and S.is_trusted(self.expr)
+
+
+_set = object.__setattr__
+_new_tracked = object.__new__
+# every slot of Tracked but `expr`, and a getter of their values
+_TRACKED_REST = tuple(name for name in Tracked.__slots__ if name != "expr")
+_tracked_rest = attrgetter(*_TRACKED_REST)
 
 
 @dataclass(frozen=True)
@@ -454,7 +490,7 @@ def _walk(block: tuple[_Compiled, ...], items, config: EngineConfig, policy,
                 alive = False
                 break
             if result.expr is not t.expr:
-                t = dc_replace(t, expr=result.expr)
+                t = t.moved(result.expr)
             i += delta
         if alive:
             survivors.append(t)
@@ -624,6 +660,39 @@ class _BlockSt:
     pend_b: list = field(default_factory=list)
     seen_f: dict = field(default_factory=dict)   # key -> min idx walked
     seen_b: dict = field(default_factory=dict)   # key -> max idx walked
+    # every entry put into out_f / out_b, in order; append-only, so an
+    # entry retired from out_f stays here
+    log_f: list = field(default_factory=list)
+    log_b: list = field(default_factory=list)
+    # how much of log_f / log_b `_propagate` has pushed: every push goes
+    # to all successors (log_f) and all predecessors (log_b) at once
+    sent_f: int = 0
+    sent_b: int = 0
+    # set when a cap popped pool entries in the function: the next push
+    # scans all of out_f / out_b, so popped entries are re-injected
+    rescan: bool = False
+    # (direction, group key) -> the member keys of a loop pool group
+    # whose last induction merge found no family
+    idle: dict = field(default_factory=dict)
+
+    def put_f(self, t: Tracked) -> bool:
+        """Enter `t` into out_f (and log_f) unless its key is there;
+        True when it was new."""
+        k = t.key()
+        if k in self.out_f:
+            return False
+        self.out_f[k] = t
+        self.log_f.append(t)
+        return True
+
+    def put_b(self, t: Tracked) -> bool:
+        """`put_f` for out_b and log_b."""
+        k = t.key()
+        if k in self.out_b:
+            return False
+        self.out_b[k] = t
+        self.log_b.append(t)
+        return True
 
 
 class Session:
@@ -728,10 +797,11 @@ class Analysis:
     There is one summary cache per resolution map.  A summary depends
     only on its function and its callees' summaries: the sub-analysis
     that computes it walks that function alone, exporting only to the
-    function's own recursive callsites.  So each summary is computed once and every analysis of the
-    session reuses it, whatever order they ask in.  The one exception is
-    a recursion cycle: the member asked first is computed against the
-    bottom summary of the others, which are still in progress.
+    function's own recursive callsites.  So each summary is computed
+    once and every analysis of the session reuses it, whatever order
+    they ask in.  The one exception is a recursion cycle: the member
+    asked first is computed against the bottom summary of the others,
+    which are still in progress.
 
     `registry[fname]` holds one `Tracked` per `Tracked.key()` that the
     walk established in `fname`, anchored at the point and phase where
@@ -831,20 +901,21 @@ class Analysis:
         return True
 
     def _inject(self, fname: str, label: str, t: Tracked, idx: int, direction: str):
-        if t.key() in self.retired.get(fname, ()):
+        k = t.key()
+        if k in self.retired.get(fname, ()):
             return False
         st = self.states[fname][label]
         if direction == "f":
-            seen = st.seen_f.get(t.key())
+            seen = st.seen_f.get(k)
             if seen is not None and seen <= idx:
                 return False
-            st.pre_f.setdefault(t.key(), t)
+            st.pre_f.setdefault(k, t)
             st.pend_f.append((t, idx))
         else:
-            seen = st.seen_b.get(t.key())
+            seen = st.seen_b.get(k)
             if seen is not None and seen >= idx:
                 return False
-            st.suc_b.setdefault(t.key(), t)
+            st.suc_b.setdefault(k, t)
             st.pend_b.append((t, idx))
         return True
 
@@ -882,9 +953,7 @@ class Analysis:
                                        True, st.seen_f)
             fwd = []
             for t in survivors:
-                if t.key() not in st.out_f:
-                    st.out_f[t.key()] = t
-                    changed = True
+                changed |= st.put_f(t)
             for t, direction, i in created:
                 changed |= self._record(fname, t)
                 if direction == "fb":
@@ -893,9 +962,7 @@ class Analysis:
                                            False, st.seen_b)
             bwd = []
             for t in survivors_b:
-                if t.key() not in st.out_b:
-                    st.out_b[t.key()] = t
-                    changed = True
+                changed |= st.put_b(t)
             for t, direction, i in created_b:
                 changed |= self._record(fname, t)
                 if direction in ("f", "fb"):
@@ -907,18 +974,31 @@ class Analysis:
         return changed
 
     def _propagate(self, fname, g, label, st):
-        for s in g.succs.get(label, ()):
-            sst = self.states[fname][s]
-            for k, t in st.out_f.items():
-                if k not in sst.pre_f:
-                    moved = dc_replace(t, expr=S.retag(t.expr, S.BIRTH_BEFORE_BLOCK))
+        """Push the block's out_f entries to its successors and its out_b
+        entries to its predecessors: only those logged since the last
+        push, or all of them after a cap hit (`_BlockSt.rescan`).  An
+        entry pushed before is in the neighbour's pool or refused there
+        for good (retired, or walked from the block edge already), so
+        pushing it again could only matter once a cap popped it."""
+        if st.rescan:
+            st.rescan = False
+            fwd, bwd = list(st.out_f.values()), list(st.out_b.values())
+        else:
+            fwd, bwd = st.log_f[st.sent_f:], st.log_b[st.sent_b:]
+        st.sent_f, st.sent_b = len(st.log_f), len(st.log_b)
+        states = self.states[fname]
+        for s in g.succs.get(label, ()) if fwd else ():
+            pool = states[s].pre_f
+            for t in fwd:
+                if t.key() not in pool:
+                    moved = t.moved(S.retag(t.expr, S.BIRTH_BEFORE_BLOCK))
                     self._inject(fname, s, moved, 0, "f")
-        for p in g.preds.get(label, ()):
-            pst = self.states[fname][p]
+        for p in g.preds.get(label, ()) if bwd else ():
+            pool = states[p].suc_b
             plen = len(g.blocks[p].stmts)
-            for k, t in st.out_b.items():
-                if k not in pst.suc_b:
-                    moved = dc_replace(t, expr=S.retag(t.expr, S.BIRTH_AFTER_BLOCK))
+            for t in bwd:
+                if t.key() not in pool:
+                    moved = t.moved(S.retag(t.expr, S.BIRTH_AFTER_BLOCK))
                     self._inject(fname, p, moved, plen - 1, "b")
 
     # -- callsite transfer ---------------------------------------------------
@@ -965,16 +1045,13 @@ class Analysis:
             gens = [n for n in gens if n is not None]
             if self.policy is not None:
                 gens.extend(self.policy.callsite_forward(self, fname, point, form, t))
-            if not killed and t.key() not in st.out_f:
-                st.out_f[t.key()] = t
-                changed = True
+            if not killed:
+                changed |= st.put_f(t)
             for n in gens:
                 changed |= self._record(fname, n)
                 # rule-6-like products also look backward for the address defs
-                for out in (st.out_f, st.out_b):
-                    if n.key() not in out:
-                        out[n.key()] = n
-                        changed = True
+                changed |= st.put_f(n)
+                changed |= st.put_b(n)
 
         # ---- backward crossings
         for t in bwd_items:
@@ -1005,16 +1082,13 @@ class Analysis:
                     new, hit = S.replace_mem(t.expr, created_after, entry.value)
                     if hit:
                         gens.append(_bounded(self.config, t, new, point, "pre"))
-            if not stopped and t.key() not in st.out_b:
-                st.out_b[t.key()] = t
-                changed = True
+            if not stopped:
+                changed |= st.put_b(t)
             for n in gens:
                 if n is None:
                     continue
                 changed |= self._record(fname, n)
-                if n.key() not in st.out_b:
-                    st.out_b[n.key()] = n
-                    changed = True
+                changed |= st.put_b(n)
 
         if changed:
             self._propagate(fname, g, label, st)
@@ -1217,10 +1291,17 @@ class Analysis:
                 for gk, members in groups.items():
                     if len(members) < 3:
                         continue
+                    # a group that merged nothing merges nothing again
+                    # until its members change
+                    keys = tuple(m.key() for m in members)
+                    if st.idle.get((direction, gk)) == keys:
+                        continue
                     by_expr = {id(m.expr): m for m in members}
-                    for merged, family in S.induction_families(
-                            [m.expr for m in members],
-                            index_id=f"{fname}:s{gk[0]}"):
+                    families = S.induction_families(
+                        [m.expr for m in members], index_id=f"{fname}:s{gk[0]}")
+                    if not families:
+                        st.idle[(direction, gk)] = keys
+                    for merged, family in families:
                         base = by_expr[id(family[0])]
                         plans.append((label, direction, base, merged))
                         retire_keys.extend(by_expr[id(e)].key() for e in family)
@@ -1242,19 +1323,25 @@ class Analysis:
     def _retire(self, fname: str, keys) -> None:
         """Stop tracking merged family members everywhere in the function
         (they stay in the registry for reporting, but no longer flow)."""
+        keys = set(keys)
         retired = self.retired.setdefault(fname, set())
         retired.update(keys)
         for st in self.states[fname].values():
             for store in (st.pre_f, st.suc_b, st.out_f, st.out_b):
-                for k in keys:
-                    store.pop(k, None)
-            st.pend_f = [(t, i) for t, i in st.pend_f if t.key() not in retired]
-            st.pend_b = [(t, i) for t, i in st.pend_b if t.key() not in retired]
+                for k in store.keys() & keys:
+                    del store[k]
+            if st.pend_f:
+                st.pend_f = [(t, i) for t, i in st.pend_f if t.key() not in retired]
+            if st.pend_b:
+                st.pend_b = [(t, i) for t, i in st.pend_b if t.key() not in retired]
 
     def _enforce_caps(self, fname: str) -> bool:
         changed = False
-        for label, st in self.states[fname].items():
+        states = self.states[fname]
+        for label, st in states.items():
             for pool in (st.pre_f, st.suc_b):
+                if len(pool) <= self.config.alias_cap:
+                    continue
                 counts: dict = {}
                 for t in pool.values():
                     counts.setdefault(t.seed_id, []).append(t)
@@ -1266,6 +1353,9 @@ class Analysis:
                     self.cap_hits.append(
                         f"alias-set cap hit for seed {sid} at {fname}:{label}")
                     changed = True
+        if changed:
+            for st in states.values():
+                st.rescan = True
         return changed
 
     # -- cross-function exports ------------------------------------------------
@@ -1325,8 +1415,7 @@ class Analysis:
                         moved = t.derive(S.retag(rr, S.BIRTH_BEFORE_BLOCK), cpoint,
                                          "post", hops=t.hops + 1)
                         st = self.states[cf][clabel]
-                        if moved.key() not in st.out_f:
-                            st.out_f[moved.key()] = moved
+                        if st.put_f(moved):
                             self._record(cf, moved)
                             self._propagate(cf, self.cfg(cf), clabel, st)
                             grew = True

@@ -32,7 +32,9 @@ Every node also caches structural facts computed at construction from
 its children's: hash, register set, size, memory depth and bitwise
 flags.  Like the tags above they take no part in equality.  The
 structure queries read them in O(1), and pattern searches and rewrites
-use them to skip subtrees a pattern cannot lie in.
+use them to skip subtrees a pattern cannot lie in.  A node's offset
+skeletons for the loop-induction merge are computed on first use and
+cached on the node in the same way.
 
 All values are immutable; every function in this module is pure.
 """
@@ -91,7 +93,8 @@ _set = object.__setattr__
 
 
 class _Node:
-    __slots__ = ("_h", "_canon", "_regs", "_size", "_mdepth", "_bits")
+    # `_skels` is filled on first use only (see `_skeletons`)
+    __slots__ = ("_h", "_canon", "_regs", "_size", "_mdepth", "_bits", "_skels")
 
     def __hash__(self):
         return self._h
@@ -718,6 +721,23 @@ def _set_at(e: Sse, path, new: Sse) -> Sse:
     raise IndexError(path)
 
 
+def _skeletons(e: Sse) -> tuple[tuple[tuple, Sse, int], ...]:
+    """(path, skeleton, constant) for each additive constant of `e`'s
+    canonical form, the skeleton being that form with the constant set
+    to 0.  Computed once and cached on the node itself: a cache keyed by
+    `==` would hand one node the skeletons, and so the memory-node tags,
+    of another node that only looks equal."""
+    try:
+        return e._skels
+    except AttributeError:
+        pass
+    ce = canonicalize(e)
+    skels = tuple((path, _set_at(ce, path + (1,), Val(0)), const)
+                  for path, const in _const_positions(ce, ()))
+    _set(e, "_skels", skels)
+    return skels
+
+
 def _merge_bucket(path, skel, consts: list[int], index_id: str) -> Optional[Sse]:
     if len(consts) < 3 or len(set(consts)) != len(consts):
         return None
@@ -741,9 +761,7 @@ def induction_families(exprs: list[Sse], index_id: str) -> list[tuple[Sse, list[
     above zero."""
     buckets: dict[tuple, list[tuple[int, Sse]]] = {}
     for e in exprs:
-        ce = canonicalize(e)
-        for path, const in _const_positions(ce, ()):
-            skel = _set_at(ce, path + (1,), Val(0))
+        for path, skel, const in _skeletons(e):
             buckets.setdefault((path, skel), []).append((const, e))
     out: list[tuple[Sse, list[Sse]]] = []
     used: set[int] = set()
