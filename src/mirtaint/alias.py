@@ -703,7 +703,8 @@ class Session:
     postorder, dominators and loop blocks, and the direct call graph.
     Sessions derived through `with_resolutions` share them.  The summary
     cache, its notes and the icall-caller map depend on the resolution
-    map, so each session has its own.
+    map, so each session has its own, and so do the tables of results
+    built from summaries: callsite transfers and backward queries.
     """
 
     def __init__(self, program: ir.Program, config: EngineConfig | None = None,
@@ -719,6 +720,10 @@ class Session:
         for point, targets in self.resolutions.items():
             for tgt in targets:
                 self.icall_callers.setdefault(tgt, []).append((point.func, point))
+        # (callsite point, callee) -> (the summary it was built from, Transfer)
+        self.transfers: dict = {}
+        # (point, register) -> expressions of the register's backward family
+        self.backward_families: dict = {}
         self._facts: dict = {}       # (kind, fname) -> per-program fact
         self._points: dict[ir.Point, tuple[str, str, int]] = {}
 
@@ -1019,7 +1024,7 @@ class Analysis:
 
         ret_reg = form.ret
         # each callee's summary in caller terms, read by both directions
-        crossings = [(callee, transfer_function(self.summary(callee), form.args))
+        crossings = [(callee, self._transfer(point, callee, form.args))
                      for callee in self._callees_of(point, form)
                      if callee in self.program.functions]
 
@@ -1093,6 +1098,21 @@ class Analysis:
         if changed:
             self._propagate(fname, g, label, st)
         return changed
+
+    def _transfer(self, point: ir.Point, callee: str,
+                  args: tuple[ir.Operand, ...]) -> Transfer:
+        """`transfer_function` of the callee's summary at the callsite
+        `point`, kept by the session.  A kept transfer is reused only
+        while `summary` returns the very summary it was built from, so
+        one built from a recursion cycle's bottom placeholder or from a
+        first widening approximation is built again."""
+        summ = self.summary(callee)
+        kept = self.session.transfers.get((point, callee))
+        if kept is not None and kept[0] is summ:
+            return kept[1]
+        tr = transfer_function(summ, args)
+        self.session.transfers[(point, callee)] = (summ, tr)
+        return tr
 
     def _callees_of(self, point: ir.Point, form) -> list[str]:
         if isinstance(form, ir.Call):

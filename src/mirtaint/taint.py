@@ -388,12 +388,20 @@ class TaintPolicy:
 # Sink checking
 # ---------------------------------------------------------------------------
 
-def _backward_family(session: Session, point: ir.Point, reg: str):
-    sub = Analysis(session.program, session=session)
-    sid = sub.add_seed(Seed(point=point, expr=S.Reg(reg),
-                            direction="backward", label="query"))
-    sub.run()
-    return [t.expr for t in sub.family(sid, point.func)]
+def _backward_family(session: Session, point: ir.Point,
+                     reg: str) -> tuple[S.Sse, ...]:
+    """The expressions of `reg`'s backward family at `point`.  The
+    result depends only on the session and the query, so the session
+    keeps it."""
+    family = session.backward_families.get((point, reg))
+    if family is None:
+        sub = Analysis(session.program, session=session)
+        sid = sub.add_seed(Seed(point=point, expr=S.Reg(reg),
+                                direction="backward", label="query"))
+        sub.run()
+        family = tuple(t.expr for t in sub.family(sid, point.func))
+        session.backward_families[(point, reg)] = family
+    return family
 
 
 def _stack_offset_of(exprs) -> Optional[int]:
