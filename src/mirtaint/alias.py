@@ -309,6 +309,8 @@ class _Walker:
               cond: Optional[Cond] = None, derived: bool = False):
         changes = {}
         if cond is not None:
+            if Cond(cond.reg, not cond.value, cond.point) in t.conds:
+                return        # both arms of one ITE at once: it never holds
             changes["conds"] = tuple(sorted(
                 set(t.conds) | {cond}, key=lambda k: (str(k.point), k.reg, k.value)))
         if derived:

@@ -397,17 +397,36 @@ print(json.dumps(sorted(
 
 
 def test_ite_conditions_ordered_independent_of_hash_seed():
-    """Conditions of one ITE on both arms sort the same way whatever the
-    hash seed, so `Tracked.key()` does not depend on it."""
+    """Conditions of several ITEs sort the same way whatever the hash
+    seed, so `Tracked.key()` does not depend on it."""
     outputs = []
     for hash_seed in ("0", "1"):
         env = dict(os.environ, PYTHONHASHSEED=hash_seed,
                    PYTHONPATH=str(ROOT / "src"))
         proc = subprocess.run(
             [sys.executable, "-c", _ITE_PROBE,
-             str(ROOT / "corpus" / "ite_select.ir")],
+             str(ROOT / "corpus" / "ite_exclusive.ir")],
             env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         outputs.append(json.loads(proc.stdout))
-    assert outputs[0], "ite_select.ir should give multi-condition aliases"
+    assert outputs[0], "ite_exclusive.ir should give multi-condition aliases"
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("name", ["ite_select.ir", "ite_exclusive.ir"])
+def test_no_alias_needs_both_arms_of_one_ite(corpus, name):
+    """An alias under both `c` and `!c` of one ITE can never hold, so the
+    walker emits none, with every register of `main` seeded everywhere."""
+    prog = corpus(name)
+    analysis = Analysis(prog)
+    for stmt in prog.functions["main"].statements():
+        regs = set(ir.used_registers(stmt.form))
+        regs |= {ir.defined_register(stmt.form)} - {None}
+        for r in sorted(regs):
+            analysis.add_seed(Seed(point=stmt.point, expr=S.Reg(r)))
+    analysis.run()
+    tracked = [t for reg in analysis.registry.values() for t in reg.values()]
+    assert any(len(t.conds) > 1 for t in tracked) == (name == "ite_exclusive.ir")
+    for t in tracked:
+        arms = {(c.reg, c.point) for c in t.conds}
+        assert len(arms) == len(t.conds), (S.pretty(t.expr), t.conds)

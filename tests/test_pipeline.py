@@ -2,7 +2,7 @@
 
 Every corpus program's JSON report (without timings, with the icall
 dump) is compared byte for byte against `tests/golden/<name>.json`, and
-four seed-query reports against `tests/golden/<name>.seed.json`.  Every
+five seed-query reports against `tests/golden/<name>.seed.json`.  Every
 corpus program is also run under tight caps (`TIGHT_CAPS`: an alias cap
 of 2 and an induction merge after every sweep) against
 `tests/golden/<name>.tight.json`, which pins the order of cap hits, the
@@ -26,6 +26,7 @@ CORPUS = sorted(p.name for p in (ROOT / "corpus").glob("*.ir"))
 SEED_QUERIES = {
     "callsite_mod_kill.ir": ("main:bb0:r1+load(r2)",),
     "intuitive.ir": ("main:bb0:load(r3+0x8)",),
+    "ite_exclusive.ir": ("main:use:r6",),
     "loop_walk.ir": ("main:head:load(r1)",),
     "summaries_tour.ir": ("main:bb0:r1",),
 }
