@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import pathlib
@@ -8,6 +9,7 @@ from dataclasses import replace
 
 import pytest
 
+from mirtaint import alias
 from mirtaint import cfg as C
 from mirtaint import ir
 from mirtaint import oracle
@@ -93,7 +95,102 @@ def test_loop_family_merges_and_terminates(corpus):
     assert any("*0x4" in n for n in names), names
 
 
+@pytest.mark.parametrize("loop_k", [1, 3])
+def test_idle_induction_groups_are_not_merged_again(corpus, monkeypatch, loop_k):
+    """A loop pool group that merged nothing is not handed to
+    `induction_families` again until its members change, and skipping it
+    leaves the registry as re-merging it every time does."""
+    prog = corpus("loop_copy.ir")
+    config = EngineConfig(loop_k=loop_k)
+    calls = []
+    merge = S.induction_families
+
+    def counted(exprs, index_id):
+        calls.append(index_id)
+        return merge(exprs, index_id)
+
+    monkeypatch.setattr(S, "induction_families", counted)
+
+    def registry():
+        analysis = Analysis(prog, config)
+        for seed in _register_seeds(prog, "main"):
+            analysis.add_seed(seed)
+        analysis.run()
+        return [(k, str(t.point), t.phase, t.chain(), S.pretty(t.expr))
+                for k, t in analysis.registry["main"].items()]
+
+    skipping = registry()
+    skipped = len(calls)
+    calls.clear()
+    # forget every idle group: each one is re-merged after every sweep
+    monkeypatch.setattr(alias._BlockSt, "idle",
+                        property(lambda st: {}, lambda st, value: None),
+                        raising=False)
+    assert registry() == skipping
+    assert any("*0x" in expr for *_, expr in skipping)
+    assert skipped < len(calls)
+
+
+def test_moved_and_derive_agree_with_dataclasses_replace():
+    """`Tracked.moved` and `derive` copy every field, as
+    `dataclasses.replace` does; a field added to `Tracked` must be added
+    here too."""
+    point = ir.Point("main", "bb0", 2)
+    cond = Cond("r4", True, point)
+    parent = Tracked(expr=S.Reg("r9"), point=point, phase="pre", seed_id=1)
+    values = dict(expr=S.parse_sse("load(r1+0x8)"), point=point, phase="post",
+                  seed_id=3, rule=6, parent=parent, tainted=True, derived=True,
+                  trigger=ir.Point("main", "bb0", 0), conds=(cond,), hops=2)
+    assert set(values) == {f.name for f in dataclasses.fields(Tracked)}
+    t = Tracked(**values)
+    defaults = Tracked(expr=values["expr"], point=point, phase="pre", seed_id=0)
+    assert all(getattr(t, name) != getattr(defaults, name)
+               for name in values if name not in ("expr", "point"))
+    e = S.retag(values["expr"], 5)
+    there = ir.Point("main", "bb1", 0)
+
+    def same(a, b):
+        return all(getattr(a, f.name) is getattr(b, f.name)
+                   for f in dataclasses.fields(Tracked))
+
+    assert same(t.moved(e), replace(t, expr=e))
+    assert same(t.derive(e, there, "pre"),
+                replace(t, expr=e, point=there, phase="pre", rule=None, parent=t))
+    assert same(t.derive(e, there, "pre", 12, tainted=False, hops=3),
+                replace(t, expr=e, point=there, phase="pre", rule=12, parent=t,
+                        tainted=False, hops=3))
+
+
 # -- summaries and the transfer function ---------------------------------------
+
+def test_kept_transfer_follows_the_callee_summary(corpus, monkeypatch):
+    """A session keeps one transfer per callsite and callee, but one built
+    from a recursion cycle's bottom placeholder is built again once the
+    callee's summary is final: every transfer a visit reads equals one
+    built afresh from the summary it sees."""
+    prog = corpus("mutual_recursion.ir")
+    session = Session(prog)
+    Analysis(prog, session=session).summary("even")
+    (placeholder,) = [summ for (point, callee), (summ, _) in session.transfers.items()
+                      if summ is not session.summaries[callee]]
+    assert placeholder.recursive and not placeholder.params
+    keep = Analysis._transfer
+    checked = []
+
+    def fresh(self, point, callee, args):
+        tr = keep(self, point, callee, args)
+        checked.append(tr == transfer_function(self.summary(callee), args))
+        return tr
+
+    monkeypatch.setattr(Analysis, "_transfer", fresh)
+    query = Analysis(prog, session=session)
+    sid = query.add_seed(Seed(point=ir.Point("odd", "rec", 2), expr=S.Reg("r3"),
+                              direction="backward"))
+    query.run()
+    assert checked and all(checked)
+    # even's return alias renames r3 to odd's argument register
+    assert "r2@odd:rec:1" in {f"{S.pretty(t.expr)}@{t.point}"
+                              for t in query.family(sid)}
 
 def test_live_in_registers(corpus):
     prog = corpus("store_through_callee.ir")

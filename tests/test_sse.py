@@ -229,6 +229,27 @@ def test_induction_families_partitions_mixed_groups():
     assert merged == {"store((sp+i*0x4)+0x10)", "store((r1+i*0x4)+0x10)"}
 
 
+def test_induction_merge_keeps_each_members_tags():
+    """Members equal under `==` but tagged differently each merge into an
+    expression with their own tags: offset skeletons are cached on each
+    node, not shared by nodes that only look equal."""
+    def family(birth, stale):
+        return [S.canonicalize(S.Load(S.Bin("+", S.Reg("r2"), S.Val(off)),
+                                      birth, stale, False))
+                for off in (0x4, 0xC, 0x14)]
+
+    plain = family(S.BIRTH_BEFORE_BLOCK, False)
+    marked = family(7, True)
+    assert plain == marked
+    for fam, birth, stale in ((plain, S.BIRTH_BEFORE_BLOCK, False),
+                              (marked, 7, True),
+                              (plain, S.BIRTH_BEFORE_BLOCK, False)):
+        (merged, members), = S.induction_families(fam, "i")
+        assert S.pretty(merged) == "load((r2+i*0x8)+0x4)"
+        assert all(m is e for m, e in zip(members, fam))
+        assert (merged.birth, merged.stale_fwd) == (birth, stale)
+
+
 def test_index_terms_equal_only_with_same_id():
     a = S.IndexTerm(S.Reg("r2"), 8, "i0")
     b = S.IndexTerm(S.Reg("r2"), 8, "i1")

@@ -231,3 +231,24 @@ def test_check_sink_overflow_confirmed_by_execution(corpus):
     ((regs, mem, _),) = list(res.snapshots.values())
     top = regs["sp"] + frame
     assert any(a in mem for a in range(top, top + 0x20))
+
+
+def test_backward_family_kept_per_session(corpus, monkeypatch):
+    """A backward sink query runs once per session and returns a tuple;
+    a session under another resolution map starts with none."""
+    from mirtaint.alias import Session
+
+    prog = corpus("memcpy_bound_bad.ir")
+    session = Session(prog)
+    point = ir.Point("main", "bb0", 5)
+    first = T._backward_family(session, point, "r4")
+    assert isinstance(first, tuple)
+    assert S.parse_sse("sp+0x20") in first and S.parse_sse("r4") in first
+
+    def no_analysis(*args, **kwargs):
+        raise AssertionError("a kept query must not be analysed again")
+
+    monkeypatch.setattr(T, "Analysis", no_analysis)
+    assert T._backward_family(session, point, "r4") is first
+    other = session.with_resolutions({point: ("main",)})
+    assert other is not session and other.backward_families == {}
