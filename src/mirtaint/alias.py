@@ -994,13 +994,13 @@ class Analysis:
             fwd, bwd = st.log_f[st.sent_f:], st.log_b[st.sent_b:]
         st.sent_f, st.sent_b = len(st.log_f), len(st.log_b)
         states = self.states[fname]
-        for s in g.succs.get(label, ()) if fwd else ():
+        for s in g.succs.get(label, ()):
             pool = states[s].pre_f
             for t in fwd:
                 if t.key() not in pool:
                     moved = t.moved(S.retag(t.expr, S.BIRTH_BEFORE_BLOCK))
                     self._inject(fname, s, moved, 0, "f")
-        for p in g.preds.get(label, ()) if bwd else ():
+        for p in g.preds.get(label, ()):
             pool = states[p].suc_b
             plen = len(g.blocks[p].stmts)
             for t in bwd:
