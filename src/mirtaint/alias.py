@@ -57,17 +57,18 @@ register) to its callers' return sites, which is how demand spreads
 across the call graph.
 
 The fixpoint inside a function is incremental, the semi-naive step of
-Datalog evaluation: work is redone only for facts that are new.  Each
-block logs what enters its out_f/out_b, and a push sends its neighbours
-only the entries logged since its last push; an entry pushed before is
-already in the neighbour's pool or refused there for good.  After
-`loop_k` sweeps the induction merge re-partitions a loop block's pool
-group (seed, taint, conditions) only when its members differ from the
-last time it found no family, and `sse.induction_families` reads each
-member's offset skeletons from a cache on the node.  One case falls back
-to the full scan: when the alias cap pops entries from a pool, every
-block of the function pushes all of out_f/out_b once more, so the popped
-entries are re-injected as they would be without the log.
+Datalog evaluation: work is redone only for facts that are new.  A
+block's push sends its neighbours only the out_f/out_b entries that
+arrived since its last push (`_BlockSt.new_f`/`new_b`); an entry pushed
+before is already in the neighbour's pool or refused there for good.
+After `loop_k` sweeps the induction merge re-partitions a loop block's
+pool group (seed, taint, conditions) only when its members differ from
+the last time it found no family, and `sse.induction_families` reads
+each member's offset skeletons from a cache on the node.  One case
+falls back to the full scan: when the alias cap pops entries from a
+pool, every block of the function pushes all of out_f/out_b once more,
+so the popped entries are re-injected as a full scan at every push
+would re-inject them.
 """
 
 from __future__ import annotations
@@ -662,14 +663,10 @@ class _BlockSt:
     pend_b: list = field(default_factory=list)
     seen_f: dict = field(default_factory=dict)   # key -> min idx walked
     seen_b: dict = field(default_factory=dict)   # key -> max idx walked
-    # every entry put into out_f / out_b, in order; append-only, so an
-    # entry retired from out_f stays here
-    log_f: list = field(default_factory=list)
-    log_b: list = field(default_factory=list)
-    # how much of log_f / log_b `_propagate` has pushed: every push goes
-    # to all successors (log_f) and all predecessors (log_b) at once
-    sent_f: int = 0
-    sent_b: int = 0
+    # entries put into out_f / out_b since the block's last push, which
+    # sends them to all successors (new_f) or predecessors (new_b) at once
+    new_f: list = field(default_factory=list)
+    new_b: list = field(default_factory=list)
     # set when a cap popped pool entries in the function: the next push
     # scans all of out_f / out_b, so popped entries are re-injected
     rescan: bool = False
@@ -678,22 +675,22 @@ class _BlockSt:
     idle: dict = field(default_factory=dict)
 
     def put_f(self, t: Tracked) -> bool:
-        """Enter `t` into out_f (and log_f) unless its key is there;
+        """Enter `t` into out_f (and new_f) unless its key is there;
         True when it was new."""
         k = t.key()
         if k in self.out_f:
             return False
         self.out_f[k] = t
-        self.log_f.append(t)
+        self.new_f.append(t)
         return True
 
     def put_b(self, t: Tracked) -> bool:
-        """`put_f` for out_b and log_b."""
+        """`put_f` for out_b and new_b."""
         k = t.key()
         if k in self.out_b:
             return False
         self.out_b[k] = t
-        self.log_b.append(t)
+        self.new_b.append(t)
         return True
 
 
@@ -982,7 +979,7 @@ class Analysis:
 
     def _propagate(self, fname, g, label, st):
         """Push the block's out_f entries to its successors and its out_b
-        entries to its predecessors: only those logged since the last
+        entries to its predecessors: only those put there since the last
         push, or all of them after a cap hit (`_BlockSt.rescan`).  An
         entry pushed before is in the neighbour's pool or refused there
         for good (retired, or walked from the block edge already), so
@@ -991,8 +988,8 @@ class Analysis:
             st.rescan = False
             fwd, bwd = list(st.out_f.values()), list(st.out_b.values())
         else:
-            fwd, bwd = st.log_f[st.sent_f:], st.log_b[st.sent_b:]
-        st.sent_f, st.sent_b = len(st.log_f), len(st.log_b)
+            fwd, bwd = st.new_f, st.new_b
+        st.new_f, st.new_b = [], []
         states = self.states[fname]
         for s in g.succs.get(label, ()):
             pool = states[s].pre_f
