@@ -2,7 +2,7 @@
 
 Every corpus program's JSON report (without timings, with the icall
 dump) is compared byte for byte against `tests/golden/<name>.json`, and
-five seed-query reports against `tests/golden/<name>.seed.json`.  Every
+six seed-query reports against `tests/golden/<name>.seed.json`.  Every
 corpus program is also run under tight caps (`TIGHT_CAPS`: an alias cap
 of 2 and an induction merge after every sweep) against
 `tests/golden/<name>.tight.json`, which pins the order of cap hits, the
@@ -28,6 +28,7 @@ SEED_QUERIES = {
     "intuitive.ir": ("main:bb0:load(r3+0x8)",),
     "ite_exclusive.ir": ("main:use:r6",),
     "loop_walk.ir": ("main:head:load(r1)",),
+    "store_barrier.ir": ("main:bb0:load(r2)", "back:out:r5"),
     "summaries_tour.ir": ("main:bb0:r1",),
 }
 TIGHT_CAPS = {"MIRTAINT_ALIAS_CAP": "2", "MIRTAINT_LOOP_K": "1"}
