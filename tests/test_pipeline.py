@@ -13,14 +13,22 @@ checkout with
     PYTHONPATH=src python tests/test_pipeline.py
 """
 
+import hashlib
+import json
 import os
 import pathlib
+import sys
 
 import pytest
 
 from mirtaint import pipeline
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+if str(ROOT / "bench") not in sys.path:
+    sys.path.insert(0, str(ROOT / "bench"))
+import workloads  # noqa: E402
+from run import digest_text  # noqa: E402
+
 GOLDEN = ROOT / "tests" / "golden"
 CORPUS = sorted(p.name for p in (ROOT / "corpus").glob("*.ir"))
 SEED_QUERIES = {
@@ -59,6 +67,35 @@ def test_report_matches_golden(name, seeds, caps, golden, monkeypatch):
     for var, value in caps.items():
         monkeypatch.setenv(var, value)
     assert report_text(name, seeds) == (GOLDEN / golden).read_text()
+
+
+# sha256 of the reports of `bench/run.py --workload W --seed S`, as its
+# `digest` line prints it
+BENCH_DIGESTS = {
+    ("loop_copy", 1): "544f5765185c0e636a34e43e104d35a868cfa1825cc6e2937c53c72bfb2a5948",
+    ("loop_copy", 2): "0f36fcc7720553a5834ddebb08589d28438fff15db4fe4a6386305411ce978e4",
+    ("dispatch", 1): "c4d15bfccf66e5d332cd0b1f6f29d60c00407c3ea1b44a0e0794ee65b0a44389",
+    ("dispatch", 2): "2758f8c02e6e214d960efbee5c51da7f840f57b6e96d3cabc183e5e8a21df4f4",
+    ("icall_mix", 1): "37423cf882453f829533c8d3b59bbaff0ec7ee7e2cae335ad96df9b28705f3ea",
+    ("icall_mix", 2): "976902c43053cb846a3440e3f9980c18f7cf881a6be0604ee7b84485b2a45814",
+}
+
+
+@pytest.mark.parametrize("workload,seed", sorted(BENCH_DIGESTS))
+def test_bench_reports_match_pinned_digest(workload, seed, tmp_path, monkeypatch):
+    """The benchmark's reports hash as they did when pinned: each
+    program of the ladder is written as `<name>.ir` into the working
+    directory and analysed from there, as `bench/run.py` does."""
+    for var in pipeline._ENV_CAPS:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.chdir(tmp_path)
+    h = hashlib.sha256()
+    for program in workloads.generate(workload, seed):
+        (tmp_path / (program.name + ".ir")).write_text(program.text, encoding="utf-8")
+        report = pipeline.analyze(pipeline.RunConfig(ir_path=program.name + ".ir"))
+        h.update(program.name.encode() + b"\n")
+        h.update(digest_text(json.loads(report.to_json())).encode() + b"\n")
+    assert h.hexdigest() == BENCH_DIGESTS[(workload, seed)]
 
 
 if __name__ == "__main__":
