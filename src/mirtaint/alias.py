@@ -36,10 +36,14 @@ writes that register); definition matches (8-13) yield successors live
 in both directions.  A rule-6 result is additionally tracked backward to
 find the store address's definitions.  Replacements are tried before
 kills; a replaced-and-killed expression survives only as its successor.
-The walker steps over statements that are inert for the expression
-(`_Compiled.inert`): no register-free pattern, no register in common
-with it, and no load or store when it holds a memory node.  No rule,
-kill or taint hook can fire there, so skipping them changes nothing.
+The walker visits only the statements that can act on the expression,
+which is sparse evaluation (Choi, Cytron & Ferrante, POPL 1991): each
+block's rule table carries a row index (`_Table`) of the rows that read
+or define each register, the rows with a register-free pattern and the
+store rows.  An expression is stepped across the rows of its registers,
+the register-free rows, and the stores that can still mark one of its
+memory nodes stale (the may-alias barrier); no rule, kill or taint hook
+can fire on any other row, so skipping them changes nothing.
 
 Statement-level walking is bidirectional inside one block (TraceBlock),
 block results flow around the CFG over a postorder worklist run forward
@@ -61,6 +65,8 @@ Datalog evaluation: work is redone only for facts that are new.  A
 block's push sends its neighbours only the out_f/out_b entries that
 arrived since its last push (`_BlockSt.new_f`/`new_b`); an entry pushed
 before is already in the neighbour's pool or refused there for good.
+Each pushed entry is retagged once for all neighbours, and handed on as
+it is when no birth changes.
 After `loop_k` sweeps the induction merge re-partitions a loop block's
 pool group (seed, taint, conditions) only when its members differ from
 the last time it found no family, and `sse.induction_families` reads
@@ -207,12 +213,7 @@ class _Compiled:
     register.  `defs` holds the right-hand sides of rules 8-11: the same
     operands under rule r+7.  `carriers` are the registers whose taint
     the defined register takes when no rule rewrites them.  `addr` is a
-    load's or store's address and `value` a store's stored value.
-    `touched` holds every register the statement defines or reads (so
-    also those of its patterns, carriers, address and stored value), or
-    is None when a register-free pattern (an immediate it moves, selects,
-    stores or folds) could match any expression; `mem` is set on loads
-    and stores."""
+    load's or store's address and `value` a store's stored value."""
     stmt: ir.Statement
     dst: Optional[S.Reg]
     uses: tuple[tuple[int, S.Sse, Optional[Cond], bool], ...]
@@ -220,16 +221,6 @@ class _Compiled:
     carriers: tuple[S.Reg, ...]
     addr: Optional[S.Sse]
     value: Optional[S.Sse]
-    touched: Optional[frozenset[str]]
-    mem: bool
-
-    def inert(self, e: S.Sse) -> bool:
-        """True when stepping `e` across this statement, either way, can
-        yield, kill and change nothing: no pattern of the statement, no
-        register it defines and no carrier can meet `e`, and `e` holds no
-        memory node a load or store could read, kill or mark."""
-        return (self.touched is not None and self.touched.isdisjoint(e._regs)
-                and not (self.mem and e._mdepth))
 
 
 def _compile(stmt: ir.Statement) -> _Compiled:
@@ -263,11 +254,70 @@ def _compile(stmt: ir.Statement) -> _Compiled:
         addr = addr_sse(form.addr, form.disp)
     if isinstance(form, ir.Store):
         value = op_sse(form.src)
-    touched = None
-    if all(S.registers(pat) for _, pat, _ in ops) and not isinstance(value, S.Val):
-        touched = frozenset(ir.used_registers(form)) | ({name} - {None})
-    return _Compiled(stmt, dst, uses, defs, carriers, addr, value, touched,
-                     isinstance(form, (ir.Load, ir.Store)))
+    return _Compiled(stmt, dst, uses, defs, carriers, addr, value)
+
+
+@dataclass(frozen=True)
+class _Table:
+    """A block's rule table, one row per statement, with its row index.
+
+    The index is three bitmasks over the rows: `by_reg` maps each
+    register to the rows that define or read it, `free` holds the rows
+    with a register-free pattern (an immediate they move, select, store
+    or fold, which any expression may hold) and `stores` the store rows.
+    `relevant` reads them."""
+    rows: tuple[_Compiled, ...]
+    by_reg: dict[str, int]
+    free: int
+    stores: int
+
+    def relevant(self, e: S.Sse, forward: bool) -> int:
+        """The rows where stepping `e` in the given direction may yield,
+        kill or change anything; every other row steps it to itself.
+
+        A row that shares no register with `e` can match no pattern,
+        define none of its registers and carry none of its taint, and its
+        address cannot be the address of any of its memory nodes, so
+        rules 5-7, 12, 13 and 15 cannot fire there either.  Of such rows
+        only a store acts: it marks `e`'s memory nodes stale, going
+        forward those born before it and going backward those born after
+        it.  So a store row is relevant forward when it comes after the
+        lowest birth among the nodes not yet stale forward, and backward
+        when it comes before the highest birth among those not yet stale
+        backward."""
+        mask = self.free
+        by_reg = self.by_reg
+        for r in e._regs:
+            mask |= by_reg.get(r, 0)
+        if self.stores and e._mdepth:
+            n = len(self.rows)
+            if forward:
+                births = [m.birth for m in S.mem_nodes(e) if not m.stale_fwd]
+                if births:
+                    k = min(max(min(births) + 1, 0), n)
+                    mask |= self.stores >> k << k
+            else:
+                births = [m.birth for m in S.mem_nodes(e) if not m.stale_bwd]
+                if births:
+                    mask |= self.stores & ((1 << min(max(max(births), 0), n)) - 1)
+        return mask
+
+
+def _table(statements: Iterable[ir.Statement]) -> _Table:
+    rows = tuple(map(_compile, statements))
+    by_reg: dict[str, int] = {}
+    free = stores = 0
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        form = row.stmt.form
+        if (isinstance(row.value, S.Val)
+                or not all(S.registers(pat) for _, pat, _ in row.defs)):
+            free |= bit
+        if isinstance(form, ir.Store):
+            stores |= bit
+        for r in {*ir.used_registers(form), ir.defined_register(form)} - {None}:
+            by_reg[r] = by_reg.get(r, 0) | bit
+    return _Table(rows, by_reg, free, stores)
 
 
 def _bounded(config: EngineConfig, parent: Tracked, expr: S.Sse, point: ir.Point,
@@ -448,21 +498,32 @@ def _mem_subst(expr: S.Sse, node_pred, dst: str) -> Optional[S.Sse]:
     return new if hit else None
 
 
-def _walk(block: tuple[_Compiled, ...], items, config: EngineConfig, policy,
-          forward: bool, seen: dict | None = None):
+def _walk(table: _Table, items, config: EngineConfig, policy, forward: bool,
+          seen: dict | None = None):
     """Walk each queued (expression, start) through the block, forward to
-    its last statement or backward to its first.  Successors that live in
-    the walked direction are queued from the next statement.  ``seen``
-    maps expression keys to the start already walked, the lowest going
-    forward and the highest going backward, so re-derivations along
-    other orders are not walked twice.
+    its last statement or backward to its first, stepping only the rows
+    `table.relevant` gives for the expression; it is asked again whenever
+    a step re-marks the expression.  Successors that live in the walked
+    direction are queued from the next statement.  ``seen`` maps
+    expression keys to the start already walked, the lowest going forward
+    and the highest going backward, so re-derivations along other orders
+    are not walked twice.
 
     Returns (survivors, created): the expressions alive at the block's
     end and every (successor, direction, statement index)."""
     w = _Walker(config, policy)
-    step, follow, delta = ((w.forward_step, "f", 1) if forward
-                           else (w.backward_step, "b", -1))
-    n = len(block)
+    if forward:
+        step, follow, delta = w.forward_step, "f", 1
+
+        def window(mask, i):          # the rows from i on
+            return mask >> i << i
+    else:
+        step, follow, delta = w.backward_step, "b", -1
+
+        def window(mask, i):          # the rows up to i
+            return mask & ((2 << i) - 1) if i >= 0 else 0
+    rows = table.rows
+    n = len(rows)
     queue = deque(items)
     survivors: list[Tracked] = []
     created: list[tuple[Tracked, str, int]] = []
@@ -479,12 +540,12 @@ def _walk(block: tuple[_Compiled, ...], items, config: EngineConfig, policy,
         if prev is not None and (prev <= start if forward else prev >= start):
             continue
         seen[k] = start
-        i, alive = start, True
-        while 0 <= i < n:
-            if block[i].inert(t.expr):
-                i += delta
-                continue
-            result = step(block[i], i, t)
+        alive = True
+        todo = window(table.relevant(t.expr, forward), start)
+        while todo:
+            i = ((todo & -todo) if forward else todo).bit_length() - 1
+            todo ^= 1 << i
+            result = step(rows[i], i, t)
             for succ, direction in result.successors:
                 created.append((succ, direction, i))
                 if follow in direction:
@@ -494,7 +555,7 @@ def _walk(block: tuple[_Compiled, ...], items, config: EngineConfig, policy,
                 break
             if result.expr is not t.expr:
                 t = t.moved(result.expr)
-            i += delta
+                todo = window(table.relevant(t.expr, forward), i + delta)
         if alive:
             survivors.append(t)
     return survivors, created
@@ -512,9 +573,8 @@ def forward_update(statements: Iterable[ir.Statement], in_f: list,
     expressions, and the rule-6 results that need backward tracking.
     Items may be Tracked or (Tracked, start_index).
     """
-    block = tuple(map(_compile, statements))
     items = [it if isinstance(it, tuple) else (it, 0) for it in in_f]
-    survivors, created = _walk(block, items, config or EngineConfig(), policy, True)
+    survivors, created = _walk(_table(statements), items, config or EngineConfig(), policy, True)
     new_f = _dedup(survivors + [t for t, d, _ in created if d in ("f", "fb")])
     new_b = _dedup([t for t, d, _ in created if d in ("b", "fb")])
     return new_f, new_b
@@ -527,9 +587,9 @@ def backward_update(statements: Iterable[ir.Statement], in_b: list,
     Returns (NEW_f, NEW_b): forward-trackable successors (use matches,
     plus both-way definition matches) and the backward results.
     """
-    block = tuple(map(_compile, statements))
-    items = [(t, len(block) - 1) if not isinstance(t, tuple) else t for t in in_b]
-    survivors, created = _walk(block, items, config or EngineConfig(), policy, False)
+    table = _table(statements)
+    items = [(t, len(table.rows) - 1) if not isinstance(t, tuple) else t for t in in_b]
+    survivors, created = _walk(table, items, config or EngineConfig(), policy, False)
     new_f = _dedup([t for t, d, _ in created if d in ("f", "fb")])
     new_b = _dedup(survivors + [t for t, d, _ in created if d in ("b", "fb")])
     return new_f, new_b
@@ -694,6 +754,13 @@ class _BlockSt:
         return True
 
 
+def _handed(t: Tracked, birth: int) -> Tracked:
+    """`t` as it enters a neighbouring block, its memory nodes born at
+    `birth`: `t` itself when none changes."""
+    expr = S.retag(t.expr, birth)
+    return t if expr is t.expr else t.moved(expr)
+
+
 class Session:
     """What every analysis of one program under one resolution map shares.
 
@@ -761,10 +828,11 @@ class Session:
         fname, label, idx = self.locate(point)
         return self.cfg(fname).blocks[label].stmts[idx]
 
-    def rules(self, fname: str, label: str) -> tuple[_Compiled, ...]:
-        """The rule table of a block's statements, one row each."""
-        return self._fact("rules", (fname, label), lambda: tuple(
-            map(_compile, self.cfg(fname).blocks[label].stmts)))
+    def rules(self, fname: str, label: str) -> _Table:
+        """The rule table of a block's statements, one row each, with its
+        row index."""
+        return self._fact("rules", (fname, label), lambda: _table(
+            self.cfg(fname).blocks[label].stmts))
 
     def params(self, fname: str) -> tuple[str, ...]:
         return self._fact("params", fname, lambda: live_in_registers(
@@ -983,7 +1051,8 @@ class Analysis:
         push, or all of them after a cap hit (`_BlockSt.rescan`).  An
         entry pushed before is in the neighbour's pool or refused there
         for good (retired, or walked from the block edge already), so
-        pushing it again could only matter once a cap popped it."""
+        pushing it again could only matter once a cap popped it.  Each
+        entry is retagged once per push for all neighbours (`_handed`)."""
         if st.rescan:
             st.rescan = False
             fwd, bwd = list(st.out_f.values()), list(st.out_b.values())
@@ -991,19 +1060,22 @@ class Analysis:
             fwd, bwd = st.new_f, st.new_b
         st.new_f, st.new_b = [], []
         states = self.states[fname]
-        for s in g.succs.get(label, ()):
+        succs, preds = g.succs.get(label, ()), g.preds.get(label, ())
+        if succs:
+            fwd = [_handed(t, S.BIRTH_BEFORE_BLOCK) for t in fwd]
+        for s in succs:
             pool = states[s].pre_f
             for t in fwd:
                 if t.key() not in pool:
-                    moved = t.moved(S.retag(t.expr, S.BIRTH_BEFORE_BLOCK))
-                    self._inject(fname, s, moved, 0, "f")
-        for p in g.preds.get(label, ()):
+                    self._inject(fname, s, t, 0, "f")
+        if preds:
+            bwd = [_handed(t, S.BIRTH_AFTER_BLOCK) for t in bwd]
+        for p in preds:
             pool = states[p].suc_b
             plen = len(g.blocks[p].stmts)
             for t in bwd:
                 if t.key() not in pool:
-                    moved = t.moved(S.retag(t.expr, S.BIRTH_AFTER_BLOCK))
-                    self._inject(fname, p, moved, plen - 1, "b")
+                    self._inject(fname, p, t, plen - 1, "b")
 
     # -- callsite transfer ---------------------------------------------------
 

@@ -425,10 +425,10 @@ def _register_seeds(prog, fname):
 
 
 def test_inert_statements_step_to_nothing(corpus):
-    """Wherever the walker's skip rule calls a statement inert for an
-    expression, stepping it across that statement, either way, yields
-    nothing, kills nothing, keeps the very same expression and records
-    no comparison fact."""
+    """Wherever the row index leaves a statement out for an expression
+    and direction, stepping the expression across that statement in that
+    direction yields nothing, kills nothing, keeps the very same
+    expression and records no comparison fact."""
     models = taint.default_models()
     inert = 0
     for path in sorted((ROOT / "corpus").glob("*.ir")):
@@ -450,18 +450,103 @@ def test_inert_statements_step_to_nothing(corpus):
             for label in g.order:
                 if g.blocks[label].is_call:
                     continue
-                for i, row in enumerate(session.rules(fname, label)):
-                    for t in items:
-                        if not row.inert(t.expr):
-                            continue
-                        inert += 1
-                        for step in (walker.forward_step, walker.backward_step):
+                table = session.rules(fname, label)
+                for t in items:
+                    for forward, step in ((True, walker.forward_step),
+                                          (False, walker.backward_step)):
+                        relevant = table.relevant(t.expr, forward)
+                        for i, row in enumerate(table.rows):
+                            if relevant >> i & 1:
+                                continue
+                            inert += 1
                             out = step(row, i, t)
                             assert not out.successors and not out.killed, (
-                                path.name, row.stmt, S.pretty(t.expr))
+                                path.name, row.stmt, S.pretty(t.expr), forward)
                             assert out.expr is t.expr
         assert policy.cmp_facts == {}, path.name
     assert inert > 1000
+
+
+_STORE_BLOCK = """
+func f @0x1000 frame=0 {
+bb0:
+  r1 = r2
+  r3 = r4
+  store r5 = r6
+  r7 = r8
+  r9 = r10
+  ret
+}
+"""
+
+
+@pytest.mark.parametrize("birth,stale,forward,relevant", [
+    (1, "", True, True),          # born the row before the store
+    (2, "", True, False),         # born at the store
+    (1, "fwd", True, False),      # already stale forward
+    (1, "bwd", True, True),       # stale the other way only
+    (3, "", False, True),         # born the row after the store
+    (2, "", False, False),        # born at the store
+    (3, "bwd", False, False),     # already stale backward
+    (3, "fwd", False, True),      # stale the other way only
+])
+def test_store_row_relevant_exactly_where_it_marks(birth, stale, forward, relevant):
+    """A store sharing no register with an expression is relevant to it
+    in a direction exactly when stepping across the store marks one of
+    its memory nodes stale: forward when a node not yet stale forward is
+    born before the store, backward when one not yet stale backward is
+    born after it."""
+    prog = ir.parse_program(_STORE_BLOCK)
+    table = alias._table(prog.functions["f"].blocks[0].stmts)
+    assert table.rows[2].stmt.form.__class__ is ir.Store
+    node = S.Load(S.Reg("r20"), birth, stale == "fwd", stale == "bwd")
+    for expr in (node, S.Bin("+", node, S.Reg("r21"))):
+        t = Tracked(expr=expr, point=ir.Point("f", "bb0", 0), phase="pre",
+                    seed_id=0)
+        mask = table.relevant(expr, forward)
+        assert mask == (1 << 2 if relevant else 0)
+        walker = _Walker(EngineConfig())
+        step = walker.forward_step if forward else walker.backward_step
+        out = step(table.rows[2], 2, t)
+        assert not out.successors and not out.killed
+        assert (out.expr is not expr) == relevant
+
+
+def test_register_free_rows_always_relevant():
+    """A row with a register-free pattern can meet an expression that
+    shares no register with it, so the index keeps it for every one."""
+    prog = ir.parse_program(
+        "func f @0x1000 frame=0 {\nbb0:\n  r1 = r2\n  r3 = 0x8\n"
+        "  store r4 = 0x8\n  r5 = r6 + r7\n  ret\n}\n")
+    table = alias._table(prog.functions["f"].blocks[0].stmts)
+    expr = S.canonicalize(S.parse_sse("r9+0x8"))
+    for forward in (True, False):
+        assert table.relevant(expr, forward) == 0b110
+    new_f, _ = alias.forward_update(prog.functions["f"].blocks[0].stmts[:2],
+                                    [Tracked(expr=expr, point=ir.Point("f", "bb0", 0),
+                                             phase="pre", seed_id=0)])
+    assert "r3+r9" in {S.pretty(t.expr) for t in new_f}
+
+
+def test_retire_clears_every_pool_and_pending_list(corpus, monkeypatch):
+    """Retiring merged family members takes their keys out of every
+    block's pools, out sets and pending lists."""
+    original = Analysis._retire
+    calls = []
+
+    def checked(self, fname, keys):
+        original(self, fname, keys)
+        calls.append(fname)
+        retired = self.retired[fname]
+        for st in self.states[fname].values():
+            for store in (st.pre_f, st.suc_b, st.out_f, st.out_b):
+                assert not store.keys() & retired
+            for pending in (st.pend_f, st.pend_b):
+                assert not {t.key() for t, _ in pending} & retired
+
+    monkeypatch.setattr(Analysis, "_retire", checked)
+    result = taint.run_taint(corpus("loop_copy.ir"))
+    assert calls and len(result.alerts) == 1
 
 
 def test_nodes_and_tracked_have_no_dict():
