@@ -574,7 +574,8 @@ def forward_update(statements: Iterable[ir.Statement], in_f: list,
     Items may be Tracked or (Tracked, start_index).
     """
     items = [it if isinstance(it, tuple) else (it, 0) for it in in_f]
-    survivors, created = _walk(_table(statements), items, config or EngineConfig(), policy, True)
+    survivors, created = _walk(_table(statements), items, config or EngineConfig(),
+                               policy, True)
     new_f = _dedup(survivors + [t for t, d, _ in created if d in ("f", "fb")])
     new_b = _dedup([t for t, d, _ in created if d in ("b", "fb")])
     return new_f, new_b
