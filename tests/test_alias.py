@@ -498,7 +498,7 @@ def test_store_row_relevant_exactly_where_it_marks(birth, stale, forward, releva
     born after it."""
     prog = ir.parse_program(_STORE_BLOCK)
     table = alias._table(prog.functions["f"].blocks[0].stmts)
-    assert table.rows[2].stmt.form.__class__ is ir.Store
+    assert isinstance(table.rows[2].stmt.form, ir.Store)
     node = S.Load(S.Reg("r20"), birth, stale == "fwd", stale == "bwd")
     for expr in (node, S.Bin("+", node, S.Reg("r21"))):
         t = Tracked(expr=expr, point=ir.Point("f", "bb0", 0), phase="pre",
