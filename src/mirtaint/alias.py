@@ -54,11 +54,27 @@ argument binding), and every alias crossing the call in either direction
 reads that one `Transfer`.  MOD' cells kill and generate aliases, the
 return aliases rename the result register, and the argument map and
 REF' pairs tell a tainted alias which callee fact to seed when it
-descends.  On completion a function exports its entry-block backward
-results (rooted at parameters or the globals register) to its callers'
+descends.
+
+On completion a function exports its entry-block backward results
+(rooted at parameters or the globals register) to its callers'
 callsites and its exit-block forward results (rooted at the returned
 register) to its callers' return sites, which is how demand spreads
-across the call graph.
+across the call graph.  Taint descents are tabulated: a descent seed is
+keyed by (callee, entry fact, trigger), not by the caller's seed, so the
+callee is walked once for all callsites that pass it the same fact, and
+the analysis records which callsites reached each descent seed.  A fact
+of a descent seed into the exporting function returns only to those
+callsites; these are the summary edges of IFDS tabulation (Reps, Horwitz
+& Sagiv, POPL 1995), and how the paper applies a callee's result at the
+callsite that needs it (Alg. 3).  Every other fact goes to every caller:
+backward aliases of parameters, facts returned from deeper calls (they
+keep their seed ids), and query and summary seeds.  A callsite that
+reaches a descent seed after the callee's export schedules the callee
+again, so that its export runs for that callsite too.  Descents take no
+depth bound, as there are finitely many descent seeds; `recursion_depth`
+bounds only the exports around a call-graph cycle, and a fact it drops
+shows as a cap hit.
 
 The fixpoint inside a function is incremental, the semi-naive step of
 Datalog evaluation: work is redone only for facts that are new.  A
@@ -102,7 +118,7 @@ class EngineConfig:
     loop_k: int = 3               # loop re-traversals before induction merge
     block_iter_cap: int = 64      # TraceBlock inner iterations
     func_rounds_cap: int = 32     # AnalyzeFunction worklist sweeps
-    recursion_depth: int = 4      # cross-function hops of descents and exports
+    recursion_depth: int = 4      # exports around a call-graph cycle
     job_cap: int = 2000           # scheduled (function) analysis jobs
 
 
@@ -131,7 +147,7 @@ class Tracked:
     derived: bool = False         # taint-derived, not a value-exact alias
     trigger: Optional[ir.Point] = None
     conds: tuple[Cond, ...] = ()
-    hops: int = 0          # cross-function transfers taken (bounded)
+    hops: int = 0          # exports taken around a call-graph cycle (bounded)
 
     def key(self):
         return (self.expr, self.seed_id, self.tainted, self.derived, self.conds)
@@ -791,6 +807,7 @@ class Session:
         self.transfers: dict = {}
         # (point, register) -> expressions of the register's backward family
         self.backward_families: dict = {}
+        self._sccs: dict | None = None   # fname -> root of its call-graph SCC
         self._facts: dict = {}       # (kind, fname) -> per-program fact
         self._points: dict[ir.Point, tuple[str, str, int]] = {}
 
@@ -856,6 +873,20 @@ class Session:
         return self._fact("call_graph", None,
                           lambda: cfglib.build_call_graph(self.program))
 
+    def scc(self, fname: str) -> str:
+        """The call-graph SCC of `fname`, direct calls and resolved icalls
+        counted, named by one of its members: two functions share it
+        exactly when each can reach the other.  The SCCs depend on the
+        resolution map, so each session computes them once."""
+        if self._sccs is None:
+            succs: dict[str, list[str]] = {}
+            for caller, callee, _ in self.call_graph.edges:
+                succs.setdefault(caller, []).append(callee)
+            for point, targets in self.resolutions.items():
+                succs.setdefault(point.func, []).extend(targets)
+            self._sccs = cfglib.components(self.program.functions, succs)
+        return self._sccs[fname]
+
 
 class Analysis:
     """One demand-driven run over a program.
@@ -914,6 +945,8 @@ class Analysis:
         self._queue: deque[str] = deque()
         self._queued: set[str] = set()
         self._seed_ids: dict = {}
+        # (callee, descent seed id) -> the callsites that reached the seed
+        self._descents: dict[tuple[str, int], set[ir.Point]] = {}
         self._jobs = 0
         self._noted: dict[str, None] = {}   # summaries whose notes are taken
 
@@ -1118,7 +1151,7 @@ class Analysis:
                 if ret_reg is not None:
                     gens.extend(_bounded(self.config, t, S.Reg(ret_reg), point, "post")
                                 for rr in tr.rets if rr == t.expr)
-                self._descend(t, callee, tr)
+                self._descend(t, point, callee, tr)
             gens = [n for n in gens if n is not None]
             if self.policy is not None:
                 gens.extend(self.policy.callsite_forward(self, fname, point, form, t))
@@ -1199,36 +1232,48 @@ class Analysis:
         return (self.policy is not None and isinstance(form, ir.Call)
                 and self.policy.knows_library(form.target))
 
-    def _descend(self, t: Tracked, callee: str, tr: Transfer):
+    def _descend(self, t: Tracked, site: ir.Point, callee: str, tr: Transfer):
         """Forward taint descent: a tainted value passed as an argument (or
-        living in a cell the callee reads) seeds the callee's analysis."""
+        living in a cell the callee reads) at callsite `site` seeds the
+        callee's analysis."""
         if not t.tainted or self.policy is None:
             return
         entry_fn = self.program.functions[callee]
         entry_point = ir.Point(callee, entry_fn.entry_block, 0)
         for param, actual in tr.args.items():
             if t.expr == actual:
-                self._inject_nested_seed(t, callee, entry_point, S.Reg(param))
+                self._inject_nested_seed(t, site, entry_point, S.Reg(param))
         for cell, actual in tr.ref:
             if t.expr == actual:
-                self._inject_nested_seed(t, callee, entry_point, cell)
+                self._inject_nested_seed(t, site, entry_point, cell)
 
-    def _inject_nested_seed(self, parent: Tracked, callee: str,
+    def _inject_nested_seed(self, parent: Tracked, site: ir.Point,
                             entry_point: ir.Point, expr: S.Sse):
+        """Seed the callee at `entry_point` with the tainted `expr` for the
+        callsite `site`.  One descent seed serves every callsite that
+        passes the same entry fact under the same trigger: the first of
+        them injects it (as the seed's `parent`), and each is recorded
+        for `_export`.  A later callsite schedules the callee again, so
+        that its export runs for that callsite even when the callee was
+        walked and exported before.  No depth bound: the seeds are
+        finite, so tabulation ends."""
         # keep the trigger: the callee cannot contain it, but results
         # exported back to callers must still be gated by it
         seed = Seed(point=entry_point, expr=expr, direction="forward",
-                    tainted=True, trigger=parent.trigger, label=f"io:{parent.seed_id}")
-        fname, label, idx = self.locate(entry_point)
+                    tainted=True, trigger=parent.trigger, label="io")
+        fname, label, _ = self.locate(entry_point)
         sid = self.seed_id_for(seed)
-        if parent.hops >= self.config.recursion_depth:
+        sites = self._descents.setdefault((fname, sid), set())
+        if site in sites:
             return
-        t = Tracked(expr=S.canonicalize(S.retag(expr, S.BIRTH_BEFORE_BLOCK)),
-                    point=entry_point, phase="pre", seed_id=sid, parent=parent,
-                    tainted=True, trigger=parent.trigger, hops=parent.hops + 1)
-        if self._inject(fname, label, t, 0, "f"):
+        if not sites:
+            t = Tracked(expr=S.canonicalize(S.retag(expr, S.BIRTH_BEFORE_BLOCK)),
+                        point=entry_point, phase="pre", seed_id=sid, parent=parent,
+                        tainted=True, trigger=parent.trigger)
+            self._inject(fname, label, t, 0, "f")
             self._record(fname, t)
-            self._schedule(fname)
+        sites.add(site)
+        self._schedule(fname)
 
     # -- summaries -----------------------------------------------------------
 
@@ -1453,66 +1498,96 @@ class Analysis:
     # -- cross-function exports ------------------------------------------------
 
     def _export(self, fname: str):
+        """Send a walked function's results to its callers: its entry-block
+        backward results rooted at parameters or the globals register to
+        each callsite, and its exit-block forward results to each return
+        site, re-rooted under the callsite's argument binding.
+        `_for_callsite` picks the facts each callsite gets: a descent's
+        facts go back only to the callsites that reached it."""
+        callers = (self.session.call_graph.callers(fname)
+                   + self.session.icall_callers.get(fname, []))
+        if self.summary_of is not None:
+            # a summary's walk stays inside its own function
+            callers = [c for c in callers if c[0] == self.summary_of]
+        if not callers:
+            return
         g = self.cfg(fname)
         params = self.session.params(fname)
         allowed = set(params) | {GP}
         entry_st = self.states[fname][g.entry]
         exports_up = [t for t in entry_st.out_b.values()
                       if S.registers(t.expr) <= allowed and not t.derived]
-
-        ret_ops: dict[str, S.Reg] = {}
+        returned = []       # (returned register, the exit block's out_f facts)
         for ex in g.exits:
             stmts = g.blocks[ex].stmts
-            if not stmts:
-                continue
-            last = stmts[-1].form
-            if isinstance(last, ir.Ret) and isinstance(last.value, str):
-                ret_ops[ex] = S.Reg(last.value)
-
-        callers = (self.session.call_graph.callers(fname)
-                   + self.session.icall_callers.get(fname, []))
-        if self.summary_of is not None:
-            # a summary's walk stays inside its own function
-            callers = [c for c in callers if c[0] == self.summary_of]
-        if not callers or (not exports_up and not ret_ops):
+            if stmts:
+                last = stmts[-1].form
+                if isinstance(last, ir.Ret) and isinstance(last.value, str):
+                    returned.append((last.value,
+                                     list(self.states[fname][ex].out_f.values())))
+        if not exports_up and not returned:
             return
+        scc = self.session.scc(fname)
         for caller, cpoint in callers:
             if self._jobs >= self.config.job_cap:
                 return
             cf, clabel, _ = self.locate(cpoint)
             cform = self.cfg(cf).blocks[clabel].call.form
             mapping = arg_map(params, cform.args)
+            in_cycle = self.session.scc(caller) == scc
             grew = False
-            for t in exports_up:
-                if t.hops >= self.config.recursion_depth:
-                    continue
+            for t in self._for_callsite(fname, cpoint, in_cycle, exports_up):
                 rr = reroot(t.expr, mapping)
                 if rr is None:
                     continue
                 moved = t.derive(S.retag(rr, S.BIRTH_AFTER_BLOCK), cpoint, "pre",
-                                 hops=t.hops + 1)
+                                 hops=t.hops + 1 if in_cycle else 0)
                 if self._inject(cf, clabel, moved, -1, "b"):
                     self._record(cf, moved)
                     grew = True
             if cform.ret is not None:
-                for ex, retop in ret_ops.items():
-                    for t in self.states[fname][ex].out_f.values():
-                        if t.hops >= self.config.recursion_depth:
-                            continue
-                        sub = dict(mapping)
-                        sub[retop.name] = S.Reg(cform.ret)
+                st = self.states[cf][clabel]
+                pushed = False
+                for retop, facts in returned:
+                    sub = {**mapping, retop: S.Reg(cform.ret)}
+                    for t in self._for_callsite(fname, cpoint, in_cycle, facts):
                         rr = reroot(t.expr, sub)
                         if rr is None:
                             continue
                         moved = t.derive(S.retag(rr, S.BIRTH_BEFORE_BLOCK), cpoint,
-                                         "post", hops=t.hops + 1)
-                        st = self.states[cf][clabel]
+                                         "post", hops=t.hops + 1 if in_cycle else 0)
                         if st.put_f(moved):
                             self._record(cf, moved)
-                            self._propagate(cf, self.cfg(cf), clabel, st)
-                            grew = True
+                            pushed = True
+                if pushed:
+                    self._propagate(cf, self.cfg(cf), clabel, st)
+                    grew = True
             if grew:
                 self._schedule(cf)
+
+    def _for_callsite(self, fname: str, cpoint: ir.Point, in_cycle: bool, facts):
+        """The exported facts of `fname` that go to the callsite `cpoint`.
+        A fact of a descent seed into `fname` goes only to the callsites
+        recorded for that seed (`_descents`), every other fact to every
+        caller.  `hops` counts a fact's exports into a caller in the
+        exporting function's own call-graph SCC (an export out of it
+        resets the count), and past `recursion_depth` the fact is dropped
+        with a cap hit."""
+        out = []
+        dropped = False
+        for t in facts:
+            sites = self._descents.get((fname, t.seed_id))
+            if sites is not None and cpoint not in sites:
+                continue
+            if in_cycle and t.hops >= self.config.recursion_depth:
+                dropped = True
+                continue
+            out.append(t)
+        if dropped:
+            hit = f"recursion depth cap hit: exports of {fname} to {cpoint} dropped"
+            if hit not in self.cap_hits:
+                self.cap_hits.append(hit)
+        return out
 
     # -- results ----------------------------------------------------------------
 

@@ -1,5 +1,5 @@
-"""Control-flow graphs, worklist orders, the partial call graph, and
-address-taken function discovery.
+"""Control-flow graphs, worklist orders, the partial call graph, its
+strongly connected components, and address-taken function discovery.
 
 Every call/icall statement gets a basic block of its own so the
 interprocedural transfer can be applied at exactly one point; program
@@ -273,6 +273,45 @@ def build_call_graph(program: ir.Program) -> CallGraph:
             elif isinstance(stmt.form, ir.ICall):
                 unresolved.append(stmt.point)
     return CallGraph(tuple(edges), tuple(unresolved))
+
+
+def components(nodes, succs: dict) -> dict:
+    """Tarjan's strongly connected components (iteratively): each node
+    reachable from `nodes` over `succs` mapped to the root of its
+    component, so two nodes share a root exactly when each reaches the
+    other."""
+    index: dict = {}
+    low: dict = {}
+    root: dict = {}
+    stack: list = []
+    for start in nodes:
+        if start in index:
+            continue
+        index[start] = low[start] = len(index)
+        stack.append(start)
+        work = [(start, iter(succs.get(start, ())))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    work.append((w, iter(succs.get(w, ()))))
+                    break
+                if w not in root:              # still on the stack
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        root[w] = v
+                        if w == v:
+                            break
+    return root
 
 
 # ---------------------------------------------------------------------------

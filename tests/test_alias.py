@@ -331,6 +331,30 @@ def test_session_shares_program_facts_not_summaries(corpus):
         Analysis(prog, EngineConfig(loop_k=2), session=session)
 
 
+def test_session_sccs_count_resolved_icalls(corpus):
+    session = Session(corpus("mutual_recursion.ir"))
+    assert session.scc("even") == session.scc("odd") != session.scc("main")
+    prog = ir.parse_program("""
+func main @0x1000 frame=0 {
+bb0:
+  r1 = 0x1000
+  call relay(r1)
+  ret
+}
+
+func relay @0x2000 frame=0 {
+bb0:
+  icall r0()
+  ret
+}
+""")
+    session = Session(prog)
+    assert session.scc("main") != session.scc("relay")
+    # relay's icall calls main back: one cycle under the resolution map
+    back = session.with_resolutions({ir.Point("relay", "bb0", 0): ("main",)})
+    assert back.scc("main") == back.scc("relay")
+
+
 def test_summary_warnings_reach_every_analysis_using_it():
     prog = ir.parse_program("""
 func g @0x2000 frame=0 {
@@ -367,6 +391,17 @@ def test_entry_out_b_exports_to_caller(corpus):
     fam = analysis.family(sid)
     funcs = {t.point.func for t in fam}
     assert "middle" in funcs, "param-rooted alias must surface in the caller"
+
+
+def test_exports_outside_a_cycle_take_no_depth_bound(corpus):
+    # six acyclic exports carry the parameter up to main; recursion_depth
+    # bounds only the exports around a call-graph cycle
+    prog = corpus("deep_call_chain.ir")
+    analysis, sid = analyze_seed(prog, ir.Point("d6", "bb0", 0), "r0",
+                                 direction="backward")
+    assert {t.point.func for t in analysis.family(sid)} == {
+        "d6", "d5", "d4", "d3", "d2", "d1", "main"}
+    assert analysis.cap_hits == []
 
 
 def test_fixpoint_monotone_out_sets(corpus):

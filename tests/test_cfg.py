@@ -232,3 +232,19 @@ def test_dot_output(corpus):
     prog = corpus("diamond.ir")
     dot = C.to_dot(C.build_cfg(prog.functions["main"]))
     assert dot.startswith("digraph") and '"bb0"' in dot
+
+
+def test_components_group_each_cycle():
+    succs = {"a": ["b"], "b": ["c", "a"], "c": ["c", "d"], "d": [], "e": ["a"]}
+    root = C.components(["a", "b", "c", "d", "e"], succs)
+    assert set(root) == set("abcde")
+    assert root["a"] == root["b"]
+    assert len({root["a"], root["c"], root["d"], root["e"]}) == 4
+
+
+def test_components_of_a_long_cycle_need_no_recursion():
+    n = 5000
+    succs = {i: [i + 1] for i in range(n)}
+    succs[n] = [0]
+    root = C.components([0], succs)
+    assert len(root) == n + 1 and len(set(root.values())) == 1

@@ -21,7 +21,7 @@ import sys
 
 import pytest
 
-from mirtaint import pipeline
+from mirtaint import alias, pipeline, taint
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 if str(ROOT / "bench") not in sys.path:
@@ -74,8 +74,8 @@ def test_report_matches_golden(name, seeds, caps, golden, monkeypatch):
 BENCH_DIGESTS = {
     ("loop_copy", 1): "544f5765185c0e636a34e43e104d35a868cfa1825cc6e2937c53c72bfb2a5948",
     ("loop_copy", 2): "0f36fcc7720553a5834ddebb08589d28438fff15db4fe4a6386305411ce978e4",
-    ("dispatch", 1): "c4d15bfccf66e5d332cd0b1f6f29d60c00407c3ea1b44a0e0794ee65b0a44389",
-    ("dispatch", 2): "2758f8c02e6e214d960efbee5c51da7f840f57b6e96d3cabc183e5e8a21df4f4",
+    ("dispatch", 1): "75a8fe34585a846814964f2789b3b86a0f348f36f6434b956fac4f93ad40fa3e",
+    ("dispatch", 2): "21c7c639d609bd51df3c0e30d13f75296727ff25b294bceea9b45af2fec6ece2",
     ("icall_mix", 1): "37423cf882453f829533c8d3b59bbaff0ec7ee7e2cae335ad96df9b28705f3ea",
     ("icall_mix", 2): "976902c43053cb846a3440e3f9980c18f7cf881a6be0604ee7b84485b2a45814",
 }
@@ -96,6 +96,81 @@ def test_bench_reports_match_pinned_digest(workload, seed, tmp_path, monkeypatch
         h.update(program.name.encode() + b"\n")
         h.update(digest_text(json.loads(report.to_json())).encode() + b"\n")
     assert h.hexdigest() == BENCH_DIGESTS[(workload, seed)]
+
+
+# A tainted pointer walked by a self-recursive function: the walk's
+# summary and its returned pointer cross its own callsite again and again
+WALK = """\
+func walk @0x2000 frame=0 {
+bb0:
+  r1 = load r0
+  branch r1, step, done
+step:
+  r2 = r0 + 0x4
+  r3 = call walk(r2)
+  ret r3
+done:
+  ret r0
+}
+
+func main @0x1000 frame=0x40 {
+  buf in @0x0 size 0x40
+bb0:
+  r1 = sp
+  r2 = 0x40
+  r3 = call recv(r9, r1, r2)
+  r4 = call walk(r1)
+  r5 = call system(r4)
+  ret
+}
+"""
+
+
+def test_recursion_depth_ends_in_cap_hit(tmp_path, monkeypatch):
+    """`recursion_depth` bounds the exports around a call-graph cycle, and
+    what it drops shows as a cap hit naming the exporting function."""
+    for var in pipeline._ENV_CAPS:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("MIRTAINT_RECURSION_DEPTH", "1")
+    path = tmp_path / "walk.ir"
+    path.write_text(WALK, encoding="utf-8")
+    report = pipeline.analyze(pipeline.RunConfig(ir_path=str(path)))
+    hits = [h for h in report.cap_hits if h.startswith("recursion depth cap hit")]
+    assert hits and all("exports of walk to walk:step:1" in h for h in hits)
+    assert [a["sink_site"] for a in report.alerts] == ["main:bb0:4"]
+
+
+def _taint_registry_size(program: workloads.GenProgram, monkeypatch) -> int:
+    """Entries in the taint analysis's registry when the pipeline
+    analyses `program`."""
+    made = []
+
+    class Recorded(alias.Analysis):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            if self.policy is not None:
+                made.append(self)
+
+    monkeypatch.setattr(taint, "Analysis", Recorded)
+    (pathlib.Path.cwd() / (program.name + ".ir")).write_text(program.text,
+                                                             encoding="utf-8")
+    pipeline.analyze(pipeline.RunConfig(ir_path=program.name + ".ir"))
+    (analysis,) = made
+    return sum(len(reg) for reg in analysis.registry.values())
+
+
+def test_dispatch_registry_grows_linearly(tmp_path, monkeypatch):
+    """Each taint descent returns only to the callsites that reached it,
+    so doubling the handlers of `dispatch` at most about doubles the taint
+    analysis's registry.  Sending every descent's facts to every caller
+    of a shared helper made it grow about 3x per doubling."""
+    for var in pipeline._ENV_CAPS:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.chdir(tmp_path)
+    ladder = {p.size: p for p in workloads.generate("dispatch", 1)}
+    small = _taint_registry_size(ladder[16], monkeypatch)
+    large = _taint_registry_size(ladder[32], monkeypatch)
+    assert large <= 2.5 * small
 
 
 if __name__ == "__main__":

@@ -6,6 +6,7 @@ from mirtaint import ir
 from mirtaint import oracle
 from mirtaint import sse as S
 from mirtaint import taint as T
+from mirtaint.alias import Analysis
 
 
 def run(corpus, name, icalls=True):
@@ -252,3 +253,44 @@ def test_backward_family_kept_per_session(corpus, monkeypatch):
     assert T._backward_family(session, point, "r4") is first
     other = session.with_resolutions({point: ("main",)})
     assert other is not session and other.backward_families == {}
+
+
+def _taint_analysis(prog):
+    models = T.default_models()
+    analysis = Analysis(prog, policy=T.TaintPolicy(models))
+    for seed in T.seed_sources(prog, models):
+        analysis.add_seed(seed)
+    analysis.run()
+    return analysis
+
+
+def _descents_into(analysis, callee):
+    return {sid: sites for (f, sid), sites in analysis._descents.items()
+            if f == callee}
+
+
+def _functions_holding(analysis, sid):
+    return {f for f, reg in analysis.registry.items()
+            for t in reg.values() if t.seed_id == sid}
+
+
+def test_descent_seed_serves_every_callsite_that_reaches_it(corpus):
+    # f and k pass dup the same tainted fact under the same trigger, k only
+    # after dup was walked and exported for f: one descent seed records
+    # both callsites, and both get dup's result back
+    analysis = _taint_analysis(corpus("late_caller.ir"))
+    into_dup = _descents_into(analysis, "dup")
+    assert list(into_dup.values()) == [{ir.Point("f", "bb0", 0),
+                                        ir.Point("k", "bb0", 0)}]
+    (sid,) = into_dup
+    assert _functions_holding(analysis, sid) == {"dup", "f", "k"}
+
+
+def test_descent_returns_only_to_its_callsites(corpus):
+    # g passes ident its own frame pointer: the descent from f's tainted
+    # argument must not come back at g's callsite
+    analysis = _taint_analysis(corpus("context_return.ir"))
+    into_ident = _descents_into(analysis, "ident")
+    assert list(into_ident.values()) == [{ir.Point("f", "bb0", 0)}]
+    (sid,) = into_ident
+    assert _functions_holding(analysis, sid) == {"ident", "f"}
