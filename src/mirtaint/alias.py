@@ -74,7 +74,9 @@ reaches a descent seed after the callee's export schedules the callee
 again, so that its export runs for that callsite too.  Descents take no
 depth bound, as there are finitely many descent seeds; `recursion_depth`
 bounds only the exports around a call-graph cycle, and a fact it drops
-shows as a cap hit.
+shows as a cap hit.  Callers and cycles come from one call graph per
+session, of direct calls and resolved icall targets (`Session.cycle`),
+and a cycle's members are summarized together (see `Analysis`).
 
 The fixpoint inside a function is incremental, the semi-naive step of
 Datalog evaluation: work is redone only for facts that are new.  A
@@ -98,6 +100,7 @@ from __future__ import annotations
 import logging
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import attrgetter
 from typing import Iterable, Optional
 
@@ -638,7 +641,6 @@ class FunctionSummary:
     mod: tuple[ModEntry, ...] = ()
     ref: tuple[S.Sse, ...] = ()                # Load(addr) cells read
     ret_exprs: tuple[S.Sse, ...] = ()          # aliases of the returned value
-    recursive: bool = False
 
 
 def live_in_registers(function: ir.Function, graph: cfglib.Cfg) -> tuple[str, ...]:
@@ -783,11 +785,12 @@ class Session:
 
     Per-program facts are built lazily and once: each function's CFG and
     the point index, each block's rule table, live-in registers,
-    postorder, dominators and loop blocks, and the direct call graph.
-    Sessions derived through `with_resolutions` share them.  The summary
-    cache, its notes and the icall-caller map depend on the resolution
-    map, so each session has its own, and so do the tables of results
-    built from summaries: callsite transfers and backward queries.
+    postorder, dominators and loop blocks.  Sessions derived through
+    `with_resolutions` share them.  The call graph (direct calls and the
+    resolved icall targets) and its cycles depend on the resolution map,
+    and so do the summary cache and its notes, so each session has its
+    own, and so do the tables of results built from summaries: callsite
+    transfers and backward queries.
     """
 
     def __init__(self, program: ir.Program, config: EngineConfig | None = None,
@@ -795,19 +798,14 @@ class Session:
         self.program = program
         self.config = config or EngineConfig()
         self.resolutions = resolutions or {}
-        self.summaries: dict = {}    # fname -> FunctionSummary | "computing"
+        self.summaries: dict[str, FunctionSummary] = {}
         # fname -> (warnings, cap hits, callee summaries used) of the
-        # sub-analyses that computed its summary
+        # sub-analysis that last computed its summary
         self.notes: dict[str, tuple[list, list, dict]] = {}
-        self.icall_callers: dict[str, list[tuple[str, ir.Point]]] = {}
-        for point, targets in self.resolutions.items():
-            for tgt in targets:
-                self.icall_callers.setdefault(tgt, []).append((point.func, point))
         # (callsite point, callee) -> (the summary it was built from, Transfer)
         self.transfers: dict = {}
         # (point, register) -> expressions of the register's backward family
         self.backward_families: dict = {}
-        self._sccs: dict | None = None   # fname -> root of its call-graph SCC
         self._facts: dict = {}       # (kind, fname) -> per-program fact
         self._points: dict[ir.Point, tuple[str, str, int]] = {}
 
@@ -868,24 +866,28 @@ class Session:
         return self._fact("loops", fname, lambda: cfglib.loop_blocks(
             self.cfg(fname), self.dominators(fname)))
 
-    @property
+    @cached_property
     def call_graph(self) -> cfglib.CallGraph:
-        return self._fact("call_graph", None,
-                          lambda: cfglib.build_call_graph(self.program))
+        return cfglib.build_call_graph(self.program, self.resolutions)
 
-    def scc(self, fname: str) -> str:
-        """The call-graph SCC of `fname`, direct calls and resolved icalls
-        counted, named by one of its members: two functions share it
-        exactly when each can reach the other.  The SCCs depend on the
-        resolution map, so each session computes them once."""
-        if self._sccs is None:
-            succs: dict[str, list[str]] = {}
-            for caller, callee, _ in self.call_graph.edges:
-                succs.setdefault(caller, []).append(callee)
-            for point, targets in self.resolutions.items():
-                succs.setdefault(point.func, []).extend(targets)
-            self._sccs = cfglib.components(self.program.functions, succs)
-        return self._sccs[fname]
+    def cycle(self, fname: str) -> tuple[str, ...]:
+        """The members of `fname`'s call-graph cycle in program order: its
+        strongly connected component when that has two members or a
+        self-call, else ()."""
+        return self._cycles.get(fname, ())
+
+    @cached_property
+    def _cycles(self) -> dict[str, tuple[str, ...]]:
+        funcs = self.program.functions
+        callees: dict[str, list[str]] = {}
+        for caller, callee, _ in self.call_graph.edges:
+            callees.setdefault(caller, []).append(callee)
+        root = cfglib.components(funcs, callees)
+        members: dict[str, list[str]] = {}
+        for f in funcs:
+            members.setdefault(root[f], []).append(f)
+        return {f: tuple(members[root[f]]) for f in funcs
+                if len(members[root[f]]) > 1 or f in callees.get(f, ())}
 
 
 class Analysis:
@@ -903,9 +905,16 @@ class Analysis:
     that computes it walks that function alone, exporting only to the
     function's own recursive callsites.  So each summary is computed
     once and every analysis of the session reuses it, whatever order
-    they ask in.  The one exception is a recursion cycle: the member
-    asked first is computed against the bottom summary of the others,
-    which are still in progress.
+    they ask in.  A call-graph cycle (`Session.cycle`, direct calls and
+    resolved icalls) is summarized as one unit, as Sharir & Pnueli
+    (1981) treat it: asking for any member starts every member at the
+    bottom summary (no parameters, no effects) and computes all of them
+    twice in program order, the second round against the first's
+    approximations.  So a cycle's summaries too are the same whichever
+    member is asked first.  The rounds stop at two rather than at a
+    joint fixpoint, which a counting recursion never reaches: on
+    `corpus/mutual_recursion.ir` each round adds two offsets of the
+    counter to `even`'s return aliases (63 after 32 rounds).
 
     `registry[fname]` holds one `Tracked` per `Tracked.key()` that the
     walk established in `fname`, anchored at the point and phase where
@@ -1209,8 +1218,8 @@ class Analysis:
         """`transfer_function` of the callee's summary at the callsite
         `point`, kept by the session.  A kept transfer is reused only
         while `summary` returns the very summary it was built from, so
-        one built from a recursion cycle's bottom placeholder or from a
-        first widening approximation is built again."""
+        one built from a call-graph cycle's bottom summary or first-round
+        approximation is built again."""
         summ = self.summary(callee)
         kept = self.session.transfers.get((point, callee))
         if kept is not None and kept[0] is summ:
@@ -1279,20 +1288,15 @@ class Analysis:
 
     def summary(self, fname: str) -> FunctionSummary:
         summ = self.summaries.get(fname)
-        if summ == "computing":
-            # recursion: bottom summary now, one re-analysis afterwards
-            return FunctionSummary(func=fname, params=(), recursive=True)
         if summ is None:
-            self.summaries[fname] = "computing"
-            summ = self._compute_summary(fname)
-            if summ.recursive or any(
-                    isinstance(self.summaries.get(c), FunctionSummary)
-                    and self.summaries[c].recursive
-                    for c, _ in self.session.call_graph.callees(fname)):
-                # one widening round: recompute against the first approximation
-                self.summaries[fname] = summ
-                summ = self._compute_summary(fname)
-            self.summaries[fname] = summ
+            # a cycle as one unit: every member from the bottom summary,
+            # then all of them twice in program order
+            cycle = self.session.cycle(fname)
+            for member in cycle:
+                self.summaries[member] = FunctionSummary(member, ())
+            for member in cycle * 2 or (fname,):
+                self.summaries[member] = self._compute_summary(member)
+            summ = self.summaries[fname]
         self._take_notes(fname)
         return summ
 
@@ -1339,11 +1343,7 @@ class Analysis:
         for kind, stmt, seed in seeds:
             sid_of[(kind, stmt.point)] = sub.add_seed(seed)
         sub.run()
-        warnings, cap_hits, callees = self.session.notes.setdefault(
-            fname, ([], [], {}))
-        warnings.extend(sub.warnings)
-        cap_hits.extend(sub.cap_hits)
-        callees.update(sub._noted)
+        self.session.notes[fname] = (sub.warnings, sub.cap_hits, sub._noted)
 
         allowed = set(params) | {GP}
 
@@ -1373,12 +1373,10 @@ class Analysis:
                 ref.extend(S.Load(m) for m in members)
             elif kind == "ret":
                 rets.extend(members)
-        recursive = any(c == fname for c, _ in self.session.call_graph.callees(fname))
         return FunctionSummary(func=fname, params=params,
                                mod=tuple(dict.fromkeys(mod)),
                                ref=tuple(dict.fromkeys(ref)),
-                               ret_exprs=tuple(dict.fromkeys(rets)),
-                               recursive=recursive)
+                               ret_exprs=tuple(dict.fromkeys(rets)))
 
     # -- the Alg.-3 driver ----------------------------------------------------
 
@@ -1504,8 +1502,7 @@ class Analysis:
         site, re-rooted under the callsite's argument binding.
         `_for_callsite` picks the facts each callsite gets: a descent's
         facts go back only to the callsites that reached it."""
-        callers = (self.session.call_graph.callers(fname)
-                   + self.session.icall_callers.get(fname, []))
+        callers = self.session.call_graph.callers(fname)
         if self.summary_of is not None:
             # a summary's walk stays inside its own function
             callers = [c for c in callers if c[0] == self.summary_of]
@@ -1527,14 +1524,15 @@ class Analysis:
                                      list(self.states[fname][ex].out_f.values())))
         if not exports_up and not returned:
             return
-        scc = self.session.scc(fname)
+        cycle = self.session.cycle(fname)
         for caller, cpoint in callers:
             if self._jobs >= self.config.job_cap:
+                self.cap_hits.append(f"job cap reached; exports of {fname} dropped")
                 return
             cf, clabel, _ = self.locate(cpoint)
             cform = self.cfg(cf).blocks[clabel].call.form
             mapping = arg_map(params, cform.args)
-            in_cycle = self.session.scc(caller) == scc
+            in_cycle = caller in cycle
             grew = False
             for t in self._for_callsite(fname, cpoint, in_cycle, exports_up):
                 rr = reroot(t.expr, mapping)
@@ -1570,7 +1568,7 @@ class Analysis:
         A fact of a descent seed into `fname` goes only to the callsites
         recorded for that seed (`_descents`), every other fact to every
         caller.  `hops` counts a fact's exports into a caller in the
-        exporting function's own call-graph SCC (an export out of it
+        exporting function's own call-graph cycle (an export out of it
         resets the count), and past `recursion_depth` the fact is dropped
         with a cap hit."""
         out = []

@@ -1,5 +1,6 @@
-"""Control-flow graphs, worklist orders, the partial call graph, its
-strongly connected components, and address-taken function discovery.
+"""Control-flow graphs, worklist orders, the call graph (direct calls and
+resolved icalls), its strongly connected components, and address-taken
+function discovery.
 
 Every call/icall statement gets a basic block of its own so the
 interprocedural transfer can be applied at exactly one point; program
@@ -220,7 +221,7 @@ def loop_blocks(cfg: Cfg, dom: dict[str, frozenset[str]] | None = None
 
 
 # ---------------------------------------------------------------------------
-# Address-taken functions and the partial call graph
+# Address-taken functions and the call graph
 # ---------------------------------------------------------------------------
 
 def find_address_taken(program: ir.Program) -> frozenset[int]:
@@ -243,36 +244,29 @@ def find_address_taken(program: ir.Program) -> frozenset[int]:
 @dataclass
 class CallGraph:
     edges: tuple[tuple[str, str, ir.Point], ...]   # caller, callee, callsite
-    unresolved_icalls: tuple[ir.Point, ...]
 
     @cached_property
-    def _adjacency(self):
-        """(callees, callers): per function, its outgoing and incoming
-        edges in edge order, as (other function, callsite) pairs."""
-        out: dict[str, list] = {}
+    def _callers(self) -> dict[str, list[tuple[str, ir.Point]]]:
         into: dict[str, list] = {}
         for caller, callee, p in self.edges:
-            out.setdefault(caller, []).append((callee, p))
             into.setdefault(callee, []).append((caller, p))
-        return out, into
-
-    def callees(self, func: str) -> list[tuple[str, ir.Point]]:
-        return list(self._adjacency[0].get(func, ()))
+        return into
 
     def callers(self, func: str) -> list[tuple[str, ir.Point]]:
-        return list(self._adjacency[1].get(func, ()))
+        """(caller, callsite) of each edge into `func`, in edge order."""
+        return list(self._callers.get(func, ()))
 
 
-def build_call_graph(program: ir.Program) -> CallGraph:
-    edges = []
-    unresolved = []
-    for fn in program.functions.values():
-        for stmt in fn.statements():
-            if isinstance(stmt.form, ir.Call):
-                edges.append((fn.name, stmt.form.target, stmt.point))
-            elif isinstance(stmt.form, ir.ICall):
-                unresolved.append(stmt.point)
-    return CallGraph(tuple(edges), tuple(unresolved))
+def build_call_graph(program: ir.Program, resolutions: dict | None = None) -> CallGraph:
+    """Every direct call, then an edge from each icall in `resolutions`
+    (callsite -> targets) to each of its targets, in map order.  Without
+    a resolution map an icall has no edge."""
+    edges = [(fn.name, stmt.form.target, stmt.point)
+             for fn in program.functions.values() for stmt in fn.statements()
+             if isinstance(stmt.form, ir.Call)]
+    edges += [(point.func, target, point)
+              for point, targets in (resolutions or {}).items() for target in targets]
+    return CallGraph(tuple(edges))
 
 
 def components(nodes, succs: dict) -> dict:

@@ -45,7 +45,6 @@ class PointerRef:
     kind: str                      # "fptr" | "dptr"
     value: int                     # function address / table base
     site: ir.Point | None = None   # in-code reference site
-    cell: int | None = None        # data-section cell holding the value
     pexprs: set = field(default_factory=set)
 
 
@@ -83,9 +82,8 @@ def collect_pointer_refs(program: ir.Program,
     for base, words in data_objects.items():
         for i, w in enumerate(words):
             if w in address_taken:
-                cell = base + i * ws
-                refs.append(PointerRef("fptr", w, cell=cell,
-                                       pexprs={S.Load(S.Val(cell))}))
+                refs.append(PointerRef("fptr", w,
+                                       pexprs={S.Load(S.Val(base + i * ws))}))
     for fn in program.functions.values():
         for stmt in fn.statements():
             for imm in ir.immediates(stmt.form):

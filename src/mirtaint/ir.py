@@ -149,64 +149,36 @@ def defined_register(form: Form) -> Optional[str]:
     return None
 
 
+def operands(form: Form) -> list[Operand]:
+    """The operands `form` reads, in order: registers and immediates
+    (a load or store displacement is not an operand)."""
+    if isinstance(form, (Move, UnOp)):
+        return [form.src]
+    if isinstance(form, BinOp):
+        return [form.lhs, form.rhs]
+    if isinstance(form, Ite):
+        return [form.cond, form.then_v, form.else_v]
+    if isinstance(form, Load):
+        return [form.addr]
+    if isinstance(form, Store):
+        return [form.addr, form.src]
+    if isinstance(form, Call):
+        return list(form.args)
+    if isinstance(form, ICall):
+        return [form.target, *form.args]
+    if isinstance(form, Branch):
+        return [form.cond]
+    if isinstance(form, Ret) and form.value is not None:
+        return [form.value]
+    return []
+
+
 def used_registers(form: Form) -> list[str]:
-    regs = []
-
-    def op(o):
-        if isinstance(o, str):
-            regs.append(o)
-
-    if isinstance(form, Move):
-        op(form.src)
-    elif isinstance(form, BinOp):
-        op(form.lhs), op(form.rhs)
-    elif isinstance(form, UnOp):
-        op(form.src)
-    elif isinstance(form, Ite):
-        regs.append(form.cond), op(form.then_v), op(form.else_v)
-    elif isinstance(form, Load):
-        regs.append(form.addr)
-    elif isinstance(form, Store):
-        regs.append(form.addr), op(form.src)
-    elif isinstance(form, Call):
-        for a in form.args:
-            op(a)
-    elif isinstance(form, ICall):
-        regs.append(form.target)
-        for a in form.args:
-            op(a)
-    elif isinstance(form, Branch):
-        regs.append(form.cond)
-    elif isinstance(form, Ret):
-        if form.value is not None:
-            op(form.value)
-    return regs
+    return [o for o in operands(form) if isinstance(o, str)]
 
 
 def immediates(form: Form) -> list[int]:
-    vals = []
-
-    def op(o):
-        if isinstance(o, int):
-            vals.append(o)
-
-    if isinstance(form, Move):
-        op(form.src)
-    elif isinstance(form, BinOp):
-        op(form.lhs), op(form.rhs)
-    elif isinstance(form, UnOp):
-        op(form.src)
-    elif isinstance(form, Ite):
-        op(form.then_v), op(form.else_v)
-    elif isinstance(form, Store):
-        op(form.src)
-    elif isinstance(form, (Call, ICall)):
-        for a in form.args:
-            op(a)
-    elif isinstance(form, Ret):
-        if form.value is not None:
-            op(form.value)
-    return vals
+    return [o for o in operands(form) if isinstance(o, int)]
 
 
 @dataclass(frozen=True)

@@ -524,14 +524,9 @@ def root_register(e: Sse) -> Optional[str]:
     load(r0+0x8)), or None for constant-rooted expressions."""
     if isinstance(e, Reg):
         return e.name
-    if isinstance(e, (Load, Store)):
-        return root_register(e.addr)
-    if isinstance(e, Un):
-        return root_register(e.child)
-    if isinstance(e, IndexTerm):
-        return root_register(e.base)
-    if isinstance(e, Bin):
-        return root_register(e.left) or root_register(e.right)
+    for c in _children(e):
+        if (r := root_register(c)) is not None:
+            return r
     return None
 
 
@@ -675,50 +670,30 @@ def kills_memory(expr: Sse, addr: Sse, position: int) -> bool:
 
 def _const_positions(e: Sse, path=()) -> Iterator[tuple[tuple, int]]:
     """Positions (paths) of additive constants: the trailing Val of any
-    canonical sum chain."""
+    canonical sum chain.  A path holds child indices (`_children`)."""
     if isinstance(e, Bin) and e.op == "+" and isinstance(e.right, Val):
         yield path, e.right.value
-    if isinstance(e, Bin):
-        yield from _const_positions(e.left, path + (0,))
-        yield from _const_positions(e.right, path + (1,))
-    elif isinstance(e, Un):
-        yield from _const_positions(e.child, path + (0,))
-    elif isinstance(e, (Load, Store)):
-        yield from _const_positions(e.addr, path + (0,))
-    elif isinstance(e, IndexTerm):
-        yield from _const_positions(e.base, path + (0,))
+    for i, c in enumerate(_children(e)):
+        yield from _const_positions(c, path + (i,))
 
 
 def _at(e: Sse, path) -> Sse:
     for i in path:
-        if isinstance(e, Bin):
-            e = e.left if i == 0 else e.right
-        elif isinstance(e, Un):
-            e = e.child
-        elif isinstance(e, (Load, Store)):
-            e = e.addr
-        elif isinstance(e, IndexTerm):
-            e = e.base
-        else:
+        kids = _children(e)
+        if not kids:
             raise IndexError(path)
+        e = kids[i]
     return e
 
 
 def _set_at(e: Sse, path, new: Sse) -> Sse:
     if not path:
         return new
-    i, rest = path[0], path[1:]
-    if isinstance(e, Bin):
-        if i == 0:
-            return Bin(e.op, _set_at(e.left, rest, new), e.right)
-        return Bin(e.op, e.left, _set_at(e.right, rest, new))
-    if isinstance(e, Un):
-        return Un(e.op, _set_at(e.child, rest, new))
-    if isinstance(e, (Load, Store)):
-        return type(e)(_set_at(e.addr, rest, new), e.birth, e.stale_fwd, e.stale_bwd)
-    if isinstance(e, IndexTerm):
-        return IndexTerm(_set_at(e.base, rest, new), e.stride, e.index)
-    raise IndexError(path)
+    kids = list(_children(e))
+    if not kids:
+        raise IndexError(path)
+    kids[path[0]] = _set_at(kids[path[0]], path[1:], new)
+    return _remake(e, kids)
 
 
 def _skeletons(e: Sse) -> tuple[tuple[tuple, Sse, int], ...]:

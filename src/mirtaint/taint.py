@@ -475,38 +475,31 @@ def check_sink(session: Session, hit: SinkHit,
             applicable.append(Constraint(S.Val(bound), "==", S.Val(bound),
                                          hit.point, hit.item.seed_id))
 
+    offset = capacity = bound = None
     if model.klass == "exec":
         if applicable:
             return None
-        return Alert(hit.point, model.name, "command-exec", hit.item.expr, (),
-                     None, None, None, "tainted command with no constraint",
-                     _taint_chain(hit.item) + (str(hit.point),))
-
-    # copy-like
-    if any(c.symbolic() for c in applicable):
-        return None
-    uppers = [c.upper_bound() for c in applicable if c.upper_bound() is not None]
-    bound = min(uppers) if uppers else None
-    offset = capacity = None
-    if model.dst_arg is not None and model.dst_arg < len(form.args):
-        offset, capacity = _stack_dst(session, hit.point, form.args[model.dst_arg])
-    if bound is None:
-        verdict = ("unbounded copy, destination unknown" if capacity is None
-                   else "unbounded tainted copy into stack buffer")
-        return Alert(hit.point, model.name, "copy-like", hit.item.expr,
-                     tuple(applicable), capacity, None, offset, verdict,
-                     _taint_chain(hit.item) + (str(hit.point),))
-    if capacity is None:
-        return Alert(hit.point, model.name, "copy-like", hit.item.expr,
-                     tuple(applicable), None, bound, None,
-                     "bounded copy but destination unknown",
-                     _taint_chain(hit.item) + (str(hit.point),))
-    if bound > capacity:
-        return Alert(hit.point, model.name, "copy-like", hit.item.expr,
-                     tuple(applicable), capacity, bound, offset,
-                     f"bound {bound} exceeds capacity {capacity}",
-                     _taint_chain(hit.item) + (str(hit.point),))
-    return None
+        klass, verdict = "command-exec", "tainted command with no constraint"
+    else:
+        if any(c.symbolic() for c in applicable):
+            return None
+        uppers = [c.upper_bound() for c in applicable if c.upper_bound() is not None]
+        bound = min(uppers) if uppers else None
+        if model.dst_arg is not None and model.dst_arg < len(form.args):
+            offset, capacity = _stack_dst(session, hit.point, form.args[model.dst_arg])
+        if bound is None:
+            verdict = ("unbounded copy, destination unknown" if capacity is None
+                       else "unbounded tainted copy into stack buffer")
+        elif capacity is None:
+            verdict = "bounded copy but destination unknown"
+        elif bound > capacity:
+            verdict = f"bound {bound} exceeds capacity {capacity}"
+        else:
+            return None
+        klass = "copy-like"
+    return Alert(hit.point, model.name, klass, hit.item.expr, tuple(applicable),
+                 capacity, bound, offset, verdict,
+                 _taint_chain(hit.item) + (str(hit.point),))
 
 
 def detect_loop_copies(analysis: Analysis, constraints_by_edge) -> list[Alert]:

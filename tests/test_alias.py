@@ -165,15 +165,17 @@ def test_moved_and_derive_agree_with_dataclasses_replace():
 
 def test_kept_transfer_follows_the_callee_summary(corpus, monkeypatch):
     """A session keeps one transfer per callsite and callee, but one built
-    from a recursion cycle's bottom placeholder is built again once the
-    callee's summary is final: every transfer a visit reads equals one
-    built afresh from the summary it sees."""
+    from a call-graph cycle's first-round approximation is built again
+    once the callee's summary is final: every transfer a visit reads
+    equals one built afresh from the summary it sees."""
     prog = corpus("mutual_recursion.ir")
     session = Session(prog)
     Analysis(prog, session=session).summary("even")
-    (placeholder,) = [summ for (point, callee), (summ, _) in session.transfers.items()
-                      if summ is not session.summaries[callee]]
-    assert placeholder.recursive and not placeholder.params
+    (superseded,) = [summ for (point, callee), (summ, _) in session.transfers.items()
+                     if summ is not session.summaries[callee]]
+    # odd's first round, read by even's second: not the bottom summary
+    assert superseded.func == "odd" and superseded.params == ("r0",)
+    assert superseded != session.summaries["odd"]
     keep = Analysis._transfer
     checked = []
 
@@ -293,14 +295,19 @@ def test_summary_recursion_bounded(corpus):
 
 def test_summary_independent_of_request_order(corpus):
     # summarizing norm2 first must not leave its transitive callers with
-    # summaries built against norm2's in-progress (bottom) placeholder
-    prog = corpus("summary_order.ir")
-    fresh = {f: Analysis(prog).summary(f) for f in prog.functions}
-    assert fresh["h0"].ret_exprs == (S.Reg("r0"),)
-    shared = Analysis(prog)
-    shared.summary("norm2")
-    for f in prog.functions:
-        assert shared.summary(f) == fresh[f], f
+    # summaries built against norm2's in-progress (bottom) summary, and a
+    # cycle's summaries must not depend on which member is asked first
+    for name, first in (("summary_order.ir", "norm2"),
+                        ("mutual_recursion.ir", "odd"),
+                        ("mutual_recursion.ir", "even")):
+        prog = corpus(name)
+        fresh = {f: Analysis(prog).summary(f) for f in prog.functions}
+        shared = Analysis(prog)
+        shared.summary(first)
+        for f in prog.functions:
+            assert shared.summary(f) == fresh[f], (name, first, f)
+    assert Analysis(corpus("summary_order.ir")).summary("h0").ret_exprs == (
+        S.Reg("r0"),)
 
 
 def test_summary_walk_stays_in_its_function(corpus, monkeypatch):
@@ -333,7 +340,11 @@ def test_session_shares_program_facts_not_summaries(corpus):
 
 def test_session_sccs_count_resolved_icalls(corpus):
     session = Session(corpus("mutual_recursion.ir"))
-    assert session.scc("even") == session.scc("odd") != session.scc("main")
+    assert session.cycle("even") == session.cycle("odd") == ("even", "odd")
+    assert session.cycle("main") == ()
+    # a self-call is a cycle of one
+    session = Session(corpus("recursion.ir"))
+    assert session.cycle("rec") == ("rec",) and session.cycle("main") == ()
     prog = ir.parse_program("""
 func main @0x1000 frame=0 {
 bb0:
@@ -349,10 +360,11 @@ bb0:
 }
 """)
     session = Session(prog)
-    assert session.scc("main") != session.scc("relay")
+    assert session.cycle("main") == session.cycle("relay") == ()
     # relay's icall calls main back: one cycle under the resolution map
     back = session.with_resolutions({ir.Point("relay", "bb0", 0): ("main",)})
-    assert back.scc("main") == back.scc("relay")
+    assert back.cycle("main") == back.cycle("relay") == ("main", "relay")
+    assert session.cycle("main") == ()
 
 
 def test_summary_warnings_reach_every_analysis_using_it():
@@ -448,6 +460,18 @@ def test_alias_cap_ends_in_reported_cap_hits(corpus):
     assert all(re.fullmatch(r"alias-set cap hit for seed \d+ at main:\S+", h)
                for h in hits)
     assert len(result.alerts) == 1
+
+
+def test_job_cap_ends_in_reported_cap_hit(corpus):
+    """Exports cut off by `job_cap` are reported, naming the function whose
+    facts were dropped: at three jobs, ident's returned taint never
+    reaches f."""
+    from mirtaint import taint
+
+    prog = corpus("context_return.ir")
+    assert taint.run_taint(prog).cap_hits == []
+    result = taint.run_taint(prog, engine_config=EngineConfig(job_cap=3))
+    assert result.cap_hits == ["job cap reached; exports of ident dropped"]
 
 
 def _register_seeds(prog, fname):

@@ -219,13 +219,21 @@ def test_call_graph_edges(corpus):
     cg = C.build_call_graph(prog)
     pairs = {(a, b) for a, b, _ in cg.edges}
     assert ("main", "middle") in pairs and ("middle", "inner") in pairs
-    assert cg.unresolved_icalls == ()
+    # without icalls a resolution map adds nothing
+    assert C.build_call_graph(prog, {}).edges == cg.edges
 
 
 def test_icalls_listed_unresolved(corpus):
+    # an icall has no edge without a resolution map; under one, its
+    # targets follow every direct call, in map order
     prog = corpus("listing1.ir")
-    cg = C.build_call_graph(prog)
-    assert len(cg.unresolved_icalls) == 2
+    direct = C.build_call_graph(prog).edges
+    assert [(a, b) for a, b, _ in direct] == [("main", "strcmp")]
+    parked, table = ir.Point("main", "bb0", 4), ir.Point("main", "found", 2)
+    cg = C.build_call_graph(prog, {table: ("fun2", "fun"), parked: ("fun",)})
+    assert cg.edges == direct + (("main", "fun2", table), ("main", "fun", table),
+                                 ("main", "fun", parked))
+    assert cg.callers("fun") == [("main", table), ("main", parked)]
 
 
 def test_dot_output(corpus):

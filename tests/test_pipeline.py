@@ -128,16 +128,20 @@ bb0:
 
 def test_recursion_depth_ends_in_cap_hit(tmp_path, monkeypatch):
     """`recursion_depth` bounds the exports around a call-graph cycle, and
-    what it drops shows as a cap hit naming the exporting function."""
+    what it drops shows as one cap hit naming the exporting function, at
+    the default depth and at depth 1."""
     for var in pipeline._ENV_CAPS:
         monkeypatch.delenv(var, raising=False)
-    monkeypatch.setenv("MIRTAINT_RECURSION_DEPTH", "1")
     path = tmp_path / "walk.ir"
     path.write_text(WALK, encoding="utf-8")
-    report = pipeline.analyze(pipeline.RunConfig(ir_path=str(path)))
-    hits = [h for h in report.cap_hits if h.startswith("recursion depth cap hit")]
-    assert hits and all("exports of walk to walk:step:1" in h for h in hits)
-    assert [a["sink_site"] for a in report.alerts] == ["main:bb0:4"]
+    for depth in (None, "1"):
+        if depth is not None:
+            monkeypatch.setenv("MIRTAINT_RECURSION_DEPTH", depth)
+        report = pipeline.analyze(pipeline.RunConfig(ir_path=str(path)))
+        hits = [h for h in report.cap_hits if h.startswith("recursion depth cap hit")]
+        assert hits == ["recursion depth cap hit: exports of walk to walk:step:1 "
+                        "dropped"], depth
+        assert [a["sink_site"] for a in report.alerts] == ["main:bb0:4"]
 
 
 def _taint_registry_size(program: workloads.GenProgram, monkeypatch) -> int:
