@@ -517,6 +517,10 @@ def _mem_subst(expr: S.Sse, node_pred, dst: str) -> Optional[S.Sse]:
     return new if hit else None
 
 
+# queue pops one walk may make before it stops with what it has
+WALK_POP_CAP = 200_000
+
+
 def _walk(table: _Table, items, config: EngineConfig, policy, forward: bool,
           seen: dict | None = None):
     """Walk each queued (expression, start) through the block, forward to
@@ -528,8 +532,9 @@ def _walk(table: _Table, items, config: EngineConfig, policy, forward: bool,
     and the highest going backward, so re-derivations along other orders
     are not walked twice.
 
-    Returns (survivors, created): the expressions alive at the block's
-    end and every (successor, direction, statement index)."""
+    Returns (survivors, created, cut): the expressions alive at the
+    block's end, every (successor, direction, statement index), and
+    whether the walk stopped at `WALK_POP_CAP` with items still queued."""
     w = _Walker(config, policy)
     if forward:
         step, follow, delta = w.forward_step, "f", 1
@@ -547,11 +552,11 @@ def _walk(table: _Table, items, config: EngineConfig, policy, forward: bool,
     survivors: list[Tracked] = []
     created: list[tuple[Tracked, str, int]] = []
     seen = seen if seen is not None else {}
-    guard = 0
+    pops = 0
     while queue:
-        guard += 1
-        if guard > 200000:
-            raise RuntimeError(f"{'forward' if forward else 'backward'} pass runaway")
+        pops += 1
+        if pops > WALK_POP_CAP:
+            break
         t, start = queue.popleft()
         start = max(start, 0) if forward else min(start, n - 1)
         k = t.key()
@@ -577,7 +582,7 @@ def _walk(table: _Table, items, config: EngineConfig, policy, forward: bool,
                 todo = window(table.relevant(t.expr, forward), i + delta)
         if alive:
             survivors.append(t)
-    return survivors, created
+    return survivors, created, bool(queue)
 
 
 # ---------------------------------------------------------------------------
@@ -593,8 +598,8 @@ def forward_update(statements: Iterable[ir.Statement], in_f: list,
     Items may be Tracked or (Tracked, start_index).
     """
     items = [it if isinstance(it, tuple) else (it, 0) for it in in_f]
-    survivors, created = _walk(_table(statements), items, config or EngineConfig(),
-                               policy, True)
+    survivors, created, _ = _walk(_table(statements), items,
+                                  config or EngineConfig(), policy, True)
     new_f = _dedup(survivors + [t for t, d, _ in created if d in ("f", "fb")])
     new_b = _dedup([t for t, d, _ in created if d in ("b", "fb")])
     return new_f, new_b
@@ -609,7 +614,8 @@ def backward_update(statements: Iterable[ir.Statement], in_b: list,
     """
     table = _table(statements)
     items = [(t, len(table.rows) - 1) if not isinstance(t, tuple) else t for t in in_b]
-    survivors, created = _walk(table, items, config or EngineConfig(), policy, False)
+    survivors, created, _ = _walk(table, items, config or EngineConfig(), policy,
+                                  False)
     new_f = _dedup([t for t, d, _ in created if d in ("f", "fb")])
     new_b = _dedup(survivors + [t for t, d, _ in created if d in ("b", "fb")])
     return new_f, new_b
@@ -897,8 +903,8 @@ class Analysis:
     fixpoints and lets results cross callsites in both directions.  The
     analysis holds only per-run state: block states, registry, queue,
     seeds, warnings and cap hits.  CFGs, program indices and the summary
-    cache belong to its `Session` (`summaries` is the session's dict);
-    without a `session` argument it builds a fresh one.
+    cache belong to the `Session` it is built on (`summaries` is the
+    session's dict), which every analysis of a run shares.
 
     There is one summary cache per resolution map.  A summary depends
     only on its function and its callees' summaries: the sub-analysis
@@ -914,7 +920,9 @@ class Analysis:
     member is asked first.  The rounds stop at two rather than at a
     joint fixpoint, which a counting recursion never reaches: on
     `corpus/mutual_recursion.ir` each round adds two offsets of the
-    counter to `even`'s return aliases (63 after 32 rounds).
+    counter to `even`'s return aliases (63 after 32 rounds).  When the
+    second round still changes a member's summary, the cut is a cap hit
+    in the notes of the member asked first.
 
     `registry[fname]` holds one `Tracked` per `Tracked.key()` that the
     walk established in `fname`, anchored at the point and phase where
@@ -925,22 +933,12 @@ class Analysis:
     alias flips to untainted at the trigger's "pre" side.
     """
 
-    def __init__(self, program: ir.Program, config: EngineConfig | None = None,
-                 resolutions: dict | None = None, policy=None,
-                 session: Session | None = None, *,
+    def __init__(self, session: Session, policy=None, *,
                  summary_of: str | None = None):
-        if session is None:
-            session = Session(program, config, resolutions)
-        elif (session.program is not program
-              or config not in (None, session.config)
-              or resolutions not in (None, session.resolutions)):
-            raise ValueError("the session is for another program, engine "
-                             "config or resolution map")
         self.session = session
-        self.program = program
+        self.program = session.program
         self.config = session.config
         self.policy = policy
-        self.resolutions = session.resolutions
         self.summaries = session.summaries
         # the function whose summary this analysis computes, if any
         self.summary_of = summary_of
@@ -1064,8 +1062,8 @@ class Analysis:
             if iters > self.config.block_iter_cap:
                 self.cap_hits.append(f"block iteration cap hit at {fname}:{label}")
                 break
-            survivors, created = _walk(rules, fwd, self.config, self.policy,
-                                       True, st.seen_f)
+            survivors, created, cut = _walk(rules, fwd, self.config, self.policy,
+                                            True, st.seen_f)
             fwd = []
             for t in survivors:
                 changed |= st.put_f(t)
@@ -1073,8 +1071,8 @@ class Analysis:
                 changed |= self._record(fname, t)
                 if direction == "fb":
                     bwd.append((t, i - 1))
-            survivors_b, created_b = _walk(rules, bwd, self.config, self.policy,
-                                           False, st.seen_b)
+            survivors_b, created_b, cut_b = _walk(rules, bwd, self.config,
+                                                  self.policy, False, st.seen_b)
             bwd = []
             for t in survivors_b:
                 changed |= st.put_b(t)
@@ -1083,6 +1081,9 @@ class Analysis:
                 if direction in ("f", "fb"):
                     start = i if t.phase == "pre" else i + 1
                     fwd.append((t, start))
+            if cut or cut_b:
+                self.cap_hits.append(f"walk pop cap hit at {fname}:{label}")
+                break
 
         if changed:
             self._propagate(fname, g, label, st)
@@ -1163,7 +1164,7 @@ class Analysis:
                 self._descend(t, point, callee, tr)
             gens = [n for n in gens if n is not None]
             if self.policy is not None:
-                gens.extend(self.policy.callsite_forward(self, fname, point, form, t))
+                gens.extend(self.policy.callsite_forward(self, point, form, t))
             if not killed:
                 changed |= st.put_f(t)
             for n in gens:
@@ -1231,7 +1232,7 @@ class Analysis:
     def _callees_of(self, point: ir.Point, form) -> list[str]:
         if isinstance(form, ir.Call):
             return [form.target]
-        targets = self.resolutions.get(point)
+        targets = self.session.resolutions.get(point)
         if targets:
             return list(targets)
         self.warnings.append(f"unresolved indirect call at {point}; treated as no-op")
@@ -1294,8 +1295,15 @@ class Analysis:
             cycle = self.session.cycle(fname)
             for member in cycle:
                 self.summaries[member] = FunctionSummary(member, ())
-            for member in cycle * 2 or (fname,):
-                self.summaries[member] = self._compute_summary(member)
+            cut = False
+            for i, member in enumerate(cycle * 2 or (fname,)):
+                summ = self._compute_summary(member)
+                cut |= i >= len(cycle) > 0 and summ != self.summaries[member]
+                self.summaries[member] = summ
+            if cut:
+                self.session.notes[fname][1].append(
+                    f"cycle round cap hit: summaries of {', '.join(cycle)} "
+                    "still changing after two rounds")
             summ = self.summaries[fname]
         self._take_notes(fname)
         return summ
@@ -1316,7 +1324,7 @@ class Analysis:
             self._take_notes(callee)
 
     def _compute_summary(self, fname: str) -> FunctionSummary:
-        sub = Analysis(self.program, session=self.session, summary_of=fname)
+        sub = Analysis(self.session, summary_of=fname)
         g = sub.cfg(fname)
         params = self.session.params(fname)
         seeds: list[tuple[str, ir.Statement, Seed]] = []

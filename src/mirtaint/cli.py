@@ -2,7 +2,6 @@
 
     mirtaint analyze --ir prog.ir [--config models.json] [--no-icall]
                      [--seed f:bb0:load(r3+0x8)] [--dump-cfg f]
-                     [--dump-aliases] [--dump-icalls]
                      [--out report.json] [--format json|text]
     mirtaint oracle certify --ir prog.ir --pairs pairs.json [--runs 16]
     mirtaint oracle fuzz [--count 500] [--max-len 30] [--seed 0]
@@ -18,7 +17,7 @@ import sys
 
 from . import ir, oracle
 from . import sse as S
-from .pipeline import InputError, Report, RunConfig, analyze, load_program
+from .pipeline import InputError, RunConfig, analyze, load_program
 
 
 def _add_analyze_flags(p: argparse.ArgumentParser):
@@ -29,10 +28,6 @@ def _add_analyze_flags(p: argparse.ArgumentParser):
     p.add_argument("--seed", action="append", default=[],
                    metavar="FN:BLOCK:EXPR", help="manual alias query")
     p.add_argument("--dump-cfg", metavar="FN", help="emit a DOT CFG for FN")
-    p.add_argument("--dump-aliases", action="store_true",
-                   help="include alias sets for manual seeds in the report")
-    p.add_argument("--dump-icalls", action="store_true",
-                   help="include per-callsite resolution evidence")
     p.add_argument("--out", help="write the report here instead of stdout")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--exit-zero", action="store_true",
@@ -84,8 +79,6 @@ def _cmd_analyze(args) -> int:
             fmt=args.format,
             exit_zero_on_alerts=args.exit_zero,
             dump_cfg=args.dump_cfg,
-            dump_aliases=args.dump_aliases,
-            dump_icalls=args.dump_icalls,
         )
         report = analyze(config)
     except InputError as exc:

@@ -33,11 +33,9 @@ from dataclasses import dataclass, field
 from . import cfg as cfglib
 from . import ir
 from . import sse as S
-from .alias import Analysis, EngineConfig, Seed, Session
+from .alias import Analysis, Seed, Session
 
 log = logging.getLogger(__name__)
-
-PATTERNS = ("direct-fptr", "table-stride", "gptr-load", "gptr-table", "unresolved")
 
 
 @dataclass
@@ -230,23 +228,19 @@ def resolve(callsite: ir.Point, ct_exprs: list[S.Sse], refs: list[PointerRef],
                            nulls, evidence)
 
 
-def resolve_all(program: ir.Program, address_taken: frozenset[int] | None = None,
-                config: EngineConfig | None = None,
-                session: Session | None = None):
+def resolve_all(session: Session, address_taken: frozenset[int] | None = None):
     """Run the alias engine for every icall target and pointer reference,
     then match.  Returns (resolutions list, {callsite: targets} map).
-    `session` (built from `config` when not given) must have no
-    resolutions: this is the run that finds them."""
-    if session is None:
-        session = Session(program, config)
-    elif session.resolutions:
+    `session` must have no resolutions: this is the run that finds them."""
+    if session.resolutions:
         raise ValueError("icall resolution runs on a session without resolutions")
+    program = session.program
     if address_taken is None:
         address_taken = cfglib.find_address_taken(program)
     sites = find_icall_sites(program)
     refs = collect_pointer_refs(program, address_taken)
 
-    analysis = Analysis(program, config, session=session)
+    analysis = Analysis(session)
     ct_sids: dict[ir.Point, int] = {}
     for point in sites:
         ct_sids[point] = analysis.add_seed(Seed(

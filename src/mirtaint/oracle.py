@@ -22,7 +22,7 @@ from typing import Optional
 
 from . import ir
 from . import sse as S
-from .alias import Tracked
+from .alias import Analysis, Seed, Session, Tracked, addr_sse
 
 log = logging.getLogger(__name__)
 
@@ -247,7 +247,6 @@ def run(program: ir.Program, entry: str = "main",
         res.steps += 1
         snap(stmt.point, "pre")
 
-        advance = True
         if isinstance(form, ir.Move):
             frame.regs[form.dst] = m.operand(frame, form.src)
         elif isinstance(form, ir.BinOp):
@@ -314,8 +313,7 @@ def run(program: ir.Program, entry: str = "main",
             continue
 
         snap(stmt.point, "post")
-        if advance:
-            frame.idx += 1
+        frame.idx += 1
     return res
 
 
@@ -546,17 +544,14 @@ def fuzz_once(program: ir.Program, fuzz_seed: int, n_runs: int = 16):
     """Analyze a generated program from a couple of random seeds and
     certify every trusted, evaluable alias pair the engine reports.
     Returns (pairs, verdicts)."""
-    from .alias import Analysis, Seed
-
     rng = random.Random(fuzz_seed)
     fn = program.functions["main"]
     stmts = list(fn.statements())
-    analysis = Analysis(program)
+    analysis = Analysis(Session(program))
     sids = []
     for _ in range(2):
         stmt = rng.choice(stmts)
         if isinstance(stmt.form, ir.Load) and rng.random() < 0.5:
-            from .alias import addr_sse
             expr = S.Load(addr_sse(stmt.form.addr, stmt.form.disp))
         else:
             expr = S.Reg(rng.choice(REGS))

@@ -41,8 +41,6 @@ class RunConfig:
     fmt: str = "json"                     # json | text
     exit_zero_on_alerts: bool = False
     dump_cfg: Optional[str] = None
-    dump_aliases: bool = False
-    dump_icalls: bool = False
     engine: EngineConfig = field(default_factory=EngineConfig)
 
     def __post_init__(self):
@@ -158,10 +156,9 @@ def _parse_queries(program: ir.Program, seeds: tuple[str, ...]):
 
 
 def _seed_queries(session: Session, queries):
-    program = session.program
     out = []
     for query, point, expr in queries:
-        analysis = Analysis(program, session=session)
+        analysis = Analysis(session)
         sid = analysis.add_seed(Seed(point=point, expr=expr, direction="both",
                                      label=f"query:{query}"))
         analysis.run()
@@ -197,28 +194,22 @@ def analyze(config: RunConfig) -> Report:
     session = Session(program, config.engine)
     t2 = time.perf_counter()
     if config.enable_icall:
-        resolutions, mapping = icalllib.resolve_all(program, address_taken,
-                                                    session=session)
+        resolutions, mapping = icalllib.resolve_all(session, address_taken)
     else:
         resolutions, mapping = [], {}
     session = session.with_resolutions(mapping)
     timings["icall_s"] = round(time.perf_counter() - t2, 6)
 
     t3 = time.perf_counter()
-    taint_result = taintlib.run_taint(program, models, session=session)
+    taint_result = taintlib.run_taint(session, models)
     timings["taint_s"] = round(time.perf_counter() - t3, 6)
     warnings.extend(taint_result.warnings)
 
     dumps = {}
     if config.dump_cfg:
         dumps["cfg"] = cfglib.to_dot(session.cfg(config.dump_cfg))
-    if config.dump_icalls:
-        dumps["icalls"] = [r.as_json() for r in resolutions]
 
     seed_results = _seed_queries(session, queries)
-    if config.dump_aliases:
-        dumps["aliases"] = seed_results
-
     icall_stats = icalllib.metrics(resolutions)
     report = Report(
         schema_version=SCHEMA_VERSION,

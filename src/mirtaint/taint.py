@@ -16,6 +16,11 @@ constant upper bound is compared against the distance from the
 destination buffer to the top of the frame; a symbolic bound suppresses
 the alert outright, and command-execution sinks alert exactly when no
 constraint exists at all.
+
+A tainted store of a loop copy is a sink hit too, under the `loop-copy`
+model: its destination is the store's advancing address and it has no
+length argument.  `check_sink` decides it by the same rule as a library
+copy, and is the one place that raises an alert.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from typing import Optional, Union
 
 from . import ir
 from . import sse as S
-from .alias import Analysis, EngineConfig, Seed, Session, Tracked, op_sse
+from .alias import Analysis, Seed, Session, Tracked, op_sse
 
 log = logging.getLogger(__name__)
 
@@ -255,10 +260,14 @@ class Constraint:
 @dataclass
 class SinkHit:
     point: ir.Point
-    func: str
     sink: SinkModel
-    arg_index: int
     item: Tracked
+    dst: Optional[ir.Operand] = None         # the destination operand
+    length: Optional[ir.Operand] = None      # the length operand
+
+
+def _arg(form: ir.Call, index: Optional[int]) -> Optional[ir.Operand]:
+    return form.args[index] if index is not None and index < len(form.args) else None
 
 
 @dataclass
@@ -295,10 +304,10 @@ class TaintPolicy:
 
     def __init__(self, models: Models):
         self.models = models
-        self.cmp_facts: dict[tuple[str, str], list] = {}
-        self._fact_seen: set = set()
-        self.sink_hits: list[SinkHit] = []
-        self._hit_seen: set = set()
+        # (function, compare register) -> {(point, key, relation): fact}
+        self.cmp_facts: dict[tuple[str, str], dict] = {}
+        # (point, argument index, seed id) -> the first hit found there
+        self.sink_hits: dict[tuple, SinkHit] = {}
 
     def knows_library(self, name: str) -> bool:
         return (name in self.models.summaries or name in self.models.sources
@@ -319,15 +328,11 @@ class TaintPolicy:
             subject = t
         if subject is None:
             return
-        key = (stmt.point, t.key(), rel)
-        if key in self._fact_seen:
-            return
-        self._fact_seen.add(key)
-        self.cmp_facts.setdefault((stmt.point.func, form.dst), []).append(
-            (subject, rel, bound, stmt.point))
+        self.cmp_facts.setdefault((stmt.point.func, form.dst), {}).setdefault(
+            (stmt.point, t.key(), rel), (subject, rel, bound, stmt.point))
 
     # library taint flows and sink observation at callsites
-    def callsite_forward(self, analysis, fname, point, form, t: Tracked):
+    def callsite_forward(self, analysis, point, form, t: Tracked):
         gens: list[Tracked] = []
         if not isinstance(form, ir.Call):
             return gens
@@ -335,11 +340,12 @@ class TaintPolicy:
         if name in self.models.sinks and t.tainted:
             model = self.models.sinks[name]
             for ci in model.checked_args:
-                if ci < len(form.args) and t.expr == op_sse(form.args[ci]):
-                    hk = (point, ci, t.seed_id)
-                    if hk not in self._hit_seen:
-                        self._hit_seen.add(hk)
-                        self.sink_hits.append(SinkHit(point, fname, model, ci, t))
+                hk = (point, ci, t.seed_id)
+                if (ci < len(form.args) and t.expr == op_sse(form.args[ci])
+                        and hk not in self.sink_hits):
+                    self.sink_hits[hk] = SinkHit(point, model, t,
+                                                 _arg(form, model.dst_arg),
+                                                 _arg(form, model.len_arg))
         if name in self.models.summaries and t.tainted:
             summ = self.models.summaries[name]
             for src_i, dst in summ.flows:
@@ -374,7 +380,7 @@ class TaintPolicy:
                 if not isinstance(form, ir.Branch):
                     continue
                 for subject, rel, bound, site in self.cmp_facts.get(
-                        (fname, form.cond), ()):
+                        (fname, form.cond), {}).values():
                     c_true = Constraint(subject.expr, rel, bound, site,
                                         subject.seed_id)
                     c_false = Constraint(subject.expr, _NEGATE[rel], bound, site,
@@ -395,7 +401,7 @@ def _backward_family(session: Session, point: ir.Point,
     keeps it."""
     family = session.backward_families.get((point, reg))
     if family is None:
-        sub = Analysis(session.program, session=session)
+        sub = Analysis(session)
         sid = sub.add_seed(Seed(point=point, expr=S.Reg(reg),
                                 direction="backward", label="query"))
         sub.run()
@@ -455,25 +461,22 @@ def _taint_chain(item: Tracked) -> tuple[str, ...]:
 def check_sink(session: Session, hit: SinkHit,
                constraints_by_edge: dict[tuple[str, str], list[Constraint]],
                tainted_args: frozenset = frozenset()) -> Optional[Alert]:
-    """Decide whether one tainted sink argument becomes an alert."""
+    """Decide whether one tainted sink argument or loop store becomes an
+    alert."""
     _, sink_block, _ = session.locate(hit.point)
-    applicable = _guards(session, constraints_by_edge, hit.func, sink_block,
+    model = hit.sink
+    applicable = _guards(session, constraints_by_edge, hit.point.func, sink_block,
                          hit.item.seed_id)
 
     # a constant length argument (immediate, or a register that resolves
     # to one untainted constant) acts like an equality constraint
-    model = hit.sink
-    form = session.statement(hit.point).form
-    if model.len_arg is not None and model.len_arg < len(form.args):
-        ln = form.args[model.len_arg]
-        bound = None
-        if isinstance(ln, int):
-            bound = ln
-        elif (hit.point, model.len_arg) not in tainted_args:
-            bound = _constant_of(_backward_family(session, hit.point, ln))
-        if bound is not None:
-            applicable.append(Constraint(S.Val(bound), "==", S.Val(bound),
-                                         hit.point, hit.item.seed_id))
+    bound = hit.length
+    if isinstance(bound, str):
+        bound = (None if (hit.point, model.len_arg) in tainted_args
+                 else _constant_of(_backward_family(session, hit.point, bound)))
+    if bound is not None:
+        applicable.append(Constraint(S.Val(bound), "==", S.Val(bound),
+                                     hit.point, hit.item.seed_id))
 
     offset = capacity = bound = None
     if model.klass == "exec":
@@ -485,8 +488,7 @@ def check_sink(session: Session, hit: SinkHit,
             return None
         uppers = [c.upper_bound() for c in applicable if c.upper_bound() is not None]
         bound = min(uppers) if uppers else None
-        if model.dst_arg is not None and model.dst_arg < len(form.args):
-            offset, capacity = _stack_dst(session, hit.point, form.args[model.dst_arg])
+        offset, capacity = _stack_dst(session, hit.point, hit.dst)
         if bound is None:
             verdict = ("unbounded copy, destination unknown" if capacity is None
                        else "unbounded tainted copy into stack buffer")
@@ -496,19 +498,27 @@ def check_sink(session: Session, hit: SinkHit,
             verdict = f"bound {bound} exceeds capacity {capacity}"
         else:
             return None
+        if model is LOOP_COPY:
+            verdict = "unbounded loop copy through an advancing pointer"
         klass = "copy-like"
     return Alert(hit.point, model.name, klass, hit.item.expr, tuple(applicable),
                  capacity, bound, offset, verdict,
                  _taint_chain(hit.item) + (str(hit.point),))
 
 
-def detect_loop_copies(analysis: Analysis, constraints_by_edge) -> list[Alert]:
+# the store of a loop copy: a copy with the store's address as its
+# destination and no length argument
+LOOP_COPY = SinkModel("loop-copy", "copy", ())
+
+
+def detect_loop_copies(analysis: Analysis) -> list[SinkHit]:
     """The minimal unsafe-loop-copy idiom: inside a natural loop, a store
     through a pointer that the loop itself advances, storing a value fed
-    by a tainted load.  Flagged as a copy-like sink with no length bound
-    (so any dominating constraint still suppresses it)."""
+    by a tainted load.  Each such store is a `LOOP_COPY` sink hit, which
+    `check_sink` decides like any other copy (so any dominating constraint
+    still suppresses it)."""
     session = analysis.session
-    alerts: list[Alert] = []
+    hits: list[SinkHit] = []
     for fname in sorted(analysis.visited_functions):
         reg = analysis.registry.get(fname, {})
         tainted = {}
@@ -540,25 +550,9 @@ def detect_loop_copies(analysis: Analysis, constraints_by_edge) -> list[Alert]:
                     continue
                 items = [t for t in tainted.get(form.src, ())
                          if t.point.block in source_labels]
-                if not items:
-                    continue
-                item = items[0]
-                applicable = _guards(session, constraints_by_edge, fname, lbl,
-                                     item.seed_id)
-                if any(c.symbolic() for c in applicable):
-                    continue
-                uppers = [c.upper_bound() for c in applicable
-                          if c.upper_bound() is not None]
-                offset, capacity = _stack_dst(session, stmt.point, form.addr)
-                bound = min(uppers) if uppers else None
-                if bound is not None and capacity is not None and bound <= capacity:
-                    continue
-                alerts.append(Alert(
-                    stmt.point, "loop-copy", "copy-like", item.expr,
-                    tuple(applicable), capacity, bound, offset,
-                    "unbounded loop copy through an advancing pointer",
-                    _taint_chain(item) + (str(stmt.point),)))
-    return alerts
+                if items:
+                    hits.append(SinkHit(stmt.point, LOOP_COPY, items[0], form.addr))
+    return hits
 
 
 # ---------------------------------------------------------------------------
@@ -577,33 +571,25 @@ class TaintResult:
     seeds: int = 0
 
 
-def run_taint(program: ir.Program, models: Models | None = None,
-              resolutions: dict | None = None,
-              engine_config: EngineConfig | None = None,
-              session: Session | None = None) -> TaintResult:
-    """Seed the sources, run the taint fixpoint and check every sink.
-    Every analysis of the run shares `session` (built from `resolutions`
-    and `engine_config` when not given)."""
+def run_taint(session: Session, models: Models | None = None) -> TaintResult:
+    """Seed the sources, run the taint fixpoint and decide every sink hit,
+    at library sinks and loop copies alike, with `check_sink`.  Every
+    analysis of the run shares `session`."""
     models = models or default_models()
-    if session is None:
-        session = Session(program, engine_config, resolutions)
     policy = TaintPolicy(models)
-    analysis = Analysis(program, policy=policy, session=session)
-    seeds = seed_sources(program, models)
+    analysis = Analysis(session, policy)
+    seeds = seed_sources(session.program, models)
     for seed in seeds:
         analysis.add_seed(seed)
     analysis.run()
 
     constraints = policy.edge_constraints(analysis)
-    tainted_args = frozenset((h.point, h.arg_index) for h in policy.sink_hits)
+    tainted_args = frozenset((point, ci) for point, ci, _ in policy.sink_hits)
     alerts: dict[ir.Point, Alert] = {}
-    for hit in policy.sink_hits:
+    for hit in [*policy.sink_hits.values(), *detect_loop_copies(analysis)]:
         alert = check_sink(session, hit, constraints, tainted_args)
-        if alert is not None and hit.point not in alerts:
-            alerts[hit.point] = alert
-    for alert in detect_loop_copies(analysis, constraints):
-        if alert.sink_site not in alerts:
-            alerts[alert.sink_site] = alert
+        if alert is not None:
+            alerts.setdefault(hit.point, alert)
 
     tainted_blocks = set()
     for fname, reg in analysis.registry.items():
@@ -613,7 +599,7 @@ def run_taint(program: ir.Program, models: Models | None = None,
     ordered = sorted(alerts.values(), key=lambda a: str(a.sink_site))
     return TaintResult(
         alerts=ordered,
-        tainted_sinks=len({h.point for h in policy.sink_hits}),
+        tainted_sinks=len({point for point, _, _ in policy.sink_hits}),
         tainted_blocks=len(tainted_blocks),
         covered_blocks=len(analysis.blocks_visited),
         analyzed_functions=len(analysis.visited_functions),

@@ -23,7 +23,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def analyze_seed(prog, point, expr_text, direction="both", config=None):
-    analysis = Analysis(prog, config or EngineConfig())
+    analysis = Analysis(Session(prog, config))
     sid = analysis.add_seed(Seed(point=point, expr=S.parse_sse(expr_text),
                                  direction=direction))
     analysis.run()
@@ -60,7 +60,7 @@ def test_complex_example_pair_and_rule_trace(corpus):
 
 def test_trace_block_passthrough_empty_seeds(corpus):
     prog = corpus("moves.ir")
-    analysis = Analysis(prog)
+    analysis = Analysis(Session(prog))
     analysis.cfg("main")
     assert analysis.registry["main"] == {}
 
@@ -112,7 +112,7 @@ def test_idle_induction_groups_are_not_merged_again(corpus, monkeypatch, loop_k)
     monkeypatch.setattr(S, "induction_families", counted)
 
     def registry():
-        analysis = Analysis(prog, config)
+        analysis = Analysis(Session(prog, config))
         for seed in _register_seeds(prog, "main"):
             analysis.add_seed(seed)
         analysis.run()
@@ -170,7 +170,7 @@ def test_kept_transfer_follows_the_callee_summary(corpus, monkeypatch):
     equals one built afresh from the summary it sees."""
     prog = corpus("mutual_recursion.ir")
     session = Session(prog)
-    Analysis(prog, session=session).summary("even")
+    Analysis(session).summary("even")
     (superseded,) = [summ for (point, callee), (summ, _) in session.transfers.items()
                      if summ is not session.summaries[callee]]
     # odd's first round, read by even's second: not the bottom summary
@@ -185,7 +185,7 @@ def test_kept_transfer_follows_the_callee_summary(corpus, monkeypatch):
         return tr
 
     monkeypatch.setattr(Analysis, "_transfer", fresh)
-    query = Analysis(prog, session=session)
+    query = Analysis(session)
     sid = query.add_seed(Seed(point=ir.Point("odd", "rec", 2), expr=S.Reg("r3"),
                               direction="backward"))
     query.run()
@@ -196,14 +196,14 @@ def test_kept_transfer_follows_the_callee_summary(corpus, monkeypatch):
 
 def test_live_in_registers(corpus):
     prog = corpus("store_through_callee.ir")
-    analysis = Analysis(prog)
+    analysis = Analysis(Session(prog))
     assert live_in_registers(prog.functions["put"], analysis.cfg("put")) == \
         ("r0", "r1")
 
 
 def test_summary_mod_rooted_at_params(corpus):
     prog = corpus("store_through_callee.ir")
-    analysis = Analysis(prog)
+    analysis = Analysis(Session(prog))
     summ = analysis.summary("put")
     cells = {S.pretty(m.cell) for m in summ.mod}
     assert "store(r0+0x8)" in cells
@@ -286,7 +286,7 @@ def test_callee_return_alias(corpus):
 
 def test_summary_recursion_bounded(corpus):
     prog = corpus("recursion.ir")
-    analysis = Analysis(prog)
+    analysis = Analysis(Session(prog))
     summ = analysis.summary("rec")
     assert isinstance(summ, FunctionSummary)
     cells = {S.pretty(m.cell) for m in summ.mod}
@@ -301,12 +301,12 @@ def test_summary_independent_of_request_order(corpus):
                         ("mutual_recursion.ir", "odd"),
                         ("mutual_recursion.ir", "even")):
         prog = corpus(name)
-        fresh = {f: Analysis(prog).summary(f) for f in prog.functions}
-        shared = Analysis(prog)
+        fresh = {f: Analysis(Session(prog)).summary(f) for f in prog.functions}
+        shared = Analysis(Session(prog))
         shared.summary(first)
         for f in prog.functions:
             assert shared.summary(f) == fresh[f], (name, first, f)
-    assert Analysis(corpus("summary_order.ir")).summary("h0").ret_exprs == (
+    assert Analysis(Session(corpus("summary_order.ir"))).summary("h0").ret_exprs == (
         S.Reg("r0"),)
 
 
@@ -320,7 +320,7 @@ def test_summary_walk_stays_in_its_function(corpus, monkeypatch):
 
     monkeypatch.setattr(Analysis, "analyze_function", record)
     prog = corpus("summary_order.ir")
-    Analysis(prog).summary("main")
+    Analysis(Session(prog)).summary("main")
     assert {f for f, _ in walked} == set(prog.functions)
     assert all(f == fname for f, fname in walked)
 
@@ -328,14 +328,12 @@ def test_summary_walk_stays_in_its_function(corpus, monkeypatch):
 def test_session_shares_program_facts_not_summaries(corpus):
     prog = corpus("summary_order.ir")
     session = Session(prog)
-    Analysis(prog, session=session).summary("h0")
+    Analysis(session).summary("h0")
     assert set(session.summaries) == {"h0", "norm0", "norm1", "norm2"}
     assert session.with_resolutions({}) is session
     other = session.with_resolutions({ir.Point("main", "bb0", 1): ("h1",)})
     assert other.cfg("h0") is session.cfg("h0")
     assert other.summaries == {}
-    with pytest.raises(ValueError):
-        Analysis(prog, EngineConfig(loop_k=2), session=session)
 
 
 def test_session_sccs_count_resolved_icalls(corpus):
@@ -383,9 +381,9 @@ bb0:
 }
 """)
     session = Session(prog)
-    first = Analysis(prog, session=session)
+    first = Analysis(session)
     first.summary("main")
-    second = Analysis(prog, session=session)
+    second = Analysis(session)
     second.summary("main")
     assert first.warnings == second.warnings == ["g:bb1: unreachable block"]
 
@@ -441,7 +439,7 @@ bb0:
 }
 """
     prog = ir.parse_program(text)
-    analysis = Analysis(prog, EngineConfig(sse_depth=3))
+    analysis = Analysis(Session(prog, EngineConfig(sse_depth=3)))
     sid = analysis.add_seed(Seed(point=ir.Point("main", "bb0", 7),
                                  expr=S.Reg("r1"), direction="backward"))
     analysis.run()
@@ -454,7 +452,7 @@ def test_alias_cap_ends_in_reported_cap_hits(corpus):
     from mirtaint import taint
 
     prog = corpus("loop_copy.ir")
-    result = taint.run_taint(prog, engine_config=EngineConfig(alias_cap=2))
+    result = taint.run_taint(Session(prog, EngineConfig(alias_cap=2)))
     hits = [h for h in result.cap_hits if h.startswith("alias-set cap hit")]
     assert len(hits) == 30
     assert all(re.fullmatch(r"alias-set cap hit for seed \d+ at main:\S+", h)
@@ -469,9 +467,61 @@ def test_job_cap_ends_in_reported_cap_hit(corpus):
     from mirtaint import taint
 
     prog = corpus("context_return.ir")
-    assert taint.run_taint(prog).cap_hits == []
-    result = taint.run_taint(prog, engine_config=EngineConfig(job_cap=3))
+    assert taint.run_taint(Session(prog)).cap_hits == []
+    result = taint.run_taint(Session(prog, EngineConfig(job_cap=3)))
     assert result.cap_hits == ["job cap reached; exports of ident dropped"]
+
+
+def test_walk_pop_cap_ends_in_reported_cap_hits(corpus, monkeypatch):
+    """A block walk that reaches `WALK_POP_CAP` queue pops stops with what
+    it has and is reported as a cap hit, not raised."""
+    from mirtaint import taint
+
+    monkeypatch.setattr(alias, "WALK_POP_CAP", 3)
+    result = taint.run_taint(Session(corpus("loop_copy.ir")))
+    hits = [h for h in result.cap_hits if h.startswith("walk pop cap hit")]
+    assert hits
+    assert all(re.fullmatch(r"walk pop cap hit at main:\S+", h) for h in hits)
+
+
+@pytest.mark.parametrize("name,asked,cycle", [
+    ("mutual_recursion.ir", ("odd", "even"), "even, odd"),
+    ("mutual_recursion.ir", ("even", "odd"), "even, odd"),
+    ("recursion.ir", ("rec",), "rec"),
+])
+def test_cycle_cut_ends_in_one_cap_hit(corpus, name, asked, cycle):
+    """A cycle whose second round still changes a summary is cut there
+    with one cap hit naming the cycle, taken once by each analysis that
+    asks for its members' summaries."""
+    session = Session(corpus(name))
+    for _ in range(2):      # the second analysis reuses the summaries
+        analysis = Analysis(session)
+        for fname in asked:
+            analysis.summary(fname)
+        assert [h for h in analysis.cap_hits if h.startswith("cycle")] == [
+            f"cycle round cap hit: summaries of {cycle} still changing "
+            "after two rounds"]
+
+
+def test_settled_cycle_reports_no_cut():
+    """A cycle whose summaries are the same after both rounds is not cut."""
+    prog = ir.parse_program("""
+func ping @0x2000 frame=0 {
+bb0:
+  call pong()
+  ret
+}
+
+func pong @0x3000 frame=0 {
+bb0:
+  call ping()
+  ret
+}
+""")
+    analysis = Analysis(Session(prog))
+    analysis.summary("ping")
+    assert analysis.session.cycle("ping") == ("ping", "pong")
+    assert analysis.cap_hits == []
 
 
 def _register_seeds(prog, fname):
@@ -492,7 +542,7 @@ def test_inert_statements_step_to_nothing(corpus):
     inert = 0
     for path in sorted((ROOT / "corpus").glob("*.ir")):
         prog = corpus(path.name)
-        analysis = Analysis(prog, policy=taint.TaintPolicy(models))
+        analysis = Analysis(Session(prog), taint.TaintPolicy(models))
         for seed in taint.seed_sources(prog, models):
             analysis.add_seed(seed)
         for fname in prog.functions:
@@ -604,7 +654,7 @@ def test_retire_clears_every_pool_and_pending_list(corpus, monkeypatch):
                 assert not {t.key() for t, _ in pending} & retired
 
     monkeypatch.setattr(Analysis, "_retire", checked)
-    result = taint.run_taint(corpus("loop_copy.ir"))
+    result = taint.run_taint(Session(corpus("loop_copy.ir")))
     assert calls and len(result.alerts) == 1
 
 
@@ -623,7 +673,7 @@ _ITE_PROBE = """
 import json, sys
 from mirtaint import alias, ir, pipeline, sse as S
 prog = pipeline.load_program(sys.argv[1])
-analysis = alias.Analysis(prog)
+analysis = alias.Analysis(alias.Session(prog))
 for stmt in prog.functions["main"].statements():
     regs = set(ir.used_registers(stmt.form))
     regs |= {ir.defined_register(stmt.form)} - {None}
@@ -659,7 +709,7 @@ def test_no_alias_needs_both_arms_of_one_ite(corpus, name):
     """An alias under both `c` and `!c` of one ITE can never hold, so the
     walker emits none, with every register of `main` seeded everywhere."""
     prog = corpus(name)
-    analysis = Analysis(prog)
+    analysis = Analysis(Session(prog))
     for stmt in prog.functions["main"].statements():
         regs = set(ir.used_registers(stmt.form))
         regs |= {ir.defined_register(stmt.form)} - {None}

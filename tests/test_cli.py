@@ -83,7 +83,7 @@ def test_report_independent_of_hash_seed(name):
             env.pop(var, None)
         proc = subprocess.run(
             [sys.executable, "-m", "mirtaint.cli", "analyze", "--ir",
-             str(ROOT / "corpus" / name), "--dump-icalls"],
+             str(ROOT / "corpus" / name)],
             env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode in (0, 1), proc.stderr
         report = json.loads(proc.stdout)

@@ -1,8 +1,7 @@
 """Golden report snapshots for the whole pipeline.
 
-Every corpus program's JSON report (without timings, with the icall
-dump) is compared byte for byte against `tests/golden/<name>.json`, and
-six seed-query reports against `tests/golden/<name>.seed.json`.  Every
+Every corpus program's JSON report (without timings) is compared byte
+for byte against `tests/golden/<name>.json`, and six seed-query reports against `tests/golden/<name>.seed.json`.  Every
 corpus program is also run under tight caps (`TIGHT_CAPS`: an alias cap
 of 2 and an induction merge after every sweep) against
 `tests/golden/<name>.tight.json`, which pins the order of cap hits, the
@@ -53,8 +52,7 @@ def _cases():
 
 def report_text(name: str, seeds: tuple[str, ...] = ()) -> str:
     """The report of corpus/<name>, with a path relative to the root."""
-    config = pipeline.RunConfig(ir_path=f"corpus/{name}", seeds=seeds,
-                                dump_icalls=True)
+    config = pipeline.RunConfig(ir_path=f"corpus/{name}", seeds=seeds)
     return pipeline.analyze(config).to_json(with_timings=False) + "\n"
 
 
@@ -142,6 +140,18 @@ def test_recursion_depth_ends_in_cap_hit(tmp_path, monkeypatch):
         assert hits == ["recursion depth cap hit: exports of walk to walk:step:1 "
                         "dropped"], depth
         assert [a["sink_site"] for a in report.alerts] == ["main:bb0:4"]
+
+
+def test_cycle_cut_shows_once_in_report(tmp_path, monkeypatch):
+    """walk's summary still grows in its second round, so the report lists
+    the cut of its cycle, once."""
+    for var in pipeline._ENV_CAPS:
+        monkeypatch.delenv(var, raising=False)
+    path = tmp_path / "walk.ir"
+    path.write_text(WALK, encoding="utf-8")
+    report = pipeline.analyze(pipeline.RunConfig(ir_path=str(path)))
+    assert [h for h in report.cap_hits if h.startswith("cycle")] == [
+        "cycle round cap hit: summaries of walk still changing after two rounds"]
 
 
 def _taint_registry_size(program: workloads.GenProgram, monkeypatch) -> int:

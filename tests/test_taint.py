@@ -6,16 +6,16 @@ from mirtaint import ir
 from mirtaint import oracle
 from mirtaint import sse as S
 from mirtaint import taint as T
-from mirtaint.alias import Analysis
+from mirtaint.alias import Analysis, Session
 
 
 def run(corpus, name, icalls=True):
     prog = corpus(name)
     if icalls:
-        _, mapping = IC.resolve_all(prog, C.find_address_taken(prog))
+        _, mapping = IC.resolve_all(Session(prog), C.find_address_taken(prog))
     else:
         mapping = {}
-    return prog, T.run_taint(prog, resolutions=mapping)
+    return prog, T.run_taint(Session(prog, resolutions=mapping))
 
 
 # -- models ---------------------------------------------------------------
@@ -134,7 +134,6 @@ def test_backward_alias_untainted_before_trigger(corpus):
     "post" side is the next statement's "pre" side.  Checked on a
     pointer-argument source (recv at handler:bb0:2) and a return-value
     source (getenv at main:bb0:1)."""
-    from mirtaint.alias import Analysis
     models = T.default_models()
 
     def position(t):
@@ -144,7 +143,7 @@ def test_backward_alias_untainted_before_trigger(corpus):
         prog = corpus(name)
         seeds = T.seed_sources(prog, models)
         (trigger,) = {s.trigger for s in seeds}
-        analysis = Analysis(prog, policy=T.TaintPolicy(models))
+        analysis = Analysis(Session(prog), T.TaintPolicy(models))
         for seed in seeds:
             analysis.add_seed(seed)
         analysis.run()
@@ -168,7 +167,7 @@ bb0:
   ret
 }
 """)
-    result = T.run_taint(prog)
+    result = T.run_taint(Session(prog))
     assert len(result.alerts) == 1
 
 
@@ -210,7 +209,7 @@ bb0:
   ret
 }
 """)
-    result = T.run_taint(prog)
+    result = T.run_taint(Session(prog))
     assert any("unmodeled frobnicate" in w for w in result.warnings)
 
 
@@ -237,8 +236,6 @@ def test_check_sink_overflow_confirmed_by_execution(corpus):
 def test_backward_family_kept_per_session(corpus, monkeypatch):
     """A backward sink query runs once per session and returns a tuple;
     a session under another resolution map starts with none."""
-    from mirtaint.alias import Session
-
     prog = corpus("memcpy_bound_bad.ir")
     session = Session(prog)
     point = ir.Point("main", "bb0", 5)
@@ -257,7 +254,7 @@ def test_backward_family_kept_per_session(corpus, monkeypatch):
 
 def _taint_analysis(prog):
     models = T.default_models()
-    analysis = Analysis(prog, policy=T.TaintPolicy(models))
+    analysis = Analysis(Session(prog), T.TaintPolicy(models))
     for seed in T.seed_sources(prog, models):
         analysis.add_seed(seed)
     analysis.run()
@@ -294,3 +291,65 @@ def test_descent_returns_only_to_its_callsites(corpus):
     assert list(into_ident.values()) == [{ir.Point("f", "bb0", 0)}]
     (sid,) = into_ident
     assert _functions_holding(analysis, sid) == {"ident", "f"}
+
+
+_GUARDED_LOOP = """
+func main @0x1000 frame=0x30 {{
+  buf out @0x10 size 0x20
+bb0:
+  r1 = sp
+  r9 = 0x40
+  r2 = call recv(r8, r1, r9)
+  r7 = load r1
+  r10 = {guard}
+  branch r10, copy, done
+copy:
+  r3 = sp + 0x10
+  r4 = 0x0
+  jump head
+head:
+  r5 = r4 < 0x20
+  branch r5, body, done
+body:
+  r6 = load r1
+  store r3 = r6
+  r1 = r1 + 0x4
+  r3 = r3 + 0x4
+  r4 = r4 + 0x1
+  jump head
+done:
+  ret
+}}
+"""
+
+
+def _loop_copy_verdicts(guard):
+    """The loop-copy hits of `_GUARDED_LOOP` under `guard`, each with what
+    `check_sink` makes of it, and the alerts of the whole taint run."""
+    prog = ir.parse_program(_GUARDED_LOOP.format(guard=guard))
+    analysis = _taint_analysis(prog)
+    constraints = analysis.policy.edge_constraints(analysis)
+    hits = T.detect_loop_copies(analysis)
+    verdicts = [(h, T.check_sink(analysis.session, h, constraints)) for h in hits]
+    return verdicts, T.run_taint(Session(prog)).alerts
+
+
+def test_loop_copy_hit_within_constant_bound_is_safe():
+    ((hit, alert),), alerts = _loop_copy_verdicts("r7 < 0x11")
+    assert hit.sink is T.LOOP_COPY and str(hit.point) == "main:body:1"
+    assert hit.dst == "r3" and hit.length is None
+    assert alert is None and alerts == []
+
+
+def test_loop_copy_hit_past_constant_bound_alerts():
+    ((hit, alert),), alerts = _loop_copy_verdicts("r7 < 0x41")
+    assert alert is not None and alerts == [alert]
+    assert alert.sink_fn == "loop-copy" and alert.klass == "copy-like"
+    assert alert.bound == 0x40 and alert.capacity == 0x20
+    assert alert.stack_offset == 0x10
+    assert alert.verdict == "unbounded loop copy through an advancing pointer"
+
+
+def test_loop_copy_hit_under_symbolic_bound_is_safe():
+    ((hit, alert),), alerts = _loop_copy_verdicts("r7 < r9")
+    assert alert is None and alerts == []
