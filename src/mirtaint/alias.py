@@ -48,13 +48,15 @@ can fire on any other row, so skipping them changes nothing.
 Statement-level walking is bidirectional inside one block (TraceBlock),
 block results flow around the CFG over a postorder worklist run forward
 then backward until stable (AnalyzeFunction), and callsite blocks are
-not walked: a visit re-roots each callee's MOD/REF summary at the call
-once (`transfer_function`, which depends only on the callee and the
-argument binding), and every alias crossing the call in either direction
-reads that one `Transfer`.  MOD' cells kill and generate aliases, the
-return aliases rename the result register, and the argument map and
-REF' pairs tell a tainted alias which callee fact to seed when it
-descends.
+not walked: a visit re-roots each callee's summary at the call once
+(`transfer_function`, which depends only on the callee and the argument
+binding), and every alias crossing the call in either direction reads
+that one `Transfer`.  MOD' cells kill and generate aliases, and the
+return aliases rename the result register.  A tainted alias descends
+into the callee as the formal of an actual it equals, or as a cell of
+the callee's REF re-rooted at the call (REF') that it lives in; REF is
+built per session only when a tainted alias first crosses a call to
+that callee.
 
 On completion a function exports its entry-block backward results
 (rooted at parameters or the globals register) to its callers'
@@ -642,10 +644,11 @@ class ModEntry:
 
 @dataclass
 class FunctionSummary:
+    """What every crossing of a call to `func` reads, in its entry terms:
+    MOD and the return aliases.  REF is not part of it (`Analysis._ref`)."""
     func: str
     params: tuple[str, ...]                    # live-in rN registers
     mod: tuple[ModEntry, ...] = ()
-    ref: tuple[S.Sse, ...] = ()                # Load(addr) cells read
     ret_exprs: tuple[S.Sse, ...] = ()          # aliases of the returned value
 
 
@@ -704,10 +707,10 @@ def reroot(expr: S.Sse, mapping: dict[str, S.Sse]) -> Optional[S.Sse]:
 
 @dataclass(frozen=True)
 class Transfer:
-    """A callee summary re-rooted at one callsite, in the caller's terms."""
+    """A callee summary re-rooted at one callsite, in the caller's terms.
+    REF' is kept apart (`Analysis._ref_at`)."""
     args: dict[str, S.Sse]                   # formal -> actual
     mod: tuple[ModEntry, ...]                # MOD'
-    ref: tuple[tuple[S.Sse, S.Sse], ...]     # REF' as (callee cell, caller cell)
     rets: tuple[S.Sse, ...]                  # aliases of the returned value
 
 
@@ -720,7 +723,8 @@ def transfer_function(summary: FunctionSummary,
     in either direction, reads the same value.  Entries that mention a
     formal with no actual (or a frame-local register) are dropped; a MOD
     entry whose stored value cannot be re-rooted keeps its cell with no
-    value."""
+    value.  A taint descent reads the argument map: it maps tainted
+    actuals to formals and re-roots the callee's REF cells."""
     mapping = arg_map(summary.params, args)
     mod: list[ModEntry] = []
     for entry in summary.mod:
@@ -728,10 +732,8 @@ def transfer_function(summary: FunctionSummary,
         if cell is not None:
             value = reroot(entry.value, mapping) if entry.value is not None else None
             mod.append(ModEntry(cell, value))
-    ref = [(cell, r) for cell in summary.ref
-           if (r := reroot(cell, mapping)) is not None]
     rets = [r for e in summary.ret_exprs if (r := reroot(e, mapping)) is not None]
-    return Transfer(mapping, tuple(mod), tuple(ref), tuple(rets))
+    return Transfer(mapping, tuple(mod), tuple(rets))
 
 
 # ---------------------------------------------------------------------------
@@ -797,6 +799,14 @@ class Session:
     and so do the summary cache and its notes, so each session has its
     own, and so do the tables of results built from summaries: callsite
     transfers and backward queries.
+
+    REF, the cells a function reads, is a table of its own (`refs`),
+    filled on demand: a function's REF is built the first time a tainted
+    fact crosses a call to it, by a sub-analysis seeded at its loads, and
+    only once its summary is final.  A run that never descends with
+    taint, such as icall resolution, builds none.  Its REF re-rooted at a
+    callsite (REF') is kept per (callsite, callee) in `ref_transfers`,
+    beside `transfers`.
     """
 
     def __init__(self, program: ir.Program, config: EngineConfig | None = None,
@@ -806,10 +816,15 @@ class Session:
         self.resolutions = resolutions or {}
         self.summaries: dict[str, FunctionSummary] = {}
         # fname -> (warnings, cap hits, callee summaries used) of the
-        # sub-analysis that last computed its summary
+        # sub-analysis that last computed its summary, joined by those of
+        # the one that built its REF
         self.notes: dict[str, tuple[list, list, dict]] = {}
         # (callsite point, callee) -> (the summary it was built from, Transfer)
         self.transfers: dict = {}
+        # fname -> Load cells it reads, in its entry terms (REF)
+        self.refs: dict[str, tuple[S.Load, ...]] = {}
+        # (callsite point, callee) -> REF' as (callee cell, caller cell) pairs
+        self.ref_transfers: dict = {}
         # (point, register) -> expressions of the register's backward family
         self.backward_families: dict = {}
         self._facts: dict = {}       # (kind, fname) -> per-program fact
@@ -924,13 +939,22 @@ class Analysis:
     second round still changes a member's summary, the cut is a cap hit
     in the notes of the member asked first.
 
+    A summary holds what every callsite crossing reads: MOD and the
+    return aliases, so its sub-analysis is seeded at stores and returns
+    only.  REF is read by taint descents alone (`_descend`), and is built
+    per session on first demand, by a sub-analysis of its own seeded at
+    the function's loads and run once the function's summary is final
+    (for a cycle member, after both rounds).  Its warnings and cap hits
+    join the summary's notes, each message once.
+
     `registry[fname]` holds one `Tracked` per `Tracked.key()` that the
     walk established in `fname`, anchored at the point and phase where
-    the engine first established it.  Aliases that are only carried
-    forward (or backward) past statements are not re-recorded.  A
-    tainted instance is anchored on its trigger's "post" side or later:
-    a source seed at its own statement's "post" side, and a backward
-    alias flips to untainted at the trigger's "pre" side.
+    the engine first established it; `family` reads it through an index
+    by seed id.  Aliases that are only carried forward (or backward)
+    past statements are not re-recorded.  A tainted instance is anchored
+    on its trigger's "post" side or later: a source seed at its own
+    statement's "post" side, and a backward alias flips to untainted at
+    the trigger's "pre" side.
     """
 
     def __init__(self, session: Session, policy=None, *,
@@ -944,6 +968,8 @@ class Analysis:
         self.summary_of = summary_of
         self.states: dict[str, dict[str, _BlockSt]] = {}
         self.registry: dict[str, dict] = {}
+        # seed id -> fname -> its registry entries of that seed, in order
+        self._members: dict[int, dict[str, list[Tracked]]] = {}
         self.visited_functions: set[str] = set()
         self.retired: dict[str, set] = {}
         self.warnings: list[str] = []
@@ -1011,6 +1037,7 @@ class Analysis:
         if k in reg:
             return False
         reg[k] = t
+        self._members.setdefault(t.seed_id, {}).setdefault(fname, []).append(t)
         return True
 
     def _inject(self, fname: str, label: str, t: Tracked, idx: int, direction: str):
@@ -1243,9 +1270,13 @@ class Analysis:
                 and self.policy.knows_library(form.target))
 
     def _descend(self, t: Tracked, site: ir.Point, callee: str, tr: Transfer):
-        """Forward taint descent: a tainted value passed as an argument (or
-        living in a cell the callee reads) at callsite `site` seeds the
-        callee's analysis."""
+        """Forward taint descent: a tainted value passed as an argument, or
+        living in a cell the callee reads, at callsite `site` seeds the
+        callee's analysis.  The cells come from the callee's REF re-rooted
+        at `site` (`_ref_at`), built the first time a tainted fact gets
+        here.  A fact lives in such a cell when it is the cell's load, or
+        a store to its address that no may-alias store has made stale
+        since: the store rule 7 would read at a load of that address."""
         if not t.tainted or self.policy is None:
             return
         entry_fn = self.program.functions[callee]
@@ -1253,9 +1284,25 @@ class Analysis:
         for param, actual in tr.args.items():
             if t.expr == actual:
                 self._inject_nested_seed(t, site, entry_point, S.Reg(param))
-        for cell, actual in tr.ref:
-            if t.expr == actual:
+        e = t.expr
+        stored = isinstance(e, S.Store) and not e.stale_fwd
+        for cell, actual in self._ref_at(site, callee, tr):
+            if e == actual or (stored and e.addr == actual.addr):
                 self._inject_nested_seed(t, site, entry_point, cell)
+
+    def _ref_at(self, site: ir.Point, callee: str,
+                tr: Transfer) -> tuple[tuple[S.Load, S.Load], ...]:
+        """The callee's REF re-rooted at callsite `site` under the
+        transfer's argument map, as (callee cell, caller cell) pairs; a
+        cell mentioning a formal with no actual is dropped.  REF is built
+        against the final summary and never changes, so the session keeps
+        the pairs per (callsite, callee)."""
+        pairs = self.session.ref_transfers.get((site, callee))
+        if pairs is None:
+            pairs = tuple((cell, r) for cell in self._ref(callee)
+                          if (r := reroot(cell, tr.args)) is not None)
+            self.session.ref_transfers[(site, callee)] = pairs
+        return pairs
 
     def _inject_nested_seed(self, parent: Tracked, site: ir.Point,
                             entry_point: ir.Point, expr: S.Sse):
@@ -1326,7 +1373,6 @@ class Analysis:
     def _compute_summary(self, fname: str) -> FunctionSummary:
         sub = Analysis(self.session, summary_of=fname)
         g = sub.cfg(fname)
-        params = self.session.params(fname)
         seeds: list[tuple[str, ir.Statement, Seed]] = []
         for label in g.order:
             for stmt in g.blocks[label].stmts:
@@ -1339,10 +1385,6 @@ class Analysis:
                         seeds.append(("mod-val", stmt, Seed(
                             stmt.point, S.Reg(form.src), direction="backward",
                             label=f"mod-val:{stmt.point}")))
-                elif isinstance(form, ir.Load):
-                    seeds.append(("ref", stmt, Seed(
-                        stmt.point, addr_sse(form.addr, form.disp),
-                        direction="backward", label=f"ref:{stmt.point}")))
                 elif isinstance(form, ir.Ret) and isinstance(form.value, str):
                     seeds.append(("ret", stmt, Seed(
                         stmt.point, S.Reg(form.value), direction="backward",
@@ -1353,38 +1395,70 @@ class Analysis:
         sub.run()
         self.session.notes[fname] = (sub.warnings, sub.cap_hits, sub._noted)
 
-        allowed = set(params) | {GP}
-
-        def rooted(sid):
-            out = []
-            for t in sub.registry.get(fname, {}).values():
-                if t.seed_id == sid and S.registers(t.expr) <= allowed and t.trusted():
-                    out.append(S.retag(t.expr, S.BIRTH_BEFORE_BLOCK))
-            return out
-
         mod: list[ModEntry] = []
-        ref: list[S.Sse] = []
         rets: list[S.Sse] = []
         for kind, stmt, seed in seeds:
-            sid = sid_of[(kind, stmt.point)]
-            members = rooted(sid)
+            members = sub._rooted(fname, sid_of[(kind, stmt.point)])
             if kind == "mod-addr":
                 vals = []
                 vkey = ("mod-val", stmt.point)
                 if vkey in sid_of:
-                    vals = rooted(sid_of[vkey])
+                    vals = sub._rooted(fname, sid_of[vkey])
                 elif isinstance(stmt.form.src, int):
                     vals = [S.Val(stmt.form.src)]
                 for m in members:
                     mod.append(ModEntry(S.Store(m), vals[0] if vals else None))
-            elif kind == "ref":
-                ref.extend(S.Load(m) for m in members)
             elif kind == "ret":
                 rets.extend(members)
-        return FunctionSummary(func=fname, params=params,
+        return FunctionSummary(func=fname, params=self.session.params(fname),
                                mod=tuple(dict.fromkeys(mod)),
-                               ref=tuple(dict.fromkeys(ref)),
                                ret_exprs=tuple(dict.fromkeys(rets)))
+
+    def _ref(self, fname: str) -> tuple[S.Load, ...]:
+        """`fname`'s REF, the cells it reads, as loads in its entry terms:
+        built on first demand in the session, by a sub-analysis seeded at
+        the address of each of its loads, once its summary is final.  A
+        function with no loads reads no cell and needs no sub-analysis.
+        The sub-analysis's warnings and cap hits join the summary's notes,
+        each message once, and this analysis, which took those notes when
+        it asked for the summary, takes what they gained."""
+        cells = self.session.refs.get(fname)
+        if cells is not None:
+            return cells
+        self.summary(fname)
+        g = self.session.cfg(fname)
+        loads = [stmt for label in g.order for stmt in g.blocks[label].stmts
+                 if isinstance(stmt.form, ir.Load)]
+        if not loads:
+            cells = self.session.refs[fname] = ()
+            return cells
+        sub = Analysis(self.session, summary_of=fname)
+        sids = [sub.add_seed(Seed(stmt.point, addr_sse(stmt.form.addr, stmt.form.disp),
+                                  direction="backward", label=f"ref:{stmt.point}"))
+                for stmt in loads]
+        sub.run()
+        cells = self.session.refs[fname] = tuple(dict.fromkeys(
+            S.Load(m) for sid in sids for m in sub._rooted(fname, sid)))
+        warnings, cap_hits, callees = self.session.notes[fname]
+        new_warnings = [w for w in sub.warnings if w not in warnings]
+        new_hits = [h for h in sub.cap_hits if h not in cap_hits]
+        warnings.extend(new_warnings)
+        cap_hits.extend(new_hits)
+        callees.update(sub._noted)
+        if self.summary_of is None:
+            self.warnings.extend(new_warnings)
+            self.cap_hits.extend(new_hits)
+            for callee in sub._noted:
+                self._take_notes(callee)
+        return cells
+
+    def _rooted(self, fname: str, sid: int) -> list[S.Sse]:
+        """The trusted members of seed `sid` in `fname` that mention only
+        its parameters and the globals register, as at its entry: the
+        seed's expressions in the terms a summary speaks."""
+        allowed = set(self.session.params(fname)) | {GP}
+        return [S.retag(t.expr, S.BIRTH_BEFORE_BLOCK) for t in self.family(sid, fname)
+                if S.registers(t.expr) <= allowed and t.trusted()]
 
     # -- the Alg.-3 driver ----------------------------------------------------
 
@@ -1598,12 +1672,12 @@ class Analysis:
     # -- results ----------------------------------------------------------------
 
     def family(self, sid: int, fname: str | None = None) -> list[Tracked]:
-        regs = ([self.registry.get(fname, {})] if fname
-                else list(self.registry.values()))
-        out = []
-        for reg in regs:
-            out.extend(t for t in reg.values() if t.seed_id == sid)
-        return out
+        """The registry entries of seed `sid`, in `fname` or in every
+        function in registry order, each in the order it was recorded."""
+        members = self._members.get(sid, {})
+        if fname:
+            return list(members.get(fname, ()))
+        return [t for f in self.registry for t in members.get(f, ())]
 
     def alias_pairs(self, sid: int) -> list[tuple[Tracked, Tracked]]:
         """Certifiable pairs: the seed against every trusted, condition-

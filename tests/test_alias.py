@@ -11,6 +11,7 @@ import pytest
 
 from mirtaint import alias
 from mirtaint import cfg as C
+from mirtaint import icall
 from mirtaint import ir
 from mirtaint import oracle
 from mirtaint import sse as S
@@ -224,7 +225,7 @@ def test_transfer_function_reroots_mod():
 def test_transfer_function_pure_callee_passthrough():
     summ = FunctionSummary(func="pure", params=("r0",))
     tr = transfer_function(summ, ("r4",))
-    assert tr.mod == () and tr.ref == ()
+    assert tr.mod == () and tr.rets == ()
 
 
 def test_transfer_function_global_rooted_mod_kept():
@@ -308,6 +309,97 @@ def test_summary_independent_of_request_order(corpus):
             assert shared.summary(f) == fresh[f], (name, first, f)
     assert Analysis(Session(corpus("summary_order.ir"))).summary("h0").ret_exprs == (
         S.Reg("r0"),)
+
+
+# Two list walkers calling each other: each reads a field of the node it
+# is given, and the next node, so both members of the cycle have a REF
+WALKERS = """\
+func even @0x2000 frame=0 {
+bb0:
+  r1 = load r0 + 0x4
+  branch r1, rec, out
+rec:
+  r2 = load r0
+  r3 = call odd(r2)
+  ret r3
+out:
+  ret r0
+}
+
+func odd @0x3000 frame=0 {
+bb0:
+  r1 = load r0 + 0x8
+  branch r1, rec, out
+rec:
+  r2 = load r0
+  r3 = call even(r2)
+  ret r3
+out:
+  ret r0
+}
+
+func main @0x1000 frame=0 {
+bb0:
+  r1 = gp + 0x100
+  r2 = call even(r1)
+  ret r2
+}
+"""
+
+
+def test_ref_independent_of_request_order(corpus):
+    # REF is built once the summary is final, a cycle member's after both
+    # rounds, so it is the same whichever function is asked first
+    programs = [corpus("summary_order.ir"), corpus("mutual_recursion.ir"),
+                ir.parse_program(WALKERS)]
+    for prog in programs:
+        fresh = {f: Analysis(Session(prog))._ref(f) for f in prog.functions}
+        for first in prog.functions:
+            shared = Analysis(Session(prog))
+            shared._ref(first)
+            for f in prog.functions:
+                assert shared._ref(f) == fresh[f], (first, f)
+    walkers = ir.parse_program(WALKERS)
+    session = Session(walkers)
+    assert {S.pretty(c) for c in Analysis(session)._ref("odd")} == {
+        "load(r0)", "load(r0+0x8)"}
+    assert set(session.refs) == {"odd"}
+
+
+def test_icall_resolution_builds_no_ref(corpus, monkeypatch):
+    """Icall resolution reads MOD and return aliases, never REF: its
+    summaries seed no load, and it builds no REF table."""
+    seeded = []
+    add_seed = Analysis.add_seed
+
+    def record(self, seed):
+        if self.summary_of is not None:
+            seeded.append(self.session.statement(seed.point).form)
+        return add_seed(self, seed)
+
+    monkeypatch.setattr(Analysis, "add_seed", record)
+    prog = corpus("gptr_table.ir")
+    session = Session(prog)
+    _, mapping = icall.resolve_all(session)
+    assert mapping
+    assert {"install", "dispatch"} <= set(session.summaries)
+    assert any(isinstance(form, ir.Store) for form in seeded)
+    assert not any(isinstance(form, ir.Load) for form in seeded)
+    assert session.refs == {} and session.ref_transfers == {}
+
+
+def test_taint_builds_ref_of_crossed_callee_only(corpus):
+    """A taint run builds REF only for a callee a tainted fact crosses a
+    call to, here runit, and the descent through its field read finds the
+    copy that the struct field carries the packet pointer to."""
+    session = Session(corpus("struct_field_callee.ir"))
+    result = taint.run_taint(session)
+    assert {S.pretty(c) for c in session.refs["runit"]} == {"load(r0+0x8)"}
+    assert set(session.refs) == {"runit"}
+    ((site, callee),) = session.ref_transfers
+    assert (str(site), callee) == ("main:bb0:5", "runit")
+    assert [(str(a.sink_site), a.sink_fn) for a in result.alerts] == [
+        ("runit:bb0:2", "strcpy")]
 
 
 def test_summary_walk_stays_in_its_function(corpus, monkeypatch):
