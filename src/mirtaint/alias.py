@@ -87,10 +87,13 @@ arrived since its last push (`_BlockSt.new_f`/`new_b`); an entry pushed
 before is already in the neighbour's pool or refused there for good.
 Each pushed entry is retagged once for all neighbours, and handed on as
 it is when no birth changes.
-After `loop_k` sweeps the induction merge re-partitions a loop block's
-pool group (seed, taint, conditions) only when its members differ from
-the last time it found no family, and `sse.induction_families` reads
-each member's offset skeletons from a cache on the node.  One case
+After `loop_k` sweeps the induction merge partitions each loop block's
+pool group (seed, taint, conditions) into offset families once per
+analysis for the same members: SSE nodes are interned with their tags,
+so a group that comes back, from another sweep, block or direction, is
+the same objects and reads the partition it got the first time
+(`Analysis._partition`).  `sse.induction_families` reads each member's
+offset skeletons from a cache on the node.  One case
 falls back to the full scan: when the alias cap pops entries from a
 pool, every block of the function pushes all of out_f/out_b once more,
 so the popped entries are re-injected as a full scan at every push
@@ -418,7 +421,7 @@ class _Walker:
 
             for rule, kind in ((5, S.Load), (7, S.Store)):
                 new = _mem_subst(e, lambda n: isinstance(n, kind) and fresh(n),
-                                 c.dst.name)
+                                 c.dst, ("fresh", kind, idx, c.addr))
                 if new is not None:
                     matched = True
                     self._emit(out, c, t, new, rule)
@@ -431,7 +434,8 @@ class _Walker:
                 out.killed = True
             else:
                 out.expr = S.mark_stale(
-                    e, lambda n: n.birth < idx and n.addr != c.addr, "fwd")
+                    e, lambda n: n.birth < idx and n.addr != c.addr, "fwd",
+                    ("older", idx, c.addr))
                 if S.occurs(out.expr, c.value):
                     self._emit(out, c, t, S.replace(out.expr, c.value,
                                                     S.Store(c.addr, birth=idx)),
@@ -473,18 +477,19 @@ class _Walker:
             a = c.addr
             # may-alias barrier for memory reads issued below this store
             marked = S.mark_stale(e, lambda n: n.birth > idx and n.addr != a,
-                                  "bwd")
+                                  "bwd", ("newer", idx, a))
 
             def after(n):
                 return (isinstance(n, S.Load) and n.addr == a and n.birth > idx
                         and not n.stale_bwd)
 
-            new, hit = S.replace_mem(marked, after, c.value)
+            new, hit = S.replace_mem(marked, after, c.value, ("after", idx, a))
             if hit:
                 self._emit(out, c, t, new, 13, "fb", "pre")
                 # the surviving original must not re-match an older store
                 marked = S.mark_stale(marked, lambda n: isinstance(n, S.Load)
-                                      and n.addr == a and n.birth > idx, "bwd")
+                                      and n.addr == a and n.birth > idx, "bwd",
+                                      ("loads after", idx, a))
             out.expr = e = marked
 
         # use matches (rules 1-6, never 7): forward-only successors
@@ -495,7 +500,7 @@ class _Walker:
                         and not n.stale_bwd and n.birth > idx)
 
             if not S.contains_reg(c.addr, c.dst.name):
-                new = _mem_subst(e, readable, c.dst.name)
+                new = _mem_subst(e, readable, c.dst, ("after", idx, c.addr))
                 if new is not None:
                     self._emit(out, c, t, new, 5)
         elif isinstance(form, ir.Store):
@@ -507,15 +512,16 @@ class _Walker:
         return out
 
 
-def _mem_subst(expr: S.Sse, node_pred, dst: str) -> Optional[S.Sse]:
-    """Replace the selected memory nodes with Reg(dst), refusing when the
+def _mem_subst(expr: S.Sse, node_pred, dst: S.Reg, key) -> Optional[S.Sse]:
+    """Replace the memory nodes that `node_pred` selects (and `key`
+    determines, see `S.replace_mem`) with `dst`, refusing when the
     original mentions dst outside the consumed nodes (the leftover
     occurrences would denote the pre-statement value)."""
-    if S.contains_reg(expr, dst):
-        probe, hit = S.replace_mem(expr, node_pred, S.Reg("r999999"))
-        if not hit or S.contains_reg(probe, dst):
+    if S.contains_reg(expr, dst.name):
+        probe, hit = S.replace_mem(expr, node_pred, S.Reg("r999999"), key)
+        if not hit or S.contains_reg(probe, dst.name):
             return None
-    new, hit = S.replace_mem(expr, node_pred, S.Reg(dst))
+    new, hit = S.replace_mem(expr, node_pred, dst, key)
     return new if hit else None
 
 
@@ -757,9 +763,6 @@ class _BlockSt:
     # set when a cap popped pool entries in the function: the next push
     # scans all of out_f / out_b, so popped entries are re-injected
     rescan: bool = False
-    # (direction, group key) -> the member keys of a loop pool group
-    # whose last induction merge found no family
-    idle: dict = field(default_factory=dict)
 
     def put_f(self, t: Tracked) -> bool:
         """Enter `t` into out_f (and new_f) unless its key is there;
@@ -800,6 +803,11 @@ class Session:
     own, and so do the tables of results built from summaries: callsite
     transfers and backward queries.
 
+    A root session (one built here rather than by `with_resolutions`)
+    starts an empty SSE intern table and empty rewrite memos
+    (`S.reset_tables`), so they hold the nodes of one program's analysis
+    only; sessions derived from it share them.
+
     REF, the cells a function reads, is a table of its own (`refs`),
     filled on demand: a function's REF is built the first time a tainted
     fact crosses a call to it, by a sub-analysis seeded at its loads, and
@@ -811,8 +819,14 @@ class Session:
 
     def __init__(self, program: ir.Program, config: EngineConfig | None = None,
                  resolutions: dict | None = None):
+        S.reset_tables()
         self.program = program
         self.config = config or EngineConfig()
+        self._facts: dict = {}       # (kind, fname) -> per-program fact
+        self._points: dict[ir.Point, tuple[str, str, int]] = {}
+        self._resolve(resolutions)
+
+    def _resolve(self, resolutions: dict | None):
         self.resolutions = resolutions or {}
         self.summaries: dict[str, FunctionSummary] = {}
         # fname -> (warnings, cap hits, callee summaries used) of the
@@ -827,17 +841,18 @@ class Session:
         self.ref_transfers: dict = {}
         # (point, register) -> expressions of the register's backward family
         self.backward_families: dict = {}
-        self._facts: dict = {}       # (kind, fname) -> per-program fact
-        self._points: dict[ir.Point, tuple[str, str, int]] = {}
 
     def with_resolutions(self, resolutions: dict) -> "Session":
         """The session over this program and config under `resolutions`:
         this one when the map is the same, otherwise a new session that
-        shares the per-program facts and starts with no summaries."""
+        shares the per-program facts and the SSE intern table and starts
+        with no summaries."""
         if (resolutions or {}) == self.resolutions:
             return self
-        other = Session(self.program, self.config, resolutions)
+        other = object.__new__(Session)
+        other.program, other.config = self.program, self.config
         other._facts, other._points = self._facts, self._points
+        other._resolve(resolutions)
         return other
 
     def _fact(self, kind: str, name, build):
@@ -982,6 +997,8 @@ class Analysis:
         self._descents: dict[tuple[str, int], set[ir.Point]] = {}
         self._jobs = 0
         self._noted: dict[str, None] = {}   # summaries whose notes are taken
+        # (member expression ids..., index id) -> (induction families, members)
+        self._partitions: dict = {}
 
     # -- plumbing -----------------------------------------------------------
 
@@ -1226,6 +1243,7 @@ class Analysis:
                     def created_after(n):
                         return isinstance(n, S.Load) and n.addr == addr and not n.stale
 
+                    # not memoized: a fact meets a MOD entry about once
                     new, hit = S.replace_mem(t.expr, created_after, entry.value)
                     if hit:
                         gens.append(_bounded(self.config, t, new, point, "pre"))
@@ -1508,16 +1526,9 @@ class Analysis:
                 for gk, members in groups.items():
                     if len(members) < 3:
                         continue
-                    # a group that merged nothing merges nothing again
-                    # until its members change
-                    keys = tuple(m.key() for m in members)
-                    if st.idle.get((direction, gk)) == keys:
-                        continue
-                    by_expr = {id(m.expr): m for m in members}
-                    families = S.induction_families(
-                        [m.expr for m in members], index_id=f"{fname}:s{gk[0]}")
-                    if not families:
-                        st.idle[(direction, gk)] = keys
+                    families = self._partition([m.expr for m in members],
+                                               f"{fname}:s{gk[0]}")
+                    by_expr = {id(m.expr): m for m in members} if families else {}
                     for merged, family in families:
                         base = by_expr[id(family[0])]
                         plans.append((label, direction, base, merged))
@@ -1536,6 +1547,18 @@ class Analysis:
                 self._record(fname, t)
                 changed = True
         return changed
+
+    def _partition(self, exprs: list[S.Sse], index_id: str):
+        """`S.induction_families` of `exprs`, computed once per analysis
+        for the same expressions, tags included, in the same order: the
+        key holds their identities, and the entry the expressions, so no
+        id in the key is reused while it is kept."""
+        key = (*map(id, exprs), index_id)
+        hit = self._partitions.get(key)
+        if hit is None:
+            hit = self._partitions[key] = (
+                S.induction_families(exprs, index_id), exprs)
+        return hit[0]
 
     def _retire(self, fname: str, keys) -> None:
         """Stop tracking merged family members everywhere in the function

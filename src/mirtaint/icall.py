@@ -230,8 +230,9 @@ def resolve(callsite: ir.Point, ct_exprs: list[S.Sse], refs: list[PointerRef],
 
 def resolve_all(session: Session, address_taken: frozenset[int] | None = None):
     """Run the alias engine for every icall target and pointer reference,
-    then match.  Returns (resolutions list, {callsite: targets} map).
-    `session` must have no resolutions: this is the run that finds them."""
+    then match.  Returns (resolutions list, {callsite: targets} map, the
+    analysis's cap hits).  `session` must have no resolutions: this is the
+    run that finds them."""
     if session.resolutions:
         raise ValueError("icall resolution runs on a session without resolutions")
     program = session.program
@@ -265,7 +266,7 @@ def resolve_all(session: Session, address_taken: frozenset[int] | None = None):
         ct = [t.expr for t in analysis.family(ct_sids[point]) if not t.derived]
         resolutions.append(resolve(point, ct, refs, program))
     mapping = {r.callsite: r.targets for r in resolutions if r.targets}
-    return resolutions, mapping
+    return resolutions, mapping, analysis.cap_hits
 
 
 def metrics(resolutions: list[IcallResolution]) -> dict:

@@ -156,12 +156,14 @@ def _parse_queries(program: ir.Program, seeds: tuple[str, ...]):
 
 
 def _seed_queries(session: Session, queries):
-    out = []
+    """Each query's alias report, and the cap hits of their analyses."""
+    out, cap_hits = [], []
     for query, point, expr in queries:
         analysis = Analysis(session)
         sid = analysis.add_seed(Seed(point=point, expr=expr, direction="both",
                                      label=f"query:{query}"))
         analysis.run()
+        cap_hits.extend(analysis.cap_hits)
         members = sorted(analysis.family(sid),
                          key=lambda t: (str(t.point), S.pretty(t.expr)))
         out.append({
@@ -170,7 +172,20 @@ def _seed_queries(session: Session, queries):
                          "phase": t.phase, "rules": t.chain(),
                          "tainted": t.tainted} for t in members],
         })
-    return out
+    return out, cap_hits
+
+
+def _joined_cap_hits(icall_hits, taint_hits, query_hits) -> list[str]:
+    """The report's cap hits in pipeline order: icall resolution's, the
+    taint run's as it recorded them, then the seed queries'.  A message of
+    the resolution or a query is added once, and only when the report
+    does not hold it yet.  Their warnings are not joined: the resolution
+    run warns of every indirect call it has not resolved yet."""
+    held = set(taint_hits)
+    before = [h for h in dict.fromkeys(icall_hits) if h not in held]
+    held.update(before)
+    after = [h for h in dict.fromkeys(query_hits) if h not in held]
+    return [*before, *taint_hits, *after]
 
 
 def analyze(config: RunConfig) -> Report:
@@ -194,9 +209,10 @@ def analyze(config: RunConfig) -> Report:
     session = Session(program, config.engine)
     t2 = time.perf_counter()
     if config.enable_icall:
-        resolutions, mapping = icalllib.resolve_all(session, address_taken)
+        resolutions, mapping, icall_hits = icalllib.resolve_all(session,
+                                                                address_taken)
     else:
-        resolutions, mapping = [], {}
+        resolutions, mapping, icall_hits = [], {}, []
     session = session.with_resolutions(mapping)
     timings["icall_s"] = round(time.perf_counter() - t2, 6)
 
@@ -209,7 +225,7 @@ def analyze(config: RunConfig) -> Report:
     if config.dump_cfg:
         dumps["cfg"] = cfglib.to_dot(session.cfg(config.dump_cfg))
 
-    seed_results = _seed_queries(session, queries)
+    seed_results, query_hits = _seed_queries(session, queries)
     icall_stats = icalllib.metrics(resolutions)
     report = Report(
         schema_version=SCHEMA_VERSION,
@@ -228,7 +244,7 @@ def analyze(config: RunConfig) -> Report:
         seeds=seed_results,
         timings=timings,
         warnings=warnings,
-        cap_hits=list(taint_result.cap_hits),
+        cap_hits=_joined_cap_hits(icall_hits, taint_result.cap_hits, query_hits),
         dumps=dumps,
     )
     return report

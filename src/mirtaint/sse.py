@@ -36,13 +36,28 @@ use them to skip subtrees a pattern cannot lie in.  A node's offset
 skeletons for the loop-induction merge are computed on first use and
 cached on the node in the same way.
 
-All values are immutable; every function in this module is pure.
+Nodes are hash-consed (Filliatre & Conchon, "Type-safe modular
+hash-consing", ML Workshop 2006): building a node whose fields, tags
+included, match a node of the intern table returns that node.  The key
+holds a child by identity, so a child that differs only in its tags
+makes another key.  The table belongs to one analysis session: each root
+`alias.Session` calls `reset_tables`.  Equality and hashing stay
+structural, so identity is only a fast path, and a node built before a
+reset stays valid.  The rewrites are memoized too: a node's canonical
+form is kept on the node (`_cf`), and `replace`, `occurs`, `retag`, and
+`mark_stale`/`replace_mem` given a `key`, are remembered per table under
+the identities of their node arguments.  An entry holds those
+arguments, so no id in its key is reused while it lives, and no result
+goes to a node that is only equal, whose tags may differ.
+
+All values are immutable; every function in this module is pure.  The
+table and the memos change which object a call returns, never its value.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from typing import Iterator, Optional, Union
 
 U64 = (1 << 64) - 1
@@ -72,6 +87,28 @@ _BIT_OP, _BIT_ADDR = 1, 2
 _NO_REGS: frozenset[str] = frozenset()
 _REG_SETS: dict = {}     # register name or register set -> the shared set
 
+_TABLE: dict = {}        # (class, field or id(child node), ...) -> node
+_MEMO: dict = {}         # (rewrite, id(node) or value, ...) -> (result, args)
+
+
+def reset_tables() -> None:
+    """Start an empty intern table and empty memos (a new analysis
+    session).  Nodes built before stay valid: they are equal to the nodes
+    built after, only not the same objects."""
+    for table in (_TABLE, _MEMO, _REG_SETS):
+        table.clear()
+
+
+def _memo(key: tuple, fn, *args):
+    """`fn(*args)`, remembered until the next reset under `key`: `fn` and
+    what determines the result, nodes by their ids.  The entry holds the
+    node arguments, so no id in its key is reused while it lives."""
+    hit = _MEMO.get(key)
+    if hit is None:
+        hit = _MEMO[key] = (fn(*args), tuple([a for a in args
+                                               if isinstance(a, _Node)]))
+    return hit[0]
+
 
 def _reg_set(name: str) -> frozenset[str]:
     s = _REG_SETS.get(name)
@@ -92,9 +129,39 @@ def _union(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
 _set = object.__setattr__
 
 
-class _Node:
-    # `_skels` is filled on first use only (see `_skeletons`)
-    __slots__ = ("_h", "_canon", "_regs", "_size", "_mdepth", "_bits", "_skels")
+class _Interned(type):
+    """The node classes' metaclass: calling a class returns the table's
+    node with those fields, and builds one only when there is none."""
+
+    def __call__(cls, *args, **kwargs):
+        if kwargs or len(args) < len(cls.__match_args__):
+            args = _all_fields(cls, args, kwargs)
+        key = (cls, *[id(a) if isinstance(a, _Node) else a for a in args])
+        node = _TABLE.get(key)
+        if node is None:
+            node = _TABLE[key] = super().__call__(*args)
+        return node
+
+
+def _all_fields(cls, args: tuple, kwargs: dict) -> list:
+    """The values of every field of a `cls` node in order: `args`, then
+    `kwargs` by name, then the defaults."""
+    values = list(args)
+    for name in cls.__match_args__[len(args):]:
+        value = kwargs.pop(name, cls.__dataclass_fields__[name].default)
+        if value is MISSING:
+            raise TypeError(f"{cls.__name__} needs {name}")
+        values.append(value)
+    if kwargs:
+        raise TypeError(f"{cls.__name__} has no field {next(iter(kwargs))}")
+    return values
+
+
+class _Node(metaclass=_Interned):
+    # `_skels` and `_cf` are filled on first use only (see `_skeletons`
+    # and `canonicalize`)
+    __slots__ = ("_h", "_canon", "_regs", "_size", "_mdepth", "_bits", "_skels",
+                 "_cf")
 
     def __hash__(self):
         return self._h
@@ -388,7 +455,13 @@ def canonicalize(e: Sse) -> Sse:
     shifts of an index term's base.  Idempotent."""
     if e._canon:
         return e
-    return _canonicalize(e)._mark_canonical()
+    try:
+        return e._cf
+    except AttributeError:
+        pass
+    c = _canonicalize(e)._mark_canonical()
+    _set(e, "_cf", c)
+    return c
 
 
 def _canonicalize(e: Sse) -> Sse:
@@ -481,6 +554,10 @@ def size(e: Sse) -> int:
 def occurs(expr: Sse, pattern: Sse) -> bool:
     """True iff ``pattern`` appears as a subtree of ``expr`` (structural
     equality; both sides assumed canonical)."""
+    return _memo((_occurs, id(expr), id(pattern)), _occurs, expr, pattern)
+
+
+def _occurs(expr: Sse, pattern: Sse) -> bool:
     stack = [expr] if _fits(expr, pattern) else []
     while stack:
         n = stack.pop()
@@ -574,14 +651,29 @@ def replace(expr: Sse, pattern: Sse, replacement: Sse) -> Sse:
     """Substitute every occurrence of ``pattern`` in ``expr`` and
     re-canonicalize.  Matching is structural, so memory-node tags on the
     pattern are ignored; tags of untouched nodes survive the rebuild."""
+    return _memo((_replace, id(expr), id(pattern), id(replacement)),
+                 _replace, expr, pattern, replacement)
+
+
+def _replace(expr: Sse, pattern: Sse, replacement: Sse) -> Sse:
     return canonicalize(_substitute(expr, lambda n: n == pattern, replacement,
                                     lambda n: _fits(n, pattern)))
 
 
-def replace_mem(expr: Sse, node_pred, replacement: Sse) -> tuple[Sse, bool]:
+def replace_mem(expr: Sse, node_pred, replacement: Sse,
+                key=None) -> tuple[Sse, bool]:
     """Substitute memory nodes selected by ``node_pred`` (which sees the
     node including its tags, unlike plain structural matching).  Returns
-    the canonical result and whether anything was replaced."""
+    the canonical result and whether anything was replaced.  ``key``, if
+    given, is a hashable value that determines ``node_pred``; the result
+    is then remembered under it."""
+    if key is None:
+        return _replace_mem(expr, node_pred, replacement)
+    return _memo((_replace_mem, id(expr), key, id(replacement)),
+                 _replace_mem, expr, node_pred, replacement)
+
+
+def _replace_mem(expr: Sse, node_pred, replacement: Sse) -> tuple[Sse, bool]:
     hit = False
 
     def match(n):
@@ -607,6 +699,12 @@ def retag(expr: Sse, birth: int) -> Sse:
     """Reset every memory node's birth (used when an expression crosses a
     block boundary).  Staleness is NOT cleared: a node known stale stays
     stale forever."""
+    if not expr._mdepth:
+        return expr
+    return _memo((_retag, id(expr), birth), _retag, expr, birth)
+
+
+def _retag(expr: Sse, birth: int) -> Sse:
     if not any(n.birth != birth for n in mem_nodes(expr)):
         return expr
 
@@ -619,9 +717,20 @@ def retag(expr: Sse, birth: int) -> Sse:
     return _mark_tree(out) if expr._canon else out
 
 
-def mark_stale(expr: Sse, node_pred, which: str = "fwd") -> Sse:
+def mark_stale(expr: Sse, node_pred, which: str = "fwd", key=None) -> Sse:
     """Set the forward or backward staleness flag on the selected memory
-    nodes (a tag-only edit; structure and identity are unchanged)."""
+    nodes (a tag-only edit; the structure is unchanged).  ``key``, if
+    given, is a hashable value that determines ``node_pred``; the result
+    is then remembered under it."""
+    if not expr._mdepth:
+        return expr
+    if key is None:
+        return _mark_stale(expr, node_pred, which)
+    return _memo((_mark_stale, id(expr), key, which),
+                 _mark_stale, expr, node_pred, which)
+
+
+def _mark_stale(expr: Sse, node_pred, which: str) -> Sse:
     fwd = which == "fwd"
 
     def hit(n):

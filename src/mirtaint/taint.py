@@ -489,7 +489,9 @@ def check_sink(session: Session, hit: SinkHit,
         uppers = [c.upper_bound() for c in applicable if c.upper_bound() is not None]
         bound = min(uppers) if uppers else None
         offset, capacity = _stack_dst(session, hit.point, hit.dst)
-        if bound is None:
+        if bound is None and model is LOOP_COPY:
+            verdict = "unbounded loop copy through an advancing pointer"
+        elif bound is None:
             verdict = ("unbounded copy, destination unknown" if capacity is None
                        else "unbounded tainted copy into stack buffer")
         elif capacity is None:
@@ -498,8 +500,6 @@ def check_sink(session: Session, hit: SinkHit,
             verdict = f"bound {bound} exceeds capacity {capacity}"
         else:
             return None
-        if model is LOOP_COPY:
-            verdict = "unbounded loop copy through an advancing pointer"
         klass = "copy-like"
     return Alert(hit.point, model.name, klass, hit.item.expr, tuple(applicable),
                  capacity, bound, offset, verdict,

@@ -97,17 +97,18 @@ def test_loop_family_merges_and_terminates(corpus):
 
 
 @pytest.mark.parametrize("loop_k", [1, 3])
-def test_idle_induction_groups_are_not_merged_again(corpus, monkeypatch, loop_k):
-    """A loop pool group that merged nothing is not handed to
-    `induction_families` again until its members change, and skipping it
-    leaves the registry as re-merging it every time does."""
+def test_induction_partitions_are_computed_once_per_analysis(corpus, monkeypatch,
+                                                            loop_k):
+    """A loop pool group handed to the induction merge again with the same
+    members, tags included, is partitioned once per analysis, and reusing
+    the partition leaves the registry as partitioning every time does."""
     prog = corpus("loop_copy.ir")
     config = EngineConfig(loop_k=loop_k)
     calls = []
     merge = S.induction_families
 
     def counted(exprs, index_id):
-        calls.append(index_id)
+        calls.append((tuple(map(id, exprs)), index_id))
         return merge(exprs, index_id)
 
     monkeypatch.setattr(S, "induction_families", counted)
@@ -120,16 +121,16 @@ def test_idle_induction_groups_are_not_merged_again(corpus, monkeypatch, loop_k)
         return [(k, str(t.point), t.phase, t.chain(), S.pretty(t.expr))
                 for k, t in analysis.registry["main"].items()]
 
-    skipping = registry()
-    skipped = len(calls)
+    reusing = registry()
+    assert len(set(calls)) == len(calls)
+    reused = len(calls)
     calls.clear()
-    # forget every idle group: each one is re-merged after every sweep
-    monkeypatch.setattr(alias._BlockSt, "idle",
-                        property(lambda st: {}, lambda st, value: None),
-                        raising=False)
-    assert registry() == skipping
-    assert any("*0x" in expr for *_, expr in skipping)
-    assert skipped < len(calls)
+    monkeypatch.setattr(Analysis, "_partition",
+                        lambda self, exprs, index_id: S.induction_families(
+                            exprs, index_id))
+    assert registry() == reusing
+    assert any("*0x" in expr for *_, expr in reusing)
+    assert reused < len(calls)
 
 
 def test_moved_and_derive_agree_with_dataclasses_replace():
@@ -380,7 +381,7 @@ def test_icall_resolution_builds_no_ref(corpus, monkeypatch):
     monkeypatch.setattr(Analysis, "add_seed", record)
     prog = corpus("gptr_table.ir")
     session = Session(prog)
-    _, mapping = icall.resolve_all(session)
+    _, mapping, _ = icall.resolve_all(session)
     assert mapping
     assert {"install", "dispatch"} <= set(session.summaries)
     assert any(isinstance(form, ir.Store) for form in seeded)

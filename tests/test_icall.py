@@ -7,7 +7,7 @@ from mirtaint.alias import Session
 
 def resolve_corpus(corpus, name):
     prog = corpus(name)
-    resolutions, mapping = IC.resolve_all(Session(prog), C.find_address_taken(prog))
+    resolutions, mapping, _ = IC.resolve_all(Session(prog), C.find_address_taken(prog))
     return prog, resolutions, mapping
 
 
@@ -92,7 +92,7 @@ bb0:
   ret
 }
 """)
-    resolutions, mapping = IC.resolve_all(Session(prog), C.find_address_taken(prog))
+    resolutions, mapping, _ = IC.resolve_all(Session(prog), C.find_address_taken(prog))
     (res,) = resolutions
     assert res.pattern == "unresolved" and res.targets == ()
     assert mapping == {}
@@ -188,7 +188,7 @@ bb0:
   ret
 }
 """)
-    resolutions, _ = IC.resolve_all(Session(prog), C.find_address_taken(prog))
+    resolutions, _, _ = IC.resolve_all(Session(prog), C.find_address_taken(prog))
     m = IC.metrics(resolutions)
     assert m["all_icalls"] == 2 and m["resolved_icalls"] == 1
     assert m["resolved_pct"] == 50.0

@@ -154,6 +154,31 @@ def test_cycle_cut_shows_once_in_report(tmp_path, monkeypatch):
         "cycle round cap hit: summaries of walk still changing after two rounds"]
 
 
+def test_seed_query_cap_hits_reach_the_report(monkeypatch):
+    """A `--seed` query's analysis records its own cap hits; the report
+    lists them after the taint run's, each once."""
+    monkeypatch.chdir(ROOT)
+    for var in pipeline._ENV_CAPS:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("MIRTAINT_ALIAS_CAP", "1")
+    plain = pipeline.analyze(pipeline.RunConfig(
+        ir_path="corpus/loop_walk.ir")).cap_hits
+    queried = pipeline.analyze(pipeline.RunConfig(
+        ir_path="corpus/loop_walk.ir", seeds=("main:head:load(r1)",))).cap_hits
+    added = queried[len(plain):]
+    assert queried[:len(plain)] == plain
+    assert "function fixpoint cap hit in main" in added
+    assert len(set(added)) == len(added) and not set(added) & set(plain)
+
+
+def test_cap_hits_join_in_pipeline_order():
+    """Icall resolution's hits, then the taint run's as recorded, then the
+    queries'; a resolution or query message is added once, if new."""
+    assert pipeline._joined_cap_hits(["a", "b", "a", "t"], ["t", "x", "t"],
+                                     ["b", "q", "q", "x"]) == [
+        "a", "b", "t", "x", "t", "q"]
+
+
 def _taint_registry_size(program: workloads.GenProgram, monkeypatch) -> int:
     """Entries in the taint analysis's registry when the pipeline
     analyses `program`."""

@@ -407,3 +407,114 @@ def test_rewrites_equal_rebuild_everything(e, pick):
         want = (S.canonicalize(_rebuild_all(x, mem_match, S.Reg("r9")))
                 if hit else x)
         assert _exact(got) == _exact(want)
+
+
+# -- hash-consing and memos ----------------------------------------------------
+
+def _fresh(e):
+    """`e` built again node by node, in the current intern table."""
+    if isinstance(e, S.Reg):
+        return S.Reg(e.name)
+    if isinstance(e, S.Val):
+        return S.Val(e.value)
+    if isinstance(e, S.Bin):
+        return S.Bin(e.op, _fresh(e.left), _fresh(e.right))
+    if isinstance(e, S.Un):
+        return S.Un(e.op, _fresh(e.child))
+    if isinstance(e, S.IndexTerm):
+        return S.IndexTerm(_fresh(e.base), e.stride, e.index)
+    return type(e)(_fresh(e.addr), e.birth, e.stale_fwd, e.stale_bwd)
+
+
+@given(exprs)
+@settings(max_examples=200, deadline=None)
+def test_nodes_equal_with_tags_are_one_object(e):
+    x = _fresh(_tagged(e, itertools.count()))
+    assert _fresh(x) is x
+    assert S.canonicalize(_fresh(x)) is S.canonicalize(x)
+    # the same tree with other births and stale flags
+    y = _fresh(_tagged(e, itertools.count(1)))
+    assert (y is x) == (not any(True for _ in S.mem_nodes(x)))
+    assert y == x and hash(y) == hash(x)
+
+
+def _rewrites(x, pick):
+    """Every memoized operation on `x`, as thunks."""
+    nodes = _nodes(x)
+    pattern = nodes[pick % len(nodes)]
+    early = S.Store(S.Reg("r3"), birth=1)
+    late = S.Store(S.Reg("r3"), birth=2)    # equal to `early` but for its birth
+
+    def even(n):
+        return n.birth % 2 == 0
+
+    return [
+        lambda: S.canonicalize(x),
+        lambda: S.occurs(x, pattern),
+        lambda: S.occurs(x, early),
+        lambda: S.replace(x, pattern, early),
+        lambda: S.replace(x, pattern, late),
+        lambda: S.replace(x, S.Reg("r1"), early),
+        lambda: S.replace(x, S.Reg("r1"), late),
+        lambda: S.retag(x, 5),
+        lambda: S.retag(x, S.BIRTH_AFTER_BLOCK),
+        lambda: S.mark_stale(x, even, "fwd", "even births"),
+        lambda: S.mark_stale(x, even, "bwd", "even births"),
+        lambda: S.replace_mem(x, even, early, "even births"),
+        lambda: S.replace_mem(x, even, late, "even births"),
+    ]
+
+
+def _result(r):
+    if isinstance(r, bool):
+        return r
+    if isinstance(r, tuple):
+        return tuple(map(_result, r))
+    return _exact(r)
+
+
+@given(exprs, st.integers(0, 63))
+@settings(max_examples=200, deadline=None)
+def test_memoized_rewrites_equal_fresh_computation(e, pick):
+    """Each operation, asked twice (the second answer comes from its
+    memo), gives the tag-exact result of computing it on a freshly built
+    tree in an empty table, also for replacements equal but for birth."""
+    for x in (_fresh(_tagged(e, itertools.count())),
+              S.canonicalize(_fresh(_tagged(e, itertools.count())))):
+        first = [_result(op()) for op in _rewrites(x, pick)]
+        again = [_result(op()) for op in _rewrites(x, pick)]
+        for i, got in enumerate(first):
+            S.reset_tables()
+            assert got == again[i] == _result(_rewrites(_fresh(x), pick)[i]())
+
+
+def test_replacements_equal_but_for_birth_keep_their_own():
+    x = canon("load(r1+0x8)")
+    early = S.Store(S.Reg("r3"), birth=1)
+    late = S.Store(S.Reg("r3"), birth=2)
+    assert early == late and early is not late
+    assert S.replace(x, S.Reg("r1"), early).addr.left.birth == 1
+    assert S.replace(x, S.Reg("r1"), late).addr.left.birth == 2
+
+
+def test_intern_table_holds_only_the_last_sessions_nodes(corpus):
+    from mirtaint import alias, taint
+
+    def run(name):
+        session = alias.Session(corpus(name))
+        taint.run_taint(session)
+        return session
+
+    run("loop_copy.ir")
+    first = list(S._TABLE.values())
+    session = run("memcpy_bound_bad.ir")
+    second = {id(n) for n in S._TABLE.values()}
+    assert second and not any(id(n) in second for n in first)
+    size = len(S._TABLE)
+    S.reset_tables()
+    run("memcpy_bound_bad.ir")
+    assert len(S._TABLE) == size
+    # a session under a resolution map shares its root session's table
+    r1 = S.Reg("r1")
+    assert session.with_resolutions({"site": ("f",)}) is not session
+    assert S.Reg("r1") is r1
