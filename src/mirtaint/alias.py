@@ -38,12 +38,13 @@ find the store address's definitions.  Replacements are tried before
 kills; a replaced-and-killed expression survives only as its successor.
 The walker visits only the statements that can act on the expression,
 which is sparse evaluation (Choi, Cytron & Ferrante, POPL 1991): each
-block's rule table carries a row index (`_Table`) of the rows that read
-or define each register, the rows with a register-free pattern and the
-store rows.  An expression is stepped across the rows of its registers,
-the register-free rows, and the stores that can still mark one of its
-memory nodes stale (the may-alias barrier); no rule, kill or taint hook
-can fire on any other row, so skipping them changes nothing.
+block's rule table carries a row index (`_Table`).  An expression is
+stepped across the rows that define one of its registers, the rows with
+a use pattern or stored value that occurs in it, the loads and stores of
+one of its memory nodes' addresses, the stores that can still mark one
+of those nodes stale (the may-alias barrier), and, when it is a tainted
+register, the rows that read it.  No rule, kill, stale mark or taint
+hook can fire on any other row, so skipping them changes nothing.
 
 Statement-level walking is bidirectional inside one block (TraceBlock),
 block results flow around the CFG over a postorder worklist run forward
@@ -285,63 +286,89 @@ def _compile(stmt: ir.Statement) -> _Compiled:
 class _Table:
     """A block's rule table, one row per statement, with its row index.
 
-    The index is three bitmasks over the rows: `by_reg` maps each
-    register to the rows that define or read it, `free` holds the rows
-    with a register-free pattern (an immediate they move, select, store
-    or fold, which any expression may hold) and `stores` the store rows.
-    `relevant` reads them."""
+    The index maps what a fact can hold to the rows that can act on it,
+    as bitmasks over the rows: `by_reg` a register to the rows that
+    define it or whose whole use pattern or stored value it is, `pats`
+    an anchor register (one of the pattern's, or None when it has none)
+    to each other pattern and its rows, `by_addr` an address to its load
+    and store rows, and `reads` a register to the rows that read it.
+    `stores` holds the store rows.  `relevant` reads them."""
     rows: tuple[_Compiled, ...]
     by_reg: dict[str, int]
-    free: int
+    pats: dict[str, tuple[tuple[S.Sse, int], ...]]
+    free: tuple[tuple[S.Sse, int], ...]
+    by_addr: dict[S.Sse, int]
+    reads: dict[str, int]
     stores: int
 
-    def relevant(self, e: S.Sse, forward: bool) -> int:
+    def relevant(self, e: S.Sse, forward: bool, tainted: bool = False) -> int:
         """The rows where stepping `e` in the given direction may yield,
         kill or change anything; every other row steps it to itself.
 
-        A row that shares no register with `e` can match no pattern,
-        define none of its registers and carry none of its taint, and its
-        address cannot be the address of any of its memory nodes, so
-        rules 5-7, 12, 13 and 15 cannot fire there either.  Of such rows
-        only a store acts: it marks `e`'s memory nodes stale, going
-        forward those born before it and going backward those born after
-        it.  So a store row is relevant forward when it comes after the
-        lowest birth among the nodes not yet stale forward, and backward
-        when it comes before the highest birth among those not yet stale
-        backward."""
-        mask = self.free
-        by_reg = self.by_reg
-        for r in e._regs:
+        A row acts on `e` only when it defines one of its registers
+        (rules 8-12, 14), one of its use patterns or its stored value
+        occurs in `e` (rules 1-4, 6), its load or store address is the
+        address of one of `e`'s memory nodes (rules 5, 7, 13, 15), or `e`
+        is tainted and is a register the row reads (the taint carriers
+        and the policy's compare hook).  A store also marks `e`'s memory
+        nodes stale: going forward those born before it and going
+        backward those born after it.  So a store row is relevant forward
+        when it comes after the lowest birth among the nodes not yet
+        stale forward, and backward when it comes before the highest
+        birth among those not yet stale backward (`S.mem_summary`)."""
+        regs = e._regs
+        mask = 0
+        for pat, rows in self.free:
+            if S.occurs(e, pat):
+                mask |= rows
+        by_reg, pats = self.by_reg, self.pats
+        for r in regs:
             mask |= by_reg.get(r, 0)
-        if self.stores and e._mdepth:
+            for pat, rows in pats.get(r, ()):
+                if rows & ~mask and pat._regs <= regs and S.occurs(e, pat):
+                    mask |= rows
+        if tainted and type(e) is S.Reg:
+            mask |= self.reads.get(e.name, 0)
+        if e._mdepth:
+            addrs, lo, hi = S.mem_summary(e)
+            if self.by_addr:
+                for a in addrs:
+                    mask |= self.by_addr.get(a, 0)
             n = len(self.rows)
-            if forward:
-                births = [m.birth for m in S.mem_nodes(e) if not m.stale_fwd]
-                if births:
-                    k = min(max(min(births) + 1, 0), n)
-                    mask |= self.stores >> k << k
-            else:
-                births = [m.birth for m in S.mem_nodes(e) if not m.stale_bwd]
-                if births:
-                    mask |= self.stores & ((1 << min(max(max(births), 0), n)) - 1)
+            if forward and lo is not None:
+                k = min(max(lo + 1, 0), n)
+                mask |= self.stores >> k << k
+            elif not forward and hi is not None:
+                mask |= self.stores & ((1 << min(max(hi, 0), n)) - 1)
         return mask
 
 
 def _table(statements: Iterable[ir.Statement]) -> _Table:
     rows = tuple(map(_compile, statements))
     by_reg: dict[str, int] = {}
-    free = stores = 0
+    pats: dict[Optional[str], dict[S.Sse, int]] = {}
+    by_addr: dict[S.Sse, int] = {}
+    reads: dict[str, int] = {}
+    stores = 0
     for i, row in enumerate(rows):
         bit = 1 << i
-        form = row.stmt.form
-        if (isinstance(row.value, S.Val)
-                or not all(S.registers(pat) for _, pat, _ in row.defs)):
-            free |= bit
-        if isinstance(form, ir.Store):
+        if row.dst is not None:
+            by_reg[row.dst.name] = by_reg.get(row.dst.name, 0) | bit
+        for pat in [pat for _, pat, _, _ in row.uses] + [row.value]:
+            if type(pat) is S.Reg:
+                by_reg[pat.name] = by_reg.get(pat.name, 0) | bit
+            elif pat is not None:
+                group = pats.setdefault(min(pat._regs, default=None), {})
+                group[pat] = group.get(pat, 0) | bit
+        if row.addr is not None:
+            by_addr[row.addr] = by_addr.get(row.addr, 0) | bit
+        if row.value is not None:
             stores |= bit
-        for r in {*ir.used_registers(form), ir.defined_register(form)} - {None}:
-            by_reg[r] = by_reg.get(r, 0) | bit
-    return _Table(rows, by_reg, free, stores)
+        for r in ir.used_registers(row.stmt.form):
+            reads[r] = reads.get(r, 0) | bit
+    free = tuple(pats.pop(None, {}).items())
+    return _Table(rows, by_reg, {r: tuple(group.items()) for r, group in pats.items()},
+                  free, by_addr, reads, stores)
 
 
 def _bounded(config: EngineConfig, parent: Tracked, expr: S.Sse, point: ir.Point,
@@ -573,7 +600,7 @@ def _walk(table: _Table, items, config: EngineConfig, policy, forward: bool,
             continue
         seen[k] = start
         alive = True
-        todo = window(table.relevant(t.expr, forward), start)
+        todo = window(table.relevant(t.expr, forward, t.tainted), start)
         while todo:
             i = ((todo & -todo) if forward else todo).bit_length() - 1
             todo ^= 1 << i
@@ -587,7 +614,8 @@ def _walk(table: _Table, items, config: EngineConfig, policy, forward: bool,
                 break
             if result.expr is not t.expr:
                 t = t.moved(result.expr)
-                todo = window(table.relevant(t.expr, forward), i + delta)
+                todo = window(table.relevant(t.expr, forward, t.tainted),
+                              i + delta)
         if alive:
             survivors.append(t)
     return survivors, created, bool(queue)
@@ -1078,11 +1106,8 @@ class Analysis:
 
     # -- per-block visits ---------------------------------------------------
 
-    def _visit(self, fname: str, label: str) -> bool:
-        g = self.cfg(fname)
-        st = self.states[fname][label]
-        if not st.pend_f and not st.pend_b:
-            return False
+    def _visit(self, fname: str, g: cfglib.Cfg, label: str, st: _BlockSt) -> bool:
+        """Walk the block's pending facts; the caller checks there are some."""
         self.blocks_visited.add((fname, label))
         block = g.blocks[label]
         if block.is_call:
@@ -1106,25 +1131,28 @@ class Analysis:
             if iters > self.config.block_iter_cap:
                 self.cap_hits.append(f"block iteration cap hit at {fname}:{label}")
                 break
-            survivors, created, cut = _walk(rules, fwd, self.config, self.policy,
-                                            True, st.seen_f)
-            fwd = []
-            for t in survivors:
-                changed |= st.put_f(t)
-            for t, direction, i in created:
-                changed |= self._record(fname, t)
-                if direction == "fb":
-                    bwd.append((t, i - 1))
-            survivors_b, created_b, cut_b = _walk(rules, bwd, self.config,
-                                                  self.policy, False, st.seen_b)
-            bwd = []
-            for t in survivors_b:
-                changed |= st.put_b(t)
-            for t, direction, i in created_b:
-                changed |= self._record(fname, t)
-                if direction in ("f", "fb"):
-                    start = i if t.phase == "pre" else i + 1
-                    fwd.append((t, start))
+            cut = cut_b = False
+            if fwd:
+                survivors, created, cut = _walk(rules, fwd, self.config,
+                                                self.policy, True, st.seen_f)
+                fwd = []
+                for t in survivors:
+                    changed |= st.put_f(t)
+                for t, direction, i in created:
+                    changed |= self._record(fname, t)
+                    if direction == "fb":
+                        bwd.append((t, i - 1))
+            if bwd:
+                survivors_b, created_b, cut_b = _walk(rules, bwd, self.config,
+                                                      self.policy, False, st.seen_b)
+                bwd = []
+                for t in survivors_b:
+                    changed |= st.put_b(t)
+                for t, direction, i in created_b:
+                    changed |= self._record(fname, t)
+                    if direction in ("f", "fb"):
+                        start = i if t.phase == "pre" else i + 1
+                        fwd.append((t, start))
             if cut or cut_b:
                 self.cap_hits.append(f"walk pop cap hit at {fname}:{label}")
                 break
@@ -1195,10 +1223,12 @@ class Analysis:
                 t = t.derive(t.expr, point, "post", tainted=True)
                 self._record(fname, t)
             killed = ret_reg is not None and S.kills_register(t.expr, ret_reg)
+            addrs = S.mem_summary(t.expr)[0]
             gens: list[Tracked] = []
             for callee, tr in crossings:
                 for entry in tr.mod:
-                    if S.kills_memory(t.expr, entry.cell.addr, 1 << 29):
+                    if (entry.cell.addr in addrs
+                            and S.kills_memory(t.expr, entry.cell.addr, 1 << 29)):
                         killed = True
                     if entry.value is not None and t.expr == entry.value:
                         gens.append(_bounded(self.config, t, entry.cell, point, "post"))
@@ -1234,11 +1264,12 @@ class Analysis:
                     self.warnings.append(
                         f"no summary for {getattr(form, 'target', '?')} at {point}; "
                         f"backward tracking stopped")
+            addrs = S.mem_summary(t.expr)[0]
             for _, tr in crossings:
                 for entry in tr.mod:
-                    if entry.value is None:
-                        continue
                     addr = entry.cell.addr
+                    if entry.value is None or addr not in addrs:
+                        continue
 
                     def created_after(n):
                         return isinstance(n, S.Load) and n.addr == addr and not n.stale
@@ -1481,17 +1512,19 @@ class Analysis:
     # -- the Alg.-3 driver ----------------------------------------------------
 
     def analyze_function(self, fname: str):
-        self.cfg(fname)
+        g = self.cfg(fname)
         self.visited_functions.add(fname)
         order = self.session.postorder(fname)
         loops = self.session.loop_blocks(fname)
+        states = self.states[fname]
         rounds = 0
         while True:
             changed = False
-            for label in reversed(order):      # forward sweep
-                changed |= self._visit(fname, label)
-            for label in order:                # backward sweep
-                changed |= self._visit(fname, label)
+            # forward sweep, then backward sweep
+            for label in (*reversed(order), *order):
+                st = states[label]
+                if st.pend_f or st.pend_b:
+                    changed |= self._visit(fname, g, label, st)
             rounds += 1
             if rounds >= self.config.loop_k and loops:
                 changed |= self._merge_induction(fname, loops)

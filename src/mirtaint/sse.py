@@ -32,9 +32,12 @@ Every node also caches structural facts computed at construction from
 its children's: hash, register set, size, memory depth and bitwise
 flags.  Like the tags above they take no part in equality.  The
 structure queries read them in O(1), and pattern searches and rewrites
-use them to skip subtrees a pattern cannot lie in.  A node's offset
-skeletons for the loop-induction merge are computed on first use and
-cached on the node in the same way.
+use them to skip subtrees a pattern cannot lie in.  Three more facts are
+computed on first use and cached on the node in the same way: its offset
+skeletons for the loop-induction merge, the set of its memory nodes'
+addresses, and its birth summary (the lowest birth among its memory
+nodes not stale forward, the highest among those not stale backward),
+which the block walker's row index reads.
 
 Nodes are hash-consed (Filliatre & Conchon, "Type-safe modular
 hash-consing", ML Workshop 2006): building a node whose fields, tags
@@ -158,10 +161,10 @@ def _all_fields(cls, args: tuple, kwargs: dict) -> list:
 
 
 class _Node(metaclass=_Interned):
-    # `_skels` and `_cf` are filled on first use only (see `_skeletons`
-    # and `canonicalize`)
+    # `_skels`, `_cf` and `_mem` are filled on first use only (see
+    # `_skeletons`, `canonicalize` and `mem_summary`)
     __slots__ = ("_h", "_canon", "_regs", "_size", "_mdepth", "_bits", "_skels",
-                 "_cf")
+                 "_cf", "_mem")
 
     def __hash__(self):
         return self._h
@@ -583,6 +586,26 @@ def mem_nodes(e: Sse) -> Iterator[Union[Load, Store]]:
         if type(n) is Load or type(n) is Store:
             yield n
         stack.extend(c for c in _children(n) if c._mdepth)
+
+
+def mem_summary(e: Sse) -> tuple[frozenset, Optional[int], Optional[int]]:
+    """The addresses of `e`'s memory nodes (compared structurally), and
+    its birth summary: the lowest birth among those nodes not stale
+    forward and the highest among those not stale backward (None where
+    there is none), the reach of the stores that can still mark `e`
+    stale.  Computed on first use and cached on the node: its tags are
+    part of its intern key, so the summary is fixed per node."""
+    if not e._mdepth:
+        return frozenset(), None, None
+    try:
+        return e._mem
+    except AttributeError:
+        nodes = list(mem_nodes(e))
+    summary = (frozenset(n.addr for n in nodes),
+               min((n.birth for n in nodes if not n.stale_fwd), default=None),
+               max((n.birth for n in nodes if not n.stale_bwd), default=None))
+    _set(e, "_mem", summary)
+    return summary
 
 
 def mem_depth(e: Sse) -> int:

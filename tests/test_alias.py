@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import os
 import pathlib
@@ -630,12 +631,17 @@ def test_inert_statements_step_to_nothing(corpus):
     """Wherever the row index leaves a statement out for an expression
     and direction, stepping the expression across that statement in that
     direction yields nothing, kills nothing, keeps the very same
-    expression and records no comparison fact."""
+    expression and records no comparison fact: over every fact the
+    corpus programs derive at the default caps and at tight ones (an
+    alias cap of 2 and an induction merge after every sweep), tainted
+    or not."""
     models = taint.default_models()
     inert = 0
-    for path in sorted((ROOT / "corpus").glob("*.ir")):
+    configs = (EngineConfig(), EngineConfig(alias_cap=2, loop_k=1))
+    for path, config in itertools.product(sorted((ROOT / "corpus").glob("*.ir")),
+                                           configs):
         prog = corpus(path.name)
-        analysis = Analysis(Session(prog), taint.TaintPolicy(models))
+        analysis = Analysis(Session(prog, config), taint.TaintPolicy(models))
         for seed in taint.seed_sources(prog, models):
             analysis.add_seed(seed)
         for fname in prog.functions:
@@ -656,7 +662,7 @@ def test_inert_statements_step_to_nothing(corpus):
                 for t in items:
                     for forward, step in ((True, walker.forward_step),
                                           (False, walker.backward_step)):
-                        relevant = table.relevant(t.expr, forward)
+                        relevant = table.relevant(t.expr, forward, t.tainted)
                         for i, row in enumerate(table.rows):
                             if relevant >> i & 1:
                                 continue
@@ -714,9 +720,10 @@ def test_store_row_relevant_exactly_where_it_marks(birth, stale, forward, releva
         assert (out.expr is not expr) == relevant
 
 
-def test_register_free_rows_always_relevant():
+def test_register_free_rows_relevant_where_their_immediate_occurs():
     """A row with a register-free pattern can meet an expression that
-    shares no register with it, so the index keeps it for every one."""
+    shares no register with it, so the index keeps it for an expression
+    that holds its immediate, and only for such an expression."""
     prog = ir.parse_program(
         "func f @0x1000 frame=0 {\nbb0:\n  r1 = r2\n  r3 = 0x8\n"
         "  store r4 = 0x8\n  r5 = r6 + r7\n  ret\n}\n")
@@ -724,6 +731,7 @@ def test_register_free_rows_always_relevant():
     expr = S.canonicalize(S.parse_sse("r9+0x8"))
     for forward in (True, False):
         assert table.relevant(expr, forward) == 0b110
+        assert table.relevant(S.canonicalize(S.parse_sse("r9+0x10")), forward) == 0
     new_f, _ = alias.forward_update(prog.functions["f"].blocks[0].stmts[:2],
                                     [Tracked(expr=expr, point=ir.Point("f", "bb0", 0),
                                              phase="pre", seed_id=0)])

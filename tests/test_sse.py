@@ -385,6 +385,20 @@ def test_cached_facts_equal_tree_walks(e):
         assert all(S.occurs(x, n) for n in nodes)
 
 
+@given(exprs)
+@settings(max_examples=200, deadline=None)
+def test_mem_summary_equals_tree_walk(e):
+    """A node's memory-node addresses and birth summary, read once and
+    then from the node, equal what a walk of its memory nodes gives."""
+    x = _tagged(e, itertools.count())
+    mems = [n for n in _nodes(x) if isinstance(n, (S.Load, S.Store))]
+    fwd = [n.birth for n in mems if not n.stale_fwd]
+    bwd = [n.birth for n in mems if not n.stale_bwd]
+    want = ({n.addr for n in mems}, min(fwd, default=None), max(bwd, default=None))
+    assert S.mem_summary(x) == want
+    assert S.mem_summary(x) is S.mem_summary(x) or not mems
+
+
 @given(exprs, st.integers(0, 63))
 @settings(max_examples=300, deadline=None)
 def test_rewrites_equal_rebuild_everything(e, pick):
