@@ -1623,8 +1623,10 @@ class Analysis:
                         continue
                     for m in members[self.config.alias_cap:]:
                         pool.pop(m.key(), None)
-                    self.cap_hits.append(
-                        f"alias-set cap hit for seed {sid} at {fname}:{label}")
+                    # a pool still over the cap on a later sweep is not news
+                    hit = f"alias-set cap hit for seed {sid} at {fname}:{label}"
+                    if hit not in self.cap_hits:
+                        self.cap_hits.append(hit)
                     changed = True
         if changed:
             for st in states.values():

@@ -542,13 +542,14 @@ bb0:
 
 def test_alias_cap_ends_in_reported_cap_hits(corpus):
     """Families past `alias_cap` are cut back in every block and each cut
-    is reported; the run still completes with its alert."""
+    is reported, once however many sweeps find the pool over the cap
+    again; the run still completes with its alert."""
     from mirtaint import taint
 
     prog = corpus("loop_copy.ir")
     result = taint.run_taint(Session(prog, EngineConfig(alias_cap=2)))
     hits = [h for h in result.cap_hits if h.startswith("alias-set cap hit")]
-    assert len(hits) == 30
+    assert len(hits) == len(set(hits)) == 6
     assert all(re.fullmatch(r"alias-set cap hit for seed \d+ at main:\S+", h)
                for h in hits)
     assert len(result.alerts) == 1
