@@ -289,10 +289,11 @@ class _Table:
     The index maps what a fact can hold to the rows that can act on it,
     as bitmasks over the rows: `by_reg` a register to the rows that
     define it or whose whole use pattern or stored value it is, `pats`
-    an anchor register (one of the pattern's, or None when it has none)
-    to each other pattern and its rows, `by_addr` an address to its load
-    and store rows, and `reads` a register to the rows that read it.
-    `stores` holds the store rows.  `relevant` reads them."""
+    one register of each other pattern to that pattern and its rows,
+    `free` holds the register-free patterns (immediates) and their rows,
+    `by_addr` maps an address to its load and store rows, and `reads` a
+    register to the rows that read it.  `stores` holds the store rows.
+    `relevant` reads them."""
     rows: tuple[_Compiled, ...]
     by_reg: dict[str, int]
     pats: dict[str, tuple[tuple[S.Sse, int], ...]]
