@@ -52,12 +52,14 @@ then backward until stable (AnalyzeFunction), and callsite blocks are
 not walked: a visit re-roots each callee's summary at the call once
 (`transfer_function`, which depends only on the callee and the argument
 binding), and every alias crossing the call in either direction reads
-that one `Transfer`.  MOD' cells kill and generate aliases, and the
-return aliases rename the result register.  A tainted alias descends
-into the callee as the formal of an actual it equals, or as a cell of
-the callee's REF re-rooted at the call (REF') that it lives in; REF is
-built per session only when a tainted alias first crosses a call to
-that callee.
+that one `Transfer`.  The binding is built once per program for each
+(callsite, callee) (`Session.binding`); the transfer, taint descents
+and exports back to the callsite all read it.  MOD' cells kill and
+generate aliases, and the return aliases rename the result register.
+A tainted alias descends into the callee as the formal of an actual it
+equals, or as a cell of the callee's REF re-rooted at the call (REF')
+that it lives in; REF is built per session only when a tainted alias
+first crosses a call to that callee.
 
 On completion a function exports its entry-block backward results
 (rooted at parameters or the globals register) to its callers'
@@ -83,9 +85,10 @@ and a cycle's members are summarized together (see `Analysis`).
 
 The fixpoint inside a function is incremental, the semi-naive step of
 Datalog evaluation: work is redone only for facts that are new.  A
-block's push sends its neighbours only the out_f/out_b entries that
-arrived since its last push (`_BlockSt.new_f`/`new_b`); an entry pushed
-before is already in the neighbour's pool or refused there for good.
+block's push sends its neighbours only the `out` entries of each
+direction that arrived since its last push (`_Side.new`); an entry
+pushed before is already in the neighbour's pool or refused there for
+good.
 Each pushed entry is retagged once for all neighbours, and handed on as
 it is when no birth changes.
 After `loop_k` sweeps the induction merge partitions each loop block's
@@ -96,7 +99,7 @@ the same objects and reads the partition it got the first time
 (`Analysis._partition`).  `sse.induction_families` reads each member's
 offset skeletons from a cache on the node.  One case
 falls back to the full scan: when the alias cap pops entries from a
-pool, every block of the function pushes all of out_f/out_b once more,
+pool, every block of the function pushes all of both `out` dicts once more,
 so the popped entries are re-injected as a full scan at every push
 would re-inject them.
 """
@@ -558,7 +561,7 @@ WALK_POP_CAP = 200_000
 
 
 def _walk(table: _Table, items, config: EngineConfig, policy, forward: bool,
-          seen: dict | None = None):
+          seen: dict):
     """Walk each queued (expression, start) through the block, forward to
     its last statement or backward to its first, stepping only the rows
     `table.relevant` gives for the expression; it is asked again whenever
@@ -587,7 +590,6 @@ def _walk(table: _Table, items, config: EngineConfig, policy, forward: bool,
     queue = deque(items)
     survivors: list[Tracked] = []
     created: list[tuple[Tracked, str, int]] = []
-    seen = seen if seen is not None else {}
     pops = 0
     while queue:
         pops += 1
@@ -636,10 +638,9 @@ def forward_update(statements: Iterable[ir.Statement], in_f: list,
     """
     items = [it if isinstance(it, tuple) else (it, 0) for it in in_f]
     survivors, created, _ = _walk(_table(statements), items,
-                                  config or EngineConfig(), policy, True)
-    new_f = _dedup(survivors + [t for t, d, _ in created if d in ("f", "fb")])
-    new_b = _dedup([t for t, d, _ in created if d in ("b", "fb")])
-    return new_f, new_b
+                                  config or EngineConfig(), policy, True, {})
+    return (_dedup(survivors + [t for t, d, _ in created if d in ("f", "fb")]),
+            _dedup([t for t, d, _ in created if d in ("b", "fb")]))
 
 
 def backward_update(statements: Iterable[ir.Statement], in_b: list,
@@ -652,10 +653,9 @@ def backward_update(statements: Iterable[ir.Statement], in_b: list,
     table = _table(statements)
     items = [(t, len(table.rows) - 1) if not isinstance(t, tuple) else t for t in in_b]
     survivors, created, _ = _walk(table, items, config or EngineConfig(), policy,
-                                  False)
-    new_f = _dedup([t for t, d, _ in created if d in ("f", "fb")])
-    new_b = _dedup(survivors + [t for t, d, _ in created if d in ("b", "fb")])
-    return new_f, new_b
+                                  False, {})
+    return (_dedup([t for t, d, _ in created if d in ("f", "fb")]),
+            _dedup(survivors + [t for t, d, _ in created if d in ("b", "fb")]))
 
 
 def _dedup(items: list[Tracked]) -> list[Tracked]:
@@ -749,68 +749,63 @@ class Transfer:
     rets: tuple[S.Sse, ...]                  # aliases of the returned value
 
 
-def transfer_function(summary: FunctionSummary,
-                      args: tuple[ir.Operand, ...]) -> Transfer:
-    """Re-root a callee summary at a callsite whose actuals are `args`.
+def transfer_function(summary: FunctionSummary, binding: dict[str, S.Sse]) -> Transfer:
+    """Re-root a callee summary at a callsite under its argument binding
+    (`Session.binding`).
 
-    The result depends on the callee and the argument binding only, so a
-    callsite builds it once per callee and every alias crossing the call,
-    in either direction, reads the same value.  Entries that mention a
+    The result depends on the callee and the binding only, so a callsite
+    builds it once per callee and every alias crossing the call, in
+    either direction, reads the same value.  Entries that mention a
     formal with no actual (or a frame-local register) are dropped; a MOD
     entry whose stored value cannot be re-rooted keeps its cell with no
-    value.  A taint descent reads the argument map: it maps tainted
-    actuals to formals and re-roots the callee's REF cells."""
-    mapping = arg_map(summary.params, args)
+    value.  A taint descent reads the binding, kept as `args`: it maps
+    tainted actuals to formals and re-roots the callee's REF cells."""
     mod: list[ModEntry] = []
     for entry in summary.mod:
-        cell = reroot(entry.cell, mapping)
+        cell = reroot(entry.cell, binding)
         if cell is not None:
-            value = reroot(entry.value, mapping) if entry.value is not None else None
+            value = reroot(entry.value, binding) if entry.value is not None else None
             mod.append(ModEntry(cell, value))
-    rets = [r for e in summary.ret_exprs if (r := reroot(e, mapping)) is not None]
-    return Transfer(mapping, tuple(mod), tuple(rets))
+    rets = [r for e in summary.ret_exprs if (r := reroot(e, binding)) is not None]
+    return Transfer(binding, tuple(mod), tuple(rets))
 
 
 # ---------------------------------------------------------------------------
 # The function-level engine
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _BlockSt:
-    pre_f: dict = field(default_factory=dict)
-    suc_b: dict = field(default_factory=dict)
-    out_f: dict = field(default_factory=dict)
-    out_b: dict = field(default_factory=dict)
-    pend_f: list = field(default_factory=list)   # [(Tracked, idx)]
-    pend_b: list = field(default_factory=list)
-    seen_f: dict = field(default_factory=dict)   # key -> min idx walked
-    seen_b: dict = field(default_factory=dict)   # key -> max idx walked
-    # entries put into out_f / out_b since the block's last push, which
-    # sends them to all successors (new_f) or predecessors (new_b) at once
-    new_f: list = field(default_factory=list)
-    new_b: list = field(default_factory=list)
-    # set when a cap popped pool entries in the function: the next push
-    # scans all of out_f / out_b, so popped entries are re-injected
-    rescan: bool = False
+class _Side:
+    """A block's state in one walk direction: forward (`_BlockSt.f`) from
+    the block's top, or backward (`_BlockSt.b`) from its bottom.  Not a
+    dataclass: one is built per block and direction of every analysis."""
+    __slots__ = ("pool", "out", "pend", "seen", "new")
 
-    def put_f(self, t: Tracked) -> bool:
-        """Enter `t` into out_f (and new_f) unless its key is there;
+    def __init__(self):
+        self.pool: dict = {}    # key -> fact injected here
+        self.out: dict = {}     # key -> fact leaving the block
+        self.pend: list = []    # [(Tracked, idx)] to walk
+        self.seen: dict = {}    # key -> start walked (`_walk`)
+        self.new: list = []     # put in `out` since the last push
+
+    def put(self, t: Tracked) -> bool:
+        """Enter `t` into `out` (and `new`) unless its key is there;
         True when it was new."""
         k = t.key()
-        if k in self.out_f:
+        if k in self.out:
             return False
-        self.out_f[k] = t
-        self.new_f.append(t)
+        self.out[k] = t
+        self.new.append(t)
         return True
 
-    def put_b(self, t: Tracked) -> bool:
-        """`put_f` for out_b and new_b."""
-        k = t.key()
-        if k in self.out_b:
-            return False
-        self.out_b[k] = t
-        self.new_b.append(t)
-        return True
+
+class _BlockSt:
+    __slots__ = ("f", "b", "rescan")
+
+    def __init__(self):
+        self.f, self.b = _Side(), _Side()
+        # set when a cap popped pool entries in the function: the next push
+        # scans all of both `out` dicts, so popped entries are re-injected
+        self.rescan = False
 
 
 def _handed(t: Tracked, birth: int) -> Tracked:
@@ -825,7 +820,8 @@ class Session:
 
     Per-program facts are built lazily and once: each function's CFG and
     the point index, each block's rule table, live-in registers,
-    postorder, dominators and loop blocks.  Sessions derived through
+    postorder, dominators and loop blocks, and each (callsite, callee)
+    argument binding (`binding`).  Sessions derived through
     `with_resolutions` share them.  The call graph (direct calls and the
     resolved icall targets) and its cycles depend on the resolution map,
     and so do the summary cache and its notes, so each session has its
@@ -918,6 +914,12 @@ class Session:
     def params(self, fname: str) -> tuple[str, ...]:
         return self._fact("params", fname, lambda: live_in_registers(
             self.program.functions[fname], self.cfg(fname)))
+
+    def binding(self, site: ir.Point, callee: str) -> dict[str, S.Sse]:
+        """The callee's formals mapped to the actuals of the call at `site`
+        (`arg_map`), the one binding every use of that call reads."""
+        return self._fact("binding", (site, callee), lambda: arg_map(
+            self.params(callee), self.statement(site).form.args))
 
     def postorder(self, fname: str) -> tuple[str, ...]:
         return self._fact("postorder", fname,
@@ -1091,18 +1093,12 @@ class Analysis:
         if k in self.retired.get(fname, ()):
             return False
         st = self.states[fname][label]
-        if direction == "f":
-            seen = st.seen_f.get(k)
-            if seen is not None and seen <= idx:
-                return False
-            st.pre_f.setdefault(k, t)
-            st.pend_f.append((t, idx))
-        else:
-            seen = st.seen_b.get(k)
-            if seen is not None and seen >= idx:
-                return False
-            st.suc_b.setdefault(k, t)
-            st.pend_b.append((t, idx))
+        side = st.f if direction == "f" else st.b
+        seen = side.seen.get(k)
+        if seen is not None and (seen <= idx if direction == "f" else seen >= idx):
+            return False
+        side.pool.setdefault(k, t)
+        side.pend.append((t, idx))
         return True
 
     # -- per-block visits ---------------------------------------------------
@@ -1122,9 +1118,8 @@ class Analysis:
         input, until no new alias appears."""
         rules = self.session.rules(fname, label)
         changed = False
-        fwd = list(st.pend_f)
-        bwd = list(st.pend_b)
-        st.pend_f, st.pend_b = [], []
+        fwd, bwd = st.f.pend, st.b.pend
+        st.f.pend, st.b.pend = [], []
 
         iters = 0
         while fwd or bwd:
@@ -1132,29 +1127,26 @@ class Analysis:
             if iters > self.config.block_iter_cap:
                 self.cap_hits.append(f"block iteration cap hit at {fname}:{label}")
                 break
-            cut = cut_b = False
-            if fwd:
-                survivors, created, cut = _walk(rules, fwd, self.config,
-                                                self.policy, True, st.seen_f)
-                fwd = []
+            cut = False
+            nxt = []        # the next round's forward input
+            # the backward walk takes what the forward walk adds to `bwd`
+            for forward, side, items in ((True, st.f, fwd), (False, st.b, bwd)):
+                if not items:
+                    continue
+                survivors, created, walk_cut = _walk(rules, items, self.config,
+                                                     self.policy, forward, side.seen)
+                cut |= walk_cut
                 for t in survivors:
-                    changed |= st.put_f(t)
-                for t, direction, i in created:
+                    changed |= side.put(t)
+                for t, made, i in created:
                     changed |= self._record(fname, t)
-                    if direction == "fb":
-                        bwd.append((t, i - 1))
-            if bwd:
-                survivors_b, created_b, cut_b = _walk(rules, bwd, self.config,
-                                                      self.policy, False, st.seen_b)
-                bwd = []
-                for t in survivors_b:
-                    changed |= st.put_b(t)
-                for t, direction, i in created_b:
-                    changed |= self._record(fname, t)
-                    if direction in ("f", "fb"):
-                        start = i if t.phase == "pre" else i + 1
-                        fwd.append((t, start))
-            if cut or cut_b:
+                    if forward:
+                        if made == "fb":
+                            bwd.append((t, i - 1))
+                    elif "f" in made:
+                        nxt.append((t, i if t.phase == "pre" else i + 1))
+            fwd, bwd = nxt, []
+            if cut:
                 self.cap_hits.append(f"walk pop cap hit at {fname}:{label}")
                 break
 
@@ -1163,36 +1155,32 @@ class Analysis:
         return changed
 
     def _propagate(self, fname, g, label, st):
-        """Push the block's out_f entries to its successors and its out_b
-        entries to its predecessors: only those put there since the last
-        push, or all of them after a cap hit (`_BlockSt.rescan`).  An
-        entry pushed before is in the neighbour's pool or refused there
+        """Push each direction's `out` entries to the block's neighbours in
+        that direction: only those put there since the last push (`new`),
+        or all of them after a cap hit (`_BlockSt.rescan`).  An entry
+        pushed before is in the neighbour's pool or refused there
         for good (retired, or walked from the block edge already), so
         pushing it again could only matter once a cap popped it.  Each
         entry is retagged once per push for all neighbours (`_handed`)."""
-        if st.rescan:
-            st.rescan = False
-            fwd, bwd = list(st.out_f.values()), list(st.out_b.values())
-        else:
-            fwd, bwd = st.new_f, st.new_b
-        st.new_f, st.new_b = [], []
+        rescan, st.rescan = st.rescan, False
         states = self.states[fname]
-        succs, preds = g.succs.get(label, ()), g.preds.get(label, ())
-        if succs:
-            fwd = [_handed(t, S.BIRTH_BEFORE_BLOCK) for t in fwd]
-        for s in succs:
-            pool = states[s].pre_f
-            for t in fwd:
-                if t.key() not in pool:
-                    self._inject(fname, s, t, 0, "f")
-        if preds:
-            bwd = [_handed(t, S.BIRTH_AFTER_BLOCK) for t in bwd]
-        for p in preds:
-            pool = states[p].suc_b
-            plen = len(g.blocks[p].stmts)
-            for t in bwd:
-                if t.key() not in pool:
-                    self._inject(fname, p, t, plen - 1, "b")
+        for direction, side in (("f", st.f), ("b", st.b)):
+            if not (rescan or side.new):
+                continue
+            facts = list(side.out.values()) if rescan else side.new
+            side.new = []
+            forward = direction == "f"
+            targets = g.succs.get(label, ()) if forward else g.preds.get(label, ())
+            if not targets:
+                continue
+            birth = S.BIRTH_BEFORE_BLOCK if forward else S.BIRTH_AFTER_BLOCK
+            facts = [_handed(t, birth) for t in facts]
+            for n in targets:
+                pool = states[n].f.pool if forward else states[n].b.pool
+                idx = 0 if forward else len(g.blocks[n].stmts) - 1
+                for t in facts:
+                    if t.key() not in pool:
+                        self._inject(fname, n, t, idx, direction)
 
     # -- callsite transfer ---------------------------------------------------
 
@@ -1202,97 +1190,83 @@ class Analysis:
         point = stmt.point
         changed = False
 
-        fwd_items = [t for t, _ in st.pend_f]
-        bwd_items = [t for t, _ in st.pend_b]
-        st.pend_f, st.pend_b = [], []
-        for t in fwd_items:
-            st.seen_f.setdefault(t.key(), 0)
-        for t in bwd_items:
-            st.seen_b.setdefault(t.key(), -1)
+        pending = []        # (forward?, fact), the forward facts first
+        for forward, side, start in ((True, st.f, 0), (False, st.b, -1)):
+            for t, _ in side.pend:
+                pending.append((forward, t))
+                side.seen.setdefault(t.key(), start)
+            side.pend = []
 
-        ret_reg = form.ret
+        ret_reg, config = form.ret, self.config
         # each callee's summary in caller terms, read by both directions
-        crossings = [(callee, self._transfer(point, callee, form.args))
+        crossings = [(callee, self._transfer(point, callee))
                      for callee in self._callees_of(point, form)
                      if callee in self.program.functions]
 
-        # ---- forward crossings
-        for t in fwd_items:
-            if t.trigger == point and not t.tainted:
-                # taintedness holds from this crossing on, so the flipped
+        for forward, t in pending:
+            if t.trigger == point and t.tainted != forward:
+                # taint holds below the trigger only, so the flipped
                 # instance is anchored here, not at its creation point
-                t = t.derive(t.expr, point, "post", tainted=True)
+                t = t.derive(t.expr, point, "post" if forward else "pre",
+                             tainted=forward)
                 self._record(fname, t)
-            killed = ret_reg is not None and S.kills_register(t.expr, ret_reg)
             addrs = S.mem_summary(t.expr)[0]
-            gens: list[Tracked] = []
-            for callee, tr in crossings:
-                for entry in tr.mod:
-                    if (entry.cell.addr in addrs
-                            and S.kills_memory(t.expr, entry.cell.addr, 1 << 29)):
-                        killed = True
-                    if entry.value is not None and t.expr == entry.value:
-                        gens.append(_bounded(self.config, t, entry.cell, point, "post"))
-                if ret_reg is not None:
-                    gens.extend(_bounded(self.config, t, S.Reg(ret_reg), point, "post")
-                                for rr in tr.rets if rr == t.expr)
-                self._descend(t, point, callee, tr)
-            gens = [n for n in gens if n is not None]
-            if self.policy is not None:
-                gens.extend(self.policy.callsite_forward(self, point, form, t))
-            if not killed:
-                changed |= st.put_f(t)
-            for n in gens:
-                changed |= self._record(fname, n)
-                # rule-6-like products also look backward for the address defs
-                changed |= st.put_f(n)
-                changed |= st.put_b(n)
-
-        # ---- backward crossings
-        for t in bwd_items:
-            if t.trigger == point and t.tainted:
-                t = t.derive(t.expr, point, "pre", tainted=False)
-                self._record(fname, t)
-            stopped = False
-            gens = []
-            if ret_reg is not None and S.contains_reg(t.expr, ret_reg):
-                stopped = True
+            gens: list[Optional[Tracked]] = []
+            if forward:
+                passes = ret_reg is None or not S.kills_register(t.expr, ret_reg)
+                for callee, tr in crossings:
+                    for entry in tr.mod:
+                        if (entry.cell.addr in addrs
+                                and S.kills_memory(t.expr, entry.cell.addr, 1 << 29)):
+                            passes = False
+                        if entry.value is not None and t.expr == entry.value:
+                            gens.append(_bounded(config, t, entry.cell, point, "post"))
+                    if ret_reg is not None:
+                        gens.extend(_bounded(config, t, S.Reg(ret_reg), point, "post")
+                                    for rr in tr.rets if rr == t.expr)
+                    self._descend(t, point, callee, tr)
+                if self.policy is not None:
+                    gens.extend(self.policy.callsite_forward(self, point, form, t))
+            else:
+                passes = ret_reg is None or not S.contains_reg(t.expr, ret_reg)
+                if not passes:
+                    for _, tr in crossings:
+                        gens.extend(_bounded(config, t,
+                                             S.replace(t.expr, S.Reg(ret_reg), rr),
+                                             point, "pre") for rr in tr.rets)
+                    if not crossings and not self._is_library_noop(form):
+                        self.warnings.append(
+                            f"no summary for {getattr(form, 'target', '?')} at "
+                            f"{point}; backward tracking stopped")
                 for _, tr in crossings:
-                    gens.extend(_bounded(self.config, t,
-                                         S.replace(t.expr, S.Reg(ret_reg), rr),
-                                         point, "pre") for rr in tr.rets)
-                if not crossings and not self._is_library_noop(form):
-                    self.warnings.append(
-                        f"no summary for {getattr(form, 'target', '?')} at {point}; "
-                        f"backward tracking stopped")
-            addrs = S.mem_summary(t.expr)[0]
-            for _, tr in crossings:
-                for entry in tr.mod:
-                    addr = entry.cell.addr
-                    if entry.value is None or addr not in addrs:
-                        continue
+                    for entry in tr.mod:
+                        addr = entry.cell.addr
+                        if entry.value is None or addr not in addrs:
+                            continue
 
-                    def created_after(n):
-                        return isinstance(n, S.Load) and n.addr == addr and not n.stale
+                        def created_after(n):
+                            return (isinstance(n, S.Load) and n.addr == addr
+                                    and not n.stale)
 
-                    # not memoized: a fact meets a MOD entry about once
-                    new, hit = S.replace_mem(t.expr, created_after, entry.value)
-                    if hit:
-                        gens.append(_bounded(self.config, t, new, point, "pre"))
-            if not stopped:
-                changed |= st.put_b(t)
+                        # not memoized: a fact meets a MOD entry about once
+                        new, hit = S.replace_mem(t.expr, created_after, entry.value)
+                        if hit:
+                            gens.append(_bounded(config, t, new, point, "pre"))
+            if passes:
+                changed |= (st.f if forward else st.b).put(t)
             for n in gens:
-                if n is None:
-                    continue
-                changed |= self._record(fname, n)
-                changed |= st.put_b(n)
+                if n is not None:
+                    changed |= self._record(fname, n)
+                    # rule-6-like products also look backward for the address defs
+                    if forward:
+                        changed |= st.f.put(n)
+                    changed |= st.b.put(n)
 
         if changed:
             self._propagate(fname, g, label, st)
         return changed
 
-    def _transfer(self, point: ir.Point, callee: str,
-                  args: tuple[ir.Operand, ...]) -> Transfer:
+    def _transfer(self, point: ir.Point, callee: str) -> Transfer:
         """`transfer_function` of the callee's summary at the callsite
         `point`, kept by the session.  A kept transfer is reused only
         while `summary` returns the very summary it was built from, so
@@ -1302,7 +1276,7 @@ class Analysis:
         kept = self.session.transfers.get((point, callee))
         if kept is not None and kept[0] is summ:
             return kept[1]
-        tr = transfer_function(summ, args)
+        tr = transfer_function(summ, self.session.binding(point, callee))
         self.session.transfers[(point, callee)] = (summ, tr)
         return tr
 
@@ -1421,8 +1395,7 @@ class Analysis:
             self._take_notes(callee)
 
     def _compute_summary(self, fname: str) -> FunctionSummary:
-        sub = Analysis(self.session, summary_of=fname)
-        g = sub.cfg(fname)
+        g = self.session.cfg(fname)
         seeds: list[tuple[str, ir.Statement, Seed]] = []
         for label in g.order:
             for stmt in g.blocks[label].stmts:
@@ -1439,27 +1412,22 @@ class Analysis:
                     seeds.append(("ret", stmt, Seed(
                         stmt.point, S.Reg(form.value), direction="backward",
                         label=f"ret:{stmt.point}")))
-        sid_of = {}
-        for kind, stmt, seed in seeds:
-            sid_of[(kind, stmt.point)] = sub.add_seed(seed)
-        sub.run()
+        sub, sids = self._sub_analysis(fname, [seed for _, _, seed in seeds])
         self.session.notes[fname] = (sub.warnings, sub.cap_hits, sub._noted)
+        rooted = {(kind, stmt.point): sub._rooted(fname, sid)
+                  for (kind, stmt, _), sid in zip(seeds, sids)}
 
         mod: list[ModEntry] = []
         rets: list[S.Sse] = []
-        for kind, stmt, seed in seeds:
-            members = sub._rooted(fname, sid_of[(kind, stmt.point)])
+        for kind, stmt, _ in seeds:
             if kind == "mod-addr":
-                vals = []
-                vkey = ("mod-val", stmt.point)
-                if vkey in sid_of:
-                    vals = sub._rooted(fname, sid_of[vkey])
-                elif isinstance(stmt.form.src, int):
-                    vals = [S.Val(stmt.form.src)]
-                for m in members:
-                    mod.append(ModEntry(S.Store(m), vals[0] if vals else None))
+                src = stmt.form.src
+                vals = rooted.get(("mod-val", stmt.point),
+                                  [S.Val(src)] if isinstance(src, int) else [])
+                mod.extend(ModEntry(S.Store(m), vals[0] if vals else None)
+                           for m in rooted[(kind, stmt.point)])
             elif kind == "ret":
-                rets.extend(members)
+                rets.extend(rooted[(kind, stmt.point)])
         return FunctionSummary(func=fname, params=self.session.params(fname),
                                mod=tuple(dict.fromkeys(mod)),
                                ret_exprs=tuple(dict.fromkeys(rets)))
@@ -1482,11 +1450,9 @@ class Analysis:
         if not loads:
             cells = self.session.refs[fname] = ()
             return cells
-        sub = Analysis(self.session, summary_of=fname)
-        sids = [sub.add_seed(Seed(stmt.point, addr_sse(stmt.form.addr, stmt.form.disp),
-                                  direction="backward", label=f"ref:{stmt.point}"))
-                for stmt in loads]
-        sub.run()
+        sub, sids = self._sub_analysis(fname, [
+            Seed(stmt.point, addr_sse(stmt.form.addr, stmt.form.disp),
+                 direction="backward", label=f"ref:{stmt.point}") for stmt in loads])
         cells = self.session.refs[fname] = tuple(dict.fromkeys(
             S.Load(m) for sid in sids for m in sub._rooted(fname, sid)))
         warnings, cap_hits, callees = self.session.notes[fname]
@@ -1501,6 +1467,15 @@ class Analysis:
             for callee in sub._noted:
                 self._take_notes(callee)
         return cells
+
+    def _sub_analysis(self, fname: str, seeds: list[Seed]):
+        """A policy-free run of `fname` alone from `seeds`, for its summary
+        or REF, and the seeds' ids."""
+        sub = Analysis(self.session, summary_of=fname)
+        sub.cfg(fname)   # its CFG warnings, even with no seed
+        sids = [sub.add_seed(seed) for seed in seeds]
+        sub.run()
+        return sub, sids
 
     def _rooted(self, fname: str, sid: int) -> list[S.Sse]:
         """The trusted members of seed `sid` in `fname` that mention only
@@ -1524,7 +1499,7 @@ class Analysis:
             # forward sweep, then backward sweep
             for label in (*reversed(order), *order):
                 st = states[label]
-                if st.pend_f or st.pend_b:
+                if st.f.pend or st.b.pend:
                     changed |= self._visit(fname, g, label, st)
             rounds += 1
             if rounds >= self.config.loop_k and loops:
@@ -1550,9 +1525,9 @@ class Analysis:
         retire_keys = []
         for label in sorted(loops):
             st = self.states[fname][label]
-            for pool, direction in ((st.pre_f, "f"), (st.suc_b, "b")):
+            for direction, side in (("f", st.f), ("b", st.b)):
                 groups: dict = {}
-                for t in pool.values():
+                for t in side.pool.values():
                     if isinstance(t.expr, (S.Reg, S.Val)):
                         continue
                     gk = (t.seed_id, t.tainted, t.derived, t.conds)
@@ -1573,8 +1548,6 @@ class Analysis:
         changed = False
         for label, direction, base, merged in plans:
             t = base.derive(merged, base.point, base.phase)
-            if t.key() in self.retired.get(fname, ()):
-                continue
             idx = 0 if direction == "f" else \
                 len(self.cfg(fname).blocks[label].stmts) - 1
             if self._inject(fname, label, t, idx, direction):
@@ -1601,19 +1574,19 @@ class Analysis:
         retired = self.retired.setdefault(fname, set())
         retired.update(keys)
         for st in self.states[fname].values():
-            for store in (st.pre_f, st.suc_b, st.out_f, st.out_b):
-                for k in store.keys() & keys:
-                    del store[k]
-            if st.pend_f:
-                st.pend_f = [(t, i) for t, i in st.pend_f if t.key() not in retired]
-            if st.pend_b:
-                st.pend_b = [(t, i) for t, i in st.pend_b if t.key() not in retired]
+            for side in (st.f, st.b):
+                for store in (side.pool, side.out):
+                    for k in store.keys() & keys:
+                        del store[k]
+                if side.pend:
+                    side.pend = [(t, i) for t, i in side.pend
+                                 if t.key() not in retired]
 
     def _enforce_caps(self, fname: str) -> bool:
         changed = False
         states = self.states[fname]
         for label, st in states.items():
-            for pool in (st.pre_f, st.suc_b):
+            for pool in (st.f.pool, st.b.pool):
                 if len(pool) <= self.config.alias_cap:
                     continue
                 counts: dict = {}
@@ -1650,19 +1623,17 @@ class Analysis:
         if not callers:
             return
         g = self.cfg(fname)
-        params = self.session.params(fname)
-        allowed = set(params) | {GP}
-        entry_st = self.states[fname][g.entry]
-        exports_up = [t for t in entry_st.out_b.values()
+        allowed = set(self.session.params(fname)) | {GP}
+        exports_up = [t for t in self.states[fname][g.entry].b.out.values()
                       if S.registers(t.expr) <= allowed and not t.derived]
-        returned = []       # (returned register, the exit block's out_f facts)
+        returned = []       # (returned register, the exit block's forward out)
         for ex in g.exits:
             stmts = g.blocks[ex].stmts
             if stmts:
                 last = stmts[-1].form
                 if isinstance(last, ir.Ret) and isinstance(last.value, str):
                     returned.append((last.value,
-                                     list(self.states[fname][ex].out_f.values())))
+                                     list(self.states[fname][ex].f.out.values())))
         if not exports_up and not returned:
             return
         cycle = self.session.cycle(fname)
@@ -1672,35 +1643,29 @@ class Analysis:
                 return
             cf, clabel, _ = self.locate(cpoint)
             cform = self.cfg(cf).blocks[clabel].call.form
-            mapping = arg_map(params, cform.args)
+            binding = self.session.binding(cpoint, fname)
             in_cycle = caller in cycle
-            grew = False
-            for t in self._for_callsite(fname, cpoint, in_cycle, exports_up):
-                rr = reroot(t.expr, mapping)
-                if rr is None:
-                    continue
-                moved = t.derive(S.retag(rr, S.BIRTH_AFTER_BLOCK), cpoint, "pre",
-                                 hops=t.hops + 1 if in_cycle else 0)
-                if self._inject(cf, clabel, moved, -1, "b"):
-                    self._record(cf, moved)
-                    grew = True
+            sends = [(exports_up, binding, S.BIRTH_AFTER_BLOCK, "pre")]
             if cform.ret is not None:
-                st = self.states[cf][clabel]
-                pushed = False
-                for retop, facts in returned:
-                    sub = {**mapping, retop: S.Reg(cform.ret)}
-                    for t in self._for_callsite(fname, cpoint, in_cycle, facts):
-                        rr = reroot(t.expr, sub)
-                        if rr is None:
-                            continue
-                        moved = t.derive(S.retag(rr, S.BIRTH_BEFORE_BLOCK), cpoint,
-                                         "post", hops=t.hops + 1 if in_cycle else 0)
-                        if st.put_f(moved):
-                            self._record(cf, moved)
-                            pushed = True
-                if pushed:
-                    self._propagate(cf, self.cfg(cf), clabel, st)
-                    grew = True
+                sends += [(facts, {**binding, retop: S.Reg(cform.ret)},
+                           S.BIRTH_BEFORE_BLOCK, "post") for retop, facts in returned]
+            st = self.states[cf][clabel]
+            grew = pushed = False
+            for facts, mapping, birth, phase in sends:
+                for t in self._for_callsite(fname, cpoint, in_cycle, facts):
+                    rr = reroot(t.expr, mapping)
+                    if rr is None:
+                        continue
+                    moved = t.derive(S.retag(rr, birth), cpoint, phase,
+                                     hops=t.hops + 1 if in_cycle else 0)
+                    # a returned fact holds below the call: it does not cross it
+                    if (st.f.put(moved) if phase == "post"
+                            else self._inject(cf, clabel, moved, -1, "b")):
+                        self._record(cf, moved)
+                        grew = True
+                        pushed |= phase == "post"
+            if pushed:
+                self._propagate(cf, self.cfg(cf), clabel, st)
             if grew:
                 self._schedule(cf)
 

@@ -91,30 +91,50 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _parse_pair(entry: dict) -> oracle.AliasPair:
+def _parse_pairs(program: ir.Program, raw) -> list[oracle.AliasPair]:
+    """The alias pairs of a pairs file's JSON; ValueError when it is not a
+    list of pairs or a point is not a statement of the program."""
     from .alias import Cond
+    points = {str(s.point): s.point for fn in program.functions.values()
+              for s in fn.statements()}
+
+    def get(d, key, kind, default=None):
+        if not isinstance(d, dict):
+            raise ValueError(f"bad pair {i}: {d!r} is not an object")
+        value = d.get(key, default)
+        if not isinstance(value, kind):
+            raise ValueError(f"bad pair {i}: {key!r} missing or malformed")
+        return value
+
+    def point(d):
+        text = get(d, "point", str)
+        if text not in points:
+            raise ValueError(f"bad pair {i}: no statement at {text!r}")
+        return points[text]
 
     def side(d):
-        func, block, index = d["point"].rsplit(":", 2)
-        return oracle.PairSide(S.parse_sse(d["expr"]),
-                               ir.Point(func, block, int(index)),
-                               d.get("phase", "post"))
+        phase = get(d, "phase", str, "post")
+        if phase not in ("pre", "post"):
+            raise ValueError(f"bad pair {i}: phase {phase!r}")
+        return oracle.PairSide(S.parse_sse(get(d, "expr", str)), point(d), phase)
 
-    conds = tuple(
-        Cond(c["reg"], bool(c["value"]),
-             ir.Point(*c["point"].rsplit(":", 2)[:2],
-                      int(c["point"].rsplit(":", 2)[2])))
-        for c in entry.get("conds", ()))
-    return oracle.AliasPair(side(entry["a"]), side(entry["b"]), conds)
+    if not isinstance(raw, list):
+        raise ValueError("the pairs file must hold a JSON list of pairs")
+    pairs = []
+    for i, entry in enumerate(raw):
+        conds = tuple(Cond(get(c, "reg", str), bool(get(c, "value", (bool, int))),
+                           point(c)) for c in get(entry, "conds", list, []))
+        pairs.append(oracle.AliasPair(side(get(entry, "a", dict)),
+                                      side(get(entry, "b", dict)), conds))
+    return pairs
 
 
 def _cmd_certify(args) -> int:
     try:
         program = load_program(args.ir)
         with open(args.pairs, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        pairs = [_parse_pair(e) for e in raw]
-    except (InputError, OSError, ValueError, KeyError) as exc:
+            pairs = _parse_pairs(program, json.load(fh))
+    except (InputError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     verdicts = oracle.certify_aliases(program, pairs, n_runs=args.runs,

@@ -256,29 +256,27 @@ class Un(_Node):
                 and other.child == self.child)
 
 
-def _mem_facts(node, tag: str):
-    a = node.addr
-    bits = a._bits | _BIT_ADDR if a._bits & _BIT_OP else a._bits
-    node._facts(hash((tag, a._h)), False, a._regs, 1 + a._size, 1 + a._mdepth,
-                bits)
-
-
 @dataclass(frozen=True, eq=False, slots=True)
-class Load(_Node):
+class _Mem(_Node):
+    """A memory node: `Load` and `Store` differ only in their name and
+    their hash tag `_tag`."""
     addr: "Sse"
     birth: int = BIRTH_BEFORE_BLOCK
     stale_fwd: bool = False
     stale_bwd: bool = False
 
     def __post_init__(self):
-        _mem_facts(self, "L")
+        a = self.addr
+        bits = a._bits | _BIT_ADDR if a._bits & _BIT_OP else a._bits
+        self._facts(hash((self._tag, a._h)), False, a._regs, 1 + a._size,
+                    1 + a._mdepth, bits)
 
     __hash__ = _Node.__hash__
 
     def __eq__(self, other):
         if self is other:
             return True
-        return (type(other) is Load and other._h == self._h
+        return (type(other) is type(self) and other._h == self._h
                 and other.addr == self.addr)
 
     @property
@@ -286,27 +284,14 @@ class Load(_Node):
         return self.stale_fwd or self.stale_bwd
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class Store(_Node):
-    addr: "Sse"
-    birth: int = BIRTH_BEFORE_BLOCK
-    stale_fwd: bool = False
-    stale_bwd: bool = False
+class Load(_Mem):
+    __slots__ = ()
+    _tag = "L"
 
-    def __post_init__(self):
-        _mem_facts(self, "S")
 
-    __hash__ = _Node.__hash__
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (type(other) is Store and other._h == self._h
-                and other.addr == self.addr)
-
-    @property
-    def stale(self):
-        return self.stale_fwd or self.stale_bwd
+class Store(_Mem):
+    __slots__ = ()
+    _tag = "S"
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -413,10 +398,8 @@ def sort_key(e: Sse):
     compound terms, constants last."""
     if isinstance(e, Reg):
         return (0, _reg_rank(e.name))
-    if isinstance(e, Load):
-        return (1, sort_key(e.addr))
-    if isinstance(e, Store):
-        return (2, sort_key(e.addr))
+    if isinstance(e, _Mem):
+        return (1 if type(e) is Load else 2, sort_key(e.addr))
     if isinstance(e, IndexTerm):
         return (3, sort_key(e.base), e.stride, e.index)
     if isinstance(e, Un):
@@ -479,10 +462,8 @@ def _canonicalize(e: Sse) -> Sse:
         if isinstance(c, Val):
             return Val(eval_unop(e.op, c.value))
         return Un(e.op, c)
-    if isinstance(e, Load):
-        return Load(canonicalize(e.addr), e.birth, e.stale_fwd, e.stale_bwd)
-    if isinstance(e, Store):
-        return Store(canonicalize(e.addr), e.birth, e.stale_fwd, e.stale_bwd)
+    if isinstance(e, _Mem):
+        return type(e)(canonicalize(e.addr), e.birth, e.stale_fwd, e.stale_bwd)
     if isinstance(e, IndexTerm):
         base = canonicalize(e.base)
         # A whole stride added to the base is an index shift and is
@@ -701,7 +682,7 @@ def _replace_mem(expr: Sse, node_pred, replacement: Sse) -> tuple[Sse, bool]:
 
     def match(n):
         nonlocal hit
-        if isinstance(n, (Load, Store)) and node_pred(n):
+        if isinstance(n, _Mem) and node_pred(n):
             hit = True
             return True
         return False
@@ -728,16 +709,8 @@ def retag(expr: Sse, birth: int) -> Sse:
 
 
 def _retag(expr: Sse, birth: int) -> Sse:
-    if not any(n.birth != birth for n in mem_nodes(expr)):
-        return expr
-
-    def f(n):
-        if n.birth != birth:
-            return type(n)(n.addr, birth, n.stale_fwd, n.stale_bwd)
-        return n
-
-    out = _rebuild_mem(expr, f)
-    return _mark_tree(out) if expr._canon else out
+    return _edit_tags(expr, lambda n: n.birth != birth,
+                      lambda n: (birth, n.stale_fwd, n.stale_bwd))
 
 
 def mark_stale(expr: Sse, node_pred, which: str = "fwd", key=None) -> Sse:
@@ -755,20 +728,18 @@ def mark_stale(expr: Sse, node_pred, which: str = "fwd", key=None) -> Sse:
 
 def _mark_stale(expr: Sse, node_pred, which: str) -> Sse:
     fwd = which == "fwd"
+    return _edit_tags(
+        expr, lambda n: not (n.stale_fwd if fwd else n.stale_bwd) and node_pred(n),
+        lambda n: (n.birth, n.stale_fwd or fwd, n.stale_bwd or not fwd))
 
-    def hit(n):
-        return not (n.stale_fwd if fwd else n.stale_bwd) and node_pred(n)
 
-    if not any(hit(n) for n in mem_nodes(expr)):
+def _edit_tags(expr: Sse, select, tags) -> Sse:
+    """`expr` with the memory nodes `select` picks rebuilt under the tags
+    (birth, stale_fwd, stale_bwd) that `tags` gives: a tag-only edit, so a
+    canonical tree stays canonical; `expr` itself when none is picked."""
+    if not any(select(n) for n in mem_nodes(expr)):
         return expr
-
-    def f(n):
-        if hit(n):
-            return type(n)(n.addr, n.birth,
-                           n.stale_fwd or fwd, n.stale_bwd or not fwd)
-        return n
-
-    out = _rebuild_mem(expr, f)
+    out = _rebuild_mem(expr, lambda n: type(n)(n.addr, *tags(n)) if select(n) else n)
     return _mark_tree(out) if expr._canon else out
 
 
@@ -903,10 +874,8 @@ def pretty(e: Sse) -> str:
         return e.name
     if isinstance(e, Val):
         return hex(e.value)
-    if isinstance(e, Load):
-        return f"load({pretty(e.addr)})"
-    if isinstance(e, Store):
-        return f"store({pretty(e.addr)})"
+    if isinstance(e, _Mem):
+        return f"{type(e).__name__.lower()}({pretty(e.addr)})"
     if isinstance(e, IndexTerm):
         b = pretty(e.base)
         return f"{b}+{e.index}*{hex(e.stride)}"

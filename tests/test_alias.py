@@ -18,7 +18,7 @@ from mirtaint import oracle
 from mirtaint import sse as S
 from mirtaint import taint
 from mirtaint.alias import (Analysis, Cond, EngineConfig, FunctionSummary,
-                            ModEntry, Seed, Session, Tracked, _Walker,
+                            ModEntry, Seed, Session, Tracked, _Walker, arg_map,
                             live_in_registers, transfer_function)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -182,9 +182,10 @@ def test_kept_transfer_follows_the_callee_summary(corpus, monkeypatch):
     keep = Analysis._transfer
     checked = []
 
-    def fresh(self, point, callee, args):
-        tr = keep(self, point, callee, args)
-        checked.append(tr == transfer_function(self.summary(callee), args))
+    def fresh(self, point, callee):
+        tr = keep(self, point, callee)
+        checked.append(tr == transfer_function(self.summary(callee),
+                                               self.session.binding(point, callee)))
         return tr
 
     monkeypatch.setattr(Analysis, "_transfer", fresh)
@@ -219,14 +220,14 @@ def test_transfer_function_reroots_mod():
         func="put", params=("r0", "r1"),
         mod=(ModEntry(S.canonicalize(S.Store(S.parse_sse("r0+0x8"))),
                       S.Reg("r1")),))
-    (entry,) = transfer_function(summ, ("r4", 0x2A)).mod
+    (entry,) = transfer_function(summ, arg_map(summ.params, ("r4", 0x2A))).mod
     assert S.pretty(entry.cell) == "store(r4+0x8)"
     assert entry.value == S.Val(0x2A)
 
 
 def test_transfer_function_pure_callee_passthrough():
     summ = FunctionSummary(func="pure", params=("r0",))
-    tr = transfer_function(summ, ("r4",))
+    tr = transfer_function(summ, arg_map(summ.params, ("r4",)))
     assert tr.mod == () and tr.rets == ()
 
 
@@ -235,7 +236,7 @@ def test_transfer_function_global_rooted_mod_kept():
         func="g", params=("r0",),
         mod=(ModEntry(S.canonicalize(S.Store(S.parse_sse("gp+0x10"))),
                       S.Reg("r0")),))
-    (entry,) = transfer_function(summ, ("r7",)).mod
+    (entry,) = transfer_function(summ, arg_map(summ.params, ("r7",))).mod
     assert S.pretty(entry.cell) == "store(gp+0x10)"
     assert entry.value == S.Reg("r7")
 
@@ -244,7 +245,28 @@ def test_transfer_function_drops_unmapped_params():
     summ = FunctionSummary(
         func="g", params=("r0", "r1"),
         mod=(ModEntry(S.canonicalize(S.Store(S.Reg("r1"))), None),))
-    assert transfer_function(summ, ("r9",)).mod == ()   # only one actual
+    # only one actual
+    assert transfer_function(summ, arg_map(summ.params, ("r9",))).mod == ()
+
+
+def test_each_argument_binding_is_built_once(corpus, monkeypatch):
+    """Over icall resolution and a taint run of each corpus program, a
+    callsite's binding to a callee is built once: the transfers of both
+    sessions, the taint descents and the exports back to the callsite all
+    read that one binding."""
+    built = []
+    real = alias.arg_map
+    monkeypatch.setattr(alias, "arg_map",
+                        lambda params, args: built.append(args) or real(params, args))
+    for path in sorted((ROOT / "corpus").glob("*.ir")):
+        built.clear()
+        session = Session(corpus(path.name))
+        _, mapping, _ = icall.resolve_all(session)
+        resolved = session.with_resolutions(mapping)
+        taint.run_taint(resolved)
+        sites = {(point, callee) for s in (session, resolved)
+                 for _, callee, point in s.call_graph.edges}
+        assert len(built) <= len(sites), path.name
 
 
 def test_callsite_mod_generates_cell_alias(corpus):
@@ -511,11 +533,11 @@ def test_exports_outside_a_cycle_take_no_depth_bound(corpus):
 def test_fixpoint_monotone_out_sets(corpus):
     prog = corpus("diamond.ir")
     analysis, sid = analyze_seed(prog, ir.Point("main", "bb0", 0), "load(r2+0x4)")
-    sizes = {label: (len(st.out_f), len(st.out_b))
+    sizes = {label: (len(st.f.out), len(st.b.out))
              for label, st in analysis.states["main"].items()}
     analysis.analyze_function("main")   # a second run adds nothing
     for label, st in analysis.states["main"].items():
-        assert (len(st.out_f), len(st.out_b)) == sizes[label]
+        assert (len(st.f.out), len(st.b.out)) == sizes[label]
 
 
 def test_saturation_drops_overdeep_expressions(corpus):
@@ -750,10 +772,10 @@ def test_retire_clears_every_pool_and_pending_list(corpus, monkeypatch):
         calls.append(fname)
         retired = self.retired[fname]
         for st in self.states[fname].values():
-            for store in (st.pre_f, st.suc_b, st.out_f, st.out_b):
-                assert not store.keys() & retired
-            for pending in (st.pend_f, st.pend_b):
-                assert not {t.key() for t, _ in pending} & retired
+            for side in (st.f, st.b):
+                for store in (side.pool, side.out):
+                    assert not store.keys() & retired
+                assert not {t.key() for t, _ in side.pend} & retired
 
     monkeypatch.setattr(Analysis, "_retire", checked)
     result = taint.run_taint(Session(corpus("loop_copy.ir")))

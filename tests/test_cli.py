@@ -63,6 +63,39 @@ def test_bad_cap_variable_exits_2(value, monkeypatch, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def _side(point="main:bb0:1", expr="r1"):
+    return {"expr": expr, "point": point, "phase": "post"}
+
+
+@pytest.mark.parametrize("pairs", [
+    {"a": _side(), "b": _side()},
+    [[_side(), _side()]],
+    [{"a": _side(), "b": _side(point=7)}],
+    [{"a": _side(), "b": _side(point="main:bb0")}],
+    [{"a": _side(point="no_such_function:bb0:0"), "b": _side()}],
+    [{"a": _side(), "b": _side(point="main:no_such_block:0")}],
+    [{"a": _side(), "b": _side(), "conds": [{"reg": "r1", "value": True}]}],
+], ids=["not-a-list", "pair-not-an-object", "point-not-a-string",
+        "point-without-index", "unknown-function", "unknown-block",
+        "cond-without-point"])
+def test_certify_bad_pairs_exit_2(pairs, tmp_path, capsys):
+    """A malformed pairs file is an input error (2), never a traceback or
+    the exit code of a failed pair (1)."""
+    path = tmp_path / "pairs.json"
+    path.write_text(json.dumps(pairs))
+    assert cli.main(["oracle", "certify", "--ir", CLEAN, "--pairs", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_certify_well_formed_pairs(tmp_path, capsys):
+    path = tmp_path / "pairs.json"
+    path.write_text(json.dumps([{"a": _side(), "b": _side(expr="sp")}]))
+    assert cli.main(["oracle", "certify", "--ir", CLEAN, "--pairs", str(path)]) == 0
+    (verdict,) = json.loads(capsys.readouterr().out)
+    assert verdict["status"] == "pass"
+
+
 def test_text_format_to_out_file(tmp_path, capsys):
     out = tmp_path / "report.txt"
     assert cli.main(["analyze", "--ir", ALERTING, "--format", "text",
