@@ -97,11 +97,7 @@ analysis for the same members: SSE nodes are interned with their tags,
 so a group that comes back, from another sweep, block or direction, is
 the same objects and reads the partition it got the first time
 (`Analysis._partition`).  `sse.induction_families` reads each member's
-offset skeletons from a cache on the node.  One case
-falls back to the full scan: when the alias cap pops entries from a
-pool, every block of the function pushes all of both `out` dicts once more,
-so the popped entries are re-injected as a full scan at every push
-would re-inject them.
+offset skeletons from a cache on the node.
 """
 
 from __future__ import annotations
@@ -126,7 +122,6 @@ GP = "gp"
 class EngineConfig:
     sse_depth: int = 5            # max nested memory nodes per expression
     sse_size: int = 64            # max nodes per expression (saturation)
-    alias_cap: int = 256          # per-seed per-block family size cap
     loop_k: int = 3               # loop re-traversals before induction merge
     block_iter_cap: int = 64      # TraceBlock inner iterations
     func_rounds_cap: int = 32     # AnalyzeFunction worklist sweeps
@@ -799,13 +794,10 @@ class _Side:
 
 
 class _BlockSt:
-    __slots__ = ("f", "b", "rescan")
+    __slots__ = ("f", "b")
 
     def __init__(self):
         self.f, self.b = _Side(), _Side()
-        # set when a cap popped pool entries in the function: the next push
-        # scans all of both `out` dicts, so popped entries are re-injected
-        self.rescan = False
 
 
 def _handed(t: Tracked, birth: int) -> Tracked:
@@ -882,9 +874,10 @@ class Session:
 
     def _fact(self, kind: str, name, build):
         key = (kind, name)
-        if key not in self._facts:
-            self._facts[key] = build()
-        return self._facts[key]
+        fact = self._facts.get(key)
+        if fact is None:
+            fact = self._facts[key] = build()
+        return fact
 
     def cfg(self, fname: str) -> cfglib.Cfg:
         return self._fact("cfg", fname, lambda: self._build_cfg(fname))
@@ -1155,19 +1148,16 @@ class Analysis:
         return changed
 
     def _propagate(self, fname, g, label, st):
-        """Push each direction's `out` entries to the block's neighbours in
-        that direction: only those put there since the last push (`new`),
-        or all of them after a cap hit (`_BlockSt.rescan`).  An entry
-        pushed before is in the neighbour's pool or refused there
-        for good (retired, or walked from the block edge already), so
-        pushing it again could only matter once a cap popped it.  Each
-        entry is retagged once per push for all neighbours (`_handed`)."""
-        rescan, st.rescan = st.rescan, False
+        """Push each direction's `out` entries put there since the last
+        push (`new`) to the block's neighbours in that direction.  An entry
+        pushed before is in the neighbour's pool or refused there for good
+        (retired, or walked from the block edge already).  Each entry is
+        retagged once per push for all neighbours (`_handed`)."""
         states = self.states[fname]
         for direction, side in (("f", st.f), ("b", st.b)):
-            if not (rescan or side.new):
+            facts = side.new
+            if not facts:
                 continue
-            facts = list(side.out.values()) if rescan else side.new
             side.new = []
             forward = direction == "f"
             targets = g.succs.get(label, ()) if forward else g.preds.get(label, ())
@@ -1504,7 +1494,6 @@ class Analysis:
             rounds += 1
             if rounds >= self.config.loop_k and loops:
                 changed |= self._merge_induction(fname, loops)
-            changed |= self._enforce_caps(fname)
             if not changed:
                 break
             if rounds >= self.config.func_rounds_cap:
@@ -1581,31 +1570,6 @@ class Analysis:
                 if side.pend:
                     side.pend = [(t, i) for t, i in side.pend
                                  if t.key() not in retired]
-
-    def _enforce_caps(self, fname: str) -> bool:
-        changed = False
-        states = self.states[fname]
-        for label, st in states.items():
-            for pool in (st.f.pool, st.b.pool):
-                if len(pool) <= self.config.alias_cap:
-                    continue
-                counts: dict = {}
-                for t in pool.values():
-                    counts.setdefault(t.seed_id, []).append(t)
-                for sid, members in counts.items():
-                    if len(members) <= self.config.alias_cap:
-                        continue
-                    for m in members[self.config.alias_cap:]:
-                        pool.pop(m.key(), None)
-                    # a pool still over the cap on a later sweep is not news
-                    hit = f"alias-set cap hit for seed {sid} at {fname}:{label}"
-                    if hit not in self.cap_hits:
-                        self.cap_hits.append(hit)
-                    changed = True
-        if changed:
-            for st in states.values():
-                st.rescan = True
-        return changed
 
     # -- cross-function exports ------------------------------------------------
 

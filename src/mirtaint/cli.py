@@ -7,6 +7,15 @@
     mirtaint oracle fuzz [--count 500] [--max-len 30] [--seed 0]
 
 Exit codes: 0 success, 1 alerts found (unless --exit-zero), 2 input error.
+
+`analyze` reads these engine caps from the environment, each an integer
+>= 1 (exit 2 otherwise):
+
+    MIRTAINT_SSE_DEPTH        nested memory nodes per alias expression (5)
+    MIRTAINT_LOOP_K           loop sweeps before the induction merge (3)
+    MIRTAINT_BLOCK_ITER_CAP   walk rounds inside one block (64)
+    MIRTAINT_FUNC_ROUNDS_CAP  fixpoint sweeps over one function (32)
+    MIRTAINT_RECURSION_DEPTH  exports around a call-graph cycle (4)
 """
 
 from __future__ import annotations
@@ -58,6 +67,11 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--seed", type=int, default=0)
     pf.add_argument("--runs", type=int, default=16)
     return parser
+
+
+# least oracle flag values; a generated program has at least 5 statements
+_MINIMUMS = {"certify": {"runs": 1},
+             "fuzz": {"count": 1, "max_len": 5, "runs": 1}}
 
 
 def _emit(text: str, out_path: str | None):
@@ -158,6 +172,11 @@ def main(argv=None) -> int:
     if args.cmd == "analyze":
         return _cmd_analyze(args)
     if args.cmd == "oracle":
+        for name, least in _MINIMUMS[args.oracle_cmd].items():
+            if getattr(args, name) < least:
+                print(f"error: --{name.replace('_', '-')} must be >= {least}",
+                      file=sys.stderr)
+                return 2
         if args.oracle_cmd == "certify":
             return _cmd_certify(args)
         return _cmd_fuzz(args)

@@ -19,7 +19,6 @@ SCHEMA_VERSION = 1
 
 _ENV_CAPS = {
     "MIRTAINT_SSE_DEPTH": "sse_depth",
-    "MIRTAINT_ALIAS_CAP": "alias_cap",
     "MIRTAINT_LOOP_K": "loop_k",
     "MIRTAINT_BLOCK_ITER_CAP": "block_iter_cap",
     "MIRTAINT_FUNC_ROUNDS_CAP": "func_rounds_cap",

@@ -451,10 +451,6 @@ def canonicalize(e: Sse) -> Sse:
 
 
 def _canonicalize(e: Sse) -> Sse:
-    if e._canon:
-        return e
-    if isinstance(e, Reg):
-        return e
     if isinstance(e, Val):
         return Val(e.value & U64)
     if isinstance(e, Un):

@@ -562,21 +562,6 @@ bb0:
     assert all(S.mem_depth(t.expr) <= 3 for t in analysis.family(sid))
 
 
-def test_alias_cap_ends_in_reported_cap_hits(corpus):
-    """Families past `alias_cap` are cut back in every block and each cut
-    is reported, once however many sweeps find the pool over the cap
-    again; the run still completes with its alert."""
-    from mirtaint import taint
-
-    prog = corpus("loop_copy.ir")
-    result = taint.run_taint(Session(prog, EngineConfig(alias_cap=2)))
-    hits = [h for h in result.cap_hits if h.startswith("alias-set cap hit")]
-    assert len(hits) == len(set(hits)) == 6
-    assert all(re.fullmatch(r"alias-set cap hit for seed \d+ at main:\S+", h)
-               for h in hits)
-    assert len(result.alerts) == 1
-
-
 def test_job_cap_ends_in_reported_cap_hit(corpus):
     """Exports cut off by `job_cap` are reported, naming the function whose
     facts were dropped: at three jobs, ident's returned taint never
@@ -655,12 +640,11 @@ def test_inert_statements_step_to_nothing(corpus):
     and direction, stepping the expression across that statement in that
     direction yields nothing, kills nothing, keeps the very same
     expression and records no comparison fact: over every fact the
-    corpus programs derive at the default caps and at tight ones (an
-    alias cap of 2 and an induction merge after every sweep), tainted
-    or not."""
+    corpus programs derive at the default caps and with an induction
+    merge after every sweep, tainted or not."""
     models = taint.default_models()
     inert = 0
-    configs = (EngineConfig(), EngineConfig(alias_cap=2, loop_k=1))
+    configs = (EngineConfig(), EngineConfig(loop_k=1))
     for path, config in itertools.product(sorted((ROOT / "corpus").glob("*.ir")),
                                            configs):
         prog = corpus(path.name)

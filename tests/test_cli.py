@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from mirtaint import cli, pipeline, taint
+from mirtaint import cli, oracle, pipeline, taint
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 ALERTING = str(ROOT / "corpus" / "memcpy_bound_bad.ir")
@@ -57,7 +57,7 @@ def test_input_errors_exit_2(argv, monkeypatch, capsys):
 
 @pytest.mark.parametrize("value", ["abc", "0"])
 def test_bad_cap_variable_exits_2(value, monkeypatch, capsys):
-    monkeypatch.setenv("MIRTAINT_ALIAS_CAP", value)
+    monkeypatch.setenv("MIRTAINT_LOOP_K", value)
     assert cli.main(["analyze", "--ir", CLEAN]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
@@ -94,6 +94,57 @@ def test_certify_well_formed_pairs(tmp_path, capsys):
     assert cli.main(["oracle", "certify", "--ir", CLEAN, "--pairs", str(path)]) == 0
     (verdict,) = json.loads(capsys.readouterr().out)
     assert verdict["status"] == "pass"
+
+
+def test_certify_reports_a_shrunk_counterexample(tmp_path, capsys):
+    """A pair that does not hold fails (exit 1) with a counterexample
+    whose entry registers are all zeroed by the shrinker, the values
+    still differing: the store between the reads is a barrier."""
+    path = tmp_path / "pairs.json"
+    path.write_text(json.dumps([{"a": _side("main:bb0:1", "r4") | {"phase": "pre"},
+                                 "b": _side("main:bb0:2", "r5")}]))
+    assert cli.main(["oracle", "certify", "--ir",
+                     str(ROOT / "corpus" / "store_barrier.ir"),
+                     "--pairs", str(path)]) == 1
+    (verdict,) = json.loads(capsys.readouterr().out)
+    assert verdict["status"] == "fail"
+    cex = verdict["counterexample"]
+    assert cex["inputs"] and set(cex["inputs"].values()) == {"0x0"}
+    assert cex["value_a"] != cex["value_b"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--ir", CLEAN, "--pairs", "pairs.json", "--runs", "0"],
+    ["fuzz", "--runs", "0"],
+    ["fuzz", "--count", "0"],
+    ["fuzz", "--count", "-1"],
+    ["fuzz", "--max-len", "4"],
+], ids=["certify-runs", "fuzz-runs", "fuzz-count-0", "fuzz-count-negative",
+        "fuzz-max-len"])
+def test_oracle_flags_out_of_range_exit_2(argv, tmp_path, monkeypatch, capsys):
+    """An oracle count below its least value is an input error, rejected
+    before any program is run or generated."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pairs.json").write_text("[]")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle started before its flags were checked")
+
+    monkeypatch.setattr(oracle, "certify_aliases", refuse)
+    monkeypatch.setattr(oracle, "fuzz", refuse)
+    assert cli.main(["oracle", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+def test_differential_fuzz_finds_no_failure(capsys):
+    """Every trusted alias pair the engine reports on 20 generated
+    programs holds on concrete runs."""
+    assert cli.main(["oracle", "fuzz", "--count", "20", "--seed", "1"]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["programs"] == 20 and summary["failures"] == 0
+    assert summary["pairs"] > 0
 
 
 def test_text_format_to_out_file(tmp_path, capsys):

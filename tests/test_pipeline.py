@@ -2,10 +2,9 @@
 
 Every corpus program's JSON report (without timings) is compared byte
 for byte against `tests/golden/<name>.json`, and six seed-query reports against `tests/golden/<name>.seed.json`.  Every
-corpus program is also run under tight caps (`TIGHT_CAPS`: an alias cap
-of 2 and an induction merge after every sweep) against
-`tests/golden/<name>.tight.json`, which pins the order of cap hits, the
-re-injection after them and the merge results.  After a deliberate
+corpus program is also run under tight caps (`TIGHT_CAPS`: an induction
+merge after every sweep) against `tests/golden/<name>.tight.json`, which
+pins the merge results.  After a deliberate
 change to the reports, regenerate the files from the root of the
 checkout with
 
@@ -38,7 +37,7 @@ SEED_QUERIES = {
     "store_barrier.ir": ("main:bb0:load(r2)", "back:out:r5"),
     "summaries_tour.ir": ("main:bb0:r1",),
 }
-TIGHT_CAPS = {"MIRTAINT_ALIAS_CAP": "2", "MIRTAINT_LOOP_K": "1"}
+TIGHT_CAPS = {"MIRTAINT_LOOP_K": "1"}
 
 
 def _cases():
@@ -160,7 +159,7 @@ def test_seed_query_cap_hits_reach_the_report(monkeypatch):
     monkeypatch.chdir(ROOT)
     for var in pipeline._ENV_CAPS:
         monkeypatch.delenv(var, raising=False)
-    monkeypatch.setenv("MIRTAINT_ALIAS_CAP", "1")
+    monkeypatch.setenv("MIRTAINT_FUNC_ROUNDS_CAP", "1")
     plain = pipeline.analyze(pipeline.RunConfig(
         ir_path="corpus/loop_walk.ir")).cap_hits
     queried = pipeline.analyze(pipeline.RunConfig(
