@@ -106,7 +106,6 @@ import logging
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import attrgetter
 from typing import Iterable, Optional
 
 from . import cfg as cfglib
@@ -143,7 +142,14 @@ class Cond:
 
 @dataclass(frozen=True, slots=True)
 class Tracked:
-    """One alias expression with its provenance."""
+    """One alias expression with its provenance.
+
+    Its key (`key()`) is what makes two aliases one fact: the structure
+    id of its expression (`_sid`, see `sse`: equal exactly for equal
+    expressions, whatever their tags), its seed, taint and conditions.
+    The key is built once, when the alias is built (by `moved` and
+    `derive` too), so the registry, pool, `out`, `seen` and `retired`
+    lookups that read it neither rebuild it nor hash the expression."""
     expr: S.Sse
     point: ir.Point
     phase: str                    # value holds "pre"/"post" this statement
@@ -155,17 +161,33 @@ class Tracked:
     trigger: Optional[ir.Point] = None
     conds: tuple[Cond, ...] = ()
     hops: int = 0          # exports taken around a call-graph cycle (bounded)
+    _key: tuple = field(init=False, repr=False, compare=False)
 
-    def key(self):
-        return (self.expr, self.seed_id, self.tainted, self.derived, self.conds)
+    def __post_init__(self):
+        _set(self, "_key", (self.expr._sid, self.seed_id, self.tainted,
+                            self.derived, self.conds))
+
+    def key(self) -> tuple:
+        return self._key
 
     def moved(self, expr: S.Sse) -> "Tracked":
         """This alias with `expr` in place of its expression (a re-tagged
-        or re-marked form of it): a copy of every other slot."""
+        or re-marked form of it): a copy of every other slot, the key's
+        with the new structure id."""
         new = _new_tracked(Tracked)
         _set(new, "expr", expr)
-        for name, value in zip(_TRACKED_REST, _tracked_rest(self)):
-            _set(new, name, value)
+        _set(new, "point", self.point)
+        _set(new, "phase", self.phase)
+        _set(new, "seed_id", self.seed_id)
+        _set(new, "rule", self.rule)
+        _set(new, "parent", self.parent)
+        _set(new, "tainted", self.tainted)
+        _set(new, "derived", self.derived)
+        _set(new, "trigger", self.trigger)
+        _set(new, "conds", self.conds)
+        _set(new, "hops", self.hops)
+        _set(new, "_key", (expr._sid, self.seed_id, self.tainted, self.derived,
+                           self.conds))
         return new
 
     def derive(self, expr: S.Sse, point: ir.Point, phase: str,
@@ -179,8 +201,10 @@ class Tracked:
         _set(new, "phase", phase)
         _set(new, "rule", rule)
         _set(new, "parent", self)
-        for name, value in changes.items():
-            _set(new, name, value)
+        if changes:
+            for name, value in changes.items():
+                _set(new, name, value)
+            new.__post_init__()
         return new
 
     def chain(self) -> list[int]:
@@ -199,9 +223,6 @@ class Tracked:
 
 _set = object.__setattr__
 _new_tracked = object.__new__
-# every slot of Tracked but `expr`, and a getter of their values
-_TRACKED_REST = tuple(name for name in Tracked.__slots__ if name != "expr")
-_tracked_rest = attrgetter(*_TRACKED_REST)
 
 
 @dataclass(frozen=True)
@@ -289,14 +310,14 @@ class _Table:
     define it or whose whole use pattern or stored value it is, `pats`
     one register of each other pattern to that pattern and its rows,
     `free` holds the register-free patterns (immediates) and their rows,
-    `by_addr` maps an address to its load and store rows, and `reads` a
-    register to the rows that read it.  `stores` holds the store rows.
-    `relevant` reads them."""
+    `by_addr` maps an address, by its structure id (`_sid`, see `sse`),
+    to its load and store rows, and `reads` a register to the rows that
+    read it.  `stores` holds the store rows.  `relevant` reads them."""
     rows: tuple[_Compiled, ...]
     by_reg: dict[str, int]
     pats: dict[str, tuple[tuple[S.Sse, int], ...]]
     free: tuple[tuple[S.Sse, int], ...]
-    by_addr: dict[S.Sse, int]
+    by_addr: dict[int, int]
     reads: dict[str, int]
     stores: int
 
@@ -346,7 +367,7 @@ def _table(statements: Iterable[ir.Statement]) -> _Table:
     rows = tuple(map(_compile, statements))
     by_reg: dict[str, int] = {}
     pats: dict[Optional[str], dict[S.Sse, int]] = {}
-    by_addr: dict[S.Sse, int] = {}
+    by_addr: dict[int, int] = {}
     reads: dict[str, int] = {}
     stores = 0
     for i, row in enumerate(rows):
@@ -360,7 +381,8 @@ def _table(statements: Iterable[ir.Statement]) -> _Table:
                 group = pats.setdefault(min(pat._regs, default=None), {})
                 group[pat] = group.get(pat, 0) | bit
         if row.addr is not None:
-            by_addr[row.addr] = by_addr.get(row.addr, 0) | bit
+            sid = row.addr._sid
+            by_addr[sid] = by_addr.get(sid, 0) | bit
         if row.value is not None:
             stores |= bit
         for r in ir.used_registers(row.stmt.form):
@@ -794,10 +816,16 @@ class _Side:
 
 
 class _BlockSt:
+    """A block's state in an analysis, built when a fact first enters the
+    block (`Analysis._state`)."""
     __slots__ = ("f", "b")
 
     def __init__(self):
         self.f, self.b = _Side(), _Side()
+
+
+# what a block no fact has entered reads as; never written
+_NO_STATE = _BlockSt()
 
 
 def _handed(t: Tracked, birth: int) -> Tracked:
@@ -823,7 +851,9 @@ class Session:
     A root session (one built here rather than by `with_resolutions`)
     starts an empty SSE intern table and empty rewrite memos
     (`S.reset_tables`), so they hold the nodes of one program's analysis
-    only; sessions derived from it share them.
+    only; sessions derived from it share them.  Its rule tables and every
+    fact key on that table's structure ids, so no analysis runs on it
+    once a later root session has started another table.
 
     REF, the cells a function reads, is a table of its own (`refs`),
     filled on demand: a function's REF is built the first time a tainted
@@ -836,7 +866,7 @@ class Session:
 
     def __init__(self, program: ir.Program, config: EngineConfig | None = None,
                  resolutions: dict | None = None):
-        S.reset_tables()
+        self.sse_table = S.reset_tables()
         self.program = program
         self.config = config or EngineConfig()
         self._facts: dict = {}       # (kind, fname) -> per-program fact
@@ -868,6 +898,7 @@ class Session:
             return self
         other = object.__new__(Session)
         other.program, other.config = self.program, self.config
+        other.sse_table = self.sse_table
         other._facts, other._points = self._facts, self._points
         other._resolve(resolutions)
         return other
@@ -998,6 +1029,9 @@ class Analysis:
 
     def __init__(self, session: Session, policy=None, *,
                  summary_of: str | None = None):
+        if session.sse_table != S.current_table():
+            raise ValueError("the session's SSE intern table was replaced by "
+                             "a later session's")
         self.session = session
         self.program = session.program
         self.config = session.config
@@ -1029,14 +1063,21 @@ class Analysis:
     def cfg(self, fname: str) -> cfglib.Cfg:
         g = self.session.cfg(fname)
         if fname not in self.states:
-            self.states[fname] = {label: _BlockSt() for label in g.order}
+            self.states[fname] = {}
             self.registry.setdefault(fname, {})
-            self.warnings.extend(g.warnings)
+            self.warn(*g.warnings)
         return g
 
     def locate(self, point: ir.Point) -> tuple[str, str, int]:
         self.cfg(point.func)
         return self.session.locate(point)
+
+    def warn(self, *messages: str):
+        """Record each warning once per analysis, in first-occurrence
+        order."""
+        for message in messages:
+            if message not in self.warnings:
+                self.warnings.append(message)
 
     def _schedule(self, fname: str):
         if fname in self._queued:
@@ -1053,13 +1094,18 @@ class Analysis:
         return self._seed_ids.setdefault(k, len(self._seed_ids))
 
     def add_seed(self, seed: Seed) -> int:
+        """Inject `seed` and return its id.  This is the one door for an
+        expression built outside the session, such as a query parsed
+        before the session reset the intern table: the expression is
+        interned again first (`S.intern`), so that its facts key on this
+        table's structure ids, as the same expression built here does."""
         fname, label, idx = self.locate(seed.point)
         sid = self.seed_id_for(seed)
         # a source seed is tainted only once its own statement has run
         phase = "post" if seed.tainted and seed.trigger == seed.point else "pre"
-        t = Tracked(expr=S.canonicalize(S.retag(seed.expr, idx)), point=seed.point,
-                    phase=phase, seed_id=sid, tainted=seed.tainted,
-                    trigger=seed.trigger)
+        expr = S.canonicalize(S.retag(S.intern(seed.expr), idx))
+        t = Tracked(expr=expr, point=seed.point, phase=phase, seed_id=sid,
+                    tainted=seed.tainted, trigger=seed.trigger)
         if seed.direction in ("forward", "both"):
             self._inject(fname, label, t, idx, "f")
         if seed.direction in ("backward", "both"):
@@ -1081,11 +1127,19 @@ class Analysis:
         self._members.setdefault(t.seed_id, {}).setdefault(fname, []).append(t)
         return True
 
+    def _state(self, fname: str, label: str) -> _BlockSt:
+        """The block's state, built when a fact first enters the block."""
+        states = self.states[fname]
+        st = states.get(label)
+        if st is None:
+            st = states[label] = _BlockSt()
+        return st
+
     def _inject(self, fname: str, label: str, t: Tracked, idx: int, direction: str):
         k = t.key()
         if k in self.retired.get(fname, ()):
             return False
-        st = self.states[fname][label]
+        st = self.states[fname].get(label) or self._state(fname, label)
         side = st.f if direction == "f" else st.b
         seen = side.seen.get(k)
         if seen is not None and (seen <= idx if direction == "f" else seen >= idx):
@@ -1166,7 +1220,8 @@ class Analysis:
             birth = S.BIRTH_BEFORE_BLOCK if forward else S.BIRTH_AFTER_BLOCK
             facts = [_handed(t, birth) for t in facts]
             for n in targets:
-                pool = states[n].f.pool if forward else states[n].b.pool
+                nst = states.get(n, _NO_STATE)
+                pool = nst.f.pool if forward else nst.b.pool
                 idx = 0 if forward else len(g.blocks[n].stmts) - 1
                 for t in facts:
                     if t.key() not in pool:
@@ -1206,7 +1261,7 @@ class Analysis:
                 passes = ret_reg is None or not S.kills_register(t.expr, ret_reg)
                 for callee, tr in crossings:
                     for entry in tr.mod:
-                        if (entry.cell.addr in addrs
+                        if (entry.cell.addr._sid in addrs
                                 and S.kills_memory(t.expr, entry.cell.addr, 1 << 29)):
                             passes = False
                         if entry.value is not None and t.expr == entry.value:
@@ -1225,13 +1280,13 @@ class Analysis:
                                              S.replace(t.expr, S.Reg(ret_reg), rr),
                                              point, "pre") for rr in tr.rets)
                     if not crossings and not self._is_library_noop(form):
-                        self.warnings.append(
+                        self.warn(
                             f"no summary for {getattr(form, 'target', '?')} at "
                             f"{point}; backward tracking stopped")
                 for _, tr in crossings:
                     for entry in tr.mod:
                         addr = entry.cell.addr
-                        if entry.value is None or addr not in addrs:
+                        if entry.value is None or addr._sid not in addrs:
                             continue
 
                         def created_after(n):
@@ -1276,7 +1331,7 @@ class Analysis:
         targets = self.session.resolutions.get(point)
         if targets:
             return list(targets)
-        self.warnings.append(f"unresolved indirect call at {point}; treated as no-op")
+        self.warn(f"unresolved indirect call at {point}; treated as no-op")
         return []
 
     def _is_library_noop(self, form) -> bool:
@@ -1379,7 +1434,7 @@ class Analysis:
         if self.summary_of is not None:
             return
         warnings, cap_hits, callees = self.session.notes[fname]
-        self.warnings.extend(warnings)
+        self.warn(*warnings)
         self.cap_hits.extend(cap_hits)
         for callee in callees:
             self._take_notes(callee)
@@ -1452,7 +1507,7 @@ class Analysis:
         cap_hits.extend(new_hits)
         callees.update(sub._noted)
         if self.summary_of is None:
-            self.warnings.extend(new_warnings)
+            self.warn(*new_warnings)
             self.cap_hits.extend(new_hits)
             for callee in sub._noted:
                 self._take_notes(callee)
@@ -1488,7 +1543,7 @@ class Analysis:
             changed = False
             # forward sweep, then backward sweep
             for label in (*reversed(order), *order):
-                st = states[label]
+                st = states.get(label, _NO_STATE)
                 if st.f.pend or st.b.pend:
                     changed |= self._visit(fname, g, label, st)
             rounds += 1
@@ -1513,7 +1568,7 @@ class Analysis:
         plans = []
         retire_keys = []
         for label in sorted(loops):
-            st = self.states[fname][label]
+            st = self.states[fname].get(label, _NO_STATE)
             for direction, side in (("f", st.f), ("b", st.b)):
                 groups: dict = {}
                 for t in side.pool.values():
@@ -1587,8 +1642,9 @@ class Analysis:
         if not callers:
             return
         g = self.cfg(fname)
+        states = self.states[fname]
         allowed = set(self.session.params(fname)) | {GP}
-        exports_up = [t for t in self.states[fname][g.entry].b.out.values()
+        exports_up = [t for t in states.get(g.entry, _NO_STATE).b.out.values()
                       if S.registers(t.expr) <= allowed and not t.derived]
         returned = []       # (returned register, the exit block's forward out)
         for ex in g.exits:
@@ -1596,8 +1652,8 @@ class Analysis:
             if stmts:
                 last = stmts[-1].form
                 if isinstance(last, ir.Ret) and isinstance(last.value, str):
-                    returned.append((last.value,
-                                     list(self.states[fname][ex].f.out.values())))
+                    returned.append((last.value, list(
+                        states.get(ex, _NO_STATE).f.out.values())))
         if not exports_up and not returned:
             return
         cycle = self.session.cycle(fname)
@@ -1613,7 +1669,6 @@ class Analysis:
             if cform.ret is not None:
                 sends += [(facts, {**binding, retop: S.Reg(cform.ret)},
                            S.BIRTH_BEFORE_BLOCK, "post") for retop, facts in returned]
-            st = self.states[cf][clabel]
             grew = pushed = False
             for facts, mapping, birth, phase in sends:
                 for t in self._for_callsite(fname, cpoint, in_cycle, facts):
@@ -1623,13 +1678,13 @@ class Analysis:
                     moved = t.derive(S.retag(rr, birth), cpoint, phase,
                                      hops=t.hops + 1 if in_cycle else 0)
                     # a returned fact holds below the call: it does not cross it
-                    if (st.f.put(moved) if phase == "post"
+                    if (self._state(cf, clabel).f.put(moved) if phase == "post"
                             else self._inject(cf, clabel, moved, -1, "b")):
                         self._record(cf, moved)
                         grew = True
                         pushed |= phase == "post"
             if pushed:
-                self._propagate(cf, self.cfg(cf), clabel, st)
+                self._propagate(cf, self.cfg(cf), clabel, self.states[cf][clabel])
             if grew:
                 self._schedule(cf)
 

@@ -44,6 +44,8 @@ class PointerRef:
     value: int                     # function address / table base
     site: ir.Point | None = None   # in-code reference site
     pexprs: set = field(default_factory=set)
+    # the addresses of the store nodes in `pexprs`, set once it is filled
+    stores: frozenset = frozenset()
 
 
 @dataclass
@@ -171,8 +173,7 @@ def resolve(callsite: ir.Point, ct_exprs: list[S.Sse], refs: list[PointerRef],
                         "stride": hex(stride), "offset": hex(off)}))
             elif isinstance(base, S.Load) and _gp_rooted(base.addr):
                 for ref in dptr_refs:
-                    if any(isinstance(p, S.Store) and p.addr == base.addr
-                           for p in ref.pexprs):
+                    if base.addr in ref.stores:
                         targets, nulls = table_walk(program, ref.value, stride,
                                                     off, entries)
                         if targets or nulls:
@@ -182,8 +183,7 @@ def resolve(callsite: ir.Point, ct_exprs: list[S.Sse], refs: list[PointerRef],
                                 "offset": hex(off)}))
         if isinstance(ct, S.Load) and _gp_rooted(ct.addr):
             for ref in fptr_refs:
-                if any(isinstance(p, S.Store) and p.addr == ct.addr
-                       for p in ref.pexprs):
+                if ct.addr in ref.stores:
                     gptr_load.append(entries.get(ref.value, hex(ref.value)))
         for ref in fptr_refs:
             if ref.site is not None and ct in ref.pexprs and ref.value in entries:
@@ -260,6 +260,7 @@ def resolve_all(session: Session, address_taken: frozenset[int] | None = None):
         for t in analysis.family(sid):
             if not t.derived:
                 ref.pexprs.add(t.expr)
+        ref.stores = frozenset(p.addr for p in ref.pexprs if isinstance(p, S.Store))
 
     resolutions: list[IcallResolution] = []
     for point in sites:

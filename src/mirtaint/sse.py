@@ -29,15 +29,16 @@ part in structural equality:
     the certifier just does not vouch for them.
 
 Every node also caches structural facts computed at construction from
-its children's: hash, register set, size, memory depth and bitwise
-flags.  Like the tags above they take no part in equality.  The
-structure queries read them in O(1), and pattern searches and rewrites
-use them to skip subtrees a pattern cannot lie in.  Three more facts are
-computed on first use and cached on the node in the same way: its offset
-skeletons for the loop-induction merge, the set of its memory nodes'
-addresses, and its birth summary (the lowest birth among its memory
-nodes not stale forward, the highest among those not stale backward),
-which the block walker's row index reads.
+its children's: hash, register set, size, memory depth, bitwise flags
+and its structure id (below).  Like the tags above they take no part in
+equality.  The structure queries read them in O(1), and pattern
+searches and rewrites use them to skip subtrees a pattern cannot lie
+in.  Three more facts are computed on first use and cached on the node
+in the same way: its offset skeletons for the loop-induction merge, the
+structure ids of its memory nodes' addresses, and its birth summary
+(the lowest birth among its memory nodes not stale forward, the highest
+among those not stale backward), which the block walker's row index
+reads.
 
 Nodes are hash-consed (Filliatre & Conchon, "Type-safe modular
 hash-consing", ML Workshop 2006): building a node whose fields, tags
@@ -53,12 +54,24 @@ the identities of their node arguments.  An entry holds those
 arguments, so no id in its key is reused while it lives, and no result
 goes to a node that is only equal, whose tags may differ.
 
+The structure id `_sid` is an integer identity of the tag-free
+structure, on which the analysis keys its facts (`alias.Tracked.key`).
+A new node looks it up by its class, its fields but the tags and its
+children's ids, so the nodes of one table share an id exactly when they
+are equal.  Ids come from one counter for the whole process and are
+never given again; the id map is cleared with the table.  So a node
+built before a reset keeps an id that no node built after shares: it
+never merges with another structure, but it keys apart from the equal
+nodes of the new table.  An expression from outside a session is
+therefore built again in its table (`intern`) before it is keyed.
+
 All values are immutable; every function in this module is pure.  The
 table and the memos change which object a call returns, never its value.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import MISSING, dataclass
 from typing import Iterator, Optional, Union
@@ -91,15 +104,28 @@ _NO_REGS: frozenset[str] = frozenset()
 _REG_SETS: dict = {}     # register name or register set -> the shared set
 
 _TABLE: dict = {}        # (class, field or id(child node), ...) -> node
+_SIDS: dict = {}         # (class, tag-free field or child _sid, ...) -> _sid
 _MEMO: dict = {}         # (rewrite, id(node) or value, ...) -> (result, args)
+_next_sid = itertools.count().__next__   # never reused, even across resets
+_tables = 0              # tables started: the current one's number
 
 
-def reset_tables() -> None:
-    """Start an empty intern table and empty memos (a new analysis
-    session).  Nodes built before stay valid: they are equal to the nodes
-    built after, only not the same objects."""
-    for table in (_TABLE, _MEMO, _REG_SETS):
+def reset_tables() -> int:
+    """Start an empty intern table, structure-id map and memos (a new
+    analysis session), and return its number (`current_table`).  Nodes
+    built before stay valid: they are equal to the nodes built after, only
+    not the same objects, and their structure ids are their old ones,
+    which no node built after shares."""
+    global _tables
+    for table in (_TABLE, _SIDS, _MEMO, _REG_SETS):
         table.clear()
+    _tables += 1
+    return _tables
+
+
+def current_table() -> int:
+    """The number of the current intern table (see `reset_tables`)."""
+    return _tables
 
 
 def _memo(key: tuple, fn, *args):
@@ -134,7 +160,11 @@ _set = object.__setattr__
 
 class _Interned(type):
     """The node classes' metaclass: calling a class returns the table's
-    node with those fields, and builds one only when there is none."""
+    node with those fields, and builds one only when there is none.  A
+    new node gets its structure id `_sid`, shared by exactly the nodes
+    of this table that are equal to it: the id is looked up by the
+    class, the fields but the tags (the first `_nstruct`) and the
+    children's ids."""
 
     def __call__(cls, *args, **kwargs):
         if kwargs or len(args) < len(cls.__match_args__):
@@ -143,6 +173,12 @@ class _Interned(type):
         node = _TABLE.get(key)
         if node is None:
             node = _TABLE[key] = super().__call__(*args)
+            skey = (cls, *[a._sid if isinstance(a, _Node) else a
+                           for a in args[:cls._nstruct]])
+            sid = _SIDS.get(skey)
+            if sid is None:
+                sid = _SIDS[skey] = _next_sid()
+            _set(node, "_sid", sid)
         return node
 
 
@@ -163,8 +199,9 @@ def _all_fields(cls, args: tuple, kwargs: dict) -> list:
 class _Node(metaclass=_Interned):
     # `_skels`, `_cf` and `_mem` are filled on first use only (see
     # `_skeletons`, `canonicalize` and `mem_summary`)
-    __slots__ = ("_h", "_canon", "_regs", "_size", "_mdepth", "_bits", "_skels",
-                 "_cf", "_mem")
+    __slots__ = ("_h", "_sid", "_canon", "_regs", "_size", "_mdepth", "_bits",
+                 "_skels", "_cf", "_mem")
+    _nstruct = None     # how many fields make the structure (None: all)
 
     def __hash__(self):
         return self._h
@@ -264,6 +301,7 @@ class _Mem(_Node):
     birth: int = BIRTH_BEFORE_BLOCK
     stale_fwd: bool = False
     stale_bwd: bool = False
+    _nstruct = 1        # the address; the tags are not structure
 
     def __post_init__(self):
         a = self.addr
@@ -566,11 +604,10 @@ def mem_nodes(e: Sse) -> Iterator[Union[Load, Store]]:
 
 
 def mem_summary(e: Sse) -> tuple[frozenset, Optional[int], Optional[int]]:
-    """The addresses of `e`'s memory nodes (compared structurally), and
-    its birth summary: the lowest birth among those nodes not stale
-    forward and the highest among those not stale backward (None where
-    there is none), the reach of the stores that can still mark `e`
-    stale.  Computed on first use and cached on the node: its tags are
+    """The structure ids of `e`'s memory nodes' addresses, and its birth
+    summary: the lowest birth among those nodes not stale forward and the
+    highest among those not stale backward (None where there is none),
+    the reach of the stores that can still mark `e` stale.  Computed on first use and cached on the node: its tags are
     part of its intern key, so the summary is fixed per node."""
     if not e._mdepth:
         return frozenset(), None, None
@@ -578,7 +615,7 @@ def mem_summary(e: Sse) -> tuple[frozenset, Optional[int], Optional[int]]:
         return e._mem
     except AttributeError:
         nodes = list(mem_nodes(e))
-    summary = (frozenset(n.addr for n in nodes),
+    summary = (frozenset(n.addr._sid for n in nodes),
                min((n.birth for n in nodes if not n.stale_fwd), default=None),
                max((n.birth for n in nodes if not n.stale_bwd), default=None))
     _set(e, "_mem", summary)
@@ -623,6 +660,17 @@ def _remake(e: Sse, kids: list[Sse]) -> Sse:
     if t is IndexTerm:
         return IndexTerm(kids[0], e.stride, e.index)
     return t(kids[0], e.birth, e.stale_fwd, e.stale_bwd)
+
+
+def intern(e: Sse) -> Sse:
+    """`e` as a node of the current intern table, tags included: `e`
+    itself when it is one, else the same tree built again there.  A node
+    built before the last `reset_tables` keeps its old structure ids, so
+    an expression from outside the session goes through here before
+    anything is keyed by its id."""
+    t = type(e)
+    return t(*[intern(v) if isinstance(v, _Node) else v
+               for v in map(e.__getattribute__, t.__match_args__)])
 
 
 def _rebuild_mem(e: Sse, f) -> Sse:

@@ -363,7 +363,7 @@ class TaintPolicy:
         elif (t.tainted and name not in self.models.summaries
               and name not in self.models.sources and name not in self.models.sinks
               and name not in analysis.program.functions):
-            analysis.warnings.append(
+            analysis.warn(
                 f"tainted argument to unmodeled {name} at {point}; taint kept")
         return gens
 

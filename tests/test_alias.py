@@ -119,7 +119,9 @@ def test_induction_partitions_are_computed_once_per_analysis(corpus, monkeypatch
         for seed in _register_seeds(prog, "main"):
             analysis.add_seed(seed)
         analysis.run()
-        return [(k, str(t.point), t.phase, t.chain(), S.pretty(t.expr))
+        # a key's structure id is per session: compare the expression's
+        # text and the rest of the key
+        return [(k[1:], str(t.point), t.phase, t.chain(), S.pretty(t.expr))
                 for k, t in analysis.registry["main"].items()]
 
     reusing = registry()
@@ -136,15 +138,15 @@ def test_induction_partitions_are_computed_once_per_analysis(corpus, monkeypatch
 
 def test_moved_and_derive_agree_with_dataclasses_replace():
     """`Tracked.moved` and `derive` copy every field, as
-    `dataclasses.replace` does; a field added to `Tracked` must be added
-    here too."""
+    `dataclasses.replace` does, and their stored key is the one built
+    afresh; a field added to `Tracked` must be added here too."""
     point = ir.Point("main", "bb0", 2)
     cond = Cond("r4", True, point)
     parent = Tracked(expr=S.Reg("r9"), point=point, phase="pre", seed_id=1)
     values = dict(expr=S.parse_sse("load(r1+0x8)"), point=point, phase="post",
                   seed_id=3, rule=6, parent=parent, tainted=True, derived=True,
                   trigger=ir.Point("main", "bb0", 0), conds=(cond,), hops=2)
-    assert set(values) == {f.name for f in dataclasses.fields(Tracked)}
+    assert set(values) == {f.name for f in dataclasses.fields(Tracked) if f.init}
     t = Tracked(**values)
     defaults = Tracked(expr=values["expr"], point=point, phase="pre", seed_id=0)
     assert all(getattr(t, name) != getattr(defaults, name)
@@ -153,8 +155,9 @@ def test_moved_and_derive_agree_with_dataclasses_replace():
     there = ir.Point("main", "bb1", 0)
 
     def same(a, b):
-        return all(getattr(a, f.name) is getattr(b, f.name)
-                   for f in dataclasses.fields(Tracked))
+        return (all(getattr(a, f.name) is getattr(b, f.name)
+                    for f in dataclasses.fields(Tracked) if f.init)
+                and a.key() == b.key())
 
     assert same(t.moved(e), replace(t, expr=e))
     assert same(t.derive(e, there, "pre"),
@@ -764,6 +767,97 @@ def test_retire_clears_every_pool_and_pending_list(corpus, monkeypatch):
     monkeypatch.setattr(Analysis, "_retire", checked)
     result = taint.run_taint(Session(corpus("loop_copy.ir")))
     assert calls and len(result.alerts) == 1
+
+
+def _facts_by_key(analysis):
+    """Every fact the analysis holds in its registry, pools, out sets and
+    pending lists, each checked to sit under its own key."""
+    facts = []
+    stores = [*analysis.registry.values()]
+    for states in analysis.states.values():
+        for st in states.values():
+            for side in (st.f, st.b):
+                stores += [side.pool, side.out]
+                facts += [t for t, _ in side.pend]
+    for store in stores:
+        for k, t in store.items():
+            assert k == t.key()
+            facts.append(t)
+    return facts
+
+
+@pytest.mark.parametrize("config", [EngineConfig(), EngineConfig(loop_k=1)],
+                         ids=["default", "tight"])
+def test_fact_keys_group_as_expression_keys(corpus, monkeypatch, config):
+    """The key built from the expression's structure id groups facts
+    exactly as the key holding the expression itself, compared
+    structurally, did: over every analysis of icall resolution, a taint
+    run and a run from every register of every statement of each corpus
+    program, summaries and REF included, at the default config and at the
+    pipeline's tight caps (`loop_k` 1)."""
+    models = taint.default_models()
+    analyses = []
+    groups = 0
+    run = Analysis.run
+
+    def kept(self):
+        run(self)
+        analyses.append(self)
+
+    monkeypatch.setattr(Analysis, "run", kept)
+    for path in sorted((ROOT / "corpus").glob("*.ir")):
+        analyses.clear()
+        session = Session(corpus(path.name), config)
+        _, mapping, _ = icall.resolve_all(session)
+        resolved = session.with_resolutions(mapping)
+        taint.run_taint(resolved, models)
+        everywhere = Analysis(resolved, taint.TaintPolicy(models))
+        for seed in taint.seed_sources(resolved.program, models):
+            everywhere.add_seed(seed)
+        for fname in resolved.program.functions:
+            for seed in _register_seeds(resolved.program, fname):
+                everywhere.add_seed(seed)
+        everywhere.run()
+        for analysis in analyses:
+            by_key, by_expr = {}, {}
+            for t in _facts_by_key(analysis):
+                old = (t.expr, t.seed_id, t.tainted, t.derived, t.conds)
+                by_key.setdefault(t.key(), set()).add(old)
+                by_expr.setdefault(old, set()).add(t.key())
+            assert all(len(olds) == 1 for olds in by_key.values()), path.name
+            assert all(len(keys) == 1 for keys in by_expr.values()), path.name
+            groups += len(by_key)
+    assert groups > 2000
+
+
+def test_seed_built_before_the_session_keys_as_one_built_in_it(corpus):
+    """`add_seed` interns an expression built before the session reset the
+    intern table, as `pipeline` parses `--seed` queries, so its facts key
+    as those of the same expression built inside the session."""
+    prog = corpus("intuitive.ir")
+    point = ir.Point("main", "bb0", 0)
+    early = S.parse_sse("load(r3+0x8)")
+    session = Session(prog)
+    keys = []
+    for expr in (early, S.parse_sse("load(r3+0x8)")):
+        analysis = Analysis(session)
+        sid = analysis.add_seed(Seed(point=point, expr=expr))
+        analysis.run()
+        keys.append({t.key() for t in analysis.family(sid)})
+    assert len(keys[0]) == 3
+    assert keys[0] == keys[1]
+
+
+def test_no_analysis_on_a_session_whose_table_was_replaced(corpus):
+    """A session's facts key on its intern table's structure ids, so an
+    analysis on it is refused once a later session has started another
+    table; a session derived from the current one is accepted."""
+    prog = corpus("intuitive.ir")
+    old = Session(prog)
+    new = Session(prog)
+    with pytest.raises(ValueError):
+        Analysis(old)
+    Analysis(new.with_resolutions({"site": ("f",)}))
 
 
 def test_nodes_and_tracked_have_no_dict():

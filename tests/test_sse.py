@@ -388,13 +388,14 @@ def test_cached_facts_equal_tree_walks(e):
 @given(exprs)
 @settings(max_examples=200, deadline=None)
 def test_mem_summary_equals_tree_walk(e):
-    """A node's memory-node addresses and birth summary, read once and
+    """A node's memory-node address ids and birth summary, read once and
     then from the node, equal what a walk of its memory nodes gives."""
     x = _tagged(e, itertools.count())
     mems = [n for n in _nodes(x) if isinstance(n, (S.Load, S.Store))]
     fwd = [n.birth for n in mems if not n.stale_fwd]
     bwd = [n.birth for n in mems if not n.stale_bwd]
-    want = ({n.addr for n in mems}, min(fwd, default=None), max(bwd, default=None))
+    want = ({n.addr._sid for n in mems}, min(fwd, default=None),
+            max(bwd, default=None))
     assert S.mem_summary(x) == want
     assert S.mem_summary(x) is S.mem_summary(x) or not mems
 
@@ -450,6 +451,60 @@ def test_nodes_equal_with_tags_are_one_object(e):
     y = _fresh(_tagged(e, itertools.count(1)))
     assert (y is x) == (not any(True for _ in S.mem_nodes(x)))
     assert y == x and hash(y) == hash(x)
+
+
+_tags = st.tuples(st.integers(-1, 2), st.booleans(), st.booleans())
+
+
+def _with_tags(e, draw):
+    """`e` built again in the current table, each memory node under the
+    tags (birth, stale_fwd, stale_bwd) that `draw` gives."""
+    if isinstance(e, S.Bin):
+        return S.Bin(e.op, _with_tags(e.left, draw), _with_tags(e.right, draw))
+    if isinstance(e, S.Un):
+        return S.Un(e.op, _with_tags(e.child, draw))
+    if isinstance(e, (S.Load, S.Store)):
+        return type(e)(_with_tags(e.addr, draw), *draw())
+    return _fresh(e)
+
+
+def _shape(e):
+    """The structure of `e` without its tags."""
+    if isinstance(e, (S.Load, S.Store)):
+        return (type(e).__name__, _shape(e.addr))
+    if isinstance(e, S.Bin):
+        return ("B", e.op, _shape(e.left), _shape(e.right))
+    if isinstance(e, S.Un):
+        return ("U", e.op, _shape(e.child))
+    return _exact(e)
+
+
+@given(st.lists(exprs, min_size=1, max_size=3), st.data())
+@settings(max_examples=200, deadline=None)
+def test_structure_ids_are_exact(es, data):
+    """Within one intern table two nodes share a structure id exactly when
+    they are equal, whatever their tags.  No id is ever given to two
+    different structures, and no id of one table is given again in the
+    next, not even to an equal node."""
+    owner = {}          # structure id -> the structure it was given to
+    ids = []
+    for _ in range(2):
+        S.reset_tables()
+        built = {}
+        for e in es:
+            for _ in range(2):
+                x = _with_tags(e, lambda: data.draw(_tags))
+                for n in (*_nodes(x), *_nodes(S.canonicalize(x))):
+                    built[id(n)] = n
+        reps = {}       # structure id -> the first node that has it
+        for n in built.values():
+            assert n == reps.setdefault(n._sid, n)
+            assert owner.setdefault(n._sid, _shape(n)) == _shape(n)
+        reps = list(reps.values())
+        for i, a in enumerate(reps):
+            assert not any(a == b for b in reps[i + 1:])
+        ids.append({n._sid for n in reps})
+    assert not ids[0] & ids[1]
 
 
 def _rewrites(x, pick):

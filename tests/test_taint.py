@@ -213,6 +213,29 @@ bb0:
     assert any("unmodeled frobnicate" in w for w in result.warnings)
 
 
+def test_each_warning_recorded_once():
+    """A warning is recorded once per analysis, in first-occurrence order,
+    however many tainted facts cross the site or visits reach it."""
+    prog = ir.parse_program("""
+func main @0x1000 frame=0x40 {
+bb0:
+  r1 = sp
+  r2 = 0x40
+  r3 = call recv(r9, r1, r2)
+  r4 = r1 + 0x8
+  r5 = load r1
+  r6 = call frobnicate(r4)
+  icall r7(r5)
+  r8 = call mystery(r5)
+  ret r8
+}
+""")
+    assert T.run_taint(Session(prog)).warnings == [
+        "tainted argument to unmodeled frobnicate at main:bb0:5; taint kept",
+        "unresolved indirect call at main:bb0:6; treated as no-op",
+        "tainted argument to unmodeled mystery at main:bb0:7; taint kept"]
+
+
 def test_metrics_consistent(corpus):
     for name in ("overflow_icall.ir", "system_cmdi.ir", "summaries_tour.ir"):
         _, result = run(corpus, name)
