@@ -3,15 +3,14 @@ three-address micro-IR, with indirect-call resolution and a concrete
 differential oracle."""
 
 from . import cfg, icall, ir, oracle, sse, taint
-from .alias import (Analysis, EngineConfig, FunctionSummary, Seed, Session,
-                    Tracked, backward_update, forward_update, transfer_function)
+from .alias import (Analysis, FunctionSummary, Seed, Session, Tracked,
+                    backward_update, forward_update, transfer_function)
 from .pipeline import InputError, Report, RunConfig, analyze
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Analysis", "EngineConfig", "FunctionSummary", "InputError", "Report",
-    "RunConfig", "Seed", "Session", "Tracked", "analyze", "backward_update", "cfg",
-    "forward_update", "icall", "ir", "oracle", "sse", "taint",
-    "transfer_function", "__version__",
+    "Analysis", "FunctionSummary", "InputError", "Report", "RunConfig", "Seed",
+    "Session", "Tracked", "analyze", "backward_update", "cfg", "forward_update",
+    "icall", "ir", "oracle", "sse", "taint", "transfer_function", "__version__",
 ]

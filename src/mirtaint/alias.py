@@ -77,7 +77,7 @@ backward aliases of parameters, facts returned from deeper calls (they
 keep their seed ids), and query and summary seeds.  A callsite that
 reaches a descent seed after the callee's export schedules the callee
 again, so that its export runs for that callsite too.  Descents take no
-depth bound, as there are finitely many descent seeds; `recursion_depth`
+depth bound, as there are finitely many descent seeds; `RECURSION_DEPTH`
 bounds only the exports around a call-graph cycle, and a fact it drops
 shows as a cap hit.  Callers and cycles come from one call graph per
 session, of direct calls and resolved icall targets (`Session.cycle`),
@@ -91,7 +91,7 @@ pushed before is already in the neighbour's pool or refused there for
 good.
 Each pushed entry is retagged once for all neighbours, and handed on as
 it is when no birth changes.
-After `loop_k` sweeps the induction merge partitions each loop block's
+After `LOOP_K` sweeps the induction merge partitions each loop block's
 pool group (seed, taint, conditions) into offset families once per
 analysis for the same members: SSE nodes are interned with their tags,
 so a group that comes back, from another sweep, block or direction, is
@@ -117,15 +117,15 @@ log = logging.getLogger(__name__)
 GP = "gp"
 
 
-@dataclass(frozen=True)
-class EngineConfig:
-    sse_depth: int = 5            # max nested memory nodes per expression
-    sse_size: int = 64            # max nodes per expression (saturation)
-    loop_k: int = 3               # loop re-traversals before induction merge
-    block_iter_cap: int = 64      # TraceBlock inner iterations
-    func_rounds_cap: int = 32     # AnalyzeFunction worklist sweeps
-    recursion_depth: int = 4      # exports around a call-graph cycle
-    job_cap: int = 2000           # scheduled (function) analysis jobs
+# the engine's bounds
+SSE_DEPTH = 5             # max nested memory nodes per expression
+SSE_SIZE = 64             # max nodes per expression (saturation)
+LOOP_K = 3                # loop re-traversals before induction merge
+BLOCK_ITER_CAP = 64       # TraceBlock inner iterations
+FUNC_ROUNDS_CAP = 32      # AnalyzeFunction worklist sweeps
+RECURSION_DEPTH = 4       # exports around a call-graph cycle
+JOB_CAP = 2000            # scheduled (function) analysis jobs
+WALK_POP_CAP = 200_000    # queue pops one block walk may make
 
 
 @dataclass(frozen=True, slots=True)
@@ -392,12 +392,12 @@ def _table(statements: Iterable[ir.Statement]) -> _Table:
                   free, by_addr, reads, stores)
 
 
-def _bounded(config: EngineConfig, parent: Tracked, expr: S.Sse, point: ir.Point,
-             phase: str, rule: Optional[int] = None, **changes) -> Optional[Tracked]:
+def _bounded(parent: Tracked, expr: S.Sse, point: ir.Point, phase: str,
+             rule: Optional[int] = None, **changes) -> Optional[Tracked]:
     """`parent.derive` of the canonical `expr`, or None when `expr` is
     past the SSE depth or size cap (the expression saturates)."""
     expr = S.canonicalize(expr)
-    if S.mem_depth(expr) > config.sse_depth or S.size(expr) > config.sse_size:
+    if S.mem_depth(expr) > SSE_DEPTH or S.size(expr) > SSE_SIZE:
         log.debug("sse cap exceeded at %s; expression saturated", point)
         return None
     return parent.derive(expr, point, phase, rule, **changes)
@@ -423,8 +423,7 @@ def _subst_ok(expr: S.Sse, pattern: S.Sse, dst: str) -> bool:
 
 
 class _Walker:
-    def __init__(self, config: EngineConfig, policy=None):
-        self.config = config
+    def __init__(self, policy=None):
         self.policy = policy
 
     def _emit(self, out: _Step, c: _Compiled, t: Tracked, expr: S.Sse,
@@ -438,7 +437,7 @@ class _Walker:
                 set(t.conds) | {cond}, key=lambda k: (str(k.point), k.reg, k.value)))
         if derived:
             changes["derived"] = True
-        n = _bounded(self.config, t, expr, c.stmt.point, phase, rule, **changes)
+        n = _bounded(t, expr, c.stmt.point, phase, rule, **changes)
         if n is not None:
             out.successors.append((n, direction))
 
@@ -573,12 +572,7 @@ def _mem_subst(expr: S.Sse, node_pred, dst: S.Reg, key) -> Optional[S.Sse]:
     return new if hit else None
 
 
-# queue pops one walk may make before it stops with what it has
-WALK_POP_CAP = 200_000
-
-
-def _walk(table: _Table, items, config: EngineConfig, policy, forward: bool,
-          seen: dict):
+def _walk(table: _Table, items, policy, forward: bool, seen: dict):
     """Walk each queued (expression, start) through the block, forward to
     its last statement or backward to its first, stepping only the rows
     `table.relevant` gives for the expression; it is asked again whenever
@@ -591,7 +585,7 @@ def _walk(table: _Table, items, config: EngineConfig, policy, forward: bool,
     Returns (survivors, created, cut): the expressions alive at the
     block's end, every (successor, direction, statement index), and
     whether the walk stopped at `WALK_POP_CAP` with items still queued."""
-    w = _Walker(config, policy)
+    w = _Walker(policy)
     if forward:
         step, follow, delta = w.forward_step, "f", 1
 
@@ -645,8 +639,7 @@ def _walk(table: _Table, items, config: EngineConfig, policy, forward: bool,
 # Spec-level entry points over one block's statements
 # ---------------------------------------------------------------------------
 
-def forward_update(statements: Iterable[ir.Statement], in_f: list,
-                   config: EngineConfig | None = None, policy=None):
+def forward_update(statements: Iterable[ir.Statement], in_f: list, policy=None):
     """Walk IN_f through the statements in program order.
 
     Returns (NEW_f, NEW_b): surviving plus newly created forward
@@ -654,14 +647,12 @@ def forward_update(statements: Iterable[ir.Statement], in_f: list,
     Items may be Tracked or (Tracked, start_index).
     """
     items = [it if isinstance(it, tuple) else (it, 0) for it in in_f]
-    survivors, created, _ = _walk(_table(statements), items,
-                                  config or EngineConfig(), policy, True, {})
+    survivors, created, _ = _walk(_table(statements), items, policy, True, {})
     return (_dedup(survivors + [t for t, d, _ in created if d in ("f", "fb")]),
             _dedup([t for t, d, _ in created if d in ("b", "fb")]))
 
 
-def backward_update(statements: Iterable[ir.Statement], in_b: list,
-                    config: EngineConfig | None = None, policy=None):
+def backward_update(statements: Iterable[ir.Statement], in_b: list, policy=None):
     """Walk IN_b through the statements in reverse order.
 
     Returns (NEW_f, NEW_b): forward-trackable successors (use matches,
@@ -669,8 +660,7 @@ def backward_update(statements: Iterable[ir.Statement], in_b: list,
     """
     table = _table(statements)
     items = [(t, len(table.rows) - 1) if not isinstance(t, tuple) else t for t in in_b]
-    survivors, created, _ = _walk(table, items, config or EngineConfig(), policy,
-                                  False, {})
+    survivors, created, _ = _walk(table, items, policy, False, {})
     return (_dedup([t for t, d, _ in created if d in ("f", "fb")]),
             _dedup(survivors + [t for t, d, _ in created if d in ("b", "fb")]))
 
@@ -849,11 +839,12 @@ class Session:
     transfers and backward queries.
 
     A root session (one built here rather than by `with_resolutions`)
-    starts an empty SSE intern table and empty rewrite memos
-    (`S.reset_tables`), so they hold the nodes of one program's analysis
-    only; sessions derived from it share them.  Its rule tables and every
-    fact key on that table's structure ids, so no analysis runs on it
-    once a later root session has started another table.
+    has no resolutions.  It starts an empty SSE intern table and empty
+    rewrite memos (`S.reset_tables`), so they hold the nodes of one
+    program's analysis only; sessions derived from it share them.  Its
+    rule tables and every fact key on that table's structure ids, so no
+    analysis runs on it once a later root session has started another
+    table.
 
     REF, the cells a function reads, is a table of its own (`refs`),
     filled on demand: a function's REF is built the first time a tainted
@@ -864,17 +855,15 @@ class Session:
     beside `transfers`.
     """
 
-    def __init__(self, program: ir.Program, config: EngineConfig | None = None,
-                 resolutions: dict | None = None):
+    def __init__(self, program: ir.Program):
         self.sse_table = S.reset_tables()
         self.program = program
-        self.config = config or EngineConfig()
         self._facts: dict = {}       # (kind, fname) -> per-program fact
         self._points: dict[ir.Point, tuple[str, str, int]] = {}
-        self._resolve(resolutions)
+        self._resolve({})
 
-    def _resolve(self, resolutions: dict | None):
-        self.resolutions = resolutions or {}
+    def _resolve(self, resolutions: dict):
+        self.resolutions = resolutions
         self.summaries: dict[str, FunctionSummary] = {}
         # fname -> (warnings, cap hits, callee summaries used) of the
         # sub-analysis that last computed its summary, joined by those of
@@ -890,14 +879,14 @@ class Session:
         self.backward_families: dict = {}
 
     def with_resolutions(self, resolutions: dict) -> "Session":
-        """The session over this program and config under `resolutions`:
+        """The session over this program under `resolutions`:
         this one when the map is the same, otherwise a new session that
         shares the per-program facts and the SSE intern table and starts
         with no summaries."""
-        if (resolutions or {}) == self.resolutions:
+        if resolutions == self.resolutions:
             return self
         other = object.__new__(Session)
-        other.program, other.config = self.program, self.config
+        other.program = self.program
         other.sse_table = self.sse_table
         other._facts, other._points = self._facts, self._points
         other._resolve(resolutions)
@@ -1034,7 +1023,6 @@ class Analysis:
                              "a later session's")
         self.session = session
         self.program = session.program
-        self.config = session.config
         self.policy = policy
         self.summaries = session.summaries
         # the function whose summary this analysis computes, if any
@@ -1082,7 +1070,7 @@ class Analysis:
     def _schedule(self, fname: str):
         if fname in self._queued:
             return
-        if self._jobs >= self.config.job_cap:
+        if self._jobs >= JOB_CAP:
             self.cap_hits.append(f"job cap reached; {fname} not scheduled")
             return
         self._jobs += 1
@@ -1171,7 +1159,7 @@ class Analysis:
         iters = 0
         while fwd or bwd:
             iters += 1
-            if iters > self.config.block_iter_cap:
+            if iters > BLOCK_ITER_CAP:
                 self.cap_hits.append(f"block iteration cap hit at {fname}:{label}")
                 break
             cut = False
@@ -1180,8 +1168,8 @@ class Analysis:
             for forward, side, items in ((True, st.f, fwd), (False, st.b, bwd)):
                 if not items:
                     continue
-                survivors, created, walk_cut = _walk(rules, items, self.config,
-                                                     self.policy, forward, side.seen)
+                survivors, created, walk_cut = _walk(rules, items, self.policy,
+                                                     forward, side.seen)
                 cut |= walk_cut
                 for t in survivors:
                     changed |= side.put(t)
@@ -1242,7 +1230,7 @@ class Analysis:
                 side.seen.setdefault(t.key(), start)
             side.pend = []
 
-        ret_reg, config = form.ret, self.config
+        ret_reg = form.ret
         # each callee's summary in caller terms, read by both directions
         crossings = [(callee, self._transfer(point, callee))
                      for callee in self._callees_of(point, form)
@@ -1265,9 +1253,9 @@ class Analysis:
                                 and S.kills_memory(t.expr, entry.cell.addr, 1 << 29)):
                             passes = False
                         if entry.value is not None and t.expr == entry.value:
-                            gens.append(_bounded(config, t, entry.cell, point, "post"))
+                            gens.append(_bounded(t, entry.cell, point, "post"))
                     if ret_reg is not None:
-                        gens.extend(_bounded(config, t, S.Reg(ret_reg), point, "post")
+                        gens.extend(_bounded(t, S.Reg(ret_reg), point, "post")
                                     for rr in tr.rets if rr == t.expr)
                     self._descend(t, point, callee, tr)
                 if self.policy is not None:
@@ -1276,8 +1264,7 @@ class Analysis:
                 passes = ret_reg is None or not S.contains_reg(t.expr, ret_reg)
                 if not passes:
                     for _, tr in crossings:
-                        gens.extend(_bounded(config, t,
-                                             S.replace(t.expr, S.Reg(ret_reg), rr),
+                        gens.extend(_bounded(t, S.replace(t.expr, S.Reg(ret_reg), rr),
                                              point, "pre") for rr in tr.rets)
                     if not crossings and not self._is_library_noop(form):
                         self.warn(
@@ -1296,7 +1283,7 @@ class Analysis:
                         # not memoized: a fact meets a MOD entry about once
                         new, hit = S.replace_mem(t.expr, created_after, entry.value)
                         if hit:
-                            gens.append(_bounded(config, t, new, point, "pre"))
+                            gens.append(_bounded(t, new, point, "pre"))
             if passes:
                 changed |= (st.f if forward else st.b).put(t)
             for n in gens:
@@ -1547,11 +1534,11 @@ class Analysis:
                 if st.f.pend or st.b.pend:
                     changed |= self._visit(fname, g, label, st)
             rounds += 1
-            if rounds >= self.config.loop_k and loops:
+            if rounds >= LOOP_K and loops:
                 changed |= self._merge_induction(fname, loops)
             if not changed:
                 break
-            if rounds >= self.config.func_rounds_cap:
+            if rounds >= FUNC_ROUNDS_CAP:
                 self.cap_hits.append(f"function fixpoint cap hit in {fname}")
                 break
         self._export(fname)
@@ -1658,7 +1645,7 @@ class Analysis:
             return
         cycle = self.session.cycle(fname)
         for caller, cpoint in callers:
-            if self._jobs >= self.config.job_cap:
+            if self._jobs >= JOB_CAP:
                 self.cap_hits.append(f"job cap reached; exports of {fname} dropped")
                 return
             cf, clabel, _ = self.locate(cpoint)
@@ -1694,7 +1681,7 @@ class Analysis:
         recorded for that seed (`_descents`), every other fact to every
         caller.  `hops` counts a fact's exports into a caller in the
         exporting function's own call-graph cycle (an export out of it
-        resets the count), and past `recursion_depth` the fact is dropped
+        resets the count), and past `RECURSION_DEPTH` the fact is dropped
         with a cap hit."""
         out = []
         dropped = False
@@ -1702,7 +1689,7 @@ class Analysis:
             sites = self._descents.get((fname, t.seed_id))
             if sites is not None and cpoint not in sites:
                 continue
-            if in_cycle and t.hops >= self.config.recursion_depth:
+            if in_cycle and t.hops >= RECURSION_DEPTH:
                 dropped = True
                 continue
             out.append(t)

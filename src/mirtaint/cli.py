@@ -7,15 +7,6 @@
     mirtaint oracle fuzz [--count 500] [--max-len 30] [--seed 0]
 
 Exit codes: 0 success, 1 alerts found (unless --exit-zero), 2 input error.
-
-`analyze` reads these engine caps from the environment, each an integer
->= 1 (exit 2 otherwise):
-
-    MIRTAINT_SSE_DEPTH        nested memory nodes per alias expression (5)
-    MIRTAINT_LOOP_K           loop sweeps before the induction merge (3)
-    MIRTAINT_BLOCK_ITER_CAP   walk rounds inside one block (64)
-    MIRTAINT_FUNC_ROUNDS_CAP  fixpoint sweeps over one function (32)
-    MIRTAINT_RECURSION_DEPTH  exports around a call-graph cycle (4)
 """
 
 from __future__ import annotations
@@ -84,23 +75,19 @@ def _emit(text: str, out_path: str | None):
 
 def _cmd_analyze(args) -> int:
     try:
-        config = RunConfig(
+        report = analyze(RunConfig(
             ir_path=args.ir,
             config_path=args.config,
             enable_icall=not args.no_icall,
             seeds=tuple(args.seed),
-            out_path=args.out,
-            fmt=args.format,
-            exit_zero_on_alerts=args.exit_zero,
             dump_cfg=args.dump_cfg,
-        )
-        report = analyze(config)
+        ))
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = report.to_json() if config.fmt == "json" else report.to_text()
-    _emit(text, config.out_path)
-    if report.alerts and not config.exit_zero_on_alerts:
+    text = report.to_json() if args.format == "json" else report.to_text()
+    _emit(text, args.out)
+    if report.alerts and not args.exit_zero:
         return 1
     return 0
 

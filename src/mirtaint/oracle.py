@@ -9,7 +9,9 @@ recorded run replays exactly.
 ``certify_aliases`` replays engine-reported alias pairs: a pair passes
 when, in every run that reaches both program points (with the pair's
 ITE conditions satisfied), both expressions evaluate to the same value.
-A failing run is shrunk by zeroing entry inputs before reporting.
+A pair no run compared is `step-limit` when a run stopped at its step
+limit, else `vacuous`.  A failing run is shrunk by zeroing entry inputs
+before reporting.
 """
 
 from __future__ import annotations
@@ -389,7 +391,7 @@ class AliasPair:
 @dataclass
 class PairVerdict:
     pair: AliasPair
-    status: str                       # pass | fail | vacuous | unsupported
+    status: str             # pass | fail | vacuous | step-limit | unsupported
     runs_compared: int = 0
     counterexample: Optional[dict] = None
 
@@ -433,11 +435,13 @@ def certify_aliases(program: ir.Program, pairs: list[AliasPair], n_runs: int = 1
         for c in pair.conds:
             watch.add((c.point, "pre"))
         compared = 0
+        limited = False
         verdict = None
         for k in range(n_runs):
             rs = seed + k
             res = run(program, entry=fname, seed=rs, watch=watch,
                       step_limit=step_limit)
+            limited |= res.step_limit_hit
             outcome = _compare(program, pair, res, rs)
             if outcome == "vacuous":
                 continue
@@ -450,7 +454,8 @@ def certify_aliases(program: ir.Program, pairs: list[AliasPair], n_runs: int = 1
                 verdict = PairVerdict(pair, "fail", compared, cex)
                 break
         if verdict is None:
-            verdict = PairVerdict(pair, "pass" if compared else "vacuous", compared)
+            status = "pass" if compared else "step-limit" if limited else "vacuous"
+            verdict = PairVerdict(pair, status, compared)
         verdicts.append(verdict)
     return verdicts
 

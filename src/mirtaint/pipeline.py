@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -12,18 +11,10 @@ from . import cfg as cfglib
 from . import icall as icalllib
 from . import ir
 from . import taint as taintlib
-from .alias import Analysis, EngineConfig, Seed, Session
+from .alias import Analysis, Seed, Session
 from . import sse as S
 
 SCHEMA_VERSION = 1
-
-_ENV_CAPS = {
-    "MIRTAINT_SSE_DEPTH": "sse_depth",
-    "MIRTAINT_LOOP_K": "loop_k",
-    "MIRTAINT_BLOCK_ITER_CAP": "block_iter_cap",
-    "MIRTAINT_FUNC_ROUNDS_CAP": "func_rounds_cap",
-    "MIRTAINT_RECURSION_DEPTH": "recursion_depth",
-}
 
 
 class InputError(Exception):
@@ -36,27 +27,7 @@ class RunConfig:
     config_path: Optional[str] = None
     enable_icall: bool = True
     seeds: tuple[str, ...] = ()           # "function:block:expr" queries
-    out_path: Optional[str] = None
-    fmt: str = "json"                     # json | text
-    exit_zero_on_alerts: bool = False
     dump_cfg: Optional[str] = None
-    engine: EngineConfig = field(default_factory=EngineConfig)
-
-    def __post_init__(self):
-        overrides = {}
-        for env, attr in _ENV_CAPS.items():
-            if env in os.environ:
-                try:
-                    overrides[attr] = int(os.environ[env], 0)
-                except ValueError:
-                    raise InputError(f"{env}={os.environ[env]!r} is not an "
-                                     f"integer") from None
-        if overrides:
-            from dataclasses import replace
-            self.engine = replace(self.engine, **overrides)
-        for name in _ENV_CAPS.values():
-            if getattr(self.engine, name) < 1:
-                raise InputError(f"cap {name} must be >= 1")
 
 
 @dataclass
@@ -205,7 +176,7 @@ def analyze(config: RunConfig) -> Report:
 
     # one session per resolution map: icall resolution runs without
     # resolutions, everything after it under the final map
-    session = Session(program, config.engine)
+    session = Session(program)
     t2 = time.perf_counter()
     if config.enable_icall:
         resolutions, mapping, icall_hits = icalllib.resolve_all(session,

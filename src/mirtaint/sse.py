@@ -607,8 +607,9 @@ def mem_summary(e: Sse) -> tuple[frozenset, Optional[int], Optional[int]]:
     """The structure ids of `e`'s memory nodes' addresses, and its birth
     summary: the lowest birth among those nodes not stale forward and the
     highest among those not stale backward (None where there is none),
-    the reach of the stores that can still mark `e` stale.  Computed on first use and cached on the node: its tags are
-    part of its intern key, so the summary is fixed per node."""
+    the reach of the stores that can still mark `e` stale.  Computed on
+    first use and cached on the node: its tags are part of its intern
+    key, so the summary is fixed per node."""
     if not e._mdepth:
         return frozenset(), None, None
     try:

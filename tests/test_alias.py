@@ -17,15 +17,15 @@ from mirtaint import ir
 from mirtaint import oracle
 from mirtaint import sse as S
 from mirtaint import taint
-from mirtaint.alias import (Analysis, Cond, EngineConfig, FunctionSummary,
-                            ModEntry, Seed, Session, Tracked, _Walker, arg_map,
+from mirtaint.alias import (Analysis, Cond, FunctionSummary, ModEntry, Seed,
+                            Session, Tracked, _Walker, arg_map,
                             live_in_registers, transfer_function)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def analyze_seed(prog, point, expr_text, direction="both", config=None):
-    analysis = Analysis(Session(prog, config))
+def analyze_seed(prog, point, expr_text, direction="both"):
+    analysis = Analysis(Session(prog))
     sid = analysis.add_seed(Seed(point=point, expr=S.parse_sse(expr_text),
                                  direction=direction))
     analysis.run()
@@ -104,7 +104,7 @@ def test_induction_partitions_are_computed_once_per_analysis(corpus, monkeypatch
     members, tags included, is partitioned once per analysis, and reusing
     the partition leaves the registry as partitioning every time does."""
     prog = corpus("loop_copy.ir")
-    config = EngineConfig(loop_k=loop_k)
+    monkeypatch.setattr(alias, "LOOP_K", loop_k)
     calls = []
     merge = S.induction_families
 
@@ -115,7 +115,7 @@ def test_induction_partitions_are_computed_once_per_analysis(corpus, monkeypatch
     monkeypatch.setattr(S, "induction_families", counted)
 
     def registry():
-        analysis = Analysis(Session(prog, config))
+        analysis = Analysis(Session(prog))
         for seed in _register_seeds(prog, "main"):
             analysis.add_seed(seed)
         analysis.run()
@@ -523,7 +523,7 @@ def test_entry_out_b_exports_to_caller(corpus):
 
 
 def test_exports_outside_a_cycle_take_no_depth_bound(corpus):
-    # six acyclic exports carry the parameter up to main; recursion_depth
+    # six acyclic exports carry the parameter up to main; RECURSION_DEPTH
     # bounds only the exports around a call-graph cycle
     prog = corpus("deep_call_chain.ir")
     analysis, sid = analyze_seed(prog, ir.Point("d6", "bb0", 0), "r0",
@@ -543,7 +543,7 @@ def test_fixpoint_monotone_out_sets(corpus):
         assert (len(st.f.out), len(st.b.out)) == sizes[label]
 
 
-def test_saturation_drops_overdeep_expressions(corpus):
+def test_saturation_drops_overdeep_expressions(corpus, monkeypatch):
     text = """
 func main @0x1000 frame=0 {
 bb0:
@@ -558,22 +558,24 @@ bb0:
 }
 """
     prog = ir.parse_program(text)
-    analysis = Analysis(Session(prog, EngineConfig(sse_depth=3)))
+    monkeypatch.setattr(alias, "SSE_DEPTH", 3)
+    analysis = Analysis(Session(prog))
     sid = analysis.add_seed(Seed(point=ir.Point("main", "bb0", 7),
                                  expr=S.Reg("r1"), direction="backward"))
     analysis.run()
     assert all(S.mem_depth(t.expr) <= 3 for t in analysis.family(sid))
 
 
-def test_job_cap_ends_in_reported_cap_hit(corpus):
-    """Exports cut off by `job_cap` are reported, naming the function whose
+def test_job_cap_ends_in_reported_cap_hit(corpus, monkeypatch):
+    """Exports cut off by `JOB_CAP` are reported, naming the function whose
     facts were dropped: at three jobs, ident's returned taint never
     reaches f."""
     from mirtaint import taint
 
     prog = corpus("context_return.ir")
     assert taint.run_taint(Session(prog)).cap_hits == []
-    result = taint.run_taint(Session(prog, EngineConfig(job_cap=3)))
+    monkeypatch.setattr(alias, "JOB_CAP", 3)
+    result = taint.run_taint(Session(prog))
     assert result.cap_hits == ["job cap reached; exports of ident dropped"]
 
 
@@ -638,7 +640,7 @@ def _register_seeds(prog, fname):
             yield Seed(point=stmt.point, expr=S.Reg(r))
 
 
-def test_inert_statements_step_to_nothing(corpus):
+def test_inert_statements_step_to_nothing(corpus, monkeypatch):
     """Wherever the row index leaves a statement out for an expression
     and direction, stepping the expression across that statement in that
     direction yields nothing, kills nothing, keeps the very same
@@ -647,11 +649,11 @@ def test_inert_statements_step_to_nothing(corpus):
     merge after every sweep, tainted or not."""
     models = taint.default_models()
     inert = 0
-    configs = (EngineConfig(), EngineConfig(loop_k=1))
-    for path, config in itertools.product(sorted((ROOT / "corpus").glob("*.ir")),
-                                           configs):
+    for path, loop_k in itertools.product(sorted((ROOT / "corpus").glob("*.ir")),
+                                          (alias.LOOP_K, 1)):
         prog = corpus(path.name)
-        analysis = Analysis(Session(prog, config), taint.TaintPolicy(models))
+        monkeypatch.setattr(alias, "LOOP_K", loop_k)
+        analysis = Analysis(Session(prog), taint.TaintPolicy(models))
         for seed in taint.seed_sources(prog, models):
             analysis.add_seed(seed)
         for fname in prog.functions:
@@ -660,7 +662,7 @@ def test_inert_statements_step_to_nothing(corpus):
         analysis.run()
         session = analysis.session
         policy = taint.TaintPolicy(models)
-        walker = _Walker(analysis.config, policy)
+        walker = _Walker(policy)
         for fname, registry in analysis.registry.items():
             items = list(registry.values())
             items += [replace(t, tainted=True) for t in items if not t.tainted]
@@ -723,7 +725,7 @@ def test_store_row_relevant_exactly_where_it_marks(birth, stale, forward, releva
                     seed_id=0)
         mask = table.relevant(expr, forward)
         assert mask == (1 << 2 if relevant else 0)
-        walker = _Walker(EngineConfig())
+        walker = _Walker()
         step = walker.forward_step if forward else walker.backward_step
         out = step(table.rows[2], 2, t)
         assert not out.successors and not out.killed
@@ -786,15 +788,14 @@ def _facts_by_key(analysis):
     return facts
 
 
-@pytest.mark.parametrize("config", [EngineConfig(), EngineConfig(loop_k=1)],
-                         ids=["default", "tight"])
-def test_fact_keys_group_as_expression_keys(corpus, monkeypatch, config):
+@pytest.mark.parametrize("loop_k", [alias.LOOP_K, 1], ids=["default", "tight"])
+def test_fact_keys_group_as_expression_keys(corpus, monkeypatch, loop_k):
     """The key built from the expression's structure id groups facts
     exactly as the key holding the expression itself, compared
     structurally, did: over every analysis of icall resolution, a taint
     run and a run from every register of every statement of each corpus
-    program, summaries and REF included, at the default config and at the
-    pipeline's tight caps (`loop_k` 1)."""
+    program, summaries and REF included, at the default bounds and with
+    an induction merge after every sweep (`LOOP_K` 1)."""
     models = taint.default_models()
     analyses = []
     groups = 0
@@ -805,9 +806,10 @@ def test_fact_keys_group_as_expression_keys(corpus, monkeypatch, config):
         analyses.append(self)
 
     monkeypatch.setattr(Analysis, "run", kept)
+    monkeypatch.setattr(alias, "LOOP_K", loop_k)
     for path in sorted((ROOT / "corpus").glob("*.ir")):
         analyses.clear()
-        session = Session(corpus(path.name), config)
+        session = Session(corpus(path.name))
         _, mapping, _ = icall.resolve_all(session)
         resolved = session.with_resolutions(mapping)
         taint.run_taint(resolved, models)

@@ -9,17 +9,11 @@ import sys
 
 import pytest
 
-from mirtaint import cli, oracle, pipeline, taint
+from mirtaint import cli, oracle, taint
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 ALERTING = str(ROOT / "corpus" / "memcpy_bound_bad.ir")
 CLEAN = str(ROOT / "corpus" / "memcpy_bound_ok.ir")
-
-
-@pytest.fixture(autouse=True)
-def _no_cap_overrides(monkeypatch):
-    for var in pipeline._ENV_CAPS:
-        monkeypatch.delenv(var, raising=False)
 
 
 def test_alerts_exit_1(capsys):
@@ -55,12 +49,27 @@ def test_input_errors_exit_2(argv, monkeypatch, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("value", ["abc", "0"])
-def test_bad_cap_variable_exits_2(value, monkeypatch, capsys):
-    monkeypatch.setenv("MIRTAINT_LOOP_K", value)
-    assert cli.main(["analyze", "--ir", CLEAN]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+# the environment variables that once overrode the engine's bounds
+CAP_VARIABLES = ("MIRTAINT_SSE_DEPTH", "MIRTAINT_LOOP_K", "MIRTAINT_BLOCK_ITER_CAP",
+                 "MIRTAINT_FUNC_ROUNDS_CAP", "MIRTAINT_RECURSION_DEPTH")
+
+
+def _clean_report(capsys) -> dict:
+    assert cli.main(["analyze", "--ir", CLEAN]) == 0
+    report = json.loads(capsys.readouterr().out)
+    del report["timings"]
+    return report
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "1"])
+def test_cap_variables_change_no_report(value, monkeypatch, capsys):
+    """The engine's bounds are constants: no value of these variables
+    changes the exit code or the report, not even 1, which as every bound
+    would change this program's report."""
+    plain = _clean_report(capsys)
+    for var in CAP_VARIABLES:
+        monkeypatch.setenv(var, value)
+    assert _clean_report(capsys) == plain
 
 
 def _side(point="main:bb0:1", expr="r1"):
@@ -113,6 +122,44 @@ def test_certify_reports_a_shrunk_counterexample(tmp_path, capsys):
     assert cex["value_a"] != cex["value_b"]
 
 
+# counts r1 up to BOUND, then copies it to r3
+COUNTED = """\
+func main @0x1000 frame=0 {
+bb0:
+  r1 = 0x0
+  jump head
+head:
+  r2 = r1 == BOUND
+  branch r2, done, body
+body:
+  r1 = r1 + 0x1
+  jump head
+done:
+  r3 = r1
+  ret r3
+}
+"""
+
+
+@pytest.mark.parametrize("bound,status", [("0x100000", "step-limit"),
+                                          ("0x10", "pass")],
+                         ids=["step-limit", "pass"])
+def test_certify_names_runs_cut_at_the_step_limit(bound, status, tmp_path, capsys):
+    """A pair that no run compared because every run stopped at the step
+    limit is `step-limit`, not `vacuous`, and exits 0; with a loop short
+    enough to finish, the same pair passes."""
+    prog = tmp_path / "counted.ir"
+    prog.write_text(COUNTED.replace("BOUND", bound))
+    pairs = tmp_path / "pairs.json"
+    pairs.write_text(json.dumps([{"a": _side("main:done:0", "r1"),
+                                  "b": _side("main:done:0", "r3")}]))
+    assert cli.main(["oracle", "certify", "--ir", str(prog), "--pairs",
+                     str(pairs), "--runs", "2"]) == 0
+    (verdict,) = json.loads(capsys.readouterr().out)
+    assert verdict["status"] == status
+    assert verdict["runs_compared"] == (2 if status == "pass" else 0)
+
+
 @pytest.mark.parametrize("argv", [
     ["certify", "--ir", CLEAN, "--pairs", "pairs.json", "--runs", "0"],
     ["fuzz", "--runs", "0"],
@@ -163,8 +210,6 @@ def test_report_independent_of_hash_seed(name):
     for hash_seed in ("0", "1"):
         env = dict(os.environ, PYTHONHASHSEED=hash_seed,
                    PYTHONPATH=str(ROOT / "src"))
-        for var in pipeline._ENV_CAPS:
-            env.pop(var, None)
         proc = subprocess.run(
             [sys.executable, "-m", "mirtaint.cli", "analyze", "--ir",
              str(ROOT / "corpus" / name)],

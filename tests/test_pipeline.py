@@ -1,12 +1,12 @@
 """Golden report snapshots for the whole pipeline.
 
 Every corpus program's JSON report (without timings) is compared byte
-for byte against `tests/golden/<name>.json`, and six seed-query reports against `tests/golden/<name>.seed.json`.  Every
-corpus program is also run under tight caps (`TIGHT_CAPS`: an induction
-merge after every sweep) against `tests/golden/<name>.tight.json`, which
-pins the merge results.  After a deliberate
-change to the reports, regenerate the files from the root of the
-checkout with
+for byte against `tests/golden/<name>.json`, and six seed-query reports
+against `tests/golden/<name>.seed.json`.  Every corpus program is also
+run with an induction merge after every sweep (`alias.LOOP_K` patched to
+1, the case `<name>.tight.json`), which must give the same report as
+`<name>.json`.  After a deliberate change to the reports, regenerate the
+goldens from the root of the checkout with
 
     PYTHONPATH=src python tests/test_pipeline.py
 """
@@ -37,16 +37,19 @@ SEED_QUERIES = {
     "store_barrier.ir": ("main:bb0:load(r2)", "back:out:r5"),
     "summaries_tour.ir": ("main:bb0:r1",),
 }
-TIGHT_CAPS = {"MIRTAINT_LOOP_K": "1"}
 
 
 def _cases():
+    """(case id, program, seed queries, `LOOP_K`, golden file) of each
+    golden comparison."""
     for name in CORPUS:
-        yield name, (), {}, f"{name[:-3]}.json"
+        golden = f"{name[:-3]}.json"
+        yield golden, name, (), alias.LOOP_K, golden
     for name, seeds in sorted(SEED_QUERIES.items()):
-        yield name, seeds, {}, f"{name[:-3]}.seed.json"
+        golden = f"{name[:-3]}.seed.json"
+        yield golden, name, seeds, alias.LOOP_K, golden
     for name in CORPUS:
-        yield name, (), TIGHT_CAPS, f"{name[:-3]}.tight.json"
+        yield f"{name[:-3]}.tight.json", name, (), 1, f"{name[:-3]}.json"
 
 
 def report_text(name: str, seeds: tuple[str, ...] = ()) -> str:
@@ -55,15 +58,19 @@ def report_text(name: str, seeds: tuple[str, ...] = ()) -> str:
     return pipeline.analyze(config).to_json(with_timings=False) + "\n"
 
 
-@pytest.mark.parametrize("name,seeds,caps,golden", list(_cases()),
-                         ids=[golden for *_, golden in _cases()])
-def test_report_matches_golden(name, seeds, caps, golden, monkeypatch):
+@pytest.mark.parametrize("name,seeds,loop_k,golden",
+                         [case[1:] for case in _cases()],
+                         ids=[case[0] for case in _cases()])
+def test_report_matches_golden(name, seeds, loop_k, golden, monkeypatch):
     monkeypatch.chdir(ROOT)
-    for var in pipeline._ENV_CAPS:
-        monkeypatch.delenv(var, raising=False)
-    for var, value in caps.items():
-        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(alias, "LOOP_K", loop_k)
     assert report_text(name, seeds) == (GOLDEN / golden).read_text()
+
+
+def test_every_golden_file_belongs_to_a_case():
+    """`tests/golden/` holds exactly the files the cases compare against."""
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(
+        {golden for *_, golden in _cases()})
 
 
 # sha256 of the reports of `bench/run.py --workload W --seed S`, as its
@@ -83,8 +90,6 @@ def test_bench_reports_match_pinned_digest(workload, seed, tmp_path, monkeypatch
     """The benchmark's reports hash as they did when pinned: each
     program of the ladder is written as `<name>.ir` into the working
     directory and analysed from there, as `bench/run.py` does."""
-    for var in pipeline._ENV_CAPS:
-        monkeypatch.delenv(var, raising=False)
     monkeypatch.chdir(tmp_path)
     h = hashlib.sha256()
     for program in workloads.generate(workload, seed):
@@ -124,16 +129,13 @@ bb0:
 
 
 def test_recursion_depth_ends_in_cap_hit(tmp_path, monkeypatch):
-    """`recursion_depth` bounds the exports around a call-graph cycle, and
+    """`RECURSION_DEPTH` bounds the exports around a call-graph cycle, and
     what it drops shows as one cap hit naming the exporting function, at
     the default depth and at depth 1."""
-    for var in pipeline._ENV_CAPS:
-        monkeypatch.delenv(var, raising=False)
     path = tmp_path / "walk.ir"
     path.write_text(WALK, encoding="utf-8")
-    for depth in (None, "1"):
-        if depth is not None:
-            monkeypatch.setenv("MIRTAINT_RECURSION_DEPTH", depth)
+    for depth in (alias.RECURSION_DEPTH, 1):
+        monkeypatch.setattr(alias, "RECURSION_DEPTH", depth)
         report = pipeline.analyze(pipeline.RunConfig(ir_path=str(path)))
         hits = [h for h in report.cap_hits if h.startswith("recursion depth cap hit")]
         assert hits == ["recursion depth cap hit: exports of walk to walk:step:1 "
@@ -144,8 +146,6 @@ def test_recursion_depth_ends_in_cap_hit(tmp_path, monkeypatch):
 def test_cycle_cut_shows_once_in_report(tmp_path, monkeypatch):
     """walk's summary still grows in its second round, so the report lists
     the cut of its cycle, once."""
-    for var in pipeline._ENV_CAPS:
-        monkeypatch.delenv(var, raising=False)
     path = tmp_path / "walk.ir"
     path.write_text(WALK, encoding="utf-8")
     report = pipeline.analyze(pipeline.RunConfig(ir_path=str(path)))
@@ -157,9 +157,7 @@ def test_seed_query_cap_hits_reach_the_report(monkeypatch):
     """A `--seed` query's analysis records its own cap hits; the report
     lists them after the taint run's, each once."""
     monkeypatch.chdir(ROOT)
-    for var in pipeline._ENV_CAPS:
-        monkeypatch.delenv(var, raising=False)
-    monkeypatch.setenv("MIRTAINT_FUNC_ROUNDS_CAP", "1")
+    monkeypatch.setattr(alias, "FUNC_ROUNDS_CAP", 1)
     plain = pipeline.analyze(pipeline.RunConfig(
         ir_path="corpus/loop_walk.ir")).cap_hits
     queried = pipeline.analyze(pipeline.RunConfig(
@@ -202,8 +200,6 @@ def test_dispatch_registry_grows_linearly(tmp_path, monkeypatch):
     so doubling the handlers of `dispatch` at most about doubles the taint
     analysis's registry.  Sending every descent's facts to every caller
     of a shared helper made it grow about 3x per doubling."""
-    for var in pipeline._ENV_CAPS:
-        monkeypatch.delenv(var, raising=False)
     monkeypatch.chdir(tmp_path)
     ladder = {p.size: p for p in workloads.generate("dispatch", 1)}
     small = _taint_registry_size(ladder[16], monkeypatch)
@@ -214,18 +210,15 @@ def test_dispatch_registry_grows_linearly(tmp_path, monkeypatch):
 def test_reports_unchanged_when_every_row_acts(monkeypatch):
     """The walker's row index leaves out only rows that cannot act on a
     fact: with every row of a block given as relevant to every fact,
-    each golden report comes out the same, at the default caps, under
-    seed queries and at tight caps."""
+    each golden report comes out the same, at the default bounds, under
+    seed queries and with `LOOP_K` 1."""
     monkeypatch.chdir(ROOT)
     monkeypatch.setattr(alias._Table, "relevant",
                         lambda self, e, forward, tainted=False:
                         (1 << len(self.rows)) - 1)
-    for name, seeds, caps, golden in _cases():
-        for var in pipeline._ENV_CAPS:
-            monkeypatch.delenv(var, raising=False)
-        for var, value in caps.items():
-            monkeypatch.setenv(var, value)
-        assert report_text(name, seeds) == (GOLDEN / golden).read_text(), golden
+    for case, name, seeds, loop_k, golden in _cases():
+        monkeypatch.setattr(alias, "LOOP_K", loop_k)
+        assert report_text(name, seeds) == (GOLDEN / golden).read_text(), case
 
 
 def test_walker_steps_only_rows_that_can_act(tmp_path, monkeypatch):
@@ -234,8 +227,6 @@ def test_walker_steps_only_rows_that_can_act(tmp_path, monkeypatch):
     `loop_copy` program with three copy loops per function that is at
     most 900 steps; stepping every row that shares a register with the
     fact, and every row of an immediate, took 1,924."""
-    for var in pipeline._ENV_CAPS:
-        monkeypatch.delenv(var, raising=False)
     monkeypatch.chdir(tmp_path)
     steps = []
     for name in ("forward_step", "backward_step"):
@@ -252,10 +243,6 @@ def test_walker_steps_only_rows_that_can_act(tmp_path, monkeypatch):
 if __name__ == "__main__":
     os.chdir(ROOT)
     GOLDEN.mkdir(exist_ok=True)
-    for var in pipeline._ENV_CAPS:
-        os.environ.pop(var, None)
-    for name, seeds, caps, golden in _cases():
-        os.environ.update(caps)
-        (GOLDEN / golden).write_text(report_text(name, seeds))
-        for var in caps:
-            del os.environ[var]
+    for case, name, seeds, loop_k, golden in _cases():
+        if loop_k == alias.LOOP_K:
+            (GOLDEN / golden).write_text(report_text(name, seeds))

@@ -15,7 +15,7 @@ def run(corpus, name, icalls=True):
         _, mapping, _ = IC.resolve_all(Session(prog), C.find_address_taken(prog))
     else:
         mapping = {}
-    return prog, T.run_taint(Session(prog, resolutions=mapping))
+    return prog, T.run_taint(Session(prog).with_resolutions(mapping))
 
 
 # -- models ---------------------------------------------------------------
