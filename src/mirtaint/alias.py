@@ -842,9 +842,9 @@ class Session:
     has no resolutions.  It starts an empty SSE intern table and empty
     rewrite memos (`S.reset_tables`), so they hold the nodes of one
     program's analysis only; sessions derived from it share them.  Its
-    rule tables and every fact key on that table's structure ids, so no
-    analysis runs on it once a later root session has started another
-    table.
+    rule tables and every fact key on structure ids, which name one
+    structure in every table, so an analysis may still run on it after a
+    later root session has started another table.
 
     REF, the cells a function reads, is a table of its own (`refs`),
     filled on demand: a function's REF is built the first time a tainted
@@ -856,7 +856,7 @@ class Session:
     """
 
     def __init__(self, program: ir.Program):
-        self.sse_table = S.reset_tables()
+        S.reset_tables()
         self.program = program
         self._facts: dict = {}       # (kind, fname) -> per-program fact
         self._points: dict[ir.Point, tuple[str, str, int]] = {}
@@ -887,7 +887,6 @@ class Session:
             return self
         other = object.__new__(Session)
         other.program = self.program
-        other.sse_table = self.sse_table
         other._facts, other._points = self._facts, self._points
         other._resolve(resolutions)
         return other
@@ -1018,9 +1017,6 @@ class Analysis:
 
     def __init__(self, session: Session, policy=None, *,
                  summary_of: str | None = None):
-        if session.sse_table != S.current_table():
-            raise ValueError("the session's SSE intern table was replaced by "
-                             "a later session's")
         self.session = session
         self.program = session.program
         self.policy = policy
@@ -1082,16 +1078,15 @@ class Analysis:
         return self._seed_ids.setdefault(k, len(self._seed_ids))
 
     def add_seed(self, seed: Seed) -> int:
-        """Inject `seed` and return its id.  This is the one door for an
-        expression built outside the session, such as a query parsed
-        before the session reset the intern table: the expression is
-        interned again first (`S.intern`), so that its facts key on this
-        table's structure ids, as the same expression built here does."""
+        """Inject `seed` and return its id.  Its expression may have been
+        built outside the session, such as a query parsed before the
+        session reset the intern table: structure ids outlive the table,
+        so its facts key as those of the same expression built here."""
         fname, label, idx = self.locate(seed.point)
         sid = self.seed_id_for(seed)
         # a source seed is tainted only once its own statement has run
         phase = "post" if seed.tainted and seed.trigger == seed.point else "pre"
-        expr = S.canonicalize(S.retag(S.intern(seed.expr), idx))
+        expr = S.canonicalize(S.retag(seed.expr, idx))
         t = Tracked(expr=expr, point=seed.point, phase=phase, seed_id=sid,
                     tainted=seed.tainted, trigger=seed.trigger)
         if seed.direction in ("forward", "both"):

@@ -2,11 +2,14 @@
 
     mirtaint analyze --ir prog.ir [--config models.json] [--no-icall]
                      [--seed f:bb0:load(r3+0x8)] [--dump-cfg f]
-                     [--out report.json] [--format json|text]
+                     [--out report.json] [--format json|text] [--exit-zero]
     mirtaint oracle certify --ir prog.ir --pairs pairs.json [--runs 16]
-    mirtaint oracle fuzz [--count 500] [--max-len 30] [--seed 0]
+                            [--seed 0]
+    mirtaint oracle fuzz [--count 500] [--max-len 30] [--seed 0] [--runs 16]
 
-Exit codes: 0 success, 1 alerts found (unless --exit-zero), 2 input error.
+Exit codes: 0 success; 1 alerts found (analyze, unless --exit-zero), a
+pair that fails (oracle certify) or a failing fuzz case (oracle fuzz);
+2 input error.
 """
 
 from __future__ import annotations

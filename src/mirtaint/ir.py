@@ -45,9 +45,6 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-REG_RE = re.compile(r"r[0-9]+$|sp$|gp$")
-LABEL_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*$")
-
 Operand = Union[str, int]  # register name or 64-bit immediate
 
 
@@ -272,10 +269,12 @@ class ParseError(Exception):
 # Parser
 # ---------------------------------------------------------------------------
 
-_INT = r"(?:0x[0-9a-fA-F]+|-?[0-9]+)"
-_REG = r"(?:r[0-9]+|sp|gp)"
+# No leading zeros: one register has one name (r1, never r01), and a
+# decimal immediate is one `int(tok, 0)` reads.
+_INT = r"(?:0x[0-9a-fA-F]+|-?(?:0|[1-9][0-9]*))"
+_REG = r"(?:r(?:0|[1-9][0-9]*)|sp|gp)"
 _OPND = rf"(?:{_REG}|{_INT})"
-_BINOP_TOKS = ["<<", ">>", "<=", ">=", "==", "!=", "<", ">", "+", "-", "*", "/", "&", "|", "^"]
+REG_RE = re.compile(rf"{_REG}$")
 
 _PATTERNS = [
     ("wordsize", re.compile(rf"wordsize\s+({_INT})$")),
@@ -375,10 +374,7 @@ def parse_program(text: str) -> Program:
             if line == "}":
                 in_strings = False
                 continue
-            for m in _STRING_ENTRY.finditer(line):
-                strings[_int(m.group(1))] = m.group(2)
-            if not _STRING_ENTRY.search(line):
-                diags.append(Diagnostic(f"malformed string entry {line!r}", line=lineno))
+            _string_entries(line, strings, diags, lineno)
             continue
 
         kind = m = None
@@ -408,9 +404,8 @@ def parse_program(text: str) -> Program:
             data[addr] = tuple(words)
             continue
         if kind == "strings_open":
-            body = m.group(1)
-            for sm in _STRING_ENTRY.finditer(body):
-                strings[_int(sm.group(1))] = sm.group(2)
+            if m.group(1).strip():
+                _string_entries(m.group(1), strings, diags, lineno)
             in_strings = m.group(2) != "}"
             continue
         if kind == "func":
@@ -453,6 +448,13 @@ def parse_program(text: str) -> Program:
     if diags:
         raise ParseError(diags)
     return Program(functions, data, strings, word_size)
+
+
+def _string_entries(text: str, strings: dict, diags, lineno) -> None:
+    for m in _STRING_ENTRY.finditer(text):
+        strings[_int(m.group(1))] = m.group(2)
+    if not _STRING_ENTRY.search(text):
+        diags.append(Diagnostic(f"malformed string entry {text!r}", line=lineno))
 
 
 def _parse_stmt(line: str, diags, lineno) -> Optional[Form]:

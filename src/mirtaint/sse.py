@@ -29,41 +29,37 @@ part in structural equality:
     the certifier just does not vouch for them.
 
 Every node also caches structural facts computed at construction from
-its children's: hash, register set, size, memory depth, bitwise flags
-and its structure id (below).  Like the tags above they take no part in
-equality.  The structure queries read them in O(1), and pattern
-searches and rewrites use them to skip subtrees a pattern cannot lie
-in.  Three more facts are computed on first use and cached on the node
-in the same way: its offset skeletons for the loop-induction merge, the
-structure ids of its memory nodes' addresses, and its birth summary
-(the lowest birth among its memory nodes not stale forward, the highest
-among those not stale backward), which the block walker's row index
-reads.
+its children's: register set, size, memory depth and bitwise flags.
+Like the tags above they take no part in equality.  The structure
+queries read them in O(1), and pattern searches and rewrites use them
+to skip subtrees a pattern cannot lie in.  Three more facts are computed
+on first use and cached on the node in the same way: its offset
+skeletons for the loop-induction merge, the structure ids of its memory
+nodes' addresses, and its birth summary (the lowest birth among its
+memory nodes not stale forward, the highest among those not stale
+backward), which the block walker's row index reads.
 
 Nodes are hash-consed (Filliatre & Conchon, "Type-safe modular
 hash-consing", ML Workshop 2006): building a node whose fields, tags
 included, match a node of the intern table returns that node.  The key
 holds a child by identity, so a child that differs only in its tags
 makes another key.  The table belongs to one analysis session: each root
-`alias.Session` calls `reset_tables`.  Equality and hashing stay
-structural, so identity is only a fast path, and a node built before a
-reset stays valid.  The rewrites are memoized too: a node's canonical
-form is kept on the node (`_cf`), and `replace`, `occurs`, `retag`, and
-`mark_stale`/`replace_mem` given a `key`, are remembered per table under
-the identities of their node arguments.  An entry holds those
-arguments, so no id in its key is reused while it lives, and no result
-goes to a node that is only equal, whose tags may differ.
+`alias.Session` calls `reset_tables`.  The rewrites are memoized too: a
+node's canonical form is kept on the node (`_cf`), and `replace`,
+`occurs`, `retag`, and `mark_stale`/`replace_mem` given a `key`, are
+remembered per table under the identities of their node arguments.  An
+entry holds those arguments, so no id in its key is reused while it
+lives, and no result goes to a node that is only equal, whose tags may
+differ.
 
 The structure id `_sid` is an integer identity of the tag-free
-structure, on which the analysis keys its facts (`alias.Tracked.key`).
-A new node looks it up by its class, its fields but the tags and its
-children's ids, so the nodes of one table share an id exactly when they
-are equal.  Ids come from one counter for the whole process and are
-never given again; the id map is cleared with the table.  So a node
-built before a reset keeps an id that no node built after shares: it
-never merges with another structure, but it keys apart from the equal
-nodes of the new table.  An expression from outside a session is
-therefore built again in its table (`intern`) before it is keyed.
+structure.  A new node looks it up by its class, its fields but the
+tags and its children's ids.  The id map lives as long as the process
+and is never cleared, so one id names one structure in every table.
+It is the only equality: two nodes are equal, and hash alike, exactly
+when their ids are, whatever their tags and whichever table built them.
+The analysis keys its facts on it (`alias.Tracked.key`), so a node
+built before a reset needs no rebuilding to key as its twin built after.
 
 All values are immutable; every function in this module is pure.  The
 table and the memos change which object a call returns, never its value.
@@ -71,7 +67,6 @@ table and the memos change which object a call returns, never its value.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import MISSING, dataclass
 from typing import Iterator, Optional, Union
@@ -82,21 +77,18 @@ U64 = (1 << 64) - 1
 BIRTH_BEFORE_BLOCK = -(1 << 30)
 BIRTH_AFTER_BLOCK = 1 << 30
 
-BINOPS = ("+", "-", "*", "/", "<<", ">>", "&", "|", "^",
-          "<", "<=", "==", "!=", ">=", ">")
-UNOPS = ("~", "!", "neg")
 COMMUTATIVE = {"+", "*", "&", "|", "^", "==", "!="}
 BITWISE = {"&", "|", "^", "<<", ">>"}
 
 
-# Node equality and hashing are structural and exclude the birth/stale
-# bookkeeping on memory nodes.  Every node computes its facts once, at
-# construction, from its children's: the hash `_h` (so set/dict
-# operations stay O(1) and equality can fail fast), the register set
-# `_regs`, the node count `_size`, the memory nesting depth `_mdepth` and
-# the bitwise flags `_bits` (_BIT_OP: a bitwise op appears in the tree;
-# _BIT_ADDR: some memory node's address holds one).  `_canon` marks trees
-# the canonicalizer already produced so re-canonicalizing is free.
+# Node equality and hashing read the structure id alone (process-wide,
+# never reset), so they exclude the birth/stale bookkeeping on memory
+# nodes and take one compare.  Every node computes its facts once, at
+# construction, from its children's: the register set `_regs`, the node
+# count `_size`, the memory nesting depth `_mdepth` and the bitwise flags
+# `_bits` (_BIT_OP: a bitwise op appears in the tree; _BIT_ADDR: some
+# memory node's address holds one).  `_canon` marks trees the
+# canonicalizer already produced so re-canonicalizing is free.
 
 _BIT_OP, _BIT_ADDR = 1, 2
 
@@ -106,26 +98,15 @@ _REG_SETS: dict = {}     # register name or register set -> the shared set
 _TABLE: dict = {}        # (class, field or id(child node), ...) -> node
 _SIDS: dict = {}         # (class, tag-free field or child _sid, ...) -> _sid
 _MEMO: dict = {}         # (rewrite, id(node) or value, ...) -> (result, args)
-_next_sid = itertools.count().__next__   # never reused, even across resets
-_tables = 0              # tables started: the current one's number
 
 
-def reset_tables() -> int:
-    """Start an empty intern table, structure-id map and memos (a new
-    analysis session), and return its number (`current_table`).  Nodes
-    built before stay valid: they are equal to the nodes built after, only
-    not the same objects, and their structure ids are their old ones,
-    which no node built after shares."""
-    global _tables
-    for table in (_TABLE, _SIDS, _MEMO, _REG_SETS):
+def reset_tables() -> None:
+    """Start an empty intern table and memos (a new analysis session).
+    The structure-id map is kept, so nodes built before stay valid: they
+    are equal to the nodes built after and share their ids, only they
+    are not the same objects."""
+    for table in (_TABLE, _MEMO, _REG_SETS):
         table.clear()
-    _tables += 1
-    return _tables
-
-
-def current_table() -> int:
-    """The number of the current intern table (see `reset_tables`)."""
-    return _tables
 
 
 def _memo(key: tuple, fn, *args):
@@ -161,10 +142,9 @@ _set = object.__setattr__
 class _Interned(type):
     """The node classes' metaclass: calling a class returns the table's
     node with those fields, and builds one only when there is none.  A
-    new node gets its structure id `_sid`, shared by exactly the nodes
-    of this table that are equal to it: the id is looked up by the
-    class, the fields but the tags (the first `_nstruct`) and the
-    children's ids."""
+    new node gets its structure id `_sid`, looked up by the class, the
+    fields but the tags (the first `_nstruct`) and the children's ids;
+    a structure new to the process gets the next id."""
 
     def __call__(cls, *args, **kwargs):
         if kwargs or len(args) < len(cls.__match_args__):
@@ -177,7 +157,7 @@ class _Interned(type):
                            for a in args[:cls._nstruct]])
             sid = _SIDS.get(skey)
             if sid is None:
-                sid = _SIDS[skey] = _next_sid()
+                sid = _SIDS[skey] = len(_SIDS)
             _set(node, "_sid", sid)
         return node
 
@@ -199,19 +179,21 @@ def _all_fields(cls, args: tuple, kwargs: dict) -> list:
 class _Node(metaclass=_Interned):
     # `_skels`, `_cf` and `_mem` are filled on first use only (see
     # `_skeletons`, `canonicalize` and `mem_summary`)
-    __slots__ = ("_h", "_sid", "_canon", "_regs", "_size", "_mdepth", "_bits",
+    __slots__ = ("_sid", "_canon", "_regs", "_size", "_mdepth", "_bits",
                  "_skels", "_cf", "_mem")
     _nstruct = None     # how many fields make the structure (None: all)
 
+    def __eq__(self, other):
+        return self is other or (type(other) in _KINDS and other._sid == self._sid)
+
     def __hash__(self):
-        return self._h
+        return self._sid
 
     def _mark_canonical(self):
         _set(self, "_canon", True)
         return self
 
-    def _facts(self, h, canon, regs, size, mdepth, bits):
-        _set(self, "_h", h)
+    def _facts(self, canon, regs, size, mdepth, bits):
         _set(self, "_canon", canon)
         _set(self, "_regs", regs)
         _set(self, "_size", size)
@@ -224,12 +206,7 @@ class Reg(_Node):
     name: str
 
     def __post_init__(self):
-        self._facts(hash(("R", self.name)), True, _reg_set(self.name), 1, 0, 0)
-
-    __hash__ = _Node.__hash__
-
-    def __eq__(self, other):
-        return self is other or (type(other) is Reg and other.name == self.name)
+        self._facts(True, _reg_set(self.name), 1, 0, 0)
 
     def __repr__(self):
         return f"Reg({self.name})"
@@ -240,13 +217,7 @@ class Val(_Node):
     value: int
 
     def __post_init__(self):
-        self._facts(hash(("V", self.value)), 0 <= self.value <= U64, _NO_REGS,
-                    1, 0, 0)
-
-    __hash__ = _Node.__hash__
-
-    def __eq__(self, other):
-        return self is other or (type(other) is Val and other.value == self.value)
+        self._facts(0 <= self.value <= U64, _NO_REGS, 1, 0, 0)
 
     def __repr__(self):
         return f"Val({self.value:#x})"
@@ -260,18 +231,9 @@ class Bin(_Node):
 
     def __post_init__(self):
         l, r = self.left, self.right
-        self._facts(hash(("B", self.op, l._h, r._h)), False,
-                    _union(l._regs, r._regs), 1 + l._size + r._size,
+        self._facts(False, _union(l._regs, r._regs), 1 + l._size + r._size,
                     max(l._mdepth, r._mdepth),
                     l._bits | r._bits | (self.op in BITWISE))
-
-    __hash__ = _Node.__hash__
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (type(other) is Bin and other._h == self._h and other.op == self.op
-                and other.left == self.left and other.right == self.right)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -281,22 +243,13 @@ class Un(_Node):
 
     def __post_init__(self):
         c = self.child
-        self._facts(hash(("U", self.op, c._h)), False, c._regs, 1 + c._size,
-                    c._mdepth, c._bits | (self.op == "~"))
-
-    __hash__ = _Node.__hash__
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (type(other) is Un and other._h == self._h and other.op == self.op
-                and other.child == self.child)
+        self._facts(False, c._regs, 1 + c._size, c._mdepth,
+                    c._bits | (self.op == "~"))
 
 
 @dataclass(frozen=True, eq=False, slots=True)
 class _Mem(_Node):
-    """A memory node: `Load` and `Store` differ only in their name and
-    their hash tag `_tag`."""
+    """A memory node: `Load` and `Store` differ only in their name."""
     addr: "Sse"
     birth: int = BIRTH_BEFORE_BLOCK
     stale_fwd: bool = False
@@ -306,16 +259,7 @@ class _Mem(_Node):
     def __post_init__(self):
         a = self.addr
         bits = a._bits | _BIT_ADDR if a._bits & _BIT_OP else a._bits
-        self._facts(hash((self._tag, a._h)), False, a._regs, 1 + a._size,
-                    1 + a._mdepth, bits)
-
-    __hash__ = _Node.__hash__
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (type(other) is type(self) and other._h == self._h
-                and other.addr == self.addr)
+        self._facts(False, a._regs, 1 + a._size, 1 + a._mdepth, bits)
 
     @property
     def stale(self):
@@ -324,12 +268,10 @@ class _Mem(_Node):
 
 class Load(_Mem):
     __slots__ = ()
-    _tag = "L"
 
 
 class Store(_Mem):
     __slots__ = ()
-    _tag = "S"
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -348,20 +290,11 @@ class IndexTerm(_Node):
 
     def __post_init__(self):
         b = self.base
-        self._facts(hash(("I", b._h, self.stride, self.index)), False, b._regs,
-                    1 + b._size, b._mdepth, b._bits)
-
-    __hash__ = _Node.__hash__
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (type(other) is IndexTerm and other._h == self._h
-                and other.stride == self.stride and other.index == self.index
-                and other.base == self.base)
+        self._facts(False, b._regs, 1 + b._size, b._mdepth, b._bits)
 
 
 Sse = Union[Reg, Val, Bin, Un, Load, Store, IndexTerm]
+_KINDS = frozenset((Reg, Val, Bin, Un, Load, Store, IndexTerm))
 
 
 # ---------------------------------------------------------------------------
@@ -663,17 +596,6 @@ def _remake(e: Sse, kids: list[Sse]) -> Sse:
     return t(kids[0], e.birth, e.stale_fwd, e.stale_bwd)
 
 
-def intern(e: Sse) -> Sse:
-    """`e` as a node of the current intern table, tags included: `e`
-    itself when it is one, else the same tree built again there.  A node
-    built before the last `reset_tables` keeps its old structure ids, so
-    an expression from outside the session goes through here before
-    anything is keyed by its id."""
-    t = type(e)
-    return t(*[intern(v) if isinstance(v, _Node) else v
-               for v in map(e.__getattribute__, t.__match_args__)])
-
-
 def _rebuild_mem(e: Sse, f) -> Sse:
     """Apply f to each memory node bottom-up (f sees rebuilt children).
     Memory-free subtrees and nodes with unchanged children are kept."""
@@ -937,8 +859,9 @@ def _wrap(e: Sse) -> str:
     return s
 
 
+_REG = r"r(?:0|[1-9][0-9]*)|sp|gp"     # one name per register, as in `ir`
 _TOKEN = re.compile(
-    r"\s*(load|store|r[0-9]+|sp|gp|i[0-9]+|0x[0-9a-fA-F]+|[0-9]+|<<|>>|<=|>=|==|!=|[()+\-*/&|^~!<>,])"
+    rf"\s*(load|store|{_REG}|i[0-9]+|0x[0-9a-fA-F]+|[0-9]+|<<|>>|<=|>=|==|!=|[()+\-*/&|^~!<>,])"
 )
 
 
@@ -1010,7 +933,7 @@ class _ExprParser:
         if t and (t.startswith("0x") or t.isdigit()):
             self.take()
             return Val(int(t, 0))
-        if t and re.fullmatch(r"r[0-9]+|sp|gp", t):
+        if t and re.fullmatch(_REG, t):
             self.take()
             # i*stride sugar is parsed as plain multiplication; index
             # identifiers only arise internally.

@@ -145,7 +145,8 @@ def default_models() -> Models:
 def load_models(path: Optional[str] = None) -> tuple[Models, list[ir.Diagnostic]]:
     """Built-in defaults, optionally extended/overridden by a JSON config
     with `sources`, `sinks`, `summaries` arrays keyed by function name.
-    A malformed config leaves the defaults untouched and reports why."""
+    A malformed config, or an entry with a malformed field, leaves the
+    defaults untouched and reports why."""
     models = default_models()
     if path is None:
         return models, []
@@ -157,20 +158,41 @@ def load_models(path: Optional[str] = None) -> tuple[Models, list[ir.Diagnostic]
         for entry in raw.get("sources", []):
             models.sources[entry["name"]] = SourceModel(
                 entry["name"],
-                tuple(entry.get("taints", [1])),
-                entry.get("fd_arg"))
+                _indices(entry.get("taints", [1]), (RET,)),
+                _index(entry.get("fd_arg"), (None,)))
         for entry in raw.get("sinks", []):
-            models.sinks[entry["name"]] = SinkModel(
-                entry["name"], entry.get("class", "copy"),
-                tuple(entry.get("checked_args", [1])),
-                entry.get("dst_arg"), entry.get("len_arg"))
+            name, klass = entry["name"], entry.get("class", "copy")
+            if klass not in ("copy", "exec"):
+                raise ValueError(f"sink class {klass!r} is not copy or exec")
+            models.sinks[name] = SinkModel(
+                name, klass, _indices(entry.get("checked_args", [1])),
+                _index(entry.get("dst_arg"), (None,)),
+                _index(entry.get("len_arg"), (None,)))
         for entry in raw.get("summaries", []):
-            models.summaries[entry["name"]] = LibrarySummary(
-                entry["name"], entry.get("group", _OTHER),
-                tuple((f[0], f[1]) for f in entry.get("flows", [])))
+            name, flows = entry["name"], entry.get("flows", [])
+            if not (isinstance(flows, list)
+                    and all(isinstance(f, list) and len(f) == 2 for f in flows)):
+                raise ValueError(f"flows {flows!r} are not [from, to] pairs")
+            models.summaries[name] = LibrarySummary(
+                name, entry.get("group", _OTHER),
+                tuple((_index(a), _index(b, (RET,))) for a, b in flows))
     except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         return default_models(), [ir.Diagnostic(f"bad taint config {path}: {exc}")]
     return models, []
+
+
+def _index(value, also: tuple = ()):
+    """A model field's argument index: a non-negative int, or one of `also`
+    (`RET` or None) where the field allows it; ValueError otherwise."""
+    if (type(value) is int and value >= 0) or value in also:
+        return value
+    raise ValueError(f"{value!r} is not an argument index")
+
+
+def _indices(values, also: tuple = ()) -> tuple:
+    if not isinstance(values, list):
+        raise ValueError(f"{values!r} is not a list of argument indices")
+    return tuple(_index(v, also) for v in values)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """The `mirtaint` command line: exit codes, output options, and report
 determinism across hash seeds."""
 
+import argparse
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -47,6 +49,47 @@ def test_input_errors_exit_2(argv, monkeypatch, capsys):
     assert cli.main(["analyze", *argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+# `r01` would name a second register beside `r1`, binding `f`'s formals in
+# an order that depends on the hash seed; `01` and `08` are not Python ints
+LEADING_ZEROS = {
+    "register": """
+func f @0x2000 frame=0 {
+bb0:
+  r2 = r01
+  call system(r1)
+  ret
+}
+
+func main @0x1000 frame=0x40 {
+  buf in @0x0 size 0x40
+bb0:
+  r1 = sp
+  r2 = 0x40
+  r3 = call recv(r9, r1, r2)
+  call f(0x10, r1)
+  ret
+}
+""",
+    "immediate": """
+func main @0x1000 frame=0 {
+bb0:
+  r1 = 01
+  r2 = load r1 + 08
+  ret r2
+}
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEADING_ZEROS))
+def test_leading_zeros_are_syntax_errors(name, tmp_path, capsys):
+    path = tmp_path / f"{name}.ir"
+    path.write_text(LEADING_ZEROS[name])
+    assert cli.main(["analyze", "--ir", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "syntax error" in err and "Traceback" not in err
 
 
 # the environment variables that once overrode the engine's bounds
@@ -219,3 +262,29 @@ def test_report_independent_of_hash_seed(name):
         del report["timings"]
         reports.append(report)
     assert reports[0] == reports[1]
+
+
+def _commands(parser, path=()):
+    """(command words, parser) for each command `parser` runs."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(path), parser
+        return
+    for name, sub in subs[0].choices.items():
+        yield from _commands(sub, (*path, name))
+
+
+def test_usage_text_names_every_option():
+    """The module docstring's usage lines of each command name every option
+    its parser takes."""
+    usage = {}
+    for block in re.split(r"^\s+mirtaint ", cli.__doc__, flags=re.M)[1:]:
+        words = re.match(r"[a-z ]+?(?= --| \[|$)", block).group()
+        usage[words] = block
+    commands = dict(_commands(cli.build_parser()))
+    assert set(commands) == set(usage) == {"analyze", "oracle certify", "oracle fuzz"}
+    for words, parser in commands.items():
+        for action in parser._actions:
+            if not isinstance(action, argparse._HelpAction):
+                for option in action.option_strings:
+                    assert option in usage[words], (words, option)

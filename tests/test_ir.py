@@ -159,3 +159,25 @@ def test_round_trip(corpus):
         prog = corpus(name)
         again = ir.parse_program(ir.pretty_program(prog))
         assert again == prog
+
+
+@pytest.mark.parametrize("text", [
+    "func f @0x1000 frame=0 {\nbb0:\n  r1 = r01\n  ret\n}\n",
+    "func f @0x1000 frame=0 {\nbb0:\n  r1 = 01\n  ret\n}\n",
+    "func f @0x1000 frame=0 {\nbb0:\n  r1 = load r2 + 08\n  ret\n}\n",
+    "func f @0x1000 frame=0 {\nbb0:\n  call g(r1, -07)\n  ret\n}\n",
+    "func f @01000 frame=0 {\nbb0:\n  ret\n}\n",
+    'strings { @010 "x" }\n',
+], ids=["register", "move", "load-offset", "argument", "address", "string"])
+def test_leading_zeros_rejected(text):
+    """One register has one name and a decimal has no leading zero, so such
+    tokens are syntax errors rather than a second register or a crash."""
+    with pytest.raises(ir.ParseError):
+        parse(text)
+
+
+def test_zero_and_multi_digit_tokens_parse():
+    prog = parse("func f @0x1000 frame=0 {\nbb0:\n  r10 = 0\n  r0 = r10 + 10\n  ret r0\n}\n")
+    forms = [s.form for s in prog.functions["f"].statements()]
+    assert forms[0] == ir.Move("r10", 0)
+    assert forms[1] == ir.BinOp("r0", "+", "r10", 10)

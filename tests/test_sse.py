@@ -264,6 +264,12 @@ def test_pretty_parse_round_trip():
         assert S.pretty(canon(text)) == S.pretty(canon(S.pretty(canon(text))))
 
 
+@pytest.mark.parametrize("text", ["r01", "load(r01+0x8)", "r1+r00"])
+def test_parse_rejects_register_with_leading_zero(text):
+    with pytest.raises(ValueError):
+        S.parse_sse(text)
+
+
 def test_root_register():
     assert S.root_register(canon("load(r0+0x8)")) == "r0"
     assert S.root_register(canon("load(0x9000)")) is None
@@ -482,11 +488,11 @@ def _shape(e):
 @given(st.lists(exprs, min_size=1, max_size=3), st.data())
 @settings(max_examples=200, deadline=None)
 def test_structure_ids_are_exact(es, data):
-    """Within one intern table two nodes share a structure id exactly when
-    they are equal, whatever their tags.  No id is ever given to two
-    different structures, and no id of one table is given again in the
-    next, not even to an equal node."""
+    """Two nodes share a structure id exactly when they are equal, whatever
+    their tags.  No id is ever given to two different structures, and the
+    next intern table gives the same structures the same ids."""
     owner = {}          # structure id -> the structure it was given to
+    sid_of = {}         # structure -> its id
     ids = []
     for _ in range(2):
         S.reset_tables()
@@ -500,11 +506,29 @@ def test_structure_ids_are_exact(es, data):
         for n in built.values():
             assert n == reps.setdefault(n._sid, n)
             assert owner.setdefault(n._sid, _shape(n)) == _shape(n)
+            assert sid_of.setdefault(_shape(n), n._sid) == n._sid
         reps = list(reps.values())
         for i, a in enumerate(reps):
             assert not any(a == b for b in reps[i + 1:])
         ids.append({n._sid for n in reps})
-    assert not ids[0] & ids[1]
+    assert ids[0] == ids[1]
+
+
+def test_nodes_equal_across_tables_by_structure_id():
+    """A node built before `reset_tables` is equal to its twin built after
+    and hashes alike; a load never equals the store of its address, and no
+    node equals a value that is not a node."""
+    before = S.parse_sse("load(r1+0x8)+store(r2)")
+    S.reset_tables()
+    after = S.parse_sse("load(r1+0x8)+store(r2)")
+    assert after is not before
+    assert after == before and hash(after) == hash(before)
+    assert len({before, after}) == 1
+    addr = S.Reg("r1")
+    assert S.Load(addr) != S.Store(addr)
+    for n in (S.Reg("r1"), S.Val(0), before, S.Load(addr)):
+        for other in (None, "r1", (n,), n._sid):
+            assert n != other and not n == other
 
 
 def _rewrites(x, pick):

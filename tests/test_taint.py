@@ -1,12 +1,17 @@
 import json
+import pathlib
+
+import pytest
 
 from mirtaint import cfg as C
 from mirtaint import icall as IC
 from mirtaint import ir
-from mirtaint import oracle
+from mirtaint import oracle, pipeline
 from mirtaint import sse as S
 from mirtaint import taint as T
 from mirtaint.alias import Analysis, Session
+
+ATOI_LEN = str(pathlib.Path(__file__).resolve().parent.parent / "corpus" / "atoi_len.ir")
 
 
 def run(corpus, name, icalls=True):
@@ -66,6 +71,41 @@ def test_load_models_malformed_keeps_defaults(tmp_path):
     cfg.write_text("{nope")
     models, diags = T.load_models(str(cfg))
     assert len(diags) == 1 and len(models.sinks) == 11
+
+
+@pytest.mark.parametrize("config", [
+    {"sources": [{"name": "recv", "taints": "ret"}]},
+    {"sources": [{"name": "recv", "taints": [-1]}]},
+    {"sources": [{"name": "recv", "taints": [True]}]},
+    {"sources": [{"name": "recv", "fd_arg": "x"}]},
+    {"sources": [{"name": "recv", "fd_arg": "ret"}]},
+    {"sinks": [{"name": "strcpy", "checked_args": ["a"]}]},
+    {"sinks": [{"name": "strcpy", "checked_args": ["ret"]}]},
+    {"sinks": [{"name": "strcpy", "len_arg": "x"}]},
+    {"sinks": [{"name": "strcpy", "dst_arg": -2}]},
+    {"sinks": [{"name": "strcpy", "class": "format"}]},
+    {"summaries": [{"name": "atoi", "flows": [["a", "b"]]}]},
+    {"summaries": [{"name": "atoi", "flows": [[0]]}]},
+    {"summaries": [{"name": "atoi", "flows": [["ret", 0]]}]},
+    {"summaries": [{"name": "atoi", "flows": "ret"}]},
+    {"summaries": [{"name": "atoi", "flows": {}}]},
+    {"sinks": [["strcpy"]]},
+    {"summaries": ["atoi"]},
+], ids=["taints-str", "taints-negative", "taints-bool", "fd-str", "fd-ret",
+        "checked-str", "checked-ret", "len-str", "dst-negative", "class",
+        "flows-str", "flows-short", "flows-from-ret", "flows-not-list",
+        "flows-object", "sink-not-object", "summary-not-object"])
+def test_load_models_malformed_entry_keeps_defaults(config, tmp_path):
+    """A config entry with a malformed field is handled as unparsable JSON:
+    the defaults stay, one diagnostic says why, and the run completes."""
+    cfg = tmp_path / "models.json"
+    cfg.write_text(json.dumps(config))
+    models, diags = T.load_models(str(cfg))
+    assert len(diags) == 1 and "bad taint config" in diags[0].message
+    assert models == T.default_models()
+    report = pipeline.analyze(pipeline.RunConfig(
+        ir_path=ATOI_LEN, config_path=str(cfg)))
+    assert sum("bad taint config" in w for w in report.warnings) == 1
 
 
 # -- seeding ----------------------------------------------------------------
