@@ -395,12 +395,32 @@ def _table(statements: Iterable[ir.Statement]) -> _Table:
 def _bounded(parent: Tracked, expr: S.Sse, point: ir.Point, phase: str,
              rule: Optional[int] = None, **changes) -> Optional[Tracked]:
     """`parent.derive` of the canonical `expr`, or None when `expr` is
-    past the SSE depth or size cap (the expression saturates)."""
+    past the SSE depth or size cap (the expression saturates) or is an
+    alias not worth tracking (`_spent`)."""
     expr = S.canonicalize(expr)
     if S.mem_depth(expr) > SSE_DEPTH or S.size(expr) > SSE_SIZE:
         log.debug("sse cap exceeded at %s; expression saturated", point)
         return None
+    if _spent(expr, parent.tainted):
+        return None
     return parent.derive(expr, point, phase, rule, **changes)
+
+
+def _spent(expr: S.Sse, tainted: bool) -> bool:
+    """True when an alias of `expr` is not worth tracking.  It holds a
+    spent memory node (`S.holds_spent`), stale in both directions: no
+    rule rewrites that node again, so every successor holds it too and
+    none is trusted.  A tainted alias is dropped only when it is itself
+    a spent store.  A taint descent matches by structure, whatever the
+    tags (`Analysis._descend`): a bare load equal to a REF' cell, a store
+    not stale forward by its address, and a sum such as `load*(a) + rN`
+    turns into a bare load where `rN` is bound to 0.  A spent store
+    matches no cell, and its successors are stores over its address (a
+    callee's store alias that equals it names a store of the callee)."""
+    if not S.holds_spent(expr):
+        return False
+    return not tainted or (type(expr) is S.Store
+                           and expr.stale_fwd and expr.stale_bwd)
 
 
 @dataclass
@@ -580,7 +600,8 @@ def _walk(table: _Table, items, policy, forward: bool, seen: dict):
     direction are queued from the next statement.  ``seen`` maps
     expression keys to the start already walked, the lowest going forward
     and the highest going backward, so re-derivations along other orders
-    are not walked twice.
+    are not walked twice.  A step that leaves the expression not worth
+    tracking (`_spent`) ends its walk, as a kill does.
 
     Returns (survivors, created, cut): the expressions alive at the
     block's end, every (successor, direction, statement index), and
@@ -623,7 +644,7 @@ def _walk(table: _Table, items, policy, forward: bool, seen: dict):
                 created.append((succ, direction, i))
                 if follow in direction:
                     queue.append((succ, i + delta))
-            if result.killed:
+            if result.killed or _spent(result.expr, t.tainted):
                 alive = False
                 break
             if result.expr is not t.expr:
@@ -1003,7 +1024,10 @@ class Analysis:
     per session on first demand, by a sub-analysis of its own seeded at
     the function's loads and run once the function's summary is final
     (for a cycle member, after both rounds).  Its warnings and cap hits
-    join the summary's notes, each message once.
+    join the summary's notes, each message once.  A descent compares a
+    fact with a REF' cell by structure id, so tags do not stop it: a
+    tainted alias holding a spent memory node is still tracked, unless
+    it is a spent store, which no cell matches (`_spent`).
 
     `registry[fname]` holds one `Tracked` per `Tracked.key()` that the
     walk established in `fname`, anchored at the point and phase where

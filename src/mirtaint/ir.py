@@ -343,10 +343,10 @@ def parse_program(text: str) -> Program:
     strings: dict[int, str] = {}
     word_size = 4
 
-    cur_fn = None           # (name, addr, frame, buffers, blocks)
+    cur_fn = None           # (name, addr, frame, buffers, blocks, header line)
     cur_label = None
     cur_stmts: list[Statement] = []
-    in_strings = False
+    strings_line = None     # the open strings section's header line
 
     def close_block():
         nonlocal cur_label, cur_stmts
@@ -357,12 +357,12 @@ def parse_program(text: str) -> Program:
     def close_func():
         nonlocal cur_fn
         close_block()
-        name, addr, frame, bufs, blocks = cur_fn
+        name, addr, frame, bufs, blocks, line = cur_fn
         if not blocks:
-            diags.append(Diagnostic(f"function {name} has no blocks"))
+            diags.append(Diagnostic(f"function {name} has no blocks", line=line))
         else:
             if name in functions:
-                diags.append(Diagnostic(f"duplicate function {name}"))
+                diags.append(Diagnostic(f"duplicate function {name}", line=line))
             functions[name] = Function(name, addr, frame, tuple(blocks), tuple(bufs))
         cur_fn = None
 
@@ -370,9 +370,9 @@ def parse_program(text: str) -> Program:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if in_strings:
+        if strings_line is not None:
             if line == "}":
-                in_strings = False
+                strings_line = None
                 continue
             _string_entries(line, strings, diags, lineno)
             continue
@@ -406,13 +406,13 @@ def parse_program(text: str) -> Program:
         if kind == "strings_open":
             if m.group(1).strip():
                 _string_entries(m.group(1), strings, diags, lineno)
-            in_strings = m.group(2) != "}"
+            strings_line = None if m.group(2) == "}" else lineno
             continue
         if kind == "func":
             if cur_fn is not None:
                 diags.append(Diagnostic("nested func", line=lineno))
                 close_func()
-            cur_fn = [m.group(1), _int(m.group(2)), _int(m.group(3)), [], []]
+            cur_fn = [m.group(1), _int(m.group(2)), _int(m.group(3)), [], [], lineno]
             continue
         if cur_fn is None:
             diags.append(Diagnostic(f"statement outside function: {line!r}", line=lineno))
@@ -441,10 +441,10 @@ def parse_program(text: str) -> Program:
             cur_stmts.append(Statement(point, form, line=lineno))
 
     if cur_fn is not None:
-        diags.append(Diagnostic("unterminated function (missing '}')"))
+        diags.append(Diagnostic("unterminated function (missing '}')", line=cur_fn[5]))
         close_func()
-    if in_strings:
-        diags.append(Diagnostic("unterminated strings section"))
+    if strings_line is not None:
+        diags.append(Diagnostic("unterminated strings section", line=strings_line))
     if diags:
         raise ParseError(diags)
     return Program(functions, data, strings, word_size)

@@ -28,8 +28,15 @@ part in structural equality:
     certifier.  They are still reported: recall beats precision here,
     the certifier just does not vouch for them.
 
+    A node stale in both directions is *spent*: it names a cell that
+    may-alias stores overwrote on both sides, so no rule matches it
+    again in either direction and no expression holding it is trusted.
+    `holds_spent` says whether an expression holds one; the engine stops
+    tracking most such aliases (`alias._spent`).
+
 Every node also caches structural facts computed at construction from
-its children's: register set, size, memory depth and bitwise flags.
+its children's: register set, size, memory depth and flag bits (a
+bitwise op, a bitwise op in some memory node's address, a spent node).
 Like the tags above they take no part in equality.  The structure
 queries read them in O(1), and pattern searches and rewrites use them
 to skip subtrees a pattern cannot lie in.  Three more facts are computed
@@ -85,12 +92,14 @@ BITWISE = {"&", "|", "^", "<<", ">>"}
 # never reset), so they exclude the birth/stale bookkeeping on memory
 # nodes and take one compare.  Every node computes its facts once, at
 # construction, from its children's: the register set `_regs`, the node
-# count `_size`, the memory nesting depth `_mdepth` and the bitwise flags
+# count `_size`, the memory nesting depth `_mdepth` and the flag bits
 # `_bits` (_BIT_OP: a bitwise op appears in the tree; _BIT_ADDR: some
-# memory node's address holds one).  `_canon` marks trees the
-# canonicalizer already produced so re-canonicalizing is free.
+# memory node's address holds one; _BIT_SPENT: some memory node is spent,
+# stale both forward and backward).  The tags are part of the intern key,
+# so a node's spent bit is fixed like its other facts.  `_canon` marks
+# trees the canonicalizer already produced so re-canonicalizing is free.
 
-_BIT_OP, _BIT_ADDR = 1, 2
+_BIT_OP, _BIT_ADDR, _BIT_SPENT = 1, 2, 4
 
 _NO_REGS: frozenset[str] = frozenset()
 _REG_SETS: dict = {}     # register name or register set -> the shared set
@@ -259,6 +268,8 @@ class _Mem(_Node):
     def __post_init__(self):
         a = self.addr
         bits = a._bits | _BIT_ADDR if a._bits & _BIT_OP else a._bits
+        if self.stale_fwd and self.stale_bwd:
+            bits |= _BIT_SPENT
         self._facts(False, a._regs, 1 + a._size, 1 + a._mdepth, bits)
 
     @property
@@ -565,6 +576,12 @@ def has_bitwise_addr(e: Sse) -> bool:
     Such expressions are tracked but never trusted for kills or call
     matching (pointer bit-twiddling is out of reach of this analysis)."""
     return bool(e._bits & _BIT_ADDR)
+
+
+def holds_spent(e: Sse) -> bool:
+    """True when some memory node of `e` is spent: stale both forward and
+    backward.  Read from the cached bits, which a node's tags fix."""
+    return bool(e._bits & _BIT_SPENT)
 
 
 def root_register(e: Sse) -> Optional[str]:

@@ -89,6 +89,37 @@ def test_duplicate_label_rejected():
     assert any("duplicate label" in d.message for d in exc.value.diagnostics)
 
 
+_FUNC = "func f @0x1000 frame=0 {\nbb0:\n  ret\n}\n"
+
+
+@pytest.mark.parametrize("text,line,message", [
+    ("func f @0x1000 frame=0 {\n}\n", 1, "function f has no blocks"),
+    (_FUNC + _FUNC.replace("0x1000", "0x2000"), 5, "duplicate function f"),
+    ("wordsize 2\n", 1, "wordsize must be 4 or 8"),
+    ("func f @0x1000 frame=0 {\nbb0:\n  ret\n" + _FUNC.replace("f @0x1000", "g @0x2000"),
+     4, "nested func"),
+    ("func f @0x1000 frame=0 {\n  ret\n}\n", 2, "statement before first label"),
+    ("\nfunc f @0x1000 frame=0 {\nbb0:\n  ret\n", 2,
+     "unterminated function (missing '}')"),
+    ('\nstrings {\n  @0x10 "x"\n', 2, "unterminated strings section"),
+    ("data @0x100 { word 0x1, byte 0x2 }\n", 1, "malformed data word 'byte 0x2'"),
+    ('strings {\n  0x10 "x"\n}\n', 2, "malformed string entry '0x10 \"x\"'"),
+    ("func f @0x1000 frame=0 {\nbb0:\n  call g(r1, *)\n  ret\n}\n", 3,
+     "malformed argument '*'"),
+    ("r1 = r2\n", 1, "statement outside function: 'r1 = r2'"),
+], ids=["no-blocks", "duplicate-function", "wordsize", "nested-func",
+        "before-label", "missing-brace", "unterminated-strings", "data-word",
+        "string-entry", "call-argument", "outside-function"])
+def test_parse_diagnostic_names_its_line(text, line, message):
+    """Every malformed input raises with its one diagnostic at a line: a
+    diagnostic about a whole function or strings section names the line
+    of its header."""
+    with pytest.raises(ir.ParseError) as exc:
+        parse(text)
+    assert [(d.line, d.message) for d in exc.value.diagnostics] == [(line, message)]
+    assert str(exc.value) == f"line {line}: {message}"
+
+
 def test_validate_clean_program():
     prog = parse("func f @0x1000 frame=0 {\nbb0:\n  ret\n}\n")
     assert ir.validate(prog) == []

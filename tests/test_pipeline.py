@@ -240,6 +240,25 @@ def test_walker_steps_only_rows_that_can_act(tmp_path, monkeypatch):
     assert 0 < len(steps) <= 900
 
 
+def test_loop_copy_injects_no_spent_store(tmp_path, monkeypatch):
+    """A tainted store that may-alias stores made stale both ways leads
+    nowhere, so it is neither derived nor walked on.  On the seed-1
+    `loop_copy` program with five copy loops per function that leaves at
+    most 2,000 `_inject` calls; tracking those stores made 3,942."""
+    monkeypatch.chdir(tmp_path)
+    calls = []
+    inject = alias.Analysis._inject
+
+    def counted(self, *args):
+        calls.append(args)
+        return inject(self, *args)
+    monkeypatch.setattr(alias.Analysis, "_inject", counted)
+    (program,) = [p for p in workloads.generate("loop_copy", 1) if p.size == 5]
+    (tmp_path / (program.name + ".ir")).write_text(program.text, encoding="utf-8")
+    pipeline.analyze(pipeline.RunConfig(ir_path=program.name + ".ir"))
+    assert 0 < len(calls) <= 2000
+
+
 if __name__ == "__main__":
     os.chdir(ROOT)
     GOLDEN.mkdir(exist_ok=True)

@@ -294,6 +294,27 @@ def test_is_trusted_rejects_stale():
     assert dirty == clean  # staleness is invisible to structural equality
 
 
+def test_spent_bit_set_on_nodes_stale_both_ways():
+    """`holds_spent` is set on a memory node stale forward and backward,
+    unset while it has only one of the flags, inherited by every node
+    built over it, and kept by `retag` and a further `mark_stale`."""
+    clean = S.canonicalize(S.Load(S.Reg("r1"), birth=0))
+    fwd = S.mark_stale(clean, lambda n: True, "fwd")
+    bwd = S.mark_stale(clean, lambda n: True, "bwd")
+    spent = S.mark_stale(fwd, lambda n: True, "bwd")
+    assert not any(S.holds_spent(e) for e in (clean, fwd, bwd))
+    assert S.holds_spent(spent) and spent == clean
+    over = [S.Bin("+", spent, S.Reg("r2")), S.Un("~", spent), S.Load(spent),
+            S.Store(S.Bin("+", spent, S.Val(8))), S.IndexTerm(spent, 8, "i0")]
+    assert all(S.holds_spent(e) and S.holds_spent(S.canonicalize(e)) for e in over)
+    assert not any(S.holds_spent(S.Bin("+", e, S.Reg("r2"))) for e in (fwd, bwd))
+    outer = S.canonicalize(S.Load(S.Bin("+", spent, S.Val(8)), birth=3))
+    assert S.holds_spent(S.retag(outer, 7))
+    assert S.retag(outer, 7).addr.left.birth == 7
+    assert S.holds_spent(S.mark_stale(outer, lambda n: n is not spent, "fwd"))
+    assert not S.holds_spent(S.replace(outer, spent, S.Reg("r3")))
+
+
 # -- cached facts against reference tree walks ----------------------------------
 
 def _nodes(e):
@@ -404,6 +425,17 @@ def test_mem_summary_equals_tree_walk(e):
             max(bwd, default=None))
     assert S.mem_summary(x) == want
     assert S.mem_summary(x) is S.mem_summary(x) or not mems
+
+
+@given(exprs, st.integers(0, 11))
+@settings(max_examples=200, deadline=None)
+def test_spent_bit_equals_tree_walk(e, start):
+    """The cached bit says exactly whether some memory node of the tree
+    is stale both ways, before and after canonicalizing and retagging."""
+    x = _tagged(e, itertools.count(start))
+    for y in (x, S.canonicalize(x), S.retag(x, 5)):
+        mems = [n for n in _nodes(y) if isinstance(n, (S.Load, S.Store))]
+        assert S.holds_spent(y) == any(n.stale_fwd and n.stale_bwd for n in mems)
 
 
 @given(exprs, st.integers(0, 63))
