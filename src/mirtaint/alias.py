@@ -102,7 +102,6 @@ offset skeletons from a cache on the node.
 
 from __future__ import annotations
 
-import logging
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -111,8 +110,6 @@ from typing import Iterable, Optional
 from . import cfg as cfglib
 from . import ir
 from . import sse as S
-
-log = logging.getLogger(__name__)
 
 GP = "gp"
 
@@ -393,17 +390,24 @@ def _table(statements: Iterable[ir.Statement]) -> _Table:
 
 
 def _bounded(parent: Tracked, expr: S.Sse, point: ir.Point, phase: str,
-             rule: Optional[int] = None, **changes) -> Optional[Tracked]:
+             saturated: Optional[dict] = None, rule: Optional[int] = None,
+             **changes) -> Optional[Tracked]:
     """`parent.derive` of the canonical `expr`, or None when `expr` is
-    past the SSE depth or size cap (the expression saturates) or is an
-    alias not worth tracking (`_spent`)."""
+    past the SSE depth or size cap (it saturates, and `point` is entered
+    into `saturated`, the points where the caller reports a cap hit) or
+    is an alias not worth tracking (`_spent`)."""
     expr = S.canonicalize(expr)
     if S.mem_depth(expr) > SSE_DEPTH or S.size(expr) > SSE_SIZE:
-        log.debug("sse cap exceeded at %s; expression saturated", point)
+        saturated[point] = None
         return None
     if _spent(expr, parent.tainted):
         return None
     return parent.derive(expr, point, phase, rule, **changes)
+
+
+def _holds_store(expr: S.Sse) -> bool:
+    """True when `expr` holds a store node (see `_visit_callsite`)."""
+    return any(type(n) is S.Store for n in S.mem_nodes(expr))
 
 
 def _spent(expr: S.Sse, tainted: bool) -> bool:
@@ -445,6 +449,7 @@ def _subst_ok(expr: S.Sse, pattern: S.Sse, dst: str) -> bool:
 class _Walker:
     def __init__(self, policy=None):
         self.policy = policy
+        self.saturated: dict[ir.Point, None] = {}   # see `_bounded`
 
     def _emit(self, out: _Step, c: _Compiled, t: Tracked, expr: S.Sse,
               rule: Optional[int], direction: str = "f", phase: str = "post",
@@ -457,7 +462,7 @@ class _Walker:
                 set(t.conds) | {cond}, key=lambda k: (str(k.point), k.reg, k.value)))
         if derived:
             changes["derived"] = True
-        n = _bounded(t, expr, c.stmt.point, phase, rule, **changes)
+        n = _bounded(t, expr, c.stmt.point, phase, self.saturated, rule, **changes)
         if n is not None:
             out.successors.append((n, direction))
 
@@ -477,8 +482,6 @@ class _Walker:
 
     def forward_step(self, c: _Compiled, idx: int, t: Tracked) -> _Step:
         form = c.stmt.form
-        if isinstance(form, (ir.Call, ir.ICall)):
-            raise AssertionError("calls are isolated blocks; not walked")
         out = _Step(t.expr)
         e = t.expr
         matched = self._use_rules(out, c, t, e, upward=False)
@@ -603,9 +606,10 @@ def _walk(table: _Table, items, policy, forward: bool, seen: dict):
     are not walked twice.  A step that leaves the expression not worth
     tracking (`_spent`) ends its walk, as a kill does.
 
-    Returns (survivors, created, cut): the expressions alive at the
-    block's end, every (successor, direction, statement index), and
-    whether the walk stopped at `WALK_POP_CAP` with items still queued."""
+    Returns (survivors, created, cut, saturated): the expressions alive
+    at the block's end, every (successor, direction, statement index),
+    whether the walk stopped at `WALK_POP_CAP` with items still queued,
+    and the points where a successor saturated (`_bounded`)."""
     w = _Walker(policy)
     if forward:
         step, follow, delta = w.forward_step, "f", 1
@@ -653,7 +657,7 @@ def _walk(table: _Table, items, policy, forward: bool, seen: dict):
                               i + delta)
         if alive:
             survivors.append(t)
-    return survivors, created, bool(queue)
+    return survivors, created, bool(queue), w.saturated
 
 
 # ---------------------------------------------------------------------------
@@ -668,7 +672,7 @@ def forward_update(statements: Iterable[ir.Statement], in_f: list, policy=None):
     Items may be Tracked or (Tracked, start_index).
     """
     items = [it if isinstance(it, tuple) else (it, 0) for it in in_f]
-    survivors, created, _ = _walk(_table(statements), items, policy, True, {})
+    survivors, created, _, _ = _walk(_table(statements), items, policy, True, {})
     return (_dedup(survivors + [t for t, d, _ in created if d in ("f", "fb")]),
             _dedup([t for t, d, _ in created if d in ("b", "fb")]))
 
@@ -681,7 +685,7 @@ def backward_update(statements: Iterable[ir.Statement], in_b: list, policy=None)
     """
     table = _table(statements)
     items = [(t, len(table.rows) - 1) if not isinstance(t, tuple) else t for t in in_b]
-    survivors, created, _ = _walk(table, items, policy, False, {})
+    survivors, created, _, _ = _walk(table, items, policy, False, {})
     return (_dedup([t for t, d, _ in created if d in ("f", "fb")]),
             _dedup(survivors + [t for t, d, _ in created if d in ("b", "fb")]))
 
@@ -896,7 +900,8 @@ class Session:
         self.refs: dict[str, tuple[S.Load, ...]] = {}
         # (callsite point, callee) -> REF' as (callee cell, caller cell) pairs
         self.ref_transfers: dict = {}
-        # (point, register) -> expressions of the register's backward family
+        # (point, register) -> (expressions of the register's backward
+        # family, cap hits of its query)
         self.backward_families: dict = {}
 
     def with_resolutions(self, resolutions: dict) -> "Session":
@@ -1055,6 +1060,7 @@ class Analysis:
         self.retired: dict[str, set] = {}
         self.warnings: list[str] = []
         self.cap_hits: list[str] = []
+        self.saturated: dict[ir.Point, None] = {}   # see `_bounded` and `run`
         self.blocks_visited: set[tuple[str, str]] = set()
         self._queue: deque[str] = deque()
         self._queued: set[str] = set()
@@ -1187,9 +1193,10 @@ class Analysis:
             for forward, side, items in ((True, st.f, fwd), (False, st.b, bwd)):
                 if not items:
                     continue
-                survivors, created, walk_cut = _walk(rules, items, self.policy,
-                                                     forward, side.seen)
+                survivors, created, walk_cut, saturated = _walk(
+                    rules, items, self.policy, forward, side.seen)
                 cut |= walk_cut
+                self.saturated.update(saturated)
                 for t in survivors:
                     changed |= side.put(t)
                 for t, made, i in created:
@@ -1250,6 +1257,7 @@ class Analysis:
             side.pend = []
 
         ret_reg = form.ret
+        sat = self.saturated
         # each callee's summary in caller terms, read by both directions
         crossings = [(callee, self._transfer(point, callee))
                      for callee in self._callees_of(point, form)
@@ -1271,11 +1279,12 @@ class Analysis:
                         if (entry.cell.addr._sid in addrs
                                 and S.kills_memory(t.expr, entry.cell.addr, 1 << 29)):
                             passes = False
-                        if entry.value is not None and t.expr == entry.value:
-                            gens.append(_bounded(t, entry.cell, point, "post"))
+                        if t.expr == entry.value and not _holds_store(entry.value):
+                            gens.append(_bounded(t, entry.cell, point, "post", sat))
                     if ret_reg is not None:
-                        gens.extend(_bounded(t, S.Reg(ret_reg), point, "post")
-                                    for rr in tr.rets if rr == t.expr)
+                        gens.extend(_bounded(t, S.Reg(ret_reg), point, "post", sat)
+                                    for rr in tr.rets
+                                    if rr == t.expr and not _holds_store(rr))
                     self._descend(t, point, callee, tr)
                 if self.policy is not None:
                     gens.extend(self.policy.callsite_forward(self, point, form, t))
@@ -1284,7 +1293,7 @@ class Analysis:
                 if not passes:
                     for _, tr in crossings:
                         gens.extend(_bounded(t, S.replace(t.expr, S.Reg(ret_reg), rr),
-                                             point, "pre") for rr in tr.rets)
+                                             point, "pre", sat) for rr in tr.rets)
                     if not crossings and not self._is_library_noop(form):
                         self.warn(
                             f"no summary for {getattr(form, 'target', '?')} at "
@@ -1302,7 +1311,7 @@ class Analysis:
                         # not memoized: a fact meets a MOD entry about once
                         new, hit = S.replace_mem(t.expr, created_after, entry.value)
                         if hit:
-                            gens.append(_bounded(t, new, point, "pre"))
+                            gens.append(_bounded(t, new, point, "pre", sat))
             if passes:
                 changed |= (st.f if forward else st.b).put(t)
             for n in gens:
@@ -1563,10 +1572,16 @@ class Analysis:
         self._export(fname)
 
     def run(self):
+        """Analyze every scheduled function, then record a cap hit for
+        each point where an expression saturated, once per analysis."""
         while self._queue:
             fname = self._queue.popleft()
             self._queued.discard(fname)
             self.analyze_function(fname)
+        for point in self.saturated:
+            hit = f"sse cap hit at {point}: saturated expression dropped"
+            if hit not in self.cap_hits:
+                self.cap_hits.append(hit)
 
     def _merge_induction(self, fname: str, loops) -> bool:
         # Decide every merge first, then retire: retiring as we go would

@@ -10,13 +10,10 @@ and index).  Pure functions over an immutable Program.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from functools import cached_property
 
 from . import ir
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -167,14 +164,10 @@ def postorder(cfg: Cfg) -> list[str]:
     return out
 
 
-def reverse_postorder(cfg: Cfg) -> list[str]:
-    return list(reversed(postorder(cfg)))
-
-
 def dominators(cfg: Cfg) -> dict[str, frozenset[str]]:
     """Classic iterative dominator sets (small graphs, no need for
     anything cleverer)."""
-    rpo = reverse_postorder(cfg)
+    rpo = postorder(cfg)[::-1]
     allb = frozenset(rpo)
     dom = {b: allb for b in rpo}
     dom[cfg.entry] = frozenset({cfg.entry})

@@ -27,15 +27,12 @@ pattern, not as independent direct hits).
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 from . import cfg as cfglib
 from . import ir
 from . import sse as S
 from .alias import Analysis, Seed, Session
-
-log = logging.getLogger(__name__)
 
 
 @dataclass

@@ -519,7 +519,7 @@ def validate(program: Program) -> list[Diagnostic]:
                 diags.append(Diagnostic(
                     f"stack buffer {buf.name} ({buf.offset:#x}+{buf.size:#x}) exceeds "
                     f"frame size {fn.frame_size:#x} of {fn.name}"))
-        for bi, block in enumerate(fn.blocks):
+        for block in fn.blocks:
             for si, stmt in enumerate(block.stmts):
                 form = stmt.form
                 for imm in immediates(form):
@@ -539,11 +539,10 @@ def validate(program: Program) -> list[Diagnostic]:
                     diags.append(Diagnostic(
                         "statement after terminator", point=block.stmts[si + 1].point))
             last = block.stmts[-1].form if block.stmts else None
-            if last is None or not isinstance(last, TERMINATORS + (Call, ICall)):
-                if last is None or bi == len(fn.blocks) - 1 or not isinstance(last, (Call, ICall)):
-                    diags.append(Diagnostic(
-                        f"block {block.label} of {fn.name} does not end in "
-                        f"branch/jump/ret/call", point=block.stmts[-1].point if block.stmts else None))
+            if not isinstance(last, TERMINATORS + (Call, ICall)):
+                diags.append(Diagnostic(
+                    f"block {block.label} of {fn.name} does not end in "
+                    f"branch/jump/ret/call", point=block.stmts[-1].point if block.stmts else None))
     return diags
 
 
@@ -584,9 +583,8 @@ def pretty_stmt(form: Form) -> str:
         return f"branch {form.cond}, {form.then_block}, {form.else_block}"
     if isinstance(form, Jump):
         return f"jump {form.block}"
-    if isinstance(form, Ret):
-        return "ret" if form.value is None else f"ret {_fmt_operand(form.value)}"
-    raise TypeError(form)
+    # the last form left: Ret
+    return "ret" if form.value is None else f"ret {_fmt_operand(form.value)}"
 
 
 def pretty_program(program: Program) -> str:

@@ -17,7 +17,6 @@ before reporting.
 from __future__ import annotations
 
 import hashlib
-import logging
 import random
 from dataclasses import dataclass, field
 from typing import Optional
@@ -25,8 +24,6 @@ from typing import Optional
 from . import ir
 from . import sse as S
 from .alias import Analysis, Seed, Session, Tracked, addr_sse
-
-log = logging.getLogger(__name__)
 
 SP_BASE = 0x7FFF_0000
 GP_BASE = 0x4000_0000
@@ -85,9 +82,7 @@ class Machine:
             for i, w in enumerate(words):
                 self.write_word(base + i * ws, w)
         for addr, text in self.program.string_table.items():
-            for i, ch in enumerate(text.encode()):
-                self.mem[addr + i] = ch
-            self.mem[addr + len(text)] = 0
+            self._write(addr, text.encode())
 
     # -- state access --------------------------------------------------------
 
@@ -107,6 +102,11 @@ class Machine:
     def write_word(self, addr: int, v: int):
         for i in range(self.program.word_size):
             self.write_byte(addr + i, (v >> (8 * i)) & 0xFF)
+
+    def _write(self, addr: int, data: bytes, nul: bool = True):
+        """`data` from `addr` on, then a NUL byte when `nul`."""
+        for i, b in enumerate(data + b"\0" if nul else data):
+            self.write_byte(addr + i, b)
 
     def reg(self, frame: _Frame, name: str) -> int:
         if name not in frame.regs:
@@ -140,31 +140,23 @@ class Machine:
             dst, src = args[0], args[1]
             data = self._cstring(src)
             base = dst if name == "strcpy" else dst + len(self._cstring(dst))
-            for i, b in enumerate(data):
-                self.write_byte(base + i, b)
-            self.write_byte(base + len(data), 0)
+            self._write(base, data)
             return dst
         if name in ("strncpy", "strncat", "strlcpy"):
             dst, src, n = args[0], args[1], args[2]
             data = self._cstring(src)[:n]
-            for i, b in enumerate(data):
-                self.write_byte(dst + i, b)
-            if len(data) < n:
-                self.write_byte(dst + len(data), 0)
+            self._write(dst, data, len(data) < n)
             return dst if name != "strlcpy" else len(data)
         if name in ("memcpy", "memmove"):
             dst, src, n = args[0], args[1], args[2]
-            data = [self.read_byte(src + i) for i in range(min(n, 65536))]
-            for i, b in enumerate(data):
-                self.write_byte(dst + i, b)
+            self._write(dst, bytes(self.read_byte(src + i)
+                                   for i in range(min(n, 65536))), False)
             return dst
         if name in ("sprintf", "snprintf"):
             dst = args[0]
             fmt = args[1] if name == "sprintf" else args[2]
             data = self._cstring(fmt)
-            for i, b in enumerate(data):
-                self.write_byte(dst + i, b)
-            self.write_byte(dst + len(data), 0)
+            self._write(dst, data)
             return len(data)
         if name == "strlen":
             return len(self._cstring(args[0]))
@@ -178,28 +170,30 @@ class Machine:
                     break
             return int(digits) if digits else 0
         if name == "strdup":
-            data = self._cstring(args[0])
             self._heap += 0x100
-            for i, b in enumerate(data):
-                self.write_byte(self._heap + i, b)
-            self.write_byte(self._heap + len(data), 0)
+            self._write(self._heap, self._cstring(args[0]))
             return self._heap
         if name in ("strstr", "strchr", "strrchr", "strpbrk", "stristr",
                     "index", "strtok", "strtok_r", "strsep"):
             return args[0]
         if name in ("recv", "recvfrom", "read", "fread", "fgets",
                     "BIO_read", "BIO_gets", "SSL_read"):
-            buf = args[1] if name not in ("fread", "fgets") else args[0]
-            n = 32
-            for i in range(n):
-                self.write_byte(buf + i, 0x41 + (_hash64(self.seed, "net", i) % 26))
-            self.write_byte(buf + n, 0)
+            # up to 32 bytes and a NUL, never past `buf + length`: fread's
+            # length is size * count, and fgets and BIO_gets keep the
+            # length's last byte for the NUL
+            if name == "fread":
+                buf, length = args[0], args[1] * args[2]
+            elif name == "fgets":
+                buf, length = args[0], args[1]
+            else:
+                buf, length = args[1], args[2]
+            n = max(0, min(32, length - (name in ("fgets", "BIO_gets"))))
+            self._write(buf, bytes(0x41 + _hash64(self.seed, "net", i) % 26
+                                   for i in range(n)), n < length)
             return n
         if name == "getenv":
             self._heap += 0x100
-            for i in range(8):
-                self.write_byte(self._heap + i, 0x61 + i)
-            self.write_byte(self._heap + 8, 0)
+            self._write(self._heap, b"abcdefgh")
             return self._heap
         if name in ("open", "fopen"):
             return 3

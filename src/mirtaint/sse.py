@@ -406,11 +406,11 @@ def _sum_terms(e: Sse) -> tuple[list[Sse], int]:
 
 
 def _rebuild_sum(terms: list[Sse], const: int) -> Sse:
+    """The canonical sum of `terms` and `const`.  Every caller passes a
+    term: a sum with none folds to a constant before it gets here."""
     terms = sorted(terms, key=sort_key)
     if const:
         terms = terms + [Val(const)._mark_canonical()]
-    if not terms:
-        return Val(0)._mark_canonical()
     acc = terms[0]
     for t in terms[1:]:
         acc = Bin("+", acc, t)._mark_canonical()
@@ -764,12 +764,12 @@ def _const_positions(e: Sse, path=()) -> Iterator[tuple[tuple, int]]:
         yield from _const_positions(c, path + (i,))
 
 
+# `_at` and `_set_at` follow paths that `_const_positions` read off the
+# same tree, so every step has the child it names.
+
 def _at(e: Sse, path) -> Sse:
     for i in path:
-        kids = _children(e)
-        if not kids:
-            raise IndexError(path)
-        e = kids[i]
+        e = _children(e)[i]
     return e
 
 
@@ -777,8 +777,6 @@ def _set_at(e: Sse, path, new: Sse) -> Sse:
     if not path:
         return new
     kids = list(_children(e))
-    if not kids:
-        raise IndexError(path)
     kids[path[0]] = _set_at(kids[path[0]], path[1:], new)
     return _remake(e, kids)
 

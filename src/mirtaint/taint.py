@@ -58,7 +58,6 @@ class SinkModel:
 @dataclass(frozen=True)
 class LibrarySummary:
     name: str
-    group: str
     flows: tuple[tuple[int, Union[int, str]], ...]   # (from arg) -> (to arg | "ret")
 
 
@@ -88,42 +87,36 @@ DEFAULT_SINKS = (
     SinkModel("execve", "exec", (0,)),
 )
 
-_COPY = "String Copy"
-_INDEX = "String Index"
-_SPLIT = "String Split"
-_TOINT = "String to Int"
-_OTHER = "Other functions"
-
 DEFAULT_SUMMARIES = (
-    LibrarySummary("strcpy", _COPY, ((1, 0), (1, RET))),
-    LibrarySummary("strncpy", _COPY, ((1, 0), (1, RET))),
-    LibrarySummary("strlcpy", _COPY, ((1, 0), (1, RET))),
-    LibrarySummary("memcpy", _COPY, ((1, 0), (1, RET))),
-    LibrarySummary("memmove", _COPY, ((1, 0), (1, RET))),
-    LibrarySummary("sprintf", _COPY, ((1, 0), (2, 0), (3, 0), (4, 0), (5, 0))),
-    LibrarySummary("snprintf", _COPY, ((2, 0), (3, 0), (4, 0), (5, 0))),
-    LibrarySummary("vsnprintf", _COPY, ((2, 0), (3, 0))),
-    LibrarySummary("strcat", _COPY, ((1, 0), (1, RET), (0, RET))),
-    LibrarySummary("strncat", _COPY, ((1, 0), (1, RET), (0, RET))),
-    LibrarySummary("sscanf", _COPY, ((0, 2), (0, 3), (0, 4), (0, 5))),
-    LibrarySummary("strdup", _COPY, ((0, RET),)),
-    LibrarySummary("strstr", _INDEX, ((0, RET),)),
-    LibrarySummary("strchr", _INDEX, ((0, RET),)),
-    LibrarySummary("strrchr", _INDEX, ((0, RET),)),
-    LibrarySummary("strpbrk", _INDEX, ((0, RET),)),
-    LibrarySummary("stristr", _INDEX, ((0, RET),)),
-    LibrarySummary("strtok", _SPLIT, ((0, RET),)),
-    LibrarySummary("strtok_r", _SPLIT, ((0, RET), (0, 2))),
-    LibrarySummary("strsep", _SPLIT, ((0, RET),)),
-    LibrarySummary("atoi", _TOINT, ((0, RET),)),
-    LibrarySummary("atol", _TOINT, ((0, RET),)),
-    LibrarySummary("atoll", _TOINT, ((0, RET),)),
-    LibrarySummary("strtol", _TOINT, ((0, RET),)),
-    LibrarySummary("strtoll", _TOINT, ((0, RET),)),
-    LibrarySummary("strtoul", _TOINT, ((0, RET),)),
-    LibrarySummary("hsearch_r", _OTHER, ((0, 2),)),
-    LibrarySummary("index", _OTHER, ((0, RET),)),
-    LibrarySummary("strlen", _OTHER, ((0, RET),)),
+    LibrarySummary("strcpy", ((1, 0), (1, RET))),
+    LibrarySummary("strncpy", ((1, 0), (1, RET))),
+    LibrarySummary("strlcpy", ((1, 0), (1, RET))),
+    LibrarySummary("memcpy", ((1, 0), (1, RET))),
+    LibrarySummary("memmove", ((1, 0), (1, RET))),
+    LibrarySummary("sprintf", ((1, 0), (2, 0), (3, 0), (4, 0), (5, 0))),
+    LibrarySummary("snprintf", ((2, 0), (3, 0), (4, 0), (5, 0))),
+    LibrarySummary("vsnprintf", ((2, 0), (3, 0))),
+    LibrarySummary("strcat", ((1, 0), (1, RET), (0, RET))),
+    LibrarySummary("strncat", ((1, 0), (1, RET), (0, RET))),
+    LibrarySummary("sscanf", ((0, 2), (0, 3), (0, 4), (0, 5))),
+    LibrarySummary("strdup", ((0, RET),)),
+    LibrarySummary("strstr", ((0, RET),)),
+    LibrarySummary("strchr", ((0, RET),)),
+    LibrarySummary("strrchr", ((0, RET),)),
+    LibrarySummary("strpbrk", ((0, RET),)),
+    LibrarySummary("stristr", ((0, RET),)),
+    LibrarySummary("strtok", ((0, RET),)),
+    LibrarySummary("strtok_r", ((0, RET), (0, 2))),
+    LibrarySummary("strsep", ((0, RET),)),
+    LibrarySummary("atoi", ((0, RET),)),
+    LibrarySummary("atol", ((0, RET),)),
+    LibrarySummary("atoll", ((0, RET),)),
+    LibrarySummary("strtol", ((0, RET),)),
+    LibrarySummary("strtoll", ((0, RET),)),
+    LibrarySummary("strtoul", ((0, RET),)),
+    LibrarySummary("hsearch_r", ((0, 2),)),
+    LibrarySummary("index", ((0, RET),)),
+    LibrarySummary("strlen", ((0, RET),)),
 )
 
 
@@ -174,8 +167,7 @@ def load_models(path: Optional[str] = None) -> tuple[Models, list[ir.Diagnostic]
                     and all(isinstance(f, list) and len(f) == 2 for f in flows)):
                 raise ValueError(f"flows {flows!r} are not [from, to] pairs")
             models.summaries[name] = LibrarySummary(
-                name, entry.get("group", _OTHER),
-                tuple((_index(a), _index(b, (RET,))) for a, b in flows))
+                name, tuple((_index(a), _index(b, (RET,))) for a, b in flows))
     except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         return default_models(), [ir.Diagnostic(f"bad taint config {path}: {exc}")]
     return models, []
@@ -420,16 +412,16 @@ def _backward_family(session: Session, point: ir.Point,
                      reg: str) -> tuple[S.Sse, ...]:
     """The expressions of `reg`'s backward family at `point`.  The
     result depends only on the session and the query, so the session
-    keeps it."""
-    family = session.backward_families.get((point, reg))
-    if family is None:
+    keeps it, with the cap hits of the query's analysis."""
+    kept = session.backward_families.get((point, reg))
+    if kept is None:
         sub = Analysis(session)
         sid = sub.add_seed(Seed(point=point, expr=S.Reg(reg),
                                 direction="backward", label="query"))
         sub.run()
-        family = tuple(t.expr for t in sub.family(sid, point.func))
-        session.backward_families[(point, reg)] = family
-    return family
+        kept = session.backward_families[(point, reg)] = (
+            tuple(t.expr for t in sub.family(sid, point.func)), sub.cap_hits)
+    return kept[0]
 
 
 def _stack_offset_of(exprs) -> Optional[int]:
@@ -612,6 +604,13 @@ def run_taint(session: Session, models: Models | None = None) -> TaintResult:
         alert = check_sink(session, hit, constraints, tainted_args)
         if alert is not None:
             alerts.setdefault(hit.point, alert)
+    # the sink queries' cap hits, each once, after the run's own; their
+    # warnings are left out, as the seed queries' are
+    cap_hits = list(analysis.cap_hits)
+    for _, hits in session.backward_families.values():
+        for h in hits:
+            if h not in cap_hits:
+                cap_hits.append(h)
 
     tainted_blocks = set()
     for fname, reg in analysis.registry.items():
@@ -626,6 +625,6 @@ def run_taint(session: Session, models: Models | None = None) -> TaintResult:
         covered_blocks=len(analysis.blocks_visited),
         analyzed_functions=len(analysis.visited_functions),
         warnings=list(analysis.warnings),
-        cap_hits=list(analysis.cap_hits),
+        cap_hits=cap_hits,
         seeds=len(seeds),
     )

@@ -566,6 +566,77 @@ bb0:
     assert all(S.mem_depth(t.expr) <= 3 for t in analysis.family(sid))
 
 
+_TWO_LOADS = """
+func main @0x1000 frame=0 {
+bb0:
+  r2 = load r1
+  r3 = load r2
+  r4 = load r2
+  ret r3
+}
+"""
+
+
+@pytest.mark.parametrize("bound,value", [("SSE_DEPTH", 1), ("SSE_SIZE", 2)])
+def test_saturation_ends_in_one_cap_hit_per_point(bound, value, monkeypatch):
+    """Both seeds' `load(load(r1))` at the first statement is past the
+    bound: it is dropped, and reported once for that point."""
+    monkeypatch.setattr(alias, bound, value)
+    analysis = Analysis(Session(ir.parse_program(_TWO_LOADS)))
+    for reg in ("r3", "r4"):
+        analysis.add_seed(Seed(point=ir.Point("main", "bb0", 3),
+                               expr=S.Reg(reg), direction="backward"))
+    analysis.run()
+    assert analysis.cap_hits == [
+        "sse cap hit at main:bb0:0: saturated expression dropped"]
+
+
+def test_saturation_at_a_callsite_ends_in_a_cap_hit(corpus, monkeypatch):
+    """Crossing `ident`'s call backward turns `load(r3)` into `load(r2)`,
+    past a size bound of 1: dropped and reported at the callsite."""
+    monkeypatch.setattr(alias, "SSE_SIZE", 1)
+    analysis, sid = analyze_seed(corpus("callee_ret_alias.ir"),
+                                 ir.Point("main", "bb0", 2), "load(r3)",
+                                 direction="backward")
+    assert family_pretty(analysis, sid) == {"load(r3)"}
+    assert analysis.cap_hits == [
+        "sse cap hit at main:bb0:1: saturated expression dropped"]
+
+
+def test_retired_fact_is_not_injected_again(corpus):
+    """A merged family member, once retired, is refused wherever it is
+    injected again in its function."""
+    prog = corpus("loop_copy.ir")
+    models = taint.default_models()
+    analysis = Analysis(Session(prog), taint.TaintPolicy(models))
+    for seed in taint.seed_sources(prog, models):
+        analysis.add_seed(seed)
+    analysis.run()
+    fname, retired = next((f, keys) for f, keys in analysis.retired.items() if keys)
+    t = analysis.registry[fname][next(iter(retired))]
+    label = analysis.session.locate(t.point)[1]
+    assert analysis._inject(fname, label, t, 0, "f") is False
+    assert t.key() not in analysis.states[fname][label].f.pool
+
+
+def test_alias_pairs_need_a_trusted_origin():
+    """A seed with bitwise address arithmetic is not trusted, so it is no
+    origin for certifiable pairs, though its family is tracked."""
+    prog = ir.parse_program("func main @0x1000 frame=0 {\nbb0:\n"
+                            "  r2 = r1\n  ret r2\n}\n")
+    analysis, sid = analyze_seed(prog, ir.Point("main", "bb0", 0),
+                                 "load(r1&0xff)")
+    assert "load(r2&0xff)" in family_pretty(analysis, sid)
+    assert analysis.alias_pairs(sid) == []
+
+
+def test_icall_resolution_needs_a_session_without_resolutions(corpus):
+    session = Session(corpus("gptr_table.ir"))
+    _, mapping, _ = icall.resolve_all(session)
+    with pytest.raises(ValueError, match="without resolutions"):
+        icall.resolve_all(session.with_resolutions(mapping))
+
+
 def test_job_cap_ends_in_reported_cap_hit(corpus, monkeypatch):
     """Exports cut off by `JOB_CAP` are reported, naming the function whose
     facts were dropped: at three jobs, ident's returned taint never

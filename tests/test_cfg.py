@@ -256,3 +256,16 @@ def test_components_of_a_long_cycle_need_no_recursion():
     succs[n] = [0]
     root = C.components([0], succs)
     assert len(root) == n + 1 and len(set(root.values())) == 1
+
+
+def test_unvalidated_block_ends_are_warned():
+    """`build_cfg` takes a function `ir.validate` would reject: a block
+    that ends in a plain statement, and a call that ends the last block,
+    give warnings and no edge."""
+    g = C.build_cfg(fn_of("func f @0x1000 frame=0 {\nbb0:\n  r1 = r2\n"
+                          "bb1:\n  call g()\n}\n"))
+    assert g.warnings == ("f:bb0: malformed terminator",
+                          "f:bb1: falls off function end",
+                          "f:bb1: unreachable block")
+    assert g.succs == {"bb0": (), "bb1": ()}
+

@@ -12,6 +12,7 @@ import sys
 import pytest
 
 from mirtaint import cli, oracle, taint
+from mirtaint import sse as S
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 ALERTING = str(ROOT / "corpus" / "memcpy_bound_bad.ir")
@@ -288,3 +289,69 @@ def test_usage_text_names_every_option():
             if not isinstance(action, argparse._HelpAction):
                 for option in action.option_strings:
                     assert option in usage[words], (words, option)
+
+
+def test_invalid_program_exits_2(tmp_path, capsys):
+    """A program that parses but does not validate is an input error that
+    names the statement."""
+    path = tmp_path / "bad.ir"
+    path.write_text("func main @0x1000 frame=0 {\nbb0:\n  jump nowhere\n}\n")
+    assert cli.main(["analyze", "--ir", str(path)]) == 2
+    assert capsys.readouterr().err == \
+        "error: main:bb0:0: jump to undefined label nowhere\n"
+
+
+def test_no_icall_resolves_nothing(capsys):
+    """With `--no-icall` no indirect call is resolved, so none is listed
+    and the taint run warns of each one it meets."""
+    assert cli.main(["analyze", "--ir", str(ROOT / "corpus" / "overflow_icall.ir"),
+                     "--no-icall", "--exit-zero"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["icall_resolution"] == {"all_icalls": 0, "icall_targets": 0,
+                                          "resolved_icalls": 0,
+                                          "resolved_pct": 0.0}
+    assert report["icall_sites"] == []
+    assert any(w.startswith("unresolved indirect call at ")
+               for w in report["warnings"])
+
+
+def test_certify_bad_phase_exits_2(tmp_path, capsys):
+    path = tmp_path / "pairs.json"
+    path.write_text(json.dumps([{"a": _side() | {"phase": "mid"}, "b": _side()}]))
+    assert cli.main(["oracle", "certify", "--ir", CLEAN, "--pairs", str(path)]) == 2
+    assert capsys.readouterr().err == "error: bad pair 0: phase 'mid'\n"
+
+
+def test_certify_reports_a_pairs_conditions(tmp_path, capsys):
+    path = tmp_path / "pairs.json"
+    cond = {"reg": "r1", "value": True, "point": "main:bb0:0"}
+    path.write_text(json.dumps([{"a": _side(), "b": _side(expr="sp"),
+                                 "conds": [cond]}]))
+    assert cli.main(["oracle", "certify", "--ir", CLEAN, "--pairs", str(path)]) == 0
+    (verdict,) = json.loads(capsys.readouterr().out)
+    assert verdict["pair"]["conds"] == [cond]
+
+
+@pytest.mark.parametrize("outcome", ["fail", "crash"])
+def test_fuzz_prints_each_failure(outcome, monkeypatch, capsys):
+    """A failing pair or a crash in a generated program is a finding: the
+    summary counts it, stderr shows the program, and the exit code is 1."""
+    def fuzz_once(program, fuzz_seed, n_runs):
+        if outcome == "crash":
+            raise RuntimeError("boom")
+        side = oracle.PairSide(S.Reg("r0"), next(
+            s.point for s in program.functions["main"].statements()), "pre")
+        pair = oracle.AliasPair(side, side)
+        return [pair], [oracle.PairVerdict(pair, "fail", 1)]
+
+    monkeypatch.setattr(oracle, "fuzz_once", fuzz_once)
+    assert cli.main(["oracle", "fuzz", "--count", "1", "--seed", "1"]) == 1
+    captured = capsys.readouterr()
+    summary = json.loads(captured.out)
+    assert summary["failures"] == 1
+    failure = json.loads(captured.err)
+    assert failure["program"].startswith("func main @0x1000")
+    if outcome == "crash":
+        assert failure["error"] == "RuntimeError('boom')"
+    else:
+        assert failure["verdict"]["status"] == "fail"

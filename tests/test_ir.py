@@ -212,3 +212,45 @@ def test_zero_and_multi_digit_tokens_parse():
     forms = [s.form for s in prog.functions["f"].statements()]
     assert forms[0] == ir.Move("r10", 0)
     assert forms[1] == ir.BinOp("r0", "+", "r10", 10)
+
+
+def test_every_statement_form_prints_as_it_parses():
+    """`pretty_stmt` writes each form back in the syntax it was parsed
+    from, so a program round-trips through its text."""
+    lines = ["r1 = 0x2a", "r2 = r1 + 0x4", "r3 = ~r1", "r3 = !r1", "r3 = neg r1",
+             "r4 = ite r1, r2, 0x0", "r5 = load r2", "r6 = load r2 + 0x8",
+             "store r2 = r5", "store r2 + 0x4 = 0x1", "r7 = call g(r1, 0x2)",
+             "call g(r1)", "r8 = icall r7(r1)", "icall r7()", "branch r1, bb1, bb2"]
+    text = ("func f @0x1000 frame=0x10 {\nbb0:\n" + "".join(f"  {s}\n" for s in lines)
+            + "bb1:\n  jump bb2\nbb2:\n  ret r1\n}\nfunc g @0x2000 frame=0 {\n"
+            "bb0:\n  ret\n}\n")
+    prog = parse(text)
+    printed = [ir.pretty_stmt(s.form) for s in prog.functions["f"].statements()]
+    assert printed == [*lines, "jump bb2", "ret r1"]
+    assert parse(ir.pretty_program(prog)) == prog
+
+
+def test_duplicate_data_object_rejected():
+    with pytest.raises(ir.ParseError) as exc:
+        parse("data @0x100 { word 0x1 }\ndata @0x100 { word 0x2 }\n")
+    assert [(d.line, d.message) for d in exc.value.diagnostics] == [
+        (2, "duplicate data object @0x100")]
+
+
+@pytest.mark.parametrize("body,message,point", [
+    ("  jump nowhere\n", "jump to undefined label nowhere", "f:bb0:0"),
+    ("  ret\n  r1 = r2\n  ret\n", "statement after terminator", "f:bb0:1"),
+])
+def test_validate_names_the_statement(body, message, point):
+    prog = parse(f"func f @0x1000 frame=0 {{\nbb0:\n{body}}}\n")
+    assert [str(d) for d in ir.validate(prog)] == [f"{point}: {message}"]
+
+
+def test_block_and_function_lookups():
+    prog = parse(_FUNC)
+    f = prog.functions["f"]
+    assert f.block("bb0") is f.blocks[0]
+    with pytest.raises(KeyError):
+        f.block("bb9")
+    assert prog.function_at(0x1000) is f
+    assert prog.function_at(0x2000) is None

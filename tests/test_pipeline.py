@@ -265,3 +265,37 @@ if __name__ == "__main__":
     for case, name, seeds, loop_k, golden in _cases():
         if loop_k == alias.LOOP_K:
             (GOLDEN / golden).write_text(report_text(name, seeds))
+
+
+DEAD_BLOCK = """\
+func main @0x1000 frame=0x10 {
+bb0:
+  r1 = sp
+  r2 = call recv(r9, r1, 0x8)
+  jump end
+dead:
+  jump end
+end:
+  ret r1
+}
+"""
+
+
+def test_text_report_and_cfg_dump(tmp_path, monkeypatch):
+    """The text report lists warnings and each seed query's aliases; the
+    `--dump-cfg` DOT fills call blocks and greys unreachable ones, and
+    the JSON report carries it."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dead.ir").write_text(DEAD_BLOCK, encoding="utf-8")
+    report = pipeline.analyze(pipeline.RunConfig(
+        ir_path="dead.ir", seeds=("main:end:r1",), dump_cfg="main"))
+    assert report.to_text().splitlines()[3:] == [
+        "warning: main:dead: unreachable block",
+        "seed main:end:r1: 2 aliases",
+        "  sp @ main:bb0:0 (pre)",
+        "  r1 @ main:end:0 (pre)"]
+    dot = report.dumps["cfg"].splitlines()
+    assert '  "bb0@1" [label="bb0@1:\\lr2 = call recv(r9, r1, 0x8)\\l", ' \
+        'style=filled, fillcolor=lightyellow];' in dot
+    assert '  "dead" [label="dead:\\ljump end\\l", color=gray];' in dot
+    assert json.loads(report.to_json())["dumps"] == {"cfg": report.dumps["cfg"]}

@@ -170,6 +170,14 @@ def test_rule_14_applies_backward_too():
     assert new_b == [] and new_f == []
 
 
+def test_rule_14_call_result_kills_forward():
+    # a call defines its result register, so a fact holding it dies
+    # there going forward, as it does going backward
+    call = stmt("r3 = call g(r5)")
+    assert fwd(call, tracked("load(r3+0x8)"))[:2] == ([], [])
+    assert fwd(call, tracked("load(r5+0x8)"))[:2] == (["load(r5+0x8)"], [])
+
+
 def test_rule_15_store_kills_older_cell():
     e = S.canonicalize(S.Load(
         S.Bin("+", S.Store(S.Reg("r6"), birth=S.BIRTH_BEFORE_BLOCK), S.Val(8)),

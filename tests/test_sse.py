@@ -643,3 +643,85 @@ def test_intern_table_holds_only_the_last_sessions_nodes(corpus):
     r1 = S.Reg("r1")
     assert session.with_resolutions({"site": ("f",)}) is not session
     assert S.Reg("r1") is r1
+
+
+# -- arithmetic, construction and parsing edges ------------------------------
+
+U = S.U64
+
+
+@pytest.mark.parametrize("op,a,b,want", [
+    ("+", U, 2, 1), ("-", 1, 2, U), ("*", 1 << 63, 2, 0), ("/", 7, 2, 3),
+    ("/", 7, 0, 0), ("<<", 1, 65, 2), (">>", 1 << 63, 63, 1), ("&", 6, 3, 2),
+    ("|", 6, 3, 7), ("^", 6, 3, 5), ("<", 1, 2, 1), ("<", U, 0, 0),
+    ("<=", 2, 2, 1), ("<=", 3, 2, 0), ("==", 2, 2, 1), ("!=", 2, 2, 0),
+    ("!=", 2, 3, 1), (">=", 2, 3, 0), (">=", 3, 3, 1), (">", 3, 2, 1),
+    (">", 2, 3, 0), ("+", -1, 0, U),
+])
+def test_eval_binop_table(op, a, b, want):
+    """Each operator wraps at 64 bits and compares unsigned; constant
+    folding and the interpreter both read this table."""
+    assert S.eval_binop(op, a, b) == want
+    assert canon(f"{hex(a & U)} {op} {hex(b)}") == S.Val(want)
+
+
+@pytest.mark.parametrize("op,a,want", [
+    ("~", 0, U), ("~", U, 0), ("!", 0, 1), ("!", 5, 0), ("neg", 1, U),
+    ("neg", 0, 0),
+])
+def test_eval_unop_table(op, a, want):
+    assert S.eval_unop(op, a) == want
+
+
+def test_eval_rejects_unknown_operators():
+    with pytest.raises(ValueError, match="unknown binop"):
+        S.eval_binop("%", 1, 2)
+    with pytest.raises(ValueError, match="unknown unop"):
+        S.eval_unop("abs", 1)
+
+
+def test_node_construction_checks_its_fields():
+    with pytest.raises(TypeError, match="Bin needs right"):
+        S.Bin("+", S.Reg("r1"))
+    with pytest.raises(TypeError, match="Load has no field age"):
+        S.Load(S.Reg("r1"), age=1)
+
+
+def test_constant_outside_64_bits_canonicalizes_wrapped():
+    assert S.canonicalize(S.Val(-1)) == S.Val(U)
+    assert S.canonicalize(S.Val(1 << 64)) == S.Val(0)
+
+
+def test_parse_unary_minus_and_trailing_space():
+    assert S.parse_sse("-r1 ") == S.Un("neg", S.Reg("r1"))
+    assert S.pretty(S.parse_sse("-r1")) == "-r1"
+    with pytest.raises(ValueError, match="bad expression token"):
+        S.parse_sse("r1 + $")
+
+
+_with_index = st.recursive(_leaf, lambda c: st.one_of(
+    _tree(c), st.builds(S.IndexTerm, c, st.sampled_from([0, 4, 8]),
+                        st.just("i1"))), max_leaves=12)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_sums_are_rebuilt_from_at_least_one_term(data):
+    """No caller of `_rebuild_sum` passes it an empty list of terms: not
+    canonicalization, whatever the tree, nor the induction merge of its
+    offset family.  Nodes are drawn after a table reset, so none carries
+    a canonical form from an earlier example."""
+    real = S._rebuild_sum
+
+    def checked(terms, const):
+        assert terms, const
+        return real(terms, const)
+
+    S.reset_tables()
+    e = data.draw(_with_index)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(S, "_rebuild_sum", checked)
+        c = S.canonicalize(e)
+        members = [S.canonicalize(S.Bin("+", c, S.Val(4 * k))) for k in range(4)]
+        for merged, _ in S.induction_families(members, "i2"):
+            assert S.canonicalize(merged) == merged

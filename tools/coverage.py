@@ -1,12 +1,15 @@
-"""List the executable lines of `src/` that no tier-1 test reaches.
+"""Check that tier-1 reaches every executable line of `src/`.
 
     PYTHONPATH=src python tools/coverage.py [pytest arguments]
 
 Runs pytest in this process under the stdlib `trace` module, then prints
 `file:line` for each line of `src/mirtaint` (but `__init__.py`) that
-starts code and never ran, a count per file and the total.  Tracing
-slows the tests about tenfold, so a full run takes minutes.  Pytest does
-not collect this file: `testpaths` names `tests` and `bench/tests`.
+starts code and never ran, a count per file and the total.  A line named
+in `UNREACHED`, by its file and its text, may stay unreached; it is
+listed with its reason and not counted.  Exits 1 when another line is
+unreached or a test fails, else 0.  Tracing slows the tests about
+tenfold, so a full run takes minutes.  Pytest does not collect this
+file: `testpaths` names `tests` and `bench/tests`.
 """
 
 import dis
@@ -18,6 +21,13 @@ import types
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "mirtaint"
+
+# (file, stripped line text) -> why no test runs it
+UNREACHED = {
+    ("cli.py", "sys.exit(main())"):
+        "runs only when the module is the program (`python -m mirtaint.cli`); "
+        "tests call `main` and a subprocess run is not traced",
+}
 
 
 def executable(path: pathlib.Path) -> set[int]:
@@ -38,13 +48,20 @@ def main(argv: list[str]) -> int:
     for path in sorted(SRC.glob("*.py")):
         if path.name == "__init__.py":
             continue
-        missed = sorted(n for n in executable(path) if (path, n) not in ran)
-        for n in missed:
-            print(f"{path.relative_to(SRC.parent.parent)}:{n}")
-        print(f"# {path.name}: {len(missed)} unreached")
-        total += len(missed)
+        text = path.read_text().splitlines()
+        missed = 0
+        for n in sorted(n for n in executable(path) if (path, n) not in ran):
+            where = f"{path.relative_to(SRC.parent.parent)}:{n}"
+            reason = UNREACHED.get((path.name, text[n - 1].strip()))
+            if reason is None:
+                print(where)
+                missed += 1
+            else:
+                print(f"{where} (allowed: {reason})")
+        print(f"# {path.name}: {missed} unreached")
+        total += missed
     print(f"# total: {total} unreached lines")
-    return int(status)
+    return 1 if total or status else 0
 
 
 if __name__ == "__main__":
