@@ -4,13 +4,13 @@ differential oracle."""
 
 from . import cfg, icall, ir, oracle, sse, taint
 from .alias import (Analysis, FunctionSummary, Seed, Session, Tracked,
-                    backward_update, forward_update, transfer_function)
+                    transfer_function)
 from .pipeline import InputError, Report, RunConfig, analyze
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Analysis", "FunctionSummary", "InputError", "Report", "RunConfig", "Seed",
-    "Session", "Tracked", "analyze", "backward_update", "cfg", "forward_update",
-    "icall", "ir", "oracle", "sse", "taint", "transfer_function", "__version__",
+    "Session", "Tracked", "analyze", "cfg", "icall", "ir", "oracle", "sse",
+    "taint", "transfer_function", "__version__",
 ]

@@ -92,12 +92,9 @@ good.
 Each pushed entry is retagged once for all neighbours, and handed on as
 it is when no birth changes.
 After `LOOP_K` sweeps the induction merge partitions each loop block's
-pool group (seed, taint, conditions) into offset families once per
-analysis for the same members: SSE nodes are interned with their tags,
-so a group that comes back, from another sweep, block or direction, is
-the same objects and reads the partition it got the first time
-(`Analysis._partition`).  `sse.induction_families` reads each member's
-offset skeletons from a cache on the node.
+pool group (seed, taint, conditions) into offset families
+(`sse.induction_families`), which reads each member's offset skeletons
+from a cache on the node.
 """
 
 from __future__ import annotations
@@ -661,45 +658,6 @@ def _walk(table: _Table, items, policy, forward: bool, seen: dict):
 
 
 # ---------------------------------------------------------------------------
-# Spec-level entry points over one block's statements
-# ---------------------------------------------------------------------------
-
-def forward_update(statements: Iterable[ir.Statement], in_f: list, policy=None):
-    """Walk IN_f through the statements in program order.
-
-    Returns (NEW_f, NEW_b): surviving plus newly created forward
-    expressions, and the rule-6 results that need backward tracking.
-    Items may be Tracked or (Tracked, start_index).
-    """
-    items = [it if isinstance(it, tuple) else (it, 0) for it in in_f]
-    survivors, created, _, _ = _walk(_table(statements), items, policy, True, {})
-    return (_dedup(survivors + [t for t, d, _ in created if d in ("f", "fb")]),
-            _dedup([t for t, d, _ in created if d in ("b", "fb")]))
-
-
-def backward_update(statements: Iterable[ir.Statement], in_b: list, policy=None):
-    """Walk IN_b through the statements in reverse order.
-
-    Returns (NEW_f, NEW_b): forward-trackable successors (use matches,
-    plus both-way definition matches) and the backward results.
-    """
-    table = _table(statements)
-    items = [(t, len(table.rows) - 1) if not isinstance(t, tuple) else t for t in in_b]
-    survivors, created, _, _ = _walk(table, items, policy, False, {})
-    return (_dedup([t for t, d, _ in created if d in ("f", "fb")]),
-            _dedup(survivors + [t for t, d, _ in created if d in ("b", "fb")]))
-
-
-def _dedup(items: list[Tracked]) -> list[Tracked]:
-    seen, out = set(), []
-    for t in items:
-        if t.key() not in seen:
-            seen.add(t.key())
-            out.append(t)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Function summaries and the callsite transfer
 # ---------------------------------------------------------------------------
 
@@ -1069,8 +1027,6 @@ class Analysis:
         self._descents: dict[tuple[str, int], set[ir.Point]] = {}
         self._jobs = 0
         self._noted: dict[str, None] = {}   # summaries whose notes are taken
-        # (member expression ids..., index id) -> (induction families, members)
-        self._partitions: dict = {}
 
     # -- plumbing -----------------------------------------------------------
 
@@ -1600,8 +1556,8 @@ class Analysis:
                 for gk, members in groups.items():
                     if len(members) < 3:
                         continue
-                    families = self._partition([m.expr for m in members],
-                                               f"{fname}:s{gk[0]}")
+                    families = S.induction_families([m.expr for m in members],
+                                                    f"{fname}:s{gk[0]}")
                     by_expr = {id(m.expr): m for m in members} if families else {}
                     for merged, family in families:
                         base = by_expr[id(family[0])]
@@ -1619,18 +1575,6 @@ class Analysis:
                 self._record(fname, t)
                 changed = True
         return changed
-
-    def _partition(self, exprs: list[S.Sse], index_id: str):
-        """`S.induction_families` of `exprs`, computed once per analysis
-        for the same expressions, tags included, in the same order: the
-        key holds their identities, and the entry the expressions, so no
-        id in the key is reused while it is kept."""
-        key = (*map(id, exprs), index_id)
-        hit = self._partitions.get(key)
-        if hit is None:
-            hit = self._partitions[key] = (
-                S.induction_families(exprs, index_id), exprs)
-        return hit[0]
 
     def _retire(self, fname: str, keys) -> None:
         """Stop tracking merged family members everywhere in the function

@@ -543,6 +543,10 @@ def validate(program: Program) -> list[Diagnostic]:
                 diags.append(Diagnostic(
                     f"block {block.label} of {fn.name} does not end in "
                     f"branch/jump/ret/call", point=block.stmts[-1].point if block.stmts else None))
+            elif isinstance(last, (Call, ICall)) and block is fn.blocks[-1]:
+                diags.append(Diagnostic(
+                    "call ends the function's last block and falls off its end",
+                    point=block.stmts[-1].point))
     return diags
 
 

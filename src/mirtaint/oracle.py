@@ -136,13 +136,14 @@ class Machine:
     #    corpus programs end to end, not a libc) ------------------------------
 
     def library_call(self, name: str, args: list[int], warn) -> int:
-        if name in ("strcpy", "strcat"):
+        if name in ("strcpy", "strcat", "strncat"):
+            # strncat appends at most n bytes, and always a NUL
             dst, src = args[0], args[1]
-            data = self._cstring(src)
+            data = self._cstring(src)[:args[2] if name == "strncat" else None]
             base = dst if name == "strcpy" else dst + len(self._cstring(dst))
             self._write(base, data)
             return dst
-        if name in ("strncpy", "strncat", "strlcpy"):
+        if name in ("strncpy", "strlcpy"):
             dst, src, n = args[0], args[1], args[2]
             data = self._cstring(src)[:n]
             self._write(dst, data, len(data) < n)
@@ -269,11 +270,16 @@ def run(program: ir.Program, entry: str = "main",
                 target = form.target if form.target in program.functions else None
             vals = [m.operand(frame, a) for a in form.args]
             snap(stmt.point, "post")
+            frame.idx += 1
+            if frame.idx == len(block.stmts):
+                # a call that ends its block falls through to the next one
+                at = fn.blocks.index(block) + 1
+                if at < len(fn.blocks):
+                    frame.block, frame.idx = fn.blocks[at].label, 0
             if target is not None:
                 callee = m.new_frame(target, vals=vals, ret_reg=form.ret)
                 callee.regs["sp"] = (m.reg(frame, "sp")
                                      - program.functions[target].frame_size) & m.mask
-                frame.idx += 1
                 stack.append(callee)
                 continue
             name = form.target if isinstance(form, ir.Call) else f"@{target_addr:#x}"
@@ -283,7 +289,6 @@ def run(program: ir.Program, entry: str = "main",
                 res.warnings.append(f"icall to non-function {name} skipped")
             if form.ret is not None:
                 frame.regs[form.ret] = ret & m.mask
-            frame.idx += 1
             continue
         elif isinstance(form, ir.Branch):
             c = m.reg(frame, form.cond)

@@ -51,13 +51,13 @@ hash-consing", ML Workshop 2006): building a node whose fields, tags
 included, match a node of the intern table returns that node.  The key
 holds a child by identity, so a child that differs only in its tags
 makes another key.  The table belongs to one analysis session: each root
-`alias.Session` calls `reset_tables`.  The rewrites are memoized too: a
-node's canonical form is kept on the node (`_cf`), and `replace`,
-`occurs`, `retag`, and `mark_stale`/`replace_mem` given a `key`, are
-remembered per table under the identities of their node arguments.  An
-entry holds those arguments, so no id in its key is reused while it
-lives, and no result goes to a node that is only equal, whose tags may
-differ.
+`alias.Session` calls `reset_tables`.  The rewrites are memoized too:
+`replace`, `occurs`, `retag`, and `mark_stale`/`replace_mem` given a
+`key`, are remembered per table under the identities of their node
+arguments.  An entry holds those arguments, so no id in its key is
+reused while it lives, and no result goes to a node that is only equal,
+whose tags may differ.  A canonical form is not remembered: nodes are
+interned, so canonicalizing again returns the very same node.
 
 The structure id `_sid` is an integer identity of the tag-free
 structure.  A new node looks it up by its class, its fields but the
@@ -102,7 +102,6 @@ BITWISE = {"&", "|", "^", "<<", ">>"}
 _BIT_OP, _BIT_ADDR, _BIT_SPENT = 1, 2, 4
 
 _NO_REGS: frozenset[str] = frozenset()
-_REG_SETS: dict = {}     # register name or register set -> the shared set
 
 _TABLE: dict = {}        # (class, field or id(child node), ...) -> node
 _SIDS: dict = {}         # (class, tag-free field or child _sid, ...) -> _sid
@@ -114,8 +113,8 @@ def reset_tables() -> None:
     The structure-id map is kept, so nodes built before stay valid: they
     are equal to the nodes built after and share their ids, only they
     are not the same objects."""
-    for table in (_TABLE, _MEMO, _REG_SETS):
-        table.clear()
+    _TABLE.clear()
+    _MEMO.clear()
 
 
 def _memo(key: tuple, fn, *args):
@@ -129,20 +128,12 @@ def _memo(key: tuple, fn, *args):
     return hit[0]
 
 
-def _reg_set(name: str) -> frozenset[str]:
-    s = _REG_SETS.get(name)
-    if s is None:
-        s = _REG_SETS[name] = frozenset((name,))
-    return s
-
-
 def _union(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
     if b <= a:
         return a
     if a <= b:
         return b
-    s = a | b
-    return _REG_SETS.setdefault(s, s)
+    return a | b
 
 
 _set = object.__setattr__
@@ -186,10 +177,10 @@ def _all_fields(cls, args: tuple, kwargs: dict) -> list:
 
 
 class _Node(metaclass=_Interned):
-    # `_skels`, `_cf` and `_mem` are filled on first use only (see
-    # `_skeletons`, `canonicalize` and `mem_summary`)
+    # `_skels` and `_mem` are filled on first use only (see `_skeletons`
+    # and `mem_summary`)
     __slots__ = ("_sid", "_canon", "_regs", "_size", "_mdepth", "_bits",
-                 "_skels", "_cf", "_mem")
+                 "_skels", "_mem")
     _nstruct = None     # how many fields make the structure (None: all)
 
     def __eq__(self, other):
@@ -215,7 +206,7 @@ class Reg(_Node):
     name: str
 
     def __post_init__(self):
-        self._facts(True, _reg_set(self.name), 1, 0, 0)
+        self._facts(True, frozenset((self.name,)), 1, 0, 0)
 
     def __repr__(self):
         return f"Reg({self.name})"
@@ -423,13 +414,7 @@ def canonicalize(e: Sse) -> Sse:
     shifts of an index term's base.  Idempotent."""
     if e._canon:
         return e
-    try:
-        return e._cf
-    except AttributeError:
-        pass
-    c = _canonicalize(e)._mark_canonical()
-    _set(e, "_cf", c)
-    return c
+    return _canonicalize(e)._mark_canonical()
 
 
 def _canonicalize(e: Sse) -> Sse:
@@ -734,7 +719,7 @@ def is_trusted(e: Sse) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Kill primitives (shared by the rule engine; also the spec-level API)
+# Kill primitives (rules 14 and 15)
 # ---------------------------------------------------------------------------
 
 def kills_register(expr: Sse, reg: str) -> bool:

@@ -97,45 +97,6 @@ def test_loop_family_merges_and_terminates(corpus):
     assert any("*0x4" in n for n in names), names
 
 
-@pytest.mark.parametrize("loop_k", [1, 3])
-def test_induction_partitions_are_computed_once_per_analysis(corpus, monkeypatch,
-                                                            loop_k):
-    """A loop pool group handed to the induction merge again with the same
-    members, tags included, is partitioned once per analysis, and reusing
-    the partition leaves the registry as partitioning every time does."""
-    prog = corpus("loop_copy.ir")
-    monkeypatch.setattr(alias, "LOOP_K", loop_k)
-    calls = []
-    merge = S.induction_families
-
-    def counted(exprs, index_id):
-        calls.append((tuple(map(id, exprs)), index_id))
-        return merge(exprs, index_id)
-
-    monkeypatch.setattr(S, "induction_families", counted)
-
-    def registry():
-        analysis = Analysis(Session(prog))
-        for seed in _register_seeds(prog, "main"):
-            analysis.add_seed(seed)
-        analysis.run()
-        # a key's structure id is per session: compare the expression's
-        # text and the rest of the key
-        return [(k[1:], str(t.point), t.phase, t.chain(), S.pretty(t.expr))
-                for k, t in analysis.registry["main"].items()]
-
-    reusing = registry()
-    assert len(set(calls)) == len(calls)
-    reused = len(calls)
-    calls.clear()
-    monkeypatch.setattr(Analysis, "_partition",
-                        lambda self, exprs, index_id: S.induction_families(
-                            exprs, index_id))
-    assert registry() == reusing
-    assert any("*0x" in expr for *_, expr in reusing)
-    assert reused < len(calls)
-
-
 def test_moved_and_derive_agree_with_dataclasses_replace():
     """`Tracked.moved` and `derive` copy every field, as
     `dataclasses.replace` does, and their stored key is the one built
@@ -832,10 +793,10 @@ def test_register_free_rows_relevant_where_their_immediate_occurs():
     for forward in (True, False):
         assert table.relevant(expr, forward) == 0b110
         assert table.relevant(S.canonicalize(S.parse_sse("r9+0x10")), forward) == 0
-    new_f, _ = alias.forward_update(prog.functions["f"].blocks[0].stmts[:2],
-                                    [Tracked(expr=expr, point=ir.Point("f", "bb0", 0),
-                                             phase="pre", seed_id=0)])
-    assert "r3+r9" in {S.pretty(t.expr) for t in new_f}
+    t = Tracked(expr=expr, point=ir.Point("f", "bb0", 0), phase="pre", seed_id=0)
+    _, created, _, _ = alias._walk(alias._table(prog.functions["f"].blocks[0].stmts[:2]),
+                                   [(t, 0)], None, True, {})
+    assert "r3+r9" in {S.pretty(u.expr) for u, d, _ in created if "f" in d}
 
 
 def test_retire_clears_every_pool_and_pending_list(corpus, monkeypatch):
@@ -1108,7 +1069,9 @@ def test_walk_ends_a_fact_its_step_makes_spent(tainted):
                              lambda n: True, "bwd")
     t = Tracked(expr=stale_bwd, point=stmts[0].point, phase="pre", seed_id=0,
                 tainted=tainted)
-    out_f, _ = alias.forward_update(stmts, [t])
+    survivors, created, _, _ = alias._walk(alias._table(stmts), [(t, 0)], None,
+                                           True, {})
+    out_f = survivors + [u for u, d, _ in created if "f" in d]
     want = {"load(r1)", "load(r2)"} if tainted else set()
     assert {S.pretty(u.expr) for u in out_f} == want
     assert all(S.holds_spent(u.expr) for u in out_f)

@@ -173,6 +173,11 @@ def test_validate_missing_terminator():
     assert any("does not end" in d.message for d in ir.validate(prog))
 
 
+def test_validate_accepts_a_call_that_falls_through(corpus):
+    """A call may end a block that another block follows."""
+    assert ir.validate(corpus("call_fallthrough.ir")) == []
+
+
 def test_validate_oversized_immediate():
     prog = parse("func f @0x1000 frame=0 {\nbb0:\n  r1 = 0x100000000\n  ret\n}\n")
     assert any("word width" in d.message for d in ir.validate(prog))
@@ -240,6 +245,8 @@ def test_duplicate_data_object_rejected():
 @pytest.mark.parametrize("body,message,point", [
     ("  jump nowhere\n", "jump to undefined label nowhere", "f:bb0:0"),
     ("  ret\n  r1 = r2\n  ret\n", "statement after terminator", "f:bb0:1"),
+    ("  r1 = r2\n  call g()\n",
+     "call ends the function's last block and falls off its end", "f:bb0:1"),
 ])
 def test_validate_names_the_statement(body, message, point):
     prog = parse(f"func f @0x1000 frame=0 {{\nbb0:\n{body}}}\n")

@@ -57,6 +57,13 @@ def test_bounded_string_copies(name, n, want, ret):
     assert (FREE + len(want) in m.mem) == (len(want) < n)
 
 
+@pytest.mark.parametrize("n,want", [(2, b"xy12"), (8, b"xy12ab")])
+def test_strncat_appends_at_most_n_bytes_and_a_nul(n, want):
+    m = machine()
+    assert m.library_call("strncat", [DST, SRC, n], no_warning) == DST
+    assert bytes(m.mem[DST + i] for i in range(len(want) + 1)) == want + b"\0"
+
+
 @pytest.mark.parametrize("name", ["memcpy", "memmove"])
 def test_memory_copies(name):
     m = machine()
@@ -146,7 +153,7 @@ def test_sources_never_write_past_their_length(name, args, length, written):
                                              FREE + length + 0x40))
 
 
-@pytest.mark.parametrize("name", [n for n in CORPUS if n != "call_fallthrough.ir"])
+@pytest.mark.parametrize("name", CORPUS)
 def test_every_corpus_program_runs_to_its_end(name):
     """Each corpus program runs from its function at 0x1000 to its return,
     calls, icalls, loops and library models included."""
@@ -155,8 +162,13 @@ def test_every_corpus_program_runs_to_its_end(name):
     assert not res.step_limit_hit and res.returned is not None
 
 
-def test_a_call_that_ends_a_block_is_not_followed():
+def test_a_call_that_ends_a_block_falls_through():
+    """After a call that ends its block the run goes on at the next block,
+    as the CFG's edge does; a call that ends the last block falls off."""
     prog = ir.parse_program((ROOT / "corpus" / "call_fallthrough.ir").read_text())
+    res = oracle.run(prog)
+    assert (res.returned, res.steps) == (2, 5)
+    prog = ir.parse_program("func main @0x1000 frame=0 {\nbb0:\n  call g()\n}\n")
     with pytest.raises(oracle.OracleError, match="fell off block main:bb0"):
         oracle.run(prog)
 

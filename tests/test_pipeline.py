@@ -299,3 +299,9 @@ def test_text_report_and_cfg_dump(tmp_path, monkeypatch):
         'style=filled, fillcolor=lightyellow];' in dot
     assert '  "dead" [label="dead:\\ljump end\\l", color=gray];' in dot
     assert json.loads(report.to_json())["dumps"] == {"cfg": report.dumps["cfg"]}
+
+
+def test_every_exported_name_resolves():
+    """Each name in the package's `__all__` is an attribute of the package."""
+    import mirtaint
+    assert [name for name in mirtaint.__all__ if not hasattr(mirtaint, name)] == []

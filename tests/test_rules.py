@@ -3,9 +3,9 @@ store-ordering side conditions.  Each test builds the row's statement
 and a matching expression and checks the exact output (the substituted
 expression or a kill)."""
 
-from mirtaint import ir
+from mirtaint import alias, ir
 from mirtaint import sse as S
-from mirtaint.alias import Tracked, backward_update, forward_update
+from mirtaint.alias import Tracked
 
 
 def stmt(text, index=0):
@@ -21,16 +21,46 @@ def tracked(text_or_expr, birth=0, tainted=False):
                    seed_id=0, tainted=tainted)
 
 
+def walk(statements, item, forward):
+    """Walk one fact through the statements with the engine's block
+    walker, from the first statement forward or the last backward.
+    Returns (NEW_f, NEW_b), each deduplicated by key: the survivors join
+    the walked direction, and each successor the directions it lives in.
+    No walk here may stop at a cap or drop a saturated expression."""
+    table = alias._table(statements)
+    start = 0 if forward else len(table.rows) - 1
+    survivors, created, cut, saturated = alias._walk(table, [(item, start)], None,
+                                                     forward, {})
+    assert not cut and not saturated
+    new_f = [t for t, d, _ in created if "f" in d]
+    new_b = [t for t, d, _ in created if "b" in d]
+    if forward:
+        new_f = survivors + new_f
+    else:
+        new_b = survivors + new_b
+    return unique(new_f), unique(new_b)
+
+
+def unique(items):
+    """`items` without a repeated key, the first of each kept."""
+    seen, out = set(), []
+    for t in items:
+        if t.key() not in seen:
+            seen.add(t.key())
+            out.append(t)
+    return out
+
+
 def fwd(statement, item):
-    new_f, new_b = forward_update([statement], [item])
+    new_f, new_b = walk([statement], item, True)
     return ([S.pretty(t.expr) for t in new_f],
             [S.pretty(t.expr) for t in new_b],
             [t for t in new_f if t.rule is not None])
 
 
 def bwd(statement, item, start_birth=5):
-    new_f, new_b = backward_update([statement], [tracked(item, birth=start_birth)
-                                                 if isinstance(item, str) else item])
+    new_f, new_b = walk([statement], tracked(item, birth=start_birth)
+                        if isinstance(item, str) else item, False)
     return ([S.pretty(t.expr) for t in new_f],
             [S.pretty(t.expr) for t in new_b])
 
@@ -114,7 +144,7 @@ def test_rule_9_binop_def():
 
 def test_rule_10_ite_def_true():
     prog_stmt = stmt("r5 = ite r9, r2, r3")
-    new_f, new_b = backward_update([prog_stmt], [tracked("load(r5)", birth=5)])
+    new_f, new_b = walk([prog_stmt], tracked("load(r5)", birth=5), False)
     got = {(S.pretty(t.expr), t.rule, t.conds[0].value if t.conds else None)
            for t in new_b if t.rule is not None}
     assert ("load(r2)", 10, True) in got
@@ -122,7 +152,7 @@ def test_rule_10_ite_def_true():
 
 def test_rule_11_ite_def_false():
     prog_stmt = stmt("r5 = ite r9, r2, r3")
-    _, new_b = backward_update([prog_stmt], [tracked("load(r5)", birth=5)])
+    _, new_b = walk([prog_stmt], tracked("load(r5)", birth=5), False)
     got = {(S.pretty(t.expr), t.rule, t.conds[0].value if t.conds else None)
            for t in new_b if t.rule is not None}
     assert ("load(r3)", 11, False) in got
@@ -136,7 +166,7 @@ def test_rule_12_load_def():
 def test_rule_13_store_resolves_later_load():
     # the tracked load was created after the store it crosses
     item = tracked(S.Load(S.Reg("r2")), birth=5)
-    new_f, new_b = backward_update([stmt("store r2 = r7")], [item])
+    new_f, new_b = walk([stmt("store r2 = r7")], item, False)
     assert "r7" in [S.pretty(t.expr) for t in new_b]
     assert "r7" in [S.pretty(t.expr) for t in new_f]
 
@@ -146,7 +176,7 @@ def test_rule_13_footnote_requires_load_after_store():
     item = Tracked(expr=S.canonicalize(S.Load(S.Reg("r2"),
                                               birth=S.BIRTH_BEFORE_BLOCK)),
                    point=ir.Point("f", "bb0", 0), phase="pre", seed_id=0)
-    new_f, new_b = backward_update([stmt("store r2 = r7")], [item])
+    new_f, new_b = walk([stmt("store r2 = r7")], item, False)
     assert "r7" not in new_f and "r7" not in new_b
 
 
@@ -166,7 +196,7 @@ def test_rule_14_applies_backward_too():
     # crossing the definition of a register the expression mentions, with
     # no definition rule able to rewrite it, ends its backward life
     item = tracked("load(r3+0x8)")
-    new_f, new_b = backward_update([stmt("r3 = call g()")], [item])
+    new_f, new_b = walk([stmt("r3 = call g()")], item, False)
     assert new_b == [] and new_f == []
 
 
@@ -183,7 +213,7 @@ def test_rule_15_store_kills_older_cell():
         S.Bin("+", S.Store(S.Reg("r6"), birth=S.BIRTH_BEFORE_BLOCK), S.Val(8)),
         birth=S.BIRTH_BEFORE_BLOCK))
     item = Tracked(expr=e, point=ir.Point("f", "bb0", 0), phase="pre", seed_id=0)
-    new_f, new_b = forward_update([stmt("store r6 = r9")], [item])
+    new_f, new_b = walk([stmt("store r6 = r9")], item, True)
     assert new_f == [] and new_b == []
 
 
@@ -200,7 +230,7 @@ def test_replacement_supersedes_kill():
     # survives, the original does not
     e = S.canonicalize(S.Load(S.Bin("+", S.Reg("r0"), S.Val(8)), birth=0))
     item = Tracked(expr=e, point=ir.Point("f", "bb0", 0), phase="pre", seed_id=0)
-    new_f, _ = forward_update([stmt("r0 = load r0 + 0x8")], [item])
+    new_f, _ = walk([stmt("r0 = load r0 + 0x8")], item, True)
     assert [S.pretty(t.expr) for t in new_f] == ["r0"]
 
 
