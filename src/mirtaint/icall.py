@@ -136,9 +136,21 @@ def _gp_rooted(e: S.Sse) -> bool:
     return S.root_register(e) == "gp"
 
 
+def sited_fptr_values(refs: list[PointerRef]) -> dict[S.Sse, list[int]]:
+    """Each expression in the Pexpr of an fptr reference with an in-code
+    site, to the values of those references, in reference order."""
+    index: dict[S.Sse, list[int]] = {}
+    for ref in refs:
+        if ref.kind == "fptr" and ref.site is not None:
+            for e in ref.pexprs:
+                index.setdefault(e, []).append(ref.value)
+    return index
+
+
 def resolve(callsite: ir.Point, ct_exprs: list[S.Sse], refs: list[PointerRef],
-            program: ir.Program) -> IcallResolution:
-    """Match one callsite's CTexpr set against the pointer references."""
+            program: ir.Program, sited: dict[S.Sse, list[int]]) -> IcallResolution:
+    """Match one callsite's CTexpr set against the pointer references;
+    `sited` is :func:`sited_fptr_values` of `refs`."""
     entries = {f.entry_address: f.name for f in program.functions.values()}
     ct_exprs = [e for e in ct_exprs if not S.has_bitwise_addr(e)]
 
@@ -182,9 +194,9 @@ def resolve(callsite: ir.Point, ct_exprs: list[S.Sse], refs: list[PointerRef],
             for ref in fptr_refs:
                 if ct.addr in ref.stores:
                     gptr_load.append(entries.get(ref.value, hex(ref.value)))
-        for ref in fptr_refs:
-            if ref.site is not None and ct in ref.pexprs and ref.value in entries:
-                direct.append((entries[ref.value], None))
+        for value in sited.get(ct, ()):
+            if value in entries:
+                direct.append((entries[value], None))
 
     walked_objects = set()
     for targets, nulls, ev in table_hits + gptr_table:
@@ -259,10 +271,11 @@ def resolve_all(session: Session, address_taken: frozenset[int] | None = None):
                 ref.pexprs.add(t.expr)
         ref.stores = frozenset(p.addr for p in ref.pexprs if isinstance(p, S.Store))
 
+    sited = sited_fptr_values(refs)
     resolutions: list[IcallResolution] = []
     for point in sites:
         ct = [t.expr for t in analysis.family(ct_sids[point]) if not t.derived]
-        resolutions.append(resolve(point, ct, refs, program))
+        resolutions.append(resolve(point, ct, refs, program, sited))
     mapping = {r.callsite: r.targets for r in resolutions if r.targets}
     return resolutions, mapping, analysis.cap_hits
 

@@ -1,7 +1,9 @@
 """The textual micro-IR: a small three-address language all analyses consume.
 
 A program is a set of functions, a data section of 64-bit words, and a
-string table.  One statement per line, ``#`` comments.  Example::
+string table.  One statement per line.  A ``#`` outside a string literal
+starts a comment that runs to the end of the line; inside one it is part
+of the string.  Example::
 
     wordsize 4
 
@@ -35,15 +37,23 @@ temporary register first.  Registers are ``r<N>``, ``sp`` (frame base)
 and ``gp`` (globals base).  Calls pass argument i in the callee's ri and
 return in the caller's named result register.
 
-Parsing is pure and total (all errors are collected before raising);
-a validated Program is immutable and safe to share between analyses.
+Each line is read once: its leading keyword (or, for ``rD = ...``, the
+token after ``=``) picks the one pattern it must match.  Parsing is pure
+and total (all errors are collected before raising); a validated Program
+is immutable and safe to share between analyses.  A strings section
+holds nothing but entries: any other text in it is a ``malformed string
+entry``, and an address given twice is a ``duplicate string``, as a
+repeated data base is a ``duplicate data object``.  :func:`validate`
+reports data objects whose words overlap (``data objects @A and @B
+overlap``), since a word must belong to one object.
 """
 
 from __future__ import annotations
 
+import bisect
 import re
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 Operand = Union[str, int]  # register name or 64-bit immediate
 
@@ -135,47 +145,40 @@ class Ret:
 
 Form = Union[Move, BinOp, UnOp, Ite, Load, Store, Call, ICall, Branch, Jump, Ret]
 
-TERMINATORS = (Branch, Jump, Ret)
+TERMINATORS = frozenset((Branch, Jump, Ret))
+
+
+# Per form type: the field naming the register it defines (None when it
+# defines none), and the operands it reads, in order.  A load or store
+# displacement is not an operand.
+_FIELDS: dict[type, tuple[Optional[str], Callable[..., tuple[Operand, ...]]]] = {
+    Move: ("dst", lambda f: (f.src,)),
+    BinOp: ("dst", lambda f: (f.lhs, f.rhs)),
+    UnOp: ("dst", lambda f: (f.src,)),
+    Ite: ("dst", lambda f: (f.cond, f.then_v, f.else_v)),
+    Load: ("dst", lambda f: (f.addr,)),
+    Store: (None, lambda f: (f.addr, f.src)),
+    Call: ("ret", lambda f: f.args),
+    ICall: ("ret", lambda f: (f.target, *f.args)),
+    Branch: (None, lambda f: (f.cond,)),
+    Jump: (None, lambda f: ()),
+    Ret: (None, lambda f: () if f.value is None else (f.value,)),
+}
 
 
 def defined_register(form: Form) -> Optional[str]:
-    if isinstance(form, (Move, BinOp, UnOp, Ite, Load)):
-        return form.dst
-    if isinstance(form, (Call, ICall)):
-        return form.ret
-    return None
-
-
-def operands(form: Form) -> list[Operand]:
-    """The operands `form` reads, in order: registers and immediates
-    (a load or store displacement is not an operand)."""
-    if isinstance(form, (Move, UnOp)):
-        return [form.src]
-    if isinstance(form, BinOp):
-        return [form.lhs, form.rhs]
-    if isinstance(form, Ite):
-        return [form.cond, form.then_v, form.else_v]
-    if isinstance(form, Load):
-        return [form.addr]
-    if isinstance(form, Store):
-        return [form.addr, form.src]
-    if isinstance(form, Call):
-        return list(form.args)
-    if isinstance(form, ICall):
-        return [form.target, *form.args]
-    if isinstance(form, Branch):
-        return [form.cond]
-    if isinstance(form, Ret) and form.value is not None:
-        return [form.value]
-    return []
+    name = _FIELDS[type(form)][0]
+    return None if name is None else getattr(form, name)
 
 
 def used_registers(form: Form) -> list[str]:
-    return [o for o in operands(form) if isinstance(o, str)]
+    """The registers `form` reads, in operand order."""
+    return [o for o in _FIELDS[type(form)][1](form) if type(o) is str]
 
 
 def immediates(form: Form) -> list[int]:
-    return [o for o in operands(form) if isinstance(o, int)]
+    """The immediates `form` reads, in operand order."""
+    return [o for o in _FIELDS[type(form)][1](form) if type(o) is int]
 
 
 @dataclass(frozen=True)
@@ -274,36 +277,47 @@ class ParseError(Exception):
 _INT = r"(?:0x[0-9a-fA-F]+|-?(?:0|[1-9][0-9]*))"
 _REG = r"(?:r(?:0|[1-9][0-9]*)|sp|gp)"
 _OPND = rf"(?:{_REG}|{_INT})"
-REG_RE = re.compile(rf"{_REG}$")
+_ASSIGN = rf"({_REG})\s*=\s*"
+_OPND_RE = re.compile(_OPND)
+_ARGS_RE = re.compile(rf"\s*{_OPND}\s*(?:,\s*{_OPND}\s*)*")
+_DATA_WORD = re.compile(rf"word\s+({_INT})")
+_STRING_ENTRY = re.compile(rf'\s*@({_INT})\s+"([^"]*)"')
 
-_PATTERNS = [
-    ("wordsize", re.compile(rf"wordsize\s+({_INT})$")),
-    ("func", re.compile(rf"func\s+([A-Za-z_][\w]*)\s+@({_INT})\s+frame\s*=\s*({_INT})\s*\{{$")),
-    ("buf", re.compile(rf"buf\s+([A-Za-z_][\w]*)\s+@({_INT})\s+size\s+({_INT})$")),
-    ("data", re.compile(rf"data\s+@({_INT})\s*\{{(.*)\}}$")),
-    ("strings_open", re.compile(r"strings\s*\{(.*?)(\})?$")),
-    ("label", re.compile(r"([A-Za-z_][A-Za-z_0-9]*)\s*:$")),
-    ("close", re.compile(r"\}$")),
-]
-
-_STMT_PATTERNS = [
-    ("load", re.compile(rf"({_REG})\s*=\s*load\s+({_REG})\s*(?:\+\s*({_INT}))?$")),
-    ("store", re.compile(rf"store\s+({_REG})\s*(?:\+\s*({_INT}))?\s*=\s*({_OPND})$")),
-    ("ite", re.compile(rf"({_REG})\s*=\s*ite\s+({_REG})\s*,\s*({_OPND})\s*,\s*({_OPND})$")),
-    ("call_ret", re.compile(rf"({_REG})\s*=\s*call\s+([A-Za-z_][\w]*)\s*\((.*)\)$")),
-    ("call", re.compile(r"call\s+([A-Za-z_]\w*)\s*\((.*)\)$")),
-    ("icall_ret", re.compile(rf"({_REG})\s*=\s*icall\s+({_REG})\s*\((.*)\)$")),
-    ("icall", re.compile(rf"icall\s+({_REG})\s*\((.*)\)$")),
-    ("branch", re.compile(rf"branch\s+({_REG})\s*,\s*([A-Za-z_]\w*)\s*,\s*([A-Za-z_]\w*)$")),
-    ("jump", re.compile(r"jump\s+([A-Za-z_]\w*)$")),
-    ("ret", re.compile(rf"ret(?:\s+({_OPND}))?$")),
-    ("unop", re.compile(rf"({_REG})\s*=\s*(~|!|neg)\s*({_OPND})$")),
-    ("binop", re.compile(
-        rf"({_REG})\s*=\s*({_OPND})\s*(<<|>>|<=|>=|==|!=|[+\-*/&|^<>])\s*({_OPND})$")),
-    ("move", re.compile(rf"({_REG})\s*=\s*({_OPND})$")),
-]
-
-_STRING_ENTRY = re.compile(rf'@({_INT})\s+"([^"]*)"')
+# A line is classified by its leading keyword, or by the first character
+# after `=` for an assignment, and then matched against the one pattern
+# of that kind.  The keywords and those characters name disjoint sets of
+# lines, so no line can match the pattern of another kind.
+_LABEL = re.compile(r"([A-Za-z_][A-Za-z_0-9]*)\s*:$")
+_KEYWORDS = {
+    "wordsize": ("wordsize", re.compile(rf"wordsize\s+({_INT})$")),
+    "func": ("func", re.compile(
+        rf"func\s+([A-Za-z_][\w]*)\s+@({_INT})\s+frame\s*=\s*({_INT})\s*\{{$")),
+    "buf": ("buf", re.compile(rf"buf\s+([A-Za-z_][\w]*)\s+@({_INT})\s+size\s+({_INT})$")),
+    "data": ("data", re.compile(rf"data\s+@({_INT})\s*\{{(.*)\}}$")),
+    "strings": ("strings", re.compile(r"strings\s*\{(.*?)(\})?$")),
+    "}": ("close", re.compile(r"\}$")),
+    "store": ("store", re.compile(
+        rf"store\s+({_REG})\s*(?:\+\s*({_INT}))?\s*=\s*({_OPND})$")),
+    # the empty first group stands for `rD = call`'s result register
+    "call": ("call", re.compile(r"()call\s+([A-Za-z_]\w*)\s*\((.*)\)$")),
+    "icall": ("icall", re.compile(rf"()icall\s+({_REG})\s*\((.*)\)$")),
+    "branch": ("branch", re.compile(
+        rf"branch\s+({_REG})\s*,\s*([A-Za-z_]\w*)\s*,\s*([A-Za-z_]\w*)$")),
+    "jump": ("jump", re.compile(r"jump\s+([A-Za-z_]\w*)$")),
+    "ret": ("ret", re.compile(rf"ret(?:\s+({_OPND}))?$")),
+}
+_UNOP = ("unop", re.compile(rf"{_ASSIGN}(~|!|neg)\s*({_OPND})$"))
+_ICALL_RET = ("icall", re.compile(rf"{_ASSIGN}icall\s+({_REG})\s*\((.*)\)$"))
+_ITE = ("ite", re.compile(rf"{_ASSIGN}ite\s+({_REG})\s*,\s*({_OPND})\s*,\s*({_OPND})$"))
+_MOVE_BINOP = ("move", re.compile(
+    rf"{_ASSIGN}({_OPND})(?:\s*(<<|>>|<=|>=|==|!=|[+\-*/&|^<>])\s*({_OPND}))?$"))
+# the first character of an assignment's right-hand side: `i` opens both
+# `icall` and `ite`, told apart by the second
+_RHS = {
+    "l": ("load", re.compile(rf"{_ASSIGN}load\s+({_REG})\s*(?:\+\s*({_INT}))?$")),
+    "c": ("call", re.compile(rf"{_ASSIGN}call\s+([A-Za-z_][\w]*)\s*\((.*)\)$")),
+    "i": _ICALL_RET, "~": _UNOP, "!": _UNOP, "n": _UNOP,
+}
 
 
 def _int(tok: str) -> int:
@@ -311,23 +325,52 @@ def _int(tok: str) -> int:
 
 
 def _operand(tok: str) -> Operand:
-    if REG_RE.match(tok):
-        return tok
-    return _int(tok)
+    """A token a pattern matched as an operand: registers start with a
+    letter (r, s or g), immediates with a digit or `-`."""
+    return tok if tok[0] in "rsg" else _int(tok)
+
+
+def _classify(line: str) -> tuple[str, Optional[re.Match]]:
+    """The kind of `line` and its pattern's match (None when the line
+    has the kind's shape but not its syntax)."""
+    if line[-1] == ":" and (m := _LABEL.match(line)):
+        return "label", m
+    words = line.split(None, 2)
+    kind = _KEYWORDS.get(words[0])
+    if kind is None:
+        if words[0].startswith("strings"):
+            kind = _KEYWORDS["strings"]
+        else:
+            rhs = (words[2] if len(words) == 3 and words[1] == "="
+                   else line.partition("=")[2].lstrip())
+            kind = _RHS.get(rhs[:1], _MOVE_BINOP)
+            if kind is _ICALL_RET and rhs[1:2] == "t":
+                kind = _ITE
+    return kind[0], kind[1].match(line)
 
 
 def _args(text: str, diags, lineno) -> tuple[Operand, ...]:
-    text = text.strip()
-    if not text:
+    """A call's arguments; each malformed one is reported and left out."""
+    if not text.strip():
         return ()
+    if _ARGS_RE.fullmatch(text):
+        return tuple(_operand(part.strip()) for part in text.split(","))
     out = []
     for part in text.split(","):
         part = part.strip()
-        if re.fullmatch(_OPND, part):
+        if _OPND_RE.fullmatch(part):
             out.append(_operand(part))
         else:
             diags.append(Diagnostic(f"malformed argument {part!r}", line=lineno))
     return tuple(out)
+
+
+def _uncomment(raw: str) -> str:
+    """`raw` up to its first `#` outside a string literal."""
+    at = raw.find("#")
+    while at >= 0 and raw.count('"', 0, at) % 2:
+        at = raw.find("#", at + 1)
+    return raw if at < 0 else raw[:at]
 
 
 def parse_program(text: str) -> Program:
@@ -344,6 +387,7 @@ def parse_program(text: str) -> Program:
     word_size = 4
 
     cur_fn = None           # (name, addr, frame, buffers, blocks, header line)
+    labels: set[str] = set()
     cur_label = None
     cur_stmts: list[Statement] = []
     strings_line = None     # the open strings section's header line
@@ -367,7 +411,7 @@ def parse_program(text: str) -> Program:
         cur_fn = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = (_uncomment(raw) if "#" in raw else raw).strip()
         if not line:
             continue
         if strings_line is not None:
@@ -377,12 +421,21 @@ def parse_program(text: str) -> Program:
             _string_entries(line, strings, diags, lineno)
             continue
 
-        kind = m = None
-        for k, pat in _PATTERNS:
-            m = pat.match(line)
-            if m:
-                kind = k
-                break
+        kind, m = _classify(line)
+        if m is None or kind in _BUILD:     # a statement, or a line that is none
+            if cur_fn is None:
+                diags.append(Diagnostic(f"statement outside function: {line!r}", line=lineno))
+                continue
+            if cur_label is None:
+                diags.append(Diagnostic("statement before first label", line=lineno))
+                cur_label = "bb0"
+                labels.add(cur_label)
+            if m is None:
+                diags.append(Diagnostic(f"syntax error: {line!r}", line=lineno))
+                continue
+            cur_stmts.append(Statement(Point(cur_fn[0], cur_label, len(cur_stmts)),
+                                       _BUILD[kind](m.groups(), diags, lineno), lineno))
+            continue
         if kind == "wordsize":
             word_size = _int(m.group(1))
             if word_size not in (4, 8):
@@ -394,7 +447,7 @@ def parse_program(text: str) -> Program:
             words = []
             for part in m.group(2).split(","):
                 part = part.strip()
-                wm = re.fullmatch(rf"word\s+({_INT})", part)
+                wm = _DATA_WORD.fullmatch(part)
                 if wm:
                     words.append(_int(wm.group(1)))
                 elif part:
@@ -403,7 +456,7 @@ def parse_program(text: str) -> Program:
                 diags.append(Diagnostic(f"duplicate data object @{addr:#x}", line=lineno))
             data[addr] = tuple(words)
             continue
-        if kind == "strings_open":
+        if kind == "strings":
             if m.group(1).strip():
                 _string_entries(m.group(1), strings, diags, lineno)
             strings_line = None if m.group(2) == "}" else lineno
@@ -413,32 +466,22 @@ def parse_program(text: str) -> Program:
                 diags.append(Diagnostic("nested func", line=lineno))
                 close_func()
             cur_fn = [m.group(1), _int(m.group(2)), _int(m.group(3)), [], [], lineno]
+            labels = set()
             continue
         if cur_fn is None:
             diags.append(Diagnostic(f"statement outside function: {line!r}", line=lineno))
             continue
         if kind == "buf":
             cur_fn[3].append(StackBuffer(m.group(1), _int(m.group(2)), _int(m.group(3))))
-            continue
-        if kind == "label":
+        elif kind == "label":
             close_block()
             label = m.group(1)
-            if any(b.label == label for b in cur_fn[4]):
+            if label in labels:
                 diags.append(Diagnostic(f"duplicate label {label}", line=lineno))
+            labels.add(label)
             cur_label = label
-            continue
-        if kind == "close":
+        else:   # the closing brace
             close_func()
-            continue
-
-        # plain statement
-        if cur_label is None:
-            diags.append(Diagnostic("statement before first label", line=lineno))
-            cur_label = "bb0"
-        form = _parse_stmt(line, diags, lineno)
-        if form is not None:
-            point = Point(cur_fn[0], cur_label, len(cur_stmts))
-            cur_stmts.append(Statement(point, form, line=lineno))
 
     if cur_fn is not None:
         diags.append(Diagnostic("unterminated function (missing '}')", line=cur_fn[5]))
@@ -451,46 +494,35 @@ def parse_program(text: str) -> Program:
 
 
 def _string_entries(text: str, strings: dict, diags, lineno) -> None:
-    for m in _STRING_ENTRY.finditer(text):
-        strings[_int(m.group(1))] = m.group(2)
-    if not _STRING_ENTRY.search(text):
-        diags.append(Diagnostic(f"malformed string entry {text!r}", line=lineno))
+    """Read `text`'s string entries; the text must be nothing else."""
+    pos = 0
+    while m := _STRING_ENTRY.match(text, pos):
+        addr = _int(m.group(1))
+        if addr in strings:
+            diags.append(Diagnostic(f"duplicate string @{addr:#x}", line=lineno))
+        strings[addr] = m.group(2)
+        pos = m.end()
+    if text[pos:].strip():
+        rest = text[pos:].strip() if pos else text
+        diags.append(Diagnostic(f"malformed string entry {rest!r}", line=lineno))
 
 
-def _parse_stmt(line: str, diags, lineno) -> Optional[Form]:
-    for kind, pat in _STMT_PATTERNS:
-        m = pat.match(line)
-        if not m:
-            continue
-        if kind == "load":
-            return Load(m.group(1), m.group(2), _int(m.group(3)) if m.group(3) else 0)
-        if kind == "store":
-            return Store(m.group(1), _operand(m.group(3)),
-                         _int(m.group(2)) if m.group(2) else 0)
-        if kind == "ite":
-            return Ite(m.group(1), m.group(2), _operand(m.group(3)), _operand(m.group(4)))
-        if kind == "call_ret":
-            return Call(m.group(2), _args(m.group(3), diags, lineno), ret=m.group(1))
-        if kind == "call":
-            return Call(m.group(1), _args(m.group(2), diags, lineno))
-        if kind == "icall_ret":
-            return ICall(m.group(2), _args(m.group(3), diags, lineno), ret=m.group(1))
-        if kind == "icall":
-            return ICall(m.group(1), _args(m.group(2), diags, lineno))
-        if kind == "branch":
-            return Branch(m.group(1), m.group(2), m.group(3))
-        if kind == "jump":
-            return Jump(m.group(1))
-        if kind == "ret":
-            return Ret(_operand(m.group(1)) if m.group(1) else None)
-        if kind == "unop":
-            return UnOp(m.group(1), m.group(2), _operand(m.group(3)))
-        if kind == "binop":
-            return BinOp(m.group(1), m.group(3), _operand(m.group(2)), _operand(m.group(4)))
-        if kind == "move":
-            return Move(m.group(1), _operand(m.group(2)))
-    diags.append(Diagnostic(f"syntax error: {line!r}", line=lineno))
-    return None
+# kind -> the form built from its pattern's groups
+_BUILD = {
+    "load": lambda g, diags, lineno: Load(g[0], g[1], _int(g[2]) if g[2] else 0),
+    "store": lambda g, diags, lineno: Store(g[0], _operand(g[2]),
+                                            _int(g[1]) if g[1] else 0),
+    "ite": lambda g, diags, lineno: Ite(g[0], g[1], _operand(g[2]), _operand(g[3])),
+    "call": lambda g, diags, lineno: Call(g[1], _args(g[2], diags, lineno), g[0] or None),
+    "icall": lambda g, diags, lineno: ICall(g[1], _args(g[2], diags, lineno), g[0] or None),
+    "branch": lambda g, diags, lineno: Branch(*g),
+    "jump": lambda g, diags, lineno: Jump(g[0]),
+    "ret": lambda g, diags, lineno: Ret(_operand(g[0]) if g[0] else None),
+    "unop": lambda g, diags, lineno: UnOp(g[0], g[1], _operand(g[2])),
+    # a move, or a binop when the pattern matched an operator
+    "move": lambda g, diags, lineno: (Move(g[0], _operand(g[1])) if g[2] is None else
+                                      BinOp(g[0], g[2], _operand(g[1]), _operand(g[3]))),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -501,6 +533,11 @@ def validate(program: Program) -> list[Diagnostic]:
     """Check the structural invariants; an empty list means well-formed."""
     diags: list[Diagnostic] = []
     word_limit = 1 << (8 * program.word_size)
+    spans = sorted((base, base + len(words) * program.word_size)
+                   for base, words in program.data_section.items() if words)
+    for i, (base, end) in enumerate(spans):
+        for other, _ in spans[i + 1:bisect.bisect_left(spans, (end,))]:
+            diags.append(Diagnostic(f"data objects @{base:#x} and @{other:#x} overlap"))
     seen_addr: dict[int, str] = {}
     for fn in program.functions.values():
         if fn.entry_address in seen_addr:
@@ -508,11 +545,13 @@ def validate(program: Program) -> list[Diagnostic]:
                 f"functions {seen_addr[fn.entry_address]} and {fn.name} share entry "
                 f"address {fn.entry_address:#x}"))
         seen_addr[fn.entry_address] = fn.name
-        for base, words in program.data_section.items():
-            if base <= fn.entry_address < base + len(words) * program.word_size:
-                diags.append(Diagnostic(
-                    f"function {fn.name} entry {fn.entry_address:#x} overlaps data "
-                    f"object @{base:#x}"))
+        # the data object starting nearest at or below the entry is the
+        # only one that can hold it, unless objects overlap
+        i = bisect.bisect_left(spans, (fn.entry_address + 1,)) - 1
+        if i >= 0 and fn.entry_address < spans[i][1]:
+            diags.append(Diagnostic(
+                f"function {fn.name} entry {fn.entry_address:#x} overlaps data "
+                f"object @{spans[i][0]:#x}"))
         labels = {b.label for b in fn.blocks}
         for buf in fn.stack_buffers:
             if buf.offset + buf.size > fn.frame_size:
@@ -520,33 +559,36 @@ def validate(program: Program) -> list[Diagnostic]:
                     f"stack buffer {buf.name} ({buf.offset:#x}+{buf.size:#x}) exceeds "
                     f"frame size {fn.frame_size:#x} of {fn.name}"))
         for block in fn.blocks:
+            last = len(block.stmts) - 1
             for si, stmt in enumerate(block.stmts):
                 form = stmt.form
-                for imm in immediates(form):
-                    if imm >= word_limit:
+                kind = type(form)
+                for imm in _FIELDS[kind][1](form):
+                    if type(imm) is int and imm >= word_limit:
                         diags.append(Diagnostic(
                             f"immediate {imm:#x} exceeds the {program.word_size}-byte "
                             f"word width", point=stmt.point))
-                if isinstance(form, Branch):
+                if kind is Branch:
                     for lbl in (form.then_block, form.else_block):
                         if lbl not in labels:
                             diags.append(Diagnostic(
                                 f"branch to undefined label {lbl}", point=stmt.point))
-                elif isinstance(form, Jump) and form.block not in labels:
+                elif kind is Jump and form.block not in labels:
                     diags.append(Diagnostic(
                         f"jump to undefined label {form.block}", point=stmt.point))
-                if isinstance(form, TERMINATORS) and si != len(block.stmts) - 1:
+                if si != last and kind in TERMINATORS:
                     diags.append(Diagnostic(
                         "statement after terminator", point=block.stmts[si + 1].point))
-            last = block.stmts[-1].form if block.stmts else None
-            if not isinstance(last, TERMINATORS + (Call, ICall)):
+            kind = type(block.stmts[-1].form) if block.stmts else None
+            if kind is Call or kind is ICall:
+                if block is fn.blocks[-1]:
+                    diags.append(Diagnostic(
+                        "call ends the function's last block and falls off its end",
+                        point=block.stmts[-1].point))
+            elif kind not in TERMINATORS:
                 diags.append(Diagnostic(
                     f"block {block.label} of {fn.name} does not end in "
                     f"branch/jump/ret/call", point=block.stmts[-1].point if block.stmts else None))
-            elif isinstance(last, (Call, ICall)) and block is fn.blocks[-1]:
-                diags.append(Diagnostic(
-                    "call ends the function's last block and falls off its end",
-                    point=block.stmts[-1].point))
     return diags
 
 

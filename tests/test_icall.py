@@ -145,7 +145,7 @@ bb0:
 """)
     ct = [S.canonicalize(S.Load(S.Bin(
         "+", S.IndexTerm(S.Val(0x9000), 4, "i"), S.Val(0))))]
-    res = IC.resolve(ir.Point("main", "bb0", 0), ct, [], prog)
+    res = IC.resolve(ir.Point("main", "bb0", 0), ct, [], prog, {})
     assert res.pattern == "table-stride"
     assert res.targets == ("a", "b")
 
@@ -163,7 +163,7 @@ bb0:
 }
 """)
     ct = [S.canonicalize(S.Load(S.Bin("&", S.Val(0x5100), S.Val(0xFFFF))))]
-    res = IC.resolve(ir.Point("main", "bb0", 0), ct, [], prog)
+    res = IC.resolve(ir.Point("main", "bb0", 0), ct, [], prog, {})
     assert res.pattern == "unresolved"
 
 
@@ -200,3 +200,19 @@ def test_targets_subset_of_declared_functions(corpus):
         prog, resolutions, _ = resolve_corpus(corpus, name)
         for r in resolutions:
             assert set(r.targets) <= set(prog.functions)
+
+
+def test_sited_fptr_values_match_a_scan_of_the_references():
+    """The index holds, for each expression, the values of the fptr
+    references with a site whose Pexpr holds it, in reference order."""
+    site = ir.Point("main", "bb0", 0)
+    a, b, c = S.Reg("r1"), S.Val(0x10), S.Load(S.Val(0x9000))
+    refs = [IC.PointerRef("fptr", 0x10, site=site, pexprs={a, b}),
+            IC.PointerRef("fptr", 0x20, pexprs={a, c}),
+            IC.PointerRef("dptr", 0x30, site=site, pexprs={a}),
+            IC.PointerRef("fptr", 0x40, site=site, pexprs={c, a})]
+    index = IC.sited_fptr_values(refs)
+    for e in (a, b, c, S.Reg("r2")):
+        assert index.get(e, []) == [r.value for r in refs if r.kind == "fptr"
+                                    and r.site is not None and e in r.pexprs]
+    assert index[a] == [0x10, 0x40]

@@ -1,6 +1,14 @@
+import importlib.util
+import pathlib
+import sys
+import typing
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mirtaint import ir
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def parse(text):
@@ -107,9 +115,15 @@ _FUNC = "func f @0x1000 frame=0 {\nbb0:\n  ret\n}\n"
     ("func f @0x1000 frame=0 {\nbb0:\n  call g(r1, *)\n  ret\n}\n", 3,
      "malformed argument '*'"),
     ("r1 = r2\n", 1, "statement outside function: 'r1 = r2'"),
+    ('strings { @0x9000 "ab" @0x9000 "cd" }\n', 1, "duplicate string @0x9000"),
+    ('strings {\n  @0x9000 "ab"\n}\nstrings { @0x9000 "cd" }\n', 4,
+     "duplicate string @0x9000"),
+    ('strings {\n  @0x9000 "ab" junk\n}\n', 2, "malformed string entry 'junk'"),
+    ('strings { @0x9000 "ab" @0x9010 }\n', 1, "malformed string entry '@0x9010'"),
 ], ids=["no-blocks", "duplicate-function", "wordsize", "nested-func",
         "before-label", "missing-brace", "unterminated-strings", "data-word",
-        "string-entry", "call-argument", "outside-function"])
+        "string-entry", "call-argument", "outside-function", "duplicate-string",
+        "duplicate-string-across-sections", "string-leftover", "string-leftover-one-line"])
 def test_parse_diagnostic_names_its_line(text, line, message):
     """Every malformed input raises with its one diagnostic at a line: a
     diagnostic about a whole function or strings section names the line
@@ -168,6 +182,22 @@ bb0:
     assert any("overlaps data" in d.message for d in ir.validate(prog))
 
 
+def test_validate_overlapping_data_objects():
+    prog = parse("data @0x100 { word 0x1, word 0x2, word 0x3 }\n"
+                 "data @0x104 { word 0x4 }\ndata @0x108 { word 0x5 }\n"
+                 "data @0x10c { word 0x6 }\ndata @0x120 { }\n" + _FUNC)
+    assert [d.message for d in ir.validate(prog)] == [
+        "data objects @0x100 and @0x104 overlap",
+        "data objects @0x100 and @0x108 overlap"]
+
+
+def test_validate_entry_at_a_data_base_or_past_its_end():
+    prog = parse("data @0x1000 { word 0x1, word 0x2 }\ndata @0x2000 { word 0x3 }\n"
+                 + _FUNC.replace("0x1000", "0x2000") + _FUNC.replace("f @0x1000", "g @0x1008"))
+    assert [d.message for d in ir.validate(prog)] == [
+        "function f entry 0x2000 overlaps data object @0x2000"]
+
+
 def test_validate_missing_terminator():
     prog = parse("func f @0x1000 frame=0 {\nbb0:\n  r1 = r2\n}\n")
     assert any("does not end" in d.message for d in ir.validate(prog))
@@ -189,12 +219,95 @@ def test_statement_points_are_unique_and_stable(corpus):
     assert len(points) == len(set(points))
 
 
-def test_round_trip(corpus):
-    for name in ("listing1.ir", "overflow_icall.ir", "diamond.ir",
-                 "loop_copy.ir", "wordsize8.ir"):
-        prog = corpus(name)
-        again = ir.parse_program(ir.pretty_program(prog))
-        assert again == prog
+def test_round_trip():
+    for path in sorted((ROOT / "corpus").glob("*.ir")):
+        prog = ir.parse_program(path.read_text())
+        assert ir.parse_program(ir.pretty_program(prog)) == prog, path.name
+
+
+def _workloads():
+    """The benchmark's program generator, loaded from its file."""
+    name = "bench_workloads"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, ROOT / "bench" / "workloads.py")
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("workload", ["dispatch", "loop_copy", "icall_mix"])
+def test_ladder_programs_round_trip(workload, seed):
+    for program in _workloads().generate(workload, seed):
+        prog = ir.parse_program(program.text)
+        assert ir.parse_program(ir.pretty_program(prog)) == prog, program.name
+
+
+_REGS = st.sampled_from(["r0", "r1", "r7", "r15", "sp", "gp"])
+_IMMS = st.integers(0, (1 << 64) - 1)
+_OPNDS = st.one_of(_REGS, _IMMS)
+_NAMES = st.from_regex(r"[A-Za-z_][A-Za-z_0-9]{0,5}", fullmatch=True)
+_ARGS = st.lists(_OPNDS, max_size=3).map(tuple)
+_FORMS = st.one_of(
+    st.builds(ir.Move, _REGS, _OPNDS),
+    st.builds(ir.BinOp, _REGS, st.sampled_from(
+        ["+", "-", "*", "/", "<<", ">>", "&", "|", "^", "<", "<=", "==", "!=", ">=", ">"]),
+        _OPNDS, _OPNDS),
+    st.builds(ir.UnOp, _REGS, st.sampled_from(["~", "!", "neg"]), _OPNDS),
+    st.builds(ir.Ite, _REGS, _REGS, _OPNDS, _OPNDS),
+    st.builds(ir.Load, _REGS, _REGS, _IMMS),
+    st.builds(ir.Store, _REGS, _OPNDS, _IMMS),
+    st.builds(ir.Call, _NAMES, _ARGS, st.none() | _REGS),
+    st.builds(ir.ICall, _REGS, _ARGS, st.none() | _REGS),
+    st.builds(ir.Branch, _REGS, _NAMES, _NAMES),
+    st.builds(ir.Jump, _NAMES),
+    st.builds(ir.Ret, st.none() | _OPNDS),
+)
+# string text: anything on one line but a double quote
+_TEXT = st.text(st.sampled_from("#{}@ x") | st.characters(
+    blacklist_categories=("Cc", "Cs", "Zl", "Zp"), blacklist_characters='"'), max_size=8)
+
+
+@st.composite
+def _programs(draw):
+    labels = draw(st.lists(_NAMES, min_size=1, max_size=4, unique=True))
+    blocks = tuple(
+        ir.Block(label, tuple(ir.Statement(ir.Point("f", label, i), form)
+                              for i, form in enumerate(draw(st.lists(_FORMS, max_size=6)))))
+        for label in labels)
+    bufs = tuple(draw(st.lists(st.builds(ir.StackBuffer, _NAMES, _IMMS, _IMMS), max_size=2)))
+    function = ir.Function("f", draw(_IMMS), draw(_IMMS), blocks, bufs)
+    data = draw(st.dictionaries(_IMMS, st.lists(_IMMS, max_size=3).map(tuple), max_size=2))
+    strings = draw(st.dictionaries(_IMMS, _TEXT, max_size=3))
+    return ir.Program({"f": function}, data, strings, draw(st.sampled_from([4, 8])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_programs())
+def test_printed_programs_parse_back(prog):
+    """Any sequence of statement forms, with data words and strings
+    (a `#` in one among them), prints to text that parses back equal."""
+    assert ir.parse_program(ir.pretty_program(prog)) == prog
+
+
+def test_every_form_has_an_operand_table_entry():
+    assert set(typing.get_args(ir.Form)) == set(ir._FIELDS)
+
+
+@pytest.mark.parametrize("text", [
+    'strings { @0x9000 "a#b" }  # a comment\n',
+    'strings {\n  @0x9000 "a#b" # a comment\n}\n',
+], ids=["one-line", "multi-line"])
+def test_hash_inside_a_string_is_not_a_comment(text):
+    prog = parse(text + _FUNC)
+    assert prog.string_table == {0x9000: "a#b"}
+    assert set(prog.functions) == {"f"}
+
+
+def test_string_holding_a_hash_round_trips():
+    prog = parse('strings {\n  @0x9000 "x # y"\n  @0x9010 "#"\n}\n' + _FUNC)
+    assert prog.string_table == {0x9000: "x # y", 0x9010: "#"}
+    assert parse(ir.pretty_program(prog)) == prog
 
 
 @pytest.mark.parametrize("text", [
@@ -217,6 +330,19 @@ def test_zero_and_multi_digit_tokens_parse():
     forms = [s.form for s in prog.functions["f"].statements()]
     assert forms[0] == ir.Move("r10", 0)
     assert forms[1] == ir.BinOp("r0", "+", "r10", 10)
+
+
+def test_spacing_between_tokens_is_optional():
+    """Where the syntax allows no space between tokens, a line is
+    classified the same with or without it."""
+    prog = parse('strings{@0x9000 "a"}\nfunc f @0x1000 frame=0 {\nbb0 :\n  r1=r2+0x4\n'
+                 "  r3 =negr1\n  r4= load r1+0x8\n  store r1+0x4=r2\n  r5=icall r4(r1,0x2)\n"
+                 "  r6=ite r1,r2,0x0\n  ret\n}\n")
+    assert prog.string_table == {0x9000: "a"}
+    assert [s.form for s in prog.functions["f"].statements()] == [
+        ir.BinOp("r1", "+", "r2", 4), ir.UnOp("r3", "neg", "r1"), ir.Load("r4", "r1", 8),
+        ir.Store("r1", "r2", 4), ir.ICall("r4", ("r1", 2), "r5"), ir.Ite("r6", "r1", "r2", 0),
+        ir.Ret()]
 
 
 def test_every_statement_form_prints_as_it_parses():
