@@ -91,10 +91,14 @@ pushed before is already in the neighbour's pool or refused there for
 good.
 Each pushed entry is retagged once for all neighbours, and handed on as
 it is when no birth changes.
-After `LOOP_K` sweeps the induction merge partitions each loop block's
-pool group (seed, taint, conditions) into offset families
-(`sse.induction_families`), which reads each member's offset skeletons
-from a cache on the node.
+After `LOOP_K` sweeps the induction merge turns each loop block's pool
+group (seed, taint, conditions) into offset families at delta cost too:
+each loop block side keeps its groups' offset buckets (`sse.Families`),
+reads only the facts its pool gained since the previous merge, and
+evaluates only the buckets they or the last retirements changed, with
+the result a whole-pool partition would give.  A session keeps each
+callsite's list of callee transfers while the callees' summaries stay
+the same (`Analysis._crossings`).
 """
 
 from __future__ import annotations
@@ -162,6 +166,7 @@ class Tracked:
                             self.derived, self.conds))
 
     def key(self) -> tuple:
+        """The key; the engine's hot paths read `_key` itself."""
         return self._key
 
     def moved(self, expr: S.Sse) -> "Tracked":
@@ -424,13 +429,16 @@ def _spent(expr: S.Sse, tainted: bool) -> bool:
                            and expr.stale_fwd and expr.stale_bwd)
 
 
-@dataclass
 class _Step:
-    """Result of confronting one tracked expression with one statement."""
-    expr: S.Sse                   # original with updated staleness marks
-    successors: list[tuple[Tracked, str]] = field(default_factory=list)
-    # direction per successor: "f", "b", or "fb"
-    killed: bool = False
+    """Result of confronting one tracked expression with one statement.
+    Not a dataclass: one is built per statement step."""
+    __slots__ = ("expr", "successors", "killed")
+
+    def __init__(self, expr: S.Sse):
+        self.expr = expr            # original with updated staleness marks
+        # (successor, direction): "f", "b", or "fb"
+        self.successors: list[tuple[Tracked, str]] = []
+        self.killed = False
 
 
 def _subst_ok(expr: S.Sse, pattern: S.Sse, dst: str) -> bool:
@@ -535,7 +543,7 @@ class _Walker:
             # ...unless the rewrite absorbed into the same expression (a
             # loop-summarized form crossing its own shift statement): the
             # expression is unchanged above it and simply survives
-            kept = [s for s in out.successors if s[0].key() != t.key()]
+            kept = [s for s in out.successors if s[0]._key != t._key]
             if len(kept) < len(out.successors):
                 out.killed = False
                 out.successors = kept
@@ -630,7 +638,7 @@ def _walk(table: _Table, items, policy, forward: bool, seen: dict):
             break
         t, start = queue.popleft()
         start = max(start, 0) if forward else min(start, n - 1)
-        k = t.key()
+        k = t._key
         prev = seen.get(k)
         if prev is not None and (prev <= start if forward else prev >= start):
             continue
@@ -767,8 +775,13 @@ def transfer_function(summary: FunctionSummary, binding: dict[str, S.Sse]) -> Tr
 class _Side:
     """A block's state in one walk direction: forward (`_BlockSt.f`) from
     the block's top, or backward (`_BlockSt.b`) from its bottom.  Not a
-    dataclass: one is built per block and direction of every analysis."""
-    __slots__ = ("pool", "out", "pend", "seen", "new")
+    dataclass: one is built per block and direction of every analysis.
+
+    A loop block's side holds its induction state from its first merge
+    on (`Analysis._merge_induction`): `families` holds its pool's offset
+    families by group (`S.Families`), and `fresh` lists the facts its
+    pool gained since the last merge."""
+    __slots__ = ("pool", "out", "pend", "seen", "new", "fresh", "families")
 
     def __init__(self):
         self.pool: dict = {}    # key -> fact injected here
@@ -776,11 +789,13 @@ class _Side:
         self.pend: list = []    # [(Tracked, idx)] to walk
         self.seen: dict = {}    # key -> start walked (`_walk`)
         self.new: list = []     # put in `out` since the last push
+        self.fresh: Optional[list] = None
+        self.families: Optional[S.Families] = None
 
     def put(self, t: Tracked) -> bool:
         """Enter `t` into `out` (and `new`) unless its key is there;
         True when it was new."""
-        k = t.key()
+        k = t._key
         if k in self.out:
             return False
         self.out[k] = t
@@ -818,8 +833,8 @@ class Session:
     `with_resolutions` share them.  The call graph (direct calls and the
     resolved icall targets) and its cycles depend on the resolution map,
     and so do the summary cache and its notes, so each session has its
-    own, and so do the tables of results built from summaries: callsite
-    transfers and backward queries.
+    own, and so do the tables of results built from summaries: each
+    callsite's callee transfers (`crossings`) and backward queries.
 
     A root session (one built here rather than by `with_resolutions`)
     has no resolutions.  It starts an empty SSE intern table and empty
@@ -834,8 +849,7 @@ class Session:
     fact crosses a call to it, by a sub-analysis seeded at its loads, and
     only once its summary is final.  A run that never descends with
     taint, such as icall resolution, builds none.  Its REF re-rooted at a
-    callsite (REF') is kept per (callsite, callee) in `ref_transfers`,
-    beside `transfers`.
+    callsite (REF') is kept per (callsite, callee) in `ref_transfers`.
     """
 
     def __init__(self, program: ir.Program):
@@ -852,8 +866,9 @@ class Session:
         # sub-analysis that last computed its summary, joined by those of
         # the one that built its REF
         self.notes: dict[str, tuple[list, list, dict]] = {}
-        # (callsite point, callee) -> (the summary it was built from, Transfer)
-        self.transfers: dict = {}
+        # callsite point -> (the callee summaries they were built from, the
+        # (callee, Transfer) crossings of `Analysis._crossings`)
+        self.crossings: dict = {}
         # fname -> Load cells it reads, in its entry terms (REF)
         self.refs: dict[str, tuple[S.Load, ...]] = {}
         # (callsite point, callee) -> REF' as (callee cell, caller cell) pairs
@@ -992,6 +1007,11 @@ class Analysis:
     tainted alias holding a spent memory node is still tracked, unless
     it is a spent store, which no cell matches (`_spent`).
 
+    Loop blocks merge offset families after `LOOP_K` sweeps
+    (`_merge_induction`) at the cost of what changed since the previous
+    merge, and the members merged are retired (`_retire`): refused
+    wherever they are injected again in the function.
+
     `registry[fname]` holds one `Tracked` per `Tracked.key()` that the
     walk established in `fname`, anchored at the point and phase where
     the engine first established it; `family` reads it through an index
@@ -1011,6 +1031,8 @@ class Analysis:
         # the function whose summary this analysis computes, if any
         self.summary_of = summary_of
         self.states: dict[str, dict[str, _BlockSt]] = {}
+        # callsites whose callees' notes this analysis took (`_crossings`)
+        self._crossed: set = set()
         self.registry: dict[str, dict] = {}
         # seed id -> fname -> its registry entries of that seed, in order
         self._members: dict[int, dict[str, list[Tracked]]] = {}
@@ -1089,7 +1111,7 @@ class Analysis:
         anchor wins: the point is not part of the key, so an alias that
         is only carried past later statements is never re-recorded."""
         reg = self.registry.setdefault(fname, {})
-        k = t.key()
+        k = t._key
         if k in reg:
             return False
         reg[k] = t
@@ -1105,7 +1127,7 @@ class Analysis:
         return st
 
     def _inject(self, fname: str, label: str, t: Tracked, idx: int, direction: str):
-        k = t.key()
+        k = t._key
         if k in self.retired.get(fname, ()):
             return False
         st = self.states[fname].get(label) or self._state(fname, label)
@@ -1113,7 +1135,10 @@ class Analysis:
         seen = side.seen.get(k)
         if seen is not None and (seen <= idx if direction == "f" else seen >= idx):
             return False
-        side.pool.setdefault(k, t)
+        if k not in side.pool:
+            side.pool[k] = t
+            if side.fresh is not None:
+                side.fresh.append(t)
         side.pend.append((t, idx))
         return True
 
@@ -1194,7 +1219,7 @@ class Analysis:
                 pool = nst.f.pool if forward else nst.b.pool
                 idx = 0 if forward else len(g.blocks[n].stmts) - 1
                 for t in facts:
-                    if t.key() not in pool:
+                    if t._key not in pool:
                         self._inject(fname, n, t, idx, direction)
 
     # -- callsite transfer ---------------------------------------------------
@@ -1209,15 +1234,12 @@ class Analysis:
         for forward, side, start in ((True, st.f, 0), (False, st.b, -1)):
             for t, _ in side.pend:
                 pending.append((forward, t))
-                side.seen.setdefault(t.key(), start)
+                side.seen.setdefault(t._key, start)
             side.pend = []
 
         ret_reg = form.ret
         sat = self.saturated
-        # each callee's summary in caller terms, read by both directions
-        crossings = [(callee, self._transfer(point, callee))
-                     for callee in self._callees_of(point, form)
-                     if callee in self.program.functions]
+        crossings = self._crossings(point, form)
 
         for forward, t in pending:
             if t.trigger == point and t.tainted != forward:
@@ -1282,19 +1304,37 @@ class Analysis:
             self._propagate(fname, g, label, st)
         return changed
 
+    def _crossings(self, point: ir.Point, form) -> list[tuple[str, Transfer]]:
+        """Each callee's summary in caller terms at the callsite `point`,
+        read by both directions, as (callee, Transfer) pairs.  The session
+        keeps the list per callsite, and it is reused while every callee's
+        summary is the very one it was built from, so one built from a
+        call-graph cycle's bottom summary or first-round approximation is
+        built again.  An analysis that reuses it takes the callsite's
+        warning and the callees' notes, as building it does, on its first
+        visit."""
+        kept = self.session.crossings.get(point)
+        if kept is not None and all(self.summaries.get(callee) is summ
+                                    for (callee, _), summ in zip(kept[1], kept[0])):
+            crossings = kept[1]
+            if point not in self._crossed:
+                self._callees_of(point, form)
+                for callee, _ in crossings:
+                    self._take_notes(callee)
+        else:
+            crossings = [(callee, self._transfer(point, callee))
+                         for callee in self._callees_of(point, form)
+                         if callee in self.program.functions]
+            self.session.crossings[point] = (
+                [self.summaries[c] for c, _ in crossings], crossings)
+        self._crossed.add(point)
+        return crossings
+
     def _transfer(self, point: ir.Point, callee: str) -> Transfer:
         """`transfer_function` of the callee's summary at the callsite
-        `point`, kept by the session.  A kept transfer is reused only
-        while `summary` returns the very summary it was built from, so
-        one built from a call-graph cycle's bottom summary or first-round
-        approximation is built again."""
-        summ = self.summary(callee)
-        kept = self.session.transfers.get((point, callee))
-        if kept is not None and kept[0] is summ:
-            return kept[1]
-        tr = transfer_function(summ, self.session.binding(point, callee))
-        self.session.transfers[(point, callee)] = (summ, tr)
-        return tr
+        `point` (kept with the callsite's other crossings, `_crossings`)."""
+        return transfer_function(self.summary(callee),
+                                 self.session.binding(point, callee))
 
     def _callees_of(self, point: ir.Point, form) -> list[str]:
         if isinstance(form, ir.Call):
@@ -1540,29 +1580,43 @@ class Analysis:
                 self.cap_hits.append(hit)
 
     def _merge_induction(self, fname: str, loops) -> bool:
-        # Decide every merge first, then retire: retiring as we go would
-        # starve the other direction's pool of its family members.
+        """Merge the offset families of each loop block's pool groups
+        (seed, taint, conditions) into induction terms, as partitioning
+        every group whole would (`S.Families`), at the cost of what
+        changed: a side reads only the facts its pool gained since the
+        previous merge (`_Side.fresh`; its first merge reads the whole
+        pool), and a group evaluates only the offset buckets that those
+        facts and the last retirements changed.  Registers and constants
+        take no part.  Every merge is decided first, then the members
+        retired, and the merged facts injected in the order (block,
+        direction, group by its earliest member, family) a whole-pool
+        partition gives: retiring as we go would starve the other
+        direction's pool of its family members."""
         plans = []
         retire_keys = []
-        for label in sorted(loops):
-            st = self.states[fname].get(label, _NO_STATE)
+        states = self.states[fname]
+
+        def index_of(gk):
+            return f"{fname}:s{gk[0]}"
+
+        for label in sorted(label for label in loops if label in states):
+            st = states[label]
             for direction, side in (("f", st.f), ("b", st.b)):
-                groups: dict = {}
-                for t in side.pool.values():
-                    if isinstance(t.expr, (S.Reg, S.Val)):
-                        continue
-                    gk = (t.seed_id, t.tainted, t.derived, t.conds)
-                    groups.setdefault(gk, []).append(t)
-                for gk, members in groups.items():
-                    if len(members) < 3:
-                        continue
-                    families = S.induction_families([m.expr for m in members],
-                                                    f"{fname}:s{gk[0]}")
-                    by_expr = {id(m.expr): m for m in members} if families else {}
-                    for merged, family in families:
-                        base = by_expr[id(family[0])]
-                        plans.append((label, direction, base, merged))
-                        retire_keys.extend(by_expr[id(e)].key() for e in family)
+                families = side.families
+                if families is None:
+                    families = side.families = S.Families()
+                    fresh = side.pool.values()
+                else:
+                    fresh = side.fresh
+                side.fresh = []
+                if fresh:
+                    # a fact's group is its key but the structure id; a
+                    # register or constant (size 1) takes no part
+                    families.add([(t._key[1:], t._key, t.expr) for t in fresh
+                                  if t.expr._size > 1])
+                for merged, keys in families.merge(index_of):
+                    plans.append((label, direction, side.pool[keys[0]], merged))
+                    retire_keys.extend(keys)
         if not plans:
             return False
         self._retire(fname, retire_keys)
@@ -1578,18 +1632,30 @@ class Analysis:
 
     def _retire(self, fname: str, keys) -> None:
         """Stop tracking merged family members everywhere in the function
-        (they stay in the registry for reporting, but no longer flow)."""
+        (they stay in the registry for reporting, but no longer flow), and
+        drop them from the loop blocks' offset families.  Every block is
+        swept with one key-set intersection per pool and `out` set: a
+        retired key sits in a score of sides on the seed-1 `loop_copy`
+        ladder, and an index of where each key sits cost more to keep up
+        at every insertion than the sweep costs."""
         keys = set(keys)
         retired = self.retired.setdefault(fname, set())
         retired.update(keys)
         for st in self.states[fname].values():
             for side in (st.f, st.b):
-                for store in (side.pool, side.out):
-                    for k in store.keys() & keys:
-                        del store[k]
+                pool = side.pool
+                gone = pool.keys() & keys
+                if gone:
+                    for k in gone:
+                        del pool[k]
+                    if side.families is not None:
+                        side.families.discard(gone)
+                out = side.out
+                for k in out.keys() & keys:
+                    del out[k]
                 if side.pend:
                     side.pend = [(t, i) for t, i in side.pend
-                                 if t.key() not in retired]
+                                 if t._key not in retired]
 
     # -- cross-function exports ------------------------------------------------
 

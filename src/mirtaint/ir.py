@@ -199,6 +199,7 @@ class StackBuffer:
     name: str
     offset: int
     size: int
+    line: int = field(default=0, compare=False)     # of its `buf` header
 
 
 @dataclass(frozen=True)
@@ -208,6 +209,7 @@ class Function:
     frame_size: int
     blocks: tuple[Block, ...]
     stack_buffers: tuple[StackBuffer, ...] = ()
+    line: int = field(default=0, compare=False)     # of its `func` header
 
     @property
     def entry_block(self) -> str:
@@ -230,6 +232,9 @@ class Program:
     data_section: dict[int, tuple[int, ...]]
     string_table: dict[int, str]
     word_size: int = 4
+    # data object address -> the line of its `data` header
+    data_lines: dict[int, int] = field(default_factory=dict, compare=False,
+                                       repr=False)
 
     def function_at(self, address: int) -> Optional[Function]:
         for f in self.functions.values():
@@ -383,6 +388,7 @@ def parse_program(text: str) -> Program:
     diags: list[Diagnostic] = []
     functions: dict[str, Function] = {}
     data: dict[int, tuple[int, ...]] = {}
+    data_lines: dict[int, int] = {}
     strings: dict[int, str] = {}
     word_size = 4
 
@@ -407,7 +413,8 @@ def parse_program(text: str) -> Program:
         else:
             if name in functions:
                 diags.append(Diagnostic(f"duplicate function {name}", line=line))
-            functions[name] = Function(name, addr, frame, tuple(blocks), tuple(bufs))
+            functions[name] = Function(name, addr, frame, tuple(blocks), tuple(bufs),
+                                       line)
         cur_fn = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -455,6 +462,7 @@ def parse_program(text: str) -> Program:
             if addr in data:
                 diags.append(Diagnostic(f"duplicate data object @{addr:#x}", line=lineno))
             data[addr] = tuple(words)
+            data_lines[addr] = lineno
             continue
         if kind == "strings":
             if m.group(1).strip():
@@ -472,7 +480,8 @@ def parse_program(text: str) -> Program:
             diags.append(Diagnostic(f"statement outside function: {line!r}", line=lineno))
             continue
         if kind == "buf":
-            cur_fn[3].append(StackBuffer(m.group(1), _int(m.group(2)), _int(m.group(3))))
+            cur_fn[3].append(StackBuffer(m.group(1), _int(m.group(2)), _int(m.group(3)),
+                                         lineno))
         elif kind == "label":
             close_block()
             label = m.group(1)
@@ -490,7 +499,7 @@ def parse_program(text: str) -> Program:
         diags.append(Diagnostic("unterminated strings section", line=strings_line))
     if diags:
         raise ParseError(diags)
-    return Program(functions, data, strings, word_size)
+    return Program(functions, data, strings, word_size, data_lines)
 
 
 def _string_entries(text: str, strings: dict, diags, lineno) -> None:
@@ -537,13 +546,14 @@ def validate(program: Program) -> list[Diagnostic]:
                    for base, words in program.data_section.items() if words)
     for i, (base, end) in enumerate(spans):
         for other, _ in spans[i + 1:bisect.bisect_left(spans, (end,))]:
-            diags.append(Diagnostic(f"data objects @{base:#x} and @{other:#x} overlap"))
+            diags.append(Diagnostic(f"data objects @{base:#x} and @{other:#x} overlap",
+                                    line=program.data_lines.get(other)))
     seen_addr: dict[int, str] = {}
     for fn in program.functions.values():
         if fn.entry_address in seen_addr:
             diags.append(Diagnostic(
                 f"functions {seen_addr[fn.entry_address]} and {fn.name} share entry "
-                f"address {fn.entry_address:#x}"))
+                f"address {fn.entry_address:#x}", line=fn.line))
         seen_addr[fn.entry_address] = fn.name
         # the data object starting nearest at or below the entry is the
         # only one that can hold it, unless objects overlap
@@ -551,13 +561,13 @@ def validate(program: Program) -> list[Diagnostic]:
         if i >= 0 and fn.entry_address < spans[i][1]:
             diags.append(Diagnostic(
                 f"function {fn.name} entry {fn.entry_address:#x} overlaps data "
-                f"object @{spans[i][0]:#x}"))
+                f"object @{spans[i][0]:#x}", line=fn.line))
         labels = {b.label for b in fn.blocks}
         for buf in fn.stack_buffers:
             if buf.offset + buf.size > fn.frame_size:
                 diags.append(Diagnostic(
                     f"stack buffer {buf.name} ({buf.offset:#x}+{buf.size:#x}) exceeds "
-                    f"frame size {fn.frame_size:#x} of {fn.name}"))
+                    f"frame size {fn.frame_size:#x} of {fn.name}", line=buf.line))
         for block in fn.blocks:
             last = len(block.stmts) - 1
             for si, stmt in enumerate(block.stmts):

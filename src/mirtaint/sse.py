@@ -39,12 +39,20 @@ its children's: register set, size, memory depth and flag bits (a
 bitwise op, a bitwise op in some memory node's address, a spent node).
 Like the tags above they take no part in equality.  The structure
 queries read them in O(1), and pattern searches and rewrites use them
-to skip subtrees a pattern cannot lie in.  Three more facts are computed
-on first use and cached on the node in the same way: its offset
-skeletons for the loop-induction merge, the structure ids of its memory
-nodes' addresses, and its birth summary (the lowest birth among its
-memory nodes not stale forward, the highest among those not stale
-backward), which the block walker's row index reads.
+to skip subtrees a pattern cannot lie in.  Five more facts are computed
+on first use and cached on the node in the same way:
+  ``_subs``  the structure ids of all its subtrees, itself included, so
+             `occurs` is one set lookup;
+  ``_sk``    its `sort_key`, the order canonical sums and commutative
+             operands are kept in;
+  ``_offs``  its additive constants and their offset buckets, for the
+             loop-induction merge (`Families`);
+  ``_mem``   the structure ids of its memory nodes' addresses and its
+             birth summary (the lowest birth among its memory nodes not
+             stale forward, the highest among those not stale backward),
+             which the block walker's row index reads.
+A tag edit (`retag`, `mark_stale`) takes one bottom-up pass that
+rebuilds only the nodes above the memory nodes it changes.
 
 Nodes are hash-consed (Filliatre & Conchon, "Type-safe modular
 hash-consing", ML Workshop 2006): building a node whose fields, tags
@@ -52,12 +60,14 @@ included, match a node of the intern table returns that node.  The key
 holds a child by identity, so a child that differs only in its tags
 makes another key.  The table belongs to one analysis session: each root
 `alias.Session` calls `reset_tables`.  The rewrites are memoized too:
-`replace`, `occurs`, `retag`, and `mark_stale`/`replace_mem` given a
-`key`, are remembered per table under the identities of their node
-arguments.  An entry holds those arguments, so no id in its key is
-reused while it lives, and no result goes to a node that is only equal,
-whose tags may differ.  A canonical form is not remembered: nodes are
-interned, so canonicalizing again returns the very same node.
+`replace`, `retag`, and `mark_stale`/`replace_mem` given a `key`, are
+remembered per table under the identities of their node arguments, and
+so are the induction terms and zero forms the merge builds on a member
+(`_merge_bucket`, `_zero`).  An entry holds those arguments, so no id in
+its key is reused while it lives, and no result goes to a node that is
+only equal, whose tags may differ.  A canonical form is not remembered:
+nodes are interned, so canonicalizing again returns the very same node,
+and `occurs` needs no memo, reading `_subs`.
 
 The structure id `_sid` is an integer identity of the tag-free
 structure.  A new node looks it up by its class, its fields but the
@@ -74,6 +84,7 @@ table and the memos change which object a call returns, never its value.
 
 from __future__ import annotations
 
+import heapq
 import re
 from dataclasses import MISSING, dataclass
 from typing import Iterator, Optional, Union
@@ -177,10 +188,10 @@ def _all_fields(cls, args: tuple, kwargs: dict) -> list:
 
 
 class _Node(metaclass=_Interned):
-    # `_skels` and `_mem` are filled on first use only (see `_skeletons`
-    # and `mem_summary`)
+    # `_offs`, `_mem`, `_subs` and `_sk` are filled on first use only (see
+    # `_offsets`, `mem_summary`, `_subtree_ids` and `sort_key`)
     __slots__ = ("_sid", "_canon", "_regs", "_size", "_mdepth", "_bits",
-                 "_skels", "_mem")
+                 "_offs", "_mem", "_subs", "_sk")
     _nstruct = None     # how many fields make the structure (None: all)
 
     def __eq__(self, other):
@@ -368,18 +379,27 @@ def _reg_rank(name: str) -> int:
 
 def sort_key(e: Sse):
     """Deterministic total order: registers first, then memory nodes and
-    compound terms, constants last."""
-    if isinstance(e, Reg):
-        return (0, _reg_rank(e.name))
-    if isinstance(e, _Mem):
-        return (1 if type(e) is Load else 2, sort_key(e.addr))
-    if isinstance(e, IndexTerm):
-        return (3, sort_key(e.base), e.stride, e.index)
-    if isinstance(e, Un):
-        return (4, e.op, sort_key(e.child))
-    if isinstance(e, Bin):
-        return (5, e.op, sort_key(e.left), sort_key(e.right))
-    return (9, e.value)
+    compound terms, constants last.  Computed once per node and cached on
+    it: the key reads structure only."""
+    try:
+        return e._sk
+    except AttributeError:
+        pass
+    t = type(e)
+    if t is Reg:
+        key = (0, _reg_rank(e.name))
+    elif t is Load or t is Store:
+        key = (1 if t is Load else 2, sort_key(e.addr))
+    elif t is IndexTerm:
+        key = (3, sort_key(e.base), e.stride, e.index)
+    elif t is Un:
+        key = (4, e.op, sort_key(e.child))
+    elif t is Bin:
+        key = (5, e.op, sort_key(e.left), sort_key(e.right))
+    else:
+        key = (9, e.value)
+    _set(e, "_sk", key)
+    return key
 
 
 def _sum_terms(e: Sse) -> tuple[list[Sse], int]:
@@ -467,6 +487,8 @@ def _canonicalize(e: Sse) -> Sse:
 # ---------------------------------------------------------------------------
 
 def subtrees(e: Sse) -> Iterator[Sse]:
+    """Every node of `e`, `e` first; a subtree that occurs twice is
+    yielded twice."""
     stack = [e]
     while stack:
         n = stack.pop()
@@ -487,13 +509,6 @@ def _children(n: Sse) -> tuple[Sse, ...]:
     return ()
 
 
-def _fits(e: Sse, pattern: Sse) -> bool:
-    """False when `pattern` cannot be a subtree of `e`: it is larger,
-    nests memory deeper or mentions a register `e` does not."""
-    return (e._size >= pattern._size and e._mdepth >= pattern._mdepth
-            and pattern._regs <= e._regs)
-
-
 def size(e: Sse) -> int:
     return e._size
 
@@ -501,17 +516,23 @@ def size(e: Sse) -> int:
 def occurs(expr: Sse, pattern: Sse) -> bool:
     """True iff ``pattern`` appears as a subtree of ``expr`` (structural
     equality; both sides assumed canonical)."""
-    return _memo((_occurs, id(expr), id(pattern)), _occurs, expr, pattern)
+    try:
+        return pattern._sid in expr._subs
+    except AttributeError:
+        return pattern._sid in _subtree_ids(expr)
 
 
-def _occurs(expr: Sse, pattern: Sse) -> bool:
-    stack = [expr] if _fits(expr, pattern) else []
-    while stack:
-        n = stack.pop()
-        if n == pattern:
-            return True
-        stack.extend(c for c in _children(n) if _fits(c, pattern))
-    return False
+def _subtree_ids(e: Sse) -> frozenset[int]:
+    """The structure ids of every subtree of `e`, `e` included.  Computed
+    on first use from its children's and cached on the node: the ids
+    name structure, which a node fixes."""
+    try:
+        return e._subs
+    except AttributeError:
+        pass
+    ids = frozenset((e._sid,)).union(*map(_subtree_ids, _children(e)))
+    _set(e, "_subs", ids)
+    return ids
 
 
 def registers(e: Sse) -> frozenset[str]:
@@ -598,15 +619,6 @@ def _remake(e: Sse, kids: list[Sse]) -> Sse:
     return t(kids[0], e.birth, e.stale_fwd, e.stale_bwd)
 
 
-def _rebuild_mem(e: Sse, f) -> Sse:
-    """Apply f to each memory node bottom-up (f sees rebuilt children).
-    Memory-free subtrees and nodes with unchanged children are kept."""
-    if not e._mdepth:
-        return e
-    e = _remake(e, [_rebuild_mem(c, f) for c in _children(e)])
-    return f(e) if type(e) is Load or type(e) is Store else e
-
-
 def _substitute(e: Sse, match, replacement: Sse, fits) -> Sse:
     """Pre-order substitution: only nodes of the original tree are
     matched, so a node formed by the rewrite itself never cascades into
@@ -629,8 +641,11 @@ def replace(expr: Sse, pattern: Sse, replacement: Sse) -> Sse:
 
 
 def _replace(expr: Sse, pattern: Sse, replacement: Sse) -> Sse:
-    return canonicalize(_substitute(expr, lambda n: n == pattern, replacement,
-                                    lambda n: _fits(n, pattern)))
+    # a subtree whose structure ids (`_subs`) lack the pattern's holds no
+    # occurrence of it
+    sid = pattern._sid
+    return canonicalize(_substitute(expr, lambda n: n._sid == sid, replacement,
+                                    lambda n: sid in _subtree_ids(n)))
 
 
 def replace_mem(expr: Sse, node_pred, replacement: Sse,
@@ -658,14 +673,6 @@ def _replace_mem(expr: Sse, node_pred, replacement: Sse) -> tuple[Sse, bool]:
 
     out = _substitute(expr, match, replacement, lambda n: n._mdepth)
     return (canonicalize(out) if hit else expr), hit
-
-
-def _mark_tree(e: Sse) -> Sse:
-    """Mark a tree whose structure is known canonical (tag-only edits)."""
-    for n in subtrees(e):
-        if not n._canon:
-            n._mark_canonical()
-    return e
 
 
 def retag(expr: Sse, birth: int) -> Sse:
@@ -705,11 +712,24 @@ def _mark_stale(expr: Sse, node_pred, which: str) -> Sse:
 def _edit_tags(expr: Sse, select, tags) -> Sse:
     """`expr` with the memory nodes `select` picks rebuilt under the tags
     (birth, stale_fwd, stale_bwd) that `tags` gives: a tag-only edit, so a
-    canonical tree stays canonical; `expr` itself when none is picked."""
-    if not any(select(n) for n in mem_nodes(expr)):
-        return expr
-    out = _rebuild_mem(expr, lambda n: type(n)(n.addr, *tags(n)) if select(n) else n)
-    return _mark_tree(out) if expr._canon else out
+    canonical tree stays canonical; `expr` itself when none is picked.
+    One bottom-up pass: memory-free subtrees and nodes with no picked
+    node below are kept, and each rebuilt node of a canonical tree is
+    marked canonical."""
+    canon = expr._canon
+
+    def edit(e: Sse) -> Sse:
+        if not e._mdepth:
+            return e
+        out = _remake(e, [edit(c) for c in _children(e)])
+        t = type(out)
+        if (t is Load or t is Store) and select(out):
+            out = t(out.addr, *tags(out))
+        if canon and out is not e:
+            _set(out, "_canon", True)
+        return out
+
+    return edit(expr)
 
 
 def is_trusted(e: Sse) -> bool:
@@ -740,17 +760,48 @@ def kills_memory(expr: Sse, addr: Sse, position: int) -> bool:
 # Loop-induction summarization
 # ---------------------------------------------------------------------------
 
-def _const_positions(e: Sse, path=()) -> Iterator[tuple[tuple, int]]:
-    """Positions (paths) of additive constants: the trailing Val of any
-    canonical sum chain.  A path holds child indices (`_children`)."""
-    if isinstance(e, Bin) and e.op == "+" and isinstance(e.right, Val):
-        yield path, e.right.value
-    for i, c in enumerate(_children(e)):
-        yield from _const_positions(c, path + (i,))
+def _offsets(e: Sse) -> tuple[tuple[tuple, str, int], ...]:
+    """(path, bucket, constant) for each additive constant of `e`'s
+    canonical form (the trailing Val of a sum chain), in pre-order.  A
+    path holds child indices (`_children`).  The bucket names the
+    form's skeleton at that path, the form with the constant set to 0,
+    by structure and without building it: per node above the constant
+    its kind, what it holds besides the path's child and that child's
+    index, then the structure id of the sum's terms.  So two forms share
+    a bucket exactly when their skeletons there are equal.  It is a
+    string, which keeps its hash.  Computed once per node and cached on
+    it."""
+    try:
+        return e._offs
+    except AttributeError:
+        pass
+    out = []
+    stack = [(canonicalize(e), (), "")]
+    while stack:
+        n, path, above = stack.pop()
+        t = type(n)
+        if t is Bin:
+            l, r = n.left, n.right
+            if n.op == "+" and type(r) is Val:
+                out.append((path, f"{above}+{l._sid}", r.value))
+            # the left child's subtree comes first, so it goes on top
+            if r._size > 1:
+                stack.append((r, path + (1,), f"{above}{n.op} 1 {l._sid};"))
+            if l._size > 1:
+                stack.append((l, path + (0,), f"{above}{n.op} 0 {r._sid};"))
+        elif t is Un:
+            stack.append((n.child, path + (0,), f"{above}u{n.op};"))
+        elif t is IndexTerm:
+            stack.append((n.base, path + (0,), f"{above}i{n.stride} {n.index};"))
+        elif t is Load or t is Store:
+            stack.append((n.addr, path + (0,), f"{above}{t.__name__};"))
+    offs = tuple(out)
+    _set(e, "_offs", offs)
+    return offs
 
 
-# `_at` and `_set_at` follow paths that `_const_positions` read off the
-# same tree, so every step has the child it names.
+# `_at` and `_set_at` follow paths that `_offsets` read off the same
+# tree, so every step has the child it names.
 
 def _at(e: Sse, path) -> Sse:
     for i in path:
@@ -766,70 +817,224 @@ def _set_at(e: Sse, path, new: Sse) -> Sse:
     return _remake(e, kids)
 
 
-def _skeletons(e: Sse) -> tuple[tuple[tuple, Sse, int], ...]:
-    """(path, skeleton, constant) for each additive constant of `e`'s
-    canonical form, the skeleton being that form with the constant set
-    to 0.  Computed once and cached on the node itself: a cache keyed by
-    `==` would hand one node the skeletons, and so the memory-node tags,
-    of another node that only looks equal."""
-    try:
-        return e._skels
-    except AttributeError:
-        pass
+def _zero(e: Sse, path) -> int:
+    """The structure id of `e`'s canonical form without the additive
+    constant at `path`: the form a family's zero member has."""
+    return _memo((_zero, id(e), path), _zero_sid, e, path)
+
+
+def _zero_sid(e: Sse, path) -> int:
     ce = canonicalize(e)
-    skels = tuple((path, _set_at(ce, path + (1,), Val(0)), const)
-                  for path, const in _const_positions(ce, ()))
-    _set(e, "_skels", skels)
-    return skels
+    return canonicalize(_set_at(ce, path, _at(ce, path).left))._sid
 
 
-def _merge_bucket(path, skel, consts: list[int], index_id: str) -> Optional[Sse]:
-    if len(consts) < 3 or len(set(consts)) != len(consts):
-        return None
-    cs = sorted(consts)
-    d = cs[1] - cs[0]
-    if d <= 0 or any(cs[k + 1] - cs[k] != d for k in range(len(cs) - 1)):
-        return None
-    sum_node = _at(skel, path)
-    base_terms, _ = _sum_terms(sum_node)
-    base = _rebuild_sum(list(base_terms), 0)
-    term = IndexTerm(base, d, index_id)
-    return canonicalize(_set_at(skel, path, Bin("+", term, Val(cs[0]))))
+def _merge_bucket(e: Sse, path, d: int, low: int, index_id: str) -> Sse:
+    """The induction term of a family whose additive constants at `path`
+    step by `d` from `low`, built on `e`'s canonical form (its memory
+    nodes keep `e`'s tags): the sum's terms at `path` become the base of
+    an index term of stride `d`, plus `low`.  Remembered per member."""
+    return _memo((_merge_bucket, id(e), path, d, low, index_id),
+                 _induction_term, e, path, d, low, index_id)
 
 
-def induction_families(exprs: list[Sse], index_id: str) -> list[tuple[Sse, list[Sse]]]:
-    """Partition a mixed collection into offset families and merge each:
-    returns (merged expression, members it replaces) per family found.
-    Members already absorbed by one family are not reused by another.
-    A member with no additive constant at all (the pointer before its
-    first increment) joins a family whose progression starts one stride
-    above zero."""
-    buckets: dict[tuple, list[tuple[int, Sse]]] = {}
-    for e in exprs:
-        for path, skel, const in _skeletons(e):
-            buckets.setdefault((path, skel), []).append((const, e))
-    out: list[tuple[Sse, list[Sse]]] = []
-    used: set[int] = set()
-    for (path, skel), members in sorted(buckets.items(),
-                                        key=lambda kv: -len(kv[1])):
-        members = [(c, e) for c, e in members if id(e) not in used]
-        consts = [c for c, _ in members]
-        if len(set(consts)) >= 2:
-            cs = sorted(set(consts))
+def _induction_term(e: Sse, path, d: int, low: int, index_id: str) -> Sse:
+    ce = canonicalize(e)
+    # the sum's terms are canonical and hold no constant, so the index
+    # term over them and its sum with the lowest constant are canonical
+    term = IndexTerm(_at(ce, path).left, d, index_id)._mark_canonical()
+    if low:
+        term = Bin("+", term, Val(low)._mark_canonical())._mark_canonical()
+    return canonicalize(_set_at(ce, path, term))
+
+
+class _Group:
+    """One group of a `Families`: its members, their offset buckets and
+    what its next merge must evaluate."""
+    __slots__ = ("members", "buckets", "zeros", "waiting", "dirty")
+
+    def __init__(self):
+        # key -> (number, its offsets (`_offsets`), its structure id), by number
+        self.members: dict = {}
+        # bucket (see `_offsets`) -> {key: (constant, expression, number,
+        # position)} by number; a position is the bucket's index among
+        # its member's offsets
+        self.buckets: dict = {}
+        # structure id -> {key: None}: the members of that canonical form
+        self.zeros: dict = {}
+        # zero's structure id -> the buckets that found none for it
+        self.waiting: dict = {}
+        self.dirty: dict = {}    # bucket id -> None, changed since the last merge
+
+    def discard(self, key) -> None:
+        member = self.members.pop(key)
+        buckets, dirty = self.buckets, self.dirty
+        for _, bid, _ in member[1]:
+            bucket = buckets[bid]
+            del bucket[key]
+            if bucket:
+                dirty[bid] = None
+            else:
+                del buckets[bid]
+                dirty.pop(bid, None)
+        same = self.zeros[member[2]]
+        del same[key]
+        if not same:
+            del self.zeros[member[2]]
+
+    def merge(self, index_id: str) -> list[tuple[Sse, list]]:
+        """(merged expression, member keys) per family the buckets that
+        may have changed hold, base member first; the members merged are
+        discarded."""
+        buckets, members = self.buckets, self.members
+        # a bucket's rank: largest first, then by its first member's number
+        # and position; with fewer than two members it cannot merge
+        heap = []
+        for bid in self.dirty:
+            bucket = buckets[bid]
+            if len(bucket) > 1:
+                _, _, number, pos = next(iter(bucket.values()))
+                heap.append((-len(bucket), number, pos, bid))
+        heapq.heapify(heap)
+        queued, self.dirty = self.dirty, {}
+        used: dict = {}
+        out: list[tuple[Sse, list]] = []
+        while heap:
+            rank = heapq.heappop(heap)
+            bid = rank[3]
+            bucket = buckets[bid]
+            # the merged term takes the tags of the bucket's first member
+            _, first, _, pos = next(iter(bucket.values()))
+            path = first._offs[pos][0]
+            family = [key for key, v in bucket.items() if key not in used]
+            cs = sorted({bucket[key][0] for key in family})
+            # a family's constants are distinct steps of one positive stride
+            if len(cs) < 2 or len(cs) < len(family):
+                continue
             d = cs[1] - cs[0]
-            if d > 0 and cs[0] == d:
-                zero = canonicalize(skel)
-                for e in exprs:
-                    if id(e) not in used and canonicalize(e) == zero:
-                        members = [(0, e)] + members
-                        consts = [0] + consts
-                        break
-        merged = _merge_bucket(path, skel, consts, index_id)
-        if merged is None:
-            continue
-        out.append((merged, [e for _, e in members]))
-        used.update(id(e) for _, e in members)
-    return out
+            if any(cs[k + 1] - cs[k] != d for k in range(1, len(cs) - 1)):
+                continue
+            low = cs[0]
+            if low == d:
+                zero = _zero(first, path)
+                z = next((key for key in self.zeros.get(zero, ()) if key not in used),
+                         None)
+                if z is None:
+                    self.waiting.setdefault(zero, set()).add(bid)
+                else:
+                    family.insert(0, z)
+                    low = 0
+            if len(family) < 3:
+                continue
+            out.append((_merge_bucket(first, path, d, low, index_id), family))
+            used.update(dict.fromkeys(family))
+            # a later bucket that shares a member merges without it
+            for key in family:
+                for _, other, _ in members[key][1]:
+                    if other not in queued:
+                        queued[other] = None
+                        shared = buckets[other]
+                        if len(shared) > 1:
+                            _, _, number, pos = next(iter(shared.values()))
+                            later = (-len(shared), number, pos, other)
+                            if later > rank:
+                                heapq.heappush(heap, later)
+        for key in used:
+            self.discard(key)
+        return out
+
+
+class Families:
+    """The offset families of a changing collection of expressions, merged
+    at the cost of what changed (the semi-naive, or delta, step of Datalog
+    evaluation: Bancilhon & Ramakrishnan, SIGMOD 1986).
+
+    Members come and go under a caller's key, each in a caller's group
+    (`add`, `discard`); families never mix groups.  Each member sits in
+    one bucket per additive constant of its canonical form: the bucket of
+    that constant's path and the form's skeleton with it set to 0
+    (`_offsets`).  `merge` returns each family that partitioning every
+    whole group would give at that moment, groups in the order of their
+    earliest members.  In a group, buckets are taken largest first, ties
+    in the order they first appear over the members in the order added;
+    a member absorbed by one family is not reused by another; and a
+    member with no additive constant at all (the pointer before its
+    first increment, the bucket's *zero*) joins a family whose
+    progression starts one stride above zero.  The members of the
+    families merged are discarded.
+
+    `merge` evaluates only the buckets that gained or lost a member since
+    the previous merge, those waiting for a zero that has arrived since,
+    and those that lose a member to a family merged before them in the
+    same call.  Every other bucket failed on the very same members the
+    last time it was evaluated, and fails again."""
+
+    __slots__ = ("_groups", "_count", "_changed")
+
+    def __init__(self):
+        self._groups: dict = {}  # group -> _Group
+        self._count = 0          # members added so far: the next number
+        self._changed = False    # some group has a bucket to evaluate
+
+    def add(self, members) -> None:
+        """Add each (group, key, expression) of `members`, in order."""
+        groups = self._groups
+        number = self._count
+        for group, key, expr in members:
+            if group in groups:
+                g = groups[group]
+            else:
+                g = groups[group] = _Group()
+            buckets, dirty = g.buckets, g.dirty
+            try:
+                offs = expr._offs
+            except AttributeError:
+                offs = _offsets(expr)
+            pos = 0
+            for _, bid, const in offs:
+                if bid in buckets:
+                    buckets[bid][key] = (const, expr, number, pos)
+                else:
+                    buckets[bid] = {key: (const, expr, number, pos)}
+                dirty[bid] = None
+                pos += 1
+            sid = expr._sid if expr._canon else canonicalize(expr)._sid
+            g.members[key] = (number, offs, sid)
+            zeros = g.zeros
+            if sid in zeros:
+                zeros[sid][key] = None
+            else:
+                zeros[sid] = {key: None}
+            if sid in g.waiting:
+                for bid in g.waiting.pop(sid):
+                    if bid in buckets:
+                        dirty[bid] = None
+            number += 1
+        self._count = number
+        self._changed = True
+
+    def discard(self, keys) -> None:
+        """Drop the members of `keys` that are here."""
+        for g in self._groups.values():
+            members = g.members
+            for key in keys:
+                if key in members:
+                    g.discard(key)
+                    self._changed = True
+
+    def merge(self, index_of) -> list[tuple[Sse, list]]:
+        """(merged expression, member keys) per family the buckets that
+        may have changed hold, base member first; `index_of(group)` names
+        a group's induction index."""
+        if not self._changed:
+            return []
+        changed = [(next(iter(g.members.values()))[0], group, g)
+                   for group, g in self._groups.items() if g.dirty]
+        changed.sort(key=lambda c: c[0])
+        out = [family for _, group, g in changed
+               for family in g.merge(index_of(group))]
+        # the members merged left their other buckets changed
+        self._changed = bool(out)
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -131,14 +131,15 @@ def test_moved_and_derive_agree_with_dataclasses_replace():
 # -- summaries and the transfer function ---------------------------------------
 
 def test_kept_transfer_follows_the_callee_summary(corpus, monkeypatch):
-    """A session keeps one transfer per callsite and callee, but one built
-    from a call-graph cycle's first-round approximation is built again
-    once the callee's summary is final: every transfer a visit reads
-    equals one built afresh from the summary it sees."""
+    """A session keeps each callsite's transfers, but one built from a
+    call-graph cycle's first-round approximation is built again once the
+    callee's summary is final: every transfer a visit reads equals one
+    built afresh from the summary it sees."""
     prog = corpus("mutual_recursion.ir")
     session = Session(prog)
     Analysis(session).summary("even")
-    (superseded,) = [summ for (point, callee), (summ, _) in session.transfers.items()
+    (superseded,) = [summ for summs, crossings in session.crossings.values()
+                     for summ, (callee, _) in zip(summs, crossings)
                      if summ is not session.summaries[callee]]
     # odd's first round, read by even's second: not the bottom summary
     assert superseded.func == "odd" and superseded.params == ("r0",)
@@ -161,6 +162,68 @@ def test_kept_transfer_follows_the_callee_summary(corpus, monkeypatch):
     # even's return alias renames r3 to odd's argument register
     assert "r2@odd:rec:1" in {f"{S.pretty(t.expr)}@{t.point}"
                               for t in query.family(sid)}
+
+def test_a_callsite_visit_reuses_its_crossings(corpus, monkeypatch):
+    """A session keeps the (callee, Transfer) list a callsite visit
+    built: over icall resolution and a taint run of each corpus program,
+    a later visit of that callsite by any analysis of the session, while
+    every callee's summary is the one the list was built from, makes no
+    `_transfer` call."""
+    calls = []
+    visits = []     # (session, point, summaries before, after, transfer calls)
+    transfer, visit = Analysis._transfer, Analysis._visit_callsite
+
+    def counted_transfer(self, point, callee):
+        calls.append(point)
+        return transfer(self, point, callee)
+
+    def counted_visit(self, fname, g, label, st, block):
+        point, form = block.call.point, block.call.form
+        callees = (form.target,) if isinstance(form, ir.Call) else \
+            tuple(self.session.resolutions.get(point, ()))
+        before = tuple(self.summaries.get(c) for c in callees)
+        made = len(calls)
+        changed = visit(self, fname, g, label, st, block)
+        # the session itself, not its id: a later one may reuse the id
+        visits.append((self.session, point, before,
+                       tuple(self.summaries.get(c) for c in callees), len(calls) - made))
+        return changed
+
+    monkeypatch.setattr(Analysis, "_transfer", counted_transfer)
+    monkeypatch.setattr(Analysis, "_visit_callsite", counted_visit)
+    repeats = 0
+    for path in sorted((ROOT / "corpus").glob("*.ir")):
+        visits.clear()
+        session = Session(corpus(path.name))
+        _, mapping, _ = icall.resolve_all(session)
+        taint.run_taint(session.with_resolutions(mapping))
+        last = {}
+        for owner, point, before, after, made in visits:
+            kept = last.get((owner, point))
+            if kept is not None and all(a is b for a, b in zip(kept, before)):
+                assert made == 0, (path.name, point)
+                repeats += 1
+            last[(owner, point)] = after
+    assert calls and repeats
+
+
+def test_a_reused_crossing_takes_the_callee_notes():
+    """An analysis that reuses the crossings another analysis of its
+    session built at a callsite still takes the callee summary's
+    warnings, as building them would have."""
+    prog = ir.parse_program(
+        "func g @0x2000 frame=0 {\nbb0:\n  icall r5(r0)\n  store r0 = r1\n  ret\n}\n"
+        "func main @0x1000 frame=0 {\nbb0:\n  r1 = r2\n  call g(r1)\n"
+        "  r3 = load r1\n  ret r3\n}\n")
+    session = Session(prog)
+    warning = "unresolved indirect call at g:bb0:0; treated as no-op"
+    for _ in range(2):
+        analysis = Analysis(session)
+        analysis.add_seed(Seed(point=ir.Point("main", "bb0", 0), expr=S.Reg("r2")))
+        analysis.run()
+        assert warning in analysis.warnings
+    assert ir.Point("main", "bb0", 1) in session.crossings
+
 
 def test_live_in_registers(corpus):
     prog = corpus("store_through_callee.ir")

@@ -301,6 +301,19 @@ def test_invalid_program_exits_2(tmp_path, capsys):
         "error: main:bb0:0: jump to undefined label nowhere\n"
 
 
+def test_program_level_errors_name_the_header_line(tmp_path, capsys):
+    """A validation error about data objects or a frame names the line of
+    the header at fault, not `?`."""
+    path = tmp_path / "bad.ir"
+    path.write_text("data @0x100 { word 0x1 }\ndata @0x102 { word 0x2 }\n"
+                    "func main @0x1000 frame=0 {\n  buf b @0x0 size 0x10\n"
+                    "bb0:\n  ret\n}\n")
+    assert cli.main(["analyze", "--ir", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 2: data objects @0x100 and @0x102 overlap; line 4: stack "
+        "buffer b (0x0+0x10) exceeds frame size 0x0 of main\n")
+
+
 def test_no_icall_resolves_nothing(capsys):
     """With `--no-icall` no indirect call is resolved, so none is listed
     and the taint run warns of each one it meets."""

@@ -191,6 +191,27 @@ def test_validate_overlapping_data_objects():
         "data objects @0x100 and @0x108 overlap"]
 
 
+def test_program_level_diagnostics_name_their_header_line():
+    """Overlapping data objects, a shared entry address, an entry inside
+    a data object and a buffer past the frame name the line of the
+    `data`, `func` or `buf` header at fault; equality ignores the lines."""
+    text = ("data @0x100 { word 0x1 }\n"             # 1
+            "data @0x102 { word 0x2 }\n"             # 2
+            "func f @0x1000 frame=0 {\n"             # 3
+            "  buf b @0x0 size 0x10\n"               # 4
+            "bb0:\n  ret\n}\n"                       # 5-7
+            "func g @0x1000 frame=0 {\nbb0:\n  ret\n}\n"   # 8-11
+            "func h @0x100 frame=0 {\nbb0:\n  ret\n}\n")   # 12-15
+    prog = parse(text)
+    assert [str(d) for d in ir.validate(prog)] == [
+        "line 2: data objects @0x100 and @0x102 overlap",
+        "line 4: stack buffer b (0x0+0x10) exceeds frame size 0x0 of f",
+        "line 8: functions f and g share entry address 0x1000",
+        "line 12: function h entry 0x100 overlaps data object @0x100"]
+    assert prog == parse("\n\n" + text)
+    assert prog.functions["g"].line == 8 and prog.data_lines == {0x100: 1, 0x102: 2}
+
+
 def test_validate_entry_at_a_data_base_or_past_its_end():
     prog = parse("data @0x1000 { word 0x1, word 0x2 }\ndata @0x2000 { word 0x3 }\n"
                  + _FUNC.replace("0x1000", "0x2000") + _FUNC.replace("f @0x1000", "g @0x1008"))

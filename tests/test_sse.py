@@ -185,33 +185,42 @@ def _is_progression(consts):
     return d > 0 and all(cs[i + 1] - cs[i] == d for i in range(len(cs) - 1))
 
 
+def families(exprs, index_id):
+    """The offset families of `exprs`, merged at once: (merged, members)
+    per family, as `S.Families` gives them for members added in order."""
+    fams = S.Families()
+    fams.add([(0, i, e) for i, e in enumerate(exprs)])
+    return [(merged, [exprs[i] for i in keys])
+            for merged, keys in fams.merge(lambda group: index_id)]
+
+
 def test_induction_paper_family():
     fam = [canon("load(r2+0x4)"), canon("load(r2+0xC)"), canon("load(r2+0x14)")]
-    (got, _), = S.induction_families(fam, "i")
+    (got, _), = families(fam, "i")
     assert got == S.canonicalize(
         S.Load(S.Bin("+", S.IndexTerm(S.Reg("r2"), 8, "i"), S.Val(4))))
     assert S.pretty(got) == "load((r2+i*0x8)+0x4)"
 
 
 def test_induction_single_member():
-    assert S.induction_families([canon("load(r2)")], "i") == []
+    assert families([canon("load(r2)")], "i") == []
 
 
 def test_induction_rejects_non_arithmetic():
     fam = [canon("load(r2+0x4)"), canon("load(r2+0x6)"), canon("load(r2+0xC)")]
     assert not _is_progression([0x4, 0x6, 0xC])  # brute-force oracle agrees
-    assert S.induction_families(fam, "i") == []
+    assert families(fam, "i") == []
 
 
 def test_induction_loop_shift_converges():
-    (merged, _), = S.induction_families(
+    (merged, _), = families(
         [canon("load(r4+0x4)"), canon("load(r4+0xC)"), canon("load(r4+0x14)")], "i")
     shifted = S.replace(merged, S.Reg("r4"), canon("r4 + 0x8"))
     assert shifted == merged
 
 
 def test_induction_constant_base_is_anchored():
-    (merged, _), = S.induction_families(
+    (merged, _), = families(
         [canon("load(r4+0x4)"), canon("load(r4+0xC)"), canon("load(r4+0x14)")], "i")
     table = S.replace(merged, S.Reg("r4"), S.Val(0x92C44))
     terms, const = S._sum_terms(table.addr)
@@ -223,7 +232,7 @@ def test_induction_families_partitions_mixed_groups():
     exprs = [canon("store(sp+0x10)"), canon("store(sp+0x14)"),
              canon("store(sp+0x18)"), canon("store(r1+0x10)"),
              canon("store(r1+0x14)"), canon("store(r1+0x18)"), S.Reg("r6")]
-    fams = S.induction_families(exprs, "i")
+    fams = families(exprs, "i")
     assert len(fams) == 2
     merged = {S.pretty(m) for m, _ in fams}
     assert merged == {"store((sp+i*0x4)+0x10)", "store((r1+i*0x4)+0x10)"}
@@ -244,7 +253,7 @@ def test_induction_merge_keeps_each_members_tags():
     for fam, birth, stale in ((plain, S.BIRTH_BEFORE_BLOCK, False),
                               (marked, 7, True),
                               (plain, S.BIRTH_BEFORE_BLOCK, False)):
-        (merged, members), = S.induction_families(fam, "i")
+        (merged, members), = families(fam, "i")
         assert S.pretty(merged) == "load((r2+i*0x8)+0x4)"
         assert all(m is e for m, e in zip(members, fam))
         assert (merged.birth, merged.stale_fwd) == (birth, stale)
@@ -723,5 +732,35 @@ def test_sums_are_rebuilt_from_at_least_one_term(data):
         mp.setattr(S, "_rebuild_sum", checked)
         c = S.canonicalize(e)
         members = [S.canonicalize(S.Bin("+", c, S.Val(4 * k))) for k in range(4)]
-        for merged, _ in S.induction_families(members, "i2"):
+        for merged, _ in families(members, "i2"):
             assert S.canonicalize(merged) == merged
+
+
+def _tagged_index(e, draw):
+    """`_with_tags` that also reaches into index terms' bases."""
+    if isinstance(e, S.IndexTerm):
+        return S.IndexTerm(_tagged_index(e.base, draw), e.stride, e.index)
+    if isinstance(e, S.Bin):
+        return S.Bin(e.op, _tagged_index(e.left, draw), _tagged_index(e.right, draw))
+    if isinstance(e, S.Un):
+        return S.Un(e.op, _tagged_index(e.child, draw))
+    if isinstance(e, (S.Load, S.Store)):
+        return type(e)(_tagged_index(e.addr, draw), *draw())
+    return e
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_occurs_agrees_with_a_search_of_every_subtree(data):
+    """`occurs` reads the subtree ids cached on the node.  Over canonical
+    trees with index terms and tagged, stale or spent memory nodes, it
+    agrees with a brute-force search of every subtree, for a pattern
+    taken from the tree or drawn apart, under tags of its own."""
+    def tags():
+        return data.draw(_tags)
+
+    e = S.canonicalize(_tagged_index(data.draw(_with_index), tags))
+    pattern = data.draw(st.one_of(st.sampled_from(list(S.subtrees(e))),
+                                  _with_index.map(S.canonicalize)))
+    pattern = S.canonicalize(_tagged_index(pattern, tags))
+    assert S.occurs(e, pattern) == any(n == pattern for n in S.subtrees(e))
