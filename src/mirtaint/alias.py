@@ -26,8 +26,10 @@ rules drive the derivation:
     15 store ri = ...     load/store(ri) in expr created before the store
                                             -> drop (forward only)
 
-One walker runs both directions over a rule table compiled once per
-statement.  Rule r+7 (8-11) is the backward form of rule r (1-4): it
+One walker runs both directions over a rule table built once per block,
+its rows from parts compiled once per distinct statement form in a
+session; only an ITE's arm conditions, which name its point, are built
+per statement.  Rule r+7 (8-11) is the backward form of rule r (1-4): it
 reads the same operand, as the right-hand side that replaces the defined
 register.  Walking upward, use matches (rules 1-6, never 7) yield
 forward-only successors and match only clean patterns, those that do not
@@ -122,7 +124,7 @@ LOOP_K = 3                # loop re-traversals before induction merge
 BLOCK_ITER_CAP = 64       # TraceBlock inner iterations
 FUNC_ROUNDS_CAP = 32      # AnalyzeFunction worklist sweeps
 RECURSION_DEPTH = 4       # exports around a call-graph cycle
-JOB_CAP = 2000            # scheduled (function) analysis jobs
+FUNC_JOB_CAP = 16         # schedulings of one function in one analysis
 WALK_POP_CAP = 200_000    # queue pops one block walk may make
 
 
@@ -266,11 +268,26 @@ class _Compiled:
     value: Optional[S.Sse]
 
 
-def _compile(stmt: ir.Statement) -> _Compiled:
+def _compile(stmt: ir.Statement, parts: dict) -> _Compiled:
+    """`stmt`'s row from its form's `_row_parts`, kept in `parts` by the
+    form's id (its program keeps it alive); only an ITE's conds name the point."""
     form = stmt.form
+    dst, uses, defs, carriers, addr, value = (
+        parts.get(id(form)) or parts.setdefault(id(form), _row_parts(form)))
+    if type(form) is ir.Ite:
+        uses = tuple((rule, pat, Cond(form.cond, arm, stmt.point), clean)
+                     for rule, pat, arm, clean in uses)
+        defs = tuple((rule, pat, Cond(form.cond, arm, stmt.point))
+                     for rule, pat, arm in defs)
+    return _Compiled(stmt, dst, uses, defs, carriers, addr, value)
+
+
+def _row_parts(form: ir.Form) -> tuple:
+    """The row fields of every statement of `form`, in `_Compiled` order
+    after `stmt`; an ITE's conditions stand as the arm's truth value."""
     name = ir.defined_register(form)
     dst = S.Reg(name) if name is not None else None
-    ops: list[tuple[int, S.Sse, Optional[Cond]]] = []   # rules 1-4
+    ops: list[tuple[int, S.Sse, Optional[bool]]] = []   # rules 1-4
     carriers: tuple[S.Reg, ...] = ()
     if isinstance(form, ir.Move):
         ops = [(1, op_sse(form.src), None)]
@@ -284,20 +301,19 @@ def _compile(stmt: ir.Statement) -> _Compiled:
         if isinstance(form.src, str):
             carriers = (S.Reg(form.src),)
     elif isinstance(form, ir.Ite):
-        ops = [(3, op_sse(form.then_v), Cond(form.cond, True, stmt.point)),
-               (4, op_sse(form.else_v), Cond(form.cond, False, stmt.point))]
+        ops = [(3, op_sse(form.then_v), True), (4, op_sse(form.else_v), False)]
     elif isinstance(form, ir.Load):
         carriers = (S.Reg(form.addr),)
-    uses = tuple((rule, pat, cond, not S.contains_reg(pat, name))
-                 for rule, pat, cond in ops
+    uses = tuple((rule, pat, arm, not S.contains_reg(pat, name))
+                 for rule, pat, arm in ops
                  if not (rule == 1 and pat == dst))   # a self-move renames nothing
-    defs = tuple((rule + 7, pat, cond) for rule, pat, cond in ops)
+    defs = tuple((rule + 7, pat, arm) for rule, pat, arm in ops)
     addr = value = None
     if isinstance(form, (ir.Load, ir.Store)):
         addr = addr_sse(form.addr, form.disp)
     if isinstance(form, ir.Store):
         value = op_sse(form.src)
-    return _Compiled(stmt, dst, uses, defs, carriers, addr, value)
+    return dst, uses, defs, carriers, addr, value
 
 
 @dataclass(frozen=True)
@@ -362,8 +378,10 @@ class _Table:
         return mask
 
 
-def _table(statements: Iterable[ir.Statement]) -> _Table:
-    rows = tuple(map(_compile, statements))
+def _table(statements: Iterable[ir.Statement], parts: Optional[dict] = None) -> _Table:
+    """The rule table of `statements`, its rows from `parts` (`_compile`)."""
+    parts = {} if parts is None else parts
+    rows = tuple(_compile(stmt, parts) for stmt in statements)
     by_reg: dict[str, int] = {}
     pats: dict[Optional[str], dict[S.Sse, int]] = {}
     by_addr: dict[int, int] = {}
@@ -827,7 +845,8 @@ class Session:
     """What every analysis of one program under one resolution map shares.
 
     Per-program facts are built lazily and once: each function's CFG and
-    the point index, each block's rule table, live-in registers,
+    the point index, each block's rule table (its rows from parts compiled
+    once per distinct form, which hold SSE nodes), live-in registers,
     postorder, dominators and loop blocks, and each (callsite, callee)
     argument binding (`binding`).  Sessions derived through
     `with_resolutions` share them.  The call graph (direct calls and the
@@ -920,7 +939,7 @@ class Session:
         """The rule table of a block's statements, one row each, with its
         row index."""
         return self._fact("rules", (fname, label), lambda: _table(
-            self.cfg(fname).blocks[label].stmts))
+            self.cfg(fname).blocks[label].stmts, self._fact("row parts", None, dict)))
 
     def params(self, fname: str) -> tuple[str, ...]:
         return self._fact("params", fname, lambda: live_in_registers(
@@ -1047,7 +1066,7 @@ class Analysis:
         self._seed_ids: dict = {}
         # (callee, descent seed id) -> the callsites that reached the seed
         self._descents: dict[tuple[str, int], set[ir.Point]] = {}
-        self._jobs = 0
+        self._jobs: dict[str, int] = {}     # fname -> times scheduled
         self._noted: dict[str, None] = {}   # summaries whose notes are taken
 
     # -- plumbing -----------------------------------------------------------
@@ -1071,13 +1090,19 @@ class Analysis:
             if message not in self.warnings:
                 self.warnings.append(message)
 
+    def _cap_hit(self, hit: str):
+        """Record a cap hit once per analysis."""
+        if hit not in self.cap_hits:
+            self.cap_hits.append(hit)
+
     def _schedule(self, fname: str):
         if fname in self._queued:
             return
-        if self._jobs >= JOB_CAP:
-            self.cap_hits.append(f"job cap reached; {fname} not scheduled")
+        jobs = self._jobs.get(fname, 0)
+        if jobs >= FUNC_JOB_CAP:
+            self._cap_hit(f"job cap reached; {fname} not scheduled")
             return
-        self._jobs += 1
+        self._jobs[fname] = jobs + 1
         self._queued.add(fname)
         self._queue.append(fname)
 
@@ -1575,9 +1600,7 @@ class Analysis:
             self._queued.discard(fname)
             self.analyze_function(fname)
         for point in self.saturated:
-            hit = f"sse cap hit at {point}: saturated expression dropped"
-            if hit not in self.cap_hits:
-                self.cap_hits.append(hit)
+            self._cap_hit(f"sse cap hit at {point}: saturated expression dropped")
 
     def _merge_induction(self, fname: str, loops) -> bool:
         """Merge the offset families of each loop block's pool groups
@@ -1689,9 +1712,10 @@ class Analysis:
             return
         cycle = self.session.cycle(fname)
         for caller, cpoint in callers:
-            if self._jobs >= JOB_CAP:
-                self.cap_hits.append(f"job cap reached; exports of {fname} dropped")
-                return
+            if (self._jobs.get(caller, 0) >= FUNC_JOB_CAP
+                    and caller not in self._queued):
+                self._cap_hit(f"job cap reached; exports of {fname} to {caller} dropped")
+                continue
             cf, clabel, _ = self.locate(cpoint)
             cform = self.cfg(cf).blocks[clabel].call.form
             binding = self.session.binding(cpoint, fname)
@@ -1738,9 +1762,7 @@ class Analysis:
                 continue
             out.append(t)
         if dropped:
-            hit = f"recursion depth cap hit: exports of {fname} to {cpoint} dropped"
-            if hit not in self.cap_hits:
-                self.cap_hits.append(hit)
+            self._cap_hit(f"recursion depth cap hit: exports of {fname} to {cpoint} dropped")
         return out
 
     # -- results ----------------------------------------------------------------

@@ -221,17 +221,12 @@ def find_address_taken(program: ir.Program) -> frozenset[int]:
     """Entry addresses referenced as data words or in-code immediates.
     Monotone in the data section: adding words can only grow the set."""
     entries = {f.entry_address for f in program.functions.values()}
-    taken: set[int] = set()
-    for words in program.data_section.values():
-        for w in words:
-            if w in entries:
-                taken.add(w)
-    for fn in program.functions.values():
-        for stmt in fn.statements():
-            for imm in ir.immediates(stmt.form):
-                if imm in entries:
-                    taken.add(imm)
-    return frozenset(taken)
+    # each form once: the parser shares one among statements of equal text
+    forms = {id(stmt.form): stmt.form for fn in program.functions.values()
+             for stmt in fn.statements()}
+    return frozenset(
+        {w for words in program.data_section.values() for w in words if w in entries}
+        | {imm for form in forms.values() for imm in ir.immediates(form) if imm in entries})
 
 
 @dataclass

@@ -37,11 +37,15 @@ temporary register first.  Registers are ``r<N>``, ``sp`` (frame base)
 and ``gp`` (globals base).  Calls pass argument i in the callee's ri and
 return in the caller's named result register.
 
-Each line is read once: its leading keyword (or, for ``rD = ...``, the
-token after ``=``) picks the one pattern it must match.  Parsing is pure
-and total (all errors are collected before raising); a validated Program
-is immutable and safe to share between analyses.  A strings section
-holds nothing but entries: any other text in it is a ``malformed string
+A line's leading keyword (or, for ``rD = ...``, the token after ``=``)
+picks the one pattern it must match.  Each distinct statement is parsed
+once: a statement line whose text, stripped and without its comment,
+repeats an earlier one shares that line's form object, and only its
+point and line are its own; a line whose form came with a diagnostic is
+not shared, so each occurrence reports its own.  Parsing is pure and
+total (all errors are collected before raising); a validated Program is
+immutable and safe to share between analyses.  A strings section holds
+nothing but entries: any other text in it is a ``malformed string
 entry``, and an address given twice is a ``duplicate string``, as a
 repeated data base is a ``duplicate data object``.  :func:`validate`
 reports data objects whose words overlap (``data objects @A and @B
@@ -397,6 +401,7 @@ def parse_program(text: str) -> Program:
     cur_label = None
     cur_stmts: list[Statement] = []
     strings_line = None     # the open strings section's header line
+    forms: dict[str, Form] = {}     # statement text -> its one form
 
     def close_block():
         nonlocal cur_label, cur_stmts
@@ -428,8 +433,11 @@ def parse_program(text: str) -> Program:
             _string_entries(line, strings, diags, lineno)
             continue
 
-        kind, m = _classify(line)
-        if m is None or kind in _BUILD:     # a statement, or a line that is none
+        form = forms.get(line)
+        if form is None:
+            kind, m = _classify(line)
+        if form is not None or m is None or kind in _BUILD:
+            # a statement, or a line that is none
             if cur_fn is None:
                 diags.append(Diagnostic(f"statement outside function: {line!r}", line=lineno))
                 continue
@@ -437,11 +445,15 @@ def parse_program(text: str) -> Program:
                 diags.append(Diagnostic("statement before first label", line=lineno))
                 cur_label = "bb0"
                 labels.add(cur_label)
-            if m is None:
-                diags.append(Diagnostic(f"syntax error: {line!r}", line=lineno))
-                continue
-            cur_stmts.append(Statement(Point(cur_fn[0], cur_label, len(cur_stmts)),
-                                       _BUILD[kind](m.groups(), diags, lineno), lineno))
+            if form is None:
+                if m is None:
+                    diags.append(Diagnostic(f"syntax error: {line!r}", line=lineno))
+                    continue
+                reported = len(diags)
+                form = _BUILD[kind](m.groups(), diags, lineno)
+                if len(diags) == reported:    # a line with a diagnostic reports it again
+                    forms[line] = form
+            cur_stmts.append(_statement(cur_fn[0], cur_label, len(cur_stmts), form, lineno))
             continue
         if kind == "wordsize":
             word_size = _int(m.group(1))
@@ -500,6 +512,20 @@ def parse_program(text: str) -> Program:
     if diags:
         raise ParseError(diags)
     return Program(functions, data, strings, word_size, data_lines)
+
+
+def _statement(func: str, block: str, index: int, form: Form, line: int) -> Statement:
+    """`Statement(Point(func, block, index), form, line)`, each record's
+    `__dict__` set at once: a frozen dataclass's `__init__` makes one
+    `object.__setattr__` call per field.  (Filling the `__dict__` an
+    instance already has, key by key, would slow every later read.)"""
+    point, stmt = object.__new__(Point), object.__new__(Statement)
+    _set(point, "__dict__", {"func": func, "block": block, "index": index})
+    _set(stmt, "__dict__", {"point": point, "form": form, "line": line})
+    return stmt
+
+
+_set = object.__setattr__
 
 
 def _string_entries(text: str, strings: dict, diags, lineno) -> None:
@@ -627,14 +653,10 @@ def pretty_stmt(form: Form) -> str:
     if isinstance(form, Store):
         disp = f" + {hex(form.disp)}" if form.disp else ""
         return f"store {form.addr}{disp} = {_fmt_operand(form.src)}"
-    if isinstance(form, Call):
+    if isinstance(form, (Call, ICall)):
         args = ", ".join(_fmt_operand(a) for a in form.args)
         head = f"{form.ret} = " if form.ret else ""
-        return f"{head}call {form.target}({args})"
-    if isinstance(form, ICall):
-        args = ", ".join(_fmt_operand(a) for a in form.args)
-        head = f"{form.ret} = " if form.ret else ""
-        return f"{head}icall {form.target}({args})"
+        return f"{head}{type(form).__name__.lower()} {form.target}({args})"
     if isinstance(form, Branch):
         return f"branch {form.cond}, {form.then_block}, {form.else_block}"
     if isinstance(form, Jump):

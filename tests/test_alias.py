@@ -662,24 +662,33 @@ def test_icall_resolution_needs_a_session_without_resolutions(corpus):
 
 
 def test_job_cap_ends_in_reported_cap_hit(corpus, monkeypatch):
-    """Exports cut off by `JOB_CAP` are reported, naming the function whose
-    facts were dropped: at three jobs, ident's returned taint never
-    reaches f."""
+    """Exports into a caller that has had its `FUNC_JOB_CAP` walks and is
+    not queued are dropped and reported, naming the exporting function
+    and the caller: at one walk per function, f is walked before ident
+    returns, and ident's returned taint never reaches f."""
     from mirtaint import taint
 
     prog = corpus("context_return.ir")
     assert taint.run_taint(Session(prog)).cap_hits == []
-    monkeypatch.setattr(alias, "JOB_CAP", 3)
+    monkeypatch.setattr(alias, "FUNC_JOB_CAP", 1)
     result = taint.run_taint(Session(prog))
-    assert result.cap_hits == ["job cap reached; exports of ident dropped"]
+    assert result.cap_hits == ["job cap reached; exports of ident to f dropped"]
 
 
 def test_job_cap_reached_before_scheduling_is_reported(corpus, monkeypatch):
-    """At one job, the source's function is the only one walked: the call
-    that would schedule `f` next is refused and reported."""
-    monkeypatch.setattr(alias, "JOB_CAP", 1)
-    result = taint.run_taint(Session(corpus("context_return.ir")))
-    assert result.cap_hits == ["job cap reached; f not scheduled"]
+    """At one walk per function, dup is walked for f first; the walk of
+    dup that k's later callsite needs is refused and reported, and so
+    are dup's exports to f, and both command alerts are lost.  The cap
+    counts the walks of each function, not of the whole program: every
+    other function still gets its walk."""
+    prog = corpus("late_caller.ir")
+    assert len(taint.run_taint(Session(prog)).alerts) == 2
+    monkeypatch.setattr(alias, "FUNC_JOB_CAP", 1)
+    result = taint.run_taint(Session(prog))
+    assert result.cap_hits == ["job cap reached; exports of dup to f dropped",
+                               "job cap reached; dup not scheduled"]
+    assert result.alerts == []
+    assert result.analyzed_functions == 5
 
 
 def test_block_iteration_cap_ends_in_reported_cap_hits(corpus, monkeypatch):
@@ -1210,3 +1219,24 @@ bb0:
 """)
     result = taint.run_taint(Session(prog))
     assert [str(a.sink_site) for a in result.alerts] == ["reader:bb0:1"]
+
+
+def test_session_compiles_each_form_once():
+    """The rows of equal statements in different blocks share the parts
+    compiled from their form; an ITE's arm conditions still name each
+    statement's own point."""
+    prog = ir.parse_program(
+        "func f @0x1000 frame=0 {\nbb0:\n  r6 = r1 + r2\n"
+        "  r3 = ite r4, r5, 0x0\n  jump bb1\nbb1:\n  r6 = r1 + r2\n"
+        "  r3 = ite r4, r5, 0x0\n  ret\n}\n")
+    session = Session(prog)
+    (add0, ite0, _), (add1, ite1, _) = (session.rules("f", label).rows
+                                        for label in ("bb0", "bb1"))
+    # SSE nodes are interned anyway; the tuples holding them are built once
+    assert add1.uses is add0.uses and add1.carriers is add0.carriers
+    assert add1.stmt.point == ir.Point("f", "bb1", 0)
+    assert [c.point for _, _, c, _ in ite0.uses] == [ir.Point("f", "bb0", 1)] * 2
+    assert [c.point for _, _, c in ite1.defs] == [ir.Point("f", "bb1", 1)] * 2
+    assert [(r, p, c.value) for r, p, c, _ in ite1.uses] == [
+        (r, p, c.value) for r, p, c, _ in ite0.uses]
+    assert ite1.uses[0][1] is ite0.uses[0][1]

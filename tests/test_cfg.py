@@ -1,5 +1,10 @@
+import pathlib
+
 from mirtaint import cfg as C
 from mirtaint import ir
+
+
+CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
 
 def fn_of(text, name="f"):
@@ -269,3 +274,16 @@ def test_unvalidated_block_ends_are_warned():
                           "f:bb1: unreachable block")
     assert g.succs == {"bb0": (), "bb1": ()}
 
+
+
+def test_find_address_taken_reads_each_statement_once_per_form():
+    """Reading each shared form once finds what reading every statement
+    finds, on every corpus file."""
+    for path in sorted(CORPUS.glob("*.ir")):
+        prog = ir.parse_program(path.read_text())
+        entries = {f.entry_address for f in prog.functions.values()}
+        by_hand = {w for words in prog.data_section.values() for w in words
+                   if w in entries}
+        by_hand |= {imm for f in prog.functions.values() for s in f.statements()
+                    for imm in ir.immediates(s.form) if imm in entries}
+        assert C.find_address_taken(prog) == frozenset(by_hand), path.name

@@ -408,3 +408,35 @@ def test_block_and_function_lookups():
         f.block("bb9")
     assert prog.function_at(0x1000) is f
     assert prog.function_at(0x2000) is None
+
+
+def test_equal_lines_share_one_form():
+    """A statement line whose text (stripped, comment-free) repeats an
+    earlier one reuses its form; each statement keeps its point and line."""
+    prog = parse("func f @0x1000 frame=0 {\nbb0:\n  store r1 + 0x4 = r2\n"
+                 "  r3 = r2\nbb1:\n  store r1 + 0x4 = r2   # again\n  ret\n}\n")
+    first, _, again, _ = prog.functions["f"].statements()
+    assert again.form is first.form
+    assert (first.point, first.line) == (ir.Point("f", "bb0", 0), 3)
+    assert (again.point, again.line) == (ir.Point("f", "bb1", 0), 6)
+    assert again == ir.Statement(ir.Point("f", "bb1", 0), ir.Store("r1", "r2", 4))
+    assert hash(again.point) == hash(ir.Point("f", "bb1", 0))
+    assert first.point < again.point
+
+
+def test_line_with_a_diagnostic_is_not_shared():
+    """A line whose form came with a diagnostic is parsed again where it
+    repeats, so each occurrence reports its own."""
+    with pytest.raises(ir.ParseError) as err:
+        parse("func f @0x1000 frame=0 {\nbb0:\n  call g(r1, ?)\n"
+              "  call g(r1, ?)\n  ret\n}\n")
+    assert [str(d) for d in err.value.diagnostics] == [
+        "line 3: malformed argument '?'", "line 4: malformed argument '?'"]
+
+
+def test_repeated_wide_immediate_is_reported_at_each_statement():
+    prog = parse("func f @0x1000 frame=0 {\nbb0:\n  r1 = 0x100000000\n"
+                 "  r1 = 0x100000000\n  ret\n}\n")
+    assert [str(d) for d in ir.validate(prog)] == [
+        f"f:bb0:{i}: immediate 0x100000000 exceeds the 4-byte word width"
+        for i in (0, 1)]
