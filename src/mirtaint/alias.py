@@ -90,17 +90,21 @@ Datalog evaluation: work is redone only for facts that are new.  A
 block's push sends its neighbours only the `out` entries of each
 direction that arrived since its last push (`_Side.new`); an entry
 pushed before is already in the neighbour's pool or refused there for
-good.
-Each pushed entry is retagged once for all neighbours, and handed on as
-it is when no birth changes.
-After `LOOP_K` sweeps the induction merge turns each loop block's pool
-group (seed, taint, conditions) into offset families at delta cost too:
-each loop block side keeps its groups' offset buckets (`sse.Families`),
-reads only the facts its pool gained since the previous merge, and
-evaluates only the buckets they or the last retirements changed, with
-the result a whole-pool partition would give.  A session keeps each
-callsite's list of callee transfers while the callees' summaries stay
-the same (`Analysis._crossings`).
+good.  Each pushed entry is retagged once for all neighbours, and handed
+on as it is when no birth changes.  A session keeps each callsite's list
+of callee transfers while the callees' summaries stay the same
+(`Analysis._crossings`).
+
+From `LOOP_K` sweeps on, every round turns each pool group (seed, taint,
+conditions) into offset families, but only where a back edge enters a
+loop in the walk's direction: forward at the loop head, the back edge's
+target, and backward at the latch, its source.  These are Bourdoncle's
+widening points (FMPA 1993) of the CFG and of its reverse; every cycle
+of a reducible CFG holds a back edge, so they cut every loop, and a fact
+that goes round a loop passes one.  The other blocks of a loop hold
+mostly the same facts: merging there too leaves every corpus and
+benchmark ladder report as it is and only repeats the work.  Each merge
+partitions a group whole (`sse.induction_families`).
 """
 
 from __future__ import annotations
@@ -793,13 +797,8 @@ def transfer_function(summary: FunctionSummary, binding: dict[str, S.Sse]) -> Tr
 class _Side:
     """A block's state in one walk direction: forward (`_BlockSt.f`) from
     the block's top, or backward (`_BlockSt.b`) from its bottom.  Not a
-    dataclass: one is built per block and direction of every analysis.
-
-    A loop block's side holds its induction state from its first merge
-    on (`Analysis._merge_induction`): `families` holds its pool's offset
-    families by group (`S.Families`), and `fresh` lists the facts its
-    pool gained since the last merge."""
-    __slots__ = ("pool", "out", "pend", "seen", "new", "fresh", "families")
+    dataclass: one is built per block and direction of every analysis."""
+    __slots__ = ("pool", "out", "pend", "seen", "new")
 
     def __init__(self):
         self.pool: dict = {}    # key -> fact injected here
@@ -807,8 +806,6 @@ class _Side:
         self.pend: list = []    # [(Tracked, idx)] to walk
         self.seen: dict = {}    # key -> start walked (`_walk`)
         self.new: list = []     # put in `out` since the last push
-        self.fresh: Optional[list] = None
-        self.families: Optional[S.Families] = None
 
     def put(self, t: Tracked) -> bool:
         """Enter `t` into `out` (and `new`) unless its key is there;
@@ -963,6 +960,19 @@ class Session:
         return self._fact("loops", fname, lambda: cfglib.loop_blocks(
             self.cfg(fname), self.dominators(fname)))
 
+    def merge_points(self, fname: str) -> tuple[tuple[str, str], ...]:
+        """The (block, direction) sides where the induction merge runs
+        (`Analysis._merge_induction`), by block label, forward first: the
+        widening points of the CFG and of its reverse (Bourdoncle, FMPA
+        1993).  Forward that is the target of each back edge, the loop
+        head; backward its source, the latch."""
+        def build():
+            edges = cfglib.back_edges(self.cfg(fname), self.dominators(fname))
+            heads, latches = {v for _, v in edges}, {u for u, _ in edges}
+            return tuple((label, d) for label in sorted(heads | latches)
+                         for d, at in (("f", heads), ("b", latches)) if label in at)
+        return self._fact("merge points", fname, build)
+
     @cached_property
     def call_graph(self) -> cfglib.CallGraph:
         return cfglib.build_call_graph(self.program, self.resolutions)
@@ -1026,10 +1036,10 @@ class Analysis:
     tainted alias holding a spent memory node is still tracked, unless
     it is a spent store, which no cell matches (`_spent`).
 
-    Loop blocks merge offset families after `LOOP_K` sweeps
-    (`_merge_induction`) at the cost of what changed since the previous
-    merge, and the members merged are retired (`_retire`): refused
-    wherever they are injected again in the function.
+    The merge points of a function (`Session.merge_points`) merge offset
+    families every round from `LOOP_K` on (`_merge_induction`), and the
+    members merged are retired (`_retire`): refused wherever they are
+    injected again in the function.
 
     `registry[fname]` holds one `Tracked` per `Tracked.key()` that the
     walk established in `fname`, anchored at the point and phase where
@@ -1162,8 +1172,6 @@ class Analysis:
             return False
         if k not in side.pool:
             side.pool[k] = t
-            if side.fresh is not None:
-                side.fresh.append(t)
         side.pend.append((t, idx))
         return True
 
@@ -1572,7 +1580,7 @@ class Analysis:
         g = self.cfg(fname)
         self.visited_functions.add(fname)
         order = self.session.postorder(fname)
-        loops = self.session.loop_blocks(fname)
+        points = self.session.merge_points(fname)
         states = self.states[fname]
         rounds = 0
         while True:
@@ -1583,8 +1591,8 @@ class Analysis:
                 if st.f.pend or st.b.pend:
                     changed |= self._visit(fname, g, label, st)
             rounds += 1
-            if rounds >= LOOP_K and loops:
-                changed |= self._merge_induction(fname, loops)
+            if rounds >= LOOP_K and points:
+                changed |= self._merge_induction(fname, points)
             if not changed:
                 break
             if rounds >= FUNC_ROUNDS_CAP:
@@ -1602,43 +1610,32 @@ class Analysis:
         for point in self.saturated:
             self._cap_hit(f"sse cap hit at {point}: saturated expression dropped")
 
-    def _merge_induction(self, fname: str, loops) -> bool:
-        """Merge the offset families of each loop block's pool groups
-        (seed, taint, conditions) into induction terms, as partitioning
-        every group whole would (`S.Families`), at the cost of what
-        changed: a side reads only the facts its pool gained since the
-        previous merge (`_Side.fresh`; its first merge reads the whole
-        pool), and a group evaluates only the offset buckets that those
-        facts and the last retirements changed.  Registers and constants
-        take no part.  Every merge is decided first, then the members
-        retired, and the merged facts injected in the order (block,
-        direction, group by its earliest member, family) a whole-pool
-        partition gives: retiring as we go would starve the other
-        direction's pool of its family members."""
+    def _merge_induction(self, fname: str, points) -> bool:
+        """Merge the offset families of each pool group (seed, taint,
+        conditions) at the function's merge points into induction terms,
+        partitioning each group whole (`S.induction_families`).  Registers
+        and constants take no part.  Every merge is decided first, then
+        the members retired, and the merged facts injected in the order
+        (merge point, group by its earliest member, family): retiring as
+        we go would starve the other direction's pool of its family
+        members."""
         plans = []
         retire_keys = []
         states = self.states[fname]
-
-        def index_of(gk):
-            return f"{fname}:s{gk[0]}"
-
-        for label in sorted(label for label in loops if label in states):
-            st = states[label]
-            for direction, side in (("f", st.f), ("b", st.b)):
-                families = side.families
-                if families is None:
-                    families = side.families = S.Families()
-                    fresh = side.pool.values()
-                else:
-                    fresh = side.fresh
-                side.fresh = []
-                if fresh:
-                    # a fact's group is its key but the structure id; a
-                    # register or constant (size 1) takes no part
-                    families.add([(t._key[1:], t._key, t.expr) for t in fresh
-                                  if t.expr._size > 1])
-                for merged, keys in families.merge(index_of):
-                    plans.append((label, direction, side.pool[keys[0]], merged))
+        for label, direction in points:
+            st = states.get(label, _NO_STATE)
+            pool = (st.f if direction == "f" else st.b).pool
+            groups: dict = {}
+            for k, t in pool.items():
+                # a fact's group is its key but the structure id; a
+                # register or constant (size 1) takes no part
+                if t.expr._size > 1:
+                    groups.setdefault(k[1:], []).append((k, t.expr))
+            for gk, members in groups.items():
+                if len(members) < 3:
+                    continue
+                for merged, keys in S.induction_families(members, f"{fname}:s{gk[0]}"):
+                    plans.append((label, direction, pool[keys[0]], merged))
                     retire_keys.extend(keys)
         if not plans:
             return False
@@ -1655,24 +1652,19 @@ class Analysis:
 
     def _retire(self, fname: str, keys) -> None:
         """Stop tracking merged family members everywhere in the function
-        (they stay in the registry for reporting, but no longer flow), and
-        drop them from the loop blocks' offset families.  Every block is
-        swept with one key-set intersection per pool and `out` set: a
-        retired key sits in a score of sides on the seed-1 `loop_copy`
-        ladder, and an index of where each key sits cost more to keep up
-        at every insertion than the sweep costs."""
+        (they stay in the registry for reporting, but no longer flow).
+        Every block is swept with one key-set intersection per pool and
+        `out` set: a retired key sits in a score of sides on the seed-1
+        `loop_copy` ladder, and an index of where each key sits cost more
+        to keep up at every insertion than the sweep costs."""
         keys = set(keys)
         retired = self.retired.setdefault(fname, set())
         retired.update(keys)
         for st in self.states[fname].values():
             for side in (st.f, st.b):
                 pool = side.pool
-                gone = pool.keys() & keys
-                if gone:
-                    for k in gone:
-                        del pool[k]
-                    if side.families is not None:
-                        side.families.discard(gone)
+                for k in pool.keys() & keys:
+                    del pool[k]
                 out = side.out
                 for k in out.keys() & keys:
                     del out[k]
@@ -1712,10 +1704,6 @@ class Analysis:
             return
         cycle = self.session.cycle(fname)
         for caller, cpoint in callers:
-            if (self._jobs.get(caller, 0) >= FUNC_JOB_CAP
-                    and caller not in self._queued):
-                self._cap_hit(f"job cap reached; exports of {fname} to {caller} dropped")
-                continue
             cf, clabel, _ = self.locate(cpoint)
             cform = self.cfg(cf).blocks[clabel].call.form
             binding = self.session.binding(cpoint, fname)
@@ -1724,20 +1712,33 @@ class Analysis:
             if cform.ret is not None:
                 sends += [(facts, {**binding, retop: S.Reg(cform.ret)},
                            S.BIRTH_BEFORE_BLOCK, "post") for retop, facts in returned]
-            grew = pushed = False
+            moves = []
             for facts, mapping, birth, phase in sends:
                 for t in self._for_callsite(fname, cpoint, in_cycle, facts):
                     rr = reroot(t.expr, mapping)
-                    if rr is None:
-                        continue
-                    moved = t.derive(S.retag(rr, birth), cpoint, phase,
-                                     hops=t.hops + 1 if in_cycle else 0)
-                    # a returned fact holds below the call: it does not cross it
-                    if (self._state(cf, clabel).f.put(moved) if phase == "post"
-                            else self._inject(cf, clabel, moved, -1, "b")):
-                        self._record(cf, moved)
-                        grew = True
-                        pushed |= phase == "post"
+                    if rr is not None:
+                        moves.append(t.derive(S.retag(rr, birth), cpoint, phase,
+                                              hops=t.hops + 1 if in_cycle else 0))
+            if (self._jobs.get(caller, 0) >= FUNC_JOB_CAP
+                    and caller not in self._queued):
+                # a hit only when the cap keeps out a fact the callsite lacks:
+                # a returned fact not in its forward `out`, any other fact
+                # neither in its backward pool nor retired
+                st = self.states[cf].get(clabel, _NO_STATE)
+                retired = self.retired.get(cf, ())
+                if any(m._key not in st.f.out if m.phase == "post"
+                       else m._key not in st.b.pool and m._key not in retired
+                       for m in moves):
+                    self._cap_hit(f"job cap reached; exports of {fname} to {caller} dropped")
+                continue
+            grew = pushed = False
+            for moved in moves:
+                # a returned fact holds below the call: it does not cross it
+                if (self._state(cf, clabel).f.put(moved) if moved.phase == "post"
+                        else self._inject(cf, clabel, moved, -1, "b")):
+                    self._record(cf, moved)
+                    grew = True
+                    pushed |= moved.phase == "post"
             if pushed:
                 self._propagate(cf, self.cfg(cf), clabel, self.states[cf][clabel])
             if grew:

@@ -46,7 +46,7 @@ on first use and cached on the node in the same way:
   ``_sk``    its `sort_key`, the order canonical sums and commutative
              operands are kept in;
   ``_offs``  its additive constants and their offset buckets, for the
-             loop-induction merge (`Families`);
+             loop-induction merge (`induction_families`);
   ``_mem``   the structure ids of its memory nodes' addresses and its
              birth summary (the lowest birth among its memory nodes not
              stale forward, the highest among those not stale backward),
@@ -84,7 +84,6 @@ table and the memos change which object a call returns, never its value.
 
 from __future__ import annotations
 
-import heapq
 import re
 from dataclasses import MISSING, dataclass
 from typing import Iterator, Optional, Union
@@ -769,8 +768,9 @@ def _offsets(e: Sse) -> tuple[tuple[tuple, str, int], ...]:
     its kind, what it holds besides the path's child and that child's
     index, then the structure id of the sum's terms.  So two forms share
     a bucket exactly when their skeletons there are equal.  It is a
-    string, which keeps its hash.  Computed once per node and cached on
-    it."""
+    string, which keeps its hash.  `induction_families` reads it for
+    every member of a merge point's pool in every merge round, so it is
+    computed once per node and cached on it."""
     try:
         return e._offs
     except AttributeError:
@@ -847,194 +847,60 @@ def _induction_term(e: Sse, path, d: int, low: int, index_id: str) -> Sse:
     return canonicalize(_set_at(ce, path, term))
 
 
-class _Group:
-    """One group of a `Families`: its members, their offset buckets and
-    what its next merge must evaluate."""
-    __slots__ = ("members", "buckets", "zeros", "waiting", "dirty")
+def induction_families(members, index_id: str) -> list[tuple[Sse, list]]:
+    """Partition one pool group into offset families and merge each:
+    (merged expression, member keys) per family, base member first.
 
-    def __init__(self):
-        # key -> (number, its offsets (`_offsets`), its structure id), by number
-        self.members: dict = {}
-        # bucket (see `_offsets`) -> {key: (constant, expression, number,
-        # position)} by number; a position is the bucket's index among
-        # its member's offsets
-        self.buckets: dict = {}
-        # structure id -> {key: None}: the members of that canonical form
-        self.zeros: dict = {}
-        # zero's structure id -> the buckets that found none for it
-        self.waiting: dict = {}
-        self.dirty: dict = {}    # bucket id -> None, changed since the last merge
-
-    def discard(self, key) -> None:
-        member = self.members.pop(key)
-        buckets, dirty = self.buckets, self.dirty
-        for _, bid, _ in member[1]:
-            bucket = buckets[bid]
-            del bucket[key]
-            if bucket:
-                dirty[bid] = None
+    `members` are (key, expression) pairs in their pool's order.  Each
+    member sits in one bucket per additive constant of its canonical
+    form: the bucket of that constant's path and the form's skeleton with
+    it set to 0 (`_offsets`).  Buckets are taken largest first, ties in the
+    order they first appear over the members; a member absorbed by one
+    family is not reused by another; and a member with no additive
+    constant at all (the pointer before its first increment, the
+    bucket's *zero*) joins a family whose progression starts one stride
+    above zero.  A family's constants are distinct steps of one positive
+    stride, and it has at least three members."""
+    buckets: dict = {}       # bucket -> {key: (constant, expression, path)}
+    zeros: dict = {}         # structure id -> the keys of that canonical form
+    for key, expr in members:
+        try:
+            offs = expr._offs
+        except AttributeError:
+            offs = _offsets(expr)
+        for path, bid, const in offs:
+            if bid in buckets:
+                buckets[bid][key] = (const, expr, path)
             else:
-                del buckets[bid]
-                dirty.pop(bid, None)
-        same = self.zeros[member[2]]
-        del same[key]
-        if not same:
-            del self.zeros[member[2]]
-
-    def merge(self, index_id: str) -> list[tuple[Sse, list]]:
-        """(merged expression, member keys) per family the buckets that
-        may have changed hold, base member first; the members merged are
-        discarded."""
-        buckets, members = self.buckets, self.members
-        # a bucket's rank: largest first, then by its first member's number
-        # and position; with fewer than two members it cannot merge
-        heap = []
-        for bid in self.dirty:
-            bucket = buckets[bid]
-            if len(bucket) > 1:
-                _, _, number, pos = next(iter(bucket.values()))
-                heap.append((-len(bucket), number, pos, bid))
-        heapq.heapify(heap)
-        queued, self.dirty = self.dirty, {}
-        used: dict = {}
-        out: list[tuple[Sse, list]] = []
-        while heap:
-            rank = heapq.heappop(heap)
-            bid = rank[3]
-            bucket = buckets[bid]
-            # the merged term takes the tags of the bucket's first member
-            _, first, _, pos = next(iter(bucket.values()))
-            path = first._offs[pos][0]
-            family = [key for key, v in bucket.items() if key not in used]
-            cs = sorted({bucket[key][0] for key in family})
-            # a family's constants are distinct steps of one positive stride
-            if len(cs) < 2 or len(cs) < len(family):
-                continue
-            d = cs[1] - cs[0]
-            if any(cs[k + 1] - cs[k] != d for k in range(1, len(cs) - 1)):
-                continue
-            low = cs[0]
-            if low == d:
-                zero = _zero(first, path)
-                z = next((key for key in self.zeros.get(zero, ()) if key not in used),
-                         None)
-                if z is None:
-                    self.waiting.setdefault(zero, set()).add(bid)
-                else:
-                    family.insert(0, z)
-                    low = 0
-            if len(family) < 3:
-                continue
-            out.append((_merge_bucket(first, path, d, low, index_id), family))
-            used.update(dict.fromkeys(family))
-            # a later bucket that shares a member merges without it
-            for key in family:
-                for _, other, _ in members[key][1]:
-                    if other not in queued:
-                        queued[other] = None
-                        shared = buckets[other]
-                        if len(shared) > 1:
-                            _, _, number, pos = next(iter(shared.values()))
-                            later = (-len(shared), number, pos, other)
-                            if later > rank:
-                                heapq.heappush(heap, later)
-        for key in used:
-            self.discard(key)
-        return out
-
-
-class Families:
-    """The offset families of a changing collection of expressions, merged
-    at the cost of what changed (the semi-naive, or delta, step of Datalog
-    evaluation: Bancilhon & Ramakrishnan, SIGMOD 1986).
-
-    Members come and go under a caller's key, each in a caller's group
-    (`add`, `discard`); families never mix groups.  Each member sits in
-    one bucket per additive constant of its canonical form: the bucket of
-    that constant's path and the form's skeleton with it set to 0
-    (`_offsets`).  `merge` returns each family that partitioning every
-    whole group would give at that moment, groups in the order of their
-    earliest members.  In a group, buckets are taken largest first, ties
-    in the order they first appear over the members in the order added;
-    a member absorbed by one family is not reused by another; and a
-    member with no additive constant at all (the pointer before its
-    first increment, the bucket's *zero*) joins a family whose
-    progression starts one stride above zero.  The members of the
-    families merged are discarded.
-
-    `merge` evaluates only the buckets that gained or lost a member since
-    the previous merge, those waiting for a zero that has arrived since,
-    and those that lose a member to a family merged before them in the
-    same call.  Every other bucket failed on the very same members the
-    last time it was evaluated, and fails again."""
-
-    __slots__ = ("_groups", "_count", "_changed")
-
-    def __init__(self):
-        self._groups: dict = {}  # group -> _Group
-        self._count = 0          # members added so far: the next number
-        self._changed = False    # some group has a bucket to evaluate
-
-    def add(self, members) -> None:
-        """Add each (group, key, expression) of `members`, in order."""
-        groups = self._groups
-        number = self._count
-        for group, key, expr in members:
-            if group in groups:
-                g = groups[group]
-            else:
-                g = groups[group] = _Group()
-            buckets, dirty = g.buckets, g.dirty
-            try:
-                offs = expr._offs
-            except AttributeError:
-                offs = _offsets(expr)
-            pos = 0
-            for _, bid, const in offs:
-                if bid in buckets:
-                    buckets[bid][key] = (const, expr, number, pos)
-                else:
-                    buckets[bid] = {key: (const, expr, number, pos)}
-                dirty[bid] = None
-                pos += 1
-            sid = expr._sid if expr._canon else canonicalize(expr)._sid
-            g.members[key] = (number, offs, sid)
-            zeros = g.zeros
-            if sid in zeros:
-                zeros[sid][key] = None
-            else:
-                zeros[sid] = {key: None}
-            if sid in g.waiting:
-                for bid in g.waiting.pop(sid):
-                    if bid in buckets:
-                        dirty[bid] = None
-            number += 1
-        self._count = number
-        self._changed = True
-
-    def discard(self, keys) -> None:
-        """Drop the members of `keys` that are here."""
-        for g in self._groups.values():
-            members = g.members
-            for key in keys:
-                if key in members:
-                    g.discard(key)
-                    self._changed = True
-
-    def merge(self, index_of) -> list[tuple[Sse, list]]:
-        """(merged expression, member keys) per family the buckets that
-        may have changed hold, base member first; `index_of(group)` names
-        a group's induction index."""
-        if not self._changed:
-            return []
-        changed = [(next(iter(g.members.values()))[0], group, g)
-                   for group, g in self._groups.items() if g.dirty]
-        changed.sort(key=lambda c: c[0])
-        out = [family for _, group, g in changed
-               for family in g.merge(index_of(group))]
-        # the members merged left their other buckets changed
-        self._changed = bool(out)
-        return out
+                buckets[bid] = {key: (const, expr, path)}
+        sid = expr._sid if expr._canon else canonicalize(expr)._sid
+        zeros.setdefault(sid, []).append(key)
+    used: set = set()
+    out: list[tuple[Sse, list]] = []
+    # a stable sort keeps ties in the order the buckets first appeared
+    for bucket in sorted((b for b in buckets.values() if len(b) > 1),
+                         key=lambda b: -len(b)):
+        family = [key for key in bucket if key not in used]
+        cs = sorted({bucket[key][0] for key in family})
+        if len(cs) < 2 or len(cs) < len(family):
+            continue
+        d = cs[1] - cs[0]
+        if any(cs[k + 1] - cs[k] != d for k in range(1, len(cs) - 1)):
+            continue
+        # the merged term takes the tags of the bucket's first member
+        _, first, path = next(iter(bucket.values()))
+        low = cs[0]
+        if low == d:
+            z = next((key for key in zeros.get(_zero(first, path), ())
+                      if key not in used), None)
+            if z is not None:
+                family.insert(0, z)
+                low = 0
+        if len(family) < 3:
+            continue
+        out.append((_merge_bucket(first, path, d, low, index_id), family))
+        used.update(family)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -691,6 +691,38 @@ def test_job_cap_reached_before_scheduling_is_reported(corpus, monkeypatch):
     assert result.analyzed_functions == 5
 
 
+def test_job_cap_that_drops_no_new_fact_is_not_reported(corpus, monkeypatch):
+    """At two walks per function, dup's second export to f (after k's
+    callsite reached dup's descent seed) carries only facts f's callsite
+    already has: the cap drops nothing, so no hit names it, and both
+    command alerts stay."""
+    monkeypatch.setattr(alias, "FUNC_JOB_CAP", 2)
+    result = taint.run_taint(Session(corpus("late_caller.ir")))
+    assert result.cap_hits == []
+    assert sorted(str(a.sink_site) for a in result.alerts) == ["f:bb0:1", "k:bb0:1"]
+
+
+def test_job_cap_that_drops_a_backward_alias_is_reported(monkeypatch):
+    """A parameter's backward alias is a fact the cap can drop too: at one
+    walk per function, main is walked for its own seed first, and id's
+    alias `load(r0)` of its entry, new at main's callsite, is refused
+    there and reported.  At two walks it reaches main."""
+    prog = ir.parse_program("func id @0x2000 frame=0 {\nbb0:\n  r1 = load r0\n"
+                            "  ret r1\n}\n\nfunc main @0x1000 frame=0x10 {\nbb0:\n"
+                            "  r1 = sp\n  r2 = call id(r1)\n  ret r2\n}\n")
+    for cap, hits in ((1, ["job cap reached; exports of id to main dropped"]), (2, [])):
+        monkeypatch.setattr(alias, "FUNC_JOB_CAP", cap)
+        analysis = Analysis(Session(prog))
+        analysis.add_seed(Seed(point=ir.Point("main", "bb0", 0), expr=S.Reg("r1"),
+                               direction="forward"))
+        sid = analysis.add_seed(Seed(point=ir.Point("id", "bb0", 0),
+                                     expr=S.parse_sse("load(r0)"), direction="backward"))
+        analysis.run()
+        assert analysis.cap_hits == hits
+        assert ("load(r1)@main:bb0:1" in {f"{S.pretty(t.expr)}@{t.point}"
+                                          for t in analysis.family(sid)}) == (cap == 2)
+
+
 def test_block_iteration_cap_ends_in_reported_cap_hits(corpus, monkeypatch):
     """A block whose forward and backward walks still feed each other after
     `BLOCK_ITER_CAP` rounds stops there, reported as a cap hit."""

@@ -1,11 +1,13 @@
-"""The delta induction merge against the whole-pool regroup it replaced.
+"""The induction merge against a reference skeleton partition.
 
-`Analysis._merge_induction` reads only the facts its loop blocks' pools
-gained since its previous call and re-evaluates only the offset buckets
-they changed (`sse.Families`).  The reference below is the regroup it
-replaced, kept here only: every call re-partitions each loop block's
-whole pool groups and retires through a sweep of every block.  Both must
-leave every analysis in the same state after every `analyze_function`.
+`Analysis._merge_induction` re-partitions each pool group at the
+function's merge points (`Session.merge_points`: loop heads forward,
+latches backward) through `sse.induction_families`, which buckets the
+members by offset strings read off their structure (`sse._offsets`).
+The reference below builds each offset skeleton as an expression and
+buckets by it, with no offset strings, and retires through a plain
+sweep of every block.  Both must leave every analysis in
+the same state after every `analyze_function`.
 """
 
 import pathlib
@@ -14,9 +16,9 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mirtaint import pipeline
+from mirtaint import ir, pipeline
 from mirtaint import sse as S
-from mirtaint.alias import _NO_STATE, Analysis
+from mirtaint.alias import _NO_STATE, Analysis, Session
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 if str(ROOT / "bench") not in sys.path:
@@ -24,7 +26,7 @@ if str(ROOT / "bench") not in sys.path:
 import workloads  # noqa: E402
 
 
-# -- the reference: a whole-group re-partition on every call ------------------
+# -- the reference: a skeleton partition of each group -------------------------
 
 def _const_positions(e, path=()):
     if isinstance(e, S.Bin) and e.op == "+" and isinstance(e.right, S.Val):
@@ -78,25 +80,24 @@ def induction_families(exprs, index_id):
     return out
 
 
-def reference_merge(self, fname, loops):
+def reference_merge(self, fname, points):
     plans, retire_keys = [], []
-    for label in sorted(loops):
-        st = self.states[fname].get(label, _NO_STATE)
-        for direction, side in (("f", st.f), ("b", st.b)):
-            groups = {}
-            for t in side.pool.values():
-                if isinstance(t.expr, (S.Reg, S.Val)):
-                    continue
-                groups.setdefault((t.seed_id, t.tainted, t.derived, t.conds), []).append(t)
-            for gk, members in groups.items():
-                if len(members) < 3:
-                    continue
-                families = induction_families([m.expr for m in members],
-                                              f"{fname}:s{gk[0]}")
-                by_expr = {id(m.expr): m for m in members}
-                for merged, family in families:
-                    plans.append((label, direction, by_expr[id(family[0])], merged))
-                    retire_keys.extend(by_expr[id(e)].key() for e in family)
+    for label, direction in points:
+        side = getattr(self.states[fname].get(label, _NO_STATE), direction)
+        groups = {}
+        for t in side.pool.values():
+            if isinstance(t.expr, (S.Reg, S.Val)):
+                continue
+            groups.setdefault((t.seed_id, t.tainted, t.derived, t.conds), []).append(t)
+        for gk, members in groups.items():
+            if len(members) < 3:
+                continue
+            families = induction_families([m.expr for m in members],
+                                          f"{fname}:s{gk[0]}")
+            by_expr = {id(m.expr): m for m in members}
+            for merged, family in families:
+                plans.append((label, direction, by_expr[id(family[0])], merged))
+                retire_keys.extend(by_expr[id(e)].key() for e in family)
     if not plans:
         return False
     reference_retire(self, fname, retire_keys)
@@ -123,24 +124,23 @@ def reference_retire(self, fname, keys):
                 side.pend = [(t, i) for t, i in side.pend if t.key() not in retired]
 
 
-# -- `sse.Families` step by step -------------------------------------------------
+# -- `sse.induction_families` step by step ---------------------------------------
 
 def _tags(e):
     return tuple((n.birth, n.stale_fwd, n.stale_bwd) for n in S.mem_nodes(e))
 
 
 def _steps(batches, index_id="i"):
-    """Add `batches` of expressions to one group of a `Families` one after
-    another, merging after each; check each merge against a whole regroup
-    of the members left, and drop what it merged, as a retirement does."""
-    fams = S.Families()
+    """Add `batches` of expressions to one group one after another,
+    merging after each as the engine does every round; check each merge
+    against the reference partition of the members left, and drop what
+    it merged, as a retirement does."""
     live = []
     for batch in batches:
+        live.extend(batch)
         # the key of a member is its node's identity: equal members under
         # other tags are other members
-        fams.add([(0, id(e), e) for e in batch])
-        live.extend(batch)
-        got = fams.merge(lambda group: index_id)
+        got = S.induction_families([(id(e), e) for e in live], index_id)
         expected = induction_families(live, index_id)
         assert [(m, keys) for m, keys in got] == \
             [(m, [id(e) for e in members]) for m, members in expected]
@@ -151,16 +151,14 @@ def _steps(batches, index_id="i"):
 
 def test_a_zero_that_arrives_later_joins_its_waiting_family():
     """A bucket of offsets 4 and 8 waits for its zero; the zero arriving
-    at a later merge completes the family although the bucket did not
-    change."""
+    at a later merge completes the family."""
     p = S.parse_sse
     _steps([[p("load(r1+0x4)"), p("load(r1+0x8)")], [p("load(r1)")]])
 
 
 def test_a_bucket_that_loses_a_member_to_an_earlier_family_merges_without_it():
     """A bucket that failed before (offsets 4, 8, 10, 12 under +0x100)
-    merges once a larger family later takes its member at offset 10,
-    although none of its own members changed."""
+    merges once a larger family later takes its member at offset 10."""
     p = S.parse_sse
     _steps([[p(f"load(r1+{c:#x})+0x100") for c in (4, 8, 10, 12)],
             [p(f"load(r1+0xa)+{c:#x}") for c in (0x104, 0x108, 0x10c, 0x110)]])
@@ -179,8 +177,8 @@ _offset = st.builds(
 @settings(max_examples=200, deadline=None)
 def test_families_merge_as_a_whole_regroup_would(batches):
     """Whatever expressions arrive, and in whatever batches, each merge
-    gives what partitioning every member left at once gives, members
-    equal but for their tags included."""
+    gives what the reference partition of the members left gives,
+    members equal but for their tags included."""
     seen = set()
     unique = []
     for batch in batches:
@@ -235,10 +233,10 @@ LADDER.update((p.name, p) for p in workloads.generate("icall_mix", 1) if p.size 
 
 @pytest.mark.parametrize("name", [*sorted(LOOP_CORPUS), *LADDER])
 def test_delta_merge_leaves_the_states_of_a_whole_regroup(name, tmp_path, monkeypatch):
-    """After every `analyze_function` of a pipeline run, the delta merge
-    and the whole-pool regroup leave the same registries, pools, `out`
-    sets (each in its order, with each fact's anchor and tags) and
-    retired sets, and the reports agree."""
+    """After every `analyze_function` of a pipeline run, the engine's
+    merge and the reference, at the same merge points, leave the same
+    registries, pools, `out` sets (each in its order, with each fact's
+    anchor and tags) and retired sets, and the reports agree."""
     if name in LOOP_CORPUS:
         path, seeds = ROOT / "corpus" / name, LOOP_CORPUS[name]
     else:
@@ -250,62 +248,10 @@ def test_delta_merge_leaves_the_states_of_a_whole_regroup(name, tmp_path, monkey
     assert got[1] == expected[1]
 
 
-def test_a_merge_reads_only_what_changed(tmp_path, monkeypatch):
-    """Over the seed-1 `loop_copy` ladder, the facts one merge reads are
-    at most the facts its loop blocks' pools gained since the previous
-    merge of that analysis and function, plus the members of the buckets
-    it evaluates; and over the ladder that is less than a whole-pool
-    regroup reads."""
-    gained = {}          # (analysis, fname) -> facts entered into loop pools
-    counts = {"added": 0, "evaluated": 0}
-    checks = []
-    inject, merge = Analysis._inject, Analysis._merge_induction
-    add, evaluate = S.Families.add, S._Group.merge
-
-    def pool_size(self, fname, label, direction):
-        return len(getattr(self.states[fname].get(label, _NO_STATE), direction).pool)
-
-    def counted_inject(self, fname, label, t, idx, direction):
-        before = pool_size(self, fname, label, direction)
-        done = inject(self, fname, label, t, idx, direction)
-        if (label in self.session.loop_blocks(fname)
-                and pool_size(self, fname, label, direction) > before):
-            gained[(self, fname)] = gained.get((self, fname), 0) + 1
-        return done
-
-    def counted_add(self, members):
-        members = list(members)
-        counts["added"] += len(members)
-        return add(self, members)
-
-    def counted_evaluate(self, index_id):
-        counts["evaluated"] += sum(len(self.buckets[bid]) for bid in self.dirty
-                                   if len(self.buckets[bid]) > 1)
-        return evaluate(self, index_id)
-
-    whole = []
-
-    def counted_merge(self, fname, loops):
-        whole.append(sum(len([t for t in side.pool.values() if t.expr._size > 1])
-                         for label in loops
-                         for side in (self.states[fname].get(label, _NO_STATE).f,
-                                      self.states[fname].get(label, _NO_STATE).b)))
-        counts["added"] = counts["evaluated"] = 0
-        new = gained.pop((self, fname), 0)
-        done = merge(self, fname, loops)
-        checks.append((counts["added"], new, counts["evaluated"]))
-        return done
-
-    monkeypatch.setattr(Analysis, "_inject", counted_inject)
-    monkeypatch.setattr(Analysis, "_merge_induction", counted_merge)
-    monkeypatch.setattr(S.Families, "add", counted_add)
-    monkeypatch.setattr(S._Group, "merge", counted_evaluate)
-    monkeypatch.chdir(tmp_path)
-    for program in workloads.generate("loop_copy", 1):
-        (tmp_path / (program.name + ".ir")).write_text(program.text, encoding="utf-8")
-        pipeline.analyze(pipeline.RunConfig(ir_path=program.name + ".ir"))
-    assert checks
-    for added, new, evaluated in checks:
-        assert added <= new
-    read = sum(added + evaluated for added, _, evaluated in checks)
-    assert read < sum(whole)
+def test_merge_points_are_loop_heads_forward_and_latches_backward():
+    """`table_null.ir`'s loop runs head -> doit -> skip -> head: it merges
+    forward at the head and backward at the latch `skip`.  Merging
+    backward at the head instead walks the table from slot 1 on
+    (`load((0x9200+main:s0*0x4)+0x4)`), skipping slot 0."""
+    program = ir.parse_program((ROOT / "corpus" / "table_null.ir").read_text())
+    assert Session(program).merge_points("main") == (("head", "f"), ("skip", "b"))

@@ -7,18 +7,27 @@ does, so its report must agree with the original's, up to the renaming
 - the functions in reverse order;
 - registers r4-r8 renamed to r24-r28.  They are never argument
   positions (no call here passes more than four arguments), and no
-  program here names r24-r28.
+  program here names r24-r28;
+- every function's block labels renamed so that their sorted order
+  reverses;
+- every block of two or more statements with no call in its first half
+  split at its midpoint by a `jump` to a new block placed right after
+  it, so a block that falls through still falls through to the same one.
 
 The reports are compared by their alerts (site, class, verdict), the
-targets of each indirect call and the number of cap hits.  Neither
-rewrite moves a program point, so sites compare as they are.  The
-programs are every corpus file and the two smallest seed-1 programs of
-each benchmark workload.  Reversing the functions also changes which
-equal statement the parser meets first, so it guards the shared
-statement forms (`ir.parse_program`) and the rows compiled once per form
-(`alias.Session.rules`) too.
+targets of each indirect call and the number of cap hits.  The last two
+rewrites move program points, so their sites are mapped back to the
+original's before comparing.  The programs are every corpus file and the
+two smallest seed-1 programs of each benchmark workload.  Reversing the
+functions also changes which equal statement the parser meets first, so
+it guards the shared statement forms (`ir.parse_program`) and the rows
+compiled once per form (`alias.Session.rules`) too.  Renaming and
+splitting blocks change which blocks are loop heads and latches, where
+the induction merge runs (`alias.Session.merge_points`), and the order
+in which it visits them.
 """
 
+import dataclasses
 import pathlib
 import re
 import sys
@@ -64,13 +73,86 @@ def renamed_registers(program: ir.Program) -> ir.Program:
     return ir.parse_program(head + sep + _RENAMED.sub(r"r2\1", body))
 
 
-def outcome(program: ir.Program, path: pathlib.Path) -> tuple:
+def _with_blocks(program: ir.Program, blocks) -> ir.Program:
+    """`program` with each function's blocks `blocks(function)` gives, as
+    (label, forms) pairs; its points are given again when it is parsed."""
+    functions = {}
+    for name, fn in program.functions.items():
+        new = tuple(ir.Block(label, tuple(ir.Statement(ir.Point(name, label, i), form)
+                                          for i, form in enumerate(forms)))
+                    for label, forms in blocks(fn))
+        functions[name] = dataclasses.replace(fn, blocks=new)
+    return ir.Program(functions, program.data_section, program.string_table,
+                      program.word_size)
+
+
+def relabeled_blocks(program: ir.Program) -> tuple[ir.Program, dict]:
+    """`program` with each function's block labels renamed so that their
+    sorted order reverses, and the map from each new (function, label) to
+    its original label and index offset."""
+    back = {}
+
+    def blocks(fn):
+        old = sorted(b.label for b in fn.blocks)
+        width = len(str(len(old)))
+        names = {label: f"b{len(old) - 1 - k:0{width}d}" for k, label in enumerate(old)}
+        back.update(((fn.name, new), (label, 0)) for label, new in names.items())
+
+        def relabel(form):
+            if isinstance(form, ir.Branch):
+                return dataclasses.replace(form, then_block=names[form.then_block],
+                                           else_block=names[form.else_block])
+            if isinstance(form, ir.Jump):
+                return ir.Jump(names[form.block])
+            return form
+
+        return [(names[b.label], [relabel(st.form) for st in b.stmts]) for b in fn.blocks]
+
+    return _with_blocks(program, blocks), back
+
+
+def split_blocks(program: ir.Program) -> tuple[ir.Program, dict]:
+    """`program` with every block of two or more statements and no call
+    in its first half split at its midpoint: the first half ends in a
+    `jump` to a new block, right after it, that holds the second half.
+    Also the map from each new (function, label) to its original label
+    and index offset."""
+    back = {}
+
+    def blocks(fn):
+        labels = {b.label for b in fn.blocks}
+        out = []
+        for b in fn.blocks:
+            forms = [st.form for st in b.stmts]
+            mid = len(forms) // 2
+            if mid == 0 or any(isinstance(f, (ir.Call, ir.ICall)) for f in forms[:mid]):
+                out.append((b.label, forms))
+                continue
+            new = b.label + "_split"
+            while new in labels:
+                new += "_"
+            labels.add(new)
+            back[(fn.name, new)] = (b.label, mid)
+            out += [(b.label, forms[:mid] + [ir.Jump(new)]), (new, forms[mid:])]
+        return out
+
+    return _with_blocks(program, blocks), back
+
+
+def outcome(program: ir.Program, path: pathlib.Path, back=None) -> tuple:
     """What a rewrite must keep of `program`'s report: its alerts, icall
-    targets and cap-hit count."""
+    targets and cap-hit count, with each site mapped back through `back`
+    ((function, label) -> (original label, index offset))."""
     path.write_text(ir.pretty_program(program), encoding="utf-8")
     report = pipeline.analyze(pipeline.RunConfig(ir_path=str(path)))
-    alerts = sorted((a["sink_site"], a["class"], a["verdict"]) for a in report.alerts)
-    targets = {site["callsite"]: site["targets"] for site in report.icall_sites}
+
+    def site(text):
+        func, label, index = text.rsplit(":", 2)
+        label, offset = (back or {}).get((func, label), (label, 0))
+        return f"{func}:{label}:{int(index) + offset}"
+
+    alerts = sorted((site(a["sink_site"]), a["class"], a["verdict"]) for a in report.alerts)
+    targets = {site(s["callsite"]): s["targets"] for s in report.icall_sites}
     return alerts, targets, len(report.cap_hits)
 
 
@@ -80,3 +162,6 @@ def test_rewrites_keep_the_report(name, tmp_path):
     want = outcome(program, tmp_path / "original.ir")
     assert outcome(reversed_functions(program), tmp_path / "reversed.ir") == want
     assert outcome(renamed_registers(program), tmp_path / "renamed.ir") == want
+    for rewrite in (relabeled_blocks, split_blocks):
+        rewritten, back = rewrite(program)
+        assert outcome(rewritten, tmp_path / f"{rewrite.__name__}.ir", back) == want

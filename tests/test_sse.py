@@ -186,12 +186,10 @@ def _is_progression(consts):
 
 
 def families(exprs, index_id):
-    """The offset families of `exprs`, merged at once: (merged, members)
-    per family, as `S.Families` gives them for members added in order."""
-    fams = S.Families()
-    fams.add([(0, i, e) for i, e in enumerate(exprs)])
+    """The offset families of `exprs` as one group: (merged, members) per
+    family, as `S.induction_families` gives them for members in order."""
     return [(merged, [exprs[i] for i in keys])
-            for merged, keys in fams.merge(lambda group: index_id)]
+            for merged, keys in S.induction_families(enumerate(exprs), index_id)]
 
 
 def test_induction_paper_family():
