@@ -253,7 +253,6 @@ def addr_sse(reg: str, disp: int) -> S.Sse:
 # Statement-level stepping
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class _Compiled:
     """One statement's row of the rule table, built once per block.
 
@@ -262,14 +261,13 @@ class _Compiled:
     register.  `defs` holds the right-hand sides of rules 8-11: the same
     operands under rule r+7.  `carriers` are the registers whose taint
     the defined register takes when no rule rewrites them.  `addr` is a
-    load's or store's address and `value` a store's stored value."""
-    stmt: ir.Statement
-    dst: Optional[S.Reg]
-    uses: tuple[tuple[int, S.Sse, Optional[Cond], bool], ...]
-    defs: tuple[tuple[int, S.Sse, Optional[Cond]], ...]
-    carriers: tuple[S.Reg, ...]
-    addr: Optional[S.Sse]
-    value: Optional[S.Sse]
+    load's or store's address and `value` a store's stored value.  Not a
+    dataclass: one is built per statement."""
+    __slots__ = ("stmt", "dst", "uses", "defs", "carriers", "addr", "value")
+
+    def __init__(self, stmt, dst, uses, defs, carriers, addr, value):
+        self.stmt, self.dst, self.uses, self.defs = stmt, dst, uses, defs
+        self.carriers, self.addr, self.value = carriers, addr, value
 
 
 def _compile(stmt: ir.Statement, parts: dict) -> _Compiled:
@@ -320,7 +318,6 @@ def _row_parts(form: ir.Form) -> tuple:
     return dst, uses, defs, carriers, addr, value
 
 
-@dataclass(frozen=True)
 class _Table:
     """A block's rule table, one row per statement, with its row index.
 
@@ -331,14 +328,13 @@ class _Table:
     `free` holds the register-free patterns (immediates) and their rows,
     `by_addr` maps an address, by its structure id (`_sid`, see `sse`),
     to its load and store rows, and `reads` a register to the rows that
-    read it.  `stores` holds the store rows.  `relevant` reads them."""
-    rows: tuple[_Compiled, ...]
-    by_reg: dict[str, int]
-    pats: dict[str, tuple[tuple[S.Sse, int], ...]]
-    free: tuple[tuple[S.Sse, int], ...]
-    by_addr: dict[int, int]
-    reads: dict[str, int]
-    stores: int
+    read it.  `stores` holds the store rows.  `relevant` reads them.
+    Not a dataclass: one is built per block of every function."""
+    __slots__ = ("rows", "by_reg", "pats", "free", "by_addr", "reads", "stores")
+
+    def __init__(self, rows, by_reg, pats, free, by_addr, reads, stores):
+        self.rows, self.by_reg, self.pats, self.free = rows, by_reg, pats, free
+        self.by_addr, self.reads, self.stores = by_addr, reads, stores
 
     def relevant(self, e: S.Sse, forward: bool, tainted: bool = False) -> int:
         """The rows where stepping `e` in the given direction may yield,
@@ -707,35 +703,33 @@ class FunctionSummary:
     ret_exprs: tuple[S.Sse, ...] = ()          # aliases of the returned value
 
 
-def live_in_registers(function: ir.Function, graph: cfglib.Cfg) -> tuple[str, ...]:
+def live_in_registers(graph: cfglib.Cfg, order, cyclic=True) -> tuple[str, ...]:
     """Registers that may be read before written: the function's formals
-    (restricted to rN; sp/gp are implicit)."""
+    (restricted to rN; sp/gp are implicit).  `order` is the graph's
+    postorder (`cfglib.postorder`); without a cycle (`cyclic` false)
+    each block's successors come before it, so one pass is the fixpoint."""
     gen: dict[str, set[str]] = {}
     kill: dict[str, set[str]] = {}
-    for label in graph.order:
+    for label in order:
         g, k = set(), set()
         for stmt in graph.blocks[label].stmts:
             for r in ir.used_registers(stmt.form):
                 if r not in k:
                     g.add(r)
-            d = ir.defined_register(stmt.form)
-            if d:
-                k.add(d)
+            k.add(ir.defined_register(stmt.form))
         gen[label], kill[label] = g, k
-    live: dict[str, set[str]] = {b: set() for b in graph.order}
+    live: dict[str, set[str]] = {b: set() for b in order}
     changed = True
     while changed:
         changed = False
-        for label in graph.order:
+        for label in order:
             out: set[str] = set()
-            for s in graph.succs.get(label, ()):
+            for s in graph.succs[label]:
                 out |= live[s]
             new = gen[label] | (out - kill[label])
             if new != live[label]:
-                live[label] = new
-                changed = True
-    regs = live[graph.entry]
-    return tuple(sorted((r for r in regs if r not in ("sp", GP)),
+                live[label], changed = new, cyclic
+    return tuple(sorted((r for r in live[graph.entry] if r not in ("sp", GP)),
                         key=lambda r: int(r[1:])))
 
 
@@ -838,19 +832,65 @@ def _handed(t: Tracked, birth: int) -> Tracked:
     return t if expr is t.expr else t.moved(expr)
 
 
+class _Func:
+    """One function's static facts (`Session.func`): its CFG, postorder
+    (`order`), merge points, loop blocks, live-in registers (`params`),
+    rule tables by block label, each built on the block's first visit
+    (`table`), and argument bindings (`Session.binding`).  With no
+    retreating edge (`cfglib.postorder`) the merge points and loop blocks
+    are empty and the dominators wait for `taint._guards`; otherwise
+    the two come from the dominators' back edges, built at once."""
+    __slots__ = ("cfg", "order", "merge_points", "loops", "params", "tables",
+                 "bindings", "_dom", "_parts")
+
+    def __init__(self, function: ir.Function, points: dict, parts: dict):
+        g = self.cfg = cfglib.build_cfg(function)
+        for label, block in g.blocks.items():
+            for i, stmt in enumerate(block.stmts):
+                points[stmt.point] = (function.name, label, i)
+        order, cyclic = cfglib.postorder(g)
+        self.order, self._dom = tuple(order), None
+        self.merge_points, self.loops = (), frozenset()
+        if cyclic:
+            # the widening points of the CFG and of its reverse (Bourdoncle,
+            # FMPA 1993), forward first: loop heads forward, latches backward
+            edges = cfglib.back_edges(g, self.dominators())
+            heads, latches = {v for _, v in edges}, {u for u, _ in edges}
+            self.merge_points = tuple(
+                (label, d) for label in sorted(heads | latches)
+                for d, at in (("f", heads), ("b", latches)) if label in at)
+            self.loops = cfglib.loop_blocks(g, self._dom)
+        self.params = live_in_registers(g, order, cyclic)
+        # label -> `_Table`; (callsite, callee) -> `Session.binding`
+        self.tables, self.bindings, self._parts = {}, {}, parts
+
+    def dominators(self) -> dict[str, frozenset[str]]:
+        if self._dom is None:
+            self._dom = cfglib.dominators(self.cfg)
+        return self._dom
+
+    def table(self, label: str) -> _Table:
+        """The block's rule table, its rows from the session's parts."""
+        table = self.tables.get(label)
+        if table is None:
+            table = self.tables[label] = _table(self.cfg.blocks[label].stmts,
+                                                self._parts)
+        return table
+
+
 class Session:
     """What every analysis of one program under one resolution map shares.
 
-    Per-program facts are built lazily and once: each function's CFG and
-    the point index, each block's rule table (its rows from parts compiled
-    once per distinct form, which hold SSE nodes), live-in registers,
-    postorder, dominators and loop blocks, and each (callsite, callee)
-    argument binding (`binding`).  Sessions derived through
-    `with_resolutions` share them.  The call graph (direct calls and the
-    resolved icall targets) and its cycles depend on the resolution map,
-    and so do the summary cache and its notes, so each session has its
-    own, and so do the tables of results built from summaries: each
-    callsite's callee transfers (`crossings`) and backward queries.
+    Each function's static facts are one record (`func`, a `_Func`),
+    built on the function's first use and read by attribute on the hot
+    paths.  The session also keeps the point index (`locate`) and the
+    row parts compiled once per distinct form, which hold SSE nodes
+    (`_compile`).  Sessions derived through `with_resolutions` share all
+    of these.  The call graph (direct calls and the resolved icall
+    targets) and its cycles depend on the resolution map, and so do the
+    summary cache and its notes, so each session has its own, and so do
+    the tables of results built from summaries: each callsite's callee
+    transfers (`crossings`) and backward queries.
 
     A root session (one built here rather than by `with_resolutions`)
     has no resolutions.  It starts an empty SSE intern table and empty
@@ -871,8 +911,9 @@ class Session:
     def __init__(self, program: ir.Program):
         S.reset_tables()
         self.program = program
-        self._facts: dict = {}       # (kind, fname) -> per-program fact
+        self._funcs: dict[str, _Func] = {}
         self._points: dict[ir.Point, tuple[str, str, int]] = {}
+        self._parts: dict = {}       # form id -> its row parts (`_compile`)
         self._resolve({})
 
     def _resolve(self, resolutions: dict):
@@ -896,82 +937,42 @@ class Session:
     def with_resolutions(self, resolutions: dict) -> "Session":
         """The session over this program under `resolutions`:
         this one when the map is the same, otherwise a new session that
-        shares the per-program facts and the SSE intern table and starts
-        with no summaries."""
+        shares the function records, the point index, the row parts and
+        the SSE intern table, and starts with no summaries."""
         if resolutions == self.resolutions:
             return self
         other = object.__new__(Session)
         other.program = self.program
-        other._facts, other._points = self._facts, self._points
+        other._funcs, other._points, other._parts = self._funcs, self._points, self._parts
         other._resolve(resolutions)
         return other
 
-    def _fact(self, kind: str, name, build):
-        key = (kind, name)
-        fact = self._facts.get(key)
-        if fact is None:
-            fact = self._facts[key] = build()
-        return fact
-
-    def cfg(self, fname: str) -> cfglib.Cfg:
-        return self._fact("cfg", fname, lambda: self._build_cfg(fname))
-
-    def _build_cfg(self, fname: str) -> cfglib.Cfg:
-        g = cfglib.build_cfg(self.program.functions[fname])
-        for label in g.order:
-            for i, stmt in enumerate(g.blocks[label].stmts):
-                self._points[stmt.point] = (fname, label, i)
-        return g
+    def func(self, fname: str) -> _Func:
+        """`fname`'s static facts, built on its first use."""
+        fn = self._funcs.get(fname)
+        if fn is None:
+            fn = self._funcs[fname] = _Func(self.program.functions[fname],
+                                            self._points, self._parts)
+        return fn
 
     def locate(self, point: ir.Point) -> tuple[str, str, int]:
         """(function, CFG block, index in that block) of a program point."""
-        self.cfg(point.func)
+        self.func(point.func)
         return self._points[point]
 
     def statement(self, point: ir.Point) -> ir.Statement:
         fname, label, idx = self.locate(point)
-        return self.cfg(fname).blocks[label].stmts[idx]
-
-    def rules(self, fname: str, label: str) -> _Table:
-        """The rule table of a block's statements, one row each, with its
-        row index."""
-        return self._fact("rules", (fname, label), lambda: _table(
-            self.cfg(fname).blocks[label].stmts, self._fact("row parts", None, dict)))
-
-    def params(self, fname: str) -> tuple[str, ...]:
-        return self._fact("params", fname, lambda: live_in_registers(
-            self.program.functions[fname], self.cfg(fname)))
+        return self._funcs[fname].cfg.blocks[label].stmts[idx]
 
     def binding(self, site: ir.Point, callee: str) -> dict[str, S.Sse]:
         """The callee's formals mapped to the actuals of the call at `site`
-        (`arg_map`), the one binding every use of that call reads."""
-        return self._fact("binding", (site, callee), lambda: arg_map(
-            self.params(callee), self.statement(site).form.args))
-
-    def postorder(self, fname: str) -> tuple[str, ...]:
-        return self._fact("postorder", fname,
-                          lambda: tuple(cfglib.postorder(self.cfg(fname))))
-
-    def dominators(self, fname: str) -> dict[str, frozenset[str]]:
-        return self._fact("dominators", fname,
-                          lambda: cfglib.dominators(self.cfg(fname)))
-
-    def loop_blocks(self, fname: str) -> frozenset[str]:
-        return self._fact("loops", fname, lambda: cfglib.loop_blocks(
-            self.cfg(fname), self.dominators(fname)))
-
-    def merge_points(self, fname: str) -> tuple[tuple[str, str], ...]:
-        """The (block, direction) sides where the induction merge runs
-        (`Analysis._merge_induction`), by block label, forward first: the
-        widening points of the CFG and of its reverse (Bourdoncle, FMPA
-        1993).  Forward that is the target of each back edge, the loop
-        head; backward its source, the latch."""
-        def build():
-            edges = cfglib.back_edges(self.cfg(fname), self.dominators(fname))
-            heads, latches = {v for _, v in edges}, {u for u, _ in edges}
-            return tuple((label, d) for label in sorted(heads | latches)
-                         for d, at in (("f", heads), ("b", latches)) if label in at)
-        return self._fact("merge points", fname, build)
+        (`arg_map`), kept in the caller's record for every use of the call."""
+        bindings = self.func(site.func).bindings
+        binding = bindings.get((site, callee))
+        if binding is None:
+            binding = bindings[site, callee] = arg_map(
+                self.func(callee).params, self.statement(site).form.args)
+        return binding
 
     @cached_property
     def call_graph(self) -> cfglib.CallGraph:
@@ -1003,9 +1004,11 @@ class Analysis:
     Seeds are injected at program points; `run()` drives per-function
     fixpoints and lets results cross callsites in both directions.  The
     analysis holds only per-run state: block states, registry, queue,
-    seeds, warnings and cap hits.  CFGs, program indices and the summary
-    cache belong to the `Session` it is built on (`summaries` is the
-    session's dict), which every analysis of a run shares.
+    seeds, warnings and cap hits.  Each function's static facts
+    (`Session.func`), the point index and the summary cache belong to
+    the `Session` it is built on (`summaries` is the session's dict),
+    which every analysis of a run shares.  An analysis given `confine`
+    exports only to the callers it names (`_export`).
 
     There is one summary cache per resolution map.  A summary depends
     only on its function and its callees' summaries: the sub-analysis
@@ -1027,16 +1030,17 @@ class Analysis:
 
     A summary holds what every callsite crossing reads: MOD and the
     return aliases, so its sub-analysis is seeded at stores and returns
-    only.  REF is read by taint descents alone (`_descend`), and is built
-    per session on first demand, by a sub-analysis of its own seeded at
-    the function's loads and run once the function's summary is final
-    (for a cycle member, after both rounds).  Its warnings and cap hits
+    only; a function with neither gets the bottom summary with no
+    sub-analysis.  REF is read by taint descents alone (`_descend`), and
+    is built per session on first demand, by a sub-analysis seeded at
+    the function's loads, once the function's summary is final (for a
+    cycle member, after both rounds).  Its warnings and cap hits
     join the summary's notes, each message once.  A descent compares a
     fact with a REF' cell by structure id, so tags do not stop it: a
     tainted alias holding a spent memory node is still tracked, unless
     it is a spent store, which no cell matches (`_spent`).
 
-    The merge points of a function (`Session.merge_points`) merge offset
+    The merge points of a function (`_Func.merge_points`) merge offset
     families every round from `LOOP_K` on (`_merge_induction`), and the
     members merged are retired (`_retire`): refused wherever they are
     injected again in the function.
@@ -1052,13 +1056,15 @@ class Analysis:
     """
 
     def __init__(self, session: Session, policy=None, *,
-                 summary_of: str | None = None):
+                 summary_of: str | None = None, confine: Iterable[str] | None = None):
         self.session = session
         self.program = session.program
         self.policy = policy
         self.summaries = session.summaries
         # the function whose summary this analysis computes, if any
         self.summary_of = summary_of
+        # the callers it exports to, when not every caller (`_export`)
+        self.confine = None if confine is None else frozenset(confine)
         self.states: dict[str, dict[str, _BlockSt]] = {}
         # callsites whose callees' notes this analysis took (`_crossings`)
         self._crossed: set = set()
@@ -1081,17 +1087,15 @@ class Analysis:
 
     # -- plumbing -----------------------------------------------------------
 
-    def cfg(self, fname: str) -> cfglib.Cfg:
-        g = self.session.cfg(fname)
+    def func(self, fname: str) -> _Func:
+        """`fname`'s record (`Session.func`); on its first use here its
+        block states start and its CFG warnings are taken."""
+        fn = self.session.func(fname)
         if fname not in self.states:
             self.states[fname] = {}
             self.registry.setdefault(fname, {})
-            self.warn(*g.warnings)
-        return g
-
-    def locate(self, point: ir.Point) -> tuple[str, str, int]:
-        self.cfg(point.func)
-        return self.session.locate(point)
+            self.warn(*fn.cfg.warnings)
+        return fn
 
     def warn(self, *messages: str):
         """Record each warning once per analysis, in first-occurrence
@@ -1125,7 +1129,8 @@ class Analysis:
         built outside the session, such as a query parsed before the
         session reset the intern table: structure ids outlive the table,
         so its facts key as those of the same expression built here."""
-        fname, label, idx = self.locate(seed.point)
+        fname, label, idx = self.session.locate(seed.point)
+        self.func(fname)
         sid = self.seed_id_for(seed)
         # a source seed is tainted only once its own statement has run
         phase = "post" if seed.tainted and seed.trigger == seed.point else "pre"
@@ -1177,20 +1182,20 @@ class Analysis:
 
     # -- per-block visits ---------------------------------------------------
 
-    def _visit(self, fname: str, g: cfglib.Cfg, label: str, st: _BlockSt) -> bool:
+    def _visit(self, fname: str, fn: _Func, label: str, st: _BlockSt) -> bool:
         """Walk the block's pending facts; the caller checks there are some."""
         self.blocks_visited.add((fname, label))
-        block = g.blocks[label]
+        block = fn.cfg.blocks[label]
         if block.is_call:
-            return self._visit_callsite(fname, g, label, st, block)
-        return self._trace_block(fname, g, label, st)
+            return self._visit_callsite(fname, fn, label, st, block)
+        return self._trace_block(fname, fn, label, st)
 
-    def _trace_block(self, fname, g, label, st) -> bool:
+    def _trace_block(self, fname, fn, label, st) -> bool:
         """Alg.-1 shape: alternate forward and backward walks, feeding the
         rule-6 results of the forward pass into the backward input and the
         backward pass's forward-trackable output into the next forward
         input, until no new alias appears."""
-        rules = self.session.rules(fname, label)
+        rules = fn.table(label)
         changed = False
         fwd, bwd = st.f.pend, st.b.pend
         st.f.pend, st.b.pend = [], []
@@ -1226,7 +1231,7 @@ class Analysis:
                 break
 
         if changed:
-            self._propagate(fname, g, label, st)
+            self._propagate(fname, fn.cfg, label, st)
         return changed
 
     def _propagate(self, fname, g, label, st):
@@ -1257,7 +1262,7 @@ class Analysis:
 
     # -- callsite transfer ---------------------------------------------------
 
-    def _visit_callsite(self, fname, g, label, st, block) -> bool:
+    def _visit_callsite(self, fname, fn, label, st, block) -> bool:
         stmt = block.call
         form = stmt.form
         point = stmt.point
@@ -1334,7 +1339,7 @@ class Analysis:
                     changed |= st.b.put(n)
 
         if changed:
-            self._propagate(fname, g, label, st)
+            self._propagate(fname, fn.cfg, label, st)
         return changed
 
     def _crossings(self, point: ir.Point, form) -> list[tuple[str, Transfer]]:
@@ -1431,7 +1436,8 @@ class Analysis:
         # exported back to callers must still be gated by it
         seed = Seed(point=entry_point, expr=expr, direction="forward",
                     tainted=True, trigger=parent.trigger, label="io")
-        fname, label, _ = self.locate(entry_point)
+        fname, label, _ = self.session.locate(entry_point)
+        self.func(fname)
         sid = self.seed_id_for(seed)
         sites = self._descents.setdefault((fname, sid), set())
         if site in sites:
@@ -1484,10 +1490,10 @@ class Analysis:
             self._take_notes(callee)
 
     def _compute_summary(self, fname: str) -> FunctionSummary:
-        g = self.session.cfg(fname)
+        fn = self.session.func(fname)
         seeds: list[tuple[str, ir.Statement, Seed]] = []
-        for label in g.order:
-            for stmt in g.blocks[label].stmts:
+        for block in fn.cfg.blocks.values():
+            for stmt in block.stmts:
                 form = stmt.form
                 if isinstance(form, ir.Store):
                     seeds.append(("mod-addr", stmt, Seed(
@@ -1501,6 +1507,11 @@ class Analysis:
                     seeds.append(("ret", stmt, Seed(
                         stmt.point, S.Reg(form.value), direction="backward",
                         label=f"ret:{stmt.point}")))
+        if not seeds:
+            # what a sub-analysis with no seed gives: the CFG's warnings
+            # once each, no cap hit and no callee
+            self.session.notes[fname] = (list(dict.fromkeys(fn.cfg.warnings)), [], {})
+            return FunctionSummary(fname, fn.params)
         sub, sids = self._sub_analysis(fname, [seed for _, _, seed in seeds])
         self.session.notes[fname] = (sub.warnings, sub.cap_hits, sub._noted)
         rooted = {(kind, stmt.point): sub._rooted(fname, sid)
@@ -1517,7 +1528,7 @@ class Analysis:
                            for m in rooted[(kind, stmt.point)])
             elif kind == "ret":
                 rets.extend(rooted[(kind, stmt.point)])
-        return FunctionSummary(func=fname, params=self.session.params(fname),
+        return FunctionSummary(func=fname, params=fn.params,
                                mod=tuple(dict.fromkeys(mod)),
                                ret_exprs=tuple(dict.fromkeys(rets)))
 
@@ -1533,9 +1544,8 @@ class Analysis:
         if cells is not None:
             return cells
         self.summary(fname)
-        g = self.session.cfg(fname)
-        loads = [stmt for label in g.order for stmt in g.blocks[label].stmts
-                 if isinstance(stmt.form, ir.Load)]
+        loads = [stmt for block in self.session.func(fname).cfg.blocks.values()
+                 for stmt in block.stmts if isinstance(stmt.form, ir.Load)]
         if not loads:
             cells = self.session.refs[fname] = ()
             return cells
@@ -1560,8 +1570,7 @@ class Analysis:
     def _sub_analysis(self, fname: str, seeds: list[Seed]):
         """A policy-free run of `fname` alone from `seeds`, for its summary
         or REF, and the seeds' ids."""
-        sub = Analysis(self.session, summary_of=fname)
-        sub.cfg(fname)   # its CFG warnings, even with no seed
+        sub = Analysis(self.session, summary_of=fname, confine=(fname,))
         sids = [sub.add_seed(seed) for seed in seeds]
         sub.run()
         return sub, sids
@@ -1570,17 +1579,16 @@ class Analysis:
         """The trusted members of seed `sid` in `fname` that mention only
         its parameters and the globals register, as at its entry: the
         seed's expressions in the terms a summary speaks."""
-        allowed = set(self.session.params(fname)) | {GP}
+        allowed = set(self.session.func(fname).params) | {GP}
         return [S.retag(t.expr, S.BIRTH_BEFORE_BLOCK) for t in self.family(sid, fname)
                 if S.registers(t.expr) <= allowed and t.trusted()]
 
     # -- the Alg.-3 driver ----------------------------------------------------
 
     def analyze_function(self, fname: str):
-        g = self.cfg(fname)
+        fn = self.func(fname)
         self.visited_functions.add(fname)
-        order = self.session.postorder(fname)
-        points = self.session.merge_points(fname)
+        order, points = fn.order, fn.merge_points
         states = self.states[fname]
         rounds = 0
         while True:
@@ -1589,7 +1597,7 @@ class Analysis:
             for label in (*reversed(order), *order):
                 st = states.get(label, _NO_STATE)
                 if st.f.pend or st.b.pend:
-                    changed |= self._visit(fname, g, label, st)
+                    changed |= self._visit(fname, fn, label, st)
             rounds += 1
             if rounds >= LOOP_K and points:
                 changed |= self._merge_induction(fname, points)
@@ -1598,7 +1606,7 @@ class Analysis:
             if rounds >= FUNC_ROUNDS_CAP:
                 self.cap_hits.append(f"function fixpoint cap hit in {fname}")
                 break
-        self._export(fname)
+        self._export(fname, fn)
 
     def run(self):
         """Analyze every scheduled function, then record a cap hit for
@@ -1644,7 +1652,7 @@ class Analysis:
         for label, direction, base, merged in plans:
             t = base.derive(merged, base.point, base.phase)
             idx = 0 if direction == "f" else \
-                len(self.cfg(fname).blocks[label].stmts) - 1
+                len(self.session.func(fname).cfg.blocks[label].stmts) - 1
             if self._inject(fname, label, t, idx, direction):
                 self._record(fname, t)
                 changed = True
@@ -1674,7 +1682,7 @@ class Analysis:
 
     # -- cross-function exports ------------------------------------------------
 
-    def _export(self, fname: str):
+    def _export(self, fname: str, fn: _Func):
         """Send a walked function's results to its callers: its entry-block
         backward results rooted at parameters or the globals register to
         each callsite, and its exit-block forward results to each return
@@ -1682,14 +1690,13 @@ class Analysis:
         `_for_callsite` picks the facts each callsite gets: a descent's
         facts go back only to the callsites that reached it."""
         callers = self.session.call_graph.callers(fname)
-        if self.summary_of is not None:
-            # a summary's walk stays inside its own function
-            callers = [c for c in callers if c[0] == self.summary_of]
+        if self.confine is not None:
+            callers = [c for c in callers if c[0] in self.confine]
         if not callers:
             return
-        g = self.cfg(fname)
+        g = fn.cfg
         states = self.states[fname]
-        allowed = set(self.session.params(fname)) | {GP}
+        allowed = set(fn.params) | {GP}
         exports_up = [t for t in states.get(g.entry, _NO_STATE).b.out.values()
                       if S.registers(t.expr) <= allowed and not t.derived]
         returned = []       # (returned register, the exit block's forward out)
@@ -1704,8 +1711,9 @@ class Analysis:
             return
         cycle = self.session.cycle(fname)
         for caller, cpoint in callers:
-            cf, clabel, _ = self.locate(cpoint)
-            cform = self.cfg(cf).blocks[clabel].call.form
+            cfn = self.func(caller)
+            clabel = self.session.locate(cpoint)[1]
+            cform = cfn.cfg.blocks[clabel].call.form
             binding = self.session.binding(cpoint, fname)
             in_cycle = caller in cycle
             sends = [(exports_up, binding, S.BIRTH_AFTER_BLOCK, "pre")]
@@ -1724,8 +1732,8 @@ class Analysis:
                 # a hit only when the cap keeps out a fact the callsite lacks:
                 # a returned fact not in its forward `out`, any other fact
                 # neither in its backward pool nor retired
-                st = self.states[cf].get(clabel, _NO_STATE)
-                retired = self.retired.get(cf, ())
+                st = self.states[caller].get(clabel, _NO_STATE)
+                retired = self.retired.get(caller, ())
                 if any(m._key not in st.f.out if m.phase == "post"
                        else m._key not in st.b.pool and m._key not in retired
                        for m in moves):
@@ -1734,15 +1742,15 @@ class Analysis:
             grew = pushed = False
             for moved in moves:
                 # a returned fact holds below the call: it does not cross it
-                if (self._state(cf, clabel).f.put(moved) if moved.phase == "post"
-                        else self._inject(cf, clabel, moved, -1, "b")):
-                    self._record(cf, moved)
+                if (self._state(caller, clabel).f.put(moved) if moved.phase == "post"
+                        else self._inject(caller, clabel, moved, -1, "b")):
+                    self._record(caller, moved)
                     grew = True
                     pushed |= moved.phase == "post"
             if pushed:
-                self._propagate(cf, self.cfg(cf), clabel, self.states[cf][clabel])
+                self._propagate(caller, cfn.cfg, clabel, self.states[caller][clabel])
             if grew:
-                self._schedule(cf)
+                self._schedule(caller)
 
     def _for_callsite(self, fname: str, cpoint: ir.Point, in_cycle: bool, facts):
         """The exported facts of `fname` that go to the callsite `cpoint`.

@@ -16,11 +16,12 @@ from functools import cached_property
 from . import ir
 
 
-@dataclass(frozen=True)
 class CfgBlock:
-    label: str
-    stmts: tuple[ir.Statement, ...]
-    is_call: bool = False
+    """A CFG block, a call's own block when `is_call`; not a dataclass."""
+    __slots__ = ("label", "stmts", "is_call")
+
+    def __init__(self, label: str, stmts: tuple[ir.Statement, ...], is_call=False):
+        self.label, self.stmts, self.is_call = label, stmts, is_call
 
     @property
     def call(self) -> ir.Statement | None:
@@ -42,17 +43,15 @@ class Cfg:
 
 def build_cfg(function: ir.Function) -> Cfg:
     """Split blocks so each call is isolated, wire the edges, flag
-    unreachable blocks (kept for stable reporting, skipped by worklists)."""
+    unreachable blocks (kept for stable reporting, skipped by worklists).
+    A source block's first segment keeps its label, so branch and jump
+    targets name their segments as they are."""
     warnings: list[str] = []
-    # (label, stmts, is_call, continues_in_source_block)
-    segments: list[tuple[str, list[ir.Statement], bool, bool]] = []
-    first_segment: dict[str, str] = {}
-    next_source: dict[str, str | None] = {}
-    for i, block in enumerate(function.blocks):
-        next_source[block.label] = (function.blocks[i + 1].label
-                                    if i + 1 < len(function.blocks) else None)
-
-    for block in function.blocks:
+    blocks: dict[str, CfgBlock] = {}
+    succs: dict[str, tuple[str, ...]] = {}
+    exits: list[str] = []
+    source = function.blocks
+    for n, block in enumerate(source):
         runs: list[tuple[list[ir.Statement], bool]] = []
         cur: list[ir.Statement] = []
         for stmt in block.stmts:
@@ -65,44 +64,28 @@ def build_cfg(function: ir.Function) -> Cfg:
                 cur.append(stmt)
         if cur or not runs:
             runs.append((cur, False))
-        for i, (stmts, is_call) in enumerate(runs):
-            label = (block.label if i == 0
-                     else f"{block.label}@{stmts[0].point.index if stmts else i}")
-            if i == 0:
-                first_segment[block.label] = label
-            segments.append((label, stmts, is_call, i + 1 < len(runs)))
-
-    blocks = {label: CfgBlock(label, tuple(stmts), is_call)
-              for label, stmts, is_call, _ in segments}
-    order = [label for label, _, _, _ in segments]
-    succs: dict[str, list[str]] = {label: [] for label in order}
-
-    layout_next: dict[str, str | None] = {}
-    for i, label in enumerate(order):
-        layout_next[label] = order[i + 1] if i + 1 < len(order) else None
-
-    exits: list[str] = []
-    for label, stmts, is_call, continues in segments:
-        last = stmts[-1].form if stmts else None
-        source = stmts[0].point.block if stmts else label
-        if continues:
-            succs[label] = [layout_next[label]]
-        elif isinstance(last, ir.Branch):
-            succs[label] = [first_segment[last.then_block],
-                            first_segment[last.else_block]]
-        elif isinstance(last, ir.Jump):
-            succs[label] = [first_segment[last.block]]
-        elif isinstance(last, ir.Ret):
-            exits.append(label)
-        elif isinstance(last, (ir.Call, ir.ICall)):
-            nxt = next_source.get(source)
-            if nxt is None:
-                warnings.append(f"{function.name}:{label}: falls off function end")
+        labels = [block.label] + [f"{block.label}@{stmts[0].point.index}"
+                                  for stmts, _ in runs[1:]]
+        for label, (stmts, is_call), nxt in zip(labels, runs, labels[1:] + [None]):
+            blocks[label] = CfgBlock(label, tuple(stmts), is_call)
+            last = stmts[-1].form if stmts else None
+            succs[label] = ()
+            if nxt is not None:
+                succs[label] = (nxt,)
+            elif isinstance(last, ir.Branch):
+                succs[label] = (last.then_block, last.else_block)
+            elif isinstance(last, ir.Jump):
+                succs[label] = (last.block,)
+            elif isinstance(last, ir.Ret):
+                exits.append(label)
+            elif not is_call:
+                warnings.append(f"{function.name}:{label}: malformed terminator")
+            elif n + 1 < len(source):
+                succs[label] = (source[n + 1].label,)
             else:
-                succs[label] = [first_segment[nxt]]
-        else:
-            warnings.append(f"{function.name}:{label}: malformed terminator")
+                warnings.append(f"{function.name}:{label}: falls off function end")
 
+    order = list(blocks)
     entry = order[0]
     preds: dict[str, list[str]] = {label: [] for label in order}
     for label, ss in succs.items():
@@ -113,7 +96,7 @@ def build_cfg(function: ir.Function) -> Cfg:
         synth = "__entry"
         blocks[synth] = CfgBlock(synth, ())
         order.insert(0, synth)
-        succs[synth] = [entry]
+        succs[synth] = (entry,)
         preds[synth] = []
         preds[entry].append(synth)
         entry = synth
@@ -136,38 +119,44 @@ def build_cfg(function: ir.Function) -> Cfg:
         order=tuple(order),
         entry=entry,
         exits=tuple(e for e in exits if e in reachable) or tuple(exits),
-        succs={k: tuple(v) for k, v in succs.items()},
+        succs=succs,
         preds={k: tuple(v) for k, v in preds.items()},
         unreachable=unreachable,
         warnings=tuple(warnings),
     )
 
 
-def postorder(cfg: Cfg) -> list[str]:
-    """Blocks in DFS postorder from the entry; back edges are ignored, so
-    a block appears after all its non-loop successors.  Unreachable
-    blocks are excluded.  The DFS keeps an explicit stack, so a long
-    chain of blocks cannot exhaust the interpreter's recursion limit."""
+def postorder(cfg: Cfg) -> tuple[list[str], bool]:
+    """Reachable blocks in DFS postorder from the entry, each after its
+    successors but the targets of retreating edges (into a block still
+    on the DFS stack), and whether there is one; without one there is no
+    back edge u->v either, as v dominates u.  The explicit stack keeps a
+    long chain of blocks off the interpreter's recursion limit."""
     out: list[str] = []
     visited = {cfg.entry}
+    on_stack = {cfg.entry}
+    retreating = False
     stack = [(cfg.entry, iter(cfg.succs.get(cfg.entry, ())))]
     while stack:
         label, succs = stack[-1]
         for s in succs:
             if s not in visited:
                 visited.add(s)
+                on_stack.add(s)
                 stack.append((s, iter(cfg.succs.get(s, ()))))
                 break
+            retreating |= s in on_stack
         else:
             stack.pop()
+            on_stack.discard(label)
             out.append(label)
-    return out
+    return out, retreating
 
 
 def dominators(cfg: Cfg) -> dict[str, frozenset[str]]:
     """Classic iterative dominator sets (small graphs, no need for
     anything cleverer)."""
-    rpo = postorder(cfg)[::-1]
+    rpo = postorder(cfg)[0][::-1]
     allb = frozenset(rpo)
     dom = {b: allb for b in rpo}
     dom[cfg.entry] = frozenset({cfg.entry})

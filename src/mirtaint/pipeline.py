@@ -193,7 +193,7 @@ def analyze(config: RunConfig) -> Report:
 
     dumps = {}
     if config.dump_cfg:
-        dumps["cfg"] = cfglib.to_dot(session.cfg(config.dump_cfg))
+        dumps["cfg"] = cfglib.to_dot(session.func(config.dump_cfg).cfg)
 
     seed_results, query_hits = _seed_queries(session, queries)
     icall_stats = icalllib.metrics(resolutions)

@@ -410,12 +410,15 @@ class TaintPolicy:
 
 def _backward_family(session: Session, point: ir.Point,
                      reg: str) -> tuple[S.Sse, ...]:
-    """The expressions of `reg`'s backward family at `point`.  The
+    """The expressions of `reg`'s backward family at `point`.  Its
+    analysis has no policy, so no fact moves from a caller into a
+    callee, and a caller outside the function's call-graph cycle cannot
+    change the family: it exports only to callers in the cycle.  The
     result depends only on the session and the query, so the session
     keeps it, with the cap hits of the query's analysis."""
     kept = session.backward_families.get((point, reg))
     if kept is None:
-        sub = Analysis(session)
+        sub = Analysis(session, confine=session.cycle(point.func))
         sid = sub.add_seed(Seed(point=point, expr=S.Reg(reg),
                                 direction="backward", label="query"))
         sub.run()
@@ -456,10 +459,11 @@ def _stack_dst(session: Session, point: ir.Point, reg: ir.Operand):
 def _guards(session: Session, constraints_by_edge, fname: str, block: str,
             seed_id: int) -> list[Constraint]:
     """The seed's constraints on branch edges whose target dominates
-    `block`."""
-    doms = session.dominators(fname).get(block, frozenset())
-    return [c for (cf, target), cs in constraints_by_edge.items()
-            if cf == fname and target in doms for c in cs if c.seed_id == seed_id]
+    `block`; the dominators are built only when an edge of `fname` has
+    a constraint."""
+    edges = [(t, cs) for (cf, t), cs in constraints_by_edge.items() if cf == fname]
+    doms = session.func(fname).dominators().get(block, ()) if edges else ()
+    return [c for t, cs in edges if t in doms for c in cs if c.seed_id == seed_id]
 
 
 def _taint_chain(item: Tracked) -> tuple[str, ...]:
@@ -531,7 +535,6 @@ def detect_loop_copies(analysis: Analysis) -> list[SinkHit]:
     by a tainted load.  Each such store is a `LOOP_COPY` sink hit, which
     `check_sink` decides like any other copy (so any dominating constraint
     still suppresses it)."""
-    session = analysis.session
     hits: list[SinkHit] = []
     for fname in sorted(analysis.visited_functions):
         reg = analysis.registry.get(fname, {})
@@ -541,8 +544,8 @@ def detect_loop_copies(analysis: Analysis) -> list[SinkHit]:
                 tainted.setdefault(t.expr.name, []).append(t)
         if not tainted:
             continue
-        graph = analysis.cfg(fname)
-        loops = session.loop_blocks(fname)
+        fn = analysis.func(fname)
+        graph, loops = fn.cfg, fn.loops
         if not loops:
             continue
         source_labels = {lbl.split("@")[0] for lbl in loops}

@@ -63,7 +63,7 @@ def test_complex_example_pair_and_rule_trace(corpus):
 def test_trace_block_passthrough_empty_seeds(corpus):
     prog = corpus("moves.ir")
     analysis = Analysis(Session(prog))
-    analysis.cfg("main")
+    analysis.func("main")
     assert analysis.registry["main"] == {}
 
 
@@ -227,9 +227,8 @@ def test_a_reused_crossing_takes_the_callee_notes():
 
 def test_live_in_registers(corpus):
     prog = corpus("store_through_callee.ir")
-    analysis = Analysis(Session(prog))
-    assert live_in_registers(prog.functions["put"], analysis.cfg("put")) == \
-        ("r0", "r1")
+    g = Session(prog).func("put").cfg
+    assert live_in_registers(g, C.postorder(g)[0]) == ("r0", "r1")
 
 
 def test_summary_mod_rooted_at_params(corpus):
@@ -475,7 +474,7 @@ def test_session_shares_program_facts_not_summaries(corpus):
     assert set(session.summaries) == {"h0", "norm0", "norm1", "norm2"}
     assert session.with_resolutions({}) is session
     other = session.with_resolutions({ir.Point("main", "bb0", 1): ("h1",)})
-    assert other.cfg("h0") is session.cfg("h0")
+    assert other.func("h0") is session.func("h0")
     assert other.summaries == {}
 
 
@@ -819,11 +818,11 @@ def test_inert_statements_step_to_nothing(corpus, monkeypatch):
         for fname, registry in analysis.registry.items():
             items = list(registry.values())
             items += [replace(t, tainted=True) for t in items if not t.tainted]
-            g = session.cfg(fname)
+            g = session.func(fname).cfg
             for label in g.order:
                 if g.blocks[label].is_call:
                     continue
-                table = session.rules(fname, label)
+                table = session.func(fname).table(label)
                 for t in items:
                     for forward, step in ((True, walker.forward_step),
                                           (False, walker.backward_step)):
@@ -1262,7 +1261,7 @@ def test_session_compiles_each_form_once():
         "  r3 = ite r4, r5, 0x0\n  jump bb1\nbb1:\n  r6 = r1 + r2\n"
         "  r3 = ite r4, r5, 0x0\n  ret\n}\n")
     session = Session(prog)
-    (add0, ite0, _), (add1, ite1, _) = (session.rules("f", label).rows
+    (add0, ite0, _), (add1, ite1, _) = (session.func("f").table(label).rows
                                         for label in ("bb0", "bb1"))
     # SSE nodes are interned anyway; the tuples holding them are built once
     assert add1.uses is add0.uses and add1.carriers is add0.carriers

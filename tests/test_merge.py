@@ -1,7 +1,7 @@
 """The induction merge against a reference skeleton partition.
 
 `Analysis._merge_induction` re-partitions each pool group at the
-function's merge points (`Session.merge_points`: loop heads forward,
+function's merge points (`_Func.merge_points`: loop heads forward,
 latches backward) through `sse.induction_families`, which buckets the
 members by offset strings read off their structure (`sse._offsets`).
 The reference below builds each offset skeleton as an expression and
@@ -104,7 +104,7 @@ def reference_merge(self, fname, points):
     changed = False
     for label, direction, base, merged in plans:
         t = base.derive(merged, base.point, base.phase)
-        idx = 0 if direction == "f" else len(self.cfg(fname).blocks[label].stmts) - 1
+        idx = 0 if direction == "f" else len(self.func(fname).cfg.blocks[label].stmts) - 1
         if self._inject(fname, label, t, idx, direction):
             self._record(fname, t)
             changed = True
@@ -254,4 +254,4 @@ def test_merge_points_are_loop_heads_forward_and_latches_backward():
     backward at the head instead walks the table from slot 1 on
     (`load((0x9200+main:s0*0x4)+0x4)`), skipping slot 0."""
     program = ir.parse_program((ROOT / "corpus" / "table_null.ir").read_text())
-    assert Session(program).merge_points("main") == (("head", "f"), ("skip", "b"))
+    assert Session(program).func("main").merge_points == (("head", "f"), ("skip", "b"))

@@ -12,19 +12,23 @@ does, so its report must agree with the original's, up to the renaming
   reverses;
 - every block of two or more statements with no call in its first half
   split at its midpoint by a `jump` to a new block placed right after
-  it, so a block that falls through still falls through to the same one.
+  it, so a block that falls through still falls through to the same one;
+- `rN = 0x0` inserted at the top of every block, for a register rN that
+  the program never names.
 
 The reports are compared by their alerts (site, class, verdict), the
-targets of each indirect call and the number of cap hits.  The last two
-rewrites move program points, so their sites are mapped back to the
-original's before comparing.  The programs are every corpus file and the
+targets of each indirect call and the number of cap hits.  The last
+three rewrites move program points, so their sites are mapped back to
+the original's before comparing.  The programs are every corpus file and the
 two smallest seed-1 programs of each benchmark workload.  Reversing the
 functions also changes which equal statement the parser meets first, so
 it guards the shared statement forms (`ir.parse_program`) and the rows
-compiled once per form (`alias.Session.rules`) too.  Renaming and
+compiled once per form (`alias._Func.table`) too.  Renaming and
 splitting blocks change which blocks are loop heads and latches, where
-the induction merge runs (`alias.Session.merge_points`), and the order
-in which it visits them.
+the induction merge runs (`alias._Func.merge_points`), and the order
+in which it visits them.  The dead definitions add a statement to every
+block that no fact depends on; they guard the live-in registers
+(`alias.live_in_registers`), which must not count the register.
 """
 
 import dataclasses
@@ -139,6 +143,22 @@ def split_blocks(program: ir.Program) -> tuple[ir.Program, dict]:
     return _with_blocks(program, blocks), back
 
 
+def dead_definitions(program: ir.Program) -> tuple[ir.Program, dict]:
+    """`program` with `rN = 0x0` at the top of every block, for the
+    lowest rN above every register it names, and the map from each
+    (function, label) to its label and index offset."""
+    named = map(int, re.findall(r"\br(\d+)\b", ir.pretty_program(program)))
+    dead = f"r{1 + max(named, default=0)}"
+    back = {}
+
+    def blocks(fn):
+        back.update(((fn.name, b.label), (b.label, -1)) for b in fn.blocks)
+        return [(b.label, [ir.Move(dead, 0)] + [st.form for st in b.stmts])
+                for b in fn.blocks]
+
+    return _with_blocks(program, blocks), back
+
+
 def outcome(program: ir.Program, path: pathlib.Path, back=None) -> tuple:
     """What a rewrite must keep of `program`'s report: its alerts, icall
     targets and cap-hit count, with each site mapped back through `back`
@@ -162,6 +182,6 @@ def test_rewrites_keep_the_report(name, tmp_path):
     want = outcome(program, tmp_path / "original.ir")
     assert outcome(reversed_functions(program), tmp_path / "reversed.ir") == want
     assert outcome(renamed_registers(program), tmp_path / "renamed.ir") == want
-    for rewrite in (relabeled_blocks, split_blocks):
+    for rewrite in (relabeled_blocks, split_blocks, dead_definitions):
         rewritten, back = rewrite(program)
         assert outcome(rewritten, tmp_path / f"{rewrite.__name__}.ir", back) == want
