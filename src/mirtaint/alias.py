@@ -96,15 +96,16 @@ of callee transfers while the callees' summaries stay the same
 (`Analysis._crossings`).
 
 From `LOOP_K` sweeps on, every round turns each pool group (seed, taint,
-conditions) into offset families, but only where a back edge enters a
-loop in the walk's direction: forward at the loop head, the back edge's
-target, and backward at the latch, its source.  These are Bourdoncle's
-widening points (FMPA 1993) of the CFG and of its reverse; every cycle
-of a reducible CFG holds a back edge, so they cut every loop, and a fact
-that goes round a loop passes one.  The other blocks of a loop hold
-mostly the same facts: merging there too leaves every corpus and
-benchmark ladder report as it is and only repeats the work.  Each merge
-partitions a group whole (`sse.induction_families`).
+conditions) into offset families, but only where a retreating edge of
+the postorder DFS enters a loop in the walk's direction: forward at the
+loop head, the edge's target, and backward at the latch, its source.
+These are Bourdoncle's widening points (FMPA 1993) of the CFG and of its
+reverse; every cycle of any CFG, reducible or not, holds a retreating
+edge, so they cut every loop, and a fact that goes round a loop passes
+one.  The other blocks of a loop hold mostly the same facts: merging
+there too leaves every corpus and benchmark ladder report as it is and
+only repeats the work.  Each merge partitions a group whole
+(`sse.induction_families`).
 """
 
 from __future__ import annotations
@@ -836,10 +837,10 @@ class _Func:
     """One function's static facts (`Session.func`): its CFG, postorder
     (`order`), merge points, loop blocks, live-in registers (`params`),
     rule tables by block label, each built on the block's first visit
-    (`table`), and argument bindings (`Session.binding`).  With no
-    retreating edge (`cfglib.postorder`) the merge points and loop blocks
-    are empty and the dominators wait for `taint._guards`; otherwise
-    the two come from the dominators' back edges, built at once."""
+    (`table`), and argument bindings (`Session.binding`).  The postorder
+    DFS (`cfglib.postorder`) gives every loop fact: the merge points are
+    the ends of its retreating edges, and the loop blocks are the blocks
+    on a cycle.  The dominators wait for `taint._guards`."""
     __slots__ = ("cfg", "order", "merge_points", "loops", "params", "tables",
                  "bindings", "_dom", "_parts")
 
@@ -848,19 +849,16 @@ class _Func:
         for label, block in g.blocks.items():
             for i, stmt in enumerate(block.stmts):
                 points[stmt.point] = (function.name, label, i)
-        order, cyclic = cfglib.postorder(g)
+        order, retreating = cfglib.postorder(g)
         self.order, self._dom = tuple(order), None
-        self.merge_points, self.loops = (), frozenset()
-        if cyclic:
-            # the widening points of the CFG and of its reverse (Bourdoncle,
-            # FMPA 1993), forward first: loop heads forward, latches backward
-            edges = cfglib.back_edges(g, self.dominators())
-            heads, latches = {v for _, v in edges}, {u for u, _ in edges}
-            self.merge_points = tuple(
-                (label, d) for label in sorted(heads | latches)
-                for d, at in (("f", heads), ("b", latches)) if label in at)
-            self.loops = cfglib.loop_blocks(g, self._dom)
-        self.params = live_in_registers(g, order, cyclic)
+        # the widening points of the CFG and of its reverse (Bourdoncle,
+        # FMPA 1993), forward first: loop heads forward, latches backward
+        heads, latches = {v for _, v in retreating}, {u for u, _ in retreating}
+        self.merge_points = tuple(
+            (label, d) for label in sorted(heads | latches)
+            for d, at in (("f", heads), ("b", latches)) if label in at)
+        self.loops = frozenset(cfglib.cycles(order, g.succs) if retreating else ())
+        self.params = live_in_registers(g, order, bool(retreating))
         # label -> `_Table`; (callsite, callee) -> `Session.binding`
         self.tables, self.bindings, self._parts = {}, {}, parts
 
@@ -986,16 +984,10 @@ class Session:
 
     @cached_property
     def _cycles(self) -> dict[str, tuple[str, ...]]:
-        funcs = self.program.functions
         callees: dict[str, list[str]] = {}
         for caller, callee, _ in self.call_graph.edges:
             callees.setdefault(caller, []).append(callee)
-        root = cfglib.components(funcs, callees)
-        members: dict[str, list[str]] = {}
-        for f in funcs:
-            members.setdefault(root[f], []).append(f)
-        return {f: tuple(members[root[f]]) for f in funcs
-                if len(members[root[f]]) > 1 or f in callees.get(f, ())}
+        return cfglib.cycles(self.program.functions, callees)
 
 
 class Analysis:
@@ -1130,7 +1122,7 @@ class Analysis:
         session reset the intern table: structure ids outlive the table,
         so its facts key as those of the same expression built here."""
         fname, label, idx = self.session.locate(seed.point)
-        self.func(fname)
+        fn = self.func(fname)
         sid = self.seed_id_for(seed)
         # a source seed is tainted only once its own statement has run
         phase = "post" if seed.tainted and seed.trigger == seed.point else "pre"
@@ -1138,7 +1130,14 @@ class Analysis:
         t = Tracked(expr=expr, point=seed.point, phase=phase, seed_id=sid,
                     tainted=seed.tainted, trigger=seed.trigger)
         if seed.direction in ("forward", "both"):
-            self._inject(fname, label, t, idx, "f")
+            if phase == "post" and fn.cfg.blocks[label].is_call:
+                # it holds below its call, as a returned fact does: the
+                # call's result register must not kill it
+                st = self._state(fname, label)
+                if st.f.put(t):
+                    self._propagate(fname, fn.cfg, label, st)
+            else:
+                self._inject(fname, label, t, idx, "f")
         if seed.direction in ("backward", "both"):
             self._inject(fname, label, t, idx - 1, "b")
         self._record(fname, t)

@@ -1,6 +1,12 @@
-"""Control-flow graphs, worklist orders, the call graph (direct calls and
-resolved icalls), its strongly connected components, and address-taken
-function discovery.
+"""Control-flow graphs, their depth-first walk, the call graph (direct
+calls and resolved icalls), strongly connected components and the cycles
+they form, and address-taken function discovery.
+
+One postorder DFS of a CFG (`postorder`) gives the worklist order, the
+reachable blocks and every loop fact: its retreating edges cut every
+cycle, reducible or not, and a CFG's loop blocks are its blocks on a
+cycle (`cycles`).  Dominators (`dominators`) serve only the taint
+checker's branch guards.
 
 Every call/icall statement gets a basic block of its own so the
 interprocedural transfer can be applied at exactly one point; program
@@ -93,7 +99,8 @@ def build_cfg(function: ir.Function) -> Cfg:
             preds[s].append(label)
 
     if preds[entry]:
-        synth = "__entry"
+        # no IR label holds "@", so no source block can take this one
+        synth = "@entry"
         blocks[synth] = CfgBlock(synth, ())
         order.insert(0, synth)
         succs[synth] = (entry,)
@@ -101,41 +108,28 @@ def build_cfg(function: ir.Function) -> Cfg:
         preds[entry].append(synth)
         entry = synth
 
-    reachable = set()
-    stack = [entry]
-    while stack:
-        b = stack.pop()
-        if b in reachable:
-            continue
-        reachable.add(b)
-        stack.extend(succs[b])
-    unreachable = frozenset(set(order) - reachable)
-    for b in sorted(unreachable):
-        warnings.append(f"{function.name}:{b}: unreachable block")
-
-    return Cfg(
-        func=function.name,
-        blocks=blocks,
-        order=tuple(order),
-        entry=entry,
-        exits=tuple(e for e in exits if e in reachable) or tuple(exits),
-        succs=succs,
-        preds={k: tuple(v) for k, v in preds.items()},
-        unreachable=unreachable,
-        warnings=tuple(warnings),
-    )
+    graph = Cfg(function.name, blocks, tuple(order), entry, tuple(exits), succs,
+                {k: tuple(v) for k, v in preds.items()})
+    graph.unreachable = frozenset(order).difference(postorder(graph)[0])
+    warnings += [f"{function.name}:{b}: unreachable block"
+                 for b in sorted(graph.unreachable)]
+    graph.exits = tuple(e for e in exits if e not in graph.unreachable) or graph.exits
+    graph.warnings = tuple(warnings)
+    return graph
 
 
-def postorder(cfg: Cfg) -> tuple[list[str], bool]:
+def postorder(cfg: Cfg) -> tuple[list[str], list[tuple[str, str]]]:
     """Reachable blocks in DFS postorder from the entry, each after its
-    successors but the targets of retreating edges (into a block still
-    on the DFS stack), and whether there is one; without one there is no
-    back edge u->v either, as v dominates u.  The explicit stack keeps a
-    long chain of blocks off the interpreter's recursion limit."""
+    successors but the targets of retreating edges, and those retreating
+    edges u->v (v still on the DFS stack) in the order the walk meets
+    them.  Every cycle holds a retreating edge, so the graph is acyclic
+    exactly when there is none; in a reducible graph they are the back
+    edges (v dominates u).  The explicit stack keeps a long chain of
+    blocks off the interpreter's recursion limit."""
     out: list[str] = []
     visited = {cfg.entry}
     on_stack = {cfg.entry}
-    retreating = False
+    retreating: list[tuple[str, str]] = []
     stack = [(cfg.entry, iter(cfg.succs.get(cfg.entry, ())))]
     while stack:
         label, succs = stack[-1]
@@ -145,7 +139,8 @@ def postorder(cfg: Cfg) -> tuple[list[str], bool]:
                 on_stack.add(s)
                 stack.append((s, iter(cfg.succs.get(s, ()))))
                 break
-            retreating |= s in on_stack
+            if s in on_stack:
+                retreating.append((label, s))
         else:
             stack.pop()
             on_stack.discard(label)
@@ -175,31 +170,6 @@ def dominators(cfg: Cfg) -> dict[str, frozenset[str]]:
                 dom[b] = new
                 changed = True
     return dom
-
-
-def back_edges(cfg: Cfg, dom: dict[str, frozenset[str]] | None = None
-               ) -> set[tuple[str, str]]:
-    dom = dominators(cfg) if dom is None else dom
-    return {(u, v) for u in cfg.order for v in cfg.succs.get(u, ())
-            if v in dom.get(u, frozenset())}
-
-
-def loop_blocks(cfg: Cfg, dom: dict[str, frozenset[str]] | None = None
-                ) -> frozenset[str]:
-    """Blocks inside some natural loop (body of any back edge); ``dom``
-    is the graph's dominator map, computed here when not given."""
-    out: set[str] = set()
-    for u, v in back_edges(cfg, dom):
-        body = {v, u}
-        stack = [u]
-        while stack:
-            b = stack.pop()
-            for p in cfg.preds.get(b, ()):
-                if p not in body:
-                    body.add(p)
-                    stack.append(p)
-        out |= body
-    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +253,19 @@ def components(nodes, succs: dict) -> dict:
                         if w == v:
                             break
     return root
+
+
+def cycles(nodes, succs: dict) -> dict:
+    """Each of `nodes` that lies on a cycle over `succs`, mapped to the
+    members of its strongly connected component (`components`) in
+    `nodes` order: a component of two or more members, or of one with
+    an edge to itself."""
+    root = components(nodes, succs)
+    members: dict = {}
+    for n in nodes:
+        members.setdefault(root[n], []).append(n)
+    return {n: tuple(members[root[n]]) for n in nodes
+            if len(members[root[n]]) > 1 or n in succs.get(n, ())}
 
 
 # ---------------------------------------------------------------------------

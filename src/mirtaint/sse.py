@@ -61,11 +61,11 @@ holds a child by identity, so a child that differs only in its tags
 makes another key.  The table belongs to one analysis session: each root
 `alias.Session` calls `reset_tables`.  The rewrites are memoized too:
 `replace`, `retag`, and `mark_stale`/`replace_mem` given a `key`, are
-remembered per table under the identities of their node arguments, and
-so are the induction terms and zero forms the merge builds on a member
-(`_merge_bucket`, `_zero`).  An entry holds those arguments, so no id in
-its key is reused while it lives, and no result goes to a node that is
-only equal, whose tags may differ.  A canonical form is not remembered:
+remembered per table under the identities of their node arguments; the
+induction terms and zero forms the merge builds on a member are not, as
+the same member seldom comes back.  A memo entry holds those arguments,
+so no id in its key is reused while it lives, and no result goes to a
+node that is only equal, whose tags may differ.  A canonical form is not remembered:
 nodes are interned, so canonicalizing again returns the very same node,
 and `occurs` needs no memo, reading `_subs`.
 
@@ -817,27 +817,18 @@ def _set_at(e: Sse, path, new: Sse) -> Sse:
     return _remake(e, kids)
 
 
-def _zero(e: Sse, path) -> int:
+def _zero_sid(e: Sse, path) -> int:
     """The structure id of `e`'s canonical form without the additive
     constant at `path`: the form a family's zero member has."""
-    return _memo((_zero, id(e), path), _zero_sid, e, path)
-
-
-def _zero_sid(e: Sse, path) -> int:
     ce = canonicalize(e)
     return canonicalize(_set_at(ce, path, _at(ce, path).left))._sid
 
 
-def _merge_bucket(e: Sse, path, d: int, low: int, index_id: str) -> Sse:
+def _induction_term(e: Sse, path, d: int, low: int, index_id: str) -> Sse:
     """The induction term of a family whose additive constants at `path`
     step by `d` from `low`, built on `e`'s canonical form (its memory
     nodes keep `e`'s tags): the sum's terms at `path` become the base of
-    an index term of stride `d`, plus `low`.  Remembered per member."""
-    return _memo((_merge_bucket, id(e), path, d, low, index_id),
-                 _induction_term, e, path, d, low, index_id)
-
-
-def _induction_term(e: Sse, path, d: int, low: int, index_id: str) -> Sse:
+    an index term of stride `d`, plus `low`."""
     ce = canonicalize(e)
     # the sum's terms are canonical and hold no constant, so the index
     # term over them and its sum with the lowest constant are canonical
@@ -891,14 +882,14 @@ def induction_families(members, index_id: str) -> list[tuple[Sse, list]]:
         _, first, path = next(iter(bucket.values()))
         low = cs[0]
         if low == d:
-            z = next((key for key in zeros.get(_zero(first, path), ())
+            z = next((key for key in zeros.get(_zero_sid(first, path), ())
                       if key not in used), None)
             if z is not None:
                 family.insert(0, z)
                 low = 0
         if len(family) < 3:
             continue
-        out.append((_merge_bucket(first, path, d, low, index_id), family))
+        out.append((_induction_term(first, path, d, low, index_id), family))
         used.update(family)
     return out
 

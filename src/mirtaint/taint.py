@@ -530,7 +530,7 @@ LOOP_COPY = SinkModel("loop-copy", "copy", ())
 
 
 def detect_loop_copies(analysis: Analysis) -> list[SinkHit]:
-    """The minimal unsafe-loop-copy idiom: inside a natural loop, a store
+    """The minimal unsafe-loop-copy idiom: inside a loop, a store
     through a pointer that the loop itself advances, storing a value fed
     by a tainted load.  Each such store is a `LOOP_COPY` sink hit, which
     `check_sink` decides like any other copy (so any dominating constraint
@@ -548,7 +548,8 @@ def detect_loop_copies(analysis: Analysis) -> list[SinkHit]:
         graph, loops = fn.cfg, fn.loops
         if not loops:
             continue
-        source_labels = {lbl.split("@")[0] for lbl in loops}
+        source_labels = {stmt.point.block for lbl in loops
+                         for stmt in graph.blocks[lbl].stmts}
         advanced = set()
         loaded = set()
         for lbl in loops:

@@ -83,7 +83,7 @@ b:
 }
 """))
     # the branch back to the entry forces a synthetic entry block
-    assert g.entry == "__entry"
+    assert g.entry == "@entry"
     assert C.postorder(g)[0] == _reference_postorder(g.succs, g.entry)
     po = C.postorder(g)[0]
     assert po.index("b") < po.index("a")
@@ -158,9 +158,15 @@ out:
   ret
 }
 """))
-    loops = C.loop_blocks(g)
-    assert "head" in loops and "body" in loops
-    assert "out" not in loops and "a" not in loops
+    order = C.postorder(g)[0]
+    assert order == ["body", "out", "head", "a"]
+    assert C.cycles(order, g.succs) == dict.fromkeys(("body", "head"), ("body", "head"))
+
+
+def test_cycles_take_self_edges_and_keep_node_order():
+    succs = {"a": ["b"], "b": ["c", "a"], "c": ["c", "d"], "d": [], "e": ["a"]}
+    assert C.cycles(["e", "d", "c", "b", "a"], succs) == {
+        "c": ("c",), "b": ("b", "a"), "a": ("b", "a")}
 
 
 def test_find_address_taken_data_word():

@@ -497,3 +497,86 @@ def test_callee_load_before_its_store_still_returns_taint():
     (alert,) = T.run_taint(Session(prog)).alerts
     assert (str(alert.sink_site), alert.sink_fn, alert.klass) == (
         "main:bb0:7", "system", "command-exec")
+
+
+def test_a_returned_source_value_reaches_a_sink():
+    """A source's result is tainted below its call: the call's result
+    register does not kill it."""
+    prog = ir.parse_program("""
+func main @0x1000 frame=0x40 {
+bb0:
+  r1 = 0x9300
+  r2 = call getenv(r1)
+  r3 = call system(r2)
+  ret
+}
+""")
+    (alert,) = T.run_taint(Session(prog)).alerts
+    assert (str(alert.sink_site), alert.klass) == ("main:bb0:2", "command-exec")
+
+
+@pytest.mark.parametrize("tail", [
+    "  r3 = call system(r1)\n",
+    "  r5 = call getenv(r1)\n  r6 = call system(r5)\n",
+], ids=["recv", "getenv"])
+def test_the_synthetic_entry_takes_no_user_label(tail, tmp_path, monkeypatch):
+    """A looping entry block gets a block in front of it whose label the
+    IR cannot spell, so a user block named `__entry` is analysed like the
+    same block under another name."""
+    text = ("func main @0x1000 frame=0x40 {\na:\n  r1 = sp\n"
+            "  r2 = call recv(r9, r1, 0x40)\n  branch r2, a, LABEL\nLABEL:\n"
+            + tail + "  ret\n}\n")
+    reports = []
+    for label in ("__entry", "tail"):
+        (tmp_path / label).mkdir()
+        (tmp_path / label / "prog.ir").write_text(text.replace("LABEL", label))
+        monkeypatch.chdir(tmp_path / label)
+        report = pipeline.analyze(pipeline.RunConfig(ir_path="prog.ir"))
+        reports.append(report.to_json(with_timings=False).replace(label, "LABEL"))
+    assert reports[0] == reports[1]
+    assert '"class": "command-exec"' in reports[0]
+
+
+IRREDUCIBLE_COPY = (pathlib.Path(ATOI_LEN).parent / "irreducible_copy.ir").read_text()
+
+
+@pytest.mark.parametrize("entry", ["branch r3, a, b", "jump b"])
+def test_a_loop_copy_with_two_entries_is_detected(entry):
+    """The copy loop of `corpus/irreducible_copy.ir` alerts whether its
+    entry block branches into both of its blocks or only into `b`."""
+    prog = ir.parse_program(IRREDUCIBLE_COPY.replace("branch r3, a, b", entry))
+    result = T.run_taint(Session(prog))
+    (alert,) = result.alerts
+    assert (str(alert.sink_site), alert.sink_fn) == ("main:a:1", "loop-copy")
+    assert result.cap_hits == []
+
+
+def test_a_store_before_a_self_loop_is_no_loop_copy():
+    """Only blocks on a cycle are loop blocks: the self-loop at `b` does
+    not make the store in `bb0`, which runs once, a loop copy."""
+    text = """
+func main @0x1000 frame=0x80 {
+  buf dst @0x40 size 0x40
+bb0:
+  r9 = 0x3
+  r1 = sp
+  r2 = 0x40
+  r3 = call recv(r9, r1, r2)
+  r4 = sp + 0x40
+  r5 = load r1
+  store r4 = r5
+  jump b
+b:
+  r4 = r4 + 0x4
+  r6 = load r4
+  branch r6, b, out
+out:
+  ret
+}
+"""
+    assert T.run_taint(Session(ir.parse_program(text))).alerts == []
+    looped = text.replace("  r5 = load r1\n  store r4 = r5\n  jump b\nb:\n",
+                          "  jump b\nb:\n  r5 = load r1\n  store r4 = r5\n"
+                          "  r1 = r1 + 0x4\n")
+    (alert,) = T.run_taint(Session(ir.parse_program(looped))).alerts
+    assert (str(alert.sink_site), alert.sink_fn) == ("main:b:1", "loop-copy")
