@@ -95,17 +95,18 @@ on as it is when no birth changes.  A session keeps each callsite's list
 of callee transfers while the callees' summaries stay the same
 (`Analysis._crossings`).
 
-From `LOOP_K` sweeps on, every round turns each pool group (seed, taint,
-conditions) into offset families, but only where a retreating edge of
-the postorder DFS enters a loop in the walk's direction: forward at the
-loop head, the edge's target, and backward at the latch, its source.
-These are Bourdoncle's widening points (FMPA 1993) of the CFG and of its
-reverse; every cycle of any CFG, reducible or not, holds a retreating
-edge, so they cut every loop, and a fact that goes round a loop passes
-one.  The other blocks of a loop hold mostly the same facts: merging
-there too leaves every corpus and benchmark ladder report as it is and
-only repeats the work.  Each merge partitions a group whole
-(`sse.induction_families`).
+After every sweep, each pool group (seed, taint, conditions) is turned
+into offset families where a retreating edge of the CFG's depth-first
+walk enters a loop in the walk's direction: forward at the loop head,
+the edge's target, and backward at the latch, its source.  These are
+Bourdoncle's widening points (FMPA 1993) of the CFG and of its reverse;
+every cycle of any CFG, reducible or not, holds a retreating edge, so
+they cut every loop, and a fact that goes round a loop passes one.  The
+other blocks of a loop hold mostly the same facts: merging there too
+leaves every corpus and benchmark ladder report as it is and only
+repeats the work.  Each merge partitions a group whole
+(`sse.induction_families`); a family needs three members at one stride,
+two trips round the loop, so no merge waits for a count of sweeps.
 """
 
 from __future__ import annotations
@@ -125,7 +126,6 @@ GP = "gp"
 # the engine's bounds
 SSE_DEPTH = 5             # max nested memory nodes per expression
 SSE_SIZE = 64             # max nodes per expression (saturation)
-LOOP_K = 3                # loop re-traversals before induction merge
 BLOCK_ITER_CAP = 64       # TraceBlock inner iterations
 FUNC_ROUNDS_CAP = 32      # AnalyzeFunction worklist sweeps
 RECURSION_DEPTH = 4       # exports around a call-graph cycle
@@ -704,19 +704,18 @@ class FunctionSummary:
     ret_exprs: tuple[S.Sse, ...] = ()          # aliases of the returned value
 
 
-def live_in_registers(graph: cfglib.Cfg, order, cyclic=True) -> tuple[str, ...]:
+def live_in_registers(graph: cfglib.Cfg) -> tuple[str, ...]:
     """Registers that may be read before written: the function's formals
-    (restricted to rN; sp/gp are implicit).  `order` is the graph's
-    postorder (`cfglib.postorder`); without a cycle (`cyclic` false)
-    each block's successors come before it, so one pass is the fixpoint."""
+    (restricted to rN; sp/gp are implicit), over the graph's postorder
+    (`Cfg.postorder`).  Without a retreating edge each block's
+    successors come before it, so one pass is the fixpoint."""
+    order, cyclic = graph.postorder, bool(graph.retreating)
     gen: dict[str, set[str]] = {}
     kill: dict[str, set[str]] = {}
     for label in order:
         g, k = set(), set()
         for stmt in graph.blocks[label].stmts:
-            for r in ir.used_registers(stmt.form):
-                if r not in k:
-                    g.add(r)
+            g.update(r for r in ir.used_registers(stmt.form) if r not in k)
             k.add(ir.defined_register(stmt.form))
         gen[label], kill[label] = g, k
     live: dict[str, set[str]] = {b: set() for b in order}
@@ -724,9 +723,7 @@ def live_in_registers(graph: cfglib.Cfg, order, cyclic=True) -> tuple[str, ...]:
     while changed:
         changed = False
         for label in order:
-            out: set[str] = set()
-            for s in graph.succs[label]:
-                out |= live[s]
+            out = set().union(*(live[s] for s in graph.succs[label]))
             new = gen[label] | (out - kill[label])
             if new != live[label]:
                 live[label], changed = new, cyclic
@@ -837,10 +834,11 @@ class _Func:
     """One function's static facts (`Session.func`): its CFG, postorder
     (`order`), merge points, loop blocks, live-in registers (`params`),
     rule tables by block label, each built on the block's first visit
-    (`table`), and argument bindings (`Session.binding`).  The postorder
-    DFS (`cfglib.postorder`) gives every loop fact: the merge points are
-    the ends of its retreating edges, and the loop blocks are the blocks
-    on a cycle.  The dominators wait for `taint._guards`."""
+    (`table`), and argument bindings (`Session.binding`).  The CFG's one
+    depth-first walk (`Cfg.postorder`, `Cfg.retreating`) gives every
+    loop fact: the merge points are the ends of its retreating edges,
+    and the loop blocks are the blocks on a cycle.  The dominators wait
+    for `taint._guards`."""
     __slots__ = ("cfg", "order", "merge_points", "loops", "params", "tables",
                  "bindings", "_dom", "_parts")
 
@@ -849,16 +847,15 @@ class _Func:
         for label, block in g.blocks.items():
             for i, stmt in enumerate(block.stmts):
                 points[stmt.point] = (function.name, label, i)
-        order, retreating = cfglib.postorder(g)
-        self.order, self._dom = tuple(order), None
+        self.order, self._dom = g.postorder, None
         # the widening points of the CFG and of its reverse (Bourdoncle,
         # FMPA 1993), forward first: loop heads forward, latches backward
-        heads, latches = {v for _, v in retreating}, {u for u, _ in retreating}
+        heads, latches = {v for _, v in g.retreating}, {u for u, _ in g.retreating}
         self.merge_points = tuple(
             (label, d) for label in sorted(heads | latches)
             for d, at in (("f", heads), ("b", latches)) if label in at)
-        self.loops = frozenset(cfglib.cycles(order, g.succs) if retreating else ())
-        self.params = live_in_registers(g, order, bool(retreating))
+        self.loops = frozenset(cfglib.cycles(self.order, g.succs) if g.retreating else ())
+        self.params = live_in_registers(g)
         # label -> `_Table`; (callsite, callee) -> `Session.binding`
         self.tables, self.bindings, self._parts = {}, {}, parts
 
@@ -1033,8 +1030,8 @@ class Analysis:
     it is a spent store, which no cell matches (`_spent`).
 
     The merge points of a function (`_Func.merge_points`) merge offset
-    families every round from `LOOP_K` on (`_merge_induction`), and the
-    members merged are retired (`_retire`): refused wherever they are
+    families after every sweep (`_merge_induction`), and the members
+    merged are retired (`_retire`): refused wherever they are
     injected again in the function.
 
     `registry[fname]` holds one `Tracked` per `Tracked.key()` that the
@@ -1096,10 +1093,11 @@ class Analysis:
             if message not in self.warnings:
                 self.warnings.append(message)
 
-    def _cap_hit(self, hit: str):
-        """Record a cap hit once per analysis."""
-        if hit not in self.cap_hits:
-            self.cap_hits.append(hit)
+    def _cap_hit(self, *hits: str):
+        """Record each cap hit once per analysis, in first-seen order."""
+        for hit in hits:
+            if hit not in self.cap_hits:
+                self.cap_hits.append(hit)
 
     def _schedule(self, fname: str):
         if fname in self._queued:
@@ -1203,7 +1201,7 @@ class Analysis:
         while fwd or bwd:
             iters += 1
             if iters > BLOCK_ITER_CAP:
-                self.cap_hits.append(f"block iteration cap hit at {fname}:{label}")
+                self._cap_hit(f"block iteration cap hit at {fname}:{label}")
                 break
             cut = False
             nxt = []        # the next round's forward input
@@ -1226,7 +1224,7 @@ class Analysis:
                         nxt.append((t, i if t.phase == "pre" else i + 1))
             fwd, bwd = nxt, []
             if cut:
-                self.cap_hits.append(f"walk pop cap hit at {fname}:{label}")
+                self._cap_hit(f"walk pop cap hit at {fname}:{label}")
                 break
 
         if changed:
@@ -1484,7 +1482,7 @@ class Analysis:
             return
         warnings, cap_hits, callees = self.session.notes[fname]
         self.warn(*warnings)
-        self.cap_hits.extend(cap_hits)
+        self._cap_hit(*cap_hits)
         for callee in callees:
             self._take_notes(callee)
 
@@ -1554,14 +1552,12 @@ class Analysis:
         cells = self.session.refs[fname] = tuple(dict.fromkeys(
             S.Load(m) for sid in sids for m in sub._rooted(fname, sid)))
         warnings, cap_hits, callees = self.session.notes[fname]
-        new_warnings = [w for w in sub.warnings if w not in warnings]
-        new_hits = [h for h in sub.cap_hits if h not in cap_hits]
-        warnings.extend(new_warnings)
-        cap_hits.extend(new_hits)
+        warnings.extend(w for w in sub.warnings if w not in warnings)
+        cap_hits.extend(h for h in sub.cap_hits if h not in cap_hits)
         callees.update(sub._noted)
         if self.summary_of is None:
-            self.warn(*new_warnings)
-            self.cap_hits.extend(new_hits)
+            self.warn(*sub.warnings)
+            self._cap_hit(*sub.cap_hits)
             for callee in sub._noted:
                 self._take_notes(callee)
         return cells
@@ -1589,22 +1585,19 @@ class Analysis:
         self.visited_functions.add(fname)
         order, points = fn.order, fn.merge_points
         states = self.states[fname]
-        rounds = 0
-        while True:
+        for _ in range(FUNC_ROUNDS_CAP):
             changed = False
-            # forward sweep, then backward sweep
+            # forward sweep, then backward sweep, then the merge
             for label in (*reversed(order), *order):
                 st = states.get(label, _NO_STATE)
                 if st.f.pend or st.b.pend:
                     changed |= self._visit(fname, fn, label, st)
-            rounds += 1
-            if rounds >= LOOP_K and points:
+            if points:
                 changed |= self._merge_induction(fname, points)
             if not changed:
                 break
-            if rounds >= FUNC_ROUNDS_CAP:
-                self.cap_hits.append(f"function fixpoint cap hit in {fname}")
-                break
+        else:
+            self._cap_hit(f"function fixpoint cap hit in {fname}")
         self._export(fname, fn)
 
     def run(self):

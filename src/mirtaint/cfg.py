@@ -2,11 +2,11 @@
 calls and resolved icalls), strongly connected components and the cycles
 they form, and address-taken function discovery.
 
-One postorder DFS of a CFG (`postorder`) gives the worklist order, the
-reachable blocks and every loop fact: its retreating edges cut every
-cycle, reducible or not, and a CFG's loop blocks are its blocks on a
-cycle (`cycles`).  Dominators (`dominators`) serve only the taint
-checker's branch guards.
+`build_cfg` walks each CFG depth-first once (`postorder`) and keeps the
+walk: its postorder is the worklist order and the reachable blocks, and
+its retreating edges cut every cycle, reducible or not, and give every
+loop fact (a CFG's loop blocks are its blocks on a cycle, `cycles`).
+Dominators (`dominators`) read it too, for the taint checker's guards.
 
 Every call/icall statement gets a basic block of its own so the
 interprocedural transfer can be applied at exactly one point; program
@@ -43,13 +43,16 @@ class Cfg:
     exits: tuple[str, ...]
     succs: dict[str, tuple[str, ...]]
     preds: dict[str, tuple[str, ...]]
+    postorder: tuple[str, ...] = ()      # the one DFS walk (`postorder`)
+    retreating: tuple[tuple[str, str], ...] = ()
     unreachable: frozenset[str] = frozenset()
     warnings: tuple[str, ...] = ()
 
 
 def build_cfg(function: ir.Function) -> Cfg:
-    """Split blocks so each call is isolated, wire the edges, flag
-    unreachable blocks (kept for stable reporting, skipped by worklists).
+    """Split blocks so each call is isolated, wire the edges, walk them
+    once, flag the blocks the walk misses as unreachable (kept for
+    stable reporting, skipped by worklists).
     A source block's first segment keeps its label, so branch and jump
     targets name their segments as they are."""
     warnings: list[str] = []
@@ -110,7 +113,8 @@ def build_cfg(function: ir.Function) -> Cfg:
 
     graph = Cfg(function.name, blocks, tuple(order), entry, tuple(exits), succs,
                 {k: tuple(v) for k, v in preds.items()})
-    graph.unreachable = frozenset(order).difference(postorder(graph)[0])
+    graph.postorder, graph.retreating = map(tuple, postorder(graph))
+    graph.unreachable = frozenset(order).difference(graph.postorder)
     warnings += [f"{function.name}:{b}: unreachable block"
                  for b in sorted(graph.unreachable)]
     graph.exits = tuple(e for e in exits if e not in graph.unreachable) or graph.exits
@@ -150,8 +154,8 @@ def postorder(cfg: Cfg) -> tuple[list[str], list[tuple[str, str]]]:
 
 def dominators(cfg: Cfg) -> dict[str, frozenset[str]]:
     """Classic iterative dominator sets (small graphs, no need for
-    anything cleverer)."""
-    rpo = postorder(cfg)[0][::-1]
+    anything cleverer), over the CFG's walk in reverse postorder."""
+    rpo = cfg.postorder[::-1]
     allb = frozenset(rpo)
     dom = {b: allb for b in rpo}
     dom[cfg.entry] = frozenset({cfg.entry})

@@ -57,13 +57,12 @@ from __future__ import annotations
 import bisect
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 Operand = Union[str, int]  # register name or 64-bit immediate
 
 
-@dataclass(frozen=True, order=True)
-class Point:
+class Point(NamedTuple):
     """Stable program-point id: (function, source block label, index)."""
     func: str
     block: str
@@ -515,13 +514,13 @@ def parse_program(text: str) -> Program:
 
 
 def _statement(func: str, block: str, index: int, form: Form, line: int) -> Statement:
-    """`Statement(Point(func, block, index), form, line)`, each record's
-    `__dict__` set at once: a frozen dataclass's `__init__` makes one
+    """`Statement(Point(func, block, index), form, line)`, its `__dict__`
+    set at once: a frozen dataclass's `__init__` makes one
     `object.__setattr__` call per field.  (Filling the `__dict__` an
     instance already has, key by key, would slow every later read.)"""
-    point, stmt = object.__new__(Point), object.__new__(Statement)
-    _set(point, "__dict__", {"func": func, "block": block, "index": index})
-    _set(stmt, "__dict__", {"point": point, "form": form, "line": line})
+    stmt = object.__new__(Statement)
+    _set(stmt, "__dict__", {"point": Point(func, block, index), "form": form,
+                            "line": line})
     return stmt
 
 

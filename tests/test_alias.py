@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import json
 import os
 import pathlib
@@ -11,7 +10,6 @@ from dataclasses import replace
 import pytest
 
 from mirtaint import alias
-from mirtaint import cfg as C
 from mirtaint import icall
 from mirtaint import ir
 from mirtaint import oracle
@@ -228,7 +226,7 @@ def test_a_reused_crossing_takes_the_callee_notes():
 def test_live_in_registers(corpus):
     prog = corpus("store_through_callee.ir")
     g = Session(prog).func("put").cfg
-    assert live_in_registers(g, C.postorder(g)[0]) == ("r0", "r1")
+    assert live_in_registers(g) == ("r0", "r1")
 
 
 def test_summary_mod_rooted_at_params(corpus):
@@ -792,19 +790,32 @@ def _register_seeds(prog, fname):
             yield Seed(point=stmt.point, expr=S.Reg(r))
 
 
-def test_inert_statements_step_to_nothing(corpus, monkeypatch):
+def test_loop_walk_merges_before_a_fourth_stride(corpus):
+    """The induction merge runs after every sweep, so a family of three
+    strides, two trips round the loop, is merged at once: seeded at
+    every register use of `loop_walk.ir`, no fact holds the fourth
+    stride of `load(r1)`, only the induction terms that cover it."""
+    prog = corpus("loop_walk.ir")
+    analysis = Analysis(Session(prog))
+    for seed in _register_seeds(prog, "main"):
+        analysis.add_seed(seed)
+    analysis.run()
+    exprs = {S.pretty(t.expr) for t in analysis.registry["main"].values()}
+    assert {"load(r1+0x8)", "load(0x8008)", "load(r1+main:s3*0x4)"} <= exprs
+    fourth = {"load(0x800c)", "load(r1+0xc)", "load(0x800c)==0x0", "load(r1+0xc)==0x0"}
+    assert not exprs & fourth
+
+
+def test_inert_statements_step_to_nothing(corpus):
     """Wherever the row index leaves a statement out for an expression
     and direction, stepping the expression across that statement in that
     direction yields nothing, kills nothing, keeps the very same
     expression and records no comparison fact: over every fact the
-    corpus programs derive at the default caps and with an induction
-    merge after every sweep, tainted or not."""
+    corpus programs derive, tainted or not."""
     models = taint.default_models()
     inert = 0
-    for path, loop_k in itertools.product(sorted((ROOT / "corpus").glob("*.ir")),
-                                          (alias.LOOP_K, 1)):
+    for path in sorted((ROOT / "corpus").glob("*.ir")):
         prog = corpus(path.name)
-        monkeypatch.setattr(alias, "LOOP_K", loop_k)
         analysis = Analysis(Session(prog), taint.TaintPolicy(models))
         for seed in taint.seed_sources(prog, models):
             analysis.add_seed(seed)
@@ -940,14 +951,12 @@ def _facts_by_key(analysis):
     return facts
 
 
-@pytest.mark.parametrize("loop_k", [alias.LOOP_K, 1], ids=["default", "tight"])
-def test_fact_keys_group_as_expression_keys(corpus, monkeypatch, loop_k):
+def test_fact_keys_group_as_expression_keys(corpus, monkeypatch):
     """The key built from the expression's structure id groups facts
     exactly as the key holding the expression itself, compared
     structurally, did: over every analysis of icall resolution, a taint
     run and a run from every register of every statement of each corpus
-    program, summaries and REF included, at the default bounds and with
-    an induction merge after every sweep (`LOOP_K` 1)."""
+    program, summaries and REF included."""
     models = taint.default_models()
     analyses = []
     groups = 0
@@ -958,7 +967,6 @@ def test_fact_keys_group_as_expression_keys(corpus, monkeypatch, loop_k):
         analyses.append(self)
 
     monkeypatch.setattr(Analysis, "run", kept)
-    monkeypatch.setattr(alias, "LOOP_K", loop_k)
     for path in sorted((ROOT / "corpus").glob("*.ir")):
         analyses.clear()
         session = Session(corpus(path.name))

@@ -200,6 +200,18 @@ def test_dfs_loop_facts_on_small_cfgs(text):
     assert fn.params == reference_live_in(g)
 
 
+def test_each_cfg_is_walked_once(monkeypatch):
+    """`build_cfg` walks the CFG depth-first, and the record's loop facts,
+    live-in registers and dominators all read that one walk."""
+    walked = []
+    postorder = C.postorder
+    monkeypatch.setattr(C, "postorder", lambda g: walked.append(g.func) or postorder(g))
+    fn = Session(ir.parse_program(IRREDUCIBLE)).func("f")
+    assert walked == ["f"]
+    assert fn.merge_points and fn.params
+    assert fn.dominators()["x"] == {"e", "s", "x"} and walked == ["f"]
+
+
 def test_acyclic_record_builds_no_dominators(monkeypatch):
     built = []
     dominators = C.dominators

@@ -2,11 +2,8 @@
 
 Every corpus program's JSON report (without timings) is compared byte
 for byte against `tests/golden/<name>.json`, and six seed-query reports
-against `tests/golden/<name>.seed.json`.  Every corpus program is also
-run with an induction merge after every sweep (`alias.LOOP_K` patched to
-1, the case `<name>.tight.json`), which must give the same report as
-`<name>.json`.  After a deliberate change to the reports, regenerate the
-goldens from the root of the checkout with
+against `tests/golden/<name>.seed.json`.  After a deliberate change to
+the reports, regenerate the goldens from the root of the checkout with
 
     PYTHONPATH=src python tests/test_pipeline.py
 """
@@ -40,16 +37,11 @@ SEED_QUERIES = {
 
 
 def _cases():
-    """(case id, program, seed queries, `LOOP_K`, golden file) of each
-    golden comparison."""
+    """(golden file, program, seed queries) of each golden comparison."""
     for name in CORPUS:
-        golden = f"{name[:-3]}.json"
-        yield golden, name, (), alias.LOOP_K, golden
+        yield f"{name[:-3]}.json", name, ()
     for name, seeds in sorted(SEED_QUERIES.items()):
-        golden = f"{name[:-3]}.seed.json"
-        yield golden, name, seeds, alias.LOOP_K, golden
-    for name in CORPUS:
-        yield f"{name[:-3]}.tight.json", name, (), 1, f"{name[:-3]}.json"
+        yield f"{name[:-3]}.seed.json", name, seeds
 
 
 def report_text(name: str, seeds: tuple[str, ...] = ()) -> str:
@@ -58,19 +50,17 @@ def report_text(name: str, seeds: tuple[str, ...] = ()) -> str:
     return pipeline.analyze(config).to_json(with_timings=False) + "\n"
 
 
-@pytest.mark.parametrize("name,seeds,loop_k,golden",
-                         [case[1:] for case in _cases()],
-                         ids=[case[0] for case in _cases()])
-def test_report_matches_golden(name, seeds, loop_k, golden, monkeypatch):
+@pytest.mark.parametrize("golden,name,seeds", list(_cases()),
+                         ids=[golden for golden, *_ in _cases()])
+def test_report_matches_golden(golden, name, seeds, monkeypatch):
     monkeypatch.chdir(ROOT)
-    monkeypatch.setattr(alias, "LOOP_K", loop_k)
     assert report_text(name, seeds) == (GOLDEN / golden).read_text()
 
 
 def test_every_golden_file_belongs_to_a_case():
     """`tests/golden/` holds exactly the files the cases compare against."""
     assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(
-        {golden for *_, golden in _cases()})
+        golden for golden, *_ in _cases())
 
 
 # sha256 of the reports of `bench/run.py --workload W --seed S`, as its
@@ -168,6 +158,23 @@ def test_seed_query_cap_hits_reach_the_report(monkeypatch):
     assert len(set(added)) == len(added) and not set(added) & set(plain)
 
 
+@pytest.mark.parametrize("bound,value,name,hit", [
+    ("FUNC_ROUNDS_CAP", 1, "context_return.ir", "function fixpoint cap hit in ident"),
+    ("FUNC_ROUNDS_CAP", 1, "late_caller.ir", "function fixpoint cap hit in dup"),
+    ("BLOCK_ITER_CAP", 1, "loop_copy.ir", "block iteration cap hit at main:bb0"),
+    ("WALK_POP_CAP", 2, "loop_copy.ir", "walk pop cap hit at main:body"),
+])
+def test_each_cap_hit_is_reported_once(bound, value, name, hit, monkeypatch):
+    """A bound that fires on every visit of a block, or in a callee
+    summary taken over again, still shows once in the report: an
+    analysis records every cap hit through `Analysis._cap_hit`."""
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setattr(alias, bound, value)
+    hits = pipeline.analyze(pipeline.RunConfig(ir_path=f"corpus/{name}")).cap_hits
+    assert hit in hits
+    assert len(set(hits)) == len(hits)
+
+
 def test_cap_hits_join_in_pipeline_order():
     """Icall resolution's hits, then the taint run's as recorded, then the
     queries'; a resolution or query message is added once, if new."""
@@ -210,15 +217,14 @@ def test_dispatch_registry_grows_linearly(tmp_path, monkeypatch):
 def test_reports_unchanged_when_every_row_acts(monkeypatch):
     """The walker's row index leaves out only rows that cannot act on a
     fact: with every row of a block given as relevant to every fact,
-    each golden report comes out the same, at the default bounds, under
-    seed queries and with `LOOP_K` 1."""
+    each golden report comes out the same, at the default bounds and
+    under seed queries."""
     monkeypatch.chdir(ROOT)
     monkeypatch.setattr(alias._Table, "relevant",
                         lambda self, e, forward, tainted=False:
                         (1 << len(self.rows)) - 1)
-    for case, name, seeds, loop_k, golden in _cases():
-        monkeypatch.setattr(alias, "LOOP_K", loop_k)
-        assert report_text(name, seeds) == (GOLDEN / golden).read_text(), case
+    for golden, name, seeds in _cases():
+        assert report_text(name, seeds) == (GOLDEN / golden).read_text(), golden
 
 
 def test_walker_steps_only_rows_that_can_act(tmp_path, monkeypatch):
@@ -262,9 +268,8 @@ def test_loop_copy_injects_no_spent_store(tmp_path, monkeypatch):
 if __name__ == "__main__":
     os.chdir(ROOT)
     GOLDEN.mkdir(exist_ok=True)
-    for case, name, seeds, loop_k, golden in _cases():
-        if loop_k == alias.LOOP_K:
-            (GOLDEN / golden).write_text(report_text(name, seeds))
+    for golden, name, seeds in _cases():
+        (GOLDEN / golden).write_text(report_text(name, seeds))
 
 
 DEAD_BLOCK = """\

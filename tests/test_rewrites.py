@@ -19,8 +19,8 @@ does, so its report must agree with the original's, up to the renaming
 The reports are compared by their alerts (site, class, verdict), the
 targets of each indirect call and the number of cap hits.  The last
 three rewrites move program points, so their sites are mapped back to
-the original's before comparing.  The programs are every corpus file and the
-two smallest seed-1 programs of each benchmark workload.  Reversing the
+the original's before comparing.  The programs are every corpus file and
+every seed-1 program of each benchmark workload.  Reversing the
 functions also changes which equal statement the parser meets first, so
 it guards the shared statement forms (`ir.parse_program`) and the rows
 compiled once per form (`alias._Func.table`) too.  Renaming and
@@ -51,7 +51,7 @@ def _programs():
     for path in sorted((ROOT / "corpus").glob("*.ir")):
         yield path.name, path.read_text()
     for workload in workloads.WORKLOADS:
-        for program in workloads.generate(workload, 1)[:2]:
+        for program in workloads.generate(workload, 1):
             yield program.name, program.text
 
 
