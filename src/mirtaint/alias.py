@@ -95,18 +95,24 @@ on as it is when no birth changes.  A session keeps each callsite's list
 of callee transfers while the callees' summaries stay the same
 (`Analysis._crossings`).
 
-After every sweep, each pool group (seed, taint, conditions) is turned
-into offset families where a retreating edge of the CFG's depth-first
-walk enters a loop in the walk's direction: forward at the loop head,
-the edge's target, and backward at the latch, its source.  These are
-Bourdoncle's widening points (FMPA 1993) of the CFG and of its reverse;
-every cycle of any CFG, reducible or not, holds a retreating edge, so
-they cut every loop, and a fact that goes round a loop passes one.  The
-other blocks of a loop hold mostly the same facts: merging there too
-leaves every corpus and benchmark ladder report as it is and only
-repeats the work.  Each merge partitions a group whole
-(`sse.induction_families`); a family needs three members at one stride,
-two trips round the loop, so no merge waits for a count of sweeps.
+A function's fixpoint goes one strongly connected component of its CFG
+at a time, in topological order (`_Func.sweep`), the outer level of
+Bourdoncle's recursive strategy (FMPA 1993): a pass visits a block on no
+cycle once and stabilizes a loop in rounds of its own before it walks
+past it, forward, then backward, until a pass changes nothing.  After
+each round of a loop that changed something, each pool group (seed,
+taint, conditions) is turned into offset families where a retreating
+edge of the CFG's depth-first walk enters the loop in the walk's
+direction: forward at the loop head, the edge's target, and backward at
+the latch, its source.  These are Bourdoncle's widening points of the
+CFG and of its reverse; every cycle of any CFG, reducible or not, holds
+a retreating edge, so they cut every loop.  The other blocks of a loop
+hold mostly the same facts: merging there too leaves every corpus and
+benchmark ladder report as it is and only repeats the work.  Each merge
+partitions a group whole (`sse.induction_families`); a family needs
+three members at one stride, two trips round the loop.  Its members are
+retired from every block, those past the loop too, which are walked only
+once the loop is stable: only the induction term leaves the loop.
 """
 
 from __future__ import annotations
@@ -127,7 +133,7 @@ GP = "gp"
 SSE_DEPTH = 5             # max nested memory nodes per expression
 SSE_SIZE = 64             # max nodes per expression (saturation)
 BLOCK_ITER_CAP = 64       # TraceBlock inner iterations
-FUNC_ROUNDS_CAP = 32      # AnalyzeFunction worklist sweeps
+FUNC_ROUNDS_CAP = 32      # AnalyzeFunction rounds per component (loop or function)
 RECURSION_DEPTH = 4       # exports around a call-graph cycle
 FUNC_JOB_CAP = 16         # schedulings of one function in one analysis
 WALK_POP_CAP = 200_000    # queue pops one block walk may make
@@ -837,10 +843,11 @@ class _Func:
     (`table`), and argument bindings (`Session.binding`).  The CFG's one
     depth-first walk (`Cfg.postorder`, `Cfg.retreating`) gives every
     loop fact: the merge points are the ends of its retreating edges,
-    and the loop blocks are the blocks on a cycle.  The dominators wait
-    for `taint._guards`."""
-    __slots__ = ("cfg", "order", "merge_points", "loops", "params", "tables",
-                 "bindings", "_dom", "_parts")
+    and its one Tarjan walk orders the sweep of components (`sweep`),
+    whose cycles hold the loop blocks.  The dominators wait for
+    `taint._guards`."""
+    __slots__ = ("cfg", "order", "merge_points", "loops", "sweep", "params",
+                 "tables", "bindings", "_dom", "_parts")
 
     def __init__(self, function: ir.Function, points: dict, parts: dict):
         g = self.cfg = cfglib.build_cfg(function)
@@ -854,7 +861,19 @@ class _Func:
         self.merge_points = tuple(
             (label, d) for label in sorted(heads | latches)
             for d, at in (("f", heads), ("b", latches)) if label in at)
-        self.loops = frozenset(cfglib.cycles(self.order, g.succs) if g.retreating else ())
+        # components in reverse postorder, each at its first member there,
+        # are in topological order (Cormen et al., Lemma 22.14); a loop is
+        # its blocks forward and back, and its merge points
+        root = cfglib.components((g.entry,), g.succs) if g.retreating else {}
+        comps: dict = {}
+        for label in reversed(self.order):
+            comps.setdefault(root.get(label, label), []).append(label)
+        sweep = [ms[0] if len(ms) == 1 and ms[0] not in g.succs[ms[0]] else
+                 ((*ms, *reversed(ms)), tuple(p for p in self.merge_points if p[0] in ms))
+                 for ms in comps.values()]
+        self.loops = frozenset(b for part in sweep if part.__class__ is tuple
+                               for b in part[0])
+        self.sweep = (*sweep, *reversed(sweep))
         self.params = live_in_registers(g)
         # label -> `_Table`; (callsite, callee) -> `Session.binding`
         self.tables, self.bindings, self._parts = {}, {}, parts
@@ -1029,10 +1048,10 @@ class Analysis:
     tainted alias holding a spent memory node is still tracked, unless
     it is a spent store, which no cell matches (`_spent`).
 
-    The merge points of a function (`_Func.merge_points`) merge offset
-    families after every sweep (`_merge_induction`), and the members
-    merged are retired (`_retire`): refused wherever they are
-    injected again in the function.
+    The merge points of a loop component (`_Func.sweep`) merge offset
+    families after each of its rounds that changed something
+    (`_merge_induction`), and the members merged are retired (`_retire`):
+    refused wherever they are injected again in the function.
 
     `registry[fname]` holds one `Tracked` per `Tracked.key()` that the
     walk established in `fname`, anchored at the point and phase where
@@ -1583,22 +1602,34 @@ class Analysis:
     def analyze_function(self, fname: str):
         fn = self.func(fname)
         self.visited_functions.add(fname)
-        order, points = fn.order, fn.merge_points
-        states = self.states[fname]
-        for _ in range(FUNC_ROUNDS_CAP):
-            changed = False
-            # forward sweep, then backward sweep, then the merge
-            for label in (*reversed(order), *order):
-                st = states.get(label, _NO_STATE)
-                if st.f.pend or st.b.pend:
-                    changed |= self._visit(fname, fn, label, st)
-            if points:
-                changed |= self._merge_induction(fname, points)
-            if not changed:
-                break
-        else:
-            self._cap_hit(f"function fixpoint cap hit in {fname}")
+        self._stabilize(fname, fn, fn.sweep, (), {})
         self._export(fname, fn)
+
+    def _stabilize(self, fname: str, fn: _Func, sweep, points, rounds) -> bool:
+        """Visit each part of `sweep` in turn, a block with pending facts
+        or a loop component stabilized in rounds of its own, then merge at
+        `points`, until a round changes nothing; True when one did.  A
+        sweep's rounds that change something in one `analyze_function`
+        (`rounds`) end at `FUNC_ROUNDS_CAP`, in a cap hit."""
+        states = self.states[fname]
+        grew = False
+        while rounds.get(id(sweep), 0) < FUNC_ROUNDS_CAP:
+            changed = False
+            for part in sweep:
+                if part.__class__ is str:
+                    st = states.get(part, _NO_STATE)
+                    if st.f.pend or st.b.pend:
+                        changed |= self._visit(fname, fn, part, st)
+                else:
+                    changed |= self._stabilize(fname, fn, *part, rounds)
+            if not changed:
+                return grew
+            grew = True
+            rounds[id(sweep)] = rounds.get(id(sweep), 0) + 1
+            if points:
+                self._merge_induction(fname, points)
+        self._cap_hit(f"function fixpoint cap hit in {fname}")
+        return grew
 
     def run(self):
         """Analyze every scheduled function, then record a cap hit for
@@ -1610,7 +1641,7 @@ class Analysis:
         for point in self.saturated:
             self._cap_hit(f"sse cap hit at {point}: saturated expression dropped")
 
-    def _merge_induction(self, fname: str, points) -> bool:
+    def _merge_induction(self, fname: str, points) -> None:
         """Merge the offset families of each pool group (seed, taint,
         conditions) at the function's merge points into induction terms,
         partitioning each group whole (`S.induction_families`).  Registers
@@ -1638,17 +1669,14 @@ class Analysis:
                     plans.append((label, direction, pool[keys[0]], merged))
                     retire_keys.extend(keys)
         if not plans:
-            return False
+            return
         self._retire(fname, retire_keys)
-        changed = False
         for label, direction, base, merged in plans:
             t = base.derive(merged, base.point, base.phase)
             idx = 0 if direction == "f" else \
                 len(self.session.func(fname).cfg.blocks[label].stmts) - 1
             if self._inject(fname, label, t, idx, direction):
                 self._record(fname, t)
-                changed = True
-        return changed
 
     def _retire(self, fname: str, keys) -> None:
         """Stop tracking merged family members everywhere in the function

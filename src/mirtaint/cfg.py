@@ -4,9 +4,9 @@ they form, and address-taken function discovery.
 
 `build_cfg` walks each CFG depth-first once (`postorder`) and keeps the
 walk: its postorder is the worklist order and the reachable blocks, and
-its retreating edges cut every cycle, reducible or not, and give every
-loop fact (a CFG's loop blocks are its blocks on a cycle, `cycles`).
-Dominators (`dominators`) read it too, for the taint checker's guards.
+its retreating edges cut every cycle, reducible or not, and give the
+merge points; the strongly connected components (`components`) hold
+the loops.  Dominators (`dominators`) read the walk, for taint guards.
 
 Every call/icall statement gets a basic block of its own so the
 interprocedural transfer can be applied at exactly one point; program

@@ -729,6 +729,29 @@ def test_block_iteration_cap_ends_in_reported_cap_hits(corpus, monkeypatch):
                                "block iteration cap hit at ident:bb0"]
 
 
+def test_a_loop_that_never_settles_takes_the_cap_once(corpus, monkeypatch):
+    """Seeded at every register use of `nested_copy.ir`, the outer loop's
+    backward loads gain 0x20 of offset a trip, at two inner strides that
+    no one family covers, and never settle.  The loop takes
+    `FUNC_ROUNDS_CAP` rounds that change something in the whole
+    `analyze_function`, not that many in each pass of the function, and
+    then the cap hit is reported."""
+    merges = []
+    merge = Analysis._merge_induction
+    monkeypatch.setattr(Analysis, "_merge_induction",
+                        lambda self, fname, points: merges.append(points[0][0])
+                        or merge(self, fname, points))
+    prog = corpus("nested_copy.ir")
+    analysis = Analysis(Session(prog))
+    for seed in _register_seeds(prog, "main"):
+        analysis.add_seed(seed)
+    analysis.run()
+    assert analysis.cap_hits == ["function fixpoint cap hit in main"]
+    # the outer loop, the inner one its part, merges first at `copy`
+    assert merges.count("copy") == alias.FUNC_ROUNDS_CAP
+    assert 0 < merges.count("clear") < alias.FUNC_ROUNDS_CAP
+
+
 def test_walk_pop_cap_ends_in_reported_cap_hits(corpus, monkeypatch):
     """A block walk that reaches `WALK_POP_CAP` queue pops stops with what
     it has and is reported as a cap hit, not raised."""
@@ -791,19 +814,26 @@ def _register_seeds(prog, fname):
 
 
 def test_loop_walk_merges_before_a_fourth_stride(corpus):
-    """The induction merge runs after every sweep, so a family of three
-    strides, two trips round the loop, is merged at once: seeded at
-    every register use of `loop_walk.ir`, no fact holds the fourth
-    stride of `load(r1)`, only the induction terms that cover it."""
+    """The induction merge runs after every round of the loop's own
+    fixpoint, and the loop is stable before the blocks past it are
+    walked.  So a family of three strides, two trips round the loop, is
+    merged at once: seeded at every register use of `loop_walk.ir`, no
+    fact holds the fourth stride of `load(r1)`, only the induction terms
+    that cover it, and no unmerged stride leaves the loop."""
     prog = corpus("loop_walk.ir")
     analysis = Analysis(Session(prog))
     for seed in _register_seeds(prog, "main"):
         analysis.add_seed(seed)
     analysis.run()
-    exprs = {S.pretty(t.expr) for t in analysis.registry["main"].values()}
-    assert {"load(r1+0x8)", "load(0x8008)", "load(r1+main:s3*0x4)"} <= exprs
+    facts = analysis.registry["main"].values()
+    exprs = {S.pretty(t.expr) for t in facts}
+    assert {"load(r1+0x8)", "load(r1+main:s3*0x4)", "load(0x8000+main:s3*0x4)"} <= exprs
     fourth = {"load(0x800c)", "load(r1+0xc)", "load(0x800c)==0x0", "load(r1+0xc)==0x0"}
     assert not exprs & fourth
+    loops = analysis.session.func("main").loops
+    outside = {S.pretty(t.expr) for t in facts if t.point.block not in loops}
+    assert "load(0x8000+main:s3*0x4)" in outside
+    assert not [e for e in outside if re.search(r"load\(0x[0-9a-f]+\)", e)]
 
 
 def test_inert_statements_step_to_nothing(corpus):

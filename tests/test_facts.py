@@ -3,14 +3,17 @@ function (`alias.Session.func`), and equal what the general algorithms
 give.
 
 Every loop fact comes from one postorder DFS: the merge points are the
-ends of its retreating edges, and the loop blocks are the blocks on a
-cycle (`cfg.cycles`).  In a reducible CFG the retreating edges of any
+ends of its retreating edges.  One Tarjan walk (`cfg.components`) gives
+the strongly connected components, in the topological order the fixpoint
+sweeps them (`_Func.sweep`), and the loop blocks are the members of its
+cycles.  In a reducible CFG the retreating edges of any
 DFS are the dominator back edges, so there the facts are checked against
 the back edges and their natural loops, kept here as the reference, on
 every function of every corpus file and of the seed-1 ladders.  An
 irreducible cycle, which has no back edge, is still cut, and on small
-generated CFGs the retreating edges cut every cycle and the loop blocks
-are the blocks that reach themselves.  The live-in registers come from
+generated CFGs the retreating edges cut every cycle, the loop blocks
+are the blocks that reach themselves, and the sweep is a topological
+order of the components, the reverse postorder when there is no cycle.  The live-in registers come from
 a pass in postorder, checked against a round-robin liveness fixpoint.
 """
 
@@ -121,6 +124,7 @@ def check_record(session: Session, fname: str):
     assert (fn.merge_points, fn.loops) == reference_loop_facts(fn.cfg), fname
     assert fn.params == reference_live_in(fn.cfg), fname
     assert fn.order == tuple(C.postorder(fn.cfg)[0])
+    check_sweep(fn)
 
 
 @pytest.mark.parametrize("name", sorted(set(PROGRAMS) - {IRREDUCIBLE_COPY}))
@@ -198,6 +202,49 @@ def test_dfs_loop_facts_on_small_cfgs(text):
         assert fn.merge_points == reference_loop_facts(g)[0]
         assert fn.loops == reference_loop_facts(g)[1]
     assert fn.params == reference_live_in(g)
+    check_sweep(fn)
+
+
+def check_sweep(fn):
+    """The record's sweep: its parts in topological order and then back,
+    each reachable block in one part, a loop's blocks in reverse
+    postorder and then back, with that loop's merge points."""
+    g, rpo = fn.cfg, fn.order[::-1]
+    half = fn.sweep[:len(fn.sweep) // 2]
+    assert fn.sweep == (*half, *reversed(half))
+    part = {}
+    for i, p in enumerate(half):
+        if isinstance(p, str):
+            part[p] = i
+            continue
+        blocks, points = p
+        members = blocks[:len(blocks) // 2]
+        assert blocks == (*members, *reversed(members))
+        assert list(members) == sorted(members, key=rpo.index)
+        assert len(members) > 1 or members[0] in g.succs[members[0]]
+        assert points == tuple(m for m in fn.merge_points if m[0] in members)
+        part.update(dict.fromkeys(members, i))
+    assert sorted(part) == sorted(rpo)
+    assert all(part[u] <= part[v] for u in rpo for v in g.succs[u])
+    assert fn.loops == {b for p in half if not isinstance(p, str) for b in p[0]}
+    if not fn.loops:
+        assert half == rpo
+
+
+def test_each_record_takes_one_tarjan_walk(monkeypatch):
+    """A cyclic CFG's loop blocks and its sweep come from one `components`
+    walk, from the entry, and an acyclic one takes none."""
+    walks = []
+    components = C.components
+    monkeypatch.setattr(C, "components",
+                        lambda nodes, succs: walks.append(nodes) or components(nodes, succs))
+    fn = Session(ir.parse_program(IRREDUCIBLE)).func("f")
+    assert walks == [("e",)]
+    assert fn.sweep[:4] == ("e", "k", (("r", "s", "s", "r"), (("r", "f"), ("s", "b"))), "x")
+    program = ir.parse_program(
+        "func f @0x1000 frame=0 {\na:\n  branch r1, b, c\nb:\n  jump c\nc:\n  ret r2\n}\n")
+    assert Session(program).func("f").sweep == ("a", "b", "c", "c", "b", "a")
+    assert walks == [("e",)]
 
 
 def test_each_cfg_is_walked_once(monkeypatch):

@@ -84,6 +84,44 @@ def test_null_table_slots_recorded(corpus):
     assert res.null_targets == 1
 
 
+def test_a_direct_cell_of_a_walked_table_keeps_its_target():
+    """An icall reached through a table's first word before a loop walks
+    the table's later words: the first word's target joins the walk's,
+    and the walked table, not the direct cell, names the pattern."""
+    prog = ir.parse_program("""
+func h0 @0x5100 frame=0 {
+bb0:
+  ret
+}
+func h1 @0x5200 frame=0 {
+bb0:
+  ret
+}
+
+data @0x9200 { word 0x5100, word 0x5200, word 0x5200 }
+
+func main @0x1000 frame=0 {
+bb0:
+  r1 = 0x9200
+  r2 = load r1
+  jump call
+call:
+  icall r2()
+  r1 = r1 + 0x4
+  r2 = load r1
+  r3 = r1 < 0x920c
+  branch r3, call, done
+done:
+  ret
+}
+""")
+    (res,), _, _ = IC.resolve_all(Session(prog), C.find_address_taken(prog))
+    assert res.pattern == "table-stride" and res.targets == ("h0", "h1")
+    assert "direct" not in res.evidence
+    (ev,) = res.evidence["tables"]
+    assert (ev["base"], ev["stride"], ev["offset"]) == ("0x9200", "0x4", "0x4")
+
+
 def test_unresolvable_site_reported():
     prog = ir.parse_program("""
 func f @0x1000 frame=0 {

@@ -14,7 +14,11 @@ does, so its report must agree with the original's, up to the renaming
   split at its midpoint by a `jump` to a new block placed right after
   it, so a block that falls through still falls through to the same one;
 - `rN = 0x0` inserted at the top of every block, for a register rN that
-  the program never names.
+  the program never names;
+- every function entry, data object and string moved up by one constant,
+  and with them every data word and immediate (a load or store
+  displacement too) that names an entry or an address in an object or
+  just past its end.
 
 The reports are compared by their alerts (site, class, verdict), the
 targets of each indirect call and the number of cap hits.  The last
@@ -28,7 +32,10 @@ splitting blocks change which blocks are loop heads and latches, where
 the induction merge runs (`alias._Func.merge_points`), and the order
 in which it visits them.  The dead definitions add a statement to every
 block that no fact depends on; they guard the live-in registers
-(`alias.live_in_registers`), which must not count the register.
+(`alias.live_in_registers`), which must not count the register.  The
+moved addresses guard what reads an address's value: the address-taken
+functions (`cfg.find_address_taken`), data words (`ir.Program.data_word`)
+and the table walks of icall resolution (`icall.table_walk`).
 """
 
 import dataclasses
@@ -159,6 +166,39 @@ def dead_definitions(program: ir.Program) -> tuple[ir.Program, dict]:
     return _with_blocks(program, blocks), back
 
 
+def shifted_addresses(program: ir.Program, shift: int = 0x100000) -> ir.Program:
+    """`program` with every function entry, data object and string at
+    `shift` above where it was, and every data word and immediate that
+    names one of them moved with it.  An address names an entry, or a
+    byte of an object or string or the one just past its end, as a
+    loop's bound does."""
+    spans = [(base, len(words) * program.word_size)
+             for base, words in program.data_section.items()]
+    spans += [(addr, len(text) + 1) for addr, text in program.string_table.items()]
+    addresses = {f.entry_address for f in program.functions.values()}
+    for base, size in spans:
+        addresses.update(range(base, base + size + 1))
+
+    def moved(value):
+        if type(value) is tuple:
+            return tuple(map(moved, value))
+        return value + shift if type(value) is int and value in addresses else value
+
+    def blocks(fn):
+        return [(b.label, [dataclasses.replace(st.form, **{
+                    f.name: moved(getattr(st.form, f.name))
+                    for f in dataclasses.fields(st.form)}) for st in b.stmts])
+                for b in fn.blocks]
+
+    functions = {name: dataclasses.replace(fn, entry_address=fn.entry_address + shift)
+                 for name, fn in _with_blocks(program, blocks).functions.items()}
+    return ir.Program(functions,
+                      {base + shift: moved(words)
+                       for base, words in program.data_section.items()},
+                      {addr + shift: text for addr, text in program.string_table.items()},
+                      program.word_size)
+
+
 def outcome(program: ir.Program, path: pathlib.Path, back=None) -> tuple:
     """What a rewrite must keep of `program`'s report: its alerts, icall
     targets and cap-hit count, with each site mapped back through `back`
@@ -182,6 +222,7 @@ def test_rewrites_keep_the_report(name, tmp_path):
     want = outcome(program, tmp_path / "original.ir")
     assert outcome(reversed_functions(program), tmp_path / "reversed.ir") == want
     assert outcome(renamed_registers(program), tmp_path / "renamed.ir") == want
+    assert outcome(shifted_addresses(program), tmp_path / "shifted.ir") == want
     for rewrite in (relabeled_blocks, split_blocks, dead_definitions):
         rewritten, back = rewrite(program)
         assert outcome(rewritten, tmp_path / f"{rewrite.__name__}.ir", back) == want
