@@ -91,8 +91,8 @@ block's push sends its neighbours only the `out` entries of each
 direction that arrived since its last push (`_Side.new`); an entry
 pushed before is already in the neighbour's pool or refused there for
 good.  Each pushed entry is retagged once for all neighbours, and handed
-on as it is when no birth changes.  A session keeps each callsite's list
-of callee transfers while the callees' summaries stay the same
+on as it is when no birth changes.  An analysis builds each callsite's
+list of callee transfers on its first visit there and keeps it
 (`Analysis._crossings`).
 
 A function's fixpoint goes one strongly connected component of its CFG
@@ -118,7 +118,7 @@ once the loop is stable: only the induction term leaves the loop.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, Optional
 
@@ -703,11 +703,15 @@ class ModEntry:
 @dataclass
 class FunctionSummary:
     """What every crossing of a call to `func` reads, in its entry terms:
-    MOD and the return aliases.  REF is not part of it (`Analysis._ref`)."""
+    MOD and the return aliases.  REF is not part of it (`Analysis._ref`).
+    It carries the warnings and cap hits of the sub-analysis that computed
+    it, which took those of the callee summaries it read; they take no
+    part in comparing two summaries."""
     func: str
-    params: tuple[str, ...]                    # live-in rN registers
     mod: tuple[ModEntry, ...] = ()
     ret_exprs: tuple[S.Sse, ...] = ()          # aliases of the returned value
+    warnings: tuple[str, ...] = field(default=(), compare=False)
+    cap_hits: tuple[str, ...] = field(default=(), compare=False)
 
 
 def live_in_registers(graph: cfglib.Cfg) -> tuple[str, ...]:
@@ -902,9 +906,8 @@ class Session:
     (`_compile`).  Sessions derived through `with_resolutions` share all
     of these.  The call graph (direct calls and the resolved icall
     targets) and its cycles depend on the resolution map, and so do the
-    summary cache and its notes, so each session has its own, and so do
-    the tables of results built from summaries: each callsite's callee
-    transfers (`crossings`) and backward queries.
+    summary cache, so each session has its own, and so do the tables of
+    results built from summaries: REF and backward queries.
 
     A root session (one built here rather than by `with_resolutions`)
     has no resolutions.  It starts an empty SSE intern table and empty
@@ -917,7 +920,8 @@ class Session:
     REF, the cells a function reads, is a table of its own (`refs`),
     filled on demand: a function's REF is built the first time a tainted
     fact crosses a call to it, by a sub-analysis seeded at its loads, and
-    only once its summary is final.  A run that never descends with
+    only once its summary is final; the entry keeps that sub-analysis's
+    warnings and cap hits with the cells.  A run that never descends with
     taint, such as icall resolution, builds none.  Its REF re-rooted at a
     callsite (REF') is kept per (callsite, callee) in `ref_transfers`.
     """
@@ -933,15 +937,9 @@ class Session:
     def _resolve(self, resolutions: dict):
         self.resolutions = resolutions
         self.summaries: dict[str, FunctionSummary] = {}
-        # fname -> (warnings, cap hits, callee summaries used) of the
-        # sub-analysis that last computed its summary, joined by those of
-        # the one that built its REF
-        self.notes: dict[str, tuple[list, list, dict]] = {}
-        # callsite point -> (the callee summaries they were built from, the
-        # (callee, Transfer) crossings of `Analysis._crossings`)
-        self.crossings: dict = {}
-        # fname -> Load cells it reads, in its entry terms (REF)
-        self.refs: dict[str, tuple[S.Load, ...]] = {}
+        # fname -> (Load cells it reads, in its entry terms (REF), and the
+        # warnings and cap hits of the sub-analysis that built them)
+        self.refs: dict[str, tuple[tuple[S.Load, ...], tuple, tuple]] = {}
         # (callsite point, callee) -> REF' as (callee cell, caller cell) pairs
         self.ref_transfers: dict = {}
         # (point, register) -> (expressions of the register's backward
@@ -1023,18 +1021,20 @@ class Analysis:
     that computes it walks that function alone, exporting only to the
     function's own recursive callsites.  So each summary is computed
     once and every analysis of the session reuses it, whatever order
-    they ask in.  A call-graph cycle (`Session.cycle`, direct calls and
-    resolved icalls) is summarized as one unit, as Sharir & Pnueli
+    they ask in.  It carries the warnings and cap hits of computing it,
+    its callees' among them, and every analysis that asks for it takes
+    them, each once.  A call-graph cycle (`Session.cycle`, direct calls
+    and resolved icalls) is summarized as one unit, as Sharir & Pnueli
     (1981) treat it: asking for any member starts every member at the
-    bottom summary (no parameters, no effects) and computes all of them
-    twice in program order, the second round against the first's
+    bottom summary (no MOD entry, no return alias) and computes all of
+    them twice in program order, the second round against the first's
     approximations.  So a cycle's summaries too are the same whichever
     member is asked first.  The rounds stop at two rather than at a
     joint fixpoint, which a counting recursion never reaches: on
     `corpus/mutual_recursion.ir` each round adds two offsets of the
     counter to `even`'s return aliases (63 after 32 rounds).  When the
     second round still changes a member's summary, the cut is a cap hit
-    in the notes of the member asked first.
+    on the summary of the member asked first.
 
     A summary holds what every callsite crossing reads: MOD and the
     return aliases, so its sub-analysis is seeded at stores and returns
@@ -1042,11 +1042,12 @@ class Analysis:
     sub-analysis.  REF is read by taint descents alone (`_descend`), and
     is built per session on first demand, by a sub-analysis seeded at
     the function's loads, once the function's summary is final (for a
-    cycle member, after both rounds).  Its warnings and cap hits
-    join the summary's notes, each message once.  A descent compares a
-    fact with a REF' cell by structure id, so tags do not stop it: a
-    tainted alias holding a spent memory node is still tracked, unless
-    it is a spent store, which no cell matches (`_spent`).
+    cycle member, after both rounds).  The session keeps its
+    sub-analysis's warnings and cap hits with it, and an analysis takes
+    them each time it asks for REF.  A descent compares a fact with a
+    REF' cell by structure id, so tags do not stop it: a tainted alias
+    holding a spent memory node is still tracked, unless it is a spent
+    store, which no cell matches (`_spent`).
 
     The merge points of a loop component (`_Func.sweep`) merge offset
     families after each of its rounds that changed something
@@ -1064,18 +1065,16 @@ class Analysis:
     """
 
     def __init__(self, session: Session, policy=None, *,
-                 summary_of: str | None = None, confine: Iterable[str] | None = None):
+                 confine: Iterable[str] | None = None):
         self.session = session
         self.program = session.program
         self.policy = policy
         self.summaries = session.summaries
-        # the function whose summary this analysis computes, if any
-        self.summary_of = summary_of
         # the callers it exports to, when not every caller (`_export`)
         self.confine = None if confine is None else frozenset(confine)
         self.states: dict[str, dict[str, _BlockSt]] = {}
-        # callsites whose callees' notes this analysis took (`_crossings`)
-        self._crossed: set = set()
+        # callsite point -> its (callee, Transfer) list (`_crossings`)
+        self._crossed: dict[ir.Point, list[tuple[str, Transfer]]] = {}
         self.registry: dict[str, dict] = {}
         # seed id -> fname -> its registry entries of that seed, in order
         self._members: dict[int, dict[str, list[Tracked]]] = {}
@@ -1091,7 +1090,6 @@ class Analysis:
         # (callee, descent seed id) -> the callsites that reached the seed
         self._descents: dict[tuple[str, int], set[ir.Point]] = {}
         self._jobs: dict[str, int] = {}     # fname -> times scheduled
-        self._noted: dict[str, None] = {}   # summaries whose notes are taken
 
     # -- plumbing -----------------------------------------------------------
 
@@ -1360,28 +1358,17 @@ class Analysis:
 
     def _crossings(self, point: ir.Point, form) -> list[tuple[str, Transfer]]:
         """Each callee's summary in caller terms at the callsite `point`,
-        read by both directions, as (callee, Transfer) pairs.  The session
-        keeps the list per callsite, and it is reused while every callee's
-        summary is the very one it was built from, so one built from a
-        call-graph cycle's bottom summary or first-round approximation is
-        built again.  An analysis that reuses it takes the callsite's
-        warning and the callees' notes, as building it does, on its first
-        visit."""
-        kept = self.session.crossings.get(point)
-        if kept is not None and all(self.summaries.get(callee) is summ
-                                    for (callee, _), summ in zip(kept[1], kept[0])):
-            crossings = kept[1]
-            if point not in self._crossed:
-                self._callees_of(point, form)
-                for callee, _ in crossings:
-                    self._take_notes(callee)
-        else:
-            crossings = [(callee, self._transfer(point, callee))
-                         for callee in self._callees_of(point, form)
-                         if callee in self.program.functions]
-            self.session.crossings[point] = (
-                [self.summaries[c] for c, _ in crossings], crossings)
-        self._crossed.add(point)
+        read by both directions, as (callee, Transfer) pairs, built on the
+        analysis's first visit of the callsite and kept.  No summary the
+        analysis has read changes under it: only `summary` writes one, it
+        finishes a whole call-graph cycle before it returns, and each
+        cycle round runs in new sub-analyses."""
+        crossings = self._crossed.get(point)
+        if crossings is None:
+            crossings = self._crossed[point] = [
+                (callee, self._transfer(point, callee))
+                for callee in self._callees_of(point, form)
+                if callee in self.program.functions]
         return crossings
 
     def _transfer(self, point: ir.Point, callee: str) -> Transfer:
@@ -1430,10 +1417,12 @@ class Analysis:
         transfer's argument map, as (callee cell, caller cell) pairs; a
         cell mentioning a formal with no actual is dropped.  REF is built
         against the final summary and never changes, so the session keeps
-        the pairs per (callsite, callee)."""
+        the pairs per (callsite, callee); REF's messages are taken on
+        every ask (`_ref`)."""
+        cells = self._ref(callee)
         pairs = self.session.ref_transfers.get((site, callee))
         if pairs is None:
-            pairs = tuple((cell, r) for cell in self._ref(callee)
+            pairs = tuple((cell, r) for cell in cells
                           if (r := reroot(cell, tr.args)) is not None)
             self.session.ref_transfers[(site, callee)] = pairs
         return pairs
@@ -1476,34 +1465,20 @@ class Analysis:
             # then all of them twice in program order
             cycle = self.session.cycle(fname)
             for member in cycle:
-                self.summaries[member] = FunctionSummary(member, ())
+                self.summaries[member] = FunctionSummary(member)
             cut = False
             for i, member in enumerate(cycle * 2 or (fname,)):
                 summ = self._compute_summary(member)
                 cut |= i >= len(cycle) > 0 and summ != self.summaries[member]
                 self.summaries[member] = summ
-            if cut:
-                self.session.notes[fname][1].append(
-                    f"cycle round cap hit: summaries of {', '.join(cycle)} "
-                    "still changing after two rounds")
             summ = self.summaries[fname]
-        self._take_notes(fname)
+            if cut:
+                summ = self.summaries[fname] = replace(summ, cap_hits=(
+                    *summ.cap_hits, f"cycle round cap hit: summaries of "
+                    f"{', '.join(cycle)} still changing after two rounds"))
+        self.warn(*summ.warnings)
+        self._cap_hit(*summ.cap_hits)
         return summ
-
-    def _take_notes(self, fname: str):
-        """Take over the warnings and cap hits of computing `fname`'s
-        summary and of the callee summaries it used, once per analysis.
-        A summary's own sub-analysis only records which it used."""
-        if fname in self._noted:
-            return
-        self._noted[fname] = None
-        if self.summary_of is not None:
-            return
-        warnings, cap_hits, callees = self.session.notes[fname]
-        self.warn(*warnings)
-        self._cap_hit(*cap_hits)
-        for callee in callees:
-            self._take_notes(callee)
 
     def _compute_summary(self, fname: str) -> FunctionSummary:
         fn = self.session.func(fname)
@@ -1525,11 +1500,9 @@ class Analysis:
                         label=f"ret:{stmt.point}")))
         if not seeds:
             # what a sub-analysis with no seed gives: the CFG's warnings
-            # once each, no cap hit and no callee
-            self.session.notes[fname] = (list(dict.fromkeys(fn.cfg.warnings)), [], {})
-            return FunctionSummary(fname, fn.params)
+            # once each, no cap hit
+            return FunctionSummary(fname, warnings=tuple(dict.fromkeys(fn.cfg.warnings)))
         sub, sids = self._sub_analysis(fname, [seed for _, _, seed in seeds])
-        self.session.notes[fname] = (sub.warnings, sub.cap_hits, sub._noted)
         rooted = {(kind, stmt.point): sub._rooted(fname, sid)
                   for (kind, stmt, _), sid in zip(seeds, sids)}
 
@@ -1544,47 +1517,42 @@ class Analysis:
                            for m in rooted[(kind, stmt.point)])
             elif kind == "ret":
                 rets.extend(rooted[(kind, stmt.point)])
-        return FunctionSummary(func=fname, params=fn.params,
-                               mod=tuple(dict.fromkeys(mod)),
-                               ret_exprs=tuple(dict.fromkeys(rets)))
+        return FunctionSummary(func=fname, mod=tuple(dict.fromkeys(mod)),
+                               ret_exprs=tuple(dict.fromkeys(rets)),
+                               warnings=tuple(sub.warnings),
+                               cap_hits=tuple(sub.cap_hits))
 
     def _ref(self, fname: str) -> tuple[S.Load, ...]:
         """`fname`'s REF, the cells it reads, as loads in its entry terms:
         built on first demand in the session, by a sub-analysis seeded at
         the address of each of its loads, once its summary is final.  A
         function with no loads reads no cell and needs no sub-analysis.
-        The sub-analysis's warnings and cap hits join the summary's notes,
-        each message once, and this analysis, which took those notes when
-        it asked for the summary, takes what they gained."""
-        cells = self.session.refs.get(fname)
-        if cells is not None:
-            return cells
-        self.summary(fname)
-        loads = [stmt for block in self.session.func(fname).cfg.blocks.values()
-                 for stmt in block.stmts if isinstance(stmt.form, ir.Load)]
-        if not loads:
-            cells = self.session.refs[fname] = ()
-            return cells
-        sub, sids = self._sub_analysis(fname, [
-            Seed(stmt.point, addr_sse(stmt.form.addr, stmt.form.disp),
-                 direction="backward", label=f"ref:{stmt.point}") for stmt in loads])
-        cells = self.session.refs[fname] = tuple(dict.fromkeys(
-            S.Load(m) for sid in sids for m in sub._rooted(fname, sid)))
-        warnings, cap_hits, callees = self.session.notes[fname]
-        warnings.extend(w for w in sub.warnings if w not in warnings)
-        cap_hits.extend(h for h in sub.cap_hits if h not in cap_hits)
-        callees.update(sub._noted)
-        if self.summary_of is None:
-            self.warn(*sub.warnings)
-            self._cap_hit(*sub.cap_hits)
-            for callee in sub._noted:
-                self._take_notes(callee)
+        The session keeps the sub-analysis's warnings and cap hits with
+        the cells, and this analysis takes them each time it asks."""
+        kept = self.session.refs.get(fname)
+        if kept is None:
+            self.summary(fname)
+            loads = [stmt for block in self.session.func(fname).cfg.blocks.values()
+                     for stmt in block.stmts if isinstance(stmt.form, ir.Load)]
+            kept = ((), (), ())
+            if loads:
+                sub, sids = self._sub_analysis(fname, [
+                    Seed(stmt.point, addr_sse(stmt.form.addr, stmt.form.disp),
+                         direction="backward", label=f"ref:{stmt.point}")
+                    for stmt in loads])
+                kept = (tuple(dict.fromkeys(S.Load(m) for sid in sids
+                                            for m in sub._rooted(fname, sid))),
+                        tuple(sub.warnings), tuple(sub.cap_hits))
+            self.session.refs[fname] = kept
+        cells, warnings, cap_hits = kept
+        self.warn(*warnings)
+        self._cap_hit(*cap_hits)
         return cells
 
     def _sub_analysis(self, fname: str, seeds: list[Seed]):
         """A policy-free run of `fname` alone from `seeds`, for its summary
         or REF, and the seeds' ids."""
-        sub = Analysis(self.session, summary_of=fname, confine=(fname,))
+        sub = Analysis(self.session, confine=(fname,))
         sids = [sub.add_seed(seed) for seed in seeds]
         sub.run()
         return sub, sids

@@ -13,6 +13,7 @@ from mirtaint import alias
 from mirtaint import icall
 from mirtaint import ir
 from mirtaint import oracle
+from mirtaint import pipeline
 from mirtaint import sse as S
 from mirtaint import taint
 from mirtaint.alias import (Analysis, Cond, FunctionSummary, ModEntry, Seed,
@@ -129,29 +130,32 @@ def test_moved_and_derive_agree_with_dataclasses_replace():
 # -- summaries and the transfer function ---------------------------------------
 
 def test_kept_transfer_follows_the_callee_summary(corpus, monkeypatch):
-    """A session keeps each callsite's transfers, but one built from a
-    call-graph cycle's first-round approximation is built again once the
-    callee's summary is final: every transfer a visit reads equals one
-    built afresh from the summary it sees."""
+    """An analysis keeps each callsite's transfers, and every transfer a
+    visit reads equals one built afresh from the callee summary it sees,
+    in a call-graph cycle's second round too, whose sub-analyses read the
+    first round's approximations."""
     prog = corpus("mutual_recursion.ir")
     session = Session(prog)
+    keep = Analysis._crossings
+    checked, seen = [], []
+
+    def fresh(self, point, form):
+        crossings = keep(self, point, form)
+        for callee, tr in crossings:
+            summ = self.summaries[callee]
+            seen.append(summ)
+            checked.append(tr == transfer_function(summ,
+                                                   self.session.binding(point, callee)))
+        return crossings
+
+    monkeypatch.setattr(Analysis, "_crossings", fresh)
     Analysis(session).summary("even")
-    (superseded,) = [summ for summs, crossings in session.crossings.values()
-                     for summ, (callee, _) in zip(summs, crossings)
-                     if summ is not session.summaries[callee]]
-    # odd's first round, read by even's second: not the bottom summary
-    assert superseded.func == "odd" and superseded.params == ("r0",)
-    assert superseded != session.summaries["odd"]
-    keep = Analysis._transfer
-    checked = []
-
-    def fresh(self, point, callee):
-        tr = keep(self, point, callee)
-        checked.append(tr == transfer_function(self.summary(callee),
-                                               self.session.binding(point, callee)))
-        return tr
-
-    monkeypatch.setattr(Analysis, "_transfer", fresh)
+    assert checked and all(checked)
+    # odd's first round, read by even's second: neither the bottom summary
+    # nor the final one
+    assert any(summ.func == "odd" and summ != FunctionSummary("odd")
+               and summ != session.summaries["odd"] for summ in seen)
+    checked.clear()
     query = Analysis(session)
     sid = query.add_seed(Seed(point=ir.Point("odd", "rec", 2), expr=S.Reg("r3"),
                               direction="backward"))
@@ -162,13 +166,13 @@ def test_kept_transfer_follows_the_callee_summary(corpus, monkeypatch):
                               for t in query.family(sid)}
 
 def test_a_callsite_visit_reuses_its_crossings(corpus, monkeypatch):
-    """A session keeps the (callee, Transfer) list a callsite visit
-    built: over icall resolution and a taint run of each corpus program,
-    a later visit of that callsite by any analysis of the session, while
-    every callee's summary is the one the list was built from, makes no
+    """An analysis keeps the (callee, Transfer) list its first visit of a
+    callsite built: over icall resolution and a taint run of each corpus
+    program, a later visit of that callsite by the same analysis sees the
+    very callee summaries the list was built from and makes no
     `_transfer` call."""
     calls = []
-    visits = []     # (session, point, summaries before, after, transfer calls)
+    visits = []     # (analysis, point, summaries before, after, transfer calls)
     transfer, visit = Analysis._transfer, Analysis._visit_callsite
 
     def counted_transfer(self, point, callee):
@@ -182,8 +186,8 @@ def test_a_callsite_visit_reuses_its_crossings(corpus, monkeypatch):
         before = tuple(self.summaries.get(c) for c in callees)
         made = len(calls)
         changed = visit(self, fname, g, label, st, block)
-        # the session itself, not its id: a later one may reuse the id
-        visits.append((self.session, point, before,
+        # the analysis itself, not its id: a later one may reuse the id
+        visits.append((self, point, before,
                        tuple(self.summaries.get(c) for c in callees), len(calls) - made))
         return changed
 
@@ -198,7 +202,8 @@ def test_a_callsite_visit_reuses_its_crossings(corpus, monkeypatch):
         last = {}
         for owner, point, before, after, made in visits:
             kept = last.get((owner, point))
-            if kept is not None and all(a is b for a, b in zip(kept, before)):
+            if kept is not None:
+                assert all(a is b for a, b in zip(kept, before)), (path.name, point)
                 assert made == 0, (path.name, point)
                 repeats += 1
             last[(owner, point)] = after
@@ -206,9 +211,9 @@ def test_a_callsite_visit_reuses_its_crossings(corpus, monkeypatch):
 
 
 def test_a_reused_crossing_takes_the_callee_notes():
-    """An analysis that reuses the crossings another analysis of its
-    session built at a callsite still takes the callee summary's
-    warnings, as building them would have."""
+    """An analysis whose callee summary another analysis of its session
+    computed still takes the warnings the summary carries, as computing
+    it would have."""
     prog = ir.parse_program(
         "func g @0x2000 frame=0 {\nbb0:\n  icall r5(r0)\n  store r0 = r1\n  ret\n}\n"
         "func main @0x1000 frame=0 {\nbb0:\n  r1 = r2\n  call g(r1)\n"
@@ -220,7 +225,7 @@ def test_a_reused_crossing_takes_the_callee_notes():
         analysis.add_seed(Seed(point=ir.Point("main", "bb0", 0), expr=S.Reg("r2")))
         analysis.run()
         assert warning in analysis.warnings
-    assert ir.Point("main", "bb0", 1) in session.crossings
+    assert warning in session.summaries["g"].warnings
 
 
 def test_live_in_registers(corpus):
@@ -241,36 +246,35 @@ def test_summary_mod_rooted_at_params(corpus):
 
 def test_transfer_function_reroots_mod():
     summ = FunctionSummary(
-        func="put", params=("r0", "r1"),
+        func="put",
         mod=(ModEntry(S.canonicalize(S.Store(S.parse_sse("r0+0x8"))),
                       S.Reg("r1")),))
-    (entry,) = transfer_function(summ, arg_map(summ.params, ("r4", 0x2A))).mod
+    (entry,) = transfer_function(summ, arg_map(("r0", "r1"), ("r4", 0x2A))).mod
     assert S.pretty(entry.cell) == "store(r4+0x8)"
     assert entry.value == S.Val(0x2A)
 
 
 def test_transfer_function_pure_callee_passthrough():
-    summ = FunctionSummary(func="pure", params=("r0",))
-    tr = transfer_function(summ, arg_map(summ.params, ("r4",)))
+    summ = FunctionSummary(func="pure")
+    tr = transfer_function(summ, arg_map(("r0",), ("r4",)))
     assert tr.mod == () and tr.rets == ()
 
 
 def test_transfer_function_global_rooted_mod_kept():
     summ = FunctionSummary(
-        func="g", params=("r0",),
+        func="g",
         mod=(ModEntry(S.canonicalize(S.Store(S.parse_sse("gp+0x10"))),
                       S.Reg("r0")),))
-    (entry,) = transfer_function(summ, arg_map(summ.params, ("r7",))).mod
+    (entry,) = transfer_function(summ, arg_map(("r0",), ("r7",))).mod
     assert S.pretty(entry.cell) == "store(gp+0x10)"
     assert entry.value == S.Reg("r7")
 
 
 def test_transfer_function_drops_unmapped_params():
     summ = FunctionSummary(
-        func="g", params=("r0", "r1"),
-        mod=(ModEntry(S.canonicalize(S.Store(S.Reg("r1"))), None),))
+        func="g", mod=(ModEntry(S.canonicalize(S.Store(S.Reg("r1"))), None),))
     # only one actual
-    assert transfer_function(summ, arg_map(summ.params, ("r9",))).mod == ()
+    assert transfer_function(summ, arg_map(("r0", "r1"), ("r9",))).mod == ()
 
 
 def test_each_argument_binding_is_built_once(corpus, monkeypatch):
@@ -421,7 +425,7 @@ def test_icall_resolution_builds_no_ref(corpus, monkeypatch):
     add_seed = Analysis.add_seed
 
     def record(self, seed):
-        if self.summary_of is not None:
+        if self.confine == {seed.point.func}:
             seeded.append(self.session.statement(seed.point).form)
         return add_seed(self, seed)
 
@@ -442,11 +446,39 @@ def test_taint_builds_ref_of_crossed_callee_only(corpus):
     copy that the struct field carries the packet pointer to."""
     session = Session(corpus("struct_field_callee.ir"))
     result = taint.run_taint(session)
-    assert {S.pretty(c) for c in session.refs["runit"]} == {"load(r0+0x8)"}
+    assert {S.pretty(c) for c in session.refs["runit"][0]} == {"load(r0+0x8)"}
     assert set(session.refs) == {"runit"}
     ((site, callee),) = session.ref_transfers
     assert (str(site), callee) == ("main:bb0:5", "runit")
     assert [(str(a.sink_site), a.sink_fn) for a in result.alerts] == [
+        ("runit:bb0:2", "strcpy")]
+
+
+def test_ref_cap_hits_reach_the_report_once(monkeypatch):
+    """A cap hit of the sub-analysis that builds a callee's REF is taken by
+    the analysis that descends, and the report lists it once however many
+    descents ask for that REF.  A block iteration cap of 0 in runit's REF
+    sub-analysis alone stops its walk at once; the seeded load address is
+    still rooted at runit's parameter, so the descent and its alert stay."""
+    sub_analysis, cap = Analysis._sub_analysis, alias.BLOCK_ITER_CAP
+    refs = []
+
+    def capped(self, fname, seeds):
+        if not seeds[0].label.startswith("ref:"):
+            return sub_analysis(self, fname, seeds)
+        refs.append(fname)
+        monkeypatch.setattr(alias, "BLOCK_ITER_CAP", 0)
+        try:
+            return sub_analysis(self, fname, seeds)
+        finally:
+            monkeypatch.setattr(alias, "BLOCK_ITER_CAP", cap)
+
+    monkeypatch.setattr(Analysis, "_sub_analysis", capped)
+    report = pipeline.analyze(pipeline.RunConfig(
+        ir_path=str(ROOT / "corpus" / "struct_field_callee.ir")))
+    assert refs == ["runit"]
+    assert report.cap_hits.count("block iteration cap hit at runit:bb0") == 1
+    assert [(a["sink_site"], a["sink_fn"]) for a in report.alerts] == [
         ("runit:bb0:2", "strcpy")]
 
 
@@ -455,14 +487,14 @@ def test_summary_walk_stays_in_its_function(corpus, monkeypatch):
     original = Analysis.analyze_function
 
     def record(analysis, fname):
-        walked.append((analysis.summary_of, fname))
+        walked.append((analysis.confine, fname))
         return original(analysis, fname)
 
     monkeypatch.setattr(Analysis, "analyze_function", record)
     prog = corpus("summary_order.ir")
     Analysis(Session(prog)).summary("main")
-    assert {f for f, _ in walked} == set(prog.functions)
-    assert all(f == fname for f, fname in walked)
+    assert {f for (f,), _ in walked} == set(prog.functions)
+    assert all(confine == {fname} for confine, fname in walked)
 
 
 def test_session_shares_program_facts_not_summaries(corpus):

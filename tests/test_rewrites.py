@@ -24,7 +24,10 @@ The reports are compared by their alerts (site, class, verdict), the
 targets of each indirect call and the number of cap hits.  The last
 three rewrites move program points, so their sites are mapped back to
 the original's before comparing.  The programs are every corpus file and
-every seed-1 program of each benchmark workload.  Reversing the
+every seed-1 program of each benchmark workload.  Random compositions of
+the rewrites, each used at most once and in any order, run under
+Hypothesis over the corpus and the two smallest seed-1 programs of each
+workload; a site is mapped back through each rewrite in turn.  Reversing the
 functions also changes which equal statement the parser meets first, so
 it guards the shared statement forms (`ir.parse_program`) and the rows
 compiled once per form (`alias._Func.table`) too.  Renaming and
@@ -44,6 +47,7 @@ import re
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mirtaint import ir, pipeline
 
@@ -63,6 +67,10 @@ def _programs():
 
 
 PROGRAMS = dict(_programs())
+# the corpus and the two smallest seed-1 programs of each workload
+SMALL = sorted([path.name for path in (ROOT / "corpus").glob("*.ir")]
+               + [program.name for workload in workloads.WORKLOADS
+                  for program in workloads.generate(workload, 1)[:2]])
 
 
 def reversed_functions(program: ir.Program) -> ir.Program:
@@ -226,3 +234,42 @@ def test_rewrites_keep_the_report(name, tmp_path):
     for rewrite in (relabeled_blocks, split_blocks, dead_definitions):
         rewritten, back = rewrite(program)
         assert outcome(rewritten, tmp_path / f"{rewrite.__name__}.ir", back) == want
+
+
+REWRITES = (reversed_functions, renamed_registers, shifted_addresses,
+            relabeled_blocks, split_blocks, dead_definitions)
+
+
+def composed(program: ir.Program, rewrites) -> tuple[ir.Program, dict]:
+    """`program` under `rewrites` in turn, and the map from each
+    (function, label) of the result to its original label and index
+    offset, each rewrite's map followed by those of the ones before."""
+    back: dict = {}
+    for rewrite in rewrites:
+        out = rewrite(program)
+        program, step = out if isinstance(out, tuple) else (out, {})
+
+        def through(func, label):
+            label, offset = step.get((func, label), (label, 0))
+            original, more = back.get((func, label), (label, 0))
+            return original, offset + more
+
+        back = {(name, b.label): through(name, b.label)
+                for name, fn in program.functions.items() for b in fn.blocks}
+    return program, back
+
+
+_ORIGINAL: dict = {}    # name -> its outcome, unrewritten
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(name=st.sampled_from(SMALL),
+       rewrites=st.lists(st.sampled_from(REWRITES), min_size=2, unique=True))
+def test_composed_rewrites_keep_the_report(name, rewrites, tmp_path_factory):
+    tmp = tmp_path_factory.getbasetemp()
+    program = ir.parse_program(PROGRAMS[name])
+    if name not in _ORIGINAL:
+        _ORIGINAL[name] = outcome(program, tmp / "original.ir")
+    rewritten, back = composed(program, rewrites)
+    assert outcome(rewritten, tmp / "composed.ir", back) == _ORIGINAL[name], [
+        r.__name__ for r in rewrites]

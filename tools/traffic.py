@@ -8,7 +8,9 @@ module: `mirtaint analyze` (`cli.main`) on every corpus file,
 `bench/workloads.py`, and `oracle.fuzz(count=60, seed=1, n_runs=2)`.
 Then prints `file:line` for each executable line of `src/mirtaint` (but
 `__init__.py`) that none of them ran, a count per file and the total,
-and exits 0.  It takes a few minutes.
+then each module's line count and the total of `src/`, as
+`wc -l src/mirtaint/*.py` counts them, and exits 0.  It takes a few
+minutes.
 
 Tier-1 reaches every line (`tools/coverage.py`); this shows which lines
 serve nothing but tests.  Most of what it lists stays: the CLI's other
@@ -24,7 +26,7 @@ import sys
 import tempfile
 import trace
 
-from coverage import report   # tools/coverage.py, this file's neighbour
+from coverage import SRC, report   # tools/coverage.py, this file's neighbour
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
@@ -53,6 +55,11 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         tracer.runfunc(traffic, pathlib.Path(tmp))
     report(tracer, {})
+    sizes = {path.name: path.read_bytes().count(b"\n")
+             for path in sorted(SRC.glob("*.py"))}
+    for name, lines in sizes.items():
+        print(f"# {name}: {lines} lines")
+    print(f"# src/: {sum(sizes.values())} lines")
     return 0
 
 
