@@ -40,13 +40,14 @@ find the store address's definitions.  Replacements are tried before
 kills; a replaced-and-killed expression survives only as its successor.
 The walker visits only the statements that can act on the expression,
 which is sparse evaluation (Choi, Cytron & Ferrante, POPL 1991): each
-block's rule table carries a row index (`_Table`).  An expression is
-stepped across the rows that define one of its registers, the rows with
-a use pattern or stored value that occurs in it, the loads and stores of
-one of its memory nodes' addresses, the stores that can still mark one
-of those nodes stale (the may-alias barrier), and, when it is a tainted
-register, the rows that read it.  No rule, kill, stale mark or taint
-hook can fire on any other row, so skipping them changes nothing.
+block's rule table carries a row index (`_Table`), keyed by structure
+id.  An expression is stepped across the rows whose defined register,
+use pattern or stored value is one of its subtrees, the loads and
+stores of one of its memory nodes' addresses, the stores that can still
+mark one of those nodes stale (the may-alias barrier), and, when it is
+a tainted register, the rows that read it.  No rule, kill, stale mark
+or taint hook can fire on any other row, so skipping them changes
+nothing.
 
 Statement-level walking is bidirectional inside one block (TraceBlock),
 block results flow around the CFG over a postorder worklist run forward
@@ -60,8 +61,9 @@ and exports back to the callsite all read it.  MOD' cells kill and
 generate aliases, and the return aliases rename the result register.
 A tainted alias descends into the callee as the formal of an actual it
 equals, or as a cell of the callee's REF re-rooted at the call (REF')
-that it lives in; REF is built per session only when a tainted alias
-first crosses a call to that callee.
+that it lives in; the analysis that descends builds REF when a tainted
+alias first crosses a call to that callee there, and re-roots it at
+each descent.
 
 On completion a function exports its entry-block backward results
 (rooted at parameters or the globals register) to its callers'
@@ -329,19 +331,18 @@ class _Table:
     """A block's rule table, one row per statement, with its row index.
 
     The index maps what a fact can hold to the rows that can act on it,
-    as bitmasks over the rows: `by_reg` a register to the rows that
-    define it or whose whole use pattern or stored value it is, `pats`
-    one register of each other pattern to that pattern and its rows,
-    `free` holds the register-free patterns (immediates) and their rows,
-    `by_addr` maps an address, by its structure id (`_sid`, see `sse`),
-    to its load and store rows, and `reads` a register to the rows that
-    read it.  `stores` holds the store rows.  `relevant` reads them.
-    Not a dataclass: one is built per block of every function."""
-    __slots__ = ("rows", "by_reg", "pats", "free", "by_addr", "reads", "stores")
+    as bitmasks over the rows, keyed by structure id (`_sid`, see
+    `sse`): `by_sid` maps a structure to the rows whose defined
+    register, use pattern or stored value it is, and `by_addr` an
+    address to its load and store rows.  `reads` maps a register name to
+    the rows that read it, and `stores` holds the store rows.  `relevant`
+    reads them.  Not a dataclass: one is built per block of every
+    function."""
+    __slots__ = ("rows", "by_sid", "by_addr", "reads", "stores")
 
-    def __init__(self, rows, by_reg, pats, free, by_addr, reads, stores):
-        self.rows, self.by_reg, self.pats, self.free = rows, by_reg, pats, free
-        self.by_addr, self.reads, self.stores = by_addr, reads, stores
+    def __init__(self, rows, by_sid, by_addr, reads, stores):
+        self.rows, self.by_sid, self.by_addr = rows, by_sid, by_addr
+        self.reads, self.stores = reads, stores
 
     def relevant(self, e: S.Sse, forward: bool, tainted: bool = False) -> int:
         """The rows where stepping `e` in the given direction may yield,
@@ -352,23 +353,18 @@ class _Table:
         occurs in `e` (rules 1-4, 6), its load or store address is the
         address of one of `e`'s memory nodes (rules 5, 7, 13, 15), or `e`
         is tainted and is a register the row reads (the taint carriers
-        and the policy's compare hook).  A store also marks `e`'s memory
-        nodes stale: going forward those born before it and going
-        backward those born after it.  So a store row is relevant forward
-        when it comes after the lowest birth among the nodes not yet
-        stale forward, and backward when it comes before the highest
-        birth among those not yet stale backward (`S.mem_summary`)."""
-        regs = e._regs
+        and the policy's compare hook).  The first two are the rows
+        `by_sid` gives for the structure ids of `e`'s subtrees, the ids
+        `S.occurs` reads.  A store also marks `e`'s memory nodes stale:
+        going forward those born before it and going backward those born
+        after it.  So a store row is relevant forward when it comes after
+        the lowest birth among the nodes not yet stale forward, and
+        backward when it comes before the highest birth among those not
+        yet stale backward (`S.mem_summary`)."""
         mask = 0
-        for pat, rows in self.free:
-            if S.occurs(e, pat):
-                mask |= rows
-        by_reg, pats = self.by_reg, self.pats
-        for r in regs:
-            mask |= by_reg.get(r, 0)
-            for pat, rows in pats.get(r, ()):
-                if rows & ~mask and pat._regs <= regs and S.occurs(e, pat):
-                    mask |= rows
+        by_sid = self.by_sid
+        for sid in S._subtree_ids(e):
+            mask |= by_sid.get(sid, 0)
         if tainted and type(e) is S.Reg:
             mask |= self.reads.get(e.name, 0)
         if e._mdepth:
@@ -389,21 +385,15 @@ def _table(statements: Iterable[ir.Statement], parts: Optional[dict] = None) -> 
     """The rule table of `statements`, its rows from `parts` (`_compile`)."""
     parts = {} if parts is None else parts
     rows = tuple(_compile(stmt, parts) for stmt in statements)
-    by_reg: dict[str, int] = {}
-    pats: dict[Optional[str], dict[S.Sse, int]] = {}
+    by_sid: dict[int, int] = {}
     by_addr: dict[int, int] = {}
     reads: dict[str, int] = {}
     stores = 0
     for i, row in enumerate(rows):
         bit = 1 << i
-        if row.dst is not None:
-            by_reg[row.dst.name] = by_reg.get(row.dst.name, 0) | bit
-        for pat in [pat for _, pat, _, _ in row.uses] + [row.value]:
-            if type(pat) is S.Reg:
-                by_reg[pat.name] = by_reg.get(pat.name, 0) | bit
-            elif pat is not None:
-                group = pats.setdefault(min(pat._regs, default=None), {})
-                group[pat] = group.get(pat, 0) | bit
+        for key in (row.dst, row.value, *(pat for _, pat, _, _ in row.uses)):
+            if key is not None:
+                by_sid[key._sid] = by_sid.get(key._sid, 0) | bit
         if row.addr is not None:
             sid = row.addr._sid
             by_addr[sid] = by_addr.get(sid, 0) | bit
@@ -411,9 +401,7 @@ def _table(statements: Iterable[ir.Statement], parts: Optional[dict] = None) -> 
             stores |= bit
         for r in ir.used_registers(row.stmt.form):
             reads[r] = reads.get(r, 0) | bit
-    free = tuple(pats.pop(None, {}).items())
-    return _Table(rows, by_reg, {r: tuple(group.items()) for r, group in pats.items()},
-                  free, by_addr, reads, stores)
+    return _Table(rows, by_sid, by_addr, reads, stores)
 
 
 def _bounded(parent: Tracked, expr: S.Sse, point: ir.Point, phase: str,
@@ -765,7 +753,8 @@ def reroot(expr: S.Sse, mapping: dict[str, S.Sse]) -> Optional[S.Sse]:
 @dataclass(frozen=True)
 class Transfer:
     """A callee summary re-rooted at one callsite, in the caller's terms.
-    REF' is kept apart (`Analysis._ref_at`)."""
+    REF' is not part of it: a descent re-roots REF under `args`
+    (`Analysis._descend`)."""
     args: dict[str, S.Sse]                   # formal -> actual
     mod: tuple[ModEntry, ...]                # MOD'
     rets: tuple[S.Sse, ...]                  # aliases of the returned value
@@ -841,7 +830,8 @@ def _handed(t: Tracked, birth: int) -> Tracked:
 
 
 class _Func:
-    """One function's static facts (`Session.func`): its CFG, postorder
+    """One function's static facts (`Session.func`): its CFG, point index
+    (`points`, each point's `Session.locate` triple), postorder
     (`order`), merge points, loop blocks, live-in registers (`params`),
     rule tables by block label, each built on the block's first visit
     (`table`), and argument bindings (`Session.binding`).  The CFG's one
@@ -850,14 +840,14 @@ class _Func:
     and its one Tarjan walk orders the sweep of components (`sweep`),
     whose cycles hold the loop blocks.  The dominators wait for
     `taint._guards`."""
-    __slots__ = ("cfg", "order", "merge_points", "loops", "sweep", "params",
-                 "tables", "bindings", "_dom", "_parts")
+    __slots__ = ("cfg", "points", "order", "merge_points", "loops", "sweep",
+                 "params", "tables", "bindings", "_dom", "_parts")
 
-    def __init__(self, function: ir.Function, points: dict, parts: dict):
+    def __init__(self, function: ir.Function, parts: dict):
         g = self.cfg = cfglib.build_cfg(function)
-        for label, block in g.blocks.items():
-            for i, stmt in enumerate(block.stmts):
-                points[stmt.point] = (function.name, label, i)
+        self.points = {stmt.point: (function.name, label, i)
+                       for label, block in g.blocks.items()
+                       for i, stmt in enumerate(block.stmts)}
         self.order, self._dom = g.postorder, None
         # the widening points of the CFG and of its reverse (Bourdoncle,
         # FMPA 1993), forward first: loop heads forward, latches backward
@@ -901,13 +891,14 @@ class Session:
 
     Each function's static facts are one record (`func`, a `_Func`),
     built on the function's first use and read by attribute on the hot
-    paths.  The session also keeps the point index (`locate`) and the
-    row parts compiled once per distinct form, which hold SSE nodes
-    (`_compile`).  Sessions derived through `with_resolutions` share all
-    of these.  The call graph (direct calls and the resolved icall
-    targets) and its cycles depend on the resolution map, and so do the
-    summary cache, so each session has its own, and so do the tables of
-    results built from summaries: REF and backward queries.
+    paths; it holds the function's part of the point index (`locate`).
+    The session also keeps the row parts compiled once per distinct
+    form, which hold SSE nodes (`_compile`).  Sessions derived through
+    `with_resolutions` share both.  The call graph (direct calls and the
+    resolved icall targets) and its cycles depend on the resolution map,
+    and so does the summary cache, so each session has its own.  Results
+    that only one analysis reads, REF and sink queries, are not kept
+    here (`Analysis._ref`, `taint._backward_family`).
 
     A root session (one built here rather than by `with_resolutions`)
     has no resolutions.  It starts an empty SSE intern table and empty
@@ -916,46 +907,29 @@ class Session:
     rule tables and every fact key on structure ids, which name one
     structure in every table, so an analysis may still run on it after a
     later root session has started another table.
-
-    REF, the cells a function reads, is a table of its own (`refs`),
-    filled on demand: a function's REF is built the first time a tainted
-    fact crosses a call to it, by a sub-analysis seeded at its loads, and
-    only once its summary is final; the entry keeps that sub-analysis's
-    warnings and cap hits with the cells.  A run that never descends with
-    taint, such as icall resolution, builds none.  Its REF re-rooted at a
-    callsite (REF') is kept per (callsite, callee) in `ref_transfers`.
     """
 
     def __init__(self, program: ir.Program):
         S.reset_tables()
         self.program = program
         self._funcs: dict[str, _Func] = {}
-        self._points: dict[ir.Point, tuple[str, str, int]] = {}
         self._parts: dict = {}       # form id -> its row parts (`_compile`)
         self._resolve({})
 
     def _resolve(self, resolutions: dict):
         self.resolutions = resolutions
         self.summaries: dict[str, FunctionSummary] = {}
-        # fname -> (Load cells it reads, in its entry terms (REF), and the
-        # warnings and cap hits of the sub-analysis that built them)
-        self.refs: dict[str, tuple[tuple[S.Load, ...], tuple, tuple]] = {}
-        # (callsite point, callee) -> REF' as (callee cell, caller cell) pairs
-        self.ref_transfers: dict = {}
-        # (point, register) -> (expressions of the register's backward
-        # family, cap hits of its query)
-        self.backward_families: dict = {}
 
     def with_resolutions(self, resolutions: dict) -> "Session":
         """The session over this program under `resolutions`:
         this one when the map is the same, otherwise a new session that
-        shares the function records, the point index, the row parts and
-        the SSE intern table, and starts with no summaries."""
+        shares the function records, the row parts and the SSE intern
+        table, and starts with no summaries."""
         if resolutions == self.resolutions:
             return self
         other = object.__new__(Session)
         other.program = self.program
-        other._funcs, other._points, other._parts = self._funcs, self._points, self._parts
+        other._funcs, other._parts = self._funcs, self._parts
         other._resolve(resolutions)
         return other
 
@@ -964,13 +938,12 @@ class Session:
         fn = self._funcs.get(fname)
         if fn is None:
             fn = self._funcs[fname] = _Func(self.program.functions[fname],
-                                            self._points, self._parts)
+                                            self._parts)
         return fn
 
     def locate(self, point: ir.Point) -> tuple[str, str, int]:
         """(function, CFG block, index in that block) of a program point."""
-        self.func(point.func)
-        return self._points[point]
+        return self.func(point.func).points[point]
 
     def statement(self, point: ir.Point) -> ir.Statement:
         fname, label, idx = self.locate(point)
@@ -1010,7 +983,7 @@ class Analysis:
     Seeds are injected at program points; `run()` drives per-function
     fixpoints and lets results cross callsites in both directions.  The
     analysis holds only per-run state: block states, registry, queue,
-    seeds, warnings and cap hits.  Each function's static facts
+    seeds, REF, warnings and cap hits.  Each function's static facts
     (`Session.func`), the point index and the summary cache belong to
     the `Session` it is built on (`summaries` is the session's dict),
     which every analysis of a run shares.  An analysis given `confine`
@@ -1039,13 +1012,14 @@ class Analysis:
     A summary holds what every callsite crossing reads: MOD and the
     return aliases, so its sub-analysis is seeded at stores and returns
     only; a function with neither gets the bottom summary with no
-    sub-analysis.  REF is read by taint descents alone (`_descend`), and
-    is built per session on first demand, by a sub-analysis seeded at
-    the function's loads, once the function's summary is final (for a
-    cycle member, after both rounds).  The session keeps its
-    sub-analysis's warnings and cap hits with it, and an analysis takes
-    them each time it asks for REF.  A descent compares a fact with a
-    REF' cell by structure id, so tags do not stop it: a tainted alias
+    sub-analysis.  REF is read by taint descents alone (`_descend`), so
+    the analysis that descends builds it on its first ask (`_refs`), by
+    a sub-analysis seeded at the function's loads, once the function's
+    summary is final (for a cycle member, after both rounds), and takes
+    that sub-analysis's warnings and cap hits then.  A run that never
+    descends with taint, such as icall resolution, builds none.  A
+    descent compares a fact with a REF' cell, a REF cell re-rooted at
+    the callsite, by structure id, so tags do not stop it: a tainted alias
     holding a spent memory node is still tracked, unless it is a spent
     store, which no cell matches (`_spent`).
 
@@ -1089,6 +1063,8 @@ class Analysis:
         self._seed_ids: dict = {}
         # (callee, descent seed id) -> the callsites that reached the seed
         self._descents: dict[tuple[str, int], set[ir.Point]] = {}
+        # fname -> the Load cells it reads, in its entry terms (REF, `_ref`)
+        self._refs: dict[str, tuple[S.Load, ...]] = {}
         self._jobs: dict[str, int] = {}     # fname -> times scheduled
 
     # -- plumbing -----------------------------------------------------------
@@ -1393,11 +1369,12 @@ class Analysis:
     def _descend(self, t: Tracked, site: ir.Point, callee: str, tr: Transfer):
         """Forward taint descent: a tainted value passed as an argument, or
         living in a cell the callee reads, at callsite `site` seeds the
-        callee's analysis.  The cells come from the callee's REF re-rooted
-        at `site` (`_ref_at`), built the first time a tainted fact gets
-        here.  A fact lives in such a cell when it is the cell's load, or
-        a store to its address that no may-alias store has made stale
-        since: the store rule 7 would read at a load of that address."""
+        callee's analysis.  The cells are the callee's REF (`_ref`), each
+        re-rooted under the transfer's argument map at every descent; a
+        cell mentioning a formal with no actual is dropped.  A fact lives
+        in such a cell when it is the cell's load, or a store to its
+        address that no may-alias store has made stale since: the store
+        rule 7 would read at a load of that address."""
         if not t.tainted or self.policy is None:
             return
         entry_fn = self.program.functions[callee]
@@ -1407,25 +1384,11 @@ class Analysis:
                 self._inject_nested_seed(t, site, entry_point, S.Reg(param))
         e = t.expr
         stored = isinstance(e, S.Store) and not e.stale_fwd
-        for cell, actual in self._ref_at(site, callee, tr):
-            if e == actual or (stored and e.addr == actual.addr):
+        for cell in self._ref(callee):
+            actual = reroot(cell, tr.args)
+            if actual is not None and (
+                    e == actual or (stored and e.addr == actual.addr)):
                 self._inject_nested_seed(t, site, entry_point, cell)
-
-    def _ref_at(self, site: ir.Point, callee: str,
-                tr: Transfer) -> tuple[tuple[S.Load, S.Load], ...]:
-        """The callee's REF re-rooted at callsite `site` under the
-        transfer's argument map, as (callee cell, caller cell) pairs; a
-        cell mentioning a formal with no actual is dropped.  REF is built
-        against the final summary and never changes, so the session keeps
-        the pairs per (callsite, callee); REF's messages are taken on
-        every ask (`_ref`)."""
-        cells = self._ref(callee)
-        pairs = self.session.ref_transfers.get((site, callee))
-        if pairs is None:
-            pairs = tuple((cell, r) for cell in cells
-                          if (r := reroot(cell, tr.args)) is not None)
-            self.session.ref_transfers[(site, callee)] = pairs
-        return pairs
 
     def _inject_nested_seed(self, parent: Tracked, site: ir.Point,
                             entry_point: ir.Point, expr: S.Sse):
@@ -1524,29 +1487,27 @@ class Analysis:
 
     def _ref(self, fname: str) -> tuple[S.Load, ...]:
         """`fname`'s REF, the cells it reads, as loads in its entry terms:
-        built on first demand in the session, by a sub-analysis seeded at
-        the address of each of its loads, once its summary is final.  A
-        function with no loads reads no cell and needs no sub-analysis.
-        The session keeps the sub-analysis's warnings and cap hits with
-        the cells, and this analysis takes them each time it asks."""
-        kept = self.session.refs.get(fname)
-        if kept is None:
+        built on this analysis's first ask, by a sub-analysis seeded at
+        the address of each of its loads, once its summary is final, and
+        kept in `_refs`.  The sub-analysis's warnings and cap hits are
+        taken then, once.  A function with no loads reads no cell and
+        needs no sub-analysis."""
+        cells = self._refs.get(fname)
+        if cells is None:
             self.summary(fname)
             loads = [stmt for block in self.session.func(fname).cfg.blocks.values()
                      for stmt in block.stmts if isinstance(stmt.form, ir.Load)]
-            kept = ((), (), ())
+            cells = ()
             if loads:
                 sub, sids = self._sub_analysis(fname, [
                     Seed(stmt.point, addr_sse(stmt.form.addr, stmt.form.disp),
                          direction="backward", label=f"ref:{stmt.point}")
                     for stmt in loads])
-                kept = (tuple(dict.fromkeys(S.Load(m) for sid in sids
-                                            for m in sub._rooted(fname, sid))),
-                        tuple(sub.warnings), tuple(sub.cap_hits))
-            self.session.refs[fname] = kept
-        cells, warnings, cap_hits = kept
-        self.warn(*warnings)
-        self._cap_hit(*cap_hits)
+                cells = tuple(dict.fromkeys(S.Load(m) for sid in sids
+                                            for m in sub._rooted(fname, sid)))
+                self.warn(*sub.warnings)
+                self._cap_hit(*sub.cap_hits)
+            self._refs[fname] = cells
         return cells
 
     def _sub_analysis(self, fname: str, seeds: list[Seed]):

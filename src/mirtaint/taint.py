@@ -408,23 +408,19 @@ class TaintPolicy:
 # Sink checking
 # ---------------------------------------------------------------------------
 
-def _backward_family(session: Session, point: ir.Point,
-                     reg: str) -> tuple[S.Sse, ...]:
-    """The expressions of `reg`'s backward family at `point`.  Its
+def _backward_family(session: Session, point: ir.Point, reg: str,
+                     cap_hits: list[str]) -> tuple[S.Sse, ...]:
+    """The expressions of `reg`'s backward family at `point`, from a query
+    analysis of its own, whose cap hits are appended to `cap_hits`.  The
     analysis has no policy, so no fact moves from a caller into a
     callee, and a caller outside the function's call-graph cycle cannot
-    change the family: it exports only to callers in the cycle.  The
-    result depends only on the session and the query, so the session
-    keeps it, with the cap hits of the query's analysis."""
-    kept = session.backward_families.get((point, reg))
-    if kept is None:
-        sub = Analysis(session, confine=session.cycle(point.func))
-        sid = sub.add_seed(Seed(point=point, expr=S.Reg(reg),
-                                direction="backward", label="query"))
-        sub.run()
-        kept = session.backward_families[(point, reg)] = (
-            tuple(t.expr for t in sub.family(sid, point.func)), sub.cap_hits)
-    return kept[0]
+    change the family: it exports only to callers in the cycle."""
+    sub = Analysis(session, confine=session.cycle(point.func))
+    sid = sub.add_seed(Seed(point=point, expr=S.Reg(reg),
+                            direction="backward", label="query"))
+    sub.run()
+    cap_hits.extend(sub.cap_hits)
+    return tuple(t.expr for t in sub.family(sid, point.func))
 
 
 def _stack_offset_of(exprs) -> Optional[int]:
@@ -444,13 +440,15 @@ def _constant_of(exprs) -> Optional[int]:
     return None
 
 
-def _stack_dst(session: Session, point: ir.Point, reg: ir.Operand):
+def _stack_dst(session: Session, point: ir.Point, reg: ir.Operand,
+               cap_hits: list[str]):
     """(sp offset, capacity up to the frame top) of the stack buffer that
-    `reg` points to at `point`, from its backward family; (None, None)
-    when it resolves to no sp+k form."""
+    `reg` points to at `point`, from its backward family (whose query's
+    cap hits go to `cap_hits`); (None, None) when it resolves to no sp+k
+    form."""
     offset = None
     if isinstance(reg, str):
-        offset = _stack_offset_of(_backward_family(session, point, reg))
+        offset = _stack_offset_of(_backward_family(session, point, reg, cap_hits))
     if offset is None:
         return None, None
     return offset, session.program.functions[point.func].frame_size - offset
@@ -478,9 +476,10 @@ def _taint_chain(item: Tracked) -> tuple[str, ...]:
 
 def check_sink(session: Session, hit: SinkHit,
                constraints_by_edge: dict[tuple[str, str], list[Constraint]],
-               tainted_args: frozenset = frozenset()) -> Optional[Alert]:
+               cap_hits: list[str], tainted_args: frozenset = frozenset()
+               ) -> Optional[Alert]:
     """Decide whether one tainted sink argument or loop store becomes an
-    alert."""
+    alert; the cap hits of its backward queries go to `cap_hits`."""
     _, sink_block, _ = session.locate(hit.point)
     model = hit.sink
     applicable = _guards(session, constraints_by_edge, hit.point.func, sink_block,
@@ -491,7 +490,8 @@ def check_sink(session: Session, hit: SinkHit,
     bound = hit.length
     if isinstance(bound, str):
         bound = (None if (hit.point, model.len_arg) in tainted_args
-                 else _constant_of(_backward_family(session, hit.point, bound)))
+                 else _constant_of(_backward_family(session, hit.point, bound,
+                                                    cap_hits)))
     if bound is not None:
         applicable.append(Constraint(S.Val(bound), "==", S.Val(bound),
                                      hit.point, hit.item.seed_id))
@@ -506,7 +506,7 @@ def check_sink(session: Session, hit: SinkHit,
             return None
         uppers = [c.upper_bound() for c in applicable if c.upper_bound() is not None]
         bound = min(uppers) if uppers else None
-        offset, capacity = _stack_dst(session, hit.point, hit.dst)
+        offset, capacity = _stack_dst(session, hit.point, hit.dst, cap_hits)
         if bound is None and model is LOOP_COPY:
             verdict = "unbounded loop copy through an advancing pointer"
         elif bound is None:
@@ -604,17 +604,13 @@ def run_taint(session: Session, models: Models | None = None) -> TaintResult:
     constraints = policy.edge_constraints(analysis)
     tainted_args = frozenset((point, ci) for point, ci, _ in policy.sink_hits)
     alerts: dict[ir.Point, Alert] = {}
+    # the run's cap hits, then the sink queries', each once in first-ask
+    # order; the queries' warnings are left out, as the seed queries' are
+    cap_hits = list(analysis.cap_hits)
     for hit in [*policy.sink_hits.values(), *detect_loop_copies(analysis)]:
-        alert = check_sink(session, hit, constraints, tainted_args)
+        alert = check_sink(session, hit, constraints, cap_hits, tainted_args)
         if alert is not None:
             alerts.setdefault(hit.point, alert)
-    # the sink queries' cap hits, each once, after the run's own; their
-    # warnings are left out, as the seed queries' are
-    cap_hits = list(analysis.cap_hits)
-    for _, hits in session.backward_families.values():
-        for h in hits:
-            if h not in cap_hits:
-                cap_hits.append(h)
 
     tainted_blocks = set()
     for fname, reg in analysis.registry.items():
@@ -629,6 +625,6 @@ def run_taint(session: Session, models: Models | None = None) -> TaintResult:
         covered_blocks=len(analysis.blocks_visited),
         analyzed_functions=len(analysis.visited_functions),
         warnings=list(analysis.warnings),
-        cap_hits=cap_hits,
+        cap_hits=list(dict.fromkeys(cap_hits)),
         seeds=len(seeds),
     )

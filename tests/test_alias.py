@@ -411,25 +411,29 @@ def test_ref_independent_of_request_order(corpus):
             shared._ref(first)
             for f in prog.functions:
                 assert shared._ref(f) == fresh[f], (first, f)
-    walkers = ir.parse_program(WALKERS)
-    session = Session(walkers)
-    assert {S.pretty(c) for c in Analysis(session)._ref("odd")} == {
+    analysis = Analysis(Session(ir.parse_program(WALKERS)))
+    assert {S.pretty(c) for c in analysis._ref("odd")} == {
         "load(r0)", "load(r0+0x8)"}
-    assert set(session.refs) == {"odd"}
+    assert set(analysis._refs) == {"odd"}
 
 
 def test_icall_resolution_builds_no_ref(corpus, monkeypatch):
     """Icall resolution reads MOD and return aliases, never REF: its
-    summaries seed no load, and it builds no REF table."""
-    seeded = []
-    add_seed = Analysis.add_seed
+    summaries seed no load, and no analysis asks for REF."""
+    seeded, asked = [], []
+    add_seed, ref = Analysis.add_seed, Analysis._ref
 
     def record(self, seed):
         if self.confine == {seed.point.func}:
             seeded.append(self.session.statement(seed.point).form)
         return add_seed(self, seed)
 
+    def record_ref(self, fname):
+        asked.append(fname)
+        return ref(self, fname)
+
     monkeypatch.setattr(Analysis, "add_seed", record)
+    monkeypatch.setattr(Analysis, "_ref", record_ref)
     prog = corpus("gptr_table.ir")
     session = Session(prog)
     _, mapping, _ = icall.resolve_all(session)
@@ -437,19 +441,31 @@ def test_icall_resolution_builds_no_ref(corpus, monkeypatch):
     assert {"install", "dispatch"} <= set(session.summaries)
     assert any(isinstance(form, ir.Store) for form in seeded)
     assert not any(isinstance(form, ir.Load) for form in seeded)
-    assert session.refs == {} and session.ref_transfers == {}
+    assert asked == []
 
 
-def test_taint_builds_ref_of_crossed_callee_only(corpus):
+def test_taint_builds_ref_of_crossed_callee_only(corpus, monkeypatch):
     """A taint run builds REF only for a callee a tainted fact crosses a
     call to, here runit, and the descent through its field read finds the
     copy that the struct field carries the packet pointer to."""
-    session = Session(corpus("struct_field_callee.ir"))
-    result = taint.run_taint(session)
-    assert {S.pretty(c) for c in session.refs["runit"][0]} == {"load(r0+0x8)"}
-    assert set(session.refs) == {"runit"}
-    ((site, callee),) = session.ref_transfers
-    assert (str(site), callee) == ("main:bb0:5", "runit")
+    refs, cell_descents = [], []
+    ref, inject = Analysis._ref, Analysis._inject_nested_seed
+
+    def record_ref(self, fname):
+        cells = ref(self, fname)
+        refs.append((fname, frozenset(S.pretty(c) for c in cells)))
+        return cells
+
+    def record_inject(self, parent, site, entry_point, expr):
+        if type(expr) is not S.Reg:
+            cell_descents.append((str(site), entry_point.func))
+        return inject(self, parent, site, entry_point, expr)
+
+    monkeypatch.setattr(Analysis, "_ref", record_ref)
+    monkeypatch.setattr(Analysis, "_inject_nested_seed", record_inject)
+    result = taint.run_taint(Session(corpus("struct_field_callee.ir")))
+    assert set(refs) == {("runit", frozenset({"load(r0+0x8)"}))}
+    assert cell_descents == [("main:bb0:5", "runit")]
     assert [(str(a.sink_site), a.sink_fn) for a in result.alerts] == [
         ("runit:bb0:2", "strcpy")]
 
@@ -868,14 +884,12 @@ def test_loop_walk_merges_before_a_fourth_stride(corpus):
     assert not [e for e in outside if re.search(r"load\(0x[0-9a-f]+\)", e)]
 
 
-def test_inert_statements_step_to_nothing(corpus):
-    """Wherever the row index leaves a statement out for an expression
-    and direction, stepping the expression across that statement in that
-    direction yields nothing, kills nothing, keeps the very same
-    expression and records no comparison fact: over every fact the
-    corpus programs derive, tainted or not."""
+def _corpus_tables(corpus):
+    """Each corpus program's name and its (rule table, facts) pairs: the
+    table of every block but a callsite, with every fact its function's
+    registry holds, each also tainted, after a taint run from the
+    program's sources and a seed at every register of every statement."""
     models = taint.default_models()
-    inert = 0
     for path in sorted((ROOT / "corpus").glob("*.ir")):
         prog = corpus(path.name)
         analysis = Analysis(Session(prog), taint.TaintPolicy(models))
@@ -885,31 +899,83 @@ def test_inert_statements_step_to_nothing(corpus):
             for seed in _register_seeds(prog, fname):
                 analysis.add_seed(seed)
         analysis.run()
-        session = analysis.session
-        policy = taint.TaintPolicy(models)
-        walker = _Walker(policy)
+        pairs = []
         for fname, registry in analysis.registry.items():
             items = list(registry.values())
             items += [replace(t, tainted=True) for t in items if not t.tainted]
-            g = session.func(fname).cfg
-            for label in g.order:
-                if g.blocks[label].is_call:
-                    continue
-                table = session.func(fname).table(label)
-                for t in items:
-                    for forward, step in ((True, walker.forward_step),
-                                          (False, walker.backward_step)):
-                        relevant = table.relevant(t.expr, forward, t.tainted)
-                        for i, row in enumerate(table.rows):
-                            if relevant >> i & 1:
-                                continue
-                            inert += 1
-                            out = step(row, i, t)
-                            assert not out.successors and not out.killed, (
-                                path.name, row.stmt, S.pretty(t.expr), forward)
-                            assert out.expr is t.expr
-        assert policy.cmp_facts == {}, path.name
+            fn = analysis.session.func(fname)
+            pairs += [(fn.table(label), items) for label in fn.cfg.order
+                      if not fn.cfg.blocks[label].is_call]
+        yield path.name, pairs
+
+
+def test_inert_statements_step_to_nothing(corpus):
+    """Wherever the row index leaves a statement out for an expression
+    and direction, stepping the expression across that statement in that
+    direction yields nothing, kills nothing, keeps the very same
+    expression and records no comparison fact: over every fact the
+    corpus programs derive, tainted or not."""
+    models = taint.default_models()
+    inert = 0
+    for name, pairs in _corpus_tables(corpus):
+        policy = taint.TaintPolicy(models)
+        walker = _Walker(policy)
+        for table, items in pairs:
+            for t in items:
+                for forward, step in ((True, walker.forward_step),
+                                      (False, walker.backward_step)):
+                    relevant = table.relevant(t.expr, forward, t.tainted)
+                    for i, row in enumerate(table.rows):
+                        if relevant >> i & 1:
+                            continue
+                        inert += 1
+                        out = step(row, i, t)
+                        assert not out.successors and not out.killed, (
+                            name, row.stmt, S.pretty(t.expr), forward)
+                        assert out.expr is t.expr
+        assert policy.cmp_facts == {}, name
     assert inert > 1000
+
+
+def _relevant_reference(table, e, forward, tainted):
+    """The rows `_Table.relevant` should give, one by one from each row's
+    fields and `e`'s nodes: the rows that define a register of `e`, whose
+    use pattern or stored value is a node of `e`, whose address is that
+    of a memory node of `e`, that read `e` when it is a tainted register,
+    and the stores that mark a memory node of `e` stale in the direction."""
+    nodes = list(S.subtrees(e))
+    mems = [n for n in nodes if type(n) in (S.Load, S.Store)]
+    mask = 0
+    for i, row in enumerate(table.rows):
+        form = row.stmt.form
+        pats = [pat for _, pat, _, _ in row.uses] + [row.value]
+        if ((row.dst is not None and row.dst.name in S.registers(e))
+                or any(pat is not None and pat in nodes for pat in pats)
+                or any(n.addr == row.addr for n in mems)
+                or (tainted and type(e) is S.Reg
+                    and e.name in ir.used_registers(form))
+                or (type(form) is ir.Store and any(
+                    n.birth < i and not n.stale_fwd if forward
+                    else n.birth > i and not n.stale_bwd for n in mems))):
+            mask |= 1 << i
+    return mask
+
+
+def test_row_index_is_exact(corpus):
+    """The row index gives exactly the rows the reference picks from each
+    row's fields, both directions, over every fact the corpus programs
+    derive, tainted or not: the rows it leaves out do nothing
+    (`test_inert_statements_step_to_nothing`), and it takes no other."""
+    queries = 0
+    for name, pairs in _corpus_tables(corpus):
+        for table, items in pairs:
+            for t in items:
+                for forward in (True, False):
+                    queries += 1
+                    assert table.relevant(t.expr, forward, t.tainted) == \
+                        _relevant_reference(table, t.expr, forward, t.tainted), (
+                            name, S.pretty(t.expr), forward, t.tainted)
+    assert queries > 1000
 
 
 _STORE_BLOCK = """

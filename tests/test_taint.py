@@ -285,23 +285,30 @@ def test_check_sink_overflow_confirmed_by_execution(corpus):
     assert any(a in mem for a in range(top, top + 0x20))
 
 
-def test_backward_family_kept_per_session(corpus, monkeypatch):
-    """A backward sink query runs once per session and returns a tuple;
-    a session under another resolution map starts with none."""
-    prog = corpus("memcpy_bound_bad.ir")
-    session = Session(prog)
+def test_backward_family_runs_afresh_and_hands_on_its_cap_hits(corpus, monkeypatch):
+    """A backward sink query returns a tuple.  Each call runs an analysis
+    of its own, so a second call gives an equal family from a new
+    analysis, and appends that analysis's cap hits to the list passed in."""
+    made = []
+
+    class Recording(Analysis):
+        def run(self):
+            super().run()
+            self._cap_hit(f"probe {len(made)}")
+            made.append(self)
+
+    monkeypatch.setattr(T, "Analysis", Recording)
+    session = Session(corpus("memcpy_bound_bad.ir"))
     point = ir.Point("main", "bb0", 5)
-    first = T._backward_family(session, point, "r4")
+    hits = ["earlier"]
+    first = T._backward_family(session, point, "r4", hits)
     assert isinstance(first, tuple)
     assert S.parse_sse("sp+0x20") in first and S.parse_sse("r4") in first
-
-    def no_analysis(*args, **kwargs):
-        raise AssertionError("a kept query must not be analysed again")
-
-    monkeypatch.setattr(T, "Analysis", no_analysis)
-    assert T._backward_family(session, point, "r4") is first
-    other = session.with_resolutions({point: ("main",)})
-    assert other is not session and other.backward_families == {}
+    assert hits == ["earlier", *made[0].cap_hits]
+    assert T._backward_family(session, point, "r4", hits) == first
+    assert len(made) == 2 and made[1] is not made[0]
+    assert hits == ["earlier", *made[0].cap_hits, *made[1].cap_hits]
+    assert made[1].cap_hits[-1] == "probe 1"
 
 
 def _taint_analysis(prog):
@@ -382,7 +389,7 @@ def _loop_copy_verdicts(guard):
     analysis = _taint_analysis(prog)
     constraints = analysis.policy.edge_constraints(analysis)
     hits = T.detect_loop_copies(analysis)
-    verdicts = [(h, T.check_sink(analysis.session, h, constraints)) for h in hits]
+    verdicts = [(h, T.check_sink(analysis.session, h, constraints, [])) for h in hits]
     return verdicts, T.run_taint(Session(prog)).alerts
 
 
