@@ -279,24 +279,27 @@ class _Compiled:
         self.carriers, self.addr, self.value = carriers, addr, value
 
 
-def _compile(stmt: ir.Statement, parts: dict) -> _Compiled:
-    """`stmt`'s row from its form's `_row_parts`, kept in `parts` by the
-    form's id (its program keeps it alive); only an ITE's conds name the point."""
-    form = stmt.form
-    dst, uses, defs, carriers, addr, value = (
-        parts.get(id(form)) or parts.setdefault(id(form), _row_parts(form)))
-    if type(form) is ir.Ite:
-        uses = tuple((rule, pat, Cond(form.cond, arm, stmt.point), clean)
-                     for rule, pat, arm, clean in uses)
-        defs = tuple((rule, pat, Cond(form.cond, arm, stmt.point))
-                     for rule, pat, arm in defs)
-    return _Compiled(stmt, dst, uses, defs, carriers, addr, value)
+def _registers(form: ir.Form, regs: dict) -> tuple[Optional[str], tuple[str, ...]]:
+    """`form`'s defined register (None when it defines none) and the
+    registers it reads, kept in `regs` by the form's id (its program
+    keeps it alive): the parser shares one form among statements of equal
+    text, so a session reads each distinct form once, and builds no SSE
+    node for it."""
+    found = regs.get(id(form))
+    if found is None:
+        found = regs[id(form)] = (ir.defined_register(form),
+                                  tuple(ir.used_registers(form)))
+    return found
 
 
-def _row_parts(form: ir.Form) -> tuple:
+def _row_parts(form: ir.Form, regs: dict) -> tuple:
     """The row fields of every statement of `form`, in `_Compiled` order
-    after `stmt`; an ITE's conditions stand as the arm's truth value."""
-    name = ir.defined_register(form)
+    after `stmt`, an ITE's conditions standing as the arm's truth value;
+    then its keys in the row index (`_Table`): the structure ids of its
+    defined register, stored value and use patterns, its address's id
+    (None without one), whether it is a store, and the registers it
+    reads (`_registers`)."""
+    name, reads = _registers(form, regs)
     dst = S.Reg(name) if name is not None else None
     ops: list[tuple[int, S.Sse, Optional[bool]]] = []   # rules 1-4
     carriers: tuple[S.Reg, ...] = ()
@@ -324,7 +327,10 @@ def _row_parts(form: ir.Form) -> tuple:
         addr = addr_sse(form.addr, form.disp)
     if isinstance(form, ir.Store):
         value = op_sse(form.src)
-    return dst, uses, defs, carriers, addr, value
+    keys = tuple(dict.fromkeys(key._sid for key in (dst, value, *(u[1] for u in uses))
+                               if key is not None))
+    return (dst, uses, defs, carriers, addr, value, keys,
+            None if addr is None else addr._sid, value is not None, reads)
 
 
 class _Table:
@@ -381,27 +387,42 @@ class _Table:
         return mask
 
 
-def _table(statements: Iterable[ir.Statement], parts: Optional[dict] = None) -> _Table:
-    """The rule table of `statements`, its rows from `parts` (`_compile`)."""
+def _table(statements: Iterable[ir.Statement], parts: Optional[dict] = None,
+           regs: Optional[dict] = None) -> _Table:
+    """The rule table of `statements`.  Each row and its index keys come
+    from its form's `_row_parts`, kept in `parts` by the form's id, and
+    its registers from `regs` (`_registers`); only an ITE's conds name
+    the statement's point."""
     parts = {} if parts is None else parts
-    rows = tuple(_compile(stmt, parts) for stmt in statements)
+    regs = {} if regs is None else regs
+    rows = []
     by_sid: dict[int, int] = {}
     by_addr: dict[int, int] = {}
     reads: dict[str, int] = {}
     stores = 0
-    for i, row in enumerate(rows):
-        bit = 1 << i
-        for key in (row.dst, row.value, *(pat for _, pat, _, _ in row.uses)):
-            if key is not None:
-                by_sid[key._sid] = by_sid.get(key._sid, 0) | bit
-        if row.addr is not None:
-            sid = row.addr._sid
-            by_addr[sid] = by_addr.get(sid, 0) | bit
-        if row.value is not None:
+    bit = 1
+    for stmt in statements:
+        form = stmt.form
+        row = parts.get(id(form))
+        if row is None:
+            row = parts[id(form)] = _row_parts(form, regs)
+        dst, uses, defs, carriers, addr, value, keys, addr_sid, store, used = row
+        if type(form) is ir.Ite:
+            uses = tuple((rule, pat, Cond(form.cond, arm, stmt.point), clean)
+                         for rule, pat, arm, clean in uses)
+            defs = tuple((rule, pat, Cond(form.cond, arm, stmt.point))
+                         for rule, pat, arm in defs)
+        rows.append(_Compiled(stmt, dst, uses, defs, carriers, addr, value))
+        for sid in keys:
+            by_sid[sid] = by_sid.get(sid, 0) | bit
+        if addr_sid is not None:
+            by_addr[addr_sid] = by_addr.get(addr_sid, 0) | bit
+        if store:
             stores |= bit
-        for r in ir.used_registers(row.stmt.form):
+        for r in used:
             reads[r] = reads.get(r, 0) | bit
-    return _Table(rows, by_sid, by_addr, reads, stores)
+        bit <<= 1
+    return _Table(tuple(rows), by_sid, by_addr, reads, stores)
 
 
 def _bounded(parent: Tracked, expr: S.Sse, point: ir.Point, phase: str,
@@ -525,9 +546,10 @@ class _Walker:
                     e, lambda n: n.birth < idx and n.addr != c.addr, "fwd",
                     ("older", idx, c.addr))
                 if S.occurs(out.expr, c.value):
-                    self._emit(out, c, t, S.replace(out.expr, c.value,
-                                                    S.Store(c.addr, birth=idx)),
-                               6, "fb")
+                    # every field given: a call by keyword or with defaults
+                    # takes the slow path of `S._Interned.__call__`
+                    cell = S.Store(c.addr, idx, False, False)
+                    self._emit(out, c, t, S.replace(out.expr, c.value, cell), 6, "fb")
         if (not matched and self.policy is not None and t.tainted
                 and e in c.carriers):
             self._emit(out, c, t, c.dst, None, derived=True)
@@ -548,8 +570,8 @@ class _Walker:
                 self._emit(out, c, t, S.replace(e, c.dst, rhs), rule, "fb", "pre",
                            cond)
             if isinstance(form, ir.Load):
-                self._emit(out, c, t, S.replace(e, c.dst, S.Load(c.addr, birth=idx)),
-                           12, "fb", "pre")
+                cell = S.Load(c.addr, idx, False, False)
+                self._emit(out, c, t, S.replace(e, c.dst, cell), 12, "fb", "pre")
             # rule 14 backward: the expression cannot be carried above the
             # definition of a register it mentions...
             out.killed = True
@@ -595,8 +617,8 @@ class _Walker:
             # the successor is tracked forward from below this store, where
             # any same-cell node from above the store is already dead
             if S.occurs(e, c.value) and not S.kills_memory(e, c.addr, idx):
-                self._emit(out, c, t, S.replace(e, c.value, S.Store(c.addr, birth=idx)),
-                           6, "fb")
+                cell = S.Store(c.addr, idx, False, False)
+                self._emit(out, c, t, S.replace(e, c.value, cell), 6, "fb")
         return out
 
 
@@ -702,30 +724,30 @@ class FunctionSummary:
     cap_hits: tuple[str, ...] = field(default=(), compare=False)
 
 
-def live_in_registers(graph: cfglib.Cfg) -> tuple[str, ...]:
+def live_in_registers(graph: cfglib.Cfg, regs: Optional[dict] = None) -> tuple[str, ...]:
     """Registers that may be read before written: the function's formals
-    (restricted to rN; sp/gp are implicit), over the graph's postorder
-    (`Cfg.postorder`).  Without a retreating edge each block's
-    successors come before it, so one pass is the fixpoint."""
-    order, cyclic = graph.postorder, bool(graph.retreating)
-    gen: dict[str, set[str]] = {}
-    kill: dict[str, set[str]] = {}
-    for label in order:
-        g, k = set(), set()
-        for stmt in graph.blocks[label].stmts:
-            g.update(r for r in ir.used_registers(stmt.form) if r not in k)
-            k.add(ir.defined_register(stmt.form))
-        gen[label], kill[label] = g, k
-    live: dict[str, set[str]] = {b: set() for b in order}
+    (restricted to rN; sp/gp are implicit), each block's from its
+    successors' by a backward scan of its statements, over the graph's
+    postorder (`Cfg.postorder`), each form's registers from `regs`
+    (`_registers`).  Without a retreating edge each block's successors
+    come before it, so one pass is the fixpoint."""
+    regs = {} if regs is None else regs
+    blocks, succs = graph.blocks, graph.succs
+    live: dict[str, set[str]] = {}
     changed = True
     while changed:
         changed = False
-        for label in order:
-            out = set().union(*(live[s] for s in graph.succs[label]))
-            new = gen[label] | (out - kill[label])
-            if new != live[label]:
-                live[label], changed = new, cyclic
-    return tuple(sorted((r for r in live[graph.entry] if r not in ("sp", GP)),
+        for label in graph.postorder:
+            regs_live: set[str] = set()
+            for s in succs[label]:
+                regs_live.update(live.get(s, ()))
+            for stmt in reversed(blocks[label].stmts):
+                defined, used = _registers(stmt.form, regs)
+                regs_live.discard(defined)
+                regs_live.update(used)
+            if regs_live != live.get(label):
+                live[label], changed = regs_live, bool(graph.retreating)
+    return tuple(sorted((r for r in live.get(graph.entry, ()) if r not in ("sp", GP)),
                         key=lambda r: int(r[1:])))
 
 
@@ -838,17 +860,27 @@ class _Func:
     depth-first walk (`Cfg.postorder`, `Cfg.retreating`) gives every
     loop fact: the merge points are the ends of its retreating edges,
     and its one Tarjan walk orders the sweep of components (`sweep`),
-    whose cycles hold the loop blocks.  The dominators wait for
-    `taint._guards`."""
+    whose cycles hold the loop blocks.  An acyclic CFG takes no Tarjan
+    walk: its sweep is the reverse postorder, then the postorder.  The
+    dominators wait for `taint._guards`."""
     __slots__ = ("cfg", "points", "order", "merge_points", "loops", "sweep",
-                 "params", "tables", "bindings", "_dom", "_parts")
+                 "params", "tables", "bindings", "_dom", "_parts", "_regs")
 
-    def __init__(self, function: ir.Function, parts: dict):
+    def __init__(self, function: ir.Function, parts: dict, regs: dict):
         g = self.cfg = cfglib.build_cfg(function)
-        self.points = {stmt.point: (function.name, label, i)
+        name = function.name
+        self.points = {stmt.point: (name, label, i)
                        for label, block in g.blocks.items()
                        for i, stmt in enumerate(block.stmts)}
         self.order, self._dom = g.postorder, None
+        self.params = live_in_registers(g, regs)
+        # label -> `_Table`; (callsite, callee) -> `Session.binding`
+        self.tables, self.bindings, self._parts, self._regs = {}, {}, parts, regs
+        if not g.retreating:
+            # acyclic: each block is a component of its own
+            self.merge_points, self.loops = (), frozenset()
+            self.sweep = (*reversed(self.order), *self.order)
+            return
         # the widening points of the CFG and of its reverse (Bourdoncle,
         # FMPA 1993), forward first: loop heads forward, latches backward
         heads, latches = {v for _, v in g.retreating}, {u for u, _ in g.retreating}
@@ -858,19 +890,16 @@ class _Func:
         # components in reverse postorder, each at its first member there,
         # are in topological order (Cormen et al., Lemma 22.14); a loop is
         # its blocks forward and back, and its merge points
-        root = cfglib.components((g.entry,), g.succs) if g.retreating else {}
+        root = cfglib.components((g.entry,), g.succs)
         comps: dict = {}
         for label in reversed(self.order):
-            comps.setdefault(root.get(label, label), []).append(label)
+            comps.setdefault(root[label], []).append(label)
         sweep = [ms[0] if len(ms) == 1 and ms[0] not in g.succs[ms[0]] else
                  ((*ms, *reversed(ms)), tuple(p for p in self.merge_points if p[0] in ms))
                  for ms in comps.values()]
         self.loops = frozenset(b for part in sweep if part.__class__ is tuple
                                for b in part[0])
         self.sweep = (*sweep, *reversed(sweep))
-        self.params = live_in_registers(g)
-        # label -> `_Table`; (callsite, callee) -> `Session.binding`
-        self.tables, self.bindings, self._parts = {}, {}, parts
 
     def dominators(self) -> dict[str, frozenset[str]]:
         if self._dom is None:
@@ -882,8 +911,25 @@ class _Func:
         table = self.tables.get(label)
         if table is None:
             table = self.tables[label] = _table(self.cfg.blocks[label].stmts,
-                                                self._parts)
+                                                self._parts, self._regs)
         return table
+
+
+def _written_above(fn: _Func, point: ir.Point, regs) -> bool:
+    """True when a statement on some path from the function's entry to
+    `point`, `point` itself left out, writes one of `regs`."""
+    g = fn.cfg
+    _, label, idx = fn.points[point]
+    above, todo = set(), list(g.preds[label])
+    while todo:
+        b = todo.pop()
+        if b not in above:
+            above.add(b)
+            todo.extend(g.preds[b])
+    stmts = [stmt for b in above for stmt in g.blocks[b].stmts]
+    if label not in above:
+        stmts += g.blocks[label].stmts[:idx]
+    return any(ir.defined_register(stmt.form) in regs for stmt in stmts)
 
 
 class Session:
@@ -892,13 +938,14 @@ class Session:
     Each function's static facts are one record (`func`, a `_Func`),
     built on the function's first use and read by attribute on the hot
     paths; it holds the function's part of the point index (`locate`).
-    The session also keeps the row parts compiled once per distinct
-    form, which hold SSE nodes (`_compile`).  Sessions derived through
-    `with_resolutions` share both.  The call graph (direct calls and the
+    The session also keeps what is read once per distinct form: its row
+    parts, which hold SSE nodes (`_row_parts`), and its registers
+    (`_registers`).  Sessions derived through `with_resolutions` share
+    the records and both.  The call graph (direct calls and the
     resolved icall targets) and its cycles depend on the resolution map,
     and so does the summary cache, so each session has its own.  Results
-    that only one analysis reads, REF and sink queries, are not kept
-    here (`Analysis._ref`, `taint._backward_family`).
+    that only one analysis reads, REF and sink query families, are not
+    kept here (`Analysis._ref`, `taint._backward_families`).
 
     A root session (one built here rather than by `with_resolutions`)
     has no resolutions.  It starts an empty SSE intern table and empty
@@ -913,7 +960,8 @@ class Session:
         S.reset_tables()
         self.program = program
         self._funcs: dict[str, _Func] = {}
-        self._parts: dict = {}       # form id -> its row parts (`_compile`)
+        self._parts: dict = {}       # form id -> its row parts (`_row_parts`)
+        self._regs: dict = {}        # form id -> its registers (`_registers`)
         self._resolve({})
 
     def _resolve(self, resolutions: dict):
@@ -929,7 +977,7 @@ class Session:
             return self
         other = object.__new__(Session)
         other.program = self.program
-        other._funcs, other._parts = self._funcs, self._parts
+        other._funcs, other._parts, other._regs = self._funcs, self._parts, self._regs
         other._resolve(resolutions)
         return other
 
@@ -938,7 +986,7 @@ class Session:
         fn = self._funcs.get(fname)
         if fn is None:
             fn = self._funcs[fname] = _Func(self.program.functions[fname],
-                                            self._parts)
+                                            self._parts, self._regs)
         return fn
 
     def locate(self, point: ir.Point) -> tuple[str, str, int]:
@@ -1520,11 +1568,20 @@ class Analysis:
 
     def _rooted(self, fname: str, sid: int) -> list[S.Sse]:
         """The trusted members of seed `sid` in `fname` that mention only
-        its parameters and the globals register, as at its entry: the
-        seed's expressions in the terms a summary speaks."""
-        allowed = set(self.session.func(fname).params) | {GP}
+        its parameters and the globals register and hold at its entry:
+        the seed's expressions in the terms a summary speaks.  A member
+        holds there when the walk carried it up out of the entry block.
+        A member below a write to a register it mentions does not: it
+        speaks of that register's new value.  The seed itself also holds
+        there when no statement above it writes a register it mentions,
+        which keeps it when a cap cut its walk."""
+        fn = self.session.func(fname)
+        allowed = set(fn.params) | {GP}
+        entry = self.states[fname].get(fn.cfg.entry, _NO_STATE).b.out
         return [S.retag(t.expr, S.BIRTH_BEFORE_BLOCK) for t in self.family(sid, fname)
-                if S.registers(t.expr) <= allowed and t.trusted()]
+                if S.registers(t.expr) <= allowed and t.trusted()
+                and (t._key in entry or t.parent is None
+                     and not _written_above(fn, t.point, S.registers(t.expr)))]
 
     # -- the Alg.-3 driver ----------------------------------------------------
 

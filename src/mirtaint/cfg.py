@@ -54,45 +54,47 @@ def build_cfg(function: ir.Function) -> Cfg:
     once, flag the blocks the walk misses as unreachable (kept for
     stable reporting, skipped by worklists).
     A source block's first segment keeps its label, so branch and jump
-    targets name their segments as they are."""
+    targets name their segments as they are.  Each segment and its edge
+    are made in one pass over the source block."""
     warnings: list[str] = []
     blocks: dict[str, CfgBlock] = {}
     succs: dict[str, tuple[str, ...]] = {}
     exits: list[str] = []
     source = function.blocks
     for n, block in enumerate(source):
-        runs: list[tuple[list[ir.Statement], bool]] = []
-        cur: list[ir.Statement] = []
-        for stmt in block.stmts:
-            if isinstance(stmt.form, (ir.Call, ir.ICall)):
-                if cur:
-                    runs.append((cur, False))
-                    cur = []
-                runs.append(([stmt], True))
-            else:
-                cur.append(stmt)
-        if cur or not runs:
-            runs.append((cur, False))
-        labels = [block.label] + [f"{block.label}@{stmts[0].point.index}"
-                                  for stmts, _ in runs[1:]]
-        for label, (stmts, is_call), nxt in zip(labels, runs, labels[1:] + [None]):
-            blocks[label] = CfgBlock(label, tuple(stmts), is_call)
-            last = stmts[-1].form if stmts else None
-            succs[label] = ()
-            if nxt is not None:
-                succs[label] = (nxt,)
-            elif isinstance(last, ir.Branch):
-                succs[label] = (last.then_block, last.else_block)
-            elif isinstance(last, ir.Jump):
-                succs[label] = (last.block,)
-            elif isinstance(last, ir.Ret):
-                exits.append(label)
-            elif not is_call:
-                warnings.append(f"{function.name}:{label}: malformed terminator")
-            elif n + 1 < len(source):
+        stmts = block.stmts
+        label, start = block.label, 0      # the open segment, from stmts[start]
+        for i, stmt in enumerate(stmts):
+            if not isinstance(stmt.form, (ir.Call, ir.ICall)):
+                continue
+            if i > start:
+                nxt = f"{block.label}@{stmt.point.index}"
+                blocks[label], succs[label] = CfgBlock(label, stmts[start:i]), (nxt,)
+                label = nxt
+            blocks[label] = CfgBlock(label, (stmt,), True)
+            start = i + 1
+            if start < len(stmts):
+                nxt = f"{block.label}@{stmts[start].point.index}"
+                succs[label], label = (nxt,), nxt
+        if start == len(stmts) and stmts:
+            # the block ends with its call, which falls through
+            if n + 1 < len(source):
                 succs[label] = (source[n + 1].label,)
             else:
+                succs[label] = ()
                 warnings.append(f"{function.name}:{label}: falls off function end")
+            continue
+        blocks[label] = CfgBlock(label, stmts[start:])
+        last = stmts[-1].form if stmts else None
+        succs[label] = ()
+        if isinstance(last, ir.Branch):
+            succs[label] = (last.then_block, last.else_block)
+        elif isinstance(last, ir.Jump):
+            succs[label] = (last.block,)
+        elif isinstance(last, ir.Ret):
+            exits.append(label)
+        else:
+            warnings.append(f"{function.name}:{label}: malformed terminator")
 
     order = list(blocks)
     entry = order[0]
@@ -114,10 +116,11 @@ def build_cfg(function: ir.Function) -> Cfg:
     graph = Cfg(function.name, blocks, tuple(order), entry, tuple(exits), succs,
                 {k: tuple(v) for k, v in preds.items()})
     graph.postorder, graph.retreating = map(tuple, postorder(graph))
-    graph.unreachable = frozenset(order).difference(graph.postorder)
-    warnings += [f"{function.name}:{b}: unreachable block"
-                 for b in sorted(graph.unreachable)]
-    graph.exits = tuple(e for e in exits if e not in graph.unreachable) or graph.exits
+    if len(graph.postorder) < len(order):
+        graph.unreachable = frozenset(order).difference(graph.postorder)
+        warnings += [f"{function.name}:{b}: unreachable block"
+                     for b in sorted(graph.unreachable)]
+        graph.exits = tuple(e for e in exits if e not in graph.unreachable) or graph.exits
     graph.warnings = tuple(warnings)
     return graph
 

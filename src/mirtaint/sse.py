@@ -750,7 +750,7 @@ def kills_memory(expr: Sse, addr: Sse, position: int) -> bool:
     """Rule 15 trigger: the expression holds a load/store of the same
     (syntactically equal) address created before the new store.  Bitwise
     addresses are exempt: we do not trust them enough to kill on them."""
-    if has_bitwise_addr(expr):
+    if addr._sid not in mem_summary(expr)[0] or has_bitwise_addr(expr):
         return False
     return any(n.addr == addr and n.birth < position for n in mem_nodes(expr))
 

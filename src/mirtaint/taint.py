@@ -21,6 +21,13 @@ A tainted store of a loop copy is a sink hit too, under the `loop-copy`
 model: its destination is the store's advancing address and it has no
 length argument.  `check_sink` decides it by the same rule as a library
 copy, and is the one place that raises an alert.
+
+A verdict reads the backward alias families of a sink's length and
+destination registers (the paper's demand-driven queries).  Which of them
+it reads follows from the hit and its guards alone, so the run plans every
+query before it checks any sink, and asks all of them in one policy-free
+analysis per call-graph cycle of the sinks' functions, each query a seed of
+its own (`_backward_families`); `check_sink` looks the families up.
 """
 
 from __future__ import annotations
@@ -408,19 +415,32 @@ class TaintPolicy:
 # Sink checking
 # ---------------------------------------------------------------------------
 
-def _backward_family(session: Session, point: ir.Point, reg: str,
-                     cap_hits: list[str]) -> tuple[S.Sse, ...]:
-    """The expressions of `reg`'s backward family at `point`, from a query
-    analysis of its own, whose cap hits are appended to `cap_hits`.  The
-    analysis has no policy, so no fact moves from a caller into a
-    callee, and a caller outside the function's call-graph cycle cannot
-    change the family: it exports only to callers in the cycle."""
-    sub = Analysis(session, confine=session.cycle(point.func))
-    sid = sub.add_seed(Seed(point=point, expr=S.Reg(reg),
-                            direction="backward", label="query"))
-    sub.run()
-    cap_hits.extend(sub.cap_hits)
-    return tuple(t.expr for t in sub.family(sid, point.func))
+def _backward_families(session: Session, queries, cap_hits: list[str]
+                       ) -> dict[tuple[ir.Point, str], tuple[S.Sse, ...]]:
+    """The expressions of each (point, register) query's backward family,
+    from one query analysis per call-graph cycle of the queries' functions
+    (`Session.cycle`, `()` for a function on none), each query a seed of
+    its own; each analysis's cap hits are appended to `cap_hits`, in the
+    order of its first query.  An analysis has no policy, so no fact moves
+    from a caller into a callee, and it exports only to callers in the
+    cycle: a caller outside it cannot change a family, and nothing leaves
+    a function on no cycle.  So the seeds are independent, and each family
+    is the one an analysis of its query alone gives, unless a cap cuts
+    one of them."""
+    batches: dict[tuple[str, ...], list[tuple[ir.Point, str]]] = {}
+    for point, reg in queries:
+        batches.setdefault(session.cycle(point.func), []).append((point, reg))
+    families = {}
+    for cycle, asked in batches.items():
+        sub = Analysis(session, confine=cycle)
+        sids = [sub.add_seed(Seed(point=point, expr=S.Reg(reg),
+                                  direction="backward", label="query"))
+                for point, reg in asked]
+        sub.run()
+        cap_hits.extend(sub.cap_hits)
+        for (point, reg), sid in zip(asked, sids):
+            families[point, reg] = tuple(t.expr for t in sub.family(sid, point.func))
+    return families
 
 
 def _stack_offset_of(exprs) -> Optional[int]:
@@ -438,20 +458,6 @@ def _constant_of(exprs) -> Optional[int]:
         if isinstance(e, S.Val):
             return e.value
     return None
-
-
-def _stack_dst(session: Session, point: ir.Point, reg: ir.Operand,
-               cap_hits: list[str]):
-    """(sp offset, capacity up to the frame top) of the stack buffer that
-    `reg` points to at `point`, from its backward family (whose query's
-    cap hits go to `cap_hits`); (None, None) when it resolves to no sp+k
-    form."""
-    offset = None
-    if isinstance(reg, str):
-        offset = _stack_offset_of(_backward_family(session, point, reg, cap_hits))
-    if offset is None:
-        return None, None
-    return offset, session.program.functions[point.func].frame_size - offset
 
 
 def _guards(session: Session, constraints_by_edge, fname: str, block: str,
@@ -474,24 +480,57 @@ def _taint_chain(item: Tracked) -> tuple[str, ...]:
     return tuple(reversed(chain))
 
 
+def _asks(hit: SinkHit, guards: list[Constraint], tainted_args: frozenset
+          ) -> tuple[Optional[str], Optional[str]]:
+    """The registers whose backward families at the hit's point decide it,
+    given the seed's constraints that guard the sink (`_guards`): its
+    length when that is a register no tainted argument fills, and its
+    destination when it is a copy that no symbolic constraint sanitizes.
+    A constant length adds an equality of constants, which is never
+    symbolic, so the guards alone decide whether the destination is
+    asked.  None where no family is read."""
+    model = hit.sink
+    length = (hit.length if isinstance(hit.length, str)
+              and (hit.point, model.len_arg) not in tainted_args else None)
+    dst = (hit.dst if model.klass == "copy" and isinstance(hit.dst, str)
+           and not any(c.symbolic() for c in guards) else None)
+    return length, dst
+
+
+def _plan_queries(session: Session, hits,
+                  constraints_by_edge: dict[tuple[str, str], list[Constraint]],
+                  tainted_args: frozenset = frozenset()) -> list[tuple[ir.Point, str]]:
+    """The (point, register) queries that `check_sink` reads for `hits`,
+    in hit order, each once."""
+    queries: dict[tuple[ir.Point, str], None] = {}
+    for hit in hits:
+        guards = _guards(session, constraints_by_edge, hit.point.func,
+                         session.locate(hit.point)[1], hit.item.seed_id)
+        for reg in _asks(hit, guards, tainted_args):
+            if reg is not None:
+                queries[hit.point, reg] = None
+    return list(queries)
+
+
 def check_sink(session: Session, hit: SinkHit,
                constraints_by_edge: dict[tuple[str, str], list[Constraint]],
-               cap_hits: list[str], tainted_args: frozenset = frozenset()
-               ) -> Optional[Alert]:
+               families: dict[tuple[ir.Point, str], tuple[S.Sse, ...]],
+               tainted_args: frozenset = frozenset()) -> Optional[Alert]:
     """Decide whether one tainted sink argument or loop store becomes an
-    alert; the cap hits of its backward queries go to `cap_hits`."""
+    alert.  It runs no analysis: the backward families it reads, of the
+    queries `_plan_queries` gives for the hit, are looked up in
+    `families`."""
     _, sink_block, _ = session.locate(hit.point)
     model = hit.sink
     applicable = _guards(session, constraints_by_edge, hit.point.func, sink_block,
                          hit.item.seed_id)
+    length, dst = _asks(hit, applicable, tainted_args)
 
     # a constant length argument (immediate, or a register that resolves
     # to one untainted constant) acts like an equality constraint
-    bound = hit.length
-    if isinstance(bound, str):
-        bound = (None if (hit.point, model.len_arg) in tainted_args
-                 else _constant_of(_backward_family(session, hit.point, bound,
-                                                    cap_hits)))
+    bound = hit.length if isinstance(hit.length, int) else None
+    if length is not None:
+        bound = _constant_of(families[hit.point, length])
     if bound is not None:
         applicable.append(Constraint(S.Val(bound), "==", S.Val(bound),
                                      hit.point, hit.item.seed_id))
@@ -506,7 +545,11 @@ def check_sink(session: Session, hit: SinkHit,
             return None
         uppers = [c.upper_bound() for c in applicable if c.upper_bound() is not None]
         bound = min(uppers) if uppers else None
-        offset, capacity = _stack_dst(session, hit.point, hit.dst, cap_hits)
+        # the destination's sp offset, and its capacity up to the frame top
+        if dst is not None:
+            offset = _stack_offset_of(families[hit.point, dst])
+        if offset is not None:
+            capacity = session.program.functions[hit.point.func].frame_size - offset
         if bound is None and model is LOOP_COPY:
             verdict = "unbounded loop copy through an advancing pointer"
         elif bound is None:
@@ -591,8 +634,11 @@ class TaintResult:
 
 def run_taint(session: Session, models: Models | None = None) -> TaintResult:
     """Seed the sources, run the taint fixpoint and decide every sink hit,
-    at library sinks and loop copies alike, with `check_sink`.  Every
-    analysis of the run shares `session`."""
+    at library sinks and loop copies alike, with `check_sink`.  The sink
+    queries of all hits are planned first (`_plan_queries`), each
+    (point, register) once, and asked together (`_backward_families`);
+    their analyses' cap hits follow the taint analysis's.  Every analysis
+    of the run shares `session`."""
     models = models or default_models()
     policy = TaintPolicy(models)
     analysis = Analysis(session, policy)
@@ -603,12 +649,15 @@ def run_taint(session: Session, models: Models | None = None) -> TaintResult:
 
     constraints = policy.edge_constraints(analysis)
     tainted_args = frozenset((point, ci) for point, ci, _ in policy.sink_hits)
-    alerts: dict[ir.Point, Alert] = {}
-    # the run's cap hits, then the sink queries', each once in first-ask
-    # order; the queries' warnings are left out, as the seed queries' are
+    hits = [*policy.sink_hits.values(), *detect_loop_copies(analysis)]
+    # the run's cap hits, then the query analyses', each once; their
+    # warnings are left out, as the seed queries' are
     cap_hits = list(analysis.cap_hits)
-    for hit in [*policy.sink_hits.values(), *detect_loop_copies(analysis)]:
-        alert = check_sink(session, hit, constraints, cap_hits, tainted_args)
+    families = _backward_families(
+        session, _plan_queries(session, hits, constraints, tainted_args), cap_hits)
+    alerts: dict[ir.Point, Alert] = {}
+    for hit in hits:
+        alert = check_sink(session, hit, constraints, families, tainted_args)
         if alert is not None:
             alerts.setdefault(hit.point, alert)
 

@@ -330,6 +330,44 @@ def test_callsite_mod_kills_alias_whatever_else_is_pending(corpus):
     assert [v.as_json() for v in verdicts if v.status == "fail"] == []
 
 
+def test_summary_members_hold_at_the_entry(corpus):
+    """A summary keeps only the members that hold at the function's entry.
+    `f` of `param_redefined.ir` returns `r0+0x4` after `r0 = r1`, so its
+    return alias in entry terms is `r1+0x4`, and `r0+0x4` is none: with it,
+    `r5` in main (0x24) joined the family of main's `r0+0x4` (0x14).  A
+    forward alias below a write to a parameter is none either."""
+    prog = corpus("param_redefined.ir")
+    analysis, sid = analyze_seed(prog, ir.Point("main", "bb1", 0), "r0+0x4")
+    pairs = [oracle.pair_from_tracked(a, b) for a, b in analysis.alias_pairs(sid)
+             if oracle.evaluable(a) and oracle.evaluable(b)]
+    assert pairs
+    verdicts = oracle.certify_aliases(prog, pairs)
+    assert [v.as_json() for v in verdicts if v.status == "fail"] == []
+    assert [S.pretty(e) for e in analysis.summary("f").ret_exprs] == ["r1+0x4"]
+    analysis, sid = analyze_seed(prog, ir.Point("main", "bb1", 0), "r1+0x4")
+    assert "r5" in family_pretty(analysis, sid)
+    forward = ir.parse_program(
+        "func f @0x1000 frame=0 {\nbb0:\n  r3 = r1\n  r2 = r0 + 0x4\n"
+        "  r1 = r0\n  ret r2\n}\n")
+    summary = Analysis(Session(forward)).summary("f")
+    assert [S.pretty(e) for e in summary.ret_exprs] == ["r0+0x4"]
+
+
+def test_cut_summary_walk_keeps_a_seed_that_holds_at_the_entry(monkeypatch):
+    """A seed whose walk a cap cut before it left the entry block is still
+    a summary member when no statement on a path above it writes one of
+    its registers, and is none when one does."""
+    def returns(text):
+        prog = ir.parse_program("func f @0x1000 frame=0 {\nbb0:\n" + text
+                                + "  jump bb1\nbb1:\n  ret r1\n}\n")
+        return [S.pretty(e) for e in Analysis(Session(prog)).summary("f").ret_exprs]
+
+    assert returns("  r1 = r0\n") == ["r0"]
+    monkeypatch.setattr(alias, "BLOCK_ITER_CAP", 0)
+    assert returns("  r3 = r0\n") == ["r1"]
+    assert returns("  r1 = r0\n") == []
+
+
 def test_callee_return_alias(corpus):
     prog = corpus("callee_ret_alias.ir")
     analysis, sid = analyze_seed(prog, ir.Point("main", "bb0", 1), "r2")

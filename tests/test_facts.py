@@ -26,7 +26,7 @@ from hypothesis import given, settings, strategies as st
 
 from mirtaint import cfg as C
 from mirtaint import ir, pipeline
-from mirtaint.alias import Session
+from mirtaint.alias import Session, live_in_registers
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 if str(ROOT / "bench") not in sys.path:
@@ -133,6 +133,122 @@ def test_record_facts_equal_references(name):
     session = Session(program)
     for fname in program.functions:
         check_record(session, fname)
+
+
+# a call inside a block, a call that ends one, a call-only block, a
+# branch back to the entry (so a synthetic `@entry`), and unreachable
+# blocks: one plain, one empty, one whose icall falls off the function
+SPLITS = """
+func f @0x1000 frame=0 {
+bb0:
+  r1 = r0
+  r2 = call g(r1)
+  r3 = r2 + r4
+  r5 = call g(r3)
+bb1:
+  r6 = call g(r5)
+bb2:
+  branch r7, bb3, bb0
+bb3:
+  ret r6
+dead:
+  r8 = r9
+  jump bb3
+empty:
+tail:
+  r2 = icall r8(r1)
+}
+"""
+
+
+def reference_build_cfg(function: ir.Function) -> C.Cfg:
+    """The CFG by the two-pass splitter `cfg.build_cfg` replaced: each
+    source block cut into runs first, then each run made a block and
+    wired, and the unreachable blocks taken from every walk."""
+    warnings, blocks, succs, exits = [], {}, {}, []
+    source = function.blocks
+    for n, block in enumerate(source):
+        runs, cur = [], []
+        for stmt in block.stmts:
+            if isinstance(stmt.form, (ir.Call, ir.ICall)):
+                if cur:
+                    runs.append((cur, False))
+                    cur = []
+                runs.append(([stmt], True))
+            else:
+                cur.append(stmt)
+        if cur or not runs:
+            runs.append((cur, False))
+        labels = [block.label] + [f"{block.label}@{stmts[0].point.index}"
+                                  for stmts, _ in runs[1:]]
+        for label, (stmts, is_call), nxt in zip(labels, runs, labels[1:] + [None]):
+            blocks[label] = C.CfgBlock(label, tuple(stmts), is_call)
+            last = stmts[-1].form if stmts else None
+            succs[label] = ()
+            if nxt is not None:
+                succs[label] = (nxt,)
+            elif isinstance(last, ir.Branch):
+                succs[label] = (last.then_block, last.else_block)
+            elif isinstance(last, ir.Jump):
+                succs[label] = (last.block,)
+            elif isinstance(last, ir.Ret):
+                exits.append(label)
+            elif not is_call:
+                warnings.append(f"{function.name}:{label}: malformed terminator")
+            elif n + 1 < len(source):
+                succs[label] = (source[n + 1].label,)
+            else:
+                warnings.append(f"{function.name}:{label}: falls off function end")
+    order = list(blocks)
+    entry = order[0]
+    preds = {label: [] for label in order}
+    for label, ss in succs.items():
+        for s in ss:
+            preds[s].append(label)
+    if preds[entry]:
+        blocks["@entry"] = C.CfgBlock("@entry", ())
+        order.insert(0, "@entry")
+        succs["@entry"], preds["@entry"] = (entry,), []
+        preds[entry].append("@entry")
+        entry = "@entry"
+    graph = C.Cfg(function.name, blocks, tuple(order), entry, tuple(exits), succs,
+                  {k: tuple(v) for k, v in preds.items()})
+    graph.postorder, graph.retreating = map(tuple, C.postorder(graph))
+    graph.unreachable = frozenset(order).difference(graph.postorder)
+    warnings += [f"{function.name}:{b}: unreachable block"
+                 for b in sorted(graph.unreachable)]
+    graph.exits = tuple(e for e in exits if e not in graph.unreachable) or graph.exits
+    graph.warnings = tuple(warnings)
+    return graph
+
+
+def cfg_fields(g: C.Cfg) -> dict:
+    """Every field of `g`, each dict as its items in order and each block
+    as its fields."""
+    return {"func": g.func, "order": g.order, "entry": g.entry, "exits": g.exits,
+            "blocks": [(k, b.label, b.stmts, b.is_call) for k, b in g.blocks.items()],
+            "succs": list(g.succs.items()), "preds": list(g.preds.items()),
+            "postorder": g.postorder, "retreating": g.retreating,
+            "unreachable": g.unreachable, "warnings": g.warnings}
+
+
+def test_one_pass_cfg_and_live_in_equal_the_references():
+    """`build_cfg` gives every field, in every dict order, that the
+    two-pass splitter gave, and the live-in registers from its backward
+    block scans over the postorder are the gen and kill fixpoint's, on
+    every function of the corpus and the seed-1 ladders and on `SPLITS`."""
+    functions = [fn for text in (*PROGRAMS.values(), SPLITS)
+                 for fn in ir.parse_program(text).functions.values()]
+    for fn in functions:
+        g = C.build_cfg(fn)
+        assert cfg_fields(g) == cfg_fields(reference_build_cfg(fn)), fn.name
+        assert live_in_registers(g) == reference_live_in(g), fn.name
+    g = C.build_cfg(ir.parse_program(SPLITS).functions["f"])
+    assert g.order == ("@entry", "bb0", "bb0@1", "bb0@2", "bb0@3", "bb1", "bb2",
+                       "bb3", "dead", "empty", "tail")
+    assert g.succs["bb0@3"] == ("bb1",) and g.blocks["bb1"].is_call
+    assert g.unreachable == {"dead", "empty", "tail"}
+    assert live_in_registers(g) == ("r0", "r4", "r7")
 
 
 def test_irreducible_cycle_is_cut_at_its_retreating_edge():

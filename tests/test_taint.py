@@ -1,5 +1,6 @@
 import json
 import pathlib
+import sys
 
 import pytest
 
@@ -12,7 +13,12 @@ from mirtaint import sse as S
 from mirtaint import taint as T
 from mirtaint.alias import Analysis, Session
 
-ATOI_LEN = str(pathlib.Path(__file__).resolve().parent.parent / "corpus" / "atoi_len.ir")
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "corpus"
+ATOI_LEN = str(CORPUS / "atoi_len.ir")
+if str(ROOT / "bench") not in sys.path:
+    sys.path.insert(0, str(ROOT / "bench"))
+import workloads  # noqa: E402
 
 
 def run(corpus, name, icalls=True):
@@ -285,10 +291,38 @@ def test_check_sink_overflow_confirmed_by_execution(corpus):
     assert any(a in mem for a in range(top, top + 0x20))
 
 
-def test_backward_family_runs_afresh_and_hands_on_its_cap_hits(corpus, monkeypatch):
-    """A backward sink query returns a tuple.  Each call runs an analysis
-    of its own, so a second call gives an equal family from a new
-    analysis, and appends that analysis's cap hits to the list passed in."""
+# memcpy in main, on no call-graph cycle, and in the recursive `again`
+TWO_CYCLES = """
+func again @0x2000 frame=0x40 {
+  buf b @0x10 size 0x20
+bb0:
+  r2 = sp + 0x10
+  r4 = 0x40
+  r5 = call memcpy(r2, r0, r4)
+  call again(r0)
+  ret
+}
+
+func main @0x1000 frame=0x40 {
+  buf in @0x0 size 0x40
+bb0:
+  r1 = sp
+  r2 = 0x40
+  r3 = call recv(r9, r1, r2)
+  r5 = sp + 0x20
+  r6 = 0x10
+  r7 = call memcpy(r5, r1, r6)
+  call again(r1)
+  ret
+}
+"""
+
+
+def test_sink_queries_run_in_one_analysis_per_cycle(corpus, monkeypatch):
+    """Every sink query of a run is a seed of one query analysis per
+    call-graph cycle of the sinks' functions, confined to that cycle, and
+    each analysis's cap hits join the run's once, after the run's own.
+    A family is a tuple of the query's backward expressions."""
     made = []
 
     class Recording(Analysis):
@@ -298,17 +332,102 @@ def test_backward_family_runs_afresh_and_hands_on_its_cap_hits(corpus, monkeypat
             made.append(self)
 
     monkeypatch.setattr(T, "Analysis", Recording)
-    session = Session(corpus("memcpy_bound_bad.ir"))
-    point = ir.Point("main", "bb0", 5)
-    hits = ["earlier"]
-    first = T._backward_family(session, point, "r4", hits)
-    assert isinstance(first, tuple)
-    assert S.parse_sse("sp+0x20") in first and S.parse_sse("r4") in first
-    assert hits == ["earlier", *made[0].cap_hits]
-    assert T._backward_family(session, point, "r4", hits) == first
-    assert len(made) == 2 and made[1] is not made[0]
-    assert hits == ["earlier", *made[0].cap_hits, *made[1].cap_hits]
-    assert made[1].cap_hits[-1] == "probe 1"
+    result = T.run_taint(Session(ir.parse_program(TWO_CYCLES)))
+    run, *queries = made
+    assert run.policy is not None and all(q.policy is None for q in queries)
+    assert [q.confine for q in queries] == [frozenset(), {"again"}]
+    assert [sorted(str(k[0]) + " " + S.pretty(k[1]) for k in q._seed_ids)
+            for q in queries] == [["main:bb0:5 r5", "main:bb0:5 r6"],
+                                  ["again:bb0:2 r2", "again:bb0:2 r4"]]
+    assert result.cap_hits == [*run.cap_hits, *queries[0].cap_hits,
+                               *queries[1].cap_hits]
+    assert [h for h in result.cap_hits if h.startswith("probe")] == [
+        "probe 0", "probe 1", "probe 2"]
+    assert [str(a.sink_site) for a in result.alerts] == ["again:bb0:2"]
+    point, hits = ir.Point("main", "bb0", 5), ["earlier"]
+    family = T._backward_families(Session(corpus("memcpy_bound_bad.ir")),
+                                  [(point, "r4")], hits)[point, "r4"]
+    assert isinstance(family, tuple)
+    assert S.parse_sse("sp+0x20") in family and S.parse_sse("r4") in family
+    assert hits == ["earlier", *made[-1].cap_hits] and len(made) == 4
+
+
+def _one_query_family(session, point, reg):
+    """The backward family of one query from an analysis of its own, as
+    `check_sink` asked it before the queries were batched: the reference
+    of `T._backward_families`."""
+    sub = Analysis(session, confine=session.cycle(point.func))
+    sid = sub.add_seed(alias.Seed(point=point, expr=S.Reg(reg), direction="backward",
+                                  label="query"))
+    sub.run()
+    return tuple(t.expr for t in sub.family(sid, point.func))
+
+
+def _one_query_asks(session, hit, constraints, tainted_args):
+    """Each (point, register) that `check_sink` asked for `hit` when it
+    ran its own queries, lazily, in order, with its one-query family: the
+    reference of `T._plan_queries`."""
+    asked = {}
+    applicable = T._guards(session, constraints, hit.point.func,
+                           session.locate(hit.point)[1], hit.item.seed_id)
+    bound = hit.length
+    if isinstance(bound, str):
+        if (hit.point, hit.sink.len_arg) in tainted_args:
+            bound = None
+        else:
+            family = asked[hit.point, bound] = _one_query_family(session, hit.point, bound)
+            bound = T._constant_of(family)
+    if bound is not None:
+        applicable.append(T.Constraint(S.Val(bound), "==", S.Val(bound), hit.point,
+                                       hit.item.seed_id))
+    if (hit.sink.klass == "copy" and not any(c.symbolic() for c in applicable)
+            and isinstance(hit.dst, str)):
+        asked[hit.point, hit.dst] = _one_query_family(session, hit.point, hit.dst)
+    return asked
+
+
+def test_planned_batched_queries_equal_the_one_query_ones(tmp_path, monkeypatch):
+    """On every corpus file and seed-1 ladder program, the queries planned
+    for each sink hit are those the lazy `check_sink` asked, the run's
+    plan is theirs in hit order, each once, and each batched family is
+    the family of an analysis of its query alone."""
+    monkeypatch.chdir(tmp_path)
+    runs = []
+    plan, ask = T._plan_queries, T._backward_families
+
+    def planned(session, hits, constraints, tainted_args=frozenset()):
+        queries = plan(session, hits, constraints, tainted_args)
+        runs.append([session, hits, constraints, tainted_args, queries])
+        return queries
+
+    def asked(session, queries, cap_hits):
+        families = ask(session, queries, cap_hits)
+        runs[-1].append(families)
+        return families
+
+    monkeypatch.setattr(T, "_plan_queries", planned)
+    monkeypatch.setattr(T, "_backward_families", asked)
+    programs = [(p.name, p.read_text()) for p in sorted(CORPUS.glob("*.ir"))]
+    programs += [(g.name + ".ir", g.text) for w in workloads.WORKLOADS
+                 for g in workloads.generate(w, 1)]
+    for name, text in programs:
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        pipeline.analyze(pipeline.RunConfig(ir_path=name))
+    assert len(runs) == len(programs)
+    total = 0
+    for session, hits, constraints, tainted_args, queries, families in runs:
+        expected = {}
+        for hit in hits:
+            old = _one_query_asks(session, hit, constraints, tainted_args)
+            guards = T._guards(session, constraints, hit.point.func,
+                               session.locate(hit.point)[1], hit.item.seed_id)
+            assert [(hit.point, r) for r in T._asks(hit, guards, tainted_args)
+                    if r is not None] == list(old)
+            expected.update(old)
+        assert queries == list(expected)
+        assert families == expected
+        total += len(queries)
+    assert total > 100
 
 
 def _taint_analysis(prog):
@@ -389,7 +508,10 @@ def _loop_copy_verdicts(guard):
     analysis = _taint_analysis(prog)
     constraints = analysis.policy.edge_constraints(analysis)
     hits = T.detect_loop_copies(analysis)
-    verdicts = [(h, T.check_sink(analysis.session, h, constraints, [])) for h in hits]
+    families = T._backward_families(
+        analysis.session, T._plan_queries(analysis.session, hits, constraints), [])
+    verdicts = [(h, T.check_sink(analysis.session, h, constraints, families))
+                for h in hits]
     return verdicts, T.run_taint(Session(prog)).alerts
 
 
