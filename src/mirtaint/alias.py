@@ -55,37 +55,39 @@ then backward until stable (AnalyzeFunction), and callsite blocks are
 not walked: a visit re-roots each callee's summary at the call once
 (`transfer_function`, which depends only on the callee and the argument
 binding), and every alias crossing the call in either direction reads
-that one `Transfer`.  The binding is built once per program for each
-(callsite, callee) (`Session.binding`); the transfer, taint descents
-and exports back to the callsite all read it.  MOD' cells kill and
-generate aliases, and the return aliases rename the result register.
-A tainted alias descends into the callee as the formal of an actual it
-equals, or as a cell of the callee's REF re-rooted at the call (REF')
-that it lives in; the analysis that descends builds REF when a tainted
-alias first crosses a call to that callee there, and re-roots it at
-each descent.
+that one `Transfer`.  A call passes argument i in the callee's ri, so
+the binding is the call's arguments by position (`arg_map`); the
+transfer, taint descents and exports back to the callsite each build it
+from the call.  MOD' cells kill and generate aliases, and the return
+aliases rename the result register.  A tainted alias descends into the
+callee as the register an actual it equals is passed in, or as a cell
+of the callee's REF re-rooted at the call (REF') that it lives in; the
+analysis that descends builds REF when a tainted alias first crosses a
+call to that callee there, and re-roots it at each descent.
 
-On completion a function exports its entry-block backward results
-(rooted at parameters or the globals register) to its callers'
-callsites and its exit-block forward results (rooted at the returned
-register) to its callers' return sites, which is how demand spreads
-across the call graph.  Taint descents are tabulated: a descent seed is
-keyed by (callee, entry fact, trigger), not by the caller's seed, so the
-callee is walked once for all callsites that pass it the same fact, and
-the analysis records which callsites reached each descent seed.  A fact
-of a descent seed into the exporting function returns only to those
-callsites; these are the summary edges of IFDS tabulation (Reps, Horwitz
-& Sagiv, POPL 1995), and how the paper applies a callee's result at the
-callsite that needs it (Alg. 3).  Every other fact goes to every caller:
-backward aliases of parameters, facts returned from deeper calls (they
-keep their seed ids), and query and summary seeds.  A callsite that
-reaches a descent seed after the callee's export schedules the callee
-again, so that its export runs for that callsite too.  Descents take no
-depth bound, as there are finitely many descent seeds; `RECURSION_DEPTH`
-bounds only the exports around a call-graph cycle, and a fact it drops
-shows as a cap hit.  Callers and cycles come from one call graph per
-session, of direct calls and resolved icall targets (`Session.cycle`),
-and a cycle's members are summarized together (see `Analysis`).
+On completion a function exports its entry-block backward results that
+mention no frame register, which hold at its entry, to its callers'
+callsites, and its exit-block forward results to its callers' return
+sites, re-rooted through the returned register and the registers the
+function never writes (`_Func.written`), which still hold their actuals;
+this is how demand spreads across the call graph.  Taint descents are
+tabulated: a descent seed is keyed by (callee, entry fact, trigger), not
+by the caller's seed, so the callee is walked once for all callsites
+that pass it the same fact, and the analysis records which callsites
+reached each descent seed.  A fact of a descent seed into the exporting
+function returns only to those callsites; these are the summary edges of
+IFDS tabulation (Reps, Horwitz & Sagiv, POPL 1995), and how the paper
+applies a callee's result at the callsite that needs it (Alg. 3).  Every
+other fact goes to every caller: backward aliases of parameters, facts
+returned from deeper calls (they keep their seed ids), and query and
+summary seeds.  A callsite that reaches a descent seed after the
+callee's export schedules the callee again, so that its export runs for
+that callsite too.  Descents take no depth bound, as there are finitely
+many descent seeds; `RECURSION_DEPTH` bounds only the exports around a
+call-graph cycle, and a fact it drops shows as a cap hit.  Callers and
+cycles come from one call graph per session, of direct calls and
+resolved icall targets (`Session.cycle`), and a cycle's members are
+summarized together (see `Analysis`).
 
 The fixpoint inside a function is incremental, the semi-naive step of
 Datalog evaluation: work is redone only for facts that are new.  A
@@ -724,52 +726,19 @@ class FunctionSummary:
     cap_hits: tuple[str, ...] = field(default=(), compare=False)
 
 
-def live_in_registers(graph: cfglib.Cfg, regs: Optional[dict] = None) -> tuple[str, ...]:
-    """Registers that may be read before written: the function's formals
-    (restricted to rN; sp/gp are implicit), each block's from its
-    successors' by a backward scan of its statements, over the graph's
-    postorder (`Cfg.postorder`), each form's registers from `regs`
-    (`_registers`).  Without a retreating edge each block's successors
-    come before it, so one pass is the fixpoint."""
-    regs = {} if regs is None else regs
-    blocks, succs = graph.blocks, graph.succs
-    live: dict[str, set[str]] = {}
-    changed = True
-    while changed:
-        changed = False
-        for label in graph.postorder:
-            regs_live: set[str] = set()
-            for s in succs[label]:
-                regs_live.update(live.get(s, ()))
-            for stmt in reversed(blocks[label].stmts):
-                defined, used = _registers(stmt.form, regs)
-                regs_live.discard(defined)
-                regs_live.update(used)
-            if regs_live != live.get(label):
-                live[label], changed = regs_live, bool(graph.retreating)
-    return tuple(sorted((r for r in live.get(graph.entry, ()) if r not in ("sp", GP)),
-                        key=lambda r: int(r[1:])))
-
-
-def arg_map(params: tuple[str, ...], args: tuple[ir.Operand, ...]) -> dict[str, S.Sse]:
-    """A callee's formals mapped to a callsite's actuals, pairwise; the
-    extra ones on either side map nowhere."""
-    return dict(zip(params, map(op_sse, args)))
+def arg_map(args: tuple[ir.Operand, ...]) -> dict[str, S.Sse]:
+    """A callsite's binding: a call passes argument i in the callee's ri."""
+    return {f"r{i}": op_sse(a) for i, a in enumerate(args)}
 
 
 def reroot(expr: S.Sse, mapping: dict[str, S.Sse]) -> Optional[S.Sse]:
-    """Substitute formals for actuals; None if some register has no image
-    (sp never maps: frame-local cells are invisible to the caller)."""
+    """Substitute each register for its image in `mapping`, all at once;
+    None if some register but the globals register has no image (sp
+    never maps: frame-local cells are invisible to the caller)."""
     for r in S.registers(expr):
-        if r == GP:
-            continue
-        if r not in mapping:
+        if r != GP and r not in mapping:
             return None
-    out = expr
-    for r, v in mapping.items():
-        if S.contains_reg(out, r):
-            out = S.replace(out, S.Reg(r), v)
-    return S.canonicalize(out)
+    return S.rename(expr, mapping)
 
 
 @dataclass(frozen=True)
@@ -777,22 +746,23 @@ class Transfer:
     """A callee summary re-rooted at one callsite, in the caller's terms.
     REF' is not part of it: a descent re-roots REF under `args`
     (`Analysis._descend`)."""
-    args: dict[str, S.Sse]                   # formal -> actual
+    args: dict[str, S.Sse]                   # callee register -> actual (`arg_map`)
     mod: tuple[ModEntry, ...]                # MOD'
     rets: tuple[S.Sse, ...]                  # aliases of the returned value
 
 
 def transfer_function(summary: FunctionSummary, binding: dict[str, S.Sse]) -> Transfer:
     """Re-root a callee summary at a callsite under its argument binding
-    (`Session.binding`).
+    (`arg_map` of the call's arguments).
 
     The result depends on the callee and the binding only, so a callsite
     builds it once per callee and every alias crossing the call, in
     either direction, reads the same value.  Entries that mention a
-    formal with no actual (or a frame-local register) are dropped; a MOD
-    entry whose stored value cannot be re-rooted keeps its cell with no
-    value.  A taint descent reads the binding, kept as `args`: it maps
-    tainted actuals to formals and re-roots the callee's REF cells."""
+    register with no actual (or a frame-local register) are dropped; a
+    MOD entry whose stored value cannot be re-rooted keeps its cell with
+    no value.  A taint descent reads the binding, kept as `args`: it maps
+    tainted actuals to the callee's registers and re-roots the callee's
+    REF cells."""
     mod: list[ModEntry] = []
     for entry in summary.mod:
         cell = reroot(entry.cell, binding)
@@ -854,17 +824,17 @@ def _handed(t: Tracked, birth: int) -> Tracked:
 class _Func:
     """One function's static facts (`Session.func`): its CFG, point index
     (`points`, each point's `Session.locate` triple), postorder
-    (`order`), merge points, loop blocks, live-in registers (`params`),
-    rule tables by block label, each built on the block's first visit
-    (`table`), and argument bindings (`Session.binding`).  The CFG's one
-    depth-first walk (`Cfg.postorder`, `Cfg.retreating`) gives every
-    loop fact: the merge points are the ends of its retreating edges,
-    and its one Tarjan walk orders the sweep of components (`sweep`),
-    whose cycles hold the loop blocks.  An acyclic CFG takes no Tarjan
-    walk: its sweep is the reverse postorder, then the postorder.  The
-    dominators wait for `taint._guards`."""
+    (`order`), merge points, loop blocks, the registers its statements
+    define (`written`, read through `_registers`), and rule tables by
+    block label, each built on the block's first visit (`table`).  The
+    CFG's one depth-first walk (`Cfg.postorder`, `Cfg.retreating`) gives
+    every loop fact: the merge points are the ends of its retreating
+    edges, and its one Tarjan walk orders the sweep of components
+    (`sweep`), whose cycles hold the loop blocks.  An acyclic CFG takes no
+    Tarjan walk: its sweep is the reverse postorder, then the postorder.
+    The dominators wait for `taint._guards`."""
     __slots__ = ("cfg", "points", "order", "merge_points", "loops", "sweep",
-                 "params", "tables", "bindings", "_dom", "_parts", "_regs")
+                 "written", "tables", "_dom", "_parts", "_regs")
 
     def __init__(self, function: ir.Function, parts: dict, regs: dict):
         g = self.cfg = cfglib.build_cfg(function)
@@ -873,9 +843,10 @@ class _Func:
                        for label, block in g.blocks.items()
                        for i, stmt in enumerate(block.stmts)}
         self.order, self._dom = g.postorder, None
-        self.params = live_in_registers(g, regs)
-        # label -> `_Table`; (callsite, callee) -> `Session.binding`
-        self.tables, self.bindings, self._parts, self._regs = {}, {}, parts, regs
+        self.written = frozenset(
+            _registers(stmt.form, regs)[0] for block in g.blocks.values()
+            for stmt in block.stmts) - {None}
+        self.tables, self._parts, self._regs = {}, parts, regs    # label -> `_Table`
         if not g.retreating:
             # acyclic: each block is a component of its own
             self.merge_points, self.loops = (), frozenset()
@@ -915,23 +886,6 @@ class _Func:
         return table
 
 
-def _written_above(fn: _Func, point: ir.Point, regs) -> bool:
-    """True when a statement on some path from the function's entry to
-    `point`, `point` itself left out, writes one of `regs`."""
-    g = fn.cfg
-    _, label, idx = fn.points[point]
-    above, todo = set(), list(g.preds[label])
-    while todo:
-        b = todo.pop()
-        if b not in above:
-            above.add(b)
-            todo.extend(g.preds[b])
-    stmts = [stmt for b in above for stmt in g.blocks[b].stmts]
-    if label not in above:
-        stmts += g.blocks[label].stmts[:idx]
-    return any(ir.defined_register(stmt.form) in regs for stmt in stmts)
-
-
 class Session:
     """What every analysis of one program under one resolution map shares.
 
@@ -945,7 +899,9 @@ class Session:
     resolved icall targets) and its cycles depend on the resolution map,
     and so does the summary cache, so each session has its own.  Results
     that only one analysis reads, REF and sink query families, are not
-    kept here (`Analysis._ref`, `taint._backward_families`).
+    kept here (`Analysis._ref`, `taint._backward_families`), nor are
+    argument bindings: a call's binding is its arguments by position
+    (`arg_map`), built where it is read.
 
     A root session (one built here rather than by `with_resolutions`)
     has no resolutions.  It starts an empty SSE intern table and empty
@@ -996,16 +952,6 @@ class Session:
     def statement(self, point: ir.Point) -> ir.Statement:
         fname, label, idx = self.locate(point)
         return self._funcs[fname].cfg.blocks[label].stmts[idx]
-
-    def binding(self, site: ir.Point, callee: str) -> dict[str, S.Sse]:
-        """The callee's formals mapped to the actuals of the call at `site`
-        (`arg_map`), kept in the caller's record for every use of the call."""
-        bindings = self.func(site.func).bindings
-        binding = bindings.get((site, callee))
-        if binding is None:
-            binding = bindings[site, callee] = arg_map(
-                self.func(callee).params, self.statement(site).form.args)
-        return binding
 
     @cached_property
     def call_graph(self) -> cfglib.CallGraph:
@@ -1178,7 +1124,13 @@ class Analysis:
             else:
                 self._inject(fname, label, t, idx, "f")
         if seed.direction in ("backward", "both"):
-            self._inject(fname, label, t, idx - 1, "b")
+            if phase == "pre" and fn.cfg.blocks[label].is_call:
+                # it holds above its call: it must not cross the call
+                st = self._state(fname, label)
+                if st.b.put(t):
+                    self._propagate(fname, fn.cfg, label, st)
+            else:
+                self._inject(fname, label, t, idx - 1, "b")
         self._record(fname, t)
         self._schedule(fname)
         return sid
@@ -1325,7 +1277,9 @@ class Analysis:
                              tainted=forward)
                 self._record(fname, t)
             addrs = S.mem_summary(t.expr)[0]
-            gens: list[Optional[Tracked]] = []
+            # (fact, whether it names the call's result): the others speak
+            # of values from above the call
+            gens: list[tuple[Optional[Tracked], bool]] = []
             if forward:
                 passes = ret_reg is None or not S.kills_register(t.expr, ret_reg)
                 for callee, tr in crossings:
@@ -1334,9 +1288,10 @@ class Analysis:
                                 and S.kills_memory(t.expr, entry.cell.addr, 1 << 29)):
                             passes = False
                         if t.expr == entry.value and not _holds_store(entry.value):
-                            gens.append(_bounded(t, entry.cell, point, "post", sat))
+                            gens.append((_bounded(t, entry.cell, point, "post", sat),
+                                         False))
                     if ret_reg is not None:
-                        gens.extend(_bounded(t, S.Reg(ret_reg), point, "post", sat)
+                        gens.extend((_bounded(t, S.Reg(ret_reg), point, "post", sat), True)
                                     for rr in tr.rets
                                     if rr == t.expr and not _holds_store(rr))
                     self._descend(t, point, callee, tr)
@@ -1346,8 +1301,9 @@ class Analysis:
                 passes = ret_reg is None or not S.contains_reg(t.expr, ret_reg)
                 if not passes:
                     for _, tr in crossings:
-                        gens.extend(_bounded(t, S.replace(t.expr, S.Reg(ret_reg), rr),
-                                             point, "pre", sat) for rr in tr.rets)
+                        gens.extend((_bounded(t, S.replace(t.expr, S.Reg(ret_reg), rr),
+                                              point, "pre", sat), False)
+                                    for rr in tr.rets)
                     if not crossings and not self._is_library_noop(form):
                         self.warn(
                             f"no summary for {getattr(form, 'target', '?')} at "
@@ -1365,16 +1321,21 @@ class Analysis:
                         # not memoized: a fact meets a MOD entry about once
                         new, hit = S.replace_mem(t.expr, created_after, entry.value)
                         if hit:
-                            gens.append(_bounded(t, new, point, "pre", sat))
+                            gens.append((_bounded(t, new, point, "pre", sat), False))
             if passes:
                 changed |= (st.f if forward else st.b).put(t)
-            for n in gens:
+            for n, result in gens:
                 if n is not None:
                     changed |= self._record(fname, n)
-                    # rule-6-like products also look backward for the address defs
-                    if forward:
+                    # the call's result holds below the call only; the
+                    # rule-6-like products also look backward for the
+                    # address defs, and below the call they hold unless
+                    # the call overwrote a register they name
+                    if forward and (result or ret_reg is None
+                                    or not S.kills_register(n.expr, ret_reg)):
                         changed |= st.f.put(n)
-                    changed |= st.b.put(n)
+                    if not result:
+                        changed |= st.b.put(n)
 
         if changed:
             self._propagate(fname, fn.cfg, label, st)
@@ -1399,7 +1360,7 @@ class Analysis:
         """`transfer_function` of the callee's summary at the callsite
         `point` (kept with the callsite's other crossings, `_crossings`)."""
         return transfer_function(self.summary(callee),
-                                 self.session.binding(point, callee))
+                                 arg_map(self.session.statement(point).form.args))
 
     def _callees_of(self, point: ir.Point, form) -> list[str]:
         if isinstance(form, ir.Call):
@@ -1419,7 +1380,7 @@ class Analysis:
         living in a cell the callee reads, at callsite `site` seeds the
         callee's analysis.  The cells are the callee's REF (`_ref`), each
         re-rooted under the transfer's argument map at every descent; a
-        cell mentioning a formal with no actual is dropped.  A fact lives
+        cell mentioning a register with no actual is dropped.  A fact lives
         in such a cell when it is the cell's load, or a store to its
         address that no may-alias store has made stale since: the store
         rule 7 would read at a load of that address."""
@@ -1427,9 +1388,9 @@ class Analysis:
             return
         entry_fn = self.program.functions[callee]
         entry_point = ir.Point(callee, entry_fn.entry_block, 0)
-        for param, actual in tr.args.items():
+        for reg, actual in tr.args.items():
             if t.expr == actual:
-                self._inject_nested_seed(t, site, entry_point, S.Reg(param))
+                self._inject_nested_seed(t, site, entry_point, S.Reg(reg))
         e = t.expr
         stored = isinstance(e, S.Store) and not e.stale_fwd
         for cell in self._ref(callee):
@@ -1567,21 +1528,18 @@ class Analysis:
         return sub, sids
 
     def _rooted(self, fname: str, sid: int) -> list[S.Sse]:
-        """The trusted members of seed `sid` in `fname` that mention only
-        its parameters and the globals register and hold at its entry:
-        the seed's expressions in the terms a summary speaks.  A member
-        holds there when the walk carried it up out of the entry block.
-        A member below a write to a register it mentions does not: it
-        speaks of that register's new value.  The seed itself also holds
-        there when no statement above it writes a register it mentions,
-        which keeps it when a cap cut its walk."""
+        """The trusted members of seed `sid` in `fname` that mention no
+        frame register and hold at its entry: the seed's expressions in
+        the terms a summary speaks.  A member holds there when the walk
+        carried it up out of the entry block.  The seed itself also holds
+        there when the function writes none of its registers, which keeps
+        it when a cap cut its walk."""
         fn = self.session.func(fname)
-        allowed = set(fn.params) | {GP}
         entry = self.states[fname].get(fn.cfg.entry, _NO_STATE).b.out
         return [S.retag(t.expr, S.BIRTH_BEFORE_BLOCK) for t in self.family(sid, fname)
-                if S.registers(t.expr) <= allowed and t.trusted()
-                and (t._key in entry or t.parent is None
-                     and not _written_above(fn, t.point, S.registers(t.expr)))]
+                if "sp" not in (regs := S.registers(t.expr)) and t.trusted()
+                and (t._key in entry
+                     or t.parent is None and regs.isdisjoint(fn.written))]
 
     # -- the Alg.-3 driver ----------------------------------------------------
 
@@ -1689,12 +1647,14 @@ class Analysis:
     # -- cross-function exports ------------------------------------------------
 
     def _export(self, fname: str, fn: _Func):
-        """Send a walked function's results to its callers: its entry-block
-        backward results rooted at parameters or the globals register to
-        each callsite, and its exit-block forward results to each return
-        site, re-rooted under the callsite's argument binding.
-        `_for_callsite` picks the facts each callsite gets: a descent's
-        facts go back only to the callsites that reached it."""
+        """Send a walked function's results to its callers, re-rooted under
+        each callsite's argument binding (`arg_map`): its entry-block
+        backward results that mention no frame register to the callsite,
+        and its exit-block forward results to the return site, through
+        the returned register and the registers the function does not
+        write, which still hold their actuals.  `_for_callsite` picks the
+        facts each callsite gets: a descent's facts go back only to the
+        callsites that reached it."""
         callers = self.session.call_graph.callers(fname)
         if self.confine is not None:
             callers = [c for c in callers if c[0] in self.confine]
@@ -1702,9 +1662,8 @@ class Analysis:
             return
         g = fn.cfg
         states = self.states[fname]
-        allowed = set(fn.params) | {GP}
         exports_up = [t for t in states.get(g.entry, _NO_STATE).b.out.values()
-                      if S.registers(t.expr) <= allowed and not t.derived]
+                      if "sp" not in S.registers(t.expr) and not t.derived]
         returned = []       # (returned register, the exit block's forward out)
         for ex in g.exits:
             stmts = g.blocks[ex].stmts
@@ -1720,11 +1679,14 @@ class Analysis:
             cfn = self.func(caller)
             clabel = self.session.locate(cpoint)[1]
             cform = cfn.cfg.blocks[clabel].call.form
-            binding = self.session.binding(cpoint, fname)
+            binding = arg_map(cform.args)
             in_cycle = caller in cycle
             sends = [(exports_up, binding, S.BIRTH_AFTER_BLOCK, "pre")]
             if cform.ret is not None:
-                sends += [(facts, {**binding, retop: S.Reg(cform.ret)},
+                # the result register holds the result there, not an actual
+                kept = {r: v for r, v in binding.items() if r not in fn.written
+                        and not S.contains_reg(v, cform.ret)}
+                sends += [(facts, {**kept, retop: S.Reg(cform.ret)},
                            S.BIRTH_BEFORE_BLOCK, "post") for retop, facts in returned]
             moves = []
             for facts, mapping, birth, phase in sends:

@@ -49,15 +49,15 @@ class RunResult:
 
 
 class _Frame:
-    __slots__ = ("func", "block", "idx", "regs", "uid", "ret_reg")
+    __slots__ = ("func", "block", "idx", "regs", "uid", "site")
 
-    def __init__(self, func, block, regs, uid, ret_reg=None):
+    def __init__(self, func, block, regs, uid, site=None):
         self.func = func
         self.block = block
         self.idx = 0
         self.regs = regs
         self.uid = uid
-        self.ret_reg = ret_reg
+        self.site = site        # the call statement that made the frame
 
 
 class Machine:
@@ -116,12 +116,13 @@ class Machine:
     def operand(self, frame: _Frame, o: ir.Operand) -> int:
         return self.reg(frame, o) if isinstance(o, str) else (o & self.mask)
 
-    def new_frame(self, func: str, args=(), vals=(), ret_reg=None) -> _Frame:
+    def new_frame(self, func: str, vals=(),
+                  site: Optional[ir.Statement] = None) -> _Frame:
         fn = self.program.functions[func]
         self._frame_uids += 1
         regs = {f"r{i}": v & self.mask for i, v in enumerate(vals)}
         regs["gp"] = GP_BASE
-        return _Frame(func, fn.entry_block, regs, self._frame_uids, ret_reg)
+        return _Frame(func, fn.entry_block, regs, self._frame_uids, site)
 
     def _cstring(self, addr: int, cap: int = 4096) -> bytes:
         out = bytearray()
@@ -211,7 +212,8 @@ def run(program: ir.Program, entry: str = "main",
 
     ``watch`` is a set of (Point, phase) pairs for which full
     register+memory snapshots are kept (phase "pre" is the state before
-    the statement runs, "post" after).
+    the statement runs, "post" after; a call's "post" is taken once it
+    returns, its result written).
     """
     if entry not in program.functions:
         raise OracleError(f"no function {entry}")
@@ -226,9 +228,13 @@ def run(program: ir.Program, entry: str = "main",
     stack = [frame]
 
     def snap(point, phase):
+        # a "post" is taken in the activation that took the "pre": a
+        # recursive call returns in a deeper frame first
         key = (point, phase)
         if key in watch and key not in res.snapshots:
-            res.snapshots[key] = (dict(stack[-1].regs), dict(m.mem), stack[-1].uid)
+            pre = res.snapshots.get((point, "pre")) if phase == "post" else None
+            if pre is None or pre[2] == stack[-1].uid:
+                res.snapshots[key] = (dict(stack[-1].regs), dict(m.mem), stack[-1].uid)
 
     while stack:
         if res.steps >= step_limit:
@@ -269,7 +275,6 @@ def run(program: ir.Program, entry: str = "main",
             else:
                 target = form.target if form.target in program.functions else None
             vals = [m.operand(frame, a) for a in form.args]
-            snap(stmt.point, "post")
             frame.idx += 1
             if frame.idx == len(block.stmts):
                 # a call that ends its block falls through to the next one
@@ -277,7 +282,7 @@ def run(program: ir.Program, entry: str = "main",
                 if at < len(fn.blocks):
                     frame.block, frame.idx = fn.blocks[at].label, 0
             if target is not None:
-                callee = m.new_frame(target, vals=vals, ret_reg=form.ret)
+                callee = m.new_frame(target, vals=vals, site=stmt)
                 callee.regs["sp"] = (m.reg(frame, "sp")
                                      - program.functions[target].frame_size) & m.mask
                 stack.append(callee)
@@ -289,6 +294,7 @@ def run(program: ir.Program, entry: str = "main",
                 res.warnings.append(f"icall to non-function {name} skipped")
             if form.ret is not None:
                 frame.regs[form.ret] = ret & m.mask
+            snap(stmt.point, "post")
             continue
         elif isinstance(form, ir.Branch):
             c = m.reg(frame, form.cond)
@@ -306,9 +312,9 @@ def run(program: ir.Program, entry: str = "main",
             snap(stmt.point, "post")
             stack.pop()
             if stack:
-                caller = stack[-1]
-                if frame.ret_reg is not None:
-                    caller.regs[frame.ret_reg] = v
+                if frame.site.form.ret is not None:
+                    stack[-1].regs[frame.site.form.ret] = v
+                snap(frame.site.point, "post")
             else:
                 res.returned = v
             continue

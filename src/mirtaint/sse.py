@@ -618,17 +618,18 @@ def _remake(e: Sse, kids: list[Sse]) -> Sse:
     return t(kids[0], e.birth, e.stale_fwd, e.stale_bwd)
 
 
-def _substitute(e: Sse, match, replacement: Sse, fits) -> Sse:
-    """Pre-order substitution: only nodes of the original tree are
-    matched, so a node formed by the rewrite itself never cascades into
-    another replacement.  Subtrees that `fits` rules out, and those in
-    which nothing matched, are returned as they are."""
+def _substitute(e: Sse, image, fits) -> Sse:
+    """Pre-order substitution of each node for its `image` (None: the node
+    is kept and its children are visited): only nodes of the original
+    tree are matched, so a node formed by the rewrite itself never
+    cascades into another replacement.  Subtrees that `fits` rules out,
+    and those in which nothing matched, are returned as they are."""
     if not fits(e):
         return e
-    if match(e):
-        return replacement
-    return _remake(e, [_substitute(c, match, replacement, fits)
-                       for c in _children(e)])
+    out = image(e)
+    if out is not None:
+        return out
+    return _remake(e, [_substitute(c, image, fits) for c in _children(e)])
 
 
 def replace(expr: Sse, pattern: Sse, replacement: Sse) -> Sse:
@@ -643,8 +644,19 @@ def _replace(expr: Sse, pattern: Sse, replacement: Sse) -> Sse:
     # a subtree whose structure ids (`_subs`) lack the pattern's holds no
     # occurrence of it
     sid = pattern._sid
-    return canonicalize(_substitute(expr, lambda n: n._sid == sid, replacement,
+    return canonicalize(_substitute(expr,
+                                    lambda n: replacement if n._sid == sid else None,
                                     lambda n: sid in _subtree_ids(n)))
+
+
+def rename(expr: Sse, mapping: dict[str, Sse]) -> Sse:
+    """Substitute every register named in `mapping` for its image at once,
+    in one pre-order pass, so that no image is renamed again, and
+    re-canonicalize."""
+    names = mapping.keys()
+    return canonicalize(_substitute(
+        expr, lambda n: mapping.get(n.name) if type(n) is Reg else None,
+        lambda n: not names.isdisjoint(n._regs)))
 
 
 def replace_mem(expr: Sse, node_pred, replacement: Sse,
@@ -663,14 +675,14 @@ def replace_mem(expr: Sse, node_pred, replacement: Sse,
 def _replace_mem(expr: Sse, node_pred, replacement: Sse) -> tuple[Sse, bool]:
     hit = False
 
-    def match(n):
+    def image(n):
         nonlocal hit
         if isinstance(n, _Mem) and node_pred(n):
             hit = True
-            return True
-        return False
+            return replacement
+        return None
 
-    out = _substitute(expr, match, replacement, lambda n: n._mdepth)
+    out = _substitute(expr, image, lambda n: n._mdepth)
     return (canonicalize(out) if hit else expr), hit
 
 

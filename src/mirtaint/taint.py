@@ -353,8 +353,13 @@ class TaintPolicy:
             (stmt.point, t.key(), rel), (subject, rel, bound, stmt.point))
 
     # library taint flows and sink observation at callsites
-    def callsite_forward(self, analysis, point, form, t: Tracked):
-        gens: list[Tracked] = []
+    def callsite_forward(self, analysis, point, form, t: Tracked
+                         ) -> list[tuple[Tracked, bool]]:
+        """The flows of a tainted fact through a modeled library call, each
+        with whether it names the call's result (a flow to `RET`) rather
+        than an argument register as it was above the call; a tainted
+        checked argument of a sink also records a sink hit."""
+        gens: list[tuple[Tracked, bool]] = []
         if not isinstance(form, ir.Call):
             return gens
         name = form.target
@@ -380,7 +385,7 @@ class TaintPolicy:
                     if dst >= len(form.args) or not isinstance(form.args[dst], str):
                         continue
                     expr = S.Reg(form.args[dst])
-                gens.append(t.derive(expr, point, "post", derived=True))
+                gens.append((t.derive(expr, point, "post", derived=True), dst == RET))
         elif (t.tainted and name not in self.models.summaries
               and name not in self.models.sources and name not in self.models.sinks
               and name not in analysis.program.functions):

@@ -18,7 +18,7 @@ from mirtaint import sse as S
 from mirtaint import taint
 from mirtaint.alias import (Analysis, Cond, FunctionSummary, ModEntry, Seed,
                             Session, Tracked, _Walker, arg_map,
-                            live_in_registers, transfer_function)
+                            transfer_function)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -144,8 +144,8 @@ def test_kept_transfer_follows_the_callee_summary(corpus, monkeypatch):
         for callee, tr in crossings:
             summ = self.summaries[callee]
             seen.append(summ)
-            checked.append(tr == transfer_function(summ,
-                                                   self.session.binding(point, callee)))
+            args = self.session.statement(point).form.args
+            checked.append(tr == transfer_function(summ, arg_map(args)))
         return crossings
 
     monkeypatch.setattr(Analysis, "_crossings", fresh)
@@ -228,12 +228,6 @@ def test_a_reused_crossing_takes_the_callee_notes():
     assert warning in session.summaries["g"].warnings
 
 
-def test_live_in_registers(corpus):
-    prog = corpus("store_through_callee.ir")
-    g = Session(prog).func("put").cfg
-    assert live_in_registers(g) == ("r0", "r1")
-
-
 def test_summary_mod_rooted_at_params(corpus):
     prog = corpus("store_through_callee.ir")
     analysis = Analysis(Session(prog))
@@ -249,14 +243,14 @@ def test_transfer_function_reroots_mod():
         func="put",
         mod=(ModEntry(S.canonicalize(S.Store(S.parse_sse("r0+0x8"))),
                       S.Reg("r1")),))
-    (entry,) = transfer_function(summ, arg_map(("r0", "r1"), ("r4", 0x2A))).mod
+    (entry,) = transfer_function(summ, arg_map(("r4", 0x2A))).mod
     assert S.pretty(entry.cell) == "store(r4+0x8)"
     assert entry.value == S.Val(0x2A)
 
 
 def test_transfer_function_pure_callee_passthrough():
     summ = FunctionSummary(func="pure")
-    tr = transfer_function(summ, arg_map(("r0",), ("r4",)))
+    tr = transfer_function(summ, arg_map(("r4",)))
     assert tr.mod == () and tr.rets == ()
 
 
@@ -265,7 +259,7 @@ def test_transfer_function_global_rooted_mod_kept():
         func="g",
         mod=(ModEntry(S.canonicalize(S.Store(S.parse_sse("gp+0x10"))),
                       S.Reg("r0")),))
-    (entry,) = transfer_function(summ, arg_map(("r0",), ("r7",))).mod
+    (entry,) = transfer_function(summ, arg_map(("r7",))).mod
     assert S.pretty(entry.cell) == "store(gp+0x10)"
     assert entry.value == S.Reg("r7")
 
@@ -274,27 +268,7 @@ def test_transfer_function_drops_unmapped_params():
     summ = FunctionSummary(
         func="g", mod=(ModEntry(S.canonicalize(S.Store(S.Reg("r1"))), None),))
     # only one actual
-    assert transfer_function(summ, arg_map(("r0", "r1"), ("r9",))).mod == ()
-
-
-def test_each_argument_binding_is_built_once(corpus, monkeypatch):
-    """Over icall resolution and a taint run of each corpus program, a
-    callsite's binding to a callee is built once: the transfers of both
-    sessions, the taint descents and the exports back to the callsite all
-    read that one binding."""
-    built = []
-    real = alias.arg_map
-    monkeypatch.setattr(alias, "arg_map",
-                        lambda params, args: built.append(args) or real(params, args))
-    for path in sorted((ROOT / "corpus").glob("*.ir")):
-        built.clear()
-        session = Session(corpus(path.name))
-        _, mapping, _ = icall.resolve_all(session)
-        resolved = session.with_resolutions(mapping)
-        taint.run_taint(resolved)
-        sites = {(point, callee) for s in (session, resolved)
-                 for _, callee, point in s.call_graph.edges}
-        assert len(built) <= len(sites), path.name
+    assert transfer_function(summ, arg_map(("r9",))).mod == ()
 
 
 def test_callsite_mod_generates_cell_alias(corpus):
@@ -353,19 +327,77 @@ def test_summary_members_hold_at_the_entry(corpus):
     assert [S.pretty(e) for e in summary.ret_exprs] == ["r0+0x4"]
 
 
+# f never reads r1, so the zip of its read registers with the actuals
+# bound its r2 to main's r6; a call passes argument i in the callee's ri,
+# so r2 is main's r7
+PARAM_GAP_LOAD = """
+func f @0x1000 frame=0 {
+bb0:
+  r4 = r0 + 0x1
+  r3 = load r2
+  ret r3
+}
+
+func main @0x2000 frame=0 {
+bb0:
+  r5 = gp + 0x10
+  r6 = gp + 0x20
+  r7 = gp + 0x30
+  r1 = call f(r5, r6, r7)
+  jump bb1
+bb1:
+  ret r1
+}
+"""
+
+
+def test_call_bindings_certify(corpus):
+    """Every trusted, evaluable pair of three seed queries that cross a
+    call passes the oracle: arguments passed crossed (`swapped_args.ir`),
+    a callee that reads its third argument and not its second, and a
+    seed at a call, above it and, through the returned argument, below it
+    (`callee_ret_alias.ir`, whose `r3` below the call the oracle reads
+    once the callee has returned)."""
+    gap = ir.parse_program(PARAM_GAP_LOAD)
+    queries = [(corpus("swapped_args.ir"), ir.Point("main", "bb1", 0), "r5"),
+               (gap, ir.Point("main", "bb1", 0), "r1"),
+               (corpus("callee_ret_alias.ir"), ir.Point("main", "bb0", 1), "r2")]
+    for prog, point, expr in queries:
+        analysis, sid = analyze_seed(prog, point, expr)
+        pairs = [oracle.pair_from_tracked(a, b) for a, b in analysis.alias_pairs(sid)
+                 if oracle.evaluable(a) and oracle.evaluable(b)]
+        assert pairs, point
+        verdicts = oracle.certify_aliases(prog, pairs)
+        assert [v.as_json() for v in verdicts if v.status != "pass"] == [], point
+        if prog is gap:
+            assert "load(r7)" in family_pretty(analysis, sid)
+    ret_alias = {(S.pretty(p.b.expr), str(p.b.point), p.b.phase) for p in pairs}
+    assert ("r3", "main:bb0:1", "post") in ret_alias
+
+
 def test_cut_summary_walk_keeps_a_seed_that_holds_at_the_entry(monkeypatch):
     """A seed whose walk a cap cut before it left the entry block is still
-    a summary member when no statement on a path above it writes one of
-    its registers, and is none when one does."""
-    def returns(text):
+    a summary member when the function writes none of its registers, and
+    is none when it writes one, above the seed or below it."""
+    def summary(text):
         prog = ir.parse_program("func f @0x1000 frame=0 {\nbb0:\n" + text
                                 + "  jump bb1\nbb1:\n  ret r1\n}\n")
-        return [S.pretty(e) for e in Analysis(Session(prog)).summary("f").ret_exprs]
+        return Analysis(Session(prog)).summary("f")
+
+    def returns(text):
+        return [S.pretty(e) for e in summary(text).ret_exprs]
+
+    def cells(text):
+        return [S.pretty(m.cell) for m in summary(text).mod]
 
     assert returns("  r1 = r0\n") == ["r0"]
+    assert cells("  store r1 + 0x8 = r0\n  r1 = 0x0\n") == ["store(r1+0x8)"]
     monkeypatch.setattr(alias, "BLOCK_ITER_CAP", 0)
     assert returns("  r3 = r0\n") == ["r1"]
     assert returns("  r1 = r0\n") == []
+    assert cells("  store r1 + 0x8 = r0\n  r2 = 0x0\n") == ["store(r1+0x8)"]
+    # the store's address seed: r1 is written below it
+    assert cells("  store r1 + 0x8 = r0\n  r1 = 0x0\n") == []
 
 
 def test_callee_return_alias(corpus):
@@ -1390,19 +1422,19 @@ bb1:
 
 
 def test_taint_of_a_sum_that_folds_into_a_spent_load_still_descends():
-    """In `g`, the received buffer is `load(r1) + r2`, whose load is stale
-    both ways by the time `g` returns.  The call `g(r1, 0x0, r9)` binds
-    `r2` to 0, so the returned fact is the bare load `load(r1)`, the cell
-    `reader(r1)` reads and passes to `system`."""
+    """In `g`, the received buffer is `load(r0) + r1`, whose load is stale
+    both ways by the time `g` returns.  The call `g(r1, 0x0, r9)` passes 0
+    in `r1`, so the returned fact is the bare load `load(r1)` of main, the
+    cell `reader(r1)` reads and passes to `system`."""
     prog = ir.parse_program("""
 func g @0x2000 frame=0x40 {
 bb0:
-  r10 = r1
-  store sp + 0x8 = r2
+  r10 = r0
+  store sp + 0x8 = r1
   r3 = load r10
-  r4 = r3 + r2
-  r5 = call recv(r9, r4, 0x40)
-  store sp + 0x10 = r2
+  r4 = r3 + r1
+  r5 = call recv(r2, r4, 0x40)
+  store sp + 0x10 = r1
   ret r5
 }
 

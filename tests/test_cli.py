@@ -52,8 +52,8 @@ def test_input_errors_exit_2(argv, monkeypatch, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-# `r01` would name a second register beside `r1`, binding `f`'s formals in
-# an order that depends on the hash seed; `01` and `08` are not Python ints
+# `r01` would name a second register beside `r1`, one that reads as `r1`
+# but no call binds; `01` and `08` are not Python ints
 LEADING_ZEROS = {
     "register": """
 func f @0x2000 frame=0 {

@@ -13,8 +13,7 @@ every function of every corpus file and of the seed-1 ladders.  An
 irreducible cycle, which has no back edge, is still cut, and on small
 generated CFGs the retreating edges cut every cycle, the loop blocks
 are the blocks that reach themselves, and the sweep is a topological
-order of the components, the reverse postorder when there is no cycle.  The live-in registers come from
-a pass in postorder, checked against a round-robin liveness fixpoint.
+order of the components, the reverse postorder when there is no cycle.
 """
 
 import collections
@@ -26,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 
 from mirtaint import cfg as C
 from mirtaint import ir, pipeline
-from mirtaint.alias import Session, live_in_registers
+from mirtaint.alias import Session
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 if str(ROOT / "bench") not in sys.path:
@@ -47,9 +46,7 @@ PROGRAMS = dict(_programs())
 IRREDUCIBLE_COPY = "irreducible_copy.ir"
 
 # the cycle r <-> s has two entries, from k and from e: neither block
-# dominates the other, so the retreating edge s -> r is no back edge.  r7
-# is live at e only along e -> s -> r, against the postorder [x, s, r, k,
-# e], so the liveness takes a second pass to see it.
+# dominates the other, so the retreating edge s -> r is no back edge.
 IRREDUCIBLE = """
 func f @0x1000 frame=0 {
 e:
@@ -66,29 +63,6 @@ x:
   ret
 }
 """
-
-
-def reference_live_in(graph: C.Cfg) -> tuple[str, ...]:
-    """Live-in rN registers at the entry, by a round-robin fixpoint of
-    block gen and kill sets over every block in layout order."""
-    gen, kill = {}, {}
-    for label in graph.order:
-        g, k = set(), set()
-        for stmt in graph.blocks[label].stmts:
-            g.update(r for r in ir.used_registers(stmt.form) if r not in k)
-            k.add(ir.defined_register(stmt.form))
-        gen[label], kill[label] = g, k
-    live = {b: set() for b in graph.order}
-    changed = True
-    while changed:
-        changed = False
-        for label in graph.order:
-            out = set().union(*(live[s] for s in graph.succs[label]))
-            new = gen[label] | (out - kill[label])
-            if new != live[label]:
-                live[label], changed = new, True
-    return tuple(sorted((r for r in live[graph.entry] if r not in ("sp", "gp")),
-                        key=lambda r: int(r[1:])))
 
 
 def reference_loop_facts(graph: C.Cfg):
@@ -122,7 +96,6 @@ def check_record(session: Session, fname: str):
     fn = session.func(fname)
     assert reducible(fn.cfg), fname
     assert (fn.merge_points, fn.loops) == reference_loop_facts(fn.cfg), fname
-    assert fn.params == reference_live_in(fn.cfg), fname
     assert fn.order == tuple(C.postorder(fn.cfg)[0])
     check_sweep(fn)
 
@@ -232,23 +205,20 @@ def cfg_fields(g: C.Cfg) -> dict:
             "unreachable": g.unreachable, "warnings": g.warnings}
 
 
-def test_one_pass_cfg_and_live_in_equal_the_references():
+def test_one_pass_cfg_equals_the_reference():
     """`build_cfg` gives every field, in every dict order, that the
-    two-pass splitter gave, and the live-in registers from its backward
-    block scans over the postorder are the gen and kill fixpoint's, on
-    every function of the corpus and the seed-1 ladders and on `SPLITS`."""
+    two-pass splitter gave, on every function of the corpus and the
+    seed-1 ladders and on `SPLITS`."""
     functions = [fn for text in (*PROGRAMS.values(), SPLITS)
                  for fn in ir.parse_program(text).functions.values()]
     for fn in functions:
         g = C.build_cfg(fn)
         assert cfg_fields(g) == cfg_fields(reference_build_cfg(fn)), fn.name
-        assert live_in_registers(g) == reference_live_in(g), fn.name
     g = C.build_cfg(ir.parse_program(SPLITS).functions["f"])
     assert g.order == ("@entry", "bb0", "bb0@1", "bb0@2", "bb0@3", "bb1", "bb2",
                        "bb3", "dead", "empty", "tail")
     assert g.succs["bb0@3"] == ("bb1",) and g.blocks["bb1"].is_call
     assert g.unreachable == {"dead", "empty", "tail"}
-    assert live_in_registers(g) == ("r0", "r4", "r7")
 
 
 def test_irreducible_cycle_is_cut_at_its_retreating_edge():
@@ -258,7 +228,7 @@ def test_irreducible_cycle_is_cut_at_its_retreating_edge():
     assert fn.order == ("x", "s", "r", "k", "e")
     assert fn.merge_points == (("r", "f"), ("s", "b"))
     assert fn.loops == frozenset({"r", "s"})
-    assert fn.params == reference_live_in(fn.cfg) == ("r0", "r7", "r8")
+    assert fn.written == {"r7", "r8"}
 
 
 def test_irreducible_copy_loop_is_cut_at_its_retreating_edge():
@@ -317,7 +287,6 @@ def test_dfs_loop_facts_on_small_cfgs(text):
     if reducible(g):
         assert fn.merge_points == reference_loop_facts(g)[0]
         assert fn.loops == reference_loop_facts(g)[1]
-    assert fn.params == reference_live_in(g)
     check_sweep(fn)
 
 
@@ -364,14 +333,14 @@ def test_each_record_takes_one_tarjan_walk(monkeypatch):
 
 
 def test_each_cfg_is_walked_once(monkeypatch):
-    """`build_cfg` walks the CFG depth-first, and the record's loop facts,
-    live-in registers and dominators all read that one walk."""
+    """`build_cfg` walks the CFG depth-first, and the record's loop facts
+    and dominators all read that one walk."""
     walked = []
     postorder = C.postorder
     monkeypatch.setattr(C, "postorder", lambda g: walked.append(g.func) or postorder(g))
     fn = Session(ir.parse_program(IRREDUCIBLE)).func("f")
     assert walked == ["f"]
-    assert fn.merge_points and fn.params
+    assert fn.merge_points
     assert fn.dominators()["x"] == {"e", "s", "x"} and walked == ["f"]
 
 
@@ -382,7 +351,7 @@ def test_acyclic_record_builds_no_dominators(monkeypatch):
     program = ir.parse_program(
         "func f @0x1000 frame=0 {\na:\n  branch r1, b, c\nb:\n  jump c\nc:\n  ret r2\n}\n")
     fn = Session(program).func("f")
-    assert (fn.merge_points, fn.loops, fn.params) == ((), frozenset(), ("r1", "r2"))
+    assert (fn.merge_points, fn.loops) == ((), frozenset())
     assert built == []
     assert fn.dominators()["c"] == {"a", "c"} and built == ["f"]
 

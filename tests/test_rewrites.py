@@ -34,8 +34,9 @@ compiled once per form (`alias._Func.table`) too.  Renaming and
 splitting blocks change which blocks are loop heads and latches, where
 the induction merge runs (`alias._Func.merge_points`), and the order
 in which it visits them.  The dead definitions add a statement to every
-block that no fact depends on; they guard the live-in registers
-(`alias.live_in_registers`), which must not count the register.  The
+block that no fact depends on; they add a register to the ones each
+function writes (`alias._Func.written`), which must change no export
+and no summary, as no fact names the register.  The
 moved addresses guard what reads an address's value: the address-taken
 functions (`cfg.find_address_taken`), data words (`ir.Program.data_word`)
 and the table walks of icall resolution (`icall.table_walk`).
