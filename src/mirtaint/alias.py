@@ -66,11 +66,14 @@ analysis that descends builds REF when a tainted alias first crosses a
 call to that callee there, and re-roots it at each descent.
 
 On completion a function exports its entry-block backward results that
-mention no frame register, which hold at its entry, to its callers'
-callsites, and its exit-block forward results to its callers' return
-sites, re-rooted through the returned register and the registers the
-function never writes (`_Func.written`), which still hold their actuals;
-this is how demand spreads across the call graph.  Taint descents are
+mention no frame register, which hold at its entry, to above its
+callers' calls, and its exit-block forward results to below them,
+re-rooted through the returned register and the registers the function
+never writes (`_Func.written`), which still hold their actuals; this is
+how demand spreads across the call graph.  An exported fact holds on its
+side of the call and does not cross it (`Analysis._hold`).  A summary
+keeps no return alias that holds a store node, which holds below the
+call only, so both crossings read one list.  Taint descents are
 tabulated: a descent seed is keyed by (callee, entry fact, trigger), not
 by the caller's seed, so the callee is walked once for all callsites
 that pass it the same fact, and the analysis records which callsites
@@ -444,7 +447,7 @@ def _bounded(parent: Tracked, expr: S.Sse, point: ir.Point, phase: str,
 
 
 def _holds_store(expr: S.Sse) -> bool:
-    """True when `expr` holds a store node (see `_visit_callsite`)."""
+    """True when `expr` holds a store node (see `Analysis._compute_summary`)."""
     return any(type(n) is S.Store for n in S.mem_nodes(expr))
 
 
@@ -1114,23 +1117,16 @@ class Analysis:
         expr = S.canonicalize(S.retag(seed.expr, idx))
         t = Tracked(expr=expr, point=seed.point, phase=phase, seed_id=sid,
                     tainted=seed.tainted, trigger=seed.trigger)
-        if seed.direction in ("forward", "both"):
-            if phase == "post" and fn.cfg.blocks[label].is_call:
-                # it holds below its call, as a returned fact does: the
-                # call's result register must not kill it
-                st = self._state(fname, label)
-                if st.f.put(t):
-                    self._propagate(fname, fn.cfg, label, st)
-            else:
-                self._inject(fname, label, t, idx, "f")
-        if seed.direction in ("backward", "both"):
-            if phase == "pre" and fn.cfg.blocks[label].is_call:
-                # it holds above its call: it must not cross the call
-                st = self._state(fname, label)
-                if st.b.put(t):
-                    self._propagate(fname, fn.cfg, label, st)
-            else:
-                self._inject(fname, label, t, idx - 1, "b")
+        at_call = fn.cfg.blocks[label].is_call
+        for way, direction, start, side in (("forward", "f", idx, "post"),
+                                            ("backward", "b", idx - 1, "pre")):
+            if seed.direction in (way, "both"):
+                # at a call, a seed walked toward the side its phase
+                # names holds there, as an exported fact does (`_hold`)
+                if at_call and phase == side:
+                    self._hold(fname, label, t)
+                else:
+                    self._inject(fname, label, t, start, direction)
         self._record(fname, t)
         self._schedule(fname)
         return sid
@@ -1155,6 +1151,18 @@ class Analysis:
         if st is None:
             st = states[label] = _BlockSt()
         return st
+
+    def _hold(self, fname: str, label: str, t: Tracked) -> bool:
+        """Put `t`, a fact that holds on one side of the call block
+        `label`, into that side's `out`, so that it never crosses the call:
+        below it (forward) in phase `post`, else above it (backward).  A
+        new fact is recorded and pushed on; True when it was new."""
+        st = self._state(fname, label)
+        if not (st.f if t.phase == "post" else st.b).put(t):
+            return False
+        self._record(fname, t)
+        self._propagate(fname, self.session.func(fname).cfg, label, st)
+        return True
 
     def _inject(self, fname: str, label: str, t: Tracked, idx: int, direction: str):
         k = t._key
@@ -1292,8 +1300,7 @@ class Analysis:
                                          False))
                     if ret_reg is not None:
                         gens.extend((_bounded(t, S.Reg(ret_reg), point, "post", sat), True)
-                                    for rr in tr.rets
-                                    if rr == t.expr and not _holds_store(rr))
+                                    for rr in tr.rets if rr == t.expr)
                     self._descend(t, point, callee, tr)
                 if self.policy is not None:
                     gens.extend(self.policy.callsite_forward(self, point, form, t))
@@ -1488,7 +1495,9 @@ class Analysis:
                 mod.extend(ModEntry(S.Store(m), vals[0] if vals else None)
                            for m in rooted[(kind, stmt.point)])
             elif kind == "ret":
-                rets.extend(rooted[(kind, stmt.point)])
+                # the callee's store holds below the call only
+                rets.extend(r for r in rooted[(kind, stmt.point)]
+                            if not _holds_store(r))
         return FunctionSummary(func=fname, mod=tuple(dict.fromkeys(mod)),
                                ret_exprs=tuple(dict.fromkeys(rets)),
                                warnings=tuple(sub.warnings),
@@ -1649,12 +1658,14 @@ class Analysis:
     def _export(self, fname: str, fn: _Func):
         """Send a walked function's results to its callers, re-rooted under
         each callsite's argument binding (`arg_map`): its entry-block
-        backward results that mention no frame register to the callsite,
-        and its exit-block forward results to the return site, through
-        the returned register and the registers the function does not
-        write, which still hold their actuals.  `_for_callsite` picks the
-        facts each callsite gets: a descent's facts go back only to the
-        callsites that reached it."""
+        backward results that mention no frame register to above the
+        call, and its exit-block forward results to below it, through the
+        returned register and the registers the function does not write,
+        which still hold their actuals.  Each holds on its side and does
+        not cross the call (`_hold`), and no return alias crossing it
+        holds a store node (`_compute_summary`).  `_for_callsite` picks
+        the facts each callsite gets: a descent's facts go back only to
+        the callsites that reached it."""
         callers = self.session.call_graph.callers(fname)
         if self.confine is not None:
             callers = [c for c in callers if c[0] in self.confine]
@@ -1676,9 +1687,8 @@ class Analysis:
             return
         cycle = self.session.cycle(fname)
         for caller, cpoint in callers:
-            cfn = self.func(caller)
             clabel = self.session.locate(cpoint)[1]
-            cform = cfn.cfg.blocks[clabel].call.form
+            cform = self.func(caller).cfg.blocks[clabel].call.form
             binding = arg_map(cform.args)
             in_cycle = caller in cycle
             sends = [(exports_up, binding, S.BIRTH_AFTER_BLOCK, "pre")]
@@ -1697,26 +1707,16 @@ class Analysis:
                                               hops=t.hops + 1 if in_cycle else 0))
             if (self._jobs.get(caller, 0) >= FUNC_JOB_CAP
                     and caller not in self._queued):
-                # a hit only when the cap keeps out a fact the callsite lacks:
-                # a returned fact not in its forward `out`, any other fact
-                # neither in its backward pool nor retired
+                # a hit only when the cap keeps out a fact the callsite
+                # lacks: one not in the `out` of the side it holds on
                 st = self.states[caller].get(clabel, _NO_STATE)
-                retired = self.retired.get(caller, ())
-                if any(m._key not in st.f.out if m.phase == "post"
-                       else m._key not in st.b.pool and m._key not in retired
+                if any(m._key not in (st.f if m.phase == "post" else st.b).out
                        for m in moves):
                     self._cap_hit(f"job cap reached; exports of {fname} to {caller} dropped")
                 continue
-            grew = pushed = False
+            grew = False
             for moved in moves:
-                # a returned fact holds below the call: it does not cross it
-                if (self._state(caller, clabel).f.put(moved) if moved.phase == "post"
-                        else self._inject(caller, clabel, moved, -1, "b")):
-                    self._record(caller, moved)
-                    grew = True
-                    pushed |= moved.phase == "post"
-            if pushed:
-                self._propagate(caller, cfn.cfg, clabel, self.states[caller][clabel])
+                grew |= self._hold(caller, clabel, moved)
             if grew:
                 self._schedule(caller)
 

@@ -155,9 +155,10 @@ def resolve(callsite: ir.Point, ct_exprs: list[S.Sse], refs: list[PointerRef],
     ct_exprs = [e for e in ct_exprs if not S.has_bitwise_addr(e)]
 
     direct: list[tuple[str, int | None]] = []   # (target, containing object)
-    table_hits: list[tuple[list[str], int, dict]] = []
+    # (targets, nulls, the walked object's base, evidence) of each walk
+    table_hits: list[tuple[list[str], int, int, dict]] = []
     gptr_load: list[str] = []
-    gptr_table: list[tuple[list[str], int, dict]] = []
+    gptr_table: list[tuple[list[str], int, int, dict]] = []
 
     fptr_refs = [r for r in refs if r.kind == "fptr"]
     dptr_refs = [r for r in refs if r.kind == "dptr"]
@@ -177,7 +178,8 @@ def resolve(callsite: ir.Point, ct_exprs: list[S.Sse], refs: list[PointerRef],
             if isinstance(base, S.Val):
                 targets, nulls = table_walk(program, base.value, stride, off, entries)
                 if targets or nulls:
-                    table_hits.append((targets, nulls, {
+                    table_hits.append((targets, nulls,
+                                       program.data_object(base.value)[0], {
                         "ct": S.pretty(ct), "base": hex(base.value),
                         "stride": hex(stride), "offset": hex(off)}))
             elif isinstance(base, S.Load) and _gp_rooted(base.addr):
@@ -186,7 +188,8 @@ def resolve(callsite: ir.Point, ct_exprs: list[S.Sse], refs: list[PointerRef],
                         targets, nulls = table_walk(program, ref.value, stride,
                                                     off, entries)
                         if targets or nulls:
-                            gptr_table.append((targets, nulls, {
+                            gptr_table.append((targets, nulls,
+                                               program.data_object(ref.value)[0], {
                                 "ct": S.pretty(ct), "gp_cell": S.pretty(base.addr),
                                 "base": hex(ref.value), "stride": hex(stride),
                                 "offset": hex(off)}))
@@ -198,26 +201,18 @@ def resolve(callsite: ir.Point, ct_exprs: list[S.Sse], refs: list[PointerRef],
             if value in entries:
                 direct.append((entries[value], None))
 
-    walked_objects = set()
-    for targets, nulls, ev in table_hits + gptr_table:
-        base = int(ev["base"], 16)
-        obj = program.data_object(base)
-        if obj:
-            walked_objects.add(obj[0])
+    tables = table_hits + gptr_table
+    walked_objects = {obj for _, _, obj, _ in tables}
+    # a load of a walked table's cell counts toward the table's pattern
     effective_direct = [t for t, obj in direct
                         if obj is None or obj not in walked_objects]
 
-    all_targets: set[str] = set(effective_direct)
-    nulls = 0
+    all_targets = {t for t, _ in direct}.union(
+        gptr_load, *(targets for targets, *_ in tables))
+    nulls = sum(n for _, n, _, _ in tables)
     evidence: dict = {}
-    for targets, n, ev in table_hits + gptr_table:
-        all_targets.update(targets)
-        nulls += n
-        evidence.setdefault("tables", []).append(ev)
-    all_targets.update(gptr_load)
-    for t, obj in direct:
-        if obj is not None and obj in walked_objects:
-            all_targets.add(t)
+    if tables:
+        evidence["tables"] = [ev for *_, ev in tables]
 
     if effective_direct:
         pattern = "direct-fptr"

@@ -504,32 +504,33 @@ def _asks(hit: SinkHit, guards: list[Constraint], tainted_args: frozenset
 
 def _plan_queries(session: Session, hits,
                   constraints_by_edge: dict[tuple[str, str], list[Constraint]],
-                  tainted_args: frozenset = frozenset()) -> list[tuple[ir.Point, str]]:
-    """The (point, register) queries that `check_sink` reads for `hits`,
-    in hit order, each once."""
-    queries: dict[tuple[ir.Point, str], None] = {}
+                  tainted_args: frozenset = frozenset()
+                  ) -> tuple[list[tuple], list[tuple[ir.Point, str]]]:
+    """Each hit's plan, in hit order: its guards (`_guards`) and the
+    registers it asks (`_asks`); then the (point, register) queries that
+    `check_sink` reads for `hits`, in hit order, each once."""
+    plans, queries = [], {}
     for hit in hits:
         guards = _guards(session, constraints_by_edge, hit.point.func,
                          session.locate(hit.point)[1], hit.item.seed_id)
-        for reg in _asks(hit, guards, tainted_args):
+        asks = _asks(hit, guards, tainted_args)
+        plans.append((guards, *asks))
+        for reg in asks:
             if reg is not None:
                 queries[hit.point, reg] = None
-    return list(queries)
+    return plans, list(queries)
 
 
-def check_sink(session: Session, hit: SinkHit,
-               constraints_by_edge: dict[tuple[str, str], list[Constraint]],
-               families: dict[tuple[ir.Point, str], tuple[S.Sse, ...]],
-               tainted_args: frozenset = frozenset()) -> Optional[Alert]:
+def check_sink(session: Session, hit: SinkHit, plan: tuple,
+               families: dict[tuple[ir.Point, str], tuple[S.Sse, ...]]
+               ) -> Optional[Alert]:
     """Decide whether one tainted sink argument or loop store becomes an
-    alert.  It runs no analysis: the backward families it reads, of the
-    queries `_plan_queries` gives for the hit, are looked up in
-    `families`."""
-    _, sink_block, _ = session.locate(hit.point)
+    alert, given its plan from `_plan_queries`: its guards and the
+    registers it asks.  It runs no analysis: the backward families of
+    those queries are looked up in `families`."""
     model = hit.sink
-    applicable = _guards(session, constraints_by_edge, hit.point.func, sink_block,
-                         hit.item.seed_id)
-    length, dst = _asks(hit, applicable, tainted_args)
+    guards, length, dst = plan
+    applicable = list(guards)
 
     # a constant length argument (immediate, or a register that resolves
     # to one untainted constant) acts like an equality constraint
@@ -658,11 +659,11 @@ def run_taint(session: Session, models: Models | None = None) -> TaintResult:
     # the run's cap hits, then the query analyses', each once; their
     # warnings are left out, as the seed queries' are
     cap_hits = list(analysis.cap_hits)
-    families = _backward_families(
-        session, _plan_queries(session, hits, constraints, tainted_args), cap_hits)
+    plans, queries = _plan_queries(session, hits, constraints, tainted_args)
+    families = _backward_families(session, queries, cap_hits)
     alerts: dict[ir.Point, Alert] = {}
-    for hit in hits:
-        alert = check_sink(session, hit, constraints, families, tainted_args)
+    for hit, plan in zip(hits, plans):
+        alert = check_sink(session, hit, plan, families)
         if alert is not None:
             alerts.setdefault(hit.point, alert)
 

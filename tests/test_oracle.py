@@ -2,6 +2,7 @@
 the certifier's verdicts on pairs it cannot compare."""
 
 import pathlib
+import sys
 
 import pytest
 
@@ -11,6 +12,9 @@ from mirtaint.alias import Cond, Tracked
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CORPUS = sorted(p.name for p in (ROOT / "corpus").glob("*.ir"))
+if str(ROOT / "tools") not in sys.path:
+    sys.path.insert(0, str(ROOT / "tools"))
+import certify_calls  # noqa: E402
 
 # "12ab" at SRC, "xy" at DST; nothing is written at FREE
 SRC, DST, FREE = 0x9000, 0x9100, 0x5000
@@ -221,3 +225,14 @@ def test_a_store_node_is_evaluable_once_its_store_ran(birth, phase, want):
     assert oracle.evaluable(t) == want
     later = S.Bin("+", S.Load(S.Reg("r2"), birth=S.BIRTH_AFTER_BLOCK), expr)
     assert not oracle.evaluable(t.moved(later))
+
+
+def test_call_seed_scan_certifies_a_callee_store_return():
+    """The call-seed scan (`tools/certify_calls.py`) fails no pair on
+    `callee_store_ret.ir`: h's return alias store(r0) is the store h makes,
+    which holds below the call only, so no summary keeps it and the seed
+    r7 at `system`'s call is not carried to main's own store to that cell
+    above h's call."""
+    verdicts = certify_calls.scan(ROOT / "corpus" / "callee_store_ret.ir")
+    assert verdicts
+    assert [(seed, v.as_json()) for seed, v in verdicts if v.status == "fail"] == []

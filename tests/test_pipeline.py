@@ -1,7 +1,7 @@
 """Golden report snapshots for the whole pipeline.
 
 Every corpus program's JSON report (without timings) is compared byte
-for byte against `tests/golden/<name>.json`, and eight seed-query reports
+for byte against `tests/golden/<name>.json`, and ten seed-query reports
 against `tests/golden/<name>.seed.json`.  After a deliberate change to
 the reports, regenerate the goldens from the root of the checkout with
 
@@ -32,7 +32,9 @@ SEED_QUERIES = {
     "intuitive.ir": ("main:bb0:load(r3+0x8)",),
     "ite_exclusive.ir": ("main:use:r6",),
     "loop_walk.ir": ("main:head:load(r1)",),
+    "mod_over_param.ir": ("f:bb0:load(r0)",),
     "param_redefined.ir": ("main:bb1:r0+0x4",),
+    "ret_over_param.ir": ("f:bb0:load(r0)",),
     "store_barrier.ir": ("main:bb0:load(r2)", "back:out:r5"),
     "summaries_tour.ir": ("main:bb0:r1",),
     "swapped_args.ir": ("main:bb1:r5",),

@@ -396,9 +396,9 @@ def test_planned_batched_queries_equal_the_one_query_ones(tmp_path, monkeypatch)
     plan, ask = T._plan_queries, T._backward_families
 
     def planned(session, hits, constraints, tainted_args=frozenset()):
-        queries = plan(session, hits, constraints, tainted_args)
-        runs.append([session, hits, constraints, tainted_args, queries])
-        return queries
+        plans, queries = plan(session, hits, constraints, tainted_args)
+        runs.append([session, hits, constraints, tainted_args, plans, queries])
+        return plans, queries
 
     def asked(session, queries, cap_hits):
         families = ask(session, queries, cap_hits)
@@ -415,14 +415,13 @@ def test_planned_batched_queries_equal_the_one_query_ones(tmp_path, monkeypatch)
         pipeline.analyze(pipeline.RunConfig(ir_path=name))
     assert len(runs) == len(programs)
     total = 0
-    for session, hits, constraints, tainted_args, queries, families in runs:
+    for session, hits, constraints, tainted_args, plans, queries, families in runs:
         expected = {}
-        for hit in hits:
+        for hit, (guards, *asks) in zip(hits, plans):
             old = _one_query_asks(session, hit, constraints, tainted_args)
-            guards = T._guards(session, constraints, hit.point.func,
-                               session.locate(hit.point)[1], hit.item.seed_id)
-            assert [(hit.point, r) for r in T._asks(hit, guards, tainted_args)
-                    if r is not None] == list(old)
+            assert guards == T._guards(session, constraints, hit.point.func,
+                                       session.locate(hit.point)[1], hit.item.seed_id)
+            assert [(hit.point, r) for r in asks if r is not None] == list(old)
             expected.update(old)
         assert queries == list(expected)
         assert families == expected
@@ -508,10 +507,10 @@ def _loop_copy_verdicts(guard):
     analysis = _taint_analysis(prog)
     constraints = analysis.policy.edge_constraints(analysis)
     hits = T.detect_loop_copies(analysis)
-    families = T._backward_families(
-        analysis.session, T._plan_queries(analysis.session, hits, constraints), [])
-    verdicts = [(h, T.check_sink(analysis.session, h, constraints, families))
-                for h in hits]
+    plans, queries = T._plan_queries(analysis.session, hits, constraints)
+    families = T._backward_families(analysis.session, queries, [])
+    verdicts = [(h, T.check_sink(analysis.session, h, plan, families))
+                for h, plan in zip(hits, plans)]
     return verdicts, T.run_taint(Session(prog)).alerts
 
 
